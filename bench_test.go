@@ -391,7 +391,7 @@ func BenchmarkAutonomousVsCoordinatedSSSP(b *testing.B) {
 // deterministic core, the parallel nondeterministic core, the barrier-free
 // async executor, the push (Ligra-style) engine, and the direction-
 // optimizing hybrid engine — the acceptance pipeline for the hybrid
-// engine's "beats the best existing engine" criterion (BENCH_PR7.json).
+// engine's "beats the best existing engine" criterion.
 // Each iteration is a full build-and-run so setup costs land on every
 // contender equally.
 func BenchmarkBFSEngines(b *testing.B) {
@@ -467,7 +467,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 }
 
 // BenchmarkNoSyncEngines is the acceptance pipeline for the work-stealing
-// no-sync tier (BENCH_PR8.json): WCC — every vertex seeded, maximal
+// no-sync tier: WCC — every vertex seeded, maximal
 // scheduling traffic — through the channel-based async executor and the
 // work-stealing executor at 8 threads on each benchmark graph, alongside
 // the parallel core engine for context. The channel executor serializes

@@ -72,8 +72,8 @@ func (p *PageRank) Setup(e *core.Engine) {
 // and scatter rank/outdeg to the out-edges unless locally converged.
 func (p *PageRank) Update(ctx core.VertexView) {
 	sum := 0.0
-	for k := 0; k < ctx.InDegree(); k++ {
-		sum += edgedata.ToFloat64(ctx.InEdgeVal(k))
+	for _, w := range ctx.InEdgeVals() {
+		sum += edgedata.ToFloat64(w)
 	}
 	old := edgedata.ToFloat64(ctx.Vertex())
 	rank := (1 - p.Damping) + p.Damping*sum
@@ -83,10 +83,7 @@ func (p *PageRank) Update(ctx core.VertexView) {
 	}
 	ctx.Yield()
 	if out := ctx.OutDegree(); out > 0 {
-		w := edgedata.FromFloat64(rank / float64(out))
-		for k := 0; k < out; k++ {
-			ctx.SetOutEdgeVal(k, w)
-		}
+		ctx.SetOutEdgeVals(edgedata.FromFloat64(rank / float64(out)))
 	}
 }
 

@@ -100,8 +100,8 @@ func (s *SpMV) Setup(e *core.Engine) {
 // contributions unless locally converged.
 func (s *SpMV) Update(ctx core.VertexView) {
 	sum := s.B[ctx.V()]
-	for k := 0; k < ctx.InDegree(); k++ {
-		sum += edgedata.ToFloat64(ctx.InEdgeVal(k))
+	for _, w := range ctx.InEdgeVals() {
+		sum += edgedata.ToFloat64(w)
 	}
 	old := edgedata.ToFloat64(ctx.Vertex())
 	ctx.SetVertex(edgedata.FromFloat64(sum))

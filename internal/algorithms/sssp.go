@@ -84,8 +84,8 @@ func (s *SSSP) Setup(e *core.Engine) {
 // current word exceeds them.
 func (s *SSSP) Update(ctx core.VertexView) {
 	d := edgedata.ToFloat64(ctx.Vertex())
-	for k := 0; k < ctx.InDegree(); k++ {
-		if c := edgedata.ToFloat64(ctx.InEdgeVal(k)); c < d {
+	for _, w := range ctx.InEdgeVals() {
+		if c := edgedata.ToFloat64(w); c < d {
 			d = c
 		}
 	}
@@ -94,12 +94,12 @@ func (s *SSSP) Update(ctx core.VertexView) {
 		return // unreached; nothing to scatter
 	}
 	ctx.Yield()
-	for k := 0; k < ctx.OutDegree(); k++ {
+	for k, w := range ctx.OutEdgeVals() {
 		cand := d + s.Weights[ctx.OutEdgeID(k)]
 		// !(cand >= cur) rather than cand < cur: a corrupted edge word
 		// decoding to NaN compares false both ways, and the negated form
 		// rewrites it instead of leaving the corruption in place forever.
-		if cur := edgedata.ToFloat64(ctx.OutEdgeVal(k)); !(cand >= cur) {
+		if cur := edgedata.ToFloat64(w); !(cand >= cur) {
 			ctx.SetOutEdgeVal(k, edgedata.FromFloat64(cand))
 		}
 	}

@@ -55,25 +55,28 @@ func (*WCC) Setup(e *core.Engine) {
 // correct the vertex and any incident edge above the minimum.
 func (*WCC) Update(ctx core.VertexView) {
 	min := ctx.Vertex()
-	for k := 0; k < ctx.InDegree(); k++ {
-		if w := ctx.InEdgeVal(k); w < min {
+	for _, w := range ctx.InEdgeVals() {
+		if w < min {
 			min = w
 		}
 	}
-	for k := 0; k < ctx.OutDegree(); k++ {
-		if w := ctx.OutEdgeVal(k); w < min {
+	for _, w := range ctx.OutEdgeVals() {
+		if w < min {
 			min = w
 		}
 	}
 	ctx.SetVertex(min)
 	ctx.Yield()
-	for k := 0; k < ctx.InDegree(); k++ {
-		if ctx.InEdgeVal(k) > min {
+	// The correction re-reads the edges rather than reusing the gathered
+	// words: a neighbour may have lowered one since (the Yield above is
+	// where the amplifier lets it), and the guard should see that.
+	for k, w := range ctx.InEdgeVals() {
+		if w > min {
 			ctx.SetInEdgeVal(k, min)
 		}
 	}
-	for k := 0; k < ctx.OutDegree(); k++ {
-		if ctx.OutEdgeVal(k) > min {
+	for k, w := range ctx.OutEdgeVals() {
+		if w > min {
 			ctx.SetOutEdgeVal(k, min)
 		}
 	}

@@ -48,6 +48,17 @@ func TestConflictClassFixtures(t *testing.T) {
 	if pr.Verdict == nil || !pr.Verdict.Eligible || pr.Verdict.Theorem != 1 {
 		t.Errorf("GoodPR verdict = %+v, want eligible Theorem 1", pr.Verdict)
 	}
+	// The bulk accessors classify as their per-edge equivalents.
+	if bulk := byRecv["GoodBulkPR"]; bulk.Profile != want || bulk.Verdict == nil || bulk.Verdict.Theorem != 1 {
+		t.Errorf("GoodBulkPR = profile %+v verdict %+v, want GoodPR's profile under Theorem 1", bulk.Profile, bulk.Verdict)
+	}
+	all := eligibility.StaticProfile{ReadsIn: true, ReadsOut: true, WritesIn: true, WritesOut: true, WritesVertex: true}
+	if bulk := byRecv["GoodBulkWCC"]; bulk.Profile != all || bulk.Verdict == nil || bulk.Verdict.Theorem != 2 {
+		t.Errorf("GoodBulkWCC = profile %+v verdict %+v, want every side accessed under Theorem 2", bulk.Profile, bulk.Verdict)
+	}
+	if osc := byRecv["BadBulkOscillator"]; osc.Profile != want {
+		t.Errorf("BadBulkOscillator profile = %+v, want %+v", osc.Profile, want)
+	}
 	wcc, ok := byRecv["GoodWCC"]
 	if !ok {
 		t.Fatal("no report for GoodWCC")
@@ -136,6 +147,15 @@ func TestPropCheckFixtures(t *testing.T) {
 	}
 	if !strings.HasPrefix(min.Hash, "fnv1a:") {
 		t.Errorf("GoodMin hash = %q, want fnv1a: prefix", min.Hash)
+	}
+
+	// Bulk gathers (range over the call, index into a held slice) extract
+	// to the same merge as the per-edge loops.
+	if bm := byRecv["GoodBulkMin"].Merge; !bm.Extracted || bm.Sites != 2 || !bm.SemilatticeVerified {
+		t.Errorf("GoodBulkMin merge = %+v, want 2 extracted sites, semilattice verified", bm)
+	}
+	if bs := byRecv["BadBulkSum"].Merge; !bs.Extracted || bs.Idempotent || bs.Counter == "" {
+		t.Errorf("BadBulkSum merge = %+v, want extracted with an idempotence counter-example", bs)
 	}
 
 	// GoodSum's idempotence is refuted but it never claimed Monotonic, so

@@ -41,6 +41,7 @@ type edgeRead struct {
 
 func checkAtomicity(pass *Pass, u UpdateFn) {
 	reads := map[types.Object]edgeRead{}
+	slices := bulkSlices(pass, u.Body)
 
 	indexKey := func(idx ast.Expr) (types.Object, string) {
 		if id, ok := idx.(*ast.Ident); ok {
@@ -62,36 +63,56 @@ func checkAtomicity(pass *Pass, u UpdateFn) {
 		}
 		return a.indexStr != "" && a.indexStr == b.indexStr
 	}
+	// asEdgeRead matches the two spellings of "the word of edge k":
+	// view.InEdgeVal(k), and ws[k] where ws is (a variable holding) a bulk
+	// read view.InEdgeVals().
 	asEdgeRead := func(e ast.Expr) (edgeRead, bool) {
-		call, ok := e.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return edgeRead{}, false
+		switch e := e.(type) {
+		case *ast.CallExpr:
+			if len(e.Args) != 1 {
+				return edgeRead{}, false
+			}
+			name, ok := viewCall(pass, e)
+			if !ok || (name != "InEdgeVal" && name != "OutEdgeVal") {
+				return edgeRead{}, false
+			}
+			obj, str := indexKey(e.Args[0])
+			return edgeRead{dir: name[:len(name)-len("EdgeVal")], indexObj: obj, indexStr: str}, true
+		case *ast.IndexExpr:
+			dir, ok := bulkDir(pass, slices, e.X)
+			if !ok {
+				return edgeRead{}, false
+			}
+			obj, str := indexKey(e.Index)
+			return edgeRead{dir: dir, indexObj: obj, indexStr: str}, true
 		}
-		name, ok := viewCall(pass, call)
-		if !ok || (name != "InEdgeVal" && name != "OutEdgeVal") {
-			return edgeRead{}, false
+		return edgeRead{}, false
+	}
+	track := func(lhs ast.Expr, r edgeRead) {
+		if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
+			if obj := identObject(pass, id); obj != nil {
+				reads[obj] = r
+			}
 		}
-		obj, str := indexKey(call.Args[0])
-		return edgeRead{dir: name[:len(name)-len("EdgeVal")], indexObj: obj, indexStr: str}, true
 	}
 
 	ast.Inspect(u.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
-			// Track w := view.InEdgeVal(k) (and plain re-assignments).
+			// Track w := view.InEdgeVal(k) and w := ws[k] (and plain
+			// re-assignments).
 			if len(s.Lhs) == len(s.Rhs) {
 				for i, rhs := range s.Rhs {
 					if r, ok := asEdgeRead(rhs); ok {
-						if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-							obj := pass.Info.Defs[id]
-							if obj == nil {
-								obj = pass.Info.Uses[id]
-							}
-							if obj != nil {
-								reads[obj] = r
-							}
-						}
+						track(s.Lhs[i], r)
 					}
+				}
+			}
+		case *ast.RangeStmt:
+			// for k, w := range view.InEdgeVals(): w is the word of edge k.
+			if dir, ok := bulkDir(pass, slices, s.X); ok && s.Value != nil {
+				if key, ok := s.Key.(*ast.Ident); ok && key.Name != "_" {
+					track(s.Value, edgeRead{dir: dir, indexObj: identObject(pass, key)})
 				}
 			}
 		case *ast.CallExpr:
@@ -113,7 +134,7 @@ func checkAtomicity(pass *Pass, u UpdateFn) {
 					if r, ok := reads[pass.Info.Uses[e]]; ok && sameWord(r, target) {
 						derived = true
 					}
-				case *ast.CallExpr:
+				case ast.Expr:
 					if r, ok := asEdgeRead(e); ok && sameWord(r, target) {
 						derived = true
 					}

@@ -98,13 +98,13 @@ func (c *classifier) profileOfBody(body *ast.BlockStmt) eligibility.StaticProfil
 		}
 		if name, ok := viewCall(c.pass, call); ok {
 			switch name {
-			case "InEdgeVal":
+			case "InEdgeVal", "InEdgeVals":
 				sp.ReadsIn = true
-			case "OutEdgeVal":
+			case "OutEdgeVal", "OutEdgeVals":
 				sp.ReadsOut = true
 			case "SetInEdgeVal":
 				sp.WritesIn = true
-			case "SetOutEdgeVal":
+			case "SetOutEdgeVal", "SetOutEdgeVals":
 				sp.WritesOut = true
 			case "SetVertex":
 				sp.WritesVertex = true

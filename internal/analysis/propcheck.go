@@ -178,9 +178,9 @@ type site struct {
 	pos token.Pos
 	// acc is the accumulator object (declared before the loop).
 	acc types.Object
-	// reads are the InEdgeVal/OutEdgeVal calls this site consumes; all of
-	// them denote the same word during one application.
-	reads []*ast.CallExpr
+	// reads are the edge-word expressions this site consumes (see
+	// wordReads); all of them denote the same word during one application.
+	reads []ast.Expr
 	// form discriminates the compile strategy.
 	form int
 	// Form 1 (if-init): ifInit is `x := E(read)`, cond the condition,
@@ -208,21 +208,28 @@ const (
 func findMergeSites(pass *Pass, u UpdateFn) ([]site, string) {
 	var sites []site
 	note := ""
+	wr := newWordReads(pass, u)
 	ast.Inspect(u.Body, func(n ast.Node) bool {
 		if note != "" {
 			return false
 		}
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
+		var loop ast.Stmt
+		var body *ast.BlockStmt
+		switch l := n.(type) {
+		case *ast.ForStmt:
+			loop, body = l, l.Body
+		case *ast.RangeStmt:
+			loop, body = l, l.Body
+		default:
 			return true
 		}
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
+		ast.Inspect(body, func(m ast.Node) bool {
 			if note != "" {
 				return false
 			}
 			switch st := m.(type) {
 			case *ast.IfStmt:
-				if s, ok, bad := ifSite(pass, u, loop, st); bad != "" {
+				if s, ok, bad := ifSite(wr, u, loop, st); bad != "" {
 					note = bad
 					return false
 				} else if ok {
@@ -234,7 +241,7 @@ func findMergeSites(pass *Pass, u UpdateFn) ([]site, string) {
 				// descend in case a nested statement is.
 				return true
 			case *ast.AssignStmt:
-				if s, ok, bad := assignSite(pass, u, loop, st); bad != "" {
+				if s, ok, bad := assignSite(wr, u, loop, st); bad != "" {
 					note = bad
 					return false
 				} else if ok {
@@ -250,16 +257,53 @@ func findMergeSites(pass *Pass, u UpdateFn) ([]site, string) {
 	return sites, note
 }
 
-// edgeReads collects the InEdgeVal/OutEdgeVal calls inside expr.
-func edgeReads(pass *Pass, expr ast.Expr) []*ast.CallExpr {
-	var out []*ast.CallExpr
+// wordReads recognizes the expressions of one update function that
+// denote "the current edge word" of a gather loop: a per-edge call
+// view.InEdgeVal(k); an element ws[k] of a bulk read (ws :=
+// view.InEdgeVals(), or the call indexed directly); and a use of the
+// value variable of a range over a bulk read (for _, w := range
+// view.InEdgeVals()).
+type wordReads struct {
+	pass   *Pass
+	slices map[types.Object]string // variables holding a bulk read
+	words  map[types.Object]bool   // range value variables over one
+}
+
+func newWordReads(pass *Pass, u UpdateFn) *wordReads {
+	wr := &wordReads{pass: pass, slices: bulkSlices(pass, u.Body), words: map[types.Object]bool{}}
+	ast.Inspect(u.Body, func(n ast.Node) bool {
+		if r, ok := n.(*ast.RangeStmt); ok {
+			if _, ok := bulkDir(pass, wr.slices, r.X); ok {
+				if id, ok := r.Value.(*ast.Ident); ok && id.Name != "_" {
+					wr.words[identObject(pass, id)] = true
+				}
+			}
+		}
+		return true
+	})
+	return wr
+}
+
+// in collects the edge-word expressions inside expr.
+func (wr *wordReads) in(expr ast.Expr) []ast.Expr {
+	var out []ast.Expr
 	if expr == nil {
 		return nil
 	}
 	ast.Inspect(expr, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if name, ok := viewCall(pass, call); ok && (name == "InEdgeVal" || name == "OutEdgeVal") {
-				out = append(out, call)
+		switch e := n.(type) {
+		case *ast.CallExpr:
+			if name, ok := viewCall(wr.pass, e); ok && (name == "InEdgeVal" || name == "OutEdgeVal") {
+				out = append(out, e)
+			}
+		case *ast.IndexExpr:
+			if _, ok := bulkDir(wr.pass, wr.slices, e.X); ok {
+				out = append(out, e)
+				return false
+			}
+		case *ast.Ident:
+			if wr.words[wr.pass.Info.Uses[e]] {
+				out = append(out, e)
 			}
 		}
 		return true
@@ -270,15 +314,12 @@ func edgeReads(pass *Pass, expr ast.Expr) []*ast.CallExpr {
 // accObject resolves an assignment target to an accumulator: a plain
 // identifier naming a variable declared inside the update function but
 // before the loop.
-func accObject(pass *Pass, u UpdateFn, loop *ast.ForStmt, lhs ast.Expr) types.Object {
+func accObject(pass *Pass, u UpdateFn, loop ast.Stmt, lhs ast.Expr) types.Object {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {
 		return nil
 	}
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		obj = pass.Info.Defs[id]
-	}
+	obj := identObject(pass, id)
 	if obj == nil || !declaredWithin(obj, u.Pos()) || obj.Pos() >= loop.Pos() {
 		return nil
 	}
@@ -286,7 +327,8 @@ func accObject(pass *Pass, u UpdateFn, loop *ast.ForStmt, lhs ast.Expr) types.Ob
 }
 
 // ifSite recognizes forms 1 and 3. Returns (site, ok, poisonNote).
-func ifSite(pass *Pass, u UpdateFn, loop *ast.ForStmt, st *ast.IfStmt) (site, bool, string) {
+func ifSite(wr *wordReads, u UpdateFn, loop ast.Stmt, st *ast.IfStmt) (site, bool, string) {
+	pass := wr.pass
 	if st.Else != nil || len(st.Body.List) != 1 {
 		return site{}, false, ""
 	}
@@ -304,14 +346,14 @@ func ifSite(pass *Pass, u UpdateFn, loop *ast.ForStmt, st *ast.IfStmt) (site, bo
 		if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
 			return site{}, false, ""
 		}
-		reads := edgeReads(pass, init.Rhs[0])
+		reads := wr.in(init.Rhs[0])
 		if len(reads) == 0 {
 			return site{}, false, ""
 		}
 		if len(reads) > 1 {
 			return site{}, false, fmt.Sprintf("gather at %s reads two different edge words in one init", pass.Fset.Position(st.Pos()))
 		}
-		if len(edgeReads(pass, st.Cond)) != 0 || len(edgeReads(pass, asg.Rhs[0])) != 0 {
+		if len(wr.in(st.Cond)) != 0 || len(wr.in(asg.Rhs[0])) != 0 {
 			return site{}, false, fmt.Sprintf("gather at %s re-reads the edge outside its init binding", pass.Fset.Position(st.Pos()))
 		}
 		id, ok := init.Lhs[0].(*ast.Ident)
@@ -332,7 +374,7 @@ func ifSite(pass *Pass, u UpdateFn, loop *ast.ForStmt, st *ast.IfStmt) (site, bo
 	}
 
 	// form 3: reads appear directly in the condition and/or body.
-	reads := append(edgeReads(pass, st.Cond), edgeReads(pass, asg.Rhs[0])...)
+	reads := append(wr.in(st.Cond), wr.in(asg.Rhs[0])...)
 	if len(reads) == 0 {
 		return site{}, false, ""
 	}
@@ -349,11 +391,12 @@ func ifSite(pass *Pass, u UpdateFn, loop *ast.ForStmt, st *ast.IfStmt) (site, bo
 
 // assignSite recognizes forms 2 and 4 at statement level (an assignment
 // not wrapped in a recognized if).
-func assignSite(pass *Pass, u UpdateFn, loop *ast.ForStmt, st *ast.AssignStmt) (site, bool, string) {
+func assignSite(wr *wordReads, u UpdateFn, loop ast.Stmt, st *ast.AssignStmt) (site, bool, string) {
+	pass := wr.pass
 	if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
 		return site{}, false, ""
 	}
-	reads := edgeReads(pass, st.Rhs[0])
+	reads := wr.in(st.Rhs[0])
 	if len(reads) == 0 {
 		return site{}, false, ""
 	}

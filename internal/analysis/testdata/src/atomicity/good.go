@@ -30,3 +30,35 @@ func crossWord(ctx core.VertexView) {
 		ctx.SetOutEdgeVal(k, prev+1)
 	}
 }
+
+// bulkOverwrite is the WCC shape over bulk reads: the gathered word only
+// guards the write, and the stored value is a full-word replacement.
+func bulkOverwrite(ctx core.VertexView) {
+	min := ctx.Vertex()
+	for _, w := range ctx.InEdgeVals() {
+		if w < min {
+			min = w
+		}
+	}
+	ctx.SetVertex(min)
+	for k, w := range ctx.InEdgeVals() {
+		if w > min {
+			ctx.SetInEdgeVal(k, min)
+		}
+	}
+}
+
+// bulkCrossWord writes word k from a different word of the slice, and an
+// out-edge from an in-edge word of the same index — neither is a
+// read-modify-write of the stored location.
+func bulkCrossWord(ctx core.VertexView) {
+	outs := ctx.OutEdgeVals()
+	for k := 1; k < len(outs); k++ {
+		ctx.SetOutEdgeVal(k, outs[k-1]+1)
+	}
+	for k, w := range ctx.InEdgeVals() {
+		if k < ctx.OutDegree() {
+			ctx.SetOutEdgeVal(k, w)
+		}
+	}
+}

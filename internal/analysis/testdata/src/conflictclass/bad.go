@@ -58,3 +58,23 @@ func (*Orphan) Update(ctx core.VertexView) { // want `no statically readable Pro
 		ctx.SetOutEdgeVal(k, v)
 	}
 }
+
+// BadBulkOscillator is BadOscillator through the bulk accessors: the calls
+// must classify (reads in, writes out) or the ineligible profile would go
+// unreported.
+type BadBulkOscillator struct{}
+
+func (*BadBulkOscillator) Properties() Properties {
+	return Properties{Name: "badbulkoscillator"}
+}
+
+func (*BadBulkOscillator) Update(ctx core.VertexView) { // want `statically NOT ELIGIBLE` `no convergence premise`
+	best := uint64(0)
+	for _, v := range ctx.InEdgeVals() {
+		if v > best {
+			best = v
+		}
+	}
+	ctx.SetVertex(best)
+	ctx.SetOutEdgeVals(best)
+}

@@ -71,3 +71,59 @@ func scatter(ctx core.VertexView, w uint64) {
 		ctx.SetOutEdgeVal(k, w)
 	}
 }
+
+// GoodBulkPR is GoodPR written against the bulk accessors: InEdgeVals is a
+// read of the in side and SetOutEdgeVals a write of the out side, so the
+// profile — and the Theorem 1 verdict — must be the per-edge form's.
+type GoodBulkPR struct{}
+
+func (*GoodBulkPR) Properties() Properties {
+	return Properties{
+		Name:                   "goodbulkpr",
+		ConvergesSynchronously: true,
+		ConvergesDetAsync:      true,
+		Convergence:            Approximate,
+	}
+}
+
+func (*GoodBulkPR) Update(ctx core.VertexView) {
+	sum := uint64(0)
+	for _, w := range ctx.InEdgeVals() {
+		sum += w
+	}
+	ctx.SetVertex(sum)
+	ctx.SetOutEdgeVals(sum)
+}
+
+// GoodBulkWCC is GoodWCC with both gathers and the out-scatter in bulk
+// form: all four edge-access sides must still be seen (class WW).
+type GoodBulkWCC struct{}
+
+func (*GoodBulkWCC) Properties() Properties {
+	return Properties{
+		Name:                   "goodbulkwcc",
+		ConvergesSynchronously: true,
+		ConvergesDetAsync:      true,
+		Monotonic:              true,
+		Convergence:            Absolute,
+	}
+}
+
+func (*GoodBulkWCC) Update(ctx core.VertexView) {
+	min := ctx.Vertex()
+	for _, w := range ctx.InEdgeVals() {
+		if w < min {
+			min = w
+		}
+	}
+	for _, w := range ctx.OutEdgeVals() {
+		if w < min {
+			min = w
+		}
+	}
+	ctx.SetVertex(min)
+	for k := 0; k < ctx.InDegree(); k++ {
+		ctx.SetInEdgeVal(k, min)
+	}
+	ctx.SetOutEdgeVals(min)
+}

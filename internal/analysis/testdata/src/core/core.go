@@ -19,6 +19,9 @@ type VertexView interface {
 	OutEdgeVal(k int) uint64
 	SetInEdgeVal(k int, w uint64)
 	SetOutEdgeVal(k int, w uint64)
+	InEdgeVals() []uint64
+	OutEdgeVals() []uint64
+	SetOutEdgeVals(w uint64)
 	ScheduleSelf()
 	Yield()
 }

@@ -61,3 +61,26 @@ func (*BadDiverge) Update(ctx core.VertexView) {
 	}
 	ctx.SetVertex(best)
 }
+
+// BadBulkSum is BadSum over a bulk gather: the range loop's merge must be
+// extracted, or the false Monotonic claim would pass unrefuted.
+type BadBulkSum struct{}
+
+func (*BadBulkSum) Properties() Properties {
+	return Properties{
+		Name:                   "badbulksum",
+		ConvergesSynchronously: true,
+		ConvergesDetAsync:      true,
+		Monotonic:              true,
+		Convergence:            Absolute,
+	}
+}
+
+func (*BadBulkSum) Update(ctx core.VertexView) { // want `declares Monotonic but its merge violates idempotence`
+	sum := uint64(0)
+	for _, w := range ctx.InEdgeVals() {
+		sum += w
+	}
+	ctx.SetVertex(sum)
+	ctx.SetOutEdgeVals(sum)
+}

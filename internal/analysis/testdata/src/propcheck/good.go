@@ -59,3 +59,35 @@ func (*GoodSum) Update(ctx core.VertexView) {
 		ctx.SetOutEdgeVal(k, sum)
 	}
 }
+
+// GoodBulkMin is GoodMin gathering through the bulk accessors: one site
+// ranges over the call, the other indexes a held slice, and both must
+// extract to the same verified min merge.
+type GoodBulkMin struct{}
+
+func (*GoodBulkMin) Properties() Properties {
+	return Properties{
+		Name:                   "goodbulkmin",
+		ConvergesSynchronously: true,
+		ConvergesDetAsync:      true,
+		Monotonic:              true,
+		Convergence:            Absolute,
+	}
+}
+
+func (*GoodBulkMin) Update(ctx core.VertexView) {
+	min := ctx.Vertex()
+	for _, w := range ctx.InEdgeVals() {
+		if w < min {
+			min = w
+		}
+	}
+	outs := ctx.OutEdgeVals()
+	for k := range outs {
+		if outs[k] < min {
+			min = outs[k]
+		}
+	}
+	ctx.SetVertex(min)
+	ctx.SetOutEdgeVals(min)
+}

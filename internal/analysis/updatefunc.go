@@ -144,6 +144,68 @@ func viewCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	return sel.Sel.Name, true
 }
 
+// bulkRead matches view.InEdgeVals() / view.OutEdgeVals() and returns the
+// direction ("In" or "Out") of the edge words the call yields.
+func bulkRead(pass *Pass, expr ast.Expr) (dir string, ok bool) {
+	call, isCall := expr.(*ast.CallExpr)
+	if !isCall || len(call.Args) != 0 {
+		return "", false
+	}
+	switch name, _ := viewCall(pass, call); name {
+	case "InEdgeVals":
+		return "In", true
+	case "OutEdgeVals":
+		return "Out", true
+	}
+	return "", false
+}
+
+// bulkSlices maps every local variable of body that is assigned a bulk
+// read (ws := view.InEdgeVals()) to that read's direction.
+func bulkSlices(pass *Pass, body *ast.BlockStmt) map[types.Object]string {
+	out := map[types.Object]string{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		s, ok := n.(*ast.AssignStmt)
+		if !ok || len(s.Lhs) != len(s.Rhs) {
+			return true
+		}
+		for i, rhs := range s.Rhs {
+			dir, ok := bulkRead(pass, rhs)
+			if !ok {
+				continue
+			}
+			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
+				if obj := identObject(pass, id); obj != nil {
+					out[obj] = dir
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// bulkDir resolves expr — a bulk read call or a variable holding one — to
+// its direction.
+func bulkDir(pass *Pass, slices map[types.Object]string, expr ast.Expr) (string, bool) {
+	if dir, ok := bulkRead(pass, expr); ok {
+		return dir, true
+	}
+	if id, ok := expr.(*ast.Ident); ok {
+		dir, ok := slices[pass.Info.Uses[id]]
+		return dir, ok
+	}
+	return "", false
+}
+
+// identObject returns the object an identifier defines or uses.
+func identObject(pass *Pass, id *ast.Ident) types.Object {
+	if obj := pass.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.Info.Uses[id]
+}
+
 // declaredWithin reports whether obj's declaration lies inside the span of
 // node — the passes' notion of "local to this update function". Receivers
 // and parameters count as declared within their FuncDecl.

@@ -345,6 +345,9 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 	x.queue = make(chan int, cap)
 	x.overflow = x.overflow[:0]
 	x.ovCount.Store(0)
+	for i := range x.views {
+		x.views[i].plain = x.clock == nil && x.opts.Inject == nil
+	}
 	x.stopped.Store(false)
 	x.inFlite.Store(0)
 	x.updates.Store(0)
@@ -532,6 +535,12 @@ type view struct {
 	// uWrites counts edge writes of the currently bound update, for the
 	// execution-path trace.
 	uWrites int
+
+	// plain is set for a Run with no delay clock and no fault injector
+	// around the store: the bulk accessors then make one store call per
+	// update instead of taking the per-edge path.
+	plain   bool
+	scratch core.EdgeScratch
 }
 
 func (c *view) bind(v uint32) {
@@ -599,6 +608,36 @@ func (c *view) SetOutEdgeVal(k int, w uint64) {
 		cl.Stamp(e)
 	}
 	c.x.schedule(int(c.outDst[k]))
+}
+
+func (c *view) InEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherIn(c)
+	}
+	c.nReads += int64(len(c.inIdx))
+	return c.scratch.LoadIn(c.x.Edges, c.inIdx)
+}
+
+func (c *view) OutEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherOut(c)
+	}
+	c.nReads += int64(len(c.outDst))
+	return c.scratch.LoadOut(c.x.Edges, c.outLo, len(c.outDst))
+}
+
+func (c *view) SetOutEdgeVals(w uint64) {
+	if !c.plain {
+		core.ScatterOut(c, w)
+		return
+	}
+	n := len(c.outDst)
+	c.nWrites += int64(n)
+	c.uWrites += n
+	c.x.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
+	for _, d := range c.outDst {
+		c.x.schedule(int(d))
+	}
 }
 
 var _ core.VertexView = (*view)(nil)

@@ -359,6 +359,9 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 		// A stopped previous run may have abandoned tasks; start fresh.
 		x.deques[w] = sched.NewDeque(len(x.seeds)/len(x.workers) + 1)
 	}
+	for i := range x.views {
+		x.views[i].plain = x.clock == nil
+	}
 	x.stopped.Store(false)
 	x.quiet.Store(false)
 	x.updates.Store(0)
@@ -752,6 +755,11 @@ type nsView struct {
 	// uWrites counts edge writes of the currently bound update, for the
 	// execution-path trace.
 	uWrites int
+
+	// plain is set for a Run with no delay clock: the bulk accessors then
+	// make one store call per update instead of taking the per-edge path.
+	plain   bool
+	scratch core.EdgeScratch
 }
 
 func (c *nsView) bind(v uint32) {
@@ -817,6 +825,36 @@ func (c *nsView) SetOutEdgeVal(k int, w uint64) {
 		cl.Stamp(e)
 	}
 	c.x.post(c.worker, int(c.outDst[k]))
+}
+
+func (c *nsView) InEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherIn(c)
+	}
+	c.nReads += int64(len(c.inIdx))
+	return c.scratch.LoadIn(c.x.Edges, c.inIdx)
+}
+
+func (c *nsView) OutEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherOut(c)
+	}
+	c.nReads += int64(len(c.outDst))
+	return c.scratch.LoadOut(c.x.Edges, c.outLo, len(c.outDst))
+}
+
+func (c *nsView) SetOutEdgeVals(w uint64) {
+	if !c.plain {
+		core.ScatterOut(c, w)
+		return
+	}
+	n := len(c.outDst)
+	c.nWrites += int64(n)
+	c.uWrites += n
+	c.x.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
+	for _, d := range c.outDst {
+		c.x.post(c.worker, int(d))
+	}
 }
 
 var _ core.VertexView = (*nsView)(nil)

@@ -244,6 +244,8 @@ type autoView struct {
 	// uWrites counts the current update's edge writes for the trace.
 	nReads, nWrites int64
 	uWrites         int
+
+	scratch core.EdgeScratch
 }
 
 func (c *autoView) bind(v uint32) {
@@ -283,7 +285,10 @@ func (c *autoView) SetOutEdgeVal(k int, w uint64) {
 	c.uWrites++
 	c.e.Edges.Store(c.outLo+uint32(k), w)
 }
-func (c *autoView) ScheduleSelf() {}
-func (c *autoView) Yield()        {}
+func (c *autoView) InEdgeVals() []uint64    { return c.scratch.GatherIn(c) }
+func (c *autoView) OutEdgeVals() []uint64   { return c.scratch.GatherOut(c) }
+func (c *autoView) SetOutEdgeVals(w uint64) { core.ScatterOut(c, w) }
+func (c *autoView) ScheduleSelf()           {}
+func (c *autoView) Yield()                  {}
 
 var _ core.VertexView = (*autoView)(nil)

@@ -27,6 +27,14 @@ type Ctx struct {
 	outDst []uint32 // destinations of out-edges
 	outLo  uint32   // canonical index of first out-edge
 
+	// plain is set for the duration of a Run with no per-access
+	// instrumentation (Engine.plainRun): every edge access is then just the
+	// store operation plus the access counters, and the bulk accessors make
+	// one store call per update. Never set on a recordOnly context.
+	plain bool
+	// scratch backs InEdgeVals and OutEdgeVals.
+	scratch EdgeScratch
+
 	// recordOnly marks a PotentialCensus replay context: reads come from
 	// the engine's pre-iteration snapshot, every access is recorded to the
 	// census, and all effects (vertex writes, edge writes, scheduling) are
@@ -132,24 +140,28 @@ func (c *Ctx) recording(neighbor uint32) bool {
 // InEdgeVal reads the data word of the k-th in-edge (a gather access from
 // the destination side).
 func (c *Ctx) InEdgeVal(k int) uint64 {
-	e := c.inIdx[k]
 	c.sumReads++
-	if c.recording(c.inSrc[k]) {
-		c.eng.census.RecordRead(e, edgedata.SideDst)
+	if c.plain {
+		return c.eng.Edges.Load(c.inIdx[k])
 	}
-	if cl := c.eng.clock; cl != nil && !c.recordOnly {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.load(e)
+	return c.observedLoad(c.inIdx[k], c.inSrc[k], edgedata.SideDst)
 }
 
 // OutEdgeVal reads the data word of the k-th out-edge (a source-side
 // read, used by algorithms that inspect before scattering).
 func (c *Ctx) OutEdgeVal(k int) uint64 {
-	e := c.outLo + uint32(k)
 	c.sumReads++
-	if c.recording(c.outDst[k]) {
-		c.eng.census.RecordRead(e, edgedata.SideSrc)
+	if c.plain {
+		return c.eng.Edges.Load(c.outLo + uint32(k))
+	}
+	return c.observedLoad(c.outLo+uint32(k), c.outDst[k], edgedata.SideSrc)
+}
+
+// observedLoad is the edge read of a run that is not plain: it feeds the
+// census and the delay clock and honors the replay and BSP shadows.
+func (c *Ctx) observedLoad(e, neighbor uint32, side edgedata.Side) uint64 {
+	if c.recording(neighbor) {
+		c.eng.census.RecordRead(e, side)
 	}
 	if cl := c.eng.clock; cl != nil && !c.recordOnly {
 		cl.ObserveRead(c.worker, e)
@@ -160,55 +172,76 @@ func (c *Ctx) OutEdgeVal(k int) uint64 {
 // SetInEdgeVal writes the data word of the k-th in-edge and schedules its
 // source for the next iteration (task-generation rule).
 func (c *Ctx) SetInEdgeVal(k int, w uint64) {
-	e := c.inIdx[k]
-	if c.recording(c.inSrc[k]) {
-		c.eng.census.RecordWrite(e, edgedata.SideDst)
-	}
-	if c.recordOnly {
-		return
-	}
-	c.yield()
-	c.writes++
-	c.sumWrites++
-	if obs := c.eng.opts.OnEdgeWrite; obs != nil {
-		obs(e, c.eng.Edges.Load(e), w)
-	}
-	if c.eng.traceCommits {
-		c.eng.commitStore(c.traceIdx, e, w)
-	} else {
-		c.eng.Edges.Store(e, w)
-	}
-	if cl := c.eng.clock; cl != nil {
-		cl.Stamp(e)
-	}
-	c.eng.front.Schedule(int(c.inSrc[k]))
+	c.store(c.inIdx[k], c.inSrc[k], edgedata.SideDst, w)
 }
 
 // SetOutEdgeVal writes the data word of the k-th out-edge and schedules
 // its destination for the next iteration (task-generation rule).
 func (c *Ctx) SetOutEdgeVal(k int, w uint64) {
-	e := c.outLo + uint32(k)
-	if c.recording(c.outDst[k]) {
-		c.eng.census.RecordWrite(e, edgedata.SideSrc)
+	c.store(c.outLo+uint32(k), c.outDst[k], edgedata.SideSrc, w)
+}
+
+// store writes edge e, whose other endpoint is neighbor, and schedules
+// that endpoint.
+func (c *Ctx) store(e, neighbor uint32, side edgedata.Side, w uint64) {
+	if c.plain {
+		c.eng.Edges.Store(e, w)
+	} else {
+		if c.recording(neighbor) {
+			c.eng.census.RecordWrite(e, side)
+		}
+		if c.recordOnly {
+			return
+		}
+		c.yield()
+		if obs := c.eng.opts.OnEdgeWrite; obs != nil {
+			obs(e, c.eng.Edges.Load(e), w)
+		}
+		if c.eng.traceCommits {
+			c.eng.commitStore(c.traceIdx, e, w)
+		} else {
+			c.eng.Edges.Store(e, w)
+		}
+		if cl := c.eng.clock; cl != nil {
+			cl.Stamp(e)
+		}
 	}
-	if c.recordOnly {
-		return
-	}
-	c.yield()
 	c.writes++
 	c.sumWrites++
-	if obs := c.eng.opts.OnEdgeWrite; obs != nil {
-		obs(e, c.eng.Edges.Load(e), w)
+	c.eng.front.Schedule(int(neighbor))
+}
+
+// InEdgeVals reads every in-edge word into the worker's scratch: one
+// store call on a plain run, the per-edge path otherwise.
+func (c *Ctx) InEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherIn(c)
 	}
-	if c.eng.traceCommits {
-		c.eng.commitStore(c.traceIdx, e, w)
-	} else {
-		c.eng.Edges.Store(e, w)
+	c.sumReads += int64(len(c.inIdx))
+	return c.scratch.LoadIn(c.eng.Edges, c.inIdx)
+}
+
+// OutEdgeVals reads every out-edge word into the worker's scratch.
+func (c *Ctx) OutEdgeVals() []uint64 {
+	if !c.plain {
+		return c.scratch.GatherOut(c)
 	}
-	if cl := c.eng.clock; cl != nil {
-		cl.Stamp(e)
+	c.sumReads += int64(len(c.outDst))
+	return c.scratch.LoadOut(c.eng.Edges, c.outLo, len(c.outDst))
+}
+
+// SetOutEdgeVals writes w to every out-edge and schedules every
+// destination for the next iteration.
+func (c *Ctx) SetOutEdgeVals(w uint64) {
+	if !c.plain {
+		ScatterOut(c, w)
+		return
 	}
-	c.eng.front.Schedule(int(c.outDst[k]))
+	n := len(c.outDst)
+	c.writes += n
+	c.sumWrites += int64(n)
+	c.eng.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
+	c.eng.front.ScheduleEach(c.outDst)
 }
 
 // ScheduleSelf re-posts the vertex itself for the next iteration, for

@@ -347,6 +347,10 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	if e.traceCommits && e.traceLocks == nil {
 		e.traceLocks = make([]sync.Mutex, traceStripes)
 	}
+	plain := e.plainRun()
+	for i := range e.workers {
+		e.workers[i].plain = plain
+	}
 	if inj := e.opts.Inject; inj != nil {
 		// Heal rule: every faulted edge reschedules both endpoints — the
 		// task generation the phantom racing competitor would have applied
@@ -459,6 +463,17 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// plainRun reports whether the run about to start has no per-access
+// instrumentation: no census (observed or potential), no delay clock, no
+// commit log, no OnEdgeWrite observer, no race amplifier, no fault
+// injector around the store and no BSP shadow. Decided once per Run (after
+// traceCommits is set); the Ctx hot path tests only the resulting flag.
+func (e *Engine) plainRun() bool {
+	return e.census == nil && e.clock == nil && !e.traceCommits &&
+		e.opts.OnEdgeWrite == nil && !e.opts.Amplify && e.opts.Inject == nil &&
+		e.opts.Scheduler != sched.Synchronous
 }
 
 func (e *Engine) ensureWorkers() {

@@ -114,6 +114,8 @@ type replayView struct {
 	vertex  uint64
 	commits []trace.Commit
 	next    int
+
+	scratch EdgeScratch
 }
 
 func (rv *replayView) bind(v uint32, commits []trace.Commit) {
@@ -146,6 +148,10 @@ func (rv *replayView) Yield()                  {}
 
 func (rv *replayView) SetInEdgeVal(k int, w uint64)  { rv.commitNext(rv.inIdx[k], w) }
 func (rv *replayView) SetOutEdgeVal(k int, w uint64) { rv.commitNext(rv.outLo+uint32(k), w) }
+
+func (rv *replayView) InEdgeVals() []uint64    { return rv.scratch.GatherIn(rv) }
+func (rv *replayView) OutEdgeVals() []uint64   { return rv.scratch.GatherOut(rv) }
+func (rv *replayView) SetOutEdgeVals(w uint64) { ScatterOut(rv, w) }
 
 // commitNext consumes the update's next recorded commit in place of the
 // attempted write.

@@ -35,6 +35,21 @@ type VertexView interface {
 	// SetOutEdgeVal writes the k-th out-edge's data word and schedules its
 	// destination.
 	SetOutEdgeVal(k int, w uint64)
+	// InEdgeVals reads every in-edge's data word: the result is
+	// index-parallel to InNeighbor(k) and InEdgeID(k), in in-edge order.
+	// Each word is read individually with the store's atomicity, exactly
+	// as InDegree() InEdgeVal calls would — it is not a snapshot. The
+	// slice is the worker's scratch: valid until the update returns (or
+	// the next InEdgeVals call), never to be retained or shared.
+	InEdgeVals() []uint64
+	// OutEdgeVals is InEdgeVals for the out-edges (index-parallel to
+	// OutNeighbor(k)). It uses a second buffer, so an update may hold the
+	// in- and out-edge slices at once.
+	OutEdgeVals() []uint64
+	// SetOutEdgeVals writes w to every out-edge's data word and schedules
+	// every destination: OutDegree() SetOutEdgeVal(k, w) calls, except
+	// that all stores may precede all schedules.
+	SetOutEdgeVals(w uint64)
 	// ScheduleSelf re-posts the vertex itself.
 	ScheduleSelf()
 	// Yield cooperatively yields between gather and scatter when the

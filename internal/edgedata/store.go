@@ -96,6 +96,18 @@ type Store interface {
 	// on ModeSequential and ModeAligned it is implemented without
 	// hardware atomicity and is only valid single-threaded.
 	CompareAndSwap(e uint32, old, new uint64) bool
+	// Gather reads the words of edges idx[i] into dst[i]; len(dst) must be
+	// at least len(idx). Each word is loaded individually with the mode's
+	// atomicity, in index order — a Gather is len(idx) Loads behind one
+	// call, NOT a snapshot: words may change between the individual loads.
+	Gather(dst []uint64, idx []uint32)
+	// LoadRange reads the words of the contiguous edges lo, lo+1, … into
+	// dst (len(dst) words), with the same per-word contract as Gather.
+	LoadRange(dst []uint64, lo uint32)
+	// FillRange writes v to every edge in [lo, hi), each word stored
+	// individually with the mode's atomicity, in ascending order: hi-lo
+	// Stores behind one call, safe for concurrent use (unlike Fill).
+	FillRange(lo, hi uint32, v uint64)
 	// Fill sets every slot to v. Not concurrency-safe; initialization and
 	// barrier-time use only.
 	Fill(v uint64)
@@ -151,6 +163,26 @@ func (s *plainStore) CompareAndSwap(e uint32, old, new uint64) bool {
 	s.words[e] = new
 	return true
 }
+func (s *plainStore) Gather(dst []uint64, idx []uint32) {
+	dst = dst[:len(idx)]
+	for i, e := range idx {
+		dst[i] = s.words[e]
+	}
+}
+func (s *plainStore) LoadRange(dst []uint64, lo uint32) {
+	// An explicit loop, not copy: memmove may use wider-than-word
+	// transfers, and the contract is one untorn 64-bit load per word.
+	ws := s.words[lo : int(lo)+len(dst)]
+	for i, w := range ws {
+		dst[i] = w
+	}
+}
+func (s *plainStore) FillRange(lo, hi uint32, v uint64) {
+	ws := s.words[lo:hi]
+	for i := range ws {
+		ws[i] = v
+	}
+}
 func (s *plainStore) Fill(v uint64) {
 	for i := range s.words {
 		s.words[i] = v
@@ -185,6 +217,24 @@ func (s *atomicStore) Load(e uint32) uint64     { return atomic.LoadUint64(&s.wo
 func (s *atomicStore) Store(e uint32, v uint64) { atomic.StoreUint64(&s.words[e], v) }
 func (s *atomicStore) CompareAndSwap(e uint32, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&s.words[e], old, new)
+}
+func (s *atomicStore) Gather(dst []uint64, idx []uint32) {
+	dst = dst[:len(idx)]
+	for i, e := range idx {
+		dst[i] = atomic.LoadUint64(&s.words[e])
+	}
+}
+func (s *atomicStore) LoadRange(dst []uint64, lo uint32) {
+	ws := s.words[lo : int(lo)+len(dst)]
+	for i := range ws {
+		dst[i] = atomic.LoadUint64(&ws[i])
+	}
+}
+func (s *atomicStore) FillRange(lo, hi uint32, v uint64) {
+	ws := s.words[lo:hi]
+	for i := range ws {
+		atomic.StoreUint64(&ws[i], v)
+	}
 }
 func (s *atomicStore) Fill(v uint64) {
 	for i := range s.words {
@@ -232,6 +282,22 @@ func (s *lockedStore) CompareAndSwap(e uint32, old, new uint64) bool {
 	}
 	s.words[e] = new
 	return true
+}
+func (s *lockedStore) Gather(dst []uint64, idx []uint32) {
+	dst = dst[:len(idx)]
+	for i, e := range idx {
+		dst[i] = s.Load(e)
+	}
+}
+func (s *lockedStore) LoadRange(dst []uint64, lo uint32) {
+	for i := range dst {
+		dst[i] = s.Load(lo + uint32(i))
+	}
+}
+func (s *lockedStore) FillRange(lo, hi uint32, v uint64) {
+	for e := lo; e < hi; e++ {
+		s.Store(e, v)
+	}
 }
 func (s *lockedStore) Fill(v uint64) {
 	for i := range s.words {

@@ -267,3 +267,95 @@ func TestSnapshotIntoSteadyStateDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// The bulk operations are per-word Loads and Stores behind one call: on a
+// quiescent store they must agree with the per-word operations exactly.
+func TestBulkOpsMatchPerWordAllModes(t *testing.T) {
+	for _, m := range allModes() {
+		s := New(m, 64)
+		for e := uint32(0); e < 64; e++ {
+			s.Store(e, uint64(e)*3+1)
+		}
+		idx := []uint32{63, 0, 17, 17, 5}
+		dst := make([]uint64, len(idx)+2) // longer than idx: the tail must stay untouched
+		dst[len(idx)] = 0xdead
+		s.Gather(dst, idx)
+		for i, e := range idx {
+			if dst[i] != s.Load(e) {
+				t.Fatalf("%v: Gather[%d] (edge %d) = %d, Load = %d", m, i, e, dst[i], s.Load(e))
+			}
+		}
+		if dst[len(idx)] != 0xdead {
+			t.Fatalf("%v: Gather wrote past len(idx)", m)
+		}
+		run := make([]uint64, 9)
+		s.LoadRange(run, 20)
+		for i, w := range run {
+			if w != s.Load(20+uint32(i)) {
+				t.Fatalf("%v: LoadRange[%d] = %d, Load(%d) = %d", m, i, w, 20+i, s.Load(20+uint32(i)))
+			}
+		}
+		s.FillRange(30, 41, 7)
+		for e := uint32(0); e < 64; e++ {
+			want := uint64(e)*3 + 1
+			if e >= 30 && e < 41 {
+				want = 7
+			}
+			if got := s.Load(e); got != want {
+				t.Fatalf("%v: after FillRange(30, 41) slot %d = %d, want %d", m, e, got, want)
+			}
+		}
+		// Empty ranges and index lists are no-ops, including at the end of
+		// the store.
+		s.Gather(nil, nil)
+		s.LoadRange(nil, 64)
+		s.FillRange(64, 64, 9)
+	}
+}
+
+// Bulk reads racing bulk writes over the same words: every word a Gather
+// or LoadRange returns must be one of the two values FillRange commits —
+// per-word atomicity, and (deliberately) nothing more: one bulk read may
+// mix the two values across words. Runs under -race for the locked and
+// atomic stores; ModeAligned's benign races are excluded there.
+func TestBulkOpsPerWordAtomicUnderContention(t *testing.T) {
+	const a, b = 0x1111111111111111, 0x2222222222222222
+	const slots = 48
+	idx := make([]uint32, slots)
+	for i := range idx {
+		idx[i] = uint32(slots - 1 - i)
+	}
+	for _, m := range ConcurrentModes() {
+		if raceEnabled && m == ModeAligned {
+			continue
+		}
+		s := New(m, slots)
+		s.Fill(a)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if i%2 == 0 {
+					s.FillRange(0, slots, b)
+				} else {
+					s.FillRange(0, slots, a)
+				}
+			}
+		}()
+		gathered, ranged := make([]uint64, slots), make([]uint64, slots)
+		for i := 0; i < 2000; i++ {
+			s.Gather(gathered, idx)
+			s.LoadRange(ranged, 0)
+			for k := 0; k < slots; k++ {
+				if w := gathered[k]; w != a && w != b {
+					t.Fatalf("%v: Gather returned torn word %#x", m, w)
+				}
+				if w := ranged[k]; w != a && w != b {
+					t.Fatalf("%v: LoadRange returned torn word %#x", m, w)
+				}
+			}
+		}
+		wg.Wait()
+	}
+}

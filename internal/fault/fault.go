@@ -321,6 +321,27 @@ func (s *faultyStore) CompareAndSwap(e uint32, old, new uint64) bool {
 	return s.inner.CompareAndSwap(e, old, new)
 }
 
+// The bulk operations perturb word by word through Load and Store, so a
+// bulk access rolls exactly the faults its per-edge equivalent would.
+
+func (s *faultyStore) Gather(dst []uint64, idx []uint32) {
+	for i, e := range idx {
+		dst[i] = s.Load(e)
+	}
+}
+
+func (s *faultyStore) LoadRange(dst []uint64, lo uint32) {
+	for i := range dst {
+		dst[i] = s.Load(lo + uint32(i))
+	}
+}
+
+func (s *faultyStore) FillRange(lo, hi uint32, v uint64) {
+	for e := lo; e < hi; e++ {
+		s.Store(e, v)
+	}
+}
+
 func (s *faultyStore) Fill(v uint64) {
 	s.inner.Fill(v)
 	for i := range s.prev {

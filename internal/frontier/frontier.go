@@ -125,6 +125,27 @@ func (f *Frontier) Schedule(v int) bool {
 	return true
 }
 
+// ScheduleEach posts every vertex of vs into the next iteration's set:
+// len(vs) Schedule calls with the counter updates folded into one atomic
+// add each. Safe for concurrent use.
+func (f *Frontier) ScheduleEach(vs []uint32) {
+	var n, deg int64
+	for _, v := range vs {
+		if f.next.SetAtomic(int(v)) {
+			n++
+			if f.outDeg != nil {
+				deg += int64(f.outDeg[v])
+			}
+		}
+	}
+	if n > 0 {
+		f.nextCount.Add(n)
+		if deg > 0 {
+			f.nextDeg.Add(deg)
+		}
+	}
+}
+
 // Scheduled reports whether v is in the current set.
 func (f *Frontier) Scheduled(v int) bool { return f.cur.Test(v) }
 

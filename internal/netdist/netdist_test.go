@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,6 +75,31 @@ func TestDistWCC(t *testing.T) {
 	checkWCC(t, g, res)
 	if res.Restarts != 0 {
 		t.Fatalf("unexpected restarts: %d", res.Restarts)
+	}
+}
+
+// TestRunReleasesLocalWorkers is the regression test for the stranded
+// LocalLauncher worker: when teardown closed the listener first, the accept
+// loop's send filled RunWorker's one-slot done channel and the control
+// handler's send then blocked for ever under wg.Wait, leaking the worker
+// (goroutines and graph partition) on about half the calls. Every
+// goroutine a Run starts must be gone once it has returned.
+func TestRunReleasesLocalWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		if _, err := Run(context.Background(), fastOpts(2, testRMAT, AlgoSpec{Name: "wcc"})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Launcher.Stop does not wait for its worker to unwind, so poll.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before 8 runs, %d still alive 10 s after:\n%s",
+				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -158,7 +158,15 @@ func (w *worker) acceptLoop(ln net.Listener, done chan<- error) {
 			}
 			switch hello.Role {
 			case "coord":
-				done <- w.serveCoord(fc)
+				// After cancellation nobody may be receiving: the accept
+				// loop's own send can have filled the one-slot channel and
+				// RunWorker be in wg.Wait on this very goroutine. Give up
+				// on ctx rather than strand the worker (and its partition).
+				err := w.serveCoord(fc)
+				select {
+				case done <- err:
+				case <-w.ctx.Done():
+				}
 			case "peer":
 				w.servePeer(fc)
 			default:

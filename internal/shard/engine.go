@@ -424,6 +424,8 @@ type shardView struct {
 	// uWrites counts the bound update's writes for the execution-path
 	// trace.
 	uWrites int
+
+	scratch core.EdgeScratch
 }
 
 func (c *shardView) bind(v uint32) {
@@ -470,6 +472,10 @@ func (c *shardView) SetOutEdgeVal(k int, w uint64) {
 	c.sub.store.Store(c.sub.outSlot[c.lv][k], w)
 	c.sub.eng.front.Schedule(int(c.sub.outDst[c.lv][k]))
 }
+
+func (c *shardView) InEdgeVals() []uint64    { return c.scratch.GatherIn(c) }
+func (c *shardView) OutEdgeVals() []uint64   { return c.scratch.GatherOut(c) }
+func (c *shardView) SetOutEdgeVals(w uint64) { core.ScatterOut(c, w) }
 
 func (c *shardView) ScheduleSelf() { c.sub.eng.front.Schedule(int(c.v)) }
 func (c *shardView) Yield()        {}

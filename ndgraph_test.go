@@ -107,12 +107,12 @@ func TestFacadeCustomUpdateFunc(t *testing.T) {
 	eng.Frontier().ScheduleAll()
 	update := func(ctx ndgraph.VertexView) {
 		var sum uint64
-		for k := 0; k < ctx.InDegree(); k++ {
-			sum += ctx.InEdgeVal(k)
+		for _, w := range ctx.InEdgeVals() {
+			sum += w
 		}
 		ctx.SetVertex(sum)
-		for k := 0; k < ctx.OutDegree(); k++ {
-			if ctx.OutEdgeVal(k) != 1 {
+		for k, w := range ctx.OutEdgeVals() {
+			if w != 1 {
 				ctx.SetOutEdgeVal(k, 1)
 			}
 		}

@@ -185,6 +185,23 @@ func TestCertificatesConsistent(t *testing.T) {
 		t.Fatalf("embedded certificate registry is stale: re-run\n\tgo run ./cmd/ndlint -cert ./internal/algorithms > internal/algorithms/certs.json\nfresh:    %+v\nembedded: %+v", fresh, embedded)
 	}
 
+	// The algorithms that gather through the bulk accessors must keep an
+	// extracted merge: a range loop propcheck cannot read would turn
+	// "laws checked" into silent coverage loss.
+	_, results, err := analysis.RunAnalyzers(pkgs[0], []*analysis.Analyzer{analysis.PropCheck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extracted := map[string]bool{}
+	for _, r := range results["propcheck"].([]analysis.PropReport) {
+		extracted[r.Recv] = r.Merge.Extracted
+	}
+	for _, recv := range []string{"PageRank", "SpMV", "SSSP", "WCC"} {
+		if !extracted[recv] {
+			t.Errorf("propcheck no longer extracts (*%s).Update's gather merge", recv)
+		}
+	}
+
 	g, err := gen.RMAT(400, 2400, gen.DefaultRMAT, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@
 //	ndbench -exp netdist              # TCP worker processes + fault injection
 //	ndbench -exp hybrid               # direction-optimizing engine sweep
 //	ndbench -exp nosync               # work-stealing no-sync tier sweep + drift
-//	ndbench -exp staleness            # delay-clock staleness + ε-aware stopping
+//	ndbench -exp staleness            # delay-clock staleness vs execution drift
 //
 // Common flags: -scale (dataset scale divisor, default 50), -seed,
 // -threads (comma list), -runs, -eps (comma list of ε).
@@ -235,7 +235,7 @@ func printNoSync(out io.Writer, cfg experiments.Config) error {
 }
 
 func printStaleness(out io.Writer, cfg experiments.Config) error {
-	stale, eps, err := experiments.StalenessStudy(cfg)
+	stale, err := experiments.StalenessStudy(cfg)
 	if err != nil {
 		return err
 	}
@@ -248,17 +248,6 @@ func printStaleness(out io.Writer, cfg experiments.Config) error {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
 			r.Graph, r.Threads, r.Updates, r.Steals, r.Reads,
 			r.DelayP50, r.DelayP99, r.DelayMax, r.Overflow, r.Diverged, r.ResultsEqual)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "\nε-aware stopping (work-stealing PageRank; stop = windowed residual, full = exact quiescence):")
-	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "graph\tε\tstopped\tfinal-resid\tstop-updates\tfull-updates\tstop-maxerr\tfull-maxerr")
-	for _, r := range eps {
-		fmt.Fprintf(w, "%s\t%g\t%v\t%.3g\t%d\t%d\t%.3g\t%.3g\n",
-			r.Graph, r.Epsilon, r.Stopped, r.FinalResidual,
-			r.StopUpdates, r.FullUpdates, r.StopMaxErr, r.FullMaxErr)
 	}
 	return w.Flush()
 }

@@ -87,11 +87,10 @@ func (p *PageRank) Update(ctx core.VertexView) {
 	}
 }
 
-// ResidualDelta is PageRank's residual metric for the online estimator and
-// the ε-aware stopping rule: the absolute rank movement |Δrank| of one
-// vertex commit. Wire it into async.Options/NoSyncOptions.ResidualDelta; a
-// windowed mean of these deltas trending below ε is the Eedi et al.
-// termination condition for non-blocking PageRank.
+// ResidualDelta is PageRank's residual metric for the online estimator:
+// the absolute rank movement |Δrank| of one vertex commit. Wire it into
+// async.Options/NoSyncOptions.ResidualDelta to make an observed run's
+// Residual gauge report mean rank movement per commit.
 func (*PageRank) ResidualDelta(old, new uint64) float64 {
 	return math.Abs(edgedata.ToFloat64(new) - edgedata.ToFloat64(old))
 }

@@ -114,11 +114,10 @@ func (s *SpMV) Update(ctx core.VertexView) {
 	}
 }
 
-// ResidualDelta is SpMV's residual metric for the ε-aware stopping rule:
-// the absolute movement |Δx(v)| of one vertex commit, mirroring
-// PageRank's. The Jacobi contraction makes the windowed mean of these
-// deltas trend to zero, so cutting the tail at ε leaves the solution
-// within ε-order of the fixed point.
+// ResidualDelta is SpMV's residual metric for the online estimator: the
+// absolute movement |Δx(v)| of one vertex commit, mirroring PageRank's.
+// The Jacobi contraction makes the windowed mean of these deltas trend
+// to zero as the run converges.
 func (*SpMV) ResidualDelta(old, new uint64) float64 {
 	return math.Abs(edgedata.ToFloat64(new) - edgedata.ToFloat64(old))
 }

@@ -1,20 +1,18 @@
 package analysis
 
-// admitcheck guards the engine admission gates themselves. Two tiers
-// admit algorithms on declared facts: async.NoSync (barrier-free
-// execution, Theorem 1/2 required) and the ε-aware stopping rule
-// (Theorem 1, approximate convergence, plus a ResidualDelta metric the
-// windowed estimator trusts). The pass re-derives the theorem class from
-// first principles — the paper's two sufficient conditions applied to
-// the static access profile and the extracted Properties — and
-// cross-checks the result against the *live* library gates
-// (eligibility.AdviseStatic → Verdict.NoSync/EpsilonStop); any
-// disagreement is a drift tripwire diagnostic, catching edits to the
-// eligibility logic that silently change which algorithms the engines
-// accept. For ε-admissible algorithms it additionally requires a
-// ResidualDelta method and, when the method's body compiles, verifies
-// the metric laws the estimator assumes: non-negative everywhere and
-// zero exactly on unchanged values.
+// admitcheck guards the engine admission gate itself. async.NoSync
+// (barrier-free execution, Theorem 1/2 required) admits algorithms on
+// declared facts. The pass re-derives the theorem class from first
+// principles — the paper's two sufficient conditions applied to the
+// static access profile and the extracted Properties — and cross-checks
+// the result against the *live* library gate
+// (eligibility.AdviseStatic → Verdict.NoSync); any disagreement is a
+// drift tripwire diagnostic, catching edits to the eligibility logic
+// that silently change which algorithms the engines accept. For
+// algorithms that declare a ResidualDelta method (the telemetry residual
+// gauge's input) it additionally verifies, when the method's body
+// compiles, the metric laws obs.ResidualEstimator assumes: non-negative
+// everywhere and zero exactly on unchanged values.
 
 import (
 	"fmt"
@@ -28,9 +26,8 @@ import (
 var AdmitCheck = &Analyzer{
 	Name: "admitcheck",
 	Doc: "re-derive Theorem 1/2 admission from the static profile and " +
-		"declared Properties, cross-check against the live NoSync/ε-stop " +
-		"gates, and verify ResidualDelta metric laws for ε-admissible " +
-		"algorithms",
+		"declared Properties, cross-check against the live NoSync gate, " +
+		"and verify the metric laws of a declared ResidualDelta",
 	Run: runAdmitCheck,
 }
 
@@ -45,11 +42,10 @@ type AdmitReport struct {
 	Props *eligibility.Properties
 	// Theorem is the independently re-derived class (0 = not eligible).
 	Theorem int
-	// DeterministicResults, NoSyncOK, EpsilonStopOK are the re-derived
-	// gate outcomes, cross-checked against the library.
+	// DeterministicResults and NoSyncOK are the re-derived gate
+	// outcomes, cross-checked against the library.
 	DeterministicResults bool
 	NoSyncOK             bool
-	EpsilonStopOK        bool
 	// ResidualDelta coverage: declared, compiled, and law-clean.
 	HasResidualDelta     bool
 	ResidualDeltaChecked bool
@@ -119,7 +115,6 @@ func deriveAdmission(r *AdmitReport) {
 	}
 	r.DeterministicResults = r.Theorem != 0 && p.Monotonic && p.Convergence == eligibility.Absolute
 	r.NoSyncOK = r.Theorem == 1 || r.Theorem == 2
-	r.EpsilonStopOK = r.Theorem == 1 && !r.DeterministicResults
 }
 
 // crossCheckGates compares the re-derived admission with what the
@@ -127,32 +122,26 @@ func deriveAdmission(r *AdmitReport) {
 func crossCheckGates(pass *Pass, u UpdateFn, r AdmitReport) {
 	v := eligibility.AdviseStatic(*r.Props, r.Profile)
 	libNoSync := v.NoSync() == nil
-	libEps := v.EpsilonStop() == nil
-	if v.Theorem != r.Theorem || libNoSync != r.NoSyncOK || libEps != r.EpsilonStopOK ||
+	if v.Theorem != r.Theorem || libNoSync != r.NoSyncOK ||
 		v.DeterministicResults != r.DeterministicResults {
 		pass.Reportf(u.Pos().Pos(),
-			"admission gate drift for %s: paper-derived (theorem=%d nosync=%v εstop=%v det=%v) disagrees with eligibility library (theorem=%d nosync=%v εstop=%v det=%v) — the Advise/NoSync/EpsilonStop logic no longer matches the paper's sufficient conditions",
-			u.Name, r.Theorem, r.NoSyncOK, r.EpsilonStopOK, r.DeterministicResults,
-			v.Theorem, libNoSync, libEps, v.DeterministicResults)
+			"admission gate drift for %s: paper-derived (theorem=%d nosync=%v det=%v) disagrees with eligibility library (theorem=%d nosync=%v det=%v) — the Advise/NoSync logic no longer matches the paper's sufficient conditions",
+			u.Name, r.Theorem, r.NoSyncOK, r.DeterministicResults,
+			v.Theorem, libNoSync, v.DeterministicResults)
 	}
 }
 
-// checkResidualDelta requires the metric for ε-admissible algorithms and
-// verifies its laws when the body is in the evaluator's fragment.
+// checkResidualDelta verifies the laws of a declared residual metric when
+// its body is in the evaluator's fragment.
 func checkResidualDelta(ev *evaluator, pass *Pass, u UpdateFn, r *AdmitReport) {
 	decl := findMethodDecl(pass, u.Recv, "ResidualDelta")
 	if decl == nil {
-		if r.EpsilonStopOK {
-			pass.Reportf(u.Pos().Pos(),
-				"%s is ε-stop admissible (Theorem 1, approximate convergence) but %s declares no ResidualDelta(old, new uint64) float64 — the ε-aware stopping rule has no residual metric to window",
-				u.Name, r.Recv)
-		}
 		return
 	}
 	r.HasResidualDelta = true
 	if !residualDeltaShape(pass, decl) {
 		pass.Reportf(decl.Pos(),
-			"%s.ResidualDelta must have signature func(old, new uint64) float64 to serve as the ε-stop residual metric", r.Recv)
+			"%s.ResidualDelta must have signature func(old, new uint64) float64 to serve as the telemetry residual metric", r.Recv)
 		return
 	}
 	params := declParams(pass, decl)
@@ -191,7 +180,7 @@ func checkResidualDelta(ev *evaluator, pass *Pass, u UpdateFn, r *AdmitReport) {
 				// payloads like 0 vs −0).
 				if d == 0 && w != w2 && !floatEquivalent(w, w2) && r.ResidualDeltaOK {
 					r.ResidualDeltaOK = false
-					r.Counter = fmt.Sprintf("ResidualDelta(%#x, %#x) = 0 but the values differ — the windowed residual would report convergence on a still-moving run", w, w2)
+					r.Counter = fmt.Sprintf("ResidualDelta(%#x, %#x) = 0 but the values differ — the residual gauge would read converged on a still-moving run", w, w2)
 				}
 			}
 		}

@@ -61,7 +61,6 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 			Theorem:               a.Theorem,
 			DeterministicResults:  a.DeterministicResults,
 			NoSyncOK:              a.NoSyncOK,
-			EpsilonStopOK:         a.EpsilonStopOK,
 			MergeVerified:         p.Merge.Extracted && p.Merge.SemilatticeVerified,
 			ResidualDeltaVerified: a.ResidualDeltaChecked && a.ResidualDeltaOK,
 		}

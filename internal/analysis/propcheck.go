@@ -3,7 +3,7 @@ package analysis
 // propcheck verifies the declared eligibility.Properties against what the
 // update function's merge actually computes. conflictclass (PR 5) only
 // *extracts* the declaration; a wrong Monotonic claim would silently
-// admit an ineligible algorithm to the NoSync and ε-stop tiers. This
+// admit an ineligible algorithm to the NoSync tier. This
 // pass closes the gap for the merge shapes the built-in algorithms use:
 // it recognizes the gather loop's accumulator update, compiles it with
 // the evaluator into a step function m : Acc × Word → Acc, and checks

@@ -1,5 +1,5 @@
-// Negative admitcheck fixtures: an ε-admissible algorithm without a
-// residual metric, and one whose metric violates the estimator's laws.
+// Negative admitcheck fixture: a residual metric that violates the
+// estimator's laws.
 package admitcheck
 
 import (
@@ -7,33 +7,8 @@ import (
 	"math"
 )
 
-// BadNoRD is ε-stop admissible (Theorem 1, approximate convergence) but
-// declares no ResidualDelta — the stopping rule would have nothing to
-// window.
-type BadNoRD struct{}
-
-func (*BadNoRD) Properties() Properties {
-	return Properties{
-		Name:                   "badnord",
-		ConvergesSynchronously: true,
-		ConvergesDetAsync:      true,
-		Convergence:            Approximate,
-	}
-}
-
-func (*BadNoRD) Update(ctx core.VertexView) { // want `declares no ResidualDelta`
-	sum := uint64(0)
-	for k := 0; k < ctx.InDegree(); k++ {
-		sum += ctx.InEdgeVal(k)
-	}
-	ctx.SetVertex(sum)
-	for k := 0; k < ctx.OutDegree(); k++ {
-		ctx.SetOutEdgeVal(k, sum)
-	}
-}
-
 // BadRD supplies a SIGNED residual: negative on decreasing moves, which
-// would drag the windowed mean below ε while values still churn.
+// would drag the residual gauge toward zero while values still churn.
 type BadRD struct{}
 
 func (*BadRD) Properties() Properties {

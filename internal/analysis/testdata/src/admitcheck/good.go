@@ -8,8 +8,8 @@ import (
 )
 
 // GoodEps is the PageRank shape: read-write conflicts only, synchronous
-// convergence, approximate contract — Theorem 1, ε-stop admissible —
-// and it supplies the residual metric the ε-aware stopping rule windows.
+// convergence, approximate contract — Theorem 1 — and it supplies the
+// residual metric the telemetry gauge reads.
 type GoodEps struct{}
 
 func (*GoodEps) Properties() Properties {
@@ -39,8 +39,7 @@ func (*GoodEps) ResidualDelta(old, new uint64) float64 {
 }
 
 // GoodMono is the WCC shape: write-write conflicts, monotone,
-// det-async convergent — Theorem 2, which is NOT ε-stop admissible, so
-// no residual metric is required.
+// det-async convergent — Theorem 2, no residual metric.
 type GoodMono struct{}
 
 func (*GoodMono) Properties() Properties {
@@ -66,5 +65,29 @@ func (*GoodMono) Update(ctx core.VertexView) {
 	}
 	for k := 0; k < ctx.OutDegree(); k++ {
 		ctx.SetOutEdgeVal(k, min)
+	}
+}
+
+// GoodNoRD is the GoodEps shape without a ResidualDelta: the metric is
+// optional telemetry input, so declaring none is silent.
+type GoodNoRD struct{}
+
+func (*GoodNoRD) Properties() Properties {
+	return Properties{
+		Name:                   "goodnord",
+		ConvergesSynchronously: true,
+		ConvergesDetAsync:      true,
+		Convergence:            Approximate,
+	}
+}
+
+func (*GoodNoRD) Update(ctx core.VertexView) {
+	sum := uint64(0)
+	for k := 0; k < ctx.InDegree(); k++ {
+		sum += ctx.InEdgeVal(k)
+	}
+	ctx.SetVertex(sum)
+	for k := 0; k < ctx.OutDegree(); k++ {
+		ctx.SetOutEdgeVal(k, sum)
 	}
 }

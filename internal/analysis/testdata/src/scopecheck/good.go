@@ -38,3 +38,18 @@ func (c *configured) Update(ctx core.VertexView) {
 func notAnUpdate(ctx core.VertexView, shared []uint64) {
 	shared[ctx.V()] = ctx.Vertex()
 }
+
+// gatherScratch is the core.EdgeScratch shape: a helper that takes a view
+// and RETURNS a value is not a core.UpdateFunc (which has no results), so
+// writing its own receiver is outside the scope rule.
+type gatherScratch struct {
+	buf []uint64
+}
+
+func (s *gatherScratch) gatherIn(ctx core.VertexView) []uint64 {
+	s.buf = s.buf[:0]
+	for k := 0; k < ctx.InDegree(); k++ {
+		s.buf = append(s.buf, ctx.InEdgeVal(k))
+	}
+	return s.buf
+}

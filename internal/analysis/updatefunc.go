@@ -96,10 +96,13 @@ func FindUpdateFuncs(pass *Pass) []UpdateFn {
 	return out
 }
 
-// asUpdateFn checks the single-VertexView-parameter shape and extracts the
-// view parameter object.
+// asUpdateFn checks the core.UpdateFunc shape — a single VertexView
+// parameter and no results — and extracts the view parameter object.
 func asUpdateFn(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) (UpdateFn, bool) {
 	if body == nil || ft.Params == nil || len(ft.Params.List) != 1 {
+		return UpdateFn{}, false
+	}
+	if ft.Results.NumFields() > 0 {
 		return UpdateFn{}, false
 	}
 	field := ft.Params.List[0]

@@ -29,7 +29,6 @@ import (
 
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
-	"ndgraph/internal/eligibility"
 	"ndgraph/internal/fault"
 	"ndgraph/internal/frontier"
 	"ndgraph/internal/graph"
@@ -79,34 +78,17 @@ type Options struct {
 	// list instead of blocking (see Executor.send), so any capacity ≥ 1 is
 	// safe and the default stays modest.
 	QueueCap int
-	// Epsilon, when > 0, arms the ε-aware stopping rule (see
-	// NoSyncOptions.Epsilon): the run terminates once the windowed mean
-	// residual per changed commit stays below Epsilon across consecutive
-	// windows spanning two full passes of the graph, instead of draining
-	// to exact quiescence. Requires Verdict (gated through
-	// Verdict.EpsilonStop) and ResidualDelta.
-	Epsilon float64
 	// ResidualDelta maps a committed vertex transition to its residual
-	// contribution; mandatory when Epsilon > 0, and used when set to
-	// sharpen the telemetry Residual gauge.
+	// contribution (e.g. algorithms.PageRank.ResidualDelta); when set it
+	// sharpens the telemetry Residual gauge of an observed run.
 	ResidualDelta func(old, new uint64) float64
-	// Verdict is the ε-stopping admission ticket, only consulted when
-	// Epsilon > 0 (plain runs to quiescence keep the executor's historical
-	// ungated construction).
-	Verdict *eligibility.Verdict
 }
 
 // Result summarizes a barrier-free run.
 type Result struct {
 	Updates   int64
 	Converged bool
-	// EpsilonStopped reports that the ε-aware stopping rule terminated the
-	// run before exact quiescence; Converged remains true.
-	EpsilonStopped bool
-	// FinalResidual is the last measured windowed mean residual per changed
-	// commit (0 when no residual metric was armed or no window filled).
-	FinalResidual float64
-	Duration      time.Duration
+	Duration  time.Duration
 }
 
 // Executor owns the shared state of one barrier-free computation.
@@ -142,12 +124,11 @@ type Executor struct {
 	// views holds one preallocated VertexView adapter per worker.
 	views []view
 
-	// clock/residual/eps are the staleness-and-convergence observation
-	// hooks (nil / untouched when observation and ε-stopping are off); see
-	// nosync.go for the field-by-field story.
+	// clock/residual are the staleness-and-convergence observation hooks
+	// (nil when no Observer is attached); see nosync.go for the
+	// field-by-field story.
 	clock    *obs.DelayClock
 	residual *obs.ResidualEstimator
-	eps      epsilonState
 
 	// panicked records the first recovered UpdateFunc panic; Run surfaces
 	// it as an error instead of letting a worker kill the process.
@@ -165,14 +146,6 @@ type updatePanic struct {
 func NewExecutor(g *graph.Graph, opts Options) (*Executor, error) {
 	if g == nil {
 		return nil, fmt.Errorf("async: nil graph")
-	}
-	if opts.Epsilon > 0 {
-		if err := opts.Verdict.EpsilonStop(); err != nil {
-			return nil, fmt.Errorf("async: %w", err)
-		}
-		if opts.ResidualDelta == nil {
-			return nil, fmt.Errorf("async: ε-stopping requires a ResidualDelta metric (the algorithm's |Δvalue| per commit)")
-		}
 	}
 	if opts.Threads < 1 {
 		opts.Threads = runtime.GOMAXPROCS(0)
@@ -200,11 +173,8 @@ func NewExecutor(g *graph.Graph, opts Options) (*Executor, error) {
 	if opts.Inject != nil {
 		x.Edges = opts.Inject.Wrap(x.Edges)
 	}
-	if opts.Epsilon > 0 || opts.Observer != nil {
-		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
-	}
-	x.eps.span = epsilonSpan(g.N(), opts.Threads)
 	if opts.Observer != nil {
+		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
 		// One epoch per executed update; one stamp slot per edge word.
 		x.clock = obs.NewDelayClock(opts.Threads, int(g.M()))
 		opts.Observer.SetDelaySource(obs.EngineAsync, x.clock.Hist)
@@ -353,7 +323,6 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 	x.updates.Store(0)
 	x.clock.Reset()
 	x.residual.Reset()
-	x.eps.reset()
 	x.opts.Observer.SetPhase("async: running")
 	for _, v := range x.seeds {
 		x.schedule(v)
@@ -392,20 +361,11 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			switch {
 			case x.stopped.Load():
 				// Draining a stopped run: retire the task unrun.
-			case x.opts.Epsilon > 0 && x.eps.stopped.Load():
-				// ε-stopped: the values are within the contract; retire the
-				// remaining queue unrun (Converged stays true).
 			case x.updates.Add(1) > x.opts.MaxUpdates:
 				x.stopped.Store(true)
 			default:
 				x.clock.Advance()
 				x.runOne(vw, update, uint32(v))
-				if x.opts.Epsilon > 0 {
-					if vw.epsUpdates++; vw.epsUpdates >= sampleWindow {
-						vw.epsUpdates = 0
-						x.eps.check(x.residual, x.opts.Epsilon)
-					}
-				}
 				if o := x.opts.Observer; o != nil {
 					if vw.nUpdates++; vw.nUpdates >= sampleWindow {
 						x.emitSample(o, vw, 0)
@@ -425,8 +385,6 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			res.Updates = x.opts.MaxUpdates
 		}
 	}
-	res.EpsilonStopped = x.eps.stopped.Load()
-	res.FinalResidual = x.eps.finalResidual()
 	res.Duration = time.Since(start)
 	if o := x.opts.Observer; o != nil {
 		// Final aggregate: fold every worker's leftover window into one
@@ -441,12 +399,9 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
 		}
 		x.emitSample(o, agg, res.Duration.Nanoseconds())
-		switch {
-		case res.EpsilonStopped:
-			o.SetPhase("async: ε-stopped")
-		case res.Converged:
+		if res.Converged {
 			o.SetPhase("async: quiescent")
-		default:
+		} else {
 			o.SetPhase("async: stopped")
 		}
 	}
@@ -527,9 +482,8 @@ type view struct {
 	// nUpdates/nReads/nWrites accumulate this worker's telemetry window;
 	// worker-private, drained by emitSample.
 	nUpdates, nReads, nWrites int64
-	// epsUpdates triggers the windowed ε check; emittedResid* snapshot the
-	// global residual totals at this worker's last telemetry emit.
-	epsUpdates          int64
+	// emittedResid* snapshot the global residual totals at this worker's
+	// last telemetry emit.
 	emittedResidSum     float64
 	emittedResidUpdates int64
 	// uWrites counts edge writes of the currently bound update, for the

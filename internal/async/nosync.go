@@ -112,21 +112,11 @@ type NoSyncOptions struct {
 	// StealSeed seeds the per-worker victim-selection RNG; 0 is a fixed
 	// default. Different seeds explore different interleavings.
 	StealSeed uint64
-	// Epsilon, when > 0, arms the ε-aware stopping rule: the run terminates
-	// (Converged == true, EpsilonStopped == true) once the windowed mean
-	// residual per changed commit stays below Epsilon across consecutive
-	// windows spanning two full passes of the graph (see epsilon.go),
-	// instead of waiting for exact quiescence. Admission is gated through Verdict.EpsilonStop — only
-	// Theorem-1 algorithms with approximate convergence contracts qualify
-	// (Eedi et al.'s non-blocking PageRank is the model); Theorem-2
-	// traversals are refused because their fixed points are byte-identical
-	// by contract. Requires ResidualDelta.
-	Epsilon float64
 	// ResidualDelta maps a committed vertex transition to its residual
 	// contribution (e.g. |Δrank| for PageRank; see
-	// algorithms.PageRank.ResidualDelta). Mandatory when Epsilon > 0; also
-	// used, when set, to sharpen the telemetry Residual gauge from the
-	// active-fraction proxy to the measured value movement.
+	// algorithms.PageRank.ResidualDelta). When set, it sharpens the
+	// telemetry Residual gauge of an observed run from the active-fraction
+	// proxy to the measured value movement.
 	ResidualDelta func(old, new uint64) float64
 }
 
@@ -140,16 +130,7 @@ type NoSyncResult struct {
 	// barrier-wait time.
 	IdleTransitions int64
 	Converged       bool
-	// EpsilonStopped reports that the ε-aware stopping rule terminated the
-	// run: the windowed residual fell below Options.Epsilon before exact
-	// quiescence. Converged remains true — the values are within the
-	// algorithm's approximate convergence contract.
-	EpsilonStopped bool
-	// FinalResidual is the last measured windowed mean residual per changed
-	// commit (0 when no residual metric was armed or too few updates ran to
-	// fill a measurement window).
-	FinalResidual float64
-	Duration      time.Duration
+	Duration        time.Duration
 }
 
 // nsWorker is one worker's shared-visible termination-detection state and
@@ -203,17 +184,12 @@ type NoSync struct {
 	pool  *sched.Pool
 	views []nsView
 
-	// clock measures read staleness (created when an Observer is attached;
-	// epochs are executed updates, slots are edge words). residual
-	// accumulates per-commit value movement (created when Epsilon > 0 or an
-	// Observer is attached). Both are nil — and their hot-path hooks one
-	// pointer test — when observation is off.
+	// clock measures read staleness (epochs are executed updates, slots are
+	// edge words); residual accumulates per-commit value movement. Both are
+	// created when an Observer is attached and nil — their hot-path hooks
+	// one pointer test — when observation is off.
 	clock    *obs.DelayClock
 	residual *obs.ResidualEstimator
-
-	// eps holds the ε-stopping flag and windowed-residual measurement (see
-	// epsilon.go); only consulted when opts.Epsilon > 0.
-	eps epsilonState
 
 	panicked atomic.Pointer[updatePanic]
 }
@@ -234,14 +210,6 @@ func NewNoSync(g *graph.Graph, opts NoSyncOptions) (*NoSync, error) {
 	}
 	if err := opts.Verdict.NoSync(); err != nil {
 		return nil, fmt.Errorf("async: %w", err)
-	}
-	if opts.Epsilon > 0 {
-		if err := opts.Verdict.EpsilonStop(); err != nil {
-			return nil, fmt.Errorf("async: %w", err)
-		}
-		if opts.ResidualDelta == nil {
-			return nil, fmt.Errorf("async: ε-stopping requires a ResidualDelta metric (the algorithm's |Δvalue| per commit)")
-		}
 	}
 	if opts.Threads < 1 {
 		opts.Threads = runtime.GOMAXPROCS(0)
@@ -270,11 +238,8 @@ func NewNoSync(g *graph.Graph, opts NoSyncOptions) (*NoSync, error) {
 		x.views[w].x = x
 		x.views[w].worker = w
 	}
-	if opts.Epsilon > 0 || opts.Observer != nil {
-		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
-	}
-	x.eps.span = epsilonSpan(g.N(), opts.Threads)
 	if opts.Observer != nil {
+		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
 		// One epoch per executed update; one stamp slot per edge word.
 		x.clock = obs.NewDelayClock(opts.Threads, int(g.M()))
 		opts.Observer.SetDelaySource(obs.EngineNoSync, x.clock.Hist)
@@ -367,7 +332,6 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 	x.updates.Store(0)
 	x.clock.Reset()
 	x.residual.Reset()
-	x.eps.reset()
 	x.opts.Observer.SetPhase("nosync: running")
 	// Mark every seed Scheduled up front, but don't hand any out yet:
 	// workers claim seedChunk-sized runs off a shared cursor as their
@@ -408,8 +372,6 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 			res.Updates = x.opts.MaxUpdates
 		}
 	}
-	res.EpsilonStopped = x.eps.stopped.Load()
-	res.FinalResidual = x.eps.finalResidual()
 	res.Duration = time.Since(start)
 	if o := x.opts.Observer; o != nil {
 		// Final aggregate: fold every worker's leftover window into one
@@ -424,12 +386,9 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 			vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
 		}
 		x.emitNoSyncSample(o, agg, res.Duration.Nanoseconds())
-		switch {
-		case res.EpsilonStopped:
-			o.SetPhase("nosync: ε-stopped")
-		case res.Converged:
+		if res.Converged {
 			o.SetPhase("nosync: quiescent")
-		default:
+		} else {
 			o.SetPhase("nosync: stopped")
 		}
 	}
@@ -456,7 +415,7 @@ func (x *NoSync) drain(w int, update core.UpdateFunc) {
 	fails := 0
 	sinceClaim := 0
 	for {
-		if x.quiet.Load() || x.stopped.Load() || x.eps.stopped.Load() {
+		if x.quiet.Load() || x.stopped.Load() {
 			return
 		}
 		if ctx := x.opts.Context; ctx != nil && ctx.Err() != nil {
@@ -491,7 +450,7 @@ func (x *NoSync) drain(w int, update core.UpdateFunc) {
 			fails = 0
 			x.execute(w, vw, update, v)
 			// Liveness: a self-sustaining workload — a fixed-point kernel
-			// that never locally converges, exactly the ε-stopping case —
+			// that never locally converges, e.g. PageRank{Epsilon: 0} —
 			// can keep every deque non-empty forever, so the dry-deque
 			// claim alone would never advance the seed cursor and the
 			// unclaimed seeds (pre-marked Scheduled, so mid-run posts
@@ -650,12 +609,6 @@ func (x *NoSync) execute(w int, vw *nsView, update core.UpdateFunc, v int) {
 		// many updates ran between this value's publish and my read".
 		x.clock.Advance()
 		x.runNoSyncOne(vw, update, uint32(v))
-		if x.opts.Epsilon > 0 {
-			if vw.epsUpdates++; vw.epsUpdates >= sampleWindow {
-				vw.epsUpdates = 0
-				x.eps.check(x.residual, x.opts.Epsilon)
-			}
-		}
 		if o := x.opts.Observer; o != nil {
 			if vw.nUpdates++; vw.nUpdates >= sampleWindow {
 				x.emitNoSyncSample(o, vw, 0)
@@ -747,9 +700,8 @@ type nsView struct {
 	// Telemetry window accumulators; worker-private.
 	nUpdates, nReads, nWrites  int64
 	emittedSteals, emittedIdle int64
-	// epsUpdates triggers the windowed ε check; emittedResid* snapshot the
-	// global residual totals at this worker's last telemetry emit.
-	epsUpdates          int64
+	// emittedResid* snapshot the global residual totals at this worker's
+	// last telemetry emit.
 	emittedResidSum     float64
 	emittedResidUpdates int64
 	// uWrites counts edge writes of the currently bound update, for the

@@ -184,6 +184,42 @@ func TestNoSyncMaxUpdatesCap(t *testing.T) {
 	}
 }
 
+// TestNoSyncSelfSustainingWorkloadClaimsEverySeed pins the seed-cursor
+// liveness rule in drain: when every update reschedules its own vertex the
+// deque never runs dry, so unclaimed seeds are reached only through the
+// periodic claim. One worker makes the schedule deterministic: all n seeds
+// are claimed within n updates and the FIFO deque runs each within n more.
+func TestNoSyncSelfSustainingWorkloadClaimsEverySeed(t *testing.T) {
+	const n = 16 * seedChunk
+	g, err := gen.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := NewNoSync(g, NoSyncOptions{Threads: 1, MaxUpdates: 4 * n, Verdict: testVerdict()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for v := 0; v < n; v++ {
+		x.Seed(uint32(v))
+	}
+	res, err := x.Run(func(c core.VertexView) {
+		c.SetVertex(1)
+		c.ScheduleSelf()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatal("self-sustaining run reported convergence")
+	}
+	for v, w := range x.Vertices {
+		if w != 1 {
+			t.Fatalf("seed %d never ran before the MaxUpdates fuse", v)
+		}
+	}
+}
+
 func TestNoSyncContextCancel(t *testing.T) {
 	g, err := gen.Ring(64)
 	if err != nil {
@@ -377,21 +413,28 @@ func TestNoSyncStealsObserved(t *testing.T) {
 	}
 	t.Cleanup(x.Close)
 	x.Seed(0) // hub only: spokes arrive solely as dynamic posts
+	var spokeRan atomic.Bool
 	upd := func(vw core.VertexView) {
-		if vw.V() == 0 {
-			// Fan out: every out-edge write posts its far endpoint onto
-			// the executing worker's own deque. Out-edges only — a second
-			// post per spoke could legitimately re-execute one that
-			// finished in between, breaking the exactly-once check below.
-			for k := 0; k < vw.OutDegree(); k++ {
-				vw.SetOutEdgeVal(k, 1)
-			}
-		}
 		vw.SetVertex(vw.Vertex() + 1)
-		// Yield after each task so the loaded worker cannot drain its
-		// whole backlog in one scheduling quantum on a small GOMAXPROCS —
-		// the thieves must actually get on CPU for a steal to happen.
-		runtime.Gosched()
+		if vw.V() != 0 {
+			spokeRan.Store(true)
+			return
+		}
+		// Fan out: every out-edge write posts its far endpoint onto the
+		// executing worker's own deque. Out-edges only — a second post per
+		// spoke could legitimately re-execute one that finished in
+		// between, breaking the exactly-once check below.
+		for k := 0; k < vw.OutDegree(); k++ {
+			vw.SetOutEdgeVal(k, 1)
+		}
+		// Hold the hub's worker inside this update until a spoke has run:
+		// every spoke sits in this worker's deque, so the first one to run
+		// was stolen. Waiting on that event, rather than hoping the thieves
+		// get on CPU before the owner drains its backlog, makes the steal
+		// certain on any GOMAXPROCS and load.
+		for !spokeRan.Load() {
+			runtime.Gosched()
+		}
 	}
 	res, err := x.Run(upd)
 	if err != nil {

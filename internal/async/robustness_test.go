@@ -61,7 +61,11 @@ func TestAsyncContextCancelMidRun(t *testing.T) {
 	x := setupAsync(t, wcc, g, Options{Threads: 4, Mode: edgedata.ModeAtomic, Context: ctx})
 	var updates atomic.Int64
 	res, err := x.Run(func(v core.VertexView) {
-		if updates.Add(1) == 50 {
+		// Every update from the 50th on cancels, not just the 50th: a lone
+		// canceller preempted between the count and the call lets the other
+		// workers finish the run first. At most Threads updates can sit in
+		// that window, so hundreds of seeds are still queued when one lands.
+		if updates.Add(1) >= 50 {
 			cancel()
 		}
 		wcc.Update(v)

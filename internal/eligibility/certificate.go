@@ -31,14 +31,13 @@ type Certificate struct {
 	Theorem              int            `json:"theorem,omitempty"`
 	DeterministicResults bool           `json:"deterministic_results,omitempty"`
 	NoSyncOK             bool           `json:"nosync_ok,omitempty"`
-	EpsilonStopOK        bool           `json:"epsilon_stop_ok,omitempty"`
 	// MergeVerified reports that the update's merge was compiled and the
 	// semilattice laws backing a Monotonic declaration held; false means
 	// unverified (outside the evaluator's fragment), not refuted — a
 	// refutation is a lint failure and never becomes a certificate.
 	MergeVerified bool `json:"merge_verified,omitempty"`
 	// ResidualDeltaVerified reports the residual metric laws were
-	// checked and held (meaningful for ε-admissible algorithms).
+	// checked and held (meaningful when the algorithm declares one).
 	ResidualDeltaVerified bool `json:"residual_delta_verified,omitempty"`
 
 	// Kernel facts (Kind == "kernel").
@@ -81,12 +80,11 @@ func (c *Certificate) Verdict() (*Verdict, error) {
 	v := AdviseStatic(*c.Props, *c.Profile)
 	if v.Theorem != c.Theorem ||
 		v.DeterministicResults != c.DeterministicResults ||
-		(v.NoSync() == nil) != c.NoSyncOK ||
-		(v.EpsilonStop() == nil) != c.EpsilonStopOK {
+		(v.NoSync() == nil) != c.NoSyncOK {
 		return nil, fmt.Errorf(
-			"eligibility: certificate %q is inconsistent: recorded gates (theorem=%d nosync=%v εstop=%v det=%v) disagree with re-derivation (theorem=%d nosync=%v εstop=%v det=%v) — re-run analysis",
-			c.Name, c.Theorem, c.NoSyncOK, c.EpsilonStopOK, c.DeterministicResults,
-			v.Theorem, v.NoSync() == nil, v.EpsilonStop() == nil, v.DeterministicResults)
+			"eligibility: certificate %q is inconsistent: recorded gates (theorem=%d nosync=%v det=%v) disagree with re-derivation (theorem=%d nosync=%v det=%v) — re-run analysis",
+			c.Name, c.Theorem, c.NoSyncOK, c.DeterministicResults,
+			v.Theorem, v.NoSync() == nil, v.DeterministicResults)
 	}
 	v.Source = "cert"
 	v.Reasons = append(v.Reasons,

@@ -142,45 +142,6 @@ func (v *Verdict) NoSync() error {
 	return nil
 }
 
-// EpsilonStop gates admission to the ε-aware stopping rule: terminating a
-// barrier-free run when the windowed residual falls below ε instead of
-// waiting for exact quiescence. The rule is sound exactly for the Theorem-1
-// fixed-point family (Eedi et al.'s non-blocking PageRank is the model):
-// the convergence-chain premise makes the residual trend to zero under any
-// schedule, and the convergence contract is already approximate, so cutting
-// the tail at ε changes the answer by at most ε-order terms the paper's
-// Section V-C variance analysis has priced in anyway.
-//
-// Refused for everything else, deliberately:
-//   - Theorem-2-only algorithms (monotone traversals) carry an *absolute*
-//     convergence contract — the differential suite pins their fixed points
-//     byte-identical to the deterministic engine — and an ε cut would stop
-//     a ripple mid-flight, publishing labels that are simply wrong, not
-//     ε-close.
-//   - Verdicts with DeterministicResults promise exact reproducibility;
-//     ε-stopping would silently break that promise.
-//
-// A nil receiver is "no verdict was obtained" and is refused.
-func (v *Verdict) EpsilonStop() error {
-	if v == nil {
-		return fmt.Errorf("eligibility: ε-stopping requires an eligibility verdict (run Probe or AdviseStatic first)")
-	}
-	if !v.Eligible {
-		msg := "eligibility: algorithm is NOT ELIGIBLE for nondeterministic execution; ε-stopping refused"
-		if len(v.Reasons) > 0 {
-			msg += ": " + strings.Join(v.Reasons, "; ")
-		}
-		return fmt.Errorf("%s", msg)
-	}
-	if v.Theorem != 1 {
-		return fmt.Errorf("eligibility: ε-stopping is justified by Theorem 1's convergence-chain premise only; verdict cites Theorem %d, run to exact quiescence", v.Theorem)
-	}
-	if v.DeterministicResults {
-		return fmt.Errorf("eligibility: verdict promises deterministic results (monotone + absolute convergence); ε-stopping would break byte-identical fixed points, run to exact quiescence")
-	}
-	return nil
-}
-
 // Advise applies the paper's sufficient conditions to the declared
 // properties and observed conflicts.
 func Advise(p Properties, c ConflictProfile) Verdict {

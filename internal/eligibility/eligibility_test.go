@@ -130,40 +130,56 @@ func TestVerdictNoSyncGate(t *testing.T) {
 	}
 }
 
-func TestVerdictEpsilonStopGate(t *testing.T) {
-	var nilV *Verdict
-	if err := nilV.EpsilonStop(); err == nil {
-		t.Error("nil verdict admitted to ε-stopping")
+// TestCertificateVerdictGates pins what a certificate is judged on: the
+// recorded theorem, nosync_ok and deterministic_results must match their
+// re-derivation, and nothing else in the JSON matters. The first two rows
+// carry a gate an older schema recorded; it decodes as an unknown field
+// and neither admits nor refuses anything.
+func TestCertificateVerdictGates(t *testing.T) {
+	const oldGate = `, "epsilon_stop_ok": true`
+	const pagerank = `"name": "pagerank", "kind": "update", "source_hash": "fnv1a:0",
+		"profile": {"ReadsIn": true, "WritesOut": true, "WritesVertex": true},
+		"props": {"Name": "pagerank", "ConvergesSynchronously": true, "ConvergesDetAsync": true, "Convergence": 1}`
+	const coloring = `"name": "coloring", "kind": "update", "source_hash": "fnv1a:0",
+		"profile": {"ReadsIn": true, "ReadsOut": true, "WritesIn": true, "WritesOut": true, "WritesVertex": true},
+		"props": {"Name": "coloring", "ConvergesDetAsync": true}`
+	cases := []struct {
+		name, json   string
+		inconsistent bool // Verdict() must refuse the certificate itself
+		admitted     bool // the verdict passes the NoSync gate
+	}{
+		{name: "old schema, eligible", admitted: true,
+			json: `[{` + pagerank + `, "theorem": 1, "nosync_ok": true` + oldGate + `}]`},
+		{name: "old schema, ineligible",
+			json: `[{` + coloring + oldGate + `}]`},
+		{name: "flipped nosync_ok", inconsistent: true,
+			json: `[{` + pagerank + `, "theorem": 1}]`},
+		{name: "forged nosync_ok", inconsistent: true,
+			json: `[{` + coloring + `, "nosync_ok": true}]`},
+		{name: "wrong theorem", inconsistent: true,
+			json: `[{` + pagerank + `, "theorem": 2, "nosync_ok": true}]`},
+		{name: "forged deterministic_results", inconsistent: true,
+			json: `[{` + pagerank + `, "theorem": 1, "nosync_ok": true, "deterministic_results": true}]`},
 	}
-	if err := (&Verdict{Eligible: false, Reasons: []string{"no premise"}}).EpsilonStop(); err == nil {
-		t.Error("ineligible verdict admitted to ε-stopping")
-	} else if !strings.Contains(err.Error(), "no premise") {
-		t.Errorf("refusal lost the verdict's reasons: %v", err)
-	}
-	// Theorem 2 (monotone traversals) must run to exact quiescence: an ε
-	// cut would stop a ripple mid-flight.
-	if err := (&Verdict{Eligible: true, Theorem: 2}).EpsilonStop(); err == nil {
-		t.Error("Theorem-2 verdict admitted to ε-stopping")
-	}
-	// A deterministic-results promise is incompatible with ε-stopping even
-	// under Theorem 1.
-	if err := (&Verdict{Eligible: true, Theorem: 1, DeterministicResults: true}).EpsilonStop(); err == nil {
-		t.Error("deterministic-results verdict admitted to ε-stopping")
-	}
-	// The PageRank shape: Theorem 1, approximate convergence.
-	if err := (&Verdict{Eligible: true, Theorem: 1}).EpsilonStop(); err != nil {
-		t.Errorf("Theorem-1 approximate verdict refused: %v", err)
-	}
-	// The real PageRank verdict (static profile) must pass the gate.
-	pr := Advise(Properties{Name: "pagerank", ConvergesSynchronously: true, ConvergesDetAsync: true, Convergence: Approximate},
-		ConflictProfile{RW: 10})
-	if err := pr.EpsilonStop(); err != nil {
-		t.Errorf("PageRank-shaped verdict refused: %v", err)
-	}
-	// The real WCC verdict (monotone, WW conflicts) must be refused.
-	wcc := Advise(Properties{Name: "wcc", ConvergesSynchronously: true, ConvergesDetAsync: true, Monotonic: true, Convergence: Absolute},
-		ConflictProfile{RW: 5, WW: 5})
-	if err := wcc.EpsilonStop(); err == nil {
-		t.Error("WCC-shaped Theorem-2 verdict admitted to ε-stopping")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			certs, err := DecodeCertificates([]byte(tc.json))
+			if err != nil || len(certs) != 1 {
+				t.Fatalf("decode: %v (%d certificates)", err, len(certs))
+			}
+			v, err := certs[0].Verdict()
+			if tc.inconsistent {
+				if err == nil || !strings.Contains(err.Error(), "inconsistent") {
+					t.Fatalf("Verdict() = %v, %v; want an inconsistency refusal", v, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := v.NoSync() == nil; got != tc.admitted {
+				t.Errorf("NoSync admitted = %v, want %v (%v)", got, tc.admitted, v.NoSync())
+			}
+		})
 	}
 }

@@ -223,7 +223,8 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 
 // PageRank (approximate convergence) across execution models: values need
 // not be identical, but every model's converged vector must sit near the
-// true fixed point.
+// true fixed point, and every engine's quiescent state must satisfy the
+// paper's stopping rule exactly.
 func TestDifferentialPageRankAllExecutors(t *testing.T) {
 	g := diffGraph(t, 190)
 	const eps = 1e-7
@@ -236,6 +237,42 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 			}
 		}
 	}
+	ranks := func(vertices []uint64) []float64 {
+		out := make([]float64, len(vertices))
+		for v, w := range vertices {
+			out[v] = edgedata.ToFloat64(w)
+		}
+		return out
+	}
+	// quiescent is the postcondition of running the local rule to
+	// quiescence, with no margin: no vertex is scheduled, so each one's
+	// last update saw its final in-edges and moved its rank by < ε. The
+	// state is therefore a fixed point of its own update — transplanted
+	// into a single-threaded engine, one sweep over all vertices moves no
+	// rank by ε or more (and so scatters nothing).
+	quiescent := func(name string, vertices []uint64, edges edgedata.Store) {
+		t.Helper()
+		pr := algorithms.NewPageRank(eps)
+		e, err := core.NewEngine(g, core.Options{Scheduler: sched.Deterministic, MaxIters: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(e.Vertices, vertices)
+		for i, w := range edges.Snapshot() {
+			e.Edges.Store(uint32(i), w)
+		}
+		e.Frontier().ScheduleAll()
+		res, err := e.Run(func(ctx core.VertexView) {
+			old := edgedata.ToFloat64(ctx.Vertex())
+			pr.Update(ctx)
+			if d := math.Abs(edgedata.ToFloat64(ctx.Vertex()) - old); !(d < eps) {
+				t.Errorf("%s: one more sweep moves rank[%d] by %g, want < ε = %g", name, ctx.V(), d, eps)
+			}
+		})
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: sweep over the converged state rescheduled vertices: %v (%+v)", name, err, res)
+		}
+	}
 
 	for name, opts := range coreVariants() {
 		pr := algorithms.NewPageRank(eps)
@@ -244,6 +281,7 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		closeEnough(name, pr.Ranks(e))
+		quiescent(name, e.Vertices, e.Edges)
 	}
 
 	// Autonomous delta-PageRank.
@@ -253,28 +291,19 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 	}
 	closeEnough("autonomous", rank)
 
-	// ε-stopped work-stealing run: no local threshold (the run would spin at
-	// exact quiescence forever), terminated solely by the windowed-residual
-	// rule, and still required to land at the same fixed point as every
-	// engine above. The stopping threshold sits three decades under the
-	// comparison tolerance; per-commit residual amplifies into rank error by
-	// roughly max-indegree · d/(1−d) on this graph.
+	// Both barrier-free executors, same local ε, drained to quiescence.
+	seeded := func() (*algorithms.PageRank, *core.Engine) {
+		pr := algorithms.NewPageRank(eps)
+		e, err := core.NewEngine(g, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Setup(e)
+		return pr, e
+	}
 	{
-		const stopEps = 1e-5
-		pr := &algorithms.PageRank{Epsilon: 0, Damping: 0.85}
-		v, err := algorithms.NoSyncVerdict(pr, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed, err := core.NewEngine(g, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr.Setup(seed)
-		x, err := async.NewNoSync(g, async.NoSyncOptions{
-			Threads: 4, Mode: edgedata.ModeAtomic, Verdict: &v,
-			MaxUpdates: 1 << 22, Epsilon: stopEps, ResidualDelta: pr.ResidualDelta,
-		})
+		pr, seed := seeded()
+		x, err := async.NewExecutor(g, async.Options{Threads: 4, Mode: edgedata.ModeAtomic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,21 +311,31 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 		if err := x.LoadFrom(seed); err != nil {
 			t.Fatal(err)
 		}
-		nres, err := x.Run(pr.Update)
+		if res, err := x.Run(pr.Update); err != nil || !res.Converged {
+			t.Fatalf("async: %v (%+v)", err, res)
+		}
+		closeEnough("async", ranks(x.Vertices))
+		quiescent("async", x.Vertices, x.Edges)
+	}
+	{
+		pr, seed := seeded()
+		v, err := algorithms.NoSyncVerdict(pr, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nres.Converged || !nres.EpsilonStopped {
-			t.Fatalf("nosync-εstop: res = %+v, want ε-stopped convergence", nres)
+		x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 4, Mode: edgedata.ModeAtomic, Verdict: &v})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if nres.FinalResidual >= stopEps {
-			t.Fatalf("nosync-εstop: final residual %g, want < %g", nres.FinalResidual, stopEps)
+		defer x.Close()
+		if err := x.LoadFrom(seed); err != nil {
+			t.Fatal(err)
 		}
-		ranks := make([]float64, g.N())
-		for u := range ranks {
-			ranks[u] = edgedata.ToFloat64(x.Vertices[u])
+		if res, err := x.Run(pr.Update); err != nil || !res.Converged {
+			t.Fatalf("nosync: %v (%+v)", err, res)
 		}
-		closeEnough("nosync-εstop", ranks)
+		closeEnough("nosync", ranks(x.Vertices))
+		quiescent("nosync", x.Vertices, x.Edges)
 	}
 }
 

@@ -412,7 +412,7 @@ func TestStalenessStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full staleness sweep")
 	}
-	stale, eps, err := StalenessStudy(tinyConfig())
+	stale, err := StalenessStudy(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,20 +429,6 @@ func TestStalenessStudy(t *testing.T) {
 		}
 		if r.DelayP50 > r.DelayP99 || r.DelayP99 > r.DelayMax {
 			t.Fatalf("%s/P%d: staleness quantiles out of order: %+v", r.Graph, r.Threads, r)
-		}
-	}
-	// 4 graphs x 2 epsilons (tinyConfig).
-	if want := 4 * 2; len(eps) != want {
-		t.Fatalf("ε-stop rows = %d, want %d", len(eps), want)
-	}
-	for _, r := range eps {
-		// Either the rule fired, or the run reached exact quiescence on its
-		// own; both must land within the ε the cell asked about.
-		if r.StopMaxErr > r.Epsilon {
-			t.Fatalf("%s/ε=%g: ε-stopped ranks off by %g", r.Graph, r.Epsilon, r.StopMaxErr)
-		}
-		if r.StopUpdates == 0 || r.FullUpdates == 0 {
-			t.Fatalf("%s/ε=%g: empty cell: %+v", r.Graph, r.Epsilon, r)
 		}
 	}
 }

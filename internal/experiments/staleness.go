@@ -9,23 +9,17 @@ import (
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
-	"ndgraph/internal/metrics"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
 
-// This file is the staleness-and-convergence study: it instruments
-// barrier-free runs with the delay clocks of internal/obs and asks the two
-// questions the observability plane exists to answer. First, how stale are
-// the values a work-stealing run actually reads — measured in elapsed
-// updates between a value's publish and its read — and how does that
-// staleness relate to execution-path drift as workers are added, while the
-// Theorem-2 fixed point stays byte-identical? Second, what does the ε-aware
-// stopping rule buy a Theorem-1 algorithm: how many updates does stopping
-// at a windowed residual below ε save over draining to exact quiescence,
-// and how far from the deterministic fixed point do the published values
-// land?
+// This file is the staleness study: it instruments barrier-free runs with
+// the delay clocks of internal/obs and asks how stale the values a
+// work-stealing run actually reads are — measured in elapsed updates
+// between a value's publish and its read — and how that staleness relates
+// to execution-path drift as workers are added, while the Theorem-2 fixed
+// point stays byte-identical.
 
 // StalenessRow is one (graph, threads) cell of the staleness-vs-drift
 // study: a delay-clock-instrumented work-stealing WCC run diffed against
@@ -48,63 +42,29 @@ type StalenessRow struct {
 	ResultsEqual bool
 }
 
-// EpsilonStopRow is one (graph, ε) cell of the ε-aware stopping study: a
-// work-stealing PageRank with the stopping rule armed, against the same
-// configuration drained to exact quiescence, both scored against the
-// deterministic power-iteration fixed point.
-type EpsilonStopRow struct {
-	Graph string
-	// Epsilon is the stopping threshold fed to the engine (windowed mean
-	// residual per changed commit).
-	Epsilon float64
-	Threads int
-	// Stopped reports that the ε rule fired. False means the run reached
-	// exact quiescence on its own first — with no local threshold that only
-	// happens once every rank sits at its float-precision fixed point, so
-	// the cell is still valid, just without the early exit.
-	Stopped bool
-	// FinalResidual is the last measured windowed residual at stop.
-	FinalResidual float64
-	// StopUpdates / FullUpdates are the executed update counts of the
-	// ε-stopped run and the exact-quiescence baseline (local threshold ε).
-	StopUpdates, FullUpdates int64
-	// StopMaxErr / FullMaxErr are the L∞ distances of each run's ranks
-	// from the deterministic reference fixed point.
-	StopMaxErr, FullMaxErr float64
-}
-
 // stalenessThreads is the worker sweep of the staleness study; drift and
 // staleness both grow with workers, which is the correlation on display.
 var stalenessThreads = []int{1, 2, 4, 8}
 
-// StalenessStudy runs both halves of the staleness-and-convergence study
-// over the benchmark graph suite.
-func StalenessStudy(cfg Config) ([]StalenessRow, []EpsilonStopRow, error) {
+// StalenessStudy runs the staleness study over the benchmark graph suite.
+func StalenessStudy(cfg Config) ([]StalenessRow, error) {
 	cfg.validate()
 	gs, err := Graphs(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var stale []StalenessRow
-	var eps []EpsilonStopRow
 	for _, d := range gen.AllDatasets() {
 		g := gs[d.String()]
 		for _, p := range stalenessThreads {
 			row, err := stalenessOnce(g, d.String(), p)
 			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: staleness %s/P%d: %w", d, p, err)
+				return nil, fmt.Errorf("experiments: staleness %s/P%d: %w", d, p, err)
 			}
 			stale = append(stale, row)
 		}
-		for _, e := range cfg.Epsilons {
-			row, err := epsilonStopOnce(g, d.String(), e)
-			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: ε-stop %s/ε=%g: %w", d, e, err)
-			}
-			eps = append(eps, row)
-		}
 	}
-	return stale, eps, nil
+	return stale, nil
 }
 
 // stalenessOnce runs one delay-instrumented work-stealing WCC and diffs it
@@ -176,85 +136,4 @@ func stalenessOnce(g *graph.Graph, name string, threads int) (StalenessRow, erro
 	rep := trace.Diff(detRec.Snapshot(meta), nsRec.Snapshot(meta))
 	row.Diverged = rep.Diverged
 	return row, nil
-}
-
-// epsilonStopThreads is the ε-stopping study's fixed worker count.
-const epsilonStopThreads = 4
-
-// epsilonStopOnce races one ε-stopped work-stealing PageRank against the
-// exact-quiescence baseline at the same ε and scores both against the
-// deterministic fixed point.
-func epsilonStopOnce(g *graph.Graph, name string, eps float64) (EpsilonStopRow, error) {
-	ref := algorithms.ReferencePageRank(g, 0.85, 1e-12, 10000)
-
-	// Baseline: the paper's local-threshold formulation drained to exact
-	// quiescence — a vertex stops scattering once its own rank moves < ε.
-	fullUpdates, fullRanks, _, err := noSyncPageRank(g, eps, 0)
-	if err != nil {
-		return EpsilonStopRow{}, fmt.Errorf("baseline: %w", err)
-	}
-
-	// ε-stopped: no local threshold at all (the run would spin forever),
-	// terminated solely by the windowed-residual rule. The engine threshold
-	// sits three decades under ε: per-commit residual amplifies into rank
-	// error by roughly max-indegree · d/(1−d) (each in-error feeds the
-	// damped gather), so the margin keeps the published ranks within the
-	// ε the caller asked about.
-	stopUpdates, stopRanks, stopRes, err := noSyncPageRank(g, 0, eps/1000)
-	if err != nil {
-		return EpsilonStopRow{}, fmt.Errorf("ε-stopped: %w", err)
-	}
-
-	return EpsilonStopRow{
-		Graph: name, Epsilon: eps, Threads: epsilonStopThreads,
-		Stopped:       stopRes.EpsilonStopped,
-		FinalResidual: stopRes.FinalResidual,
-		StopUpdates:   stopUpdates, FullUpdates: fullUpdates,
-		StopMaxErr: metrics.LInfDistance(stopRanks, ref),
-		FullMaxErr: metrics.LInfDistance(fullRanks, ref),
-	}, nil
-}
-
-// noSyncPageRank runs one work-stealing PageRank with local threshold
-// localEps and engine stopping threshold stopEps (0 = rule off) and returns
-// (updates, ranks, result).
-func noSyncPageRank(g *graph.Graph, localEps, stopEps float64) (int64, []float64, async.NoSyncResult, error) {
-	pr := &algorithms.PageRank{Epsilon: localEps, Damping: 0.85}
-	v, err := algorithms.NoSyncVerdict(pr, g)
-	if err != nil {
-		return 0, nil, async.NoSyncResult{}, err
-	}
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		return 0, nil, async.NoSyncResult{}, err
-	}
-	pr.Setup(seed)
-	opts := async.NoSyncOptions{
-		Threads: epsilonStopThreads, Mode: edgedata.ModeAtomic,
-		Verdict: &v, MaxUpdates: 1 << 24,
-	}
-	if stopEps > 0 {
-		opts.Epsilon = stopEps
-		opts.ResidualDelta = pr.ResidualDelta
-	}
-	x, err := async.NewNoSync(g, opts)
-	if err != nil {
-		return 0, nil, async.NoSyncResult{}, err
-	}
-	defer x.Close()
-	if err := x.LoadFrom(seed); err != nil {
-		return 0, nil, async.NoSyncResult{}, err
-	}
-	res, err := x.Run(pr.Update)
-	if err != nil {
-		return 0, nil, async.NoSyncResult{}, err
-	}
-	if !res.Converged {
-		return 0, nil, async.NoSyncResult{}, fmt.Errorf("did not converge (updates=%d)", res.Updates)
-	}
-	ranks := make([]float64, g.N())
-	for u := range ranks {
-		ranks[u] = edgedata.ToFloat64(x.Vertices[u])
-	}
-	return res.Updates, ranks, res, nil
 }

@@ -47,8 +47,8 @@ func BenchmarkDelayClockObserveReadParallel(b *testing.B) {
 }
 
 // BenchmarkResidualObserve is one committed transition through the striped
-// estimator with a real float delta function — the per-commit cost of the
-// ε-aware stopping rule's measurement half.
+// estimator with a real float delta function — the per-commit cost an
+// observed barrier-free run pays for its Residual gauge.
 func BenchmarkResidualObserve(b *testing.B) {
 	delta := func(old, new uint64) float64 {
 		return math.Abs(math.Float64frombits(new) - math.Float64frombits(old))

@@ -7,8 +7,8 @@
 // every committed vertex transition contributes |new − old| under the
 // algorithm's own metric (a numeric delta for fixed-point kernels like
 // PageRank, a changed-vertex count for discrete labels), so a windowed
-// difference of two Totals snapshots is the residual term the ε-aware
-// stopping rule (and Eedi et al.'s non-blocking PageRank) terminates on.
+// difference of two Totals snapshots is the mean movement per commit the
+// barrier-free executors report as their Residual gauge.
 package obs
 
 import (

@@ -402,7 +402,7 @@ type (
 	// by /statusz and returned by Observer.DelaySnapshots.
 	DelaySnapshot = obs.DelaySnapshot
 	// ResidualEstimator accumulates per-commit value movement (striped,
-	// allocation-free) — the measurement half of ε-aware stopping.
+	// allocation-free) — the input of the telemetry Residual gauge.
 	ResidualEstimator = obs.ResidualEstimator
 	// ResidualTotals is a ResidualEstimator snapshot.
 	ResidualTotals = obs.ResidualTotals

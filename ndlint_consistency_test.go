@@ -224,17 +224,15 @@ func TestCertificatesConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probeNoSync := probeVerdict.NoSync() == nil
-			probeEps := probeVerdict.EpsilonStop() == nil
-			if cert.NoSyncOK != probeNoSync || cert.EpsilonStopOK != probeEps {
-				t.Errorf("certificate gates (nosync=%v εstop=%v) disagree with probe census gates (nosync=%v εstop=%v)",
-					cert.NoSyncOK, cert.EpsilonStopOK, probeNoSync, probeEps)
+			if probeNoSync := probeVerdict.NoSync() == nil; cert.NoSyncOK != probeNoSync {
+				t.Errorf("certificate gate (nosync=%v) disagrees with probe census gate (nosync=%v)",
+					cert.NoSyncOK, probeNoSync)
 			}
 
 			// The certificate's verdict — the engines' admission ticket —
 			// must reconstruct and agree with the probe on this
 			// worst-case-realizing graph.
-			if cert.NoSyncOK || cert.EpsilonStopOK {
+			if cert.NoSyncOK {
 				v, err := cert.Verdict()
 				if err != nil {
 					t.Fatal(err)

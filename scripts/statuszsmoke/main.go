@@ -61,9 +61,9 @@ func run() error {
 	}
 	defer srv.Close()
 
-	// PageRank with no local threshold: the run never locally converges,
-	// so only the ε rule ends it — guaranteeing a long live phase to poll.
-	pr := &algorithms.PageRank{Epsilon: 0, Damping: 0.85}
+	// A tight local threshold keeps the run draining toward quiescence for
+	// many poll rounds — a long live phase to observe.
+	pr := algorithms.NewPageRank(1e-10)
 	v, err := algorithms.NoSyncVerdict(pr, g)
 	if err != nil {
 		return err
@@ -75,8 +75,7 @@ func run() error {
 	pr.Setup(seed)
 	x, err := async.NewNoSync(g, async.NoSyncOptions{
 		Threads: 4, Mode: edgedata.ModeAtomic,
-		Verdict: &v, Observer: o,
-		MaxUpdates: 1 << 26, Epsilon: 1e-10, ResidualDelta: pr.ResidualDelta,
+		Verdict: &v, Observer: o, ResidualDelta: pr.ResidualDelta,
 	})
 	if err != nil {
 		return err
@@ -116,8 +115,8 @@ func run() error {
 	if !res.Converged {
 		return fmt.Errorf("run did not converge (updates=%d)", res.Updates)
 	}
-	fmt.Printf("statusz smoke OK: live phase=%q engines=%d updates(live)=%d run updates=%d eps-stopped=%v\n",
-		live.Phase, len(live.Engines), live.Engines[0].Updates, res.Updates, res.EpsilonStopped)
+	fmt.Printf("statusz smoke OK: live phase=%q engines=%d updates(live)=%d run updates=%d\n",
+		live.Phase, len(live.Engines), live.Engines[0].Updates, res.Updates)
 	return nil
 }
 

@@ -21,6 +21,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -57,89 +58,116 @@ type Options struct {
 	Dedup bool
 }
 
-// Build constructs a Graph from an edge list. The input slice is not
-// modified. Endpoints must fit the final vertex count; Build returns an
-// error otherwise.
+// Build constructs a Graph from an edge list in O(M + Σ d log d) for
+// out-degrees d: a counting sort by source, then a sort of each row. The
+// input slice is not modified and no edge-sized scratch is allocated beside
+// the CSR arrays themselves. Endpoints must fit the final vertex count;
+// Build returns an error otherwise.
 func Build(edges []Edge, opt Options) (*Graph, error) {
 	n := opt.NumVertices
-	maxEnd := -1
-	for _, e := range edges {
-		if int(e.Src) > maxEnd {
-			maxEnd = int(e.Src)
-		}
-		if int(e.Dst) > maxEnd {
-			maxEnd = int(e.Dst)
-		}
-	}
 	if n == 0 {
-		n = maxEnd + 1
-	} else if maxEnd >= n {
-		return nil, fmt.Errorf("graph: endpoint %d exceeds vertex count %d", maxEnd, n)
+		n = maxEndpoint(edges) + 1
+	}
+	if n < 0 {
+		return nil, endpointError(edges, n)
 	}
 
-	work := make([]Edge, 0, len(edges))
+	// Both scatters count vertex v into slot v+2 of an n+2 array, so that
+	// after the prefix sum slot v+1 holds the start of v's row and can serve
+	// as its write cursor: once every edge is placed it has advanced to the
+	// start of row v+1, and the first n+1 slots are the finished offsets.
+	outOff := make([]int64, n+2)
+	for _, e := range edges {
+		if int(e.Src) >= n || int(e.Dst) >= n {
+			return nil, endpointError(edges, n)
+		}
+		if opt.DropSelfLoops && e.Src == e.Dst {
+			continue
+		}
+		outOff[int(e.Src)+2]++
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+2] += outOff[v+1]
+	}
+	outDst := make([]uint32, outOff[n+1])
 	for _, e := range edges {
 		if opt.DropSelfLoops && e.Src == e.Dst {
 			continue
 		}
-		work = append(work, e)
+		cur := &outOff[int(e.Src)+1]
+		outDst[*cur] = e.Dst
+		*cur++
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Src != work[j].Src {
-			return work[i].Src < work[j].Src
-		}
-		return work[i].Dst < work[j].Dst
-	})
+	outOff = outOff[:n+1]
+	for v := 0; v < n; v++ {
+		slices.Sort(outDst[outOff[v]:outOff[v+1]])
+	}
 	if opt.Dedup {
-		work = dedupSorted(work)
+		outDst = dedupRows(outOff, outDst)
 	}
 
 	g := &Graph{
 		n:      n,
-		outOff: make([]int64, n+1),
-		outDst: make([]uint32, len(work)),
-		inOff:  make([]int64, n+1),
-		inSrc:  make([]uint32, len(work)),
-		inEdge: make([]uint32, len(work)),
+		outOff: outOff,
+		outDst: outDst,
+		inSrc:  make([]uint32, len(outDst)),
+		inEdge: make([]uint32, len(outDst)),
 	}
-
-	// Out CSR directly from the sorted order.
-	for i, e := range work {
-		g.outOff[e.Src+1]++
-		g.outDst[i] = e.Dst
+	inOff := make([]int64, n+2)
+	for _, d := range outDst {
+		inOff[int(d)+2]++
 	}
 	for v := 0; v < n; v++ {
-		g.outOff[v+1] += g.outOff[v]
+		inOff[v+2] += inOff[v+1]
 	}
-
-	// In CSR: count, prefix-sum, scatter (keeping canonical index).
-	for _, e := range work {
-		g.inOff[e.Dst+1]++
-	}
+	// The scatter walks the canonical (src, dst) order, so each vertex's
+	// in-list comes out sorted by source.
 	for v := 0; v < n; v++ {
-		g.inOff[v+1] += g.inOff[v]
+		for e := outOff[v]; e < outOff[v+1]; e++ {
+			cur := &inOff[int(outDst[e])+1]
+			g.inSrc[*cur] = uint32(v)
+			g.inEdge[*cur] = uint32(e)
+			*cur++
+		}
 	}
-	cursor := make([]int64, n)
-	copy(cursor, g.inOff[:n])
-	for i, e := range work {
-		slot := cursor[e.Dst]
-		cursor[e.Dst]++
-		g.inSrc[slot] = e.Src
-		g.inEdge[slot] = uint32(i)
-	}
-	// Because the canonical order is (src, dst)-sorted and the scatter walks
-	// it in order, each vertex's in-list is automatically sorted by source.
+	g.inOff = inOff[:n+1]
 	return g, nil
 }
 
-func dedupSorted(es []Edge) []Edge {
-	out := es[:0]
-	for i, e := range es {
-		if i == 0 || e != es[i-1] {
-			out = append(out, e)
-		}
+// maxEndpoint returns the largest vertex label edges mention, -1 for none.
+func maxEndpoint(edges []Edge) int {
+	m := -1
+	for _, e := range edges {
+		m = max(m, int(e.Src), int(e.Dst))
 	}
-	return out
+	return m
+}
+
+func endpointError(edges []Edge, n int) error {
+	return fmt.Errorf("graph: endpoint %d exceeds vertex count %d", maxEndpoint(edges), n)
+}
+
+// dedupRows collapses equal neighbours within each sorted row, compacting
+// dst and rewriting off in place. When anything was dropped the result is
+// copied to its exact size so the graph does not pin the slack.
+func dedupRows(off []int64, dst []uint32) []uint32 {
+	w, lo := int64(0), int64(0)
+	for v := 0; v+1 < len(off); v++ {
+		hi := off[v+1]
+		off[v] = w
+		for i := lo; i < hi; i++ {
+			if i == lo || dst[i] != dst[i-1] {
+				dst[w] = dst[i]
+				w++
+			}
+		}
+		lo = hi
+	}
+	off[len(off)-1] = w
+	if int(w) == len(dst) {
+		return dst
+	}
+	return slices.Clone(dst[:w])
 }
 
 // N returns the number of vertices.
@@ -242,10 +270,13 @@ func (g *Graph) Reverse() *Graph {
 // with (v→u). Duplicate pairs are collapsed and self-loops preserved as a
 // single direction.
 func (g *Graph) Undirected() *Graph {
-	es := g.Edges()
-	for _, e := range g.Edges() {
-		if e.Src != e.Dst {
-			es = append(es, Edge{Src: e.Dst, Dst: e.Src})
+	es := make([]Edge, 0, 2*g.M())
+	for v := uint32(0); int(v) < g.n; v++ {
+		for _, d := range g.OutNeighbors(v) {
+			es = append(es, Edge{Src: v, Dst: d})
+			if d != v {
+				es = append(es, Edge{Src: d, Dst: v})
+			}
 		}
 	}
 	u, err := Build(es, Options{NumVertices: g.n, Dedup: true})

@@ -296,21 +296,6 @@ func TestEdgeEndpointsAllEdges(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild100k(b *testing.B) {
-	r := rng.New(1)
-	const n, m = 10000, 100000
-	es := make([]Edge, m)
-	for i := range es {
-		es[i] = Edge{Src: uint32(r.Intn(n)), Dst: uint32(r.Intn(n))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(es, Options{NumVertices: n}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOutNeighborScan(b *testing.B) {
 	r := rng.New(2)
 	const n, m = 10000, 100000

@@ -7,14 +7,19 @@ package loader
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ndgraph/internal/fsafe"
 	"ndgraph/internal/graph"
@@ -46,23 +51,23 @@ func ReadEdgeList(r io.Reader, opt graph.Options) (*graph.Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		a, rest := nextField(sc.Bytes())
+		if len(a) == 0 || a[0] == '#' || a[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("loader: line %d: want at least 2 fields, got %q", lineNo, line)
+		b, _ := nextField(rest)
+		if len(b) == 0 {
+			return nil, fmt.Errorf("loader: line %d: want at least 2 fields, got %q", lineNo, bytes.TrimSpace(sc.Bytes()))
 		}
-		src, err := parseVertex(fields[0])
+		src, err := parseVertex(a)
 		if err != nil {
 			return nil, fmt.Errorf("loader: line %d: %v", lineNo, err)
 		}
-		dst, err := parseVertex(fields[1])
+		dst, err := parseVertex(b)
 		if err != nil {
 			return nil, fmt.Errorf("loader: line %d: %v", lineNo, err)
 		}
-		edges = append(edges, graph.Edge{Src: src, Dst: dst})
+		edges = appendEdge(edges, graph.Edge{Src: src, Dst: dst})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loader: %v", err)
@@ -70,15 +75,86 @@ func ReadEdgeList(r io.Reader, opt graph.Options) (*graph.Graph, error) {
 	return graph.Build(edges, opt)
 }
 
-func parseVertex(s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad vertex id %q: %v", s, err)
+// appendEdge appends e, doubling a full list: append alone grows a large
+// slice by a quarter, which copies a list of unknown length about four times
+// over while it fills.
+func appendEdge(edges []graph.Edge, e graph.Edge) []graph.Edge {
+	if len(edges) == cap(edges) {
+		edges = slices.Grow(edges, max(len(edges), 1024))
 	}
-	if v >= uint64(MaxVertices) {
+	return append(edges, e)
+}
+
+// nextField is the field scanner of both text formats: it returns the first
+// whitespace-delimited field of line and what follows it, without copying;
+// the field is empty when line holds only whitespace. Whitespace is what
+// strings.Fields takes it to be.
+func nextField(line []byte) (field, rest []byte) {
+	i := 0
+	for i < len(line) {
+		n := spaceLen(line, i)
+		if n == 0 {
+			break
+		}
+		i += n
+	}
+	j := i
+	for j < len(line) && spaceLen(line, j) == 0 {
+		j++
+	}
+	return line[i:j], line[j:]
+}
+
+// spaceLen returns the byte length of the white-space character at b[i], or
+// 0 if anything else starts there. Small enough to inline, so ASCII input
+// costs one table lookup per byte.
+func spaceLen(b []byte, i int) int {
+	if c := b[i]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return wideSpaceLen(b[i:])
+}
+
+var asciiSpace = [utf8.RuneSelf]uint8{' ': 1, '\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1}
+
+func wideSpaceLen(b []byte) int {
+	if r, n := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// parseDecimal is the per-field fast path: the value of a plain run of
+// ASCII digits that fits a uint32. Anything else (a sign, a letter, an
+// overflow) reports false and goes to strconv for its value or its error.
+func parseDecimal(f []byte) (uint32, bool) {
+	if len(f) == 0 || len(f) > 10 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range f {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + uint64(d)
+	}
+	return uint32(v), v <= math.MaxUint32
+}
+
+func parseVertex(f []byte) (uint32, error) {
+	v, ok := parseDecimal(f)
+	if !ok {
+		wide, err := strconv.ParseUint(string(f), 10, 32)
+		if err != nil {
+			return 0, fmt.Errorf("bad vertex id %q: %v", f, err)
+		}
+		v = uint32(wide)
+	}
+	if uint64(v) >= uint64(MaxVertices) {
 		return 0, fmt.Errorf("vertex id %d exceeds MaxVertices (%d)", v, MaxVertices)
 	}
-	return uint32(v), nil
+	return v, nil
 }
 
 // WriteEdgeList writes g as a SNAP-style edge list with a header comment.
@@ -145,34 +221,47 @@ func ReadMatrixMarket(r io.Reader, opt graph.Options) (*graph.Graph, error) {
 		prealloc = maxEdgePrealloc
 	}
 	edges := make([]graph.Edge, 0, prealloc)
+	entries := 0
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		a, rest := nextField(sc.Bytes())
+		if len(a) == 0 || a[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("loader: bad MatrixMarket entry %q", line)
-		}
-		i, err1 := strconv.Atoi(fields[0])
-		j, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil || i < 1 || j < 1 {
-			return nil, fmt.Errorf("loader: bad MatrixMarket entry %q", line)
+		b, _ := nextField(rest)
+		i, ok1 := parseIndex(a)
+		j, ok2 := parseIndex(b)
+		if !ok1 || !ok2 || i < 1 || j < 1 {
+			return nil, fmt.Errorf("loader: bad MatrixMarket entry %q", bytes.TrimSpace(sc.Bytes()))
 		}
 		// Entries outside the declared dimensions would truncate through
 		// uint32 below and could land on a silently wrong edge.
 		if i > rows || j > cols {
 			return nil, fmt.Errorf("loader: MatrixMarket entry (%d, %d) outside declared %dx%d", i, j, rows, cols)
 		}
-		edges = append(edges, graph.Edge{Src: uint32(i - 1), Dst: uint32(j - 1)})
+		entries++
+		edges = appendEdge(edges, graph.Edge{Src: uint32(i - 1), Dst: uint32(j - 1)})
 		if symmetric && i != j {
-			edges = append(edges, graph.Edge{Src: uint32(j - 1), Dst: uint32(i - 1)})
+			edges = appendEdge(edges, graph.Edge{Src: uint32(j - 1), Dst: uint32(i - 1)})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loader: %v", err)
 	}
+	// A truncated download must not load as a smaller graph.
+	if entries != nnz {
+		return nil, fmt.Errorf("loader: MatrixMarket size line declares %d entries, file has %d", nnz, entries)
+	}
 	return graph.Build(edges, opt)
+}
+
+// parseIndex reads one MatrixMarket row or column index the way
+// strconv.Atoi does; an empty field is not a number.
+func parseIndex(f []byte) (int, bool) {
+	if v, ok := parseDecimal(f); ok {
+		return int(v), true
+	}
+	v, err := strconv.Atoi(string(f))
+	return v, err == nil
 }
 
 // Binary format: magic, version, n, m, then m (src, dst) uint32 pairs,
@@ -183,85 +272,104 @@ func ReadMatrixMarket(r io.Reader, opt graph.Options) (*graph.Graph, error) {
 const (
 	binMagic   = 0x4e444752 // "NDGR"
 	binVersion = 2
+
+	// binBlockEdges is how many edge records WriteBinary and ReadBinary
+	// move, checksum and encode or decode at a time (64 KiB).
+	binBlockEdges = 8192
 )
 
 // WriteBinary writes g in ndgraph binary format (version 2, checksummed).
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	h := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, h)
-	hdr := []uint32{binMagic, binVersion, uint32(g.N()), uint32(g.M())}
-	for _, x := range hdr {
-		if err := binary.Write(mw, binary.LittleEndian, x); err != nil {
-			return err
-		}
-	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 8*binBlockEdges)
+	buf = le.AppendUint32(buf, binMagic)
+	buf = le.AppendUint32(buf, binVersion)
+	buf = le.AppendUint32(buf, uint32(g.N()))
+	buf = le.AppendUint32(buf, uint32(g.M()))
+	sum := uint32(0)
 	for v := uint32(0); int(v) < g.N(); v++ {
 		for _, d := range g.OutNeighbors(v) {
-			if err := binary.Write(mw, binary.LittleEndian, [2]uint32{v, d}); err != nil {
-				return err
+			if len(buf) == cap(buf) {
+				sum = crc32.Update(sum, crc32.IEEETable, buf)
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
+			buf = le.AppendUint32(le.AppendUint32(buf, v), d)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
+	sum = crc32.Update(sum, crc32.IEEETable, buf)
+	_, err := w.Write(le.AppendUint32(buf, sum))
+	return err
+}
+
+// readRecords fills buf, a whole number of size-byte records, from r and
+// returns how many complete records arrived. Input that ends exactly
+// between two records is io.EOF, inside one io.ErrUnexpectedEOF.
+func readRecords(r io.Reader, buf []byte, size int) (int, error) {
+	got, err := io.ReadFull(r, buf)
+	if err == io.ErrUnexpectedEOF && got%size == 0 {
+		err = io.EOF
 	}
-	return bw.Flush()
+	return got / size, err
 }
 
 // ReadBinary reads a graph written by WriteBinary. Version-2 files carry a
 // CRC32 trailer, verified here; version-1 files (no trailer) still load.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
-	h := crc32.NewIEEE()
-	tr := io.TeeReader(br, h)
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(tr, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("loader: binary header: %v", err)
-		}
+	le := binary.LittleEndian
+	buf := make([]byte, 8*binBlockEdges)
+	if _, err := readRecords(r, buf[:16], 4); err != nil {
+		return nil, fmt.Errorf("loader: binary header: %v", err)
 	}
-	if hdr[0] != binMagic {
-		return nil, fmt.Errorf("loader: bad magic %#x", hdr[0])
+	magic, version := le.Uint32(buf), le.Uint32(buf[4:])
+	if magic != binMagic {
+		return nil, fmt.Errorf("loader: bad magic %#x", magic)
 	}
-	if hdr[1] != 1 && hdr[1] != binVersion {
-		return nil, fmt.Errorf("loader: unsupported binary version %d", hdr[1])
+	if version != 1 && version != binVersion {
+		return nil, fmt.Errorf("loader: unsupported binary version %d", version)
 	}
-	n, m := int(hdr[2]), int(hdr[3])
+	n, m := int(le.Uint32(buf[8:])), int(le.Uint32(buf[12:]))
 	if n > MaxVertices {
 		return nil, fmt.Errorf("loader: binary header claims %d vertices, exceeds MaxVertices (%d)", n, MaxVertices)
 	}
+	sum := crc32.Update(0, crc32.IEEETable, buf[:16])
 	// The header's m is unverified until the checksum at the end, so
 	// reserve at most maxEdgePrealloc records up front and let real input
 	// grow the slice past that; a forged count fails at EOF instead of
 	// allocating gigabytes first.
-	prealloc := m
-	if prealloc > maxEdgePrealloc {
-		prealloc = maxEdgePrealloc
-	}
-	edges := make([]graph.Edge, 0, prealloc)
-	for i := 0; i < m; i++ {
-		var pair [2]uint32
-		if err := binary.Read(tr, binary.LittleEndian, &pair); err != nil {
-			return nil, fmt.Errorf("loader: binary edge %d: %v (file truncated?)", i, err)
+	edges := make([]graph.Edge, 0, min(m, maxEdgePrealloc))
+	for len(edges) < m {
+		got, err := readRecords(r, buf[:8*min(m-len(edges), binBlockEdges)], 8)
+		block := buf[:8*got]
+		// Input that has arrived justifies room for as much again, up to
+		// the declared count.
+		if len(edges)+got > cap(edges) {
+			edges = slices.Grow(edges, min(m-len(edges), max(len(edges), got)))
 		}
-		// Endpoints must respect the header's vertex count: WriteBinary
-		// never emits anything else, and an out-of-range endpoint with
-		// n == 0 would otherwise make graph.Build size the graph off the
-		// bogus endpoint.
-		if int(pair[0]) >= n || int(pair[1]) >= n {
-			return nil, fmt.Errorf("loader: binary edge %d (%d → %d) outside %d vertices", i, pair[0], pair[1], n)
+		sum = crc32.Update(sum, crc32.IEEETable, block)
+		for ; len(block) > 0; block = block[8:] {
+			e := graph.Edge{Src: le.Uint32(block), Dst: le.Uint32(block[4:])}
+			// Endpoints must respect the header's vertex count: WriteBinary
+			// never emits anything else, and an out-of-range endpoint with
+			// n == 0 would otherwise make graph.Build size the graph off the
+			// bogus endpoint.
+			if int(e.Src) >= n || int(e.Dst) >= n {
+				return nil, fmt.Errorf("loader: binary edge %d (%d → %d) outside %d vertices", len(edges), e.Src, e.Dst, n)
+			}
+			edges = append(edges, e)
 		}
-		edges = append(edges, graph.Edge{Src: pair[0], Dst: pair[1]})
+		if err != nil {
+			return nil, fmt.Errorf("loader: binary edge %d: %v (file truncated?)", len(edges), err)
+		}
 	}
-	if hdr[1] >= 2 {
-		want := h.Sum32()
-		var got uint32
-		if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
+	if version >= 2 {
+		if _, err := readRecords(r, buf[:4], 4); err != nil {
 			return nil, fmt.Errorf("loader: binary checksum: %v (file truncated?)", err)
 		}
-		if got != want {
-			return nil, fmt.Errorf("loader: binary checksum mismatch (file %#x, computed %#x): file is truncated or corrupted", got, want)
+		if got := le.Uint32(buf); got != sum {
+			return nil, fmt.Errorf("loader: binary checksum mismatch (file %#x, computed %#x): file is truncated or corrupted", got, sum)
 		}
 	}
 	return graph.Build(edges, graph.Options{NumVertices: n})

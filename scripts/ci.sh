@@ -80,6 +80,11 @@ for target in FuzzLoadEdgeList FuzzLoadMatrixMarket FuzzReadBinary; do
 done
 go test -run '^FuzzCheckpointRestore$' -fuzz '^FuzzCheckpointRestore$' -fuzztime "$FUZZTIME" ./internal/core/
 
+echo "== ingest benchmark smoke (-benchtime 1x) =="
+# One iteration of each load/build benchmark, so the profiling entry points
+# of the ingest layer cannot rot; timings from here mean nothing.
+go test -run '^$' -bench 'ReadBinary|WriteBinary|ReadEdgeList|Build' -benchtime 1x ./internal/loader/ ./internal/graph/
+
 echo "== /statusz smoke (live progress plane) =="
 # Polls /statusz WHILE a work-stealing PageRank is running and fails unless
 # the endpoint serves well-formed JSON showing real mid-run progress (plus

@@ -15,6 +15,7 @@ import (
 	"io"
 	"testing"
 
+	"ndgraph"
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
 	"ndgraph/internal/autonomous"
@@ -26,7 +27,6 @@ import (
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/obs"
-	"ndgraph/internal/push"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 )
@@ -444,7 +444,7 @@ func BenchmarkBFSEngines(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%s/push/P%d", d, threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, res, err := push.BFS(g, src, push.ModeCAS, threads)
+				_, res, err := ndgraph.PushBFS(g, src, ndgraph.PushModeCAS, threads)
 				if err != nil || !res.Converged {
 					b.Fatalf("push: %v", err)
 				}

@@ -81,8 +81,8 @@ func WCCKernel() Kernel {
 }
 
 // BFSKernel is breadth-first search from source: hop distances as float64
-// bit patterns (+Inf where unreachable), matching push.BFS and the core
-// BFS algorithm word-for-word.
+// bit patterns (+Inf where unreachable), matching the core BFS algorithm
+// word-for-word.
 func BFSKernel(source uint32) Kernel {
 	return Kernel{
 		Name: "bfs",

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"ndgraph/internal/frontier"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/obs"
-	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
 
@@ -93,13 +91,8 @@ type Result struct {
 
 // Executor owns the shared state of one barrier-free computation.
 type Executor struct {
-	g    *graph.Graph
+	exec
 	opts Options
-
-	// Edges and Vertices mirror core.Engine's layout so algorithm Setup
-	// state can be transplanted with LoadFrom.
-	Edges    edgedata.Store
-	Vertices []uint64
 
 	pending *frontier.Bitset
 	active  *frontier.Bitset
@@ -113,33 +106,9 @@ type Executor struct {
 	overflow []int
 	ovCount  atomic.Int64
 	inFlite  atomic.Int64
-	updates  atomic.Int64
-	stopped  atomic.Bool
-	samples  atomic.Int64 // telemetry sample sequence
-	seeds    []int
 
-	// pool hosts the drain loops: repeated Runs reuse the same parked
-	// workers instead of spawning Threads goroutines per call.
-	pool *sched.Pool
 	// views holds one preallocated VertexView adapter per worker.
 	views []view
-
-	// clock/residual are the staleness-and-convergence observation hooks
-	// (nil when no Observer is attached); see nosync.go for the
-	// field-by-field story.
-	clock    *obs.DelayClock
-	residual *obs.ResidualEstimator
-
-	// panicked records the first recovered UpdateFunc panic; Run surfaces
-	// it as an error instead of letting a worker kill the process.
-	panicked atomic.Pointer[updatePanic]
-}
-
-// updatePanic captures a recovered UpdateFunc panic.
-type updatePanic struct {
-	vertex uint32
-	value  any
-	stack  []byte
 }
 
 // NewExecutor builds a barrier-free executor for g.
@@ -157,65 +126,19 @@ func NewExecutor(g *graph.Graph, opts Options) (*Executor, error) {
 		opts.MaxUpdates = 1 << 26
 	}
 	x := &Executor{
-		g:        g,
-		opts:     opts,
-		Edges:    edgedata.New(opts.Mode, g.M()),
-		Vertices: make([]uint64, g.N()),
-		pending:  frontier.NewBitset(g.N()),
-		active:   frontier.NewBitset(g.N()),
-		pool:     sched.NewPoolNamed(opts.Threads, "async"),
-		views:    make([]view, opts.Threads),
+		opts:    opts,
+		pending: frontier.NewBitset(g.N()),
+		active:  frontier.NewBitset(g.N()),
+		views:   make([]view, opts.Threads),
 	}
+	x.init(g, opts.Mode, opts.Threads, obs.EngineAsync, opts.Observer, opts.ResidualDelta, opts.Trace)
 	for i := range x.views {
-		x.views[i].x = x
-		x.views[i].worker = i
+		x.views[i] = view{viewBase: viewBase{s: &x.exec, worker: i, plain: x.clock == nil && opts.Inject == nil}, x: x}
 	}
 	if opts.Inject != nil {
 		x.Edges = opts.Inject.Wrap(x.Edges)
 	}
-	if opts.Observer != nil {
-		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
-		// One epoch per executed update; one stamp slot per edge word.
-		x.clock = obs.NewDelayClock(opts.Threads, int(g.M()))
-		opts.Observer.SetDelaySource(obs.EngineAsync, x.clock.Hist)
-	}
 	return x, nil
-}
-
-// Graph returns the executor's graph.
-func (x *Executor) Graph() *graph.Graph { return x.g }
-
-// Close releases the executor's persistent worker pool. The executor stays
-// usable — a later Run re-creates the pool — but Close makes the release
-// deterministic instead of waiting for the pool's finalizer.
-func (x *Executor) Close() {
-	if x.pool != nil {
-		x.pool.Close()
-		x.pool = nil
-	}
-}
-
-// Seed marks v as initially scheduled.
-func (x *Executor) Seed(v uint32) { x.seeds = append(x.seeds, int(v)) }
-
-// LoadFrom transplants initial state prepared by an algorithm's Setup on a
-// barrier-based engine: vertex words, edge words, and the scheduled set
-// become this executor's initial state. The engine must be freshly set up
-// (not yet run) and share the same graph.
-func (x *Executor) LoadFrom(e *core.Engine) error {
-	if e.Graph() != x.g {
-		return fmt.Errorf("async: LoadFrom engine holds a different graph")
-	}
-	copy(x.Vertices, e.Vertices)
-	snap := e.Edges.Snapshot()
-	for i, w := range snap {
-		x.Edges.Store(uint32(i), w)
-	}
-	x.seeds = x.seeds[:0]
-	for _, v := range e.Frontier().Members() {
-		x.seeds = append(x.seeds, v)
-	}
-	return nil
 }
 
 // schedule enqueues v unless it is already pending or the run is stopping.
@@ -288,7 +211,7 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 	if len(x.seeds) == 0 {
 		return res, nil
 	}
-	x.panicked.Store(nil)
+	x.begin()
 	if inj := x.opts.Inject; inj != nil {
 		// Heal rule: a faulted edge re-enqueues both endpoints, the
 		// barrier-free analog of the task-generation retry (see fault).
@@ -298,9 +221,6 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			x.schedule(int(dst))
 		})
 		defer inj.Disarm()
-	}
-	if x.pool == nil { // re-create after Close
-		x.pool = sched.NewPoolNamed(x.opts.Threads, "async")
 	}
 	// Queue capacity: a vertex can be pending at most once, so N+Threads+1
 	// can never overflow — but allocating that per Run is O(N). The
@@ -315,14 +235,7 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 	x.queue = make(chan int, cap)
 	x.overflow = x.overflow[:0]
 	x.ovCount.Store(0)
-	for i := range x.views {
-		x.views[i].plain = x.clock == nil && x.opts.Inject == nil
-	}
-	x.stopped.Store(false)
 	x.inFlite.Store(0)
-	x.updates.Store(0)
-	x.clock.Reset()
-	x.residual.Reset()
 	x.opts.Observer.SetPhase("async: running")
 	for _, v := range x.seeds {
 		x.schedule(v)
@@ -365,7 +278,7 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 				x.stopped.Store(true)
 			default:
 				x.clock.Advance()
-				x.runOne(vw, update, uint32(v))
+				x.runOne(&vw.viewBase, vw, update, uint32(v))
 				if o := x.opts.Observer; o != nil {
 					if vw.nUpdates++; vw.nUpdates >= sampleWindow {
 						x.emitSample(o, vw, 0)
@@ -378,13 +291,7 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			}
 		}
 	})
-	res.Updates = x.updates.Load()
-	if x.stopped.Load() {
-		res.Converged = false
-		if res.Updates > x.opts.MaxUpdates {
-			res.Updates = x.opts.MaxUpdates
-		}
-	}
+	res.Updates, res.Converged = x.outcome(x.opts.MaxUpdates)
 	res.Duration = time.Since(start)
 	if o := x.opts.Observer; o != nil {
 		// Final aggregate: fold every worker's leftover window into one
@@ -392,11 +299,7 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 		// are safe to read and reset here.
 		agg := &x.views[0]
 		for i := 1; i < len(x.views); i++ {
-			vw := &x.views[i]
-			agg.nUpdates += vw.nUpdates
-			agg.nReads += vw.nReads
-			agg.nWrites += vw.nWrites
-			vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
+			agg.absorb(&x.views[i].viewBase)
 		}
 		x.emitSample(o, agg, res.Duration.Nanoseconds())
 		if res.Converged {
@@ -405,179 +308,31 @@ func (x *Executor) Run(update core.UpdateFunc) (Result, error) {
 			o.SetPhase("async: stopped")
 		}
 	}
-	if p := x.panicked.Load(); p != nil {
-		return res, fmt.Errorf("async: update function panicked on vertex %d: %v\n%s", p.vertex, p.value, p.stack)
-	}
-	if ctx := x.opts.Context; ctx != nil && ctx.Err() != nil && !res.Converged {
-		return res, ctx.Err()
-	}
-	return res, nil
-}
-
-// runOne executes one update, converting a panic into a recorded failure
-// that stops the run instead of crashing the process.
-func (x *Executor) runOne(view *view, update core.UpdateFunc, v uint32) {
-	defer func() {
-		if r := recover(); r != nil {
-			x.panicked.CompareAndSwap(nil, &updatePanic{vertex: v, value: r, stack: debug.Stack()})
-			x.stopped.Store(true)
-		}
-	}()
-	view.bind(v)
-	update(view)
-	if t := x.opts.Trace; t != nil {
-		t.Record(0, view.worker, v, view.uWrites, x.Vertices[v])
-	}
+	return res, x.failure(x.opts.Context, res.Converged)
 }
 
 // emitSample emits one telemetry sample from worker-view vw's accumulated
-// window and resets it. The pending-task count doubles as the scheduled-set
-// gauge and the convergence residual — it trends to zero at quiescence.
-// Only vw's owning worker (or the post-drain flush) may call this.
+// window; the in-flight task count is the executor's pending gauge.
 func (x *Executor) emitSample(o *obs.Observer, vw *view, durationNs int64) {
-	inflight := x.inFlite.Load()
-	resid := float64(inflight) / float64(x.g.N())
-	if r := x.residual; r != nil && x.opts.ResidualDelta != nil {
-		t := r.Totals()
-		if dUp := t.Updates - vw.emittedResidUpdates; dUp > 0 {
-			resid = (t.Sum - vw.emittedResidSum) / float64(dUp)
-			vw.emittedResidSum, vw.emittedResidUpdates = t.Sum, t.Updates
-		}
-	}
-	var p50, p99, dmax int64
-	if cl := x.clock; cl != nil {
-		h := cl.Hist()
-		p50, p99, dmax = h.Quantile(0.50), h.Quantile(0.99), h.Max()
-	}
-	o.Emit(obs.Event{
-		Engine:        obs.EngineAsync,
-		Iter:          x.samples.Add(1) - 1,
-		Scheduled:     inflight,
-		Updates:       vw.nUpdates,
-		EdgeReads:     vw.nReads,
-		EdgeWrites:    vw.nWrites,
-		RWConflicts:   -1,
-		WWConflicts:   -1,
-		Residual:      resid,
-		DurationNanos: durationNs,
-		DelayP50:      p50,
-		DelayP99:      p99,
-		DelayMax:      dmax,
-	})
-	vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
+	o.Emit(x.sample(&vw.viewBase, x.inFlite.Load(), durationNs))
 }
 
 // view adapts the executor to core.VertexView. Unlike the barrier-based
 // Ctx there is no "next iteration": writes schedule the opposite endpoint
 // onto the live queue immediately.
 type view struct {
-	x      *Executor
-	worker int
-	v      uint32
-	inSrc  []uint32
-	inIdx  []uint32
-	outDst []uint32
-	outLo  uint32
-
-	// nUpdates/nReads/nWrites accumulate this worker's telemetry window;
-	// worker-private, drained by emitSample.
-	nUpdates, nReads, nWrites int64
-	// emittedResid* snapshot the global residual totals at this worker's
-	// last telemetry emit.
-	emittedResidSum     float64
-	emittedResidUpdates int64
-	// uWrites counts edge writes of the currently bound update, for the
-	// execution-path trace.
-	uWrites int
-
-	// plain is set for a Run with no delay clock and no fault injector
-	// around the store: the bulk accessors then make one store call per
-	// update instead of taking the per-edge path.
-	plain   bool
-	scratch core.EdgeScratch
+	viewBase
+	x *Executor
 }
-
-func (c *view) bind(v uint32) {
-	g := c.x.g
-	c.v = v
-	c.inSrc = g.InNeighbors(v)
-	c.inIdx = g.InEdgeIndices(v)
-	c.outDst = g.OutNeighbors(v)
-	c.outLo, _ = g.OutEdgeIndex(v)
-	c.uWrites = 0
-}
-
-func (c *view) V() uint32      { return c.v }
-func (c *view) Vertex() uint64 { return c.x.Vertices[c.v] }
-func (c *view) SetVertex(w uint64) {
-	if r := c.x.residual; r != nil {
-		r.Observe(c.worker, c.x.Vertices[c.v], w)
-	}
-	c.x.Vertices[c.v] = w
-}
-func (c *view) InDegree() int           { return len(c.inSrc) }
-func (c *view) OutDegree() int          { return len(c.outDst) }
-func (c *view) InNeighbor(k int) uint32 { return c.inSrc[k] }
-func (c *view) OutNeighbor(k int) uint32 {
-	return c.outDst[k]
-}
-func (c *view) InEdgeID(k int) uint32  { return c.inIdx[k] }
-func (c *view) OutEdgeID(k int) uint32 { return c.outLo + uint32(k) }
-func (c *view) InEdgeVal(k int) uint64 {
-	c.nReads++
-	e := c.inIdx[k]
-	if cl := c.x.clock; cl != nil {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.x.Edges.Load(e)
-}
-func (c *view) OutEdgeVal(k int) uint64 {
-	c.nReads++
-	e := c.outLo + uint32(k)
-	if cl := c.x.clock; cl != nil {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.x.Edges.Load(e)
-}
-func (c *view) ScheduleSelf() { c.x.schedule(int(c.v)) }
-func (c *view) Yield()        {}
 
 func (c *view) SetInEdgeVal(k int, w uint64) {
-	c.nWrites++
-	c.uWrites++
-	e := c.inIdx[k]
-	c.x.Edges.Store(e, w)
-	if cl := c.x.clock; cl != nil {
-		cl.Stamp(e)
-	}
-	c.x.schedule(int(c.inSrc[k]))
+	c.store(c.InEdgeID(k), w)
+	c.x.schedule(int(c.InNeighbor(k)))
 }
 
 func (c *view) SetOutEdgeVal(k int, w uint64) {
-	c.nWrites++
-	c.uWrites++
-	e := c.outLo + uint32(k)
-	c.x.Edges.Store(e, w)
-	if cl := c.x.clock; cl != nil {
-		cl.Stamp(e)
-	}
-	c.x.schedule(int(c.outDst[k]))
-}
-
-func (c *view) InEdgeVals() []uint64 {
-	if !c.plain {
-		return c.scratch.GatherIn(c)
-	}
-	c.nReads += int64(len(c.inIdx))
-	return c.scratch.LoadIn(c.x.Edges, c.inIdx)
-}
-
-func (c *view) OutEdgeVals() []uint64 {
-	if !c.plain {
-		return c.scratch.GatherOut(c)
-	}
-	c.nReads += int64(len(c.outDst))
-	return c.scratch.LoadOut(c.x.Edges, c.outLo, len(c.outDst))
+	c.store(c.OutEdgeID(k), w)
+	c.x.schedule(int(c.OutNeighbor(k)))
 }
 
 func (c *view) SetOutEdgeVals(w uint64) {
@@ -585,13 +340,13 @@ func (c *view) SetOutEdgeVals(w uint64) {
 		core.ScatterOut(c, w)
 		return
 	}
-	n := len(c.outDst)
-	c.nWrites += int64(n)
-	c.uWrites += n
-	c.x.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
-	for _, d := range c.outDst {
-		c.x.schedule(int(d))
+	for k, n := 0, c.fillOut(w); k < n; k++ {
+		c.x.schedule(int(c.OutNeighbor(k)))
 	}
 }
+
+func (c *view) InEdgeVals() []uint64  { return c.inVals(c) }
+func (c *view) OutEdgeVals() []uint64 { return c.outVals(c) }
+func (c *view) ScheduleSelf()         { c.x.schedule(int(c.V())) }
 
 var _ core.VertexView = (*view)(nil)

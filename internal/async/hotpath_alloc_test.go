@@ -75,7 +75,7 @@ func TestBulkUpdateSteadyStateDoesNotAllocate(t *testing.T) {
 			// growth is not charged to the accessors.
 			drain func()
 		}{
-			{"nosync", nsv.bind, nsv, func() {
+			{"nosync", func(v uint32) { nsv.Bind(g, v) }, nsv, func() {
 				for {
 					if _, ok := ns.deques[0].Steal(); !ok {
 						break
@@ -83,7 +83,7 @@ func TestBulkUpdateSteadyStateDoesNotAllocate(t *testing.T) {
 				}
 				ns.state.Reset()
 			}},
-			{"async", exv.bind, exv, func() {
+			{"async", func(v uint32) { exv.Bind(g, v) }, exv, func() {
 				for len(ex.queue) > 0 {
 					ex.pending.ClearAtomic(<-ex.queue)
 				}

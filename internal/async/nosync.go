@@ -58,7 +58,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -157,41 +156,22 @@ type nsWorker struct {
 // NoSync owns the shared state of one work-stealing barrier-free
 // computation.
 type NoSync struct {
-	g    *graph.Graph
+	exec
 	opts NoSyncOptions
-
-	// Edges and Vertices mirror core.Engine's layout so algorithm Setup
-	// state can be transplanted with LoadFrom.
-	Edges    edgedata.Store
-	Vertices []uint64
 
 	state    *frontier.States
 	deques   []*sched.Deque
 	workers  []nsWorker
 	stealBuf [][]int // per-worker scratch for batch steals
 
-	updates atomic.Int64
 	// live is the deduplicated seed list of the current run (the seeds
 	// whose initial Post won); seedCursor is the next unclaimed index into
 	// it. Workers claim seedChunk-sized runs lazily (see claimChunk).
 	live       []int
 	seedCursor atomic.Int64
-	stopped    atomic.Bool
 	quiet      atomic.Bool
-	samples    atomic.Int64
-	seeds      []int
 
-	pool  *sched.Pool
 	views []nsView
-
-	// clock measures read staleness (epochs are executed updates, slots are
-	// edge words); residual accumulates per-commit value movement. Both are
-	// created when an Observer is attached and nil — their hot-path hooks
-	// one pointer test — when observation is off.
-	clock    *obs.DelayClock
-	residual *obs.ResidualEstimator
-
-	panicked atomic.Pointer[updatePanic]
 }
 
 // NewNoSync builds a work-stealing barrier-free executor for g. The
@@ -221,65 +201,20 @@ func NewNoSync(g *graph.Graph, opts NoSyncOptions) (*NoSync, error) {
 		opts.MaxUpdates = 1 << 26
 	}
 	x := &NoSync{
-		g:        g,
 		opts:     opts,
-		Edges:    edgedata.New(opts.Mode, g.M()),
-		Vertices: make([]uint64, g.N()),
 		state:    frontier.NewStates(g.N()),
 		deques:   make([]*sched.Deque, opts.Threads),
 		workers:  make([]nsWorker, opts.Threads),
 		stealBuf: make([][]int, opts.Threads),
-		pool:     sched.NewPoolNamed(opts.Threads, "nosync"),
 		views:    make([]nsView, opts.Threads),
 	}
+	x.init(g, opts.Mode, opts.Threads, obs.EngineNoSync, opts.Observer, opts.ResidualDelta, opts.Trace)
 	for w := range x.deques {
 		x.deques[w] = sched.NewDeque(0)
 		x.stealBuf[w] = make([]int, stealBatchCap)
-		x.views[w].x = x
-		x.views[w].worker = w
-	}
-	if opts.Observer != nil {
-		x.residual = obs.NewResidualEstimator(opts.Threads, opts.ResidualDelta)
-		// One epoch per executed update; one stamp slot per edge word.
-		x.clock = obs.NewDelayClock(opts.Threads, int(g.M()))
-		opts.Observer.SetDelaySource(obs.EngineNoSync, x.clock.Hist)
+		x.views[w] = nsView{viewBase: viewBase{s: &x.exec, worker: w, plain: x.clock == nil}, x: x}
 	}
 	return x, nil
-}
-
-// Graph returns the executor's graph.
-func (x *NoSync) Graph() *graph.Graph { return x.g }
-
-// Close releases the executor's persistent worker pool. The executor stays
-// usable — a later Run re-creates the pool.
-func (x *NoSync) Close() {
-	if x.pool != nil {
-		x.pool.Close()
-		x.pool = nil
-	}
-}
-
-// Seed marks v as initially scheduled.
-func (x *NoSync) Seed(v uint32) { x.seeds = append(x.seeds, int(v)) }
-
-// LoadFrom transplants initial state prepared by an algorithm's Setup on a
-// barrier-based engine: vertex words, edge words, and the scheduled set
-// become this executor's initial state. The engine must be freshly set up
-// (not yet run) and share the same graph.
-func (x *NoSync) LoadFrom(e *core.Engine) error {
-	if e.Graph() != x.g {
-		return fmt.Errorf("async: LoadFrom engine holds a different graph")
-	}
-	copy(x.Vertices, e.Vertices)
-	snap := e.Edges.Snapshot()
-	for i, w := range snap {
-		x.Edges.Store(uint32(i), w)
-	}
-	x.seeds = x.seeds[:0]
-	for _, v := range e.Frontier().Members() {
-		x.seeds = append(x.seeds, v)
-	}
-	return nil
 }
 
 // post requests an execution of v on behalf of worker w: if the scheduled-
@@ -310,10 +245,7 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 	if len(x.seeds) == 0 {
 		return res, nil
 	}
-	x.panicked.Store(nil)
-	if x.pool == nil { // re-create after Close
-		x.pool = sched.NewPoolNamed(x.opts.Threads, "nosync")
-	}
+	x.begin()
 	x.state.Reset()
 	for w := range x.workers {
 		ww := &x.workers[w]
@@ -324,14 +256,7 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 		// A stopped previous run may have abandoned tasks; start fresh.
 		x.deques[w] = sched.NewDeque(len(x.seeds)/len(x.workers) + 1)
 	}
-	for i := range x.views {
-		x.views[i].plain = x.clock == nil
-	}
-	x.stopped.Store(false)
 	x.quiet.Store(false)
-	x.updates.Store(0)
-	x.clock.Reset()
-	x.residual.Reset()
 	x.opts.Observer.SetPhase("nosync: running")
 	// Mark every seed Scheduled up front, but don't hand any out yet:
 	// workers claim seedChunk-sized runs off a shared cursor as their
@@ -361,16 +286,10 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 
 	x.pool.RunEach(func(w int) { x.drain(w, update) })
 
-	res.Updates = x.updates.Load()
+	res.Updates, res.Converged = x.outcome(x.opts.MaxUpdates)
 	for w := range x.workers {
 		res.Steals += x.workers[w].steals
 		res.IdleTransitions += x.workers[w].idleTransitions
-	}
-	if x.stopped.Load() {
-		res.Converged = false
-		if res.Updates > x.opts.MaxUpdates {
-			res.Updates = x.opts.MaxUpdates
-		}
 	}
 	res.Duration = time.Since(start)
 	if o := x.opts.Observer; o != nil {
@@ -379,26 +298,16 @@ func (x *NoSync) Run(update core.UpdateFunc) (NoSyncResult, error) {
 		// read and reset here.
 		agg := &x.views[0]
 		for i := 1; i < len(x.views); i++ {
-			vw := &x.views[i]
-			agg.nUpdates += vw.nUpdates
-			agg.nReads += vw.nReads
-			agg.nWrites += vw.nWrites
-			vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
+			agg.absorb(&x.views[i].viewBase)
 		}
-		x.emitNoSyncSample(o, agg, res.Duration.Nanoseconds())
+		x.emitSample(o, agg, res.Duration.Nanoseconds())
 		if res.Converged {
 			o.SetPhase("nosync: quiescent")
 		} else {
 			o.SetPhase("nosync: stopped")
 		}
 	}
-	if p := x.panicked.Load(); p != nil {
-		return res, fmt.Errorf("async: update function panicked on vertex %d: %v\n%s", p.vertex, p.value, p.stack)
-	}
-	if ctx := x.opts.Context; ctx != nil && ctx.Err() != nil && !res.Converged {
-		return res, ctx.Err()
-	}
-	return res, nil
+	return res, x.failure(x.opts.Context, res.Converged)
 }
 
 // drain is worker w's barrier-free work loop: pop own deque, steal when
@@ -608,10 +517,10 @@ func (x *NoSync) execute(w int, vw *nsView, update core.UpdateFunc, v int) {
 		// One delay-clock epoch per executed update: staleness is then "how
 		// many updates ran between this value's publish and my read".
 		x.clock.Advance()
-		x.runNoSyncOne(vw, update, uint32(v))
+		x.runOne(&vw.viewBase, vw, update, uint32(v))
 		if o := x.opts.Observer; o != nil {
 			if vw.nUpdates++; vw.nUpdates >= sampleWindow {
-				x.emitNoSyncSample(o, vw, 0)
+				x.emitSample(o, vw, 0)
 			}
 		}
 	}
@@ -622,177 +531,40 @@ func (x *NoSync) execute(w int, vw *nsView, update core.UpdateFunc, v int) {
 	self.done.Add(1)
 }
 
-// runNoSyncOne executes one update, converting a panic into a recorded
-// failure that stops the run instead of crashing the process.
-func (x *NoSync) runNoSyncOne(vw *nsView, update core.UpdateFunc, v uint32) {
-	defer func() {
-		if r := recover(); r != nil {
-			x.panicked.CompareAndSwap(nil, &updatePanic{vertex: v, value: r, stack: debug.Stack()})
-			x.stopped.Store(true)
-		}
-	}()
-	vw.bind(v)
-	update(vw)
-	if t := x.opts.Trace; t != nil {
-		t.Record(0, vw.worker, v, vw.uWrites, x.Vertices[v])
-	}
-}
-
-// emitNoSyncSample emits one telemetry sample from worker-view vw's
-// accumulated window and resets it. Only vw's owning worker (or the
-// post-drain flush) may call this.
-func (x *NoSync) emitNoSyncSample(o *obs.Observer, vw *nsView, durationNs int64) {
+// emitSample emits one telemetry sample from worker-view vw's accumulated
+// window, adding the steal and idle-transition deltas of vw's worker; the
+// enqueued-but-unretired task count is the executor's pending gauge.
+func (x *NoSync) emitSample(o *obs.Observer, vw *nsView, durationNs int64) {
 	var pending int64
 	for i := range x.workers {
 		pending += x.workers[i].enq.Load() - x.workers[i].done.Load()
 	}
-	if pending < 0 {
-		pending = 0
-	}
+	ev := x.sample(&vw.viewBase, max(pending, 0), durationNs)
 	self := &x.workers[vw.worker]
-	// Residual: the active-fraction proxy, sharpened to the measured mean
-	// value movement per update when a residual metric is armed.
-	resid := float64(pending) / float64(x.g.N())
-	if r := x.residual; r != nil && x.opts.ResidualDelta != nil {
-		t := r.Totals()
-		if dUp := t.Updates - vw.emittedResidUpdates; dUp > 0 {
-			resid = (t.Sum - vw.emittedResidSum) / float64(dUp)
-			vw.emittedResidSum, vw.emittedResidUpdates = t.Sum, t.Updates
-		}
-	}
-	var p50, p99, dmax int64
-	if cl := x.clock; cl != nil {
-		h := cl.Hist()
-		p50, p99, dmax = h.Quantile(0.50), h.Quantile(0.99), h.Max()
-	}
-	o.Emit(obs.Event{
-		Engine:          obs.EngineNoSync,
-		Iter:            x.samples.Add(1) - 1,
-		Scheduled:       pending,
-		Updates:         vw.nUpdates,
-		EdgeReads:       vw.nReads,
-		EdgeWrites:      vw.nWrites,
-		RWConflicts:     -1,
-		WWConflicts:     -1,
-		Residual:        resid,
-		DurationNanos:   durationNs,
-		Steals:          self.steals - vw.emittedSteals,
-		IdleTransitions: self.idleTransitions - vw.emittedIdle,
-		DelayP50:        p50,
-		DelayP99:        p99,
-		DelayMax:        dmax,
-	})
+	ev.Steals = self.steals - vw.emittedSteals
+	ev.IdleTransitions = self.idleTransitions - vw.emittedIdle
 	vw.emittedSteals, vw.emittedIdle = self.steals, self.idleTransitions
-	vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
+	o.Emit(ev)
 }
 
 // nsView adapts the executor to core.VertexView: writes schedule the
 // opposite endpoint onto the writing worker's own deque immediately.
 type nsView struct {
-	x      *NoSync
-	worker int
-	v      uint32
-	inSrc  []uint32
-	inIdx  []uint32
-	outDst []uint32
-	outLo  uint32
-
-	// Telemetry window accumulators; worker-private.
-	nUpdates, nReads, nWrites  int64
+	viewBase
+	x *NoSync
+	// emittedSteals/emittedIdle snapshot the worker's counters at its last
+	// telemetry emit.
 	emittedSteals, emittedIdle int64
-	// emittedResid* snapshot the global residual totals at this worker's
-	// last telemetry emit.
-	emittedResidSum     float64
-	emittedResidUpdates int64
-	// uWrites counts edge writes of the currently bound update, for the
-	// execution-path trace.
-	uWrites int
-
-	// plain is set for a Run with no delay clock: the bulk accessors then
-	// make one store call per update instead of taking the per-edge path.
-	plain   bool
-	scratch core.EdgeScratch
 }
-
-func (c *nsView) bind(v uint32) {
-	g := c.x.g
-	c.v = v
-	c.inSrc = g.InNeighbors(v)
-	c.inIdx = g.InEdgeIndices(v)
-	c.outDst = g.OutNeighbors(v)
-	c.outLo, _ = g.OutEdgeIndex(v)
-	c.uWrites = 0
-}
-
-func (c *nsView) V() uint32      { return c.v }
-func (c *nsView) Vertex() uint64 { return c.x.Vertices[c.v] }
-func (c *nsView) SetVertex(w uint64) {
-	if r := c.x.residual; r != nil {
-		r.Observe(c.worker, c.x.Vertices[c.v], w)
-	}
-	c.x.Vertices[c.v] = w
-}
-func (c *nsView) InDegree() int            { return len(c.inSrc) }
-func (c *nsView) OutDegree() int           { return len(c.outDst) }
-func (c *nsView) InNeighbor(k int) uint32  { return c.inSrc[k] }
-func (c *nsView) OutNeighbor(k int) uint32 { return c.outDst[k] }
-func (c *nsView) InEdgeID(k int) uint32    { return c.inIdx[k] }
-func (c *nsView) OutEdgeID(k int) uint32   { return c.outLo + uint32(k) }
-func (c *nsView) InEdgeVal(k int) uint64 {
-	c.nReads++
-	e := c.inIdx[k]
-	if cl := c.x.clock; cl != nil {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.x.Edges.Load(e)
-}
-func (c *nsView) OutEdgeVal(k int) uint64 {
-	c.nReads++
-	e := c.outLo + uint32(k)
-	if cl := c.x.clock; cl != nil {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.x.Edges.Load(e)
-}
-func (c *nsView) ScheduleSelf() { c.x.post(c.worker, int(c.v)) }
-func (c *nsView) Yield()        {}
 
 func (c *nsView) SetInEdgeVal(k int, w uint64) {
-	c.nWrites++
-	c.uWrites++
-	e := c.inIdx[k]
-	c.x.Edges.Store(e, w)
-	if cl := c.x.clock; cl != nil {
-		cl.Stamp(e)
-	}
-	c.x.post(c.worker, int(c.inSrc[k]))
+	c.store(c.InEdgeID(k), w)
+	c.x.post(c.worker, int(c.InNeighbor(k)))
 }
 
 func (c *nsView) SetOutEdgeVal(k int, w uint64) {
-	c.nWrites++
-	c.uWrites++
-	e := c.outLo + uint32(k)
-	c.x.Edges.Store(e, w)
-	if cl := c.x.clock; cl != nil {
-		cl.Stamp(e)
-	}
-	c.x.post(c.worker, int(c.outDst[k]))
-}
-
-func (c *nsView) InEdgeVals() []uint64 {
-	if !c.plain {
-		return c.scratch.GatherIn(c)
-	}
-	c.nReads += int64(len(c.inIdx))
-	return c.scratch.LoadIn(c.x.Edges, c.inIdx)
-}
-
-func (c *nsView) OutEdgeVals() []uint64 {
-	if !c.plain {
-		return c.scratch.GatherOut(c)
-	}
-	c.nReads += int64(len(c.outDst))
-	return c.scratch.LoadOut(c.x.Edges, c.outLo, len(c.outDst))
+	c.store(c.OutEdgeID(k), w)
+	c.x.post(c.worker, int(c.OutNeighbor(k)))
 }
 
 func (c *nsView) SetOutEdgeVals(w uint64) {
@@ -800,13 +572,13 @@ func (c *nsView) SetOutEdgeVals(w uint64) {
 		core.ScatterOut(c, w)
 		return
 	}
-	n := len(c.outDst)
-	c.nWrites += int64(n)
-	c.uWrites += n
-	c.x.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
-	for _, d := range c.outDst {
-		c.x.post(c.worker, int(d))
+	for k, n := 0, c.fillOut(w); k < n; k++ {
+		c.x.post(c.worker, int(c.OutNeighbor(k)))
 	}
 }
+
+func (c *nsView) InEdgeVals() []uint64  { return c.inVals(c) }
+func (c *nsView) OutEdgeVals() []uint64 { return c.outVals(c) }
+func (c *nsView) ScheduleSelf()         { c.x.post(c.worker, int(c.V())) }
 
 var _ core.VertexView = (*nsView)(nil)

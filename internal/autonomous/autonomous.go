@@ -233,60 +233,42 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 // execution path and posts work itself via the Scheduler (the whole point
 // of the category).
 type autoView struct {
-	e      *Engine
-	v      uint32
-	inSrc  []uint32
-	inIdx  []uint32
-	outDst []uint32
-	outLo  uint32
+	core.Scope
+	e *Engine
 
 	// nReads/nWrites accumulate the telemetry window's edge accesses;
 	// uWrites counts the current update's edge writes for the trace.
 	nReads, nWrites int64
 	uWrites         int
-
-	scratch core.EdgeScratch
 }
 
 func (c *autoView) bind(v uint32) {
-	g := c.e.g
-	c.v = v
-	c.inSrc = g.InNeighbors(v)
-	c.inIdx = g.InEdgeIndices(v)
-	c.outDst = g.OutNeighbors(v)
-	c.outLo, _ = g.OutEdgeIndex(v)
+	c.Bind(c.e.g, v)
 	c.uWrites = 0
 }
 
-func (c *autoView) V() uint32                { return c.v }
-func (c *autoView) Vertex() uint64           { return c.e.Vertices[c.v] }
-func (c *autoView) SetVertex(w uint64)       { c.e.Vertices[c.v] = w }
-func (c *autoView) InDegree() int            { return len(c.inSrc) }
-func (c *autoView) OutDegree() int           { return len(c.outDst) }
-func (c *autoView) InNeighbor(k int) uint32  { return c.inSrc[k] }
-func (c *autoView) OutNeighbor(k int) uint32 { return c.outDst[k] }
-func (c *autoView) InEdgeID(k int) uint32    { return c.inIdx[k] }
-func (c *autoView) OutEdgeID(k int) uint32   { return c.outLo + uint32(k) }
+func (c *autoView) Vertex() uint64     { return c.e.Vertices[c.V()] }
+func (c *autoView) SetVertex(w uint64) { c.e.Vertices[c.V()] = w }
 func (c *autoView) InEdgeVal(k int) uint64 {
 	c.nReads++
-	return c.e.Edges.Load(c.inIdx[k])
+	return c.e.Edges.Load(c.InEdgeID(k))
 }
 func (c *autoView) OutEdgeVal(k int) uint64 {
 	c.nReads++
-	return c.e.Edges.Load(c.outLo + uint32(k))
+	return c.e.Edges.Load(c.OutEdgeID(k))
 }
 func (c *autoView) SetInEdgeVal(k int, w uint64) {
 	c.nWrites++
 	c.uWrites++
-	c.e.Edges.Store(c.inIdx[k], w)
+	c.e.Edges.Store(c.InEdgeID(k), w)
 }
 func (c *autoView) SetOutEdgeVal(k int, w uint64) {
 	c.nWrites++
 	c.uWrites++
-	c.e.Edges.Store(c.outLo+uint32(k), w)
+	c.e.Edges.Store(c.OutEdgeID(k), w)
 }
-func (c *autoView) InEdgeVals() []uint64    { return c.scratch.GatherIn(c) }
-func (c *autoView) OutEdgeVals() []uint64   { return c.scratch.GatherOut(c) }
+func (c *autoView) InEdgeVals() []uint64    { return c.GatherIn(c) }
+func (c *autoView) OutEdgeVals() []uint64   { return c.GatherOut(c) }
 func (c *autoView) SetOutEdgeVals(w uint64) { core.ScatterOut(c, w) }
 func (c *autoView) ScheduleSelf()           {}
 func (c *autoView) Yield()                  {}

@@ -280,7 +280,7 @@ func TestRestoredRunDoesNotRewriteRestorePoint(t *testing.T) {
 	if err := os.Remove(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	resumed.opts.MaxIters = 7
+	resumed.loop.MaxIters = 7
 	if _, err := resumed.Run(minLabelUpdate); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRestoredRunDoesNotRewriteRestorePoint(t *testing.T) {
 
 	// The run must still checkpoint *new* progress and converge to the
 	// reference state once the iteration cap is lifted.
-	resumed.opts.MaxIters = DefaultMaxIters
+	resumed.loop.MaxIters = DefaultMaxIters
 	res, err := resumed.Run(minLabelUpdate)
 	if err != nil {
 		t.Fatal(err)

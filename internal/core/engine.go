@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,24 +217,22 @@ type Engine struct {
 	startIter    int
 	startUpdates int64
 
-	// panicked records the first UpdateFunc panic of the run; workers
-	// recover instead of crashing the process and Run surfaces it as an
-	// error at the next barrier.
-	panicked atomic.Pointer[updatePanic]
+	// loop is the run lifecycle (pool, cancellation, cap, watchdog, crash
+	// and panic handling, telemetry); this engine supplies step.
+	loop Loop
 
 	workers       []Ctx
 	shadowWorkers []Ctx // record-only replicas for PotentialCensus replay
 	updates       atomic.Int64
 
-	// pool holds the persistent workers that every parallel dispatch of
-	// this engine reuses — across iterations and across color classes —
-	// instead of spawning fresh goroutines per barrier.
-	pool *sched.Pool
+	// runFn and stepFn are runOne and step bound once, so the per-iteration
+	// hot path passes preexisting func values instead of allocating a
+	// closure every barrier.
+	runFn  func(worker, item int)
+	stepFn Step
 
-	// runFn is the per-item dispatch function (a bound runOne), created
-	// once so the per-iteration hot path passes a preexisting func value
-	// to the pool instead of allocating a closure every barrier.
-	runFn func(worker, item int)
+	// perIter collects the run in progress's Result.PerIter (RecordIters).
+	perIter []IterStat
 
 	// curUpdate is the UpdateFunc of the run in progress, read by runFn.
 	curUpdate UpdateFunc
@@ -246,13 +243,6 @@ type Engine struct {
 	// histogram concentrates at ≤ 1 epoch — the deterministic baseline the
 	// barrier-free executors' spread is compared against.
 	clock *obs.DelayClock
-}
-
-// updatePanic captures a recovered UpdateFunc panic.
-type updatePanic struct {
-	vertex uint32
-	value  any
-	stack  []byte
 }
 
 // NewEngine validates opts and builds an engine for g.
@@ -280,6 +270,11 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		Edges:    edgedata.New(opts.Mode, g.M()),
 		Vertices: make([]uint64, g.N()),
 		front:    frontier.NewFrontier(g.N()),
+		loop: Loop{
+			Name: "core", Kind: obs.EngineCore, Threads: opts.Threads, N: g.N(),
+			MaxIters: opts.MaxIters, StallWindow: opts.StallWindow,
+			Context: opts.Context, Inject: opts.Inject, Observer: opts.Observer,
+		},
 	}
 	if opts.Inject != nil {
 		// The injector sits between the engine and the raw store; it stays
@@ -325,7 +320,6 @@ func (e *Engine) Reset() {
 	e.updates.Store(0)
 	e.startIter = 0
 	e.startUpdates = 0
-	e.panicked.Store(nil)
 }
 
 // Run executes update to convergence under the configured scheduler and
@@ -342,7 +336,6 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	e.ensureWorkers()
 	e.curUpdate = update
 	e.updates.Store(e.startUpdates)
-	e.panicked.Store(nil)
 	e.traceCommits = e.opts.Trace != nil && e.opts.Trace.CommitsEnabled()
 	if e.traceCommits && e.traceLocks == nil {
 		e.traceLocks = make([]sync.Mutex, traceStripes)
@@ -364,105 +357,66 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	}
 
 	e.clock.Reset()
-	e.opts.Observer.SetPhase("core: running")
-	res := Result{Converged: true, Iterations: e.startIter}
-	bestActive := e.g.N() + 1
-	stalled := 0
-	start := time.Now()
-	finish := func() {
-		res.Duration = time.Since(start)
-		res.Updates = e.updates.Load()
-		if e.census != nil {
-			res.RWConflicts, res.WWConflicts = e.census.Totals()
-		}
-		if t := e.opts.Trace; t != nil {
-			// Install the final-state digest so a replay of this trace can
-			// assert it reaches the byte-identical fixed point.
-			t.SetDigest(e.stateDigest())
-		}
+	e.perIter = nil
+	e.loop.Front, e.loop.StartIter = e.front, e.startIter
+	lr, err := e.loop.Run(e.stepFn)
+	res := Result{
+		Iterations: lr.Iterations, Converged: lr.Converged, Duration: lr.Duration,
+		Updates: e.updates.Load(), PerIter: e.perIter,
 	}
-	for e.front.Size() > 0 {
-		if ctx := e.opts.Context; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				res.Converged = false
-				finish()
-				return res, err
-			}
-		}
-		if res.Iterations >= e.opts.MaxIters {
-			res.Converged = false
-			break
-		}
-		if inj := e.opts.Inject; inj != nil && inj.CrashNow(res.Iterations) {
-			res.Converged = false
-			finish()
-			return res, fmt.Errorf("core: iteration %d: %w", res.Iterations, fault.ErrCrash)
-		}
-		// Checkpoint at multiples of CheckpointEvery, but never at
-		// iteration 0 (a snapshot of initial state is useless) and never at
-		// the restore point itself — res.Iterations % CheckpointEvery == 0
-		// holds there by construction, and rewriting the checkpoint that
-		// was just loaded would only burn I/O.
-		if e.opts.CheckpointEvery > 0 && e.opts.CheckpointPath != "" &&
-			res.Iterations > 0 && res.Iterations != e.startIter &&
-			res.Iterations%e.opts.CheckpointEvery == 0 {
-			if err := e.saveCheckpoint(e.opts.CheckpointPath, res.Iterations, e.updates.Load()); err != nil {
-				res.Converged = false
-				finish()
-				return res, fmt.Errorf("core: checkpoint at iteration %d: %w", res.Iterations, err)
-			}
-		}
-		if k := e.opts.StallWindow; k > 0 {
-			if size := e.front.Size(); size < bestActive {
-				bestActive, stalled = size, 0
-			} else if stalled++; stalled >= k {
-				res.Converged = false
-				finish()
-				return res, fmt.Errorf("core: iteration %d: active vertices %d (best %d) unimproved for %d iterations: %w",
-					res.Iterations, e.front.Size(), bestActive, k, ErrStalled)
-			}
-		}
-		if e.opts.Scheduler == sched.Synchronous {
-			e.bspShadow = e.Edges.SnapshotInto(e.bspShadow)
-		}
-		if e.opts.PotentialCensus {
-			e.probeShadow = e.Edges.SnapshotInto(e.probeShadow)
-		}
-		e.curIter = res.Iterations
-		members := e.front.Members()
-		e.dispatch(members)
-		if p := e.panicked.Load(); p != nil {
-			res.Converged = false
-			finish()
-			return res, fmt.Errorf("core: update function panicked on vertex %d: %v\n%s", p.vertex, p.value, p.stack)
-		}
+	if e.census != nil {
+		res.RWConflicts, res.WWConflicts = e.census.Totals()
+	}
+	if t := e.opts.Trace; t != nil {
+		// Install the final-state digest so a replay of this trace can
+		// assert it reaches the byte-identical fixed point.
+		t.SetDigest(e.stateDigest())
+	}
+	return res, err
+}
 
-		stat := IterStat{Scheduled: len(members)}
-		if e.census != nil {
-			stat.RW, stat.WW = e.census.Tally()
-		}
-		if e.opts.RecordIters {
-			res.PerIter = append(res.PerIter, stat)
-		}
-		if o := e.opts.Observer; o != nil {
-			e.emitIter(o, res.Iterations, stat)
-		}
-		res.Iterations++
-		e.front.Advance()
-		// Advance the delay clock with the barrier: during iteration n the
-		// epoch equals n, so a read of a value written last iteration
-		// measures exactly one epoch of staleness.
-		e.clock.Advance()
-	}
-	finish()
-	if o := e.opts.Observer; o != nil {
-		if res.Converged {
-			o.SetPhase("core: converged")
-		} else {
-			o.SetPhase("core: stopped")
+// step is one iteration: checkpoint and shadow hooks, the dispatch, and the
+// iteration's statistics.
+func (e *Engine) step(iter int, members []int) (obs.Event, error) {
+	// Checkpoint at multiples of CheckpointEvery, but never at iteration 0
+	// (a snapshot of initial state is useless) and never at the restore
+	// point itself — iter % CheckpointEvery == 0 holds there by
+	// construction, and rewriting the checkpoint that was just loaded would
+	// only burn I/O.
+	if e.opts.CheckpointEvery > 0 && e.opts.CheckpointPath != "" &&
+		iter > 0 && iter != e.startIter && iter%e.opts.CheckpointEvery == 0 {
+		if err := e.saveCheckpoint(e.opts.CheckpointPath, iter, e.updates.Load()); err != nil {
+			return obs.Event{}, fmt.Errorf("core: checkpoint at iteration %d: %w", iter, err)
 		}
 	}
-	return res, nil
+	if e.opts.Scheduler == sched.Synchronous {
+		e.bspShadow = e.Edges.SnapshotInto(e.bspShadow)
+	}
+	if e.opts.PotentialCensus {
+		e.probeShadow = e.Edges.SnapshotInto(e.probeShadow)
+	}
+	e.curIter = iter
+	e.dispatch(members)
+	if e.loop.Panicked() {
+		return obs.Event{}, nil // the loop reports it
+	}
+
+	stat := IterStat{Scheduled: len(members)}
+	if e.census != nil {
+		stat.RW, stat.WW = e.census.Tally()
+	}
+	if e.opts.RecordIters {
+		e.perIter = append(e.perIter, stat)
+	}
+	var ev obs.Event
+	if e.opts.Observer != nil {
+		ev = e.iterEvent(stat)
+	}
+	// Advance the delay clock with the barrier: during iteration n the
+	// epoch equals n, so a read of a value written last iteration measures
+	// exactly one epoch of staleness.
+	e.clock.Advance()
+	return ev, nil
 }
 
 // plainRun reports whether the run about to start has no per-access
@@ -477,12 +431,8 @@ func (e *Engine) plainRun() bool {
 }
 
 func (e *Engine) ensureWorkers() {
-	if e.pool == nil {
-		e.pool = sched.NewPoolNamed(e.opts.Threads, "core")
-		e.pool.SetTimed(e.opts.Observer.Enabled())
-	}
 	if e.runFn == nil {
-		e.runFn = e.runOne
+		e.runFn, e.stepFn = e.runOne, e.step
 	}
 	if len(e.workers) == e.opts.Threads {
 		return
@@ -505,17 +455,12 @@ func (e *Engine) ensureWorkers() {
 // Close releases the engine's persistent worker pool. The engine stays
 // usable — the next Run re-creates the pool — but Close makes the release
 // deterministic instead of waiting for the pool's finalizer.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
+func (e *Engine) Close() { e.loop.Close() }
 
-// emitIter assembles and emits one iteration's telemetry event. It runs at
-// the barrier, after dispatch and the census tally, so the per-worker
-// access counters and pool timing accumulators are quiescent.
-func (e *Engine) emitIter(o *obs.Observer, iter int, stat IterStat) {
+// iterEvent assembles the engine's half of one iteration's telemetry event.
+// It runs at the barrier, after dispatch and the census tally, so the
+// per-worker access counters are quiescent.
+func (e *Engine) iterEvent(stat IterStat) obs.Event {
 	var reads, writes int64
 	for i := range e.workers {
 		c := &e.workers[i]
@@ -531,16 +476,12 @@ func (e *Engine) emitIter(o *obs.Observer, iter int, stat IterStat) {
 	if t := e.opts.Trace; t != nil && t.CommitsEnabled() {
 		tCommits, tContested = t.TakeIterCommitStats()
 	}
-	wall, wait := e.pool.TakeBarrierStats()
 	var p50, p99, dmax int64
 	if cl := e.clock; cl != nil {
 		h := cl.Hist()
 		p50, p99, dmax = h.Quantile(0.50), h.Quantile(0.99), h.Max()
 	}
-	o.Emit(obs.Event{
-		Engine:           obs.EngineCore,
-		Iter:             int64(iter),
-		Scheduled:        int64(stat.Scheduled),
+	return obs.Event{
 		Updates:          int64(stat.Scheduled),
 		EdgeReads:        reads,
 		EdgeWrites:       writes,
@@ -548,25 +489,22 @@ func (e *Engine) emitIter(o *obs.Observer, iter int, stat IterStat) {
 		WWConflicts:      ww,
 		TraceCommits:     tCommits,
 		ContestedCommits: tContested,
-		Residual:         float64(stat.Scheduled) / float64(e.g.N()),
-		BarrierWaitNanos: int64(wait),
-		DurationNanos:    int64(wall),
 		DelayP50:         p50,
 		DelayP99:         p99,
 		DelayMax:         dmax,
-	})
+	}
 }
 
 // runOne executes the current run's update function on vertex v as worker
 // `worker`. It is dispatched through the prebound e.runFn so the per-
 // iteration hot path performs no closure allocation.
 func (e *Engine) runOne(worker, v int) {
-	if e.panicked.Load() != nil {
+	if e.loop.Panicked() {
 		return // a sibling update panicked; drain the iteration fast
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			e.panicked.CompareAndSwap(nil, &updatePanic{vertex: uint32(v), value: r, stack: debug.Stack()})
+			e.loop.RecordPanic(uint32(v), r)
 		}
 	}()
 	if e.opts.PotentialCensus {
@@ -617,10 +555,10 @@ func (e *Engine) dispatch(members []int) {
 // under the configured intra-iteration policy.
 func (e *Engine) parallel(members []int) {
 	if e.opts.Dispatch == sched.Dynamic {
-		e.pool.RunChunks(members, sched.DefaultChunk, e.runFn)
+		e.loop.Pool().RunChunks(members, sched.DefaultChunk, e.runFn)
 		return
 	}
-	e.pool.RunBlocks(members, e.runFn)
+	e.loop.Pool().RunBlocks(members, e.runFn)
 }
 
 // NumColors reports the chromatic scheduler's color count (0 before the

@@ -224,22 +224,6 @@ func TestBSPReadsPreviousIteration(t *testing.T) {
 	}
 }
 
-func TestMaxItersCap(t *testing.T) {
-	g, _ := gen.Ring(8)
-	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, MaxIters: 1})
-	initMinLabel(e)
-	res, err := e.Run(minLabelUpdate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("capped run reported convergence")
-	}
-	if res.Iterations != 1 {
-		t.Fatalf("Iterations = %d, want 1", res.Iterations)
-	}
-}
-
 func TestCensusClassifiesWCCStyleAsWW(t *testing.T) {
 	// Two vertices joined by one edge, both scheduled, both writing the
 	// edge: the census must see a write-write conflict edge.

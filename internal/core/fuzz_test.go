@@ -102,7 +102,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		// Whatever state was accepted must be consistent enough to run a
 		// couple of iterations (MaxIters is an absolute cap, so this
 		// executes at most 2 regardless of the restored counter).
-		e.opts.MaxIters = iter + 2
+		e.loop.MaxIters = iter + 2
 		if _, err := e.Run(fuzzCkptUpdate); err != nil {
 			t.Fatalf("run after accepted restore: %v", err)
 		}

@@ -59,7 +59,7 @@ func newDiscardObserver() *obs.Observer {
 // iters iterations, after the engine has been warmed once.
 func runAllocs(t *testing.T, e *Engine, update UpdateFunc, iters int) float64 {
 	t.Helper()
-	e.opts.MaxIters = iters
+	e.loop.MaxIters = iters
 	return testing.AllocsPerRun(5, func() {
 		if _, err := e.Run(update); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRunSteadyStateIterationsDoNotAllocate(t *testing.T) {
 			t.Run(tc.name+"/"+up.name, func(t *testing.T) {
 				e := newEngine(t, g, tc.opts)
 				initMinLabel(e)
-				e.opts.MaxIters = 3
+				e.loop.MaxIters = 3
 				if _, err := e.Run(up.fn); err != nil { // warm-up
 					t.Fatal(err)
 				}

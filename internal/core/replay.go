@@ -103,44 +103,23 @@ func (r *replayer) apply(c trace.Commit) {
 // commits. Scheduling and yielding are no-ops; the trace itself is the
 // schedule.
 type replayView struct {
+	Scope
 	r *replayer
-	v uint32
-
-	inSrc  []uint32
-	inIdx  []uint32
-	outDst []uint32
-	outLo  uint32
 
 	vertex  uint64
 	commits []trace.Commit
 	next    int
-
-	scratch EdgeScratch
 }
 
 func (rv *replayView) bind(v uint32, commits []trace.Commit) {
-	g := rv.r.e.g
-	rv.v = v
-	rv.inSrc = g.InNeighbors(v)
-	rv.inIdx = g.InEdgeIndices(v)
-	rv.outDst = g.OutNeighbors(v)
-	rv.outLo, _ = g.OutEdgeIndex(v)
+	rv.Bind(rv.r.e.g, v)
 	rv.vertex = rv.r.e.Vertices[v]
 	rv.commits = commits
 	rv.next = 0
 }
 
-func (rv *replayView) V() uint32               { return rv.v }
 func (rv *replayView) Vertex() uint64          { return rv.vertex }
 func (rv *replayView) SetVertex(w uint64)      { rv.vertex = w }
-func (rv *replayView) InDegree() int           { return len(rv.inSrc) }
-func (rv *replayView) OutDegree() int          { return len(rv.outDst) }
-func (rv *replayView) InNeighbor(k int) uint32 { return rv.inSrc[k] }
-func (rv *replayView) OutNeighbor(k int) uint32 {
-	return rv.outDst[k]
-}
-func (rv *replayView) InEdgeID(k int) uint32   { return rv.inIdx[k] }
-func (rv *replayView) OutEdgeID(k int) uint32  { return rv.outLo + uint32(k) }
 func (rv *replayView) InEdgeVal(k int) uint64  { return rv.r.e.Edges.Load(rv.inIdx[k]) }
 func (rv *replayView) OutEdgeVal(k int) uint64 { return rv.r.e.Edges.Load(rv.outLo + uint32(k)) }
 func (rv *replayView) ScheduleSelf()           {}
@@ -149,8 +128,8 @@ func (rv *replayView) Yield()                  {}
 func (rv *replayView) SetInEdgeVal(k int, w uint64)  { rv.commitNext(rv.inIdx[k], w) }
 func (rv *replayView) SetOutEdgeVal(k int, w uint64) { rv.commitNext(rv.outLo+uint32(k), w) }
 
-func (rv *replayView) InEdgeVals() []uint64    { return rv.scratch.GatherIn(rv) }
-func (rv *replayView) OutEdgeVals() []uint64   { return rv.scratch.GatherOut(rv) }
+func (rv *replayView) InEdgeVals() []uint64    { return rv.GatherIn(rv) }
+func (rv *replayView) OutEdgeVals() []uint64   { return rv.GatherOut(rv) }
 func (rv *replayView) SetOutEdgeVals(w uint64) { ScatterOut(rv, w) }
 
 // commitNext consumes the update's next recorded commit in place of the

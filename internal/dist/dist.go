@@ -21,8 +21,8 @@
 // computation converges to the same fixed point as a sequential run.
 //
 // Silently dropping messages is *not* tolerated (a lost improvement is
-// never retried), mirroring the push-mode ModePlain result. The simulator
-// instead models a lossy network the way real clusters cope with one:
+// never retried), mirroring the push-mode lost-update result (DESIGN.md
+// §13). The simulator instead models a lossy network the way real clusters cope with one:
 // DropProb discards deliveries, and the sender's ack timeout retransmits
 // the same message with backoff (at-least-once delivery). Retransmission
 // restores the "no lost update without a retry task" premise, so

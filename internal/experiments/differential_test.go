@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
-	"ndgraph/internal/push"
+	"ndgraph/internal/hybrid"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 )
@@ -22,7 +23,8 @@ import (
 // fixed point under
 //
 //	core (det / nondet / sync / chromatic / DIG) · async · shard (PSW)
-//	· dist (message passing) · push (CAS) · autonomous (priority)
+//	· dist (message passing) · hybrid forced to push (CAS combine)
+//	· autonomous (priority)
 //
 // with the sequential reference implementations as the oracles. This is
 // the strongest executable statement of the paper's thesis: the final
@@ -35,6 +37,26 @@ func diffGraph(t *testing.T, seed uint64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// hybridPushWords runs k in push mode: the hybrid engine under a policy that
+// never pulls.
+func hybridPushWords(t *testing.T, g *graph.Graph, k algorithms.Kernel) []uint64 {
+	t.Helper()
+	if k.Undirected {
+		g = g.Undirected()
+	}
+	e, err := hybrid.NewEngine(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
+	res, err := e.Run(context.Background(), k)
+	if err != nil || !res.Converged {
+		t.Fatalf("hybrid-push %s: %v (converged=%v)", k.Name, err, res.Converged)
+	}
+	return e.Vertices
 }
 
 func coreVariants() map[string]core.Options {
@@ -137,11 +159,11 @@ func TestDifferentialWCCAllExecutors(t *testing.T) {
 
 		// Push mode with CAS.
 		{
-			labels, res, err := push.WCC(g, push.ModeCAS, 4)
-			if err != nil || !res.Converged {
-				t.Fatalf("push: %v", err)
+			labels := make([]uint32, g.N())
+			for v, w := range hybridPushWords(t, g, algorithms.WCCKernel()) {
+				labels[v] = uint32(w)
 			}
-			check("push", labels)
+			check("hybrid-push", labels)
 		}
 	}
 }
@@ -196,11 +218,11 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 		}
 
 		{
-			got, res, err := push.SSSP(g, src, ref.Weights, push.ModeCAS, 4)
-			if err != nil || !res.Converged {
-				t.Fatalf("push: %v", err)
+			got := make([]float64, g.N())
+			for v, w := range hybridPushWords(t, g, algorithms.SSSPKernel(src, ref.Weights)) {
+				got[v] = math.Float64frombits(w)
 			}
-			check("push", got)
+			check("hybrid-push", got)
 		}
 
 		{

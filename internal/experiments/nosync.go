@@ -12,7 +12,6 @@ import (
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
-	"ndgraph/internal/push"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
@@ -28,11 +27,11 @@ import (
 // no-sync scaling sweep.
 type NoSyncScaleRow struct {
 	Graph   string
-	Engine  string // core-nondet | push | hybrid | async | nosync
+	Engine  string // core-nondet | hybrid | async | nosync
 	Threads int
 	// Time is the best wall time over noSyncRuns runs.
 	Time time.Duration
-	// Updates counts the engine's unit of work (vertex updates, pushes, or
+	// Updates counts the engine's unit of work (vertex updates or
 	// hybrid offers adopted); engines count differently, so compare within
 	// a column, not across.
 	Updates int64
@@ -83,15 +82,6 @@ func noSyncBFSOnce(engine string, g *graph.Graph, src uint32, threads int) (time
 			return 0, 0, 0, 0, fmt.Errorf("did not converge")
 		}
 		return res.Duration, res.Updates, 0, 0, nil
-	case "push":
-		_, res, err := push.BFS(g, src, push.ModeCAS, threads)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if !res.Converged {
-			return 0, 0, 0, 0, fmt.Errorf("did not converge")
-		}
-		return res.Duration, res.Wins, 0, 0, nil
 	case "hybrid":
 		e, err := hybrid.NewEngine(g, threads)
 		if err != nil {
@@ -164,7 +154,7 @@ func noSyncBFSOnce(engine string, g *graph.Graph, src uint32, threads int) (time
 
 // NoSyncEngines lists the sweep's contenders in display order.
 func NoSyncEngines() []string {
-	return []string{"core-nondet", "push", "hybrid", "async", "nosync"}
+	return []string{"core-nondet", "hybrid", "async", "nosync"}
 }
 
 // NoSyncStudy produces the work-stealing tier's evaluation: a BFS scaling

@@ -1,6 +1,6 @@
 // Package hybrid implements a direction-optimizing executor: at every
 // iteration barrier it chooses push (relax the out-edges of the scheduled
-// set, CAS combine — the Ligra-style discipline of internal/push) or pull
+// set, CAS combine — the Ligra-style discipline) or pull
 // (every vertex gathers offers from its in-neighbors that are scheduled,
 // merging monotonically — the paper's pull-mode edge scenario) based on
 // Beamer-style frontier-density thresholds.
@@ -39,7 +39,6 @@ import (
 	"ndgraph/internal/frontier"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/obs"
-	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
 
@@ -184,14 +183,14 @@ func (r Result) SwitchTrace() string {
 }
 
 // wcounters is one worker's iteration counters, padded to a cache line so
-// the hot loops never false-share — unlike the push engine's single
-// shared atomics, which are a measured contention cost on dense
-// frontiers.
+// the hot loops never false-share (single shared atomics are a measured
+// contention cost on dense frontiers).
 type wcounters struct {
 	offers  int64
 	wins    int64
 	winners int64 // sources with >=1 win (push) / improved vertices (pull)
-	_       [40]byte
+	cur     int64 // vertex a pull sweep is gathering for, named if the kernel panics
+	_       [32]byte
 }
 
 // Engine executes paired push/pull kernels with per-barrier direction
@@ -205,9 +204,8 @@ type Engine struct {
 	// neighbors + atomic self-store in pull), so runs are race-clean.
 	Vertices []uint64
 
-	front    *frontier.Frontier
-	outDeg   []uint32
-	maxIters int
+	front  *frontier.Frontier
+	outDeg []uint32
 
 	// Policy chooses the direction each iteration; nil means
 	// BeamerPolicy(DefaultAlpha, DefaultBeta). Set before Run — the
@@ -225,9 +223,10 @@ type Engine struct {
 	touched        *frontier.Bitset
 	remainingInDeg int64
 
-	pool     *sched.Pool
+	// loop is the run lifecycle shared with the other barrier engines
+	// (pool, cancellation, cap, watchdog, panic handling, telemetry).
+	loop     core.Loop
 	counters []wcounters
-	observer *obs.Observer
 	trace    *trace.Recorder
 
 	// cert, when installed via Certify, is validated against every kernel
@@ -255,21 +254,18 @@ func NewEngine(g *graph.Graph, threads int) (*Engine, error) {
 		Vertices: make([]uint64, g.N()),
 		front:    f,
 		outDeg:   deg,
-		maxIters: core.DefaultMaxIters,
 		touched:  frontier.NewBitset(g.N()),
-		pool:     sched.NewPoolNamed(threads, "hybrid"),
 		counters: make([]wcounters, threads),
+		loop: core.Loop{
+			Name: "hybrid", Kind: obs.EngineHybrid, Threads: threads, N: g.N(),
+			Front: f, MaxIters: core.DefaultMaxIters,
+		},
 	}, nil
 }
 
 // Observe attaches an observer: each iteration emits one event tagged
 // with the chosen direction. Call before Run; nil detaches.
-func (e *Engine) Observe(o *obs.Observer) {
-	e.observer = o
-	if e.pool != nil {
-		e.pool.SetTimed(o.Enabled())
-	}
-}
+func (e *Engine) Observe(o *obs.Observer) { e.loop.Observer = o }
 
 // Trace attaches an execution-path recorder. Both directions record one
 // event per adopted improvement — (iteration, worker, vertex, 1, adopted
@@ -293,17 +289,14 @@ func (e *Engine) Frontier() *frontier.Frontier { return e.front }
 func (e *Engine) Certify(c *eligibility.Certificate) { e.cert = c }
 
 // Close releases the persistent worker pool; the next Run re-creates it.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
+func (e *Engine) Close() { e.loop.Close() }
 
 // Run executes the kernel to quiescence. ctx, when non-nil, is checked at
 // every iteration barrier; on cancellation Run returns the partial Result
-// and the context's error. The kernel's Undirected requirement is the
-// caller's to satisfy (pass g.Undirected() to NewEngine).
+// and the context's error. A panic in Message or Better is returned as an
+// error naming the vertex being relaxed or gathered for, and the engine
+// can Run again. The kernel's Undirected requirement is the caller's to
+// satisfy (pass g.Undirected() to NewEngine).
 func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 	if k.Init == nil || k.Message == nil || k.Better == nil {
 		return Result{}, fmt.Errorf("hybrid: Kernel requires Init, Message, and Better")
@@ -327,21 +320,26 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 	e.touched.ClearAll()
 	e.remainingInDeg = int64(e.g.M())
 
-	res := Result{Converged: true}
+	var res Result
 	policy := e.Policy
 	if policy == nil {
 		policy = BeamerPolicy(DefaultAlpha, DefaultBeta)
 	}
-	if e.pool == nil { // re-create after Close
-		e.pool = sched.NewPoolNamed(e.p, "hybrid")
-		e.pool.SetTimed(e.observer.Enabled())
-	}
+	clear(e.counters) // a panicked iteration leaves its counts behind
 
 	// Both direction closures are bound once per run so per-iteration
 	// dispatch through the pool allocates nothing.
 	curIter := 0
 	pushFn := func(worker, vi int) {
+		if e.loop.Panicked() {
+			return
+		}
 		v := uint32(vi)
+		defer func() {
+			if r := recover(); r != nil {
+				e.loop.RecordPanic(v, r)
+			}
+		}()
 		srcVal := atomic.LoadUint64(&e.Vertices[v])
 		lo, _ := e.g.OutEdgeIndex(v)
 		c := &e.counters[worker]
@@ -395,6 +393,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 					if !e.front.Scheduled(int(u)) {
 						continue
 					}
+					c.cur = int64(vi)
 					val := k.Message(e.Vertices[u], 0)
 					e.Vertices[vi] = val
 					e.front.Schedule(vi)
@@ -419,6 +418,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 				if len(ins) == 0 {
 					continue
 				}
+				c.cur = int64(vi)
 				best := e.Vertices[v] // only this worker writes v's word
 				improved := false
 				for _, u := range ins {
@@ -455,6 +455,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 					continue
 				}
 				idx := e.g.InEdgeIndices(v)
+				c.cur = int64(vi)
 				best := e.Vertices[v] // only this worker writes v's word
 				improved := false
 				for i, u := range ins {
@@ -481,37 +482,20 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 		}
 	}
 
-	e.observer.SetPhase("hybrid: running")
-	start := time.Now()
-	finish := func() { res.Duration = time.Since(start) }
-	bestActive := n + 1
-	stalled := 0
+	sweep := pullFn
+	pullFn = func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				e.loop.RecordPanic(uint32(e.counters[worker].cur), r)
+			}
+		}()
+		sweep(worker)
+	}
+
 	prev := Push
 	prevSize := 0
-	for e.front.Size() > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				res.Converged = false
-				finish()
-				return res, err
-			}
-		}
-		if res.Iterations >= e.maxIters {
-			res.Converged = false
-			break
-		}
-		if w := e.StallWindow; w > 0 {
-			if size := e.front.Size(); size < bestActive {
-				bestActive, stalled = size, 0
-			} else if stalled++; stalled >= w {
-				res.Converged = false
-				finish()
-				return res, fmt.Errorf("hybrid: iteration %d: active vertices %d (best %d) unimproved for %d iterations: %w",
-					res.Iterations, e.front.Size(), bestActive, w, core.ErrStalled)
-			}
-		}
-
-		members := e.front.Members()
+	pool := e.loop.Pool()
+	step := func(iter int, members []int) (obs.Event, error) {
 		for _, v := range members {
 			if !e.touched.Test(v) {
 				e.touched.Set(v)
@@ -519,7 +503,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 			}
 		}
 		dir := policy(Stats{
-			Iter:           res.Iterations,
+			Iter:           iter,
 			FrontierSize:   e.front.Size(),
 			FrontierOutDeg: e.front.CurrentOutDegree(),
 			RemainingInDeg: e.remainingInDeg,
@@ -529,16 +513,16 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 			Growing:        e.front.Size() > prevSize,
 			Prev:           prev,
 		})
-		if res.Iterations > 0 && dir != prev {
+		if iter > 0 && dir != prev {
 			res.Switches++
 		}
 		res.Directions = append(res.Directions, dir)
-		curIter = res.Iterations
+		curIter = iter
 
 		if dir == Push {
-			e.pool.RunBlocks(members, pushFn)
+			pool.RunBlocks(members, pushFn)
 		} else {
-			e.pool.RunEach(pullFn)
+			pool.RunEach(pullFn)
 		}
 
 		var offers, wins, winners int64
@@ -551,41 +535,25 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 		}
 		res.Offers += offers
 		res.Updates += wins
-		if o := e.observer; o != nil {
-			wall, wait := e.pool.TakeBarrierStats()
-			o.Emit(obs.Event{
-				Engine:           obs.EngineHybrid,
-				Iter:             int64(res.Iterations),
-				Scheduled:        int64(len(members)),
-				Updates:          winners,
-				EdgeReads:        offers,
-				EdgeWrites:       wins,
-				RWConflicts:      -1,
-				WWConflicts:      -1,
-				Residual:         float64(len(members)) / float64(n),
-				BarrierWaitNanos: int64(wait),
-				DurationNanos:    int64(wall),
-				Direction:        dir.String(),
-			})
-		}
 		prev = dir
 		prevSize = e.front.Size()
-		res.Iterations++
-		e.front.Advance()
+		return obs.Event{
+			Updates:     winners,
+			EdgeReads:   offers,
+			EdgeWrites:  wins,
+			RWConflicts: -1,
+			WWConflicts: -1,
+			Direction:   dir.String(),
+		}, nil
 	}
-	finish()
-	if o := e.observer; o != nil {
-		if res.Converged {
-			o.SetPhase("hybrid: converged")
-		} else {
-			o.SetPhase("hybrid: stopped")
-		}
-	}
-	return res, nil
+
+	e.loop.Context, e.loop.StallWindow = ctx, e.StallWindow
+	lr, err := e.loop.Run(step)
+	res.Iterations, res.Converged, res.Duration = lr.Iterations, lr.Converged, lr.Duration
+	return res, err
 }
 
-// combine CAS-installs cand into u's word if it improves, as in the push
-// engine's ModeCAS.
+// combine CAS-installs cand into u's word if it improves.
 func (e *Engine) combine(u uint32, cand uint64, better func(c, cur uint64) bool) bool {
 	for {
 		cur := atomic.LoadUint64(&e.Vertices[u])

@@ -2,14 +2,12 @@ package hybrid
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/obs"
@@ -313,6 +311,46 @@ func TestObsEventsTagDirection(t *testing.T) {
 	}
 }
 
+// An event's Updates counts sources with at least one winning push, not
+// every relaxed source: a source whose pushes all lose changed nothing. On
+// a 10-vertex chain BFS the frontier always holds one vertex; every
+// iteration but the last wins exactly one push, and the final iteration
+// (the chain's sink, no out-edges) wins none.
+func TestObsCountsWinningSourcesOnly(t *testing.T) {
+	const n = 10
+	g, err := gen.Chain(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	o := obs.New(obs.Options{RingSize: 64})
+	defer o.Close()
+	e.Observe(o)
+	e.Policy = forced(Push)
+	if res, err := e.Run(context.Background(), algorithms.BFSKernel(0)); err != nil || !res.Converged {
+		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
+	}
+	evs := o.Events()
+	if len(evs) != n {
+		t.Fatalf("got %d events, want %d", len(evs), n)
+	}
+	var updates int64
+	for _, ev := range evs {
+		if ev.Scheduled != 1 {
+			t.Fatalf("iter %d: Scheduled = %d, want 1", ev.Iter, ev.Scheduled)
+		}
+		updates += ev.Updates
+	}
+	if last := evs[n-1]; updates != n-1 || last.Updates != 0 {
+		t.Fatalf("summed Updates = %d (last iteration %d), want %d winning sources and a sink that wins nothing",
+			updates, last.Updates, n-1)
+	}
+}
+
 // Trace recording spans direction switches: both directions record one
 // event per adopted improvement with the adopted value, so the recorded
 // total matches Result.Updates and iterations from both regimes appear.
@@ -349,71 +387,6 @@ func TestTraceSpansDirectionSwitches(t *testing.T) {
 	}
 }
 
-// Cancellation must end a non-quiescing hybrid run promptly with the
-// context's error, in either direction.
-func TestHybridContextCancellation(t *testing.T) {
-	g, err := gen.Ring(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		policy Policy
-	}{{"push", forced(Push)}, {"pull", forced(Pull)}} {
-		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEngine(g, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			e.Policy = tc.policy
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(5*time.Millisecond, cancel)
-			res, err := e.Run(ctx, nonQuiescingKernel())
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if res.Converged {
-				t.Fatal("cancelled run reported Converged")
-			}
-		})
-	}
-}
-
-func nonQuiescingKernel() algorithms.Kernel {
-	k := algorithms.WCCKernel()
-	k.Message = func(srcVal uint64, _ uint32) uint64 {
-		time.Sleep(10 * time.Microsecond)
-		return srcVal
-	}
-	k.Better = func(_, _ uint64) bool { return true }
-	return k
-}
-
-// The stall watchdog aborts a run whose frontier stops shrinking.
-func TestHybridStallWatchdog(t *testing.T) {
-	g, err := gen.Ring(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.StallWindow = 3
-	e.Policy = forced(Push)
-	k := algorithms.WCCKernel()
-	k.Better = func(_, _ uint64) bool { return true }
-	res, err := e.Run(context.Background(), k)
-	if !errors.Is(err, core.ErrStalled) {
-		t.Fatalf("err = %v, want core.ErrStalled", err)
-	}
-	if res.Converged {
-		t.Fatal("stalled run reported Converged")
-	}
-}
-
 // A chain BFS exercises the sparse extreme: every frontier is one vertex,
 // so the default policy must never leave push.
 func TestChainStaysPush(t *testing.T) {
@@ -441,5 +414,83 @@ func TestChainStaysPush(t *testing.T) {
 		if got := edgedata.ToFloat64(e.Vertices[v]); got != float64(v) {
 			t.Fatalf("vertex %d: dist %v, want %d", v, got, v)
 		}
+	}
+}
+
+// A panic in Kernel.Message comes back from Run as an error naming the
+// vertex — the source being relaxed in a push, the destination gathering in
+// each of the three pull sweeps — exactly as core/shard/async report a
+// panicking update, and the engine runs again afterwards. (It used to reach
+// the pool's barrier and kill the process.)
+func TestHybridLifecyclePanic(t *testing.T) {
+	const n = 12
+	chain, err := gen.Chain(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := make([]float64, chain.M())
+	for i := range unit {
+		unit[i] = 1
+	}
+	e56, ok := chain.FindEdge(5, 6)
+	if !ok {
+		t.Fatal("chain has no edge 5→6")
+	}
+	five := edgedata.FromFloat64(5)
+	for _, tc := range []struct {
+		name   string
+		kernel algorithms.Kernel
+		dir    Direction
+		// trip reports whether this Message call panics; want is the vertex
+		// the single-threaded run is then working for.
+		trip func(srcVal uint64, e uint32) bool
+		want int
+	}{
+		{"bfs/push", algorithms.BFSKernel(0), Push, func(s uint64, _ uint32) bool { return s == five }, 5},
+		{"bfs/pull-first-offer", algorithms.BFSKernel(0), Pull, func(s uint64, _ uint32) bool { return s == five }, 6},
+		{"wcc/push", algorithms.WCCKernel(), Push, func(s uint64, _ uint32) bool { return s == 0 }, 0},
+		{"wcc/pull-value-only", algorithms.WCCKernel(), Pull, func(s uint64, _ uint32) bool { return s == 0 }, 1},
+		{"sssp/push", algorithms.SSSPKernel(0, unit), Push, func(_ uint64, e uint32) bool { return e == e56 }, 5},
+		{"sssp/pull-edge-indexed", algorithms.SSSPKernel(0, unit), Pull, func(_ uint64, e uint32) bool { return e == e56 }, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := chain
+			if tc.kernel.Undirected {
+				g = chain.Undirected()
+			}
+			e, err := NewEngine(g, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			e.Policy = forced(tc.dir)
+			bad := tc.kernel
+			bad.Message = func(srcVal uint64, edge uint32) uint64 {
+				if tc.trip(srcVal, edge) {
+					panic("kaboom")
+				}
+				return tc.kernel.Message(srcVal, edge)
+			}
+			res, err := e.Run(context.Background(), bad)
+			want := fmt.Sprintf("hybrid: update function panicked on vertex %d: kaboom", tc.want)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if res.Converged || res.Duration <= 0 {
+				t.Fatalf("panicked run reported %+v", res)
+			}
+			res, err = e.Run(context.Background(), tc.kernel)
+			if err != nil || !res.Converged {
+				t.Fatalf("rerun after panic: %+v, %v", res, err)
+			}
+			for v, w := range e.Vertices {
+				if want := edgedata.FromFloat64(float64(v)); tc.kernel.Name != "wcc" && w != want {
+					t.Fatalf("rerun: vertex %d = %#x, want distance %d", v, w, v)
+				}
+				if tc.kernel.Name == "wcc" && w != 0 {
+					t.Fatalf("rerun: vertex %d labelled %d, want component 0", v, w)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the engine observability layer: a zero-overhead-when-
 // disabled telemetry spine wired into every executor in the repository
-// (core, async, shard, dist, push, autonomous).
+// (core, async, shard, dist, autonomous, netdist, hybrid, nosync).
 //
 // The paper's claims are all statements about *run-to-run behavior under
 // nondeterminism* — conflict classes (Section III), convergence
@@ -50,8 +50,6 @@ const (
 	EngineShard
 	// EngineDist is the simulated distributed message-passing executor.
 	EngineDist
-	// EnginePush is the push-mode (Ligra-style) engine.
-	EnginePush
 	// EngineAutonomous is the priority-driven executor.
 	EngineAutonomous
 	// EngineNetdist is the real-transport multi-process distributed
@@ -66,7 +64,7 @@ const (
 	numEngines
 )
 
-var engineNames = [numEngines]string{"core", "async", "shard", "dist", "push", "autonomous", "netdist", "hybrid", "nosync"}
+var engineNames = [numEngines]string{"core", "async", "shard", "dist", "autonomous", "netdist", "hybrid", "nosync"}
 
 // String names the engine kind as used in metric labels and JSONL.
 func (k EngineKind) String() string {
@@ -97,7 +95,7 @@ type Event struct {
 	TimeUnixNano int64
 	// Engine identifies the emitting executor.
 	Engine EngineKind
-	// Iter is the iteration (core/shard/push) or sample index (async,
+	// Iter is the iteration (core/shard/hybrid) or sample index (async,
 	// dist, autonomous) of the sample.
 	Iter int64
 	// Scheduled is the scheduled-set size driving the sample: |S_n| for
@@ -107,7 +105,7 @@ type Event struct {
 	// Updates is the number of update functions executed in the sample.
 	Updates int64
 	// EdgeReads and EdgeWrites count edge-data accesses in the sample
-	// (window-slot accesses for shard; pushes and wins for push mode).
+	// (window-slot accesses for shard; offers and wins for hybrid).
 	EdgeReads, EdgeWrites int64
 	// RWConflicts and WWConflicts are the census-classified conflict edges
 	// of the sample, when conflict sampling is enabled; -1 marks a sample

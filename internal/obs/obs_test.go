@@ -175,7 +175,7 @@ func (c *closeRecorder) Close() error                { c.closed = true; return n
 
 func TestWriteMetricsRendersEveryEngine(t *testing.T) {
 	o := New(Options{})
-	o.Emit(Event{Engine: EnginePush, Iter: 0, Scheduled: 5, Updates: 5, EdgeReads: 12, EdgeWrites: 6})
+	o.Emit(Event{Engine: EngineHybrid, Iter: 0, Scheduled: 5, Updates: 5, EdgeReads: 12, EdgeWrites: 6})
 	var buf bytes.Buffer
 	o.WriteMetrics(&buf)
 	text := buf.String()
@@ -185,10 +185,10 @@ func TestWriteMetricsRendersEveryEngine(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		`ndgraph_updates_total{engine="push"} 5`,
-		`ndgraph_edge_reads_total{engine="push"} 12`,
-		`ndgraph_edge_writes_total{engine="push"} 6`,
-		`ndgraph_scheduled_last{engine="push"} 5`,
+		`ndgraph_updates_total{engine="hybrid"} 5`,
+		`ndgraph_edge_reads_total{engine="hybrid"} 12`,
+		`ndgraph_edge_writes_total{engine="hybrid"} 6`,
+		`ndgraph_scheduled_last{engine="hybrid"} 5`,
 		"# TYPE ndgraph_updates_total counter",
 		"# TYPE ndgraph_residual_last gauge",
 	} {

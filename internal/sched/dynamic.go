@@ -1,10 +1,5 @@
 package sched
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Dispatch selects how a parallel scheduler assigns scheduled updates to
 // workers within an iteration.
 type Dispatch int
@@ -43,43 +38,3 @@ func ParseDispatch(s string) (Dispatch, bool) {
 // DefaultChunk is the dynamic-dispatch chunk size: large enough to
 // amortize the shared-cursor contention, small enough to balance hubs.
 const DefaultChunk = 64
-
-// ParallelChunks dispatches items over p workers dynamically: workers
-// claim consecutive chunks of the given size from an atomic cursor until
-// the items are exhausted, then the call returns (the iteration barrier).
-// Items within a chunk run in slice order, so ascending inputs still run
-// small-label-first *within a chunk*; across chunks the assignment is
-// timing-dependent.
-func ParallelChunks(items []int, p, chunk int, fn func(worker, item int)) {
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if p <= 1 || len(items) <= chunk {
-		for _, it := range items {
-			fn(0, it)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= len(items) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(items) {
-					hi = len(items)
-				}
-				for _, it := range items[lo:hi] {
-					fn(w, it)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestDispatchStringParse(t *testing.T) {
 	if Static.String() != "static" || Dynamic.String() != "dynamic" {
@@ -17,91 +14,5 @@ func TestDispatchStringParse(t *testing.T) {
 	}
 	if _, ok := ParseDispatch("guided"); ok {
 		t.Fatal("ParseDispatch accepted unknown policy")
-	}
-}
-
-func TestParallelChunksVisitsAllOnce(t *testing.T) {
-	const n = 5000
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	for _, p := range []int{1, 2, 4, 16} {
-		for _, chunk := range []int{1, 7, 64, 10000} {
-			var mu sync.Mutex
-			seen := make(map[int]int, n)
-			ParallelChunks(items, p, chunk, func(_, item int) {
-				mu.Lock()
-				seen[item]++
-				mu.Unlock()
-			})
-			if len(seen) != n {
-				t.Fatalf("p=%d chunk=%d: visited %d distinct items", p, chunk, len(seen))
-			}
-			for item, c := range seen {
-				if c != 1 {
-					t.Fatalf("p=%d chunk=%d: item %d visited %d times", p, chunk, item, c)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelChunksDefaultChunk(t *testing.T) {
-	items := make([]int, 500)
-	for i := range items {
-		items[i] = i
-	}
-	count := 0
-	var mu sync.Mutex
-	ParallelChunks(items, 4, 0, func(_, item int) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	if count != 500 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestParallelChunksEmpty(t *testing.T) {
-	called := false
-	ParallelChunks(nil, 4, 8, func(_, _ int) { called = true })
-	if called {
-		t.Fatal("fn called on empty input")
-	}
-}
-
-func TestParallelChunksAscendingWithinChunk(t *testing.T) {
-	const n, chunk = 1024, 32
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	var mu sync.Mutex
-	lastPerWorker := map[int]int{}
-	ParallelChunks(items, 4, chunk, func(w, item int) {
-		mu.Lock()
-		defer mu.Unlock()
-		last, ok := lastPerWorker[w]
-		// Within a chunk items ascend; across chunks a worker's next chunk
-		// starts at a multiple of the chunk size.
-		if ok && item != last+1 && item%chunk != 0 {
-			t.Errorf("worker %d jumped from %d to %d mid-chunk", w, last, item)
-		}
-		lastPerWorker[w] = item
-	})
-}
-
-func BenchmarkParallelChunks(b *testing.B) {
-	items := make([]int, 1<<16)
-	for i := range items {
-		items[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sinks [4]int64
-		ParallelChunks(items, 4, 64, func(w, item int) { sinks[w] += int64(item) })
-		_ = sinks
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// Pool is a persistent worker pool for iteration dispatch. The one-shot
-// dispatchers (ParallelBlocks, ParallelChunks) spawn P goroutines per call,
-// which under the barrier-per-iteration engine means a spawn/join cycle per
-// iteration — and per *color class* under Chromatic/DIG. A Pool keeps P
+// Pool is a persistent worker pool for iteration dispatch. A one-shot
+// dispatcher (ParallelBlocks) spawns P goroutines per call, which under the
+// barrier-per-iteration engine means a spawn/join cycle per iteration —
+// and per *color class* under Chromatic/DIG. A Pool keeps P
 // long-lived workers parked on per-worker wake channels and re-dispatches
 // them for every call, so the steady-state per-iteration cost is two
 // channel operations per worker and zero heap allocations.
@@ -181,9 +181,12 @@ func (p *Pool) RunBlocks(items []int, fn func(worker, item int)) {
 	in.items, in.itemFn = nil, nil
 }
 
-// RunChunks dispatches items over the pooled workers with the dynamic
-// chunk-claiming policy of ParallelChunks and blocks until the items are
-// exhausted. chunk <= 0 selects DefaultChunk.
+// RunChunks dispatches items over the pooled workers dynamically: workers
+// claim consecutive chunks of the given size from an atomic cursor until
+// the items are exhausted, then the call returns (the iteration barrier).
+// Items within a chunk run in slice order, so ascending inputs still run
+// small-label-first *within a chunk*; across chunks the assignment is
+// timing-dependent. chunk <= 0 selects DefaultChunk.
 func (p *Pool) RunChunks(items []int, chunk int, fn func(worker, item int)) {
 	in := p.pool
 	if chunk <= 0 {

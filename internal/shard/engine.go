@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"ndgraph/internal/fault"
 	"ndgraph/internal/frontier"
 	"ndgraph/internal/obs"
-	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
 
@@ -63,33 +61,19 @@ type Engine struct {
 
 	front *frontier.Frontier
 
+	// loop is the run lifecycle shared with the other barrier engines
+	// (pool, cancellation, cap, watchdog, crash and panic handling,
+	// telemetry); one of its iterations is one pass over the intervals.
+	loop core.Loop
+
 	// curSub is the interval working set currently executing; the fault
 	// injector's heal hook reads it to map window slots back to endpoints.
 	// Written only between interval dispatches (workers quiescent).
 	curSub atomic.Pointer[subgraph]
 
-	// panicked records the first recovered UpdateFunc panic of the run.
-	panicked atomic.Pointer[updatePanic]
-
-	// pool holds the persistent intra-interval workers, reused across all
-	// intervals and iterations of every Run on this engine.
-	pool *sched.Pool
-
 	// flushBuf is the reusable write-back snapshot buffer; flush refills it
 	// per interval instead of allocating a fresh O(window) slice each time.
 	flushBuf []uint64
-
-	// obsReads/obsWrites accumulate the pass's window-slot accesses for the
-	// observer. The views they are summed from are rebuilt per interval, so
-	// the engine carries the pass totals; written only between dispatches.
-	obsReads, obsWrites int64
-}
-
-// updatePanic captures a recovered UpdateFunc panic.
-type updatePanic struct {
-	vertex uint32
-	value  any
-	stack  []byte
 }
 
 // NewEngine binds an executor to storage.
@@ -106,9 +90,12 @@ func NewEngine(st *Storage, opts Options) (*Engine, error) {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = core.DefaultMaxIters
 	}
-	e := &Engine{st: st, opts: opts, front: frontier.NewFrontier(st.N()), pool: sched.NewPoolNamed(opts.Threads, "shard")}
-	e.pool.SetTimed(opts.Observer.Enabled())
-	return e, nil
+	f := frontier.NewFrontier(st.N())
+	return &Engine{st: st, opts: opts, front: f, loop: core.Loop{
+		Name: "shard", Kind: obs.EngineShard, Threads: opts.Threads, N: st.N(),
+		Front: f, MaxIters: opts.MaxIters, StallWindow: opts.StallWindow,
+		Context: opts.Context, Inject: opts.Inject, Observer: opts.Observer,
+	}}, nil
 }
 
 // Frontier exposes the scheduled set for seeding.
@@ -117,12 +104,7 @@ func (e *Engine) Frontier() *frontier.Frontier { return e.front }
 // Close releases the engine's persistent worker pool. The engine stays
 // usable — the next Run re-creates the pool — but Close makes the release
 // deterministic instead of waiting for the pool's finalizer.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-}
+func (e *Engine) Close() { e.loop.Close() }
 
 // Run executes update to convergence. One iteration is one pass over all
 // intervals; within the pass, interval i's subgraph (shard i in full plus
@@ -134,11 +116,6 @@ func (e *Engine) Close() {
 func (e *Engine) Run(update core.UpdateFunc) (Result, error) {
 	if update == nil {
 		return Result{}, fmt.Errorf("shard: nil update function")
-	}
-	e.panicked.Store(nil)
-	if e.pool == nil { // re-create after Close
-		e.pool = sched.NewPoolNamed(e.opts.Threads, "shard")
-		e.pool.SetTimed(e.opts.Observer.Enabled())
 	}
 	if inj := e.opts.Inject; inj != nil {
 		// Heal rule: window slots map back to endpoints through the
@@ -153,39 +130,10 @@ func (e *Engine) Run(update core.UpdateFunc) (Result, error) {
 		})
 		defer inj.Disarm()
 	}
-	res := Result{Converged: true}
-	bestActive := e.st.N() + 1
-	stalled := 0
-	start := time.Now()
-	for e.front.Size() > 0 {
-		if ctx := e.opts.Context; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				res.Converged = false
-				res.Duration = time.Since(start)
-				return res, err
-			}
-		}
-		if res.Iterations >= e.opts.MaxIters {
-			res.Converged = false
-			break
-		}
-		if inj := e.opts.Inject; inj != nil && inj.CrashNow(res.Iterations) {
-			res.Converged = false
-			res.Duration = time.Since(start)
-			return res, fmt.Errorf("shard: iteration %d: %w", res.Iterations, fault.ErrCrash)
-		}
-		if k := e.opts.StallWindow; k > 0 {
-			if size := e.front.Size(); size < bestActive {
-				bestActive, stalled = size, 0
-			} else if stalled++; stalled >= k {
-				res.Converged = false
-				res.Duration = time.Since(start)
-				return res, fmt.Errorf("shard: iteration %d: active vertices %d (best %d) unimproved for %d iterations: %w",
-					res.Iterations, e.front.Size(), bestActive, k, core.ErrStalled)
-			}
-		}
-		members := e.front.Members()
-		passUpdates := res.Updates
+	var res Result
+	pool := e.loop.Pool()
+	pass := func(iter int, members []int) (obs.Event, error) {
+		ev := obs.Event{RWConflicts: -1, WWConflicts: -1}
 		cursor := 0
 		for i := range e.st.intervals {
 			iv := e.st.intervals[i]
@@ -200,26 +148,23 @@ func (e *Engine) Run(update core.UpdateFunc) (Result, error) {
 			}
 			if ctx := e.opts.Context; ctx != nil {
 				if err := ctx.Err(); err != nil {
-					res.Converged = false
-					res.Duration = time.Since(start)
-					return res, err
+					return ev, err
 				}
 			}
 			sub, err := e.load(i)
 			if err != nil {
-				return res, err
+				return ev, err
 			}
 			res.BytesRead += sub.bytesRead
 			e.curSub.Store(sub)
 
-			iter := res.Iterations
 			run := func(worker, v int) {
-				if e.panicked.Load() != nil {
+				if e.loop.Panicked() {
 					return
 				}
 				defer func() {
 					if r := recover(); r != nil {
-						e.panicked.CompareAndSwap(nil, &updatePanic{vertex: uint32(v), value: r, stack: debug.Stack()})
+						e.loop.RecordPanic(uint32(v), r)
 					}
 				}()
 				view := &sub.views[worker]
@@ -229,51 +174,32 @@ func (e *Engine) Run(update core.UpdateFunc) (Result, error) {
 					t.Record(iter, worker, uint32(v), view.uWrites, e.st.Vertices[v])
 				}
 			}
-			e.pool.RunBlocks(scheduled, run)
+			pool.RunBlocks(scheduled, run)
 			e.curSub.Store(nil)
-			if e.opts.Observer != nil {
-				// The views die with the interval; bank their counters on
-				// the engine so the pass-level emit sees the totals.
-				for w := range sub.views {
-					e.obsReads += sub.views[w].nReads
-					e.obsWrites += sub.views[w].nWrites
-				}
+			// The views die with the interval; bank their counters on the
+			// pass's event.
+			for w := range sub.views {
+				ev.EdgeReads += sub.views[w].nReads
+				ev.EdgeWrites += sub.views[w].nWrites
 			}
-			if p := e.panicked.Load(); p != nil {
-				res.Converged = false
-				res.Duration = time.Since(start)
-				return res, fmt.Errorf("shard: update function panicked on vertex %d: %v\n%s", p.vertex, p.value, p.stack)
+			// A panicked interval is not written back.
+			if err := e.loop.PanicErr(); err != nil {
+				return ev, err
 			}
 			res.Updates += int64(len(scheduled))
+			ev.Updates += int64(len(scheduled))
 
 			written, err := e.flush(sub)
 			if err != nil {
-				return res, err
+				return ev, err
 			}
 			res.BytesWritten += written
 		}
-		if o := e.opts.Observer; o != nil {
-			wall, wait := e.pool.TakeBarrierStats()
-			o.Emit(obs.Event{
-				Engine:           obs.EngineShard,
-				Iter:             int64(res.Iterations),
-				Scheduled:        int64(len(members)),
-				Updates:          res.Updates - passUpdates,
-				EdgeReads:        e.obsReads,
-				EdgeWrites:       e.obsWrites,
-				RWConflicts:      -1,
-				WWConflicts:      -1,
-				Residual:         float64(len(members)) / float64(e.st.N()),
-				BarrierWaitNanos: int64(wait),
-				DurationNanos:    int64(wall),
-			})
-			e.obsReads, e.obsWrites = 0, 0
-		}
-		res.Iterations++
-		e.front.Advance()
+		return ev, nil
 	}
-	res.Duration = time.Since(start)
-	return res, nil
+	lr, err := e.loop.Run(pass)
+	res.Iterations, res.Converged, res.Duration = lr.Iterations, lr.Converged, lr.Duration
+	return res, err
 }
 
 // loadedRange maps a slice of the in-memory value store back to its
@@ -414,70 +340,67 @@ func (e *Engine) flush(sub *subgraph) (int64, error) {
 
 // shardView adapts a loaded subgraph to core.VertexView.
 type shardView struct {
+	core.Scope
 	sub *subgraph
-	v   uint32
-	lv  uint32 // v - interval.Lo
+	// outSlot holds the bound vertex's out-edge slots, which come from
+	// several windows and are not contiguous (see OutEdgeID).
+	outSlot []uint32
 
 	// nReads/nWrites count window-slot accesses for the observer;
-	// worker-private, banked on the engine after each interval dispatch.
+	// worker-private, banked on the pass's event after each interval
+	// dispatch.
 	nReads, nWrites int64
 	// uWrites counts the bound update's writes for the execution-path
 	// trace.
 	uWrites int
-
-	scratch core.EdgeScratch
 }
 
 func (c *shardView) bind(v uint32) {
-	c.v = v
-	c.lv = v - c.sub.interval.Lo
+	lv := v - c.sub.interval.Lo
+	c.outSlot = c.sub.outSlot[lv]
+	c.BindEdges(v, c.sub.inSrc[lv], c.sub.inSlot[lv], c.sub.outDst[lv], 0)
 	c.uWrites = 0
 }
 
-func (c *shardView) V() uint32                { return c.v }
-func (c *shardView) Vertex() uint64           { return c.sub.eng.st.Vertices[c.v] }
-func (c *shardView) SetVertex(w uint64)       { c.sub.eng.st.Vertices[c.v] = w }
-func (c *shardView) InDegree() int            { return len(c.sub.inSrc[c.lv]) }
-func (c *shardView) OutDegree() int           { return len(c.sub.outDst[c.lv]) }
-func (c *shardView) InNeighbor(k int) uint32  { return c.sub.inSrc[c.lv][k] }
-func (c *shardView) OutNeighbor(k int) uint32 { return c.sub.outDst[c.lv][k] }
+func (c *shardView) Vertex() uint64     { return c.sub.eng.st.Vertices[c.V()] }
+func (c *shardView) SetVertex(w uint64) { c.sub.eng.st.Vertices[c.V()] = w }
 
 // InEdgeID and OutEdgeID return window-local slot ids; they are stable
 // within one interval execution but NOT across iterations, so shard-based
 // runs only suit algorithms without immutable per-edge side arrays (the
 // canonical-index contract of the in-memory engine does not transfer).
-func (c *shardView) InEdgeID(k int) uint32  { return c.sub.inSlot[c.lv][k] }
-func (c *shardView) OutEdgeID(k int) uint32 { return c.sub.outSlot[c.lv][k] }
+// OutEdgeID replaces the Scope's, whose out-edge ids are contiguous.
+func (c *shardView) OutEdgeID(k int) uint32 { return c.outSlot[k] }
 
 func (c *shardView) InEdgeVal(k int) uint64 {
 	c.nReads++
-	return c.sub.store.Load(c.sub.inSlot[c.lv][k])
+	return c.sub.store.Load(c.InEdgeID(k))
 }
 
 func (c *shardView) OutEdgeVal(k int) uint64 {
 	c.nReads++
-	return c.sub.store.Load(c.sub.outSlot[c.lv][k])
+	return c.sub.store.Load(c.outSlot[k])
 }
 
 func (c *shardView) SetInEdgeVal(k int, w uint64) {
 	c.nWrites++
 	c.uWrites++
-	c.sub.store.Store(c.sub.inSlot[c.lv][k], w)
-	c.sub.eng.front.Schedule(int(c.sub.inSrc[c.lv][k]))
+	c.sub.store.Store(c.InEdgeID(k), w)
+	c.sub.eng.front.Schedule(int(c.InNeighbor(k)))
 }
 
 func (c *shardView) SetOutEdgeVal(k int, w uint64) {
 	c.nWrites++
 	c.uWrites++
-	c.sub.store.Store(c.sub.outSlot[c.lv][k], w)
-	c.sub.eng.front.Schedule(int(c.sub.outDst[c.lv][k]))
+	c.sub.store.Store(c.outSlot[k], w)
+	c.sub.eng.front.Schedule(int(c.OutNeighbor(k)))
 }
 
-func (c *shardView) InEdgeVals() []uint64    { return c.scratch.GatherIn(c) }
-func (c *shardView) OutEdgeVals() []uint64   { return c.scratch.GatherOut(c) }
+func (c *shardView) InEdgeVals() []uint64    { return c.GatherIn(c) }
+func (c *shardView) OutEdgeVals() []uint64   { return c.GatherOut(c) }
 func (c *shardView) SetOutEdgeVals(w uint64) { core.ScatterOut(c, w) }
 
-func (c *shardView) ScheduleSelf() { c.sub.eng.front.Schedule(int(c.v)) }
+func (c *shardView) ScheduleSelf() { c.sub.eng.front.Schedule(int(c.V())) }
 func (c *shardView) Yield()        {}
 
 var _ core.VertexView = (*shardView)(nil)

@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"context"
 	"errors"
-	"strings"
+	"os"
 	"testing"
 
 	"ndgraph/internal/algorithms"
@@ -113,62 +112,67 @@ func TestShardCrashThenRerunRecovers(t *testing.T) {
 	}
 }
 
-func TestShardContextCancelledBeforeRun(t *testing.T) {
-	g, _ := gen.Ring(64)
-	st := buildStorage(t, g, 2)
-	initWCC(t, st)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e, err := NewEngine(st, Options{Threads: 1, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Frontier().ScheduleAll()
-	res, err := e.Run(minLabel)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res.Converged || res.Iterations != 0 {
-		t.Fatalf("pre-cancelled run reported %+v", res)
-	}
-}
-
-func TestShardUpdatePanicSurfacedAsError(t *testing.T) {
-	g, _ := gen.Ring(64)
-	st := buildStorage(t, g, 2)
-	initWCC(t, st)
-	e, err := NewEngine(st, Options{Threads: 2, Mode: edgedata.ModeAtomic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Frontier().ScheduleAll()
-	_, err = e.Run(func(ctx core.VertexView) {
-		if ctx.V() == 17 {
-			panic("kaboom")
+// A shard file that goes missing between two passes fails the next window
+// load or write-back. Either way Run must hand back the error next to a
+// partial Result — Converged false, the passes completed, the elapsed time —
+// not Result{Converged: true} with a zero Duration.
+func TestShardLifecycleStorageFailure(t *testing.T) {
+	g, _ := gen.Chain(64)
+	removeValues := func(t *testing.T, st *Storage) {
+		for k := 0; k < st.NumShards(); k++ {
+			if err := os.Remove(st.valuePath(k)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		minLabel(ctx)
-	})
-	if err == nil {
-		t.Fatal("panic not surfaced")
 	}
-	if !strings.Contains(err.Error(), "panicked on vertex 17") || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("panic error lacks context: %v", err)
+	check := func(t *testing.T, res Result, err error) {
+		t.Helper()
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("err = %v, want the missing file", err)
+		}
+		if res.Converged || res.Duration <= 0 {
+			t.Fatalf("failed run reported %+v, want Converged=false and the elapsed Duration", res)
+		}
 	}
-}
 
-func TestShardStallWatchdogAbortsDivergentRun(t *testing.T) {
-	g, _ := gen.Ring(16)
-	st := buildStorage(t, g, 2)
-	e, err := NewEngine(st, Options{Threads: 1, StallWindow: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Frontier().ScheduleAll()
-	res, err := e.Run(func(ctx core.VertexView) { ctx.ScheduleSelf() })
-	if !errors.Is(err, core.ErrStalled) {
-		t.Fatalf("err = %v, want core.ErrStalled", err)
-	}
-	if res.Converged || res.Iterations > 10 {
-		t.Fatalf("watchdog result %+v", res)
-	}
+	t.Run("load", func(t *testing.T) {
+		st := buildStorage(t, g, 2)
+		initWCC(t, st)
+		e, err := NewEngine(st, Options{Threads: 1, MaxIters: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Frontier().ScheduleAll()
+		if res, err := e.Run(minLabel); err != nil || res.Converged || res.Iterations != 1 {
+			t.Fatalf("first pass: %+v, %v", res, err)
+		}
+		removeValues(t, st)
+		res, err := e.Run(minLabel)
+		check(t, res, err)
+	})
+
+	t.Run("flush", func(t *testing.T) {
+		st := buildStorage(t, g, 2)
+		initWCC(t, st)
+		e, err := NewEngine(st, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Frontier().ScheduleAll()
+		// The first update of the second pass runs after its interval's
+		// window was loaded, so the loss is met by the write-back.
+		updates := 0
+		res, err := e.Run(func(v core.VertexView) {
+			if updates++; updates == g.N()+1 {
+				removeValues(t, st)
+			}
+			minLabel(v)
+		})
+		check(t, res, err)
+		if res.Iterations != 1 {
+			t.Fatalf("failed run reported %+v, want the one completed pass", res)
+		}
+	})
 }

@@ -299,29 +299,6 @@ func TestEmptyFrontierConverges(t *testing.T) {
 	}
 }
 
-func TestMaxItersCap(t *testing.T) {
-	g, _ := gen.Ring(64)
-	st := buildStorage(t, g, 2)
-	for v := range st.Vertices {
-		st.Vertices[v] = uint64(v)
-	}
-	if err := st.FillValues(^uint64(0)); err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(st, Options{Threads: 1, MaxIters: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Frontier().ScheduleAll()
-	res, err := e.Run(minLabel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged || res.Iterations != 1 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
 func TestValuesPersistAcrossEngines(t *testing.T) {
 	// Run WCC halfway, build a new engine over the same storage, finish:
 	// on-disk values carry the intermediate state.

@@ -32,6 +32,9 @@
 package ndgraph
 
 import (
+	"context"
+	"time"
+
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
 	"ndgraph/internal/autonomous"
@@ -47,7 +50,6 @@ import (
 	"ndgraph/internal/metrics"
 	"ndgraph/internal/netdist"
 	"ndgraph/internal/obs"
-	"ndgraph/internal/push"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 	"ndgraph/internal/trace"
@@ -368,7 +370,7 @@ var (
 // Observability: the zero-overhead-when-disabled telemetry layer. Attach
 // one Observer to any number of engines (Options.Observer for core,
 // AsyncOptions.Observer, ShardOptions.Observer, DistOptions.Observer, and
-// the Observe methods of PushEngine / AutonomousEngine); events flow into
+// the Observe methods of HybridEngine / AutonomousEngine); events flow into
 // per-engine counters, a ring buffer, and any attached sinks; serve live
 // metrics with ServeTelemetry (-telemetry-addr on the CLIs).
 type (
@@ -426,7 +428,7 @@ var (
 // Execution-path record/replay and run-divergence diagnosis. A recorder
 // attached to an engine (Options.Trace, AsyncOptions.Trace,
 // ShardOptions.Trace, DistOptions.Trace, or the Trace methods of
-// PushEngine / AutonomousEngine) captures the execution path; with
+// HybridEngine / AutonomousEngine) captures the execution path; with
 // EnableCommits it also logs every racy edge commit, which lets the core
 // engine replay the run to a byte-identical fixed point (Lemmas 1–2 made
 // executable). Traces serialize to the NDTR binary format and diff into a
@@ -485,7 +487,7 @@ var (
 	DeltaPageRank = autonomous.DeltaPageRank
 )
 
-// Extensions: barrier-free execution and push mode.
+// Extensions: barrier-free execution.
 type (
 	// AsyncExecutor is the pure asynchronous (barrier-free) executor.
 	AsyncExecutor = async.Executor
@@ -501,17 +503,6 @@ type (
 	// NoSyncResult summarizes a no-sync run (updates, steals, idle
 	// transitions, convergence).
 	NoSyncResult = async.NoSyncResult
-	// PushEngine executes monotone push-mode computations.
-	PushEngine = push.Engine
-)
-
-// Push-mode atomicity disciplines.
-const (
-	// PushModeCAS combines pushes with compare-and-swap retry loops.
-	PushModeCAS = push.ModeCAS
-	// PushModePlain combines pushes with racy read-test-write
-	// (single-threaded use only).
-	PushModePlain = push.ModePlain
 )
 
 var (
@@ -525,14 +516,6 @@ var (
 	// static profile for registered algorithms, an instrumented probe
 	// otherwise.
 	NoSyncVerdict = algorithms.NoSyncVerdict
-	// NewPushEngine builds a push-mode engine.
-	NewPushEngine = push.NewEngine
-	// PushBFS runs push-mode BFS.
-	PushBFS = push.BFS
-	// PushSSSP runs push-mode SSSP.
-	PushSSSP = push.SSSP
-	// PushWCC runs push-mode WCC.
-	PushWCC = push.WCC
 )
 
 // Direction-optimizing hybrid execution: per-iteration push/pull choice
@@ -573,3 +556,75 @@ var (
 	BFSKernel  = algorithms.BFSKernel
 	SSSPKernel = algorithms.SSSPKernel
 )
+
+// Push mode (Ligra-style: the update of v relaxes its out-edges straight
+// into the destinations' vertex words, combining with compare-and-swap) is
+// the hybrid engine under a policy that never pulls. PushBFS, PushSSSP and
+// PushWCC are that, packaged as one call per algorithm.
+
+// PushResult summarizes a push-mode run.
+type PushResult struct {
+	Iterations int
+	Pushes     int64 // edge relaxations attempted
+	Wins       int64 // relaxations that improved the destination
+	Converged  bool
+	Duration   time.Duration
+}
+
+type pushMode int
+
+// PushModeCAS names the one push combine discipline: a compare-and-swap
+// retry loop, exact under any parallelism. (A racy read-test-write is not
+// enough in push mode — the loser of a lost push believes it won and never
+// re-pushes — see DESIGN.md §13.)
+const PushModeCAS pushMode = 0
+
+func pushRun(g *Graph, k Kernel, threads int) ([]uint64, PushResult, error) {
+	if k.Undirected {
+		g = g.Undirected()
+	}
+	e, err := hybrid.NewEngine(g, threads)
+	if err != nil {
+		return nil, PushResult{}, err
+	}
+	defer e.Close()
+	e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
+	res, err := e.Run(context.Background(), k)
+	return e.Vertices, PushResult{
+		Iterations: res.Iterations, Pushes: res.Offers, Wins: res.Updates,
+		Converged: res.Converged, Duration: res.Duration,
+	}, err
+}
+
+// PushBFS runs push-mode breadth-first search from source and returns the
+// hop distances (+Inf where unreachable).
+func PushBFS(g *Graph, source uint32, _ pushMode, threads int) ([]float64, PushResult, error) {
+	words, res, err := pushRun(g, algorithms.BFSKernel(source), threads)
+	return wordsToFloats(words), res, err
+}
+
+// PushSSSP runs push-mode single-source shortest paths over per-edge
+// weights in canonical edge index order.
+func PushSSSP(g *Graph, source uint32, weights []float64, _ pushMode, threads int) ([]float64, PushResult, error) {
+	words, res, err := pushRun(g, algorithms.SSSPKernel(source, weights), threads)
+	return wordsToFloats(words), res, err
+}
+
+func wordsToFloats(words []uint64) []float64 {
+	out := make([]float64, len(words))
+	for i, w := range words {
+		out[i] = edgedata.ToFloat64(w)
+	}
+	return out
+}
+
+// PushWCC runs push-mode weakly-connected components; pushes only flow
+// along out-edges, so the graph is symmetrized first.
+func PushWCC(g *Graph, _ pushMode, threads int) ([]uint32, PushResult, error) {
+	words, res, err := pushRun(g, algorithms.WCCKernel(), threads)
+	labels := make([]uint32, len(words))
+	for v, w := range words {
+		labels[v] = uint32(w)
+	}
+	return labels, res, err
+}

@@ -5,11 +5,12 @@
 // the paper's thesis as a single table:
 //
 //	{WCC, SSSP, BFS, k-core} × {core-nondet(lock), core-nondet(atomic),
-//	async, nosync (work-stealing), shard (PSW), push (CAS),
-//	hybrid (direction-optimizing)}   → identical converged values
+//	async, nosync (work-stealing), shard (PSW), hybrid forced to push
+//	every iteration (CAS combine), hybrid alternating push/pull}
+//	                                 → identical converged values
 //	PageRank × {core variants, nosync} → agreement within ε
 //
-// Three deliberate exclusions, asserted by TestCrossEngineCoverageManifest:
+// Two deliberate exclusions, asserted by TestCrossEngineCoverageManifest:
 //
 //   - shard × weighted SSSP: the PSW view's OutEdgeID returns
 //     window-local value slots, not canonical edge indices, so an
@@ -17,12 +18,10 @@
 //     Weights) reads the wrong weights out-of-core. BFS — unit weights,
 //     where every index decodes to the same weight — is sound and IS
 //     covered below.
-//   - push × k-core: the h-index update gathers all neighbor estimates
-//     at once; it has no expression as push's unary Relax(candidate,
-//     current) monotone merge.
-//   - hybrid × k-core: same structural reason — the hybrid engine runs
-//     paired push/pull kernels built from the unary Message/Better merge,
-//     which cannot express the h-index gather either.
+//   - hybrid × k-core (either policy): the h-index update gathers all
+//     neighbor estimates at once; the hybrid engine runs paired push/pull
+//     kernels built from the unary Message/Better monotone merge, which
+//     cannot express that gather.
 //
 // Graphs are seeded R-MAT (skewed) and banded (near-uniform, local), so
 // both conflict regimes of the paper's evaluation are exercised. Only
@@ -34,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ndgraph/internal/algorithms"
@@ -43,7 +43,6 @@ import (
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
-	"ndgraph/internal/push"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 )
@@ -177,19 +176,24 @@ func runShardWords(t *testing.T, g *graph.Graph, update core.UpdateFunc, init fu
 	return append([]uint64(nil), st.Vertices...)
 }
 
-// runHybridWords runs a paired push/pull kernel on the direction-
-// optimizing engine under an alternating direction policy, so every
-// differential run genuinely crosses direction switches — the default
+// The two hybrid rows. hybridPush is push mode proper — never pull, what
+// the facade's Push* entry points run. hybridAlternate switches every
+// iteration, so the run genuinely crosses direction switches: the default
 // Beamer policy only pulls for bottom-up kernels (BFS), which would leave
 // the WCC and SSSP rows exercising nothing but the push sweep.
-func runHybridWords(t *testing.T, g *graph.Graph, k algorithms.Kernel) []uint64 {
+func hybridPush(hybrid.Stats) hybrid.Direction        { return hybrid.Push }
+func hybridAlternate(s hybrid.Stats) hybrid.Direction { return hybrid.Direction(s.Iter % 2) }
+
+// runHybridWords runs a paired push/pull kernel on the direction-
+// optimizing engine under the given policy.
+func runHybridWords(t *testing.T, g *graph.Graph, k algorithms.Kernel, policy hybrid.Policy) []uint64 {
 	t.Helper()
 	e, err := hybrid.NewEngine(g, diffThreads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Policy = func(s hybrid.Stats) hybrid.Direction { return hybrid.Direction(s.Iter % 2) }
+	e.Policy = policy
 	res, err := e.Run(context.Background(), k)
 	if err != nil || !res.Converged {
 		t.Fatalf("hybrid %s: %v (converged=%v)", k.Name, err, res.Converged)
@@ -272,16 +276,11 @@ func TestCrossEngineDifferentialWCC(t *testing.T) {
 			})
 			checkLabels(t, "shard", wordsToLabels(got), want)
 
-			labels, res, err := push.WCC(g, push.ModeCAS, diffThreads)
-			if err != nil || !res.Converged {
-				t.Fatalf("push: %v", err)
-			}
-			checkLabels(t, "push", labels, want)
-
-			// hybrid runs WCC on the symmetrized graph, like push does
-			// internally (Kernel.Undirected).
+			// hybrid runs WCC on the symmetrized graph (Kernel.Undirected).
+			checkLabels(t, "hybrid-push",
+				wordsToLabels(runHybridWords(t, g.Undirected(), algorithms.WCCKernel(), hybridPush)), want)
 			checkLabels(t, "hybrid",
-				wordsToLabels(runHybridWords(t, g.Undirected(), algorithms.WCCKernel())), want)
+				wordsToLabels(runHybridWords(t, g.Undirected(), algorithms.WCCKernel(), hybridAlternate)), want)
 		})
 	}
 }
@@ -318,14 +317,10 @@ func TestCrossEngineDifferentialBFS(t *testing.T) {
 			})
 			checkFloats(t, "shard", wordsToFloats(got), want)
 
-			dists, res, err := push.BFS(g, src, push.ModeCAS, diffThreads)
-			if err != nil || !res.Converged {
-				t.Fatalf("push: %v", err)
-			}
-			checkFloats(t, "push", dists, want)
-
+			checkFloats(t, "hybrid-push",
+				wordsToFloats(runHybridWords(t, g, algorithms.BFSKernel(src), hybridPush)), want)
 			checkFloats(t, "hybrid",
-				wordsToFloats(runHybridWords(t, g, algorithms.BFSKernel(src))), want)
+				wordsToFloats(runHybridWords(t, g, algorithms.BFSKernel(src), hybridAlternate)), want)
 		})
 	}
 }
@@ -345,14 +340,10 @@ func TestCrossEngineDifferentialSSSP(t *testing.T) {
 			checkFloats(t, "async", wordsToFloats(runAsyncWords(t, g, algorithms.NewSSSP(g, src, gc.seed+7))), want)
 			checkFloats(t, "nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewSSSP(g, src, gc.seed+7))), want)
 
-			got, res, err := push.SSSP(g, src, ref.Weights, push.ModeCAS, diffThreads)
-			if err != nil || !res.Converged {
-				t.Fatalf("push: %v", err)
-			}
-			checkFloats(t, "push", got, want)
-
+			checkFloats(t, "hybrid-push",
+				wordsToFloats(runHybridWords(t, g, algorithms.SSSPKernel(src, ref.Weights), hybridPush)), want)
 			checkFloats(t, "hybrid",
-				wordsToFloats(runHybridWords(t, g, algorithms.SSSPKernel(src, ref.Weights))), want)
+				wordsToFloats(runHybridWords(t, g, algorithms.SSSPKernel(src, ref.Weights), hybridAlternate)), want)
 		})
 	}
 }
@@ -430,9 +421,9 @@ func TestCrossEngineDifferentialPageRank(t *testing.T) {
 
 // TestCrossEngineCoverageManifest pins the grid so a silently dropped
 // engine or algorithm cannot pass review: 4 exact-agreement algorithms,
-// 2 parallel core modes, 4 graph instances, and exactly the 3 documented
-// exclusions (shard × weighted SSSP, push × k-core, hybrid × k-core) —
-// see the package comment for why each is structural, not an omission.
+// 2 parallel core modes, 4 graph instances, and exactly the 2 documented
+// exclusions (shard × weighted SSSP, hybrid × k-core) — see the package
+// comment for why each is structural, not an omission.
 func TestCrossEngineCoverageManifest(t *testing.T) {
 	if n := len(diffCoreEngines()); n != 2 {
 		t.Fatalf("parallel core engine variants = %d, want 2 (lock, atomic)", n)
@@ -442,24 +433,23 @@ func TestCrossEngineCoverageManifest(t *testing.T) {
 	}
 	// engine coverage per algorithm: core-det + 2 core-nondet + the others
 	covered := map[string][]string{
-		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "push", "hybrid"},
-		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "push", "hybrid"},
-		"sssp":  {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "push", "hybrid"},
+		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "hybrid-push", "hybrid"},
+		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "hybrid-push", "hybrid"},
+		"sssp":  {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "hybrid-push", "hybrid"},
 		"kcore": {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard"},
 	}
 	excluded := map[string]string{
 		"shard/sssp":   "OutEdgeID is window-local; canonical-edge-indexed Weights would misroute",
-		"push/kcore":   "h-index gather is not expressible as a unary Relax merge",
 		"hybrid/kcore": "paired kernels share the unary Message/Better merge, which cannot express the h-index gather",
 	}
 	for alg, engines := range covered {
 		for _, e := range engines {
-			if _, bad := excluded[e+"/"+alg]; bad {
+			if _, bad := excluded[strings.TrimSuffix(e, "-push")+"/"+alg]; bad {
 				t.Fatalf("%s×%s is both covered and excluded", e, alg)
 			}
 		}
 	}
-	if len(excluded) != 3 {
-		t.Fatalf("exclusions = %d, want exactly 3", len(excluded))
+	if len(excluded) != 2 {
+		t.Fatalf("exclusions = %d, want exactly 2", len(excluded))
 	}
 }

@@ -24,7 +24,8 @@ import (
 	"ndgraph/internal/dist"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
-	"ndgraph/internal/push"
+	"ndgraph/internal/hybrid"
+	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 )
@@ -95,25 +96,32 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 		t.Fatalf("dist: %v", err)
 	}
 
-	// push: CAS engine, Observe method (constructor takes positional args).
+	// push mode: the hybrid engine under a policy that never pulls, Observe
+	// method (constructor takes positional args).
 	{
-		u := g.Undirected()
-		e, err := push.NewEngine(u, push.ModeCAS, 2)
+		e, err := hybrid.NewEngine(g.Undirected(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
 		e.Observe(o)
-		for v := range e.Vertices {
-			e.Vertices[v] = uint64(v)
-		}
-		e.Frontier().ScheduleAll()
-		res, err := e.Run(context.Background(), push.Relax{
-			Message: func(srcVal uint64, _ uint32) uint64 { return srcVal },
-			Better:  func(c, cur uint64) bool { return c < cur },
-		})
+		e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
+		res, err := e.Run(context.Background(), algorithms.WCCKernel())
 		if err != nil || !res.Converged {
-			t.Fatalf("push: %v", err)
+			t.Fatalf("hybrid push: %v", err)
+		}
+		pushes := 0
+		for _, ev := range o.Events() {
+			if ev.Engine != obs.EngineHybrid {
+				continue
+			}
+			if ev.Direction != "push" {
+				t.Fatalf("forced-push iteration %d tagged %q", ev.Iter, ev.Direction)
+			}
+			pushes++
+		}
+		if pushes != res.Iterations {
+			t.Fatalf("%d hybrid events tagged push, want one per iteration (%d)", pushes, res.Iterations)
 		}
 	}
 
@@ -153,7 +161,7 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	for _, s := range stats {
 		byEngine[s.Engine] = s
 	}
-	for _, engine := range []string{"core", "async", "shard", "dist", "push", "autonomous"} {
+	for _, engine := range []string{"core", "async", "shard", "dist", "hybrid", "autonomous"} {
 		s, ok := byEngine[engine]
 		if !ok {
 			t.Fatalf("no stats row for engine %q", engine)
@@ -188,7 +196,7 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d, %v", resp.StatusCode, err)
 	}
-	for _, engine := range []string{"core", "async", "shard", "dist", "push", "autonomous"} {
+	for _, engine := range []string{"core", "async", "shard", "dist", "hybrid", "autonomous"} {
 		prefix := fmt.Sprintf(`ndgraph_samples_total{engine=%q} `, engine)
 		found := false
 		for _, line := range strings.Split(string(body), "\n") {

@@ -144,6 +144,28 @@ func TestFacadePushAndAsync(t *testing.T) {
 	if dist[63] != 14 {
 		t.Fatalf("corner distance = %v", dist[63])
 	}
+	// The result's accounting is the hybrid engine's: on a 10-vertex chain
+	// each of the 9 edges wins exactly once, one frontier vertex per
+	// iteration (9 hops + the sink's empty relaxation).
+	var chain []ndgraph.Edge
+	for v := uint32(0); v < 9; v++ {
+		chain = append(chain, ndgraph.Edge{Src: v, Dst: v + 1})
+	}
+	cg, err := ndgraph.BuildGraph(chain, ndgraph.GraphOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+	cdist, cres, err := ndgraph.PushSSSP(cg, 0, unit, ndgraph.PushModeCAS, 1)
+	if err != nil || !cres.Converged || cdist[9] != 9 {
+		t.Fatalf("push SSSP on a chain: dist[9] = %v, %+v, %v", cdist[9], cres, err)
+	}
+	if cres.Wins != 9 || cres.Pushes < cres.Wins || cres.Iterations != 10 || cres.Duration <= 0 {
+		t.Fatalf("push accounting %+v, want 9 wins in 10 iterations", cres)
+	}
+	if labels, wres, err := ndgraph.PushWCC(cg, ndgraph.PushModeCAS, 2); err != nil || !wres.Converged || labels[9] != 0 {
+		t.Fatalf("push WCC on a chain: label[9] = %d, %+v, %v", labels[9], wres, err)
+	}
 	// Async executor via LoadFrom.
 	bfs := ndgraph.NewBFS(g, 0)
 	seedEng, err := ndgraph.NewEngine(g, ndgraph.Options{})

@@ -48,7 +48,7 @@ echo "== go test -race (concurrency-heavy packages, short) =="
 # internal/edgedata and internal/algorithms race the bulk gather/scatter
 # loops in lock and atomic modes (ModeAligned is compiled out of race
 # builds).
-go test -race -short ./internal/core/ ./internal/async/ ./internal/dist/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/push/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
+go test -race -short ./internal/core/ ./internal/async/ ./internal/dist/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
 
 echo "== flake gate (barrier-free packages, -race -count=20, GOMAXPROCS 1/2/8) =="
 # Termination detection, work stealing and the lock-free telemetry paths
@@ -57,6 +57,14 @@ echo "== flake gate (barrier-free packages, -race -count=20, GOMAXPROCS 1/2/8) =
 # runnable threads than the tests' worker counts, must all pass.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 ./internal/async/ ./internal/sched/ ./internal/frontier/ ./internal/obs/
+done
+
+echo "== flake gate (barrier run lifecycle, -race -count=20, GOMAXPROCS 1/2/8) =="
+# Cancellation, the stall watchdog and panic recovery of the one barrier
+# loop (core.Loop) across core, hybrid and shard: the lifecycle table in
+# internal/core plus the hybrid panic and shard storage-failure tests.
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -count=20 -run Lifecycle ./internal/core/ ./internal/hybrid/ ./internal/shard/
 done
 
 echo "== go test -race (cross-engine differential, lock + atomic modes) =="

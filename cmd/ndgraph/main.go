@@ -24,7 +24,7 @@ import (
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
-	"ndgraph/internal/eligibility"
+	"ndgraph/internal/experiments"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/loader"
@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	source := fs.Int("source", -1, "traversal source vertex (-1 = highest out-degree)")
 	top := fs.Int("top", 0, "print the top-K vertices by result value")
 	probe := fs.Bool("probe", false, "probe conflicts and print the eligibility verdict instead of timing")
-	advise := fs.Bool("advise", false, "print the static (ndlint) and probe-based eligibility verdicts side by side")
+	advise := fs.Bool("advise", false, "print the certificate and probe-based eligibility verdicts side by side")
 	amplify := fs.Bool("amplify", false, "inject scheduling yields to widen race windows")
 	census := fs.Bool("census", false, "count observed conflicts during the run")
 	dispatch := fs.String("dispatch", "static", "intra-iteration dispatch: static (Fig. 1 blocks) or dynamic (chunked)")
@@ -82,10 +82,10 @@ func run(args []string, out io.Writer) error {
 		}
 		src = uint32(*source)
 	} else {
-		src = pickSource(g)
+		src = experiments.PickSource(g)
 	}
 
-	a, err := makeAlgorithm(*algoName, g, src, *eps, *seed)
+	a, err := algorithms.New(*algoName, g, src, *eps, *seed)
 	if err != nil {
 		return err
 	}
@@ -235,60 +235,27 @@ func loadInput(file, dataset string, scale int, seed uint64) (*graph.Graph, erro
 	}
 }
 
-func pickSource(g *graph.Graph) uint32 {
-	best, bestDeg := uint32(0), -1
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if d := g.OutDegree(v); d > bestDeg {
-			best, bestDeg = v, d
-		}
-	}
-	return best
-}
-
-// runAdvise prints both eligibility verdicts for a: the static one, from
-// the registered worst-case access profile (what ndlint derives from
-// source — graph-independent), and the probe one, from an instrumented
-// run on g. A static ELIGIBLE holds for every input; a probe ELIGIBLE
-// only for inputs whose census the probed graph dominates.
+// runAdvise prints both eligibility verdicts for a: the admission one
+// (NoSyncVerdict: the embedded certificate's, for a built-in algorithm —
+// its static worst-case profile, graph-independent) and the probe one,
+// from an instrumented run on g. A certificate ELIGIBLE holds for every
+// input; a probe ELIGIBLE only for inputs whose census the probed graph
+// dominates.
 func runAdvise(out io.Writer, a algorithms.Algorithm, g *graph.Graph) error {
-	sp, ok := algorithms.StaticProfiles()[a.Name()]
-	if !ok {
-		return fmt.Errorf("no static profile registered for %q", a.Name())
+	certVerdict, err := algorithms.NoSyncVerdict(a, g)
+	if err != nil {
+		return err
 	}
-	staticVerdict := eligibility.AdviseStatic(a.Properties(), sp)
 	census, probeVerdict, err := algorithms.Probe(a, g)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "\nalgorithm: %s\nstatic profile: %s\nprobe census: %d read-write edge(s), %d write-write edge(s)\n\n%s\n\n%s\n",
-		a.Name(), sp, census.RW, census.WW, staticVerdict, probeVerdict)
-	if staticVerdict.Eligible != probeVerdict.Eligible {
-		fmt.Fprintf(out, "\nnote: the sources disagree — the static worst-case conflict class did not materialize on this graph\n")
+	fmt.Fprintf(out, "\nalgorithm: %s\nprobe census: %d read-write edge(s), %d write-write edge(s)\n\n%s\n\n%s\n",
+		a.Name(), census.RW, census.WW, certVerdict, probeVerdict)
+	if certVerdict.Eligible != probeVerdict.Eligible {
+		fmt.Fprintf(out, "\nnote: the sources disagree — the certificate's worst-case conflict class did not materialize on this graph\n")
 	}
 	return nil
-}
-
-func makeAlgorithm(name string, g *graph.Graph, src uint32, eps float64, seed uint64) (algorithms.Algorithm, error) {
-	switch name {
-	case "pagerank":
-		return algorithms.NewPageRank(eps), nil
-	case "wcc":
-		return algorithms.NewWCC(), nil
-	case "sssp":
-		return algorithms.NewSSSP(g, src, seed+1), nil
-	case "bfs":
-		return algorithms.NewBFS(g, src), nil
-	case "spmv":
-		return algorithms.NewSpMV(g, eps, 0.5, seed+2), nil
-	case "kcore":
-		return algorithms.NewKCore(), nil
-	case "labelprop":
-		return algorithms.NewLabelProp(), nil
-	case "coloring":
-		return algorithms.NewColoring(), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
-	}
 }
 
 func printTop(out io.Writer, eng *core.Engine, a algorithms.Algorithm, k int) {

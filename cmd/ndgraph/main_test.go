@@ -44,7 +44,7 @@ func TestRunAdvise(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"static profile: WW", "[source: static]", "[source: probe]"} {
+	for _, want := range []string{"static access profile: WW", "[source: cert]", "[source: probe]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("advise output missing %q:\n%s", want, out)
 		}

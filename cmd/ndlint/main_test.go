@@ -186,3 +186,35 @@ func TestStandaloneFlagsViolationsAndPassSelection(t *testing.T) {
 		t.Errorf("-determinism did not report the wall-clock read:\n%s", out)
 	}
 }
+
+// TestCertCheck drives -certcheck against the embedded registry: the
+// checked-in certs.json is current, and a copy with one perturbed source
+// hash is reported STALE with a non-zero exit.
+func TestCertCheck(t *testing.T) {
+	root := repoRoot(t)
+	registry := filepath.Join(root, "internal", "algorithms", "certs.json")
+	out, code := runIn(root, binPath, "-certcheck", registry, "./internal/algorithms")
+	if code != 0 || !strings.Contains(out, "certificate(s) current") {
+		t.Fatalf("-certcheck on the checked-in registry exited %d:\n%s", code, out)
+	}
+
+	data, err := os.ReadFile(registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hash = `"source_hash": "fnv1a:`
+	i := strings.Index(string(data), hash)
+	if i < 0 {
+		t.Fatalf("no source hash in %s", registry)
+	}
+	mutated := append([]byte(nil), data...)
+	mutated[i+len(hash)] ^= 1 // first hash digit changed
+	perturbed := filepath.Join(t.TempDir(), "certs.json")
+	if err := os.WriteFile(perturbed, mutated, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runIn(root, binPath, "-certcheck", perturbed, "./internal/algorithms")
+	if code == 0 || !strings.Contains(out, "STALE") {
+		t.Fatalf("-certcheck on a perturbed hash exited %d without a STALE report:\n%s", code, out)
+	}
+}

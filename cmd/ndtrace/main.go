@@ -219,29 +219,11 @@ func rebuild(m trace.Meta) (*graph.Graph, algorithms.Algorithm, error) {
 		return nil, nil, fmt.Errorf("rebuilt graph has %d vertices, trace recorded %d", g.N(), m.Vertices)
 	}
 
-	seed := atouDefault(kv("seed"), 42)
-	eps := atofDefault(kv("eps"), 1e-3)
-	src := uint32(atoiDefault(kv("source"), 0))
-	var a algorithms.Algorithm
-	switch algo := kv("algo"); algo {
-	case "pagerank":
-		a = algorithms.NewPageRank(eps)
-	case "wcc":
-		a = algorithms.NewWCC()
-	case "sssp":
-		a = algorithms.NewSSSP(g, src, seed+1)
-	case "bfs":
-		a = algorithms.NewBFS(g, src)
-	case "spmv":
-		a = algorithms.NewSpMV(g, eps, 0.5, seed+2)
-	case "kcore":
-		a = algorithms.NewKCore()
-	case "labelprop":
-		a = algorithms.NewLabelProp()
-	case "coloring":
-		a = algorithms.NewColoring()
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q in trace provenance", algo)
+	// The same constructor ndgraph used, with ndgraph's flag defaults.
+	a, err := algorithms.New(kv("algo"), g, uint32(atoiDefault(kv("source"), 0)),
+		atofDefault(kv("eps"), 1e-3), atouDefault(kv("seed"), 42))
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace provenance: %w", err)
 	}
 	return g, a, nil
 }

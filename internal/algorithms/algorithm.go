@@ -42,6 +42,33 @@ type Algorithm interface {
 	Properties() eligibility.Properties
 }
 
+// New constructs the built-in algorithm called name for g: PageRank and
+// SpMV stop at local threshold eps, SSSP and BFS start from source, and
+// the random SSSP weights and SpMV coefficients derive from seed (seed+1
+// and seed+2). Every CLI, the experiments and trace replay build their
+// algorithms here, so a recorded run is rebuilt exactly.
+func New(name string, g *graph.Graph, source uint32, eps float64, seed uint64) (Algorithm, error) {
+	switch name {
+	case "pagerank":
+		return NewPageRank(eps), nil
+	case "wcc":
+		return NewWCC(), nil
+	case "sssp":
+		return NewSSSP(g, source, seed+1), nil
+	case "bfs":
+		return NewBFS(g, source), nil
+	case "spmv":
+		return NewSpMV(g, eps, 0.5, seed+2), nil
+	case "kcore":
+		return NewKCore(), nil
+	case "labelprop":
+		return NewLabelProp(), nil
+	case "coloring":
+		return NewColoring(), nil
+	}
+	return nil, fmt.Errorf("algorithms: unknown algorithm %q", name)
+}
+
 // Run builds an engine for g with opts, sets the algorithm up, executes it
 // to convergence, and returns the engine (holding final state) plus the
 // run result.

@@ -3,6 +3,8 @@ package algorithms
 import (
 	"testing"
 
+	"ndgraph/internal/async"
+	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
 	"ndgraph/internal/gen"
 )
@@ -28,14 +30,15 @@ func TestNoSyncVerdictStaticRoutes(t *testing.T) {
 			t.Errorf("%s: verdict = eligible=%v theorem=%d, want %v/%d",
 				c.a.Name(), v.Eligible, v.Theorem, c.eligible, c.theorem)
 		}
-		if v.Source != "static" {
-			t.Errorf("%s: source = %q, want static (registered algorithm)", c.a.Name(), v.Source)
+		if v.Source != "cert" {
+			t.Errorf("%s: source = %q, want cert (built-in algorithm)", c.a.Name(), v.Source)
 		}
 	}
 }
 
-// unregistered wraps WCC under a name outside the static registry, forcing
-// NoSyncVerdict down the probe path.
+// unregistered wraps WCC under a name outside the certificate registry.
+// It embeds a built-in, but its concrete type is not one, so
+// NoSyncVerdict must take the probe path.
 type unregistered struct{ *WCC }
 
 func (*unregistered) Name() string { return "wcc-unregistered" }
@@ -63,4 +66,36 @@ func TestNoSyncVerdictProbeFallback(t *testing.T) {
 	}
 }
 
-var _ Algorithm = (*unregistered)(nil)
+// impostor runs Coloring's update — write-write conflicts, not monotone —
+// under PageRank's name and declared Properties. Admission that went by
+// Name() would hand it PageRank's certificate and run it barrier-free.
+type impostor struct{ *Coloring }
+
+func (*impostor) Name() string { return "pagerank" }
+
+func (*impostor) Properties() eligibility.Properties { return NewPageRank(1e-4).Properties() }
+
+func TestNoSyncVerdictRefusesImpostor(t *testing.T) {
+	g, err := gen.RMAT(120, 700, gen.DefaultRMAT, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &impostor{NewColoring()}
+	v, err := NoSyncVerdict(a, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Source != "probe" || v.Eligible {
+		t.Fatalf("impostor verdict = %v, want a NOT ELIGIBLE probe verdict", v)
+	}
+	if _, err := async.NewNoSync(g, async.NoSyncOptions{
+		Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &v,
+	}); err == nil {
+		t.Fatal("no-sync executor admitted Coloring's update under PageRank's name")
+	}
+}
+
+var (
+	_ Algorithm = (*unregistered)(nil)
+	_ Algorithm = (*impostor)(nil)
+)

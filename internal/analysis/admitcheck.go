@@ -1,134 +1,50 @@
 package analysis
 
-// admitcheck guards the engine admission gate itself. async.NoSync
-// (barrier-free execution, Theorem 1/2 required) admits algorithms on
-// declared facts. The pass re-derives the theorem class from first
-// principles — the paper's two sufficient conditions applied to the
-// static access profile and the extracted Properties — and cross-checks
-// the result against the *live* library gate
-// (eligibility.AdviseStatic → Verdict.NoSync); any disagreement is a
-// drift tripwire diagnostic, catching edits to the eligibility logic
-// that silently change which algorithms the engines accept. For
-// algorithms that declare a ResidualDelta method (the telemetry residual
-// gauge's input) it additionally verifies, when the method's body
-// compiles, the metric laws obs.ResidualEstimator assumes: non-negative
-// everywhere and zero exactly on unchanged values.
+// admitcheck verifies the metric laws of a declared ResidualDelta (the
+// telemetry residual gauge's input): when the method's body compiles it
+// must be non-negative everywhere and zero exactly on unchanged values,
+// as obs.ResidualEstimator assumes. The Theorem 1/2 admission gates are
+// not derived here: eligibility.AdviseStatic is their one derivation,
+// and Certificates applies it to conflictclass's profile.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/types"
-
-	"ndgraph/internal/eligibility"
 )
 
-// AdmitCheck is the admission-gate verification pass.
+// AdmitCheck is the residual-metric verification pass.
 var AdmitCheck = &Analyzer{
 	Name: "admitcheck",
-	Doc: "re-derive Theorem 1/2 admission from the static profile and " +
-		"declared Properties, cross-check against the live NoSync gate, " +
-		"and verify the metric laws of a declared ResidualDelta",
-	Run: runAdmitCheck,
+	Doc:  "verify the metric laws of a declared ResidualDelta",
+	Run:  runAdmitCheck,
 }
 
-// AdmitReport is admitcheck's per-algorithm result — the admission slice
-// of the eligibility certificate.
+// AdmitReport is admitcheck's per-algorithm result — the residual-metric
+// slice of the eligibility certificate.
 type AdmitReport struct {
 	Name string
 	Recv string
-	// Profile is the static access profile the derivation used.
-	Profile eligibility.StaticProfile
-	// Props is the extracted declaration (nil ⇒ no report facts below).
-	Props *eligibility.Properties
-	// Theorem is the independently re-derived class (0 = not eligible).
-	Theorem int
-	// DeterministicResults and NoSyncOK are the re-derived gate
-	// outcomes, cross-checked against the library.
-	DeterministicResults bool
-	NoSyncOK             bool
 	// ResidualDelta coverage: declared, compiled, and law-clean.
 	HasResidualDelta     bool
 	ResidualDeltaChecked bool
 	ResidualDeltaOK      bool
 	// Counter carries the first ResidualDelta law violation.
 	Counter string
-	// Hash matches propcheck's source identity for the same update.
-	Hash string
 }
 
 func runAdmitCheck(pass *Pass) (any, error) {
 	ev := newEvaluator(pass)
-	c := &classifier{
-		pass:  pass,
-		decls: indexFuncDecls(pass),
-		memo:  map[*ast.FuncDecl]eligibility.StaticProfile{},
-		busy:  map[*ast.FuncDecl]bool{},
-	}
 	var reports []AdmitReport
 	for _, u := range FindUpdateFuncs(pass) {
 		if u.Recv == nil {
 			continue
 		}
-		props, ok := extractProperties(pass, u.Recv)
-		if !ok {
-			continue // conflictclass already reports unreadable Properties
-		}
-		r := AdmitReport{
-			Name:    u.Name,
-			Recv:    u.Recv.Obj().Name(),
-			Profile: c.profileOfBody(u.Body),
-			Props:   &props,
-			Hash:    updateHash(pass, u),
-		}
-		deriveAdmission(&r)
-		crossCheckGates(pass, u, r)
+		r := AdmitReport{Name: u.Name, Recv: u.Recv.Obj().Name()}
 		checkResidualDelta(ev, pass, u, &r)
 		reports = append(reports, r)
 	}
 	return reports, nil
-}
-
-// deriveAdmission applies the paper's sufficient conditions directly —
-// an implementation independent of eligibility.Advise, so the two can
-// disagree only if one of them drifted.
-func deriveAdmission(r *AdmitReport) {
-	p := *r.Props
-	ww := r.Profile.PotentialWW()
-	rw := r.Profile.PotentialRW()
-	switch {
-	case !ww && !rw:
-		// No edge conflicts are possible: concurrent updates never
-		// compete, nondeterministic execution is trivially covered.
-		r.Theorem = 1
-	case ww:
-		// Write-write conflicts corrupt values; only Theorem 2's
-		// monotone-recovery argument admits them.
-		if p.ConvergesDetAsync && p.Monotonic {
-			r.Theorem = 2
-		}
-	default:
-		// Read-write only: Theorem 1 needs a convergence chain under
-		// some deterministic schedule.
-		if p.ConvergesSynchronously || p.ConvergesDetAsync {
-			r.Theorem = 1
-		}
-	}
-	r.DeterministicResults = r.Theorem != 0 && p.Monotonic && p.Convergence == eligibility.Absolute
-	r.NoSyncOK = r.Theorem == 1 || r.Theorem == 2
-}
-
-// crossCheckGates compares the re-derived admission with what the
-// library actually answers today.
-func crossCheckGates(pass *Pass, u UpdateFn, r AdmitReport) {
-	v := eligibility.AdviseStatic(*r.Props, r.Profile)
-	libNoSync := v.NoSync() == nil
-	if v.Theorem != r.Theorem || libNoSync != r.NoSyncOK ||
-		v.DeterministicResults != r.DeterministicResults {
-		pass.Reportf(u.Pos().Pos(),
-			"admission gate drift for %s: paper-derived (theorem=%d nosync=%v det=%v) disagrees with eligibility library (theorem=%d nosync=%v det=%v) — the Advise/NoSync logic no longer matches the paper's sufficient conditions",
-			u.Name, r.Theorem, r.NoSyncOK, r.DeterministicResults,
-			v.Theorem, libNoSync, v.DeterministicResults)
-	}
 }
 
 // checkResidualDelta verifies the laws of a declared residual metric when

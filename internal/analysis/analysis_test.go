@@ -232,21 +232,14 @@ func TestAdmitCheckFixtures(t *testing.T) {
 	if !ok {
 		t.Fatal("no report for GoodEps")
 	}
-	if eps.Theorem != 1 || !eps.NoSyncOK || eps.DeterministicResults {
-		t.Errorf("GoodEps admission = %+v, want Theorem 1, no-sync, run-dependent results", eps)
-	}
 	if !eps.HasResidualDelta || !eps.ResidualDeltaChecked || !eps.ResidualDeltaOK {
 		t.Errorf("GoodEps residual metric = %+v, want declared+checked+law-clean", eps)
 	}
 
-	mono := byRecv["GoodMono"]
-	if mono.Theorem != 2 || !mono.NoSyncOK || !mono.DeterministicResults {
-		t.Errorf("GoodMono admission = %+v, want Theorem 2, no-sync, deterministic results", mono)
-	}
-
-	nord := byRecv["GoodNoRD"]
-	if nord.Theorem != 1 || !nord.NoSyncOK || nord.HasResidualDelta {
-		t.Errorf("GoodNoRD = %+v, want Theorem 1, no-sync, no metric", nord)
+	for _, recv := range []string{"GoodMono", "GoodNoRD"} {
+		if r, ok := byRecv[recv]; !ok || r.HasResidualDelta || r.Counter != "" {
+			t.Errorf("%s = %+v (reported %v), want a report with no metric", recv, r, ok)
+		}
 	}
 
 	badrd := byRecv["BadRD"]

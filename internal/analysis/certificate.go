@@ -2,12 +2,14 @@ package analysis
 
 // certificate.go assembles eligibility certificates from the pass
 // results: one "update" certificate per algorithm whose Properties are
-// statically readable (joining conflictclass's profile, propcheck's
-// merge laws, and admitcheck's gate derivation on the shared source
-// hash) and one "kernel" certificate per Kernel literal. cmd/ndlint
-// -cert emits them; internal/algorithms embeds the emitted JSON so
-// engine admission can accept certificates without re-running analysis,
-// and the consistency test re-derives them to catch staleness.
+// statically readable (conflictclass's profile, properties and
+// AdviseStatic verdict, joined with propcheck's merge laws and source
+// hash and admitcheck's residual-metric laws) and one "kernel"
+// certificate per Kernel literal. The gates are the ones
+// Certificate.Verdict re-derives with the same AdviseStatic call.
+// cmd/ndlint -cert emits them; internal/algorithms embeds the emitted
+// JSON so engine admission can accept certificates without re-running
+// analysis, and the consistency test re-derives them to catch staleness.
 
 import (
 	"fmt"
@@ -26,45 +28,46 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	classes, _ := results[ConflictClass.Name].([]ClassReport)
 	props, _ := results[PropCheck.Name].([]PropReport)
 	admits, _ := results[AdmitCheck.Name].([]AdmitReport)
 	kernels, _ := results[KernelCheck.Name].([]KernelReport)
 
-	admitByHash := make(map[string]AdmitReport, len(admits))
+	propByName := make(map[string]PropReport, len(props))
+	for _, p := range props {
+		propByName[p.Name] = p
+	}
+	admitByName := make(map[string]AdmitReport, len(admits))
 	for _, a := range admits {
-		admitByHash[a.Hash] = a
+		admitByName[a.Name] = a
 	}
 
 	var certs []eligibility.Certificate
-	for _, p := range props {
-		a, ok := admitByHash[p.Hash]
-		if !ok || p.Props == nil {
+	for _, c := range classes {
+		if c.Recv == "" || c.Verdict == nil {
 			continue // no readable Properties ⇒ nothing to certify
 		}
+		p, a := propByName[c.Name], admitByName[c.Name]
 		// SSSP builds its Name at runtime ("sssp" or "bfs" share one
 		// update), so the extracted Name is empty; fall back to the
 		// lower-cased receiver type, which matches the registry key.
-		name := p.Props.Name
-		if name == "" && p.Recv != "" {
-			name = strings.ToLower(p.Recv)
-		}
+		name := c.Props.Name
 		if name == "" {
-			name = p.Name
+			name = strings.ToLower(c.Recv)
 		}
-		profile := a.Profile
-		c := eligibility.Certificate{
+		profile := c.Profile
+		certs = append(certs, eligibility.Certificate{
 			Name:                  name,
 			Kind:                  "update",
 			SourceHash:            p.Hash,
 			Profile:               &profile,
-			Props:                 p.Props,
-			Theorem:               a.Theorem,
-			DeterministicResults:  a.DeterministicResults,
-			NoSyncOK:              a.NoSyncOK,
+			Props:                 c.Props,
+			Theorem:               c.Verdict.Theorem,
+			DeterministicResults:  c.Verdict.DeterministicResults,
+			NoSyncOK:              c.Verdict.NoSync() == nil,
 			MergeVerified:         p.Merge.Extracted && p.Merge.SemilatticeVerified,
 			ResidualDeltaVerified: a.ResidualDeltaChecked && a.ResidualDeltaOK,
-		}
-		certs = append(certs, c)
+		})
 	}
 	for _, k := range kernels {
 		if k.Name == "" {

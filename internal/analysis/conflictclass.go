@@ -27,8 +27,8 @@ var ConflictClass = &Analyzer{
 }
 
 // ClassReport is one update function's static classification — the pass
-// result is []ClassReport, consumed by the static/runtime consistency test
-// and by cmd/ndlint's verbose output.
+// result is []ClassReport, the profile, properties and gates of an update
+// certificate (see Certificates).
 type ClassReport struct {
 	// Name is the update function's display name; Recv the receiver type
 	// name for methods ("" otherwise).

@@ -1,5 +1,5 @@
-// Positive admitcheck fixtures: consistent gates and a law-clean
-// residual metric are silent.
+// Positive admitcheck fixtures: a law-clean residual metric, or none at
+// all, is silent.
 package admitcheck
 
 import (

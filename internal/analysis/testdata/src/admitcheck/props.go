@@ -1,4 +1,4 @@
-// Package admitcheck exercises the admission-gate verifier. The
+// Package admitcheck exercises the residual-metric verifier. The
 // Properties/Condition types replicate internal/eligibility's — the pass
 // extracts declarations by field name, so the fixture stays
 // self-contained.

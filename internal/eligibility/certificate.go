@@ -5,13 +5,14 @@ import (
 	"fmt"
 )
 
-// A Certificate is the machine-readable product of the semantic
-// verification passes (internal/analysis: propcheck, kernelcheck,
-// admitcheck): the facts engine admission needs, keyed by an FNV-1a
-// hash of the source they were derived from. Engines accept a
-// certificate in place of a probe run — Verdict() re-derives the gate
-// outcomes from the carried profile and properties and refuses a
-// tampered certificate whose recorded gates disagree — while the hash
+// A Certificate is the machine-readable product of the static analysis
+// (internal/analysis: conflictclass's profile and properties with their
+// AdviseStatic gates, propcheck's merge laws, admitcheck's residual
+// metric, kernelcheck's order laws): the facts engine admission needs,
+// keyed by an FNV-1a hash of the source they were derived from. Engines
+// accept a certificate in place of a probe run — Verdict() re-derives
+// the gate outcomes from the carried profile and properties and refuses
+// a tampered certificate whose recorded gates disagree — while the hash
 // lets any holder of the current analysis detect staleness (Stale) and
 // force re-analysis after the function changed.
 type Certificate struct {
@@ -88,7 +89,7 @@ func (c *Certificate) Verdict() (*Verdict, error) {
 	}
 	v.Source = "cert"
 	v.Reasons = append(v.Reasons,
-		fmt.Sprintf("admitted on eligibility certificate %q (%s)", c.Name, c.SourceHash))
+		fmt.Sprintf("from eligibility certificate %q (%s)", c.Name, c.SourceHash))
 	return &v, nil
 }
 

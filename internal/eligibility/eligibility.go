@@ -81,8 +81,9 @@ type Verdict struct {
 	// sufficient condition.
 	Eligible bool
 	// Source records how the conflict profile was obtained: "probe" for an
-	// instrumented runtime census, "static" for a compile-time access
-	// profile (see AdviseStatic), or "" when unspecified.
+	// instrumented runtime census, "cert" for the compile-time access
+	// profile carried by an eligibility certificate (Certificate.Verdict),
+	// "static" for a bare AdviseStatic call, or "" when unspecified.
 	Source string
 	// Theorem is 1 or 2 when Eligible (the applicable condition), else 0.
 	Theorem int
@@ -124,10 +125,11 @@ func (v Verdict) String() string {
 // paper's sufficient conditions (Theorem 1: RW-only conflicts + a
 // convergence premise; Theorem 2: monotone + det-async convergence) may
 // opt in. A nil receiver is "no verdict was obtained" and is refused —
-// callers must probe or statically analyze before going barrier-free.
+// callers must probe the algorithm or present its certificate before
+// going barrier-free.
 func (v *Verdict) NoSync() error {
 	if v == nil {
-		return fmt.Errorf("eligibility: no-sync execution requires an eligibility verdict (run Probe or AdviseStatic first)")
+		return fmt.Errorf("eligibility: no-sync execution requires an eligibility verdict (from algorithms.Probe or Certificate.Verdict)")
 	}
 	if !v.Eligible {
 		msg := "eligibility: algorithm is NOT ELIGIBLE for nondeterministic execution; no-sync tier refused"

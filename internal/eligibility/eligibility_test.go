@@ -1,6 +1,7 @@
 package eligibility
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,9 @@ func TestCertificateVerdictGates(t *testing.T) {
 	const coloring = `"name": "coloring", "kind": "update", "source_hash": "fnv1a:0",
 		"profile": {"ReadsIn": true, "ReadsOut": true, "WritesIn": true, "WritesOut": true, "WritesVertex": true},
 		"props": {"Name": "coloring", "ConvergesDetAsync": true}`
+	const wcc = `"name": "wcc", "kind": "update", "source_hash": "fnv1a:0",
+		"profile": {"ReadsIn": true, "ReadsOut": true, "WritesIn": true, "WritesOut": true, "WritesVertex": true},
+		"props": {"Name": "wcc", "ConvergesSynchronously": true, "ConvergesDetAsync": true, "Monotonic": true}`
 	cases := []struct {
 		name, json   string
 		inconsistent bool // Verdict() must refuse the certificate itself
@@ -158,6 +162,10 @@ func TestCertificateVerdictGates(t *testing.T) {
 			json: `[{` + coloring + `, "nosync_ok": true}]`},
 		{name: "wrong theorem", inconsistent: true,
 			json: `[{` + pagerank + `, "theorem": 2, "nosync_ok": true}]`},
+		{name: "genuine theorem 2", admitted: true,
+			json: `[{` + wcc + `, "theorem": 2, "nosync_ok": true, "deterministic_results": true}]`},
+		{name: "theorem 2 rewritten to 1", inconsistent: true,
+			json: `[{` + wcc + `, "theorem": 1, "nosync_ok": true, "deterministic_results": true}]`},
 		{name: "forged deterministic_results", inconsistent: true,
 			json: `[{` + pagerank + `, "theorem": 1, "nosync_ok": true, "deterministic_results": true}]`},
 	}
@@ -181,5 +189,76 @@ func TestCertificateVerdictGates(t *testing.T) {
 				t.Errorf("NoSync admitted = %v, want %v (%v)", got, tc.admitted, v.NoSync())
 			}
 		})
+	}
+}
+
+// TestTheoremTable checks the advisor against the paper's two sufficient
+// conditions over every combination of potential conflict classes and
+// declared premises, on all three routes to a verdict: Advise on a
+// census, AdviseStatic on a static profile, and a certificate recording
+// the expected gates. The expected outcome is stated here, from the
+// theorems, independently of Advise:
+//
+//   - no conflict possible: nothing competes, trivially eligible (Theorem 1);
+//   - write-write conflicts: Theorem 2, which needs det-async convergence
+//     and monotone values;
+//   - read-write conflicts only: Theorem 1, which needs convergence under
+//     the synchronous or the deterministic asynchronous model;
+//
+// and results are reproducible exactly when an eligible algorithm is
+// monotone with an absolute convergence condition.
+func TestTheoremTable(t *testing.T) {
+	for bits := 0; bits < 64; bits++ {
+		bit := func(i int) bool { return bits&(1<<i) != 0 }
+		rw, ww := bit(0), bit(1)
+		p := Properties{ConvergesSynchronously: bit(2), ConvergesDetAsync: bit(3), Monotonic: bit(4)}
+		if bit(5) {
+			p.Convergence = Approximate
+		}
+		theorem := 0
+		switch {
+		case !rw && !ww:
+			theorem = 1
+		case ww:
+			if p.ConvergesDetAsync && p.Monotonic {
+				theorem = 2
+			}
+		default:
+			if p.ConvergesSynchronously || p.ConvergesDetAsync {
+				theorem = 1
+			}
+		}
+		det := theorem != 0 && p.Monotonic && p.Convergence == Absolute
+		name := fmt.Sprintf("rw=%v ww=%v %+v", rw, ww, p)
+
+		var census ConflictProfile
+		var sp StaticProfile
+		if rw {
+			census.RW = 1
+			sp.ReadsIn, sp.WritesOut = true, true
+		}
+		if ww {
+			census.WW = 1
+			sp.WritesIn, sp.WritesOut = true, true
+		}
+		if sp.PotentialRW() != rw || sp.PotentialWW() != ww {
+			t.Fatalf("%s: profile %s does not realize the class", name, sp)
+		}
+		for route, v := range map[string]Verdict{"Advise": Advise(p, census), "AdviseStatic": AdviseStatic(p, sp)} {
+			if v.Theorem != theorem || v.Eligible != (theorem != 0) || v.DeterministicResults != det {
+				t.Errorf("%s: %s = eligible=%v theorem=%d det=%v, want theorem=%d det=%v",
+					name, route, v.Eligible, v.Theorem, v.DeterministicResults, theorem, det)
+			}
+			if admitted := v.NoSync() == nil; admitted != (theorem != 0) {
+				t.Errorf("%s: %s NoSync admitted=%v, want %v", name, route, admitted, theorem != 0)
+			}
+		}
+		cert := Certificate{Name: "x", Kind: "update", Profile: &sp, Props: &p,
+			Theorem: theorem, DeterministicResults: det, NoSyncOK: theorem != 0}
+		if v, err := cert.Verdict(); err != nil {
+			t.Errorf("%s: certificate carrying the theorems' gates refused: %v", name, err)
+		} else if v.Theorem != theorem || v.Source != "cert" {
+			t.Errorf("%s: certificate verdict theorem=%d source=%q", name, v.Theorem, v.Source)
+		}
 	}
 }

@@ -34,7 +34,8 @@ func (sp StaticProfile) PotentialWW() bool {
 	return sp.WritesIn && sp.WritesOut
 }
 
-// Class names the static conflict class: "RO" (no edge writes), "RW"
+// Class names the static conflict class: "RO" (no conflict possible —
+// no edge writes, or writes the opposite endpoint never touches), "RW"
 // (read-write conflicts possible, no write-write), or "WW" (write-write
 // conflicts possible).
 func (sp StaticProfile) Class() string {
@@ -43,10 +44,6 @@ func (sp StaticProfile) Class() string {
 		return "WW"
 	case sp.PotentialRW():
 		return "RW"
-	case sp.WritesIn || sp.WritesOut:
-		// Writes exist but the opposite endpoint never reads or writes:
-		// the edge word is effectively private to one endpoint.
-		return "RO"
 	default:
 		return "RO"
 	}

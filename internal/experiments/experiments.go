@@ -133,26 +133,7 @@ func AlgoNames() []string { return []string{"pagerank", "wcc", "sssp", "bfs"} }
 // traversal reaches a large fraction of every synthetic graph.
 func NewAlgorithm(name string, g *graph.Graph, cfg Config) (algorithms.Algorithm, error) {
 	cfg.validate()
-	switch name {
-	case "pagerank":
-		return algorithms.NewPageRank(cfg.PageRankEps), nil
-	case "wcc":
-		return algorithms.NewWCC(), nil
-	case "sssp":
-		return algorithms.NewSSSP(g, PickSource(g), cfg.Seed+1), nil
-	case "bfs":
-		return algorithms.NewBFS(g, PickSource(g)), nil
-	case "spmv":
-		return algorithms.NewSpMV(g, cfg.PageRankEps, 0.5, cfg.Seed+2), nil
-	case "kcore":
-		return algorithms.NewKCore(), nil
-	case "labelprop":
-		return algorithms.NewLabelProp(), nil
-	case "coloring":
-		return algorithms.NewColoring(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown algorithm %q", name)
-	}
+	return algorithms.New(name, g, PickSource(g), cfg.PageRankEps, cfg.Seed)
 }
 
 // PickSource returns the vertex with the highest out-degree — a stable,

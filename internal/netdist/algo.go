@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 )
@@ -85,26 +84,25 @@ type kernel interface {
 }
 
 // newKernel builds the kernel for spec over partition id of t. The graph
-// g must be the base directed graph of the job; WCC symmetrizes it
-// internally (min-label propagation needs both directions).
+// g must be the base directed graph of the job. WCC, BFS and SSSP run the
+// certified algorithms.Kernel of the same name, on the symmetrized graph
+// when the kernel is Undirected (min-label propagation needs both
+// directions).
 func newKernel(spec AlgoSpec, g *graph.Graph, t Table, id int) (kernel, error) {
 	lo, hi := t.Range(id)
+	var kern algorithms.Kernel
 	switch spec.Name {
 	case "wcc":
-		u := g.Undirected()
-		k := &monotoneKernel{g: u, lo: lo, hi: hi}
-		k.buildInEdgeMap()
-		return k, nil
-	case "bfs":
-		k := &monotoneKernel{g: g, lo: lo, hi: hi, sssp: true,
-			source: spec.Source, weights: algorithms.NewBFS(g, spec.Source).Weights}
-		k.buildInEdgeMap()
-		return k, nil
-	case "sssp":
-		k := &monotoneKernel{g: g, lo: lo, hi: hi, sssp: true,
-			source: spec.Source, weights: algorithms.NewSSSP(g, spec.Source, spec.WeightSeed).Weights}
-		k.buildInEdgeMap()
-		return k, nil
+		kern = algorithms.WCCKernel()
+	case "bfs", "sssp":
+		if int(spec.Source) >= g.N() {
+			return nil, fmt.Errorf("netdist: %s source %d out of range (|V| = %d)", spec.Name, spec.Source, g.N())
+		}
+		if spec.Name == "bfs" {
+			kern = algorithms.BFSKernel(spec.Source)
+		} else {
+			kern = algorithms.SSSPKernel(spec.Source, algorithms.NewSSSP(g, spec.Source, spec.WeightSeed).Weights)
+		}
 	case "pagerank":
 		eps := spec.Eps
 		if eps <= 0 {
@@ -113,24 +111,36 @@ func newKernel(spec AlgoSpec, g *graph.Graph, t Table, id int) (kernel, error) {
 		k := &pagerankKernel{g: g, lo: lo, hi: hi, eps: eps, damping: 0.85}
 		k.init()
 		return k, nil
+	default:
+		return nil, fmt.Errorf("netdist: unknown algorithm %q", spec.Name)
 	}
-	return nil, fmt.Errorf("netdist: unknown algorithm %q", spec.Name)
+	if kern.Undirected {
+		g = g.Undirected()
+	}
+	k := &monotoneKernel{kern: kern, g: g, lo: lo, hi: hi}
+	k.buildInEdgeMap()
+	return k, nil
 }
 
-// --- Monotone min-propagation: WCC, BFS, SSSP ---
+// --- Monotone kernels: WCC, BFS, SSSP ---
 
-// monotoneKernel runs the Theorem-2 family: values only improve under a
-// total order, so the merge is idempotent and commutative — duplicated,
-// reordered, and replayed deliveries are all absorbed for free, which is
-// what makes at-least-once transport and crash repair sound.
+// monotoneKernel runs an algorithms.Kernel, the Theorem-2 family: values
+// only improve under Better's strict order, so the merge is idempotent
+// and commutative — duplicated, reordered, and replayed deliveries are
+// all absorbed for free, which is what makes at-least-once transport and
+// crash repair sound.
 type monotoneKernel struct {
+	kern   algorithms.Kernel
 	g      *graph.Graph
 	lo, hi uint32
 	vals   []uint64 // owned, index v-lo
 
-	sssp    bool // false: WCC label propagation
-	source  uint32
-	weights []float64
+	// init and seed hold each owned vertex's Init value and seed flag. A
+	// vertex that still holds its Init value and is not a seed has
+	// nothing to offer (an unreached BFS/SSSP vertex), so it sends
+	// nothing.
+	init []uint64
+	seed []bool
 
 	inDst map[uint32]uint32 // owned in-edge canonical index → owned dst
 }
@@ -144,39 +154,32 @@ func (k *monotoneKernel) buildInEdgeMap() {
 	}
 }
 
-func (k *monotoneKernel) better(new, old uint64) bool {
-	if k.sssp {
-		return edgedata.ToFloat64(new) < edgedata.ToFloat64(old)
-	}
-	return new < old
-}
-
-func (k *monotoneKernel) msg(e uint32, val uint64) uint64 {
-	if k.sssp {
-		return edgedata.FromFloat64(edgedata.ToFloat64(val) + k.weights[e])
-	}
-	return val
+// idle reports whether owned vertex v has nothing to offer yet.
+func (k *monotoneKernel) idle(v uint32) bool {
+	i := v - k.lo
+	return !k.seed[i] && k.vals[i] == k.init[i]
 }
 
 func (k *monotoneKernel) reset() []uint32 {
-	k.vals = make([]uint64, k.hi-k.lo)
-	if k.sssp {
-		inf := edgedata.FromFloat64(math.Inf(1))
-		for i := range k.vals {
-			k.vals[i] = inf
+	all, seeds := k.kern.Init(k.g)
+	k.init = append([]uint64(nil), all[k.lo:k.hi]...)
+	k.vals = append([]uint64(nil), k.init...)
+	k.seed = make([]bool, k.hi-k.lo)
+	var owned []uint32
+	if seeds == nil { // every vertex starts scheduled
+		for v := k.lo; v < k.hi; v++ {
+			owned = append(owned, v)
 		}
-		if k.source >= k.lo && k.source < k.hi {
-			k.vals[k.source-k.lo] = edgedata.FromFloat64(0)
-			return []uint32{k.source}
+	}
+	for _, v := range seeds {
+		if u := uint32(v); u >= k.lo && u < k.hi {
+			owned = append(owned, u)
 		}
-		return nil
 	}
-	seeds := make([]uint32, 0, k.hi-k.lo)
-	for v := k.lo; v < k.hi; v++ {
-		k.vals[v-k.lo] = uint64(v)
-		seeds = append(seeds, v)
+	for _, v := range owned {
+		k.seed[v-k.lo] = true
 	}
-	return seeds
+	return owned
 }
 
 func (k *monotoneKernel) deliver(e uint32, val uint64) (uint32, bool, bool) {
@@ -184,7 +187,7 @@ func (k *monotoneKernel) deliver(e uint32, val uint64) (uint32, bool, bool) {
 	if !ok {
 		return 0, false, false // stale frame for an edge we don't own
 	}
-	if k.better(val, k.vals[v-k.lo]) {
+	if k.kern.Better(val, k.vals[v-k.lo]) {
 		k.vals[v-k.lo] = val
 		return v, true, true
 	}
@@ -192,30 +195,30 @@ func (k *monotoneKernel) deliver(e uint32, val uint64) (uint32, bool, bool) {
 }
 
 func (k *monotoneKernel) process(v uint32, emit emitFn) {
-	val := k.vals[v-k.lo]
-	if k.sssp && math.IsInf(edgedata.ToFloat64(val), 1) {
-		return // unreached; nothing to scatter
+	if k.idle(v) {
+		return
 	}
+	val := k.vals[v-k.lo]
 	eLo, _ := k.g.OutEdgeIndex(v)
 	for i, dst := range k.g.OutNeighbors(v) {
 		e := eLo + uint32(i)
-		emit(e, dst, k.msg(e, val))
+		emit(e, dst, k.kern.Message(val, e))
 	}
 }
 
 func (k *monotoneKernel) boundary(pred func(dst uint32) bool, emit emitFn) {
 	for v := k.lo; v < k.hi; v++ {
-		val := k.vals[v-k.lo]
-		if k.sssp && math.IsInf(edgedata.ToFloat64(val), 1) {
+		if k.idle(v) {
 			continue
 		}
+		val := k.vals[v-k.lo]
 		eLo, _ := k.g.OutEdgeIndex(v)
 		for i, dst := range k.g.OutNeighbors(v) {
 			if !pred(dst) {
 				continue
 			}
 			e := eLo + uint32(i)
-			emit(e, dst, k.msg(e, val))
+			emit(e, dst, k.kern.Message(val, e))
 		}
 	}
 }

@@ -103,6 +103,43 @@ func TestRunReleasesLocalWorkers(t *testing.T) {
 	}
 }
 
+// TestMonotoneKernelsCertified: every monotone algorithm netdist accepts
+// runs the algorithms.Kernel of that name, and the embedded kernel
+// certificate admits it — the certificate describes the code the workers
+// run.
+func TestMonotoneKernelsCertified(t *testing.T) {
+	g := mustBuild(t, testRMAT)
+	tab, err := NewTable(g.N(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"wcc", "bfs", "sssp"} {
+		k, err := newKernel(AlgoSpec{Name: name, Source: 1, WeightSeed: 3}, g, tab, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk, ok := k.(*monotoneKernel)
+		if !ok {
+			t.Fatalf("%s: kernel is %T, want *monotoneKernel", name, k)
+		}
+		if mk.kern.Name != name {
+			t.Errorf("%s: runs kernel %q", name, mk.kern.Name)
+		}
+		cert, err := algorithms.CertificateFor("kernel", mk.kern.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cert.AdmitKernel(mk.kern.Name, mk.kern.EdgeIndexed, mk.kern.FirstOfferWins); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if name != "wcc" {
+			if _, err := newKernel(AlgoSpec{Name: name, Source: uint32(g.N())}, g, tab, 0); err == nil {
+				t.Errorf("%s: source %d accepted on a %d-vertex graph", name, g.N(), g.N())
+			}
+		}
+	}
+}
+
 func TestDistBFS(t *testing.T) {
 	g := mustBuild(t, testRMAT)
 	res, err := Run(context.Background(), fastOpts(4, testRMAT, AlgoSpec{Name: "bfs", Source: 1}))

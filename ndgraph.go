@@ -109,7 +109,7 @@ type (
 	// touch, as derived from its source (cmd/ndlint's conflictclass pass).
 	StaticProfile = eligibility.StaticProfile
 	// Certificate is a machine-verified admission certificate emitted by
-	// ndlint's semantic passes (propcheck/kernelcheck/admitcheck). It is
+	// `ndlint -cert` from the analysis passes. It is
 	// tamper-evident: Verdict() re-derives the recorded gates and errors
 	// on disagreement, Stale() detects source drift via the embedded
 	// hash, and AdmitKernel() checks a hybrid kernel's name and flags.
@@ -122,8 +122,8 @@ type (
 
 // Admission certificates for the built-in algorithms and kernels,
 // verified by `ndlint -cert` and embedded at build time
-// (internal/algorithms/certs.json). CI re-derives them from source on
-// every run, so a certificate that decodes is current.
+// (internal/algorithms/certs.json). The tests re-derive them from source
+// on every run, so a certificate that decodes is current.
 var (
 	// EligibilityCertificates returns every embedded certificate.
 	EligibilityCertificates = algorithms.EligibilityCertificates
@@ -241,9 +241,6 @@ var (
 	// AdviseStatic applies them to a statically derived access profile —
 	// a worst case over all graphs, so ELIGIBLE holds for every input.
 	AdviseStatic = eligibility.AdviseStatic
-	// StaticProfiles is the registry of the built-in algorithms'
-	// update-function access profiles, keyed by Name().
-	StaticProfiles = algorithms.StaticProfiles
 
 	// NewPageRank builds PageRank with local threshold ε.
 	NewPageRank = algorithms.NewPageRank
@@ -513,8 +510,8 @@ var (
 	// paper's Theorem 1 or 2.
 	NewNoSyncExecutor = async.NewNoSync
 	// NoSyncVerdict derives the admission verdict for an algorithm: the
-	// static profile for registered algorithms, an instrumented probe
-	// otherwise.
+	// embedded certificate's for a built-in algorithm type, an
+	// instrumented probe for any other type.
 	NoSyncVerdict = algorithms.NoSyncVerdict
 )
 

@@ -40,6 +40,7 @@ import (
 	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
+	"ndgraph/internal/experiments"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
@@ -238,18 +239,6 @@ func checkFloats(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// diffSource picks the highest-out-degree vertex so traversals reach a
-// large fraction of the graph.
-func diffSource(g *graph.Graph) uint32 {
-	best, bestDeg := uint32(0), -1
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if d := g.OutDegree(v); d > bestDeg {
-			best, bestDeg = v, d
-		}
-	}
-	return best
-}
-
 func TestCrossEngineDifferentialWCC(t *testing.T) {
 	for _, gc := range diffGraphs(t) {
 		t.Run(gc.name, func(t *testing.T) {
@@ -289,7 +278,7 @@ func TestCrossEngineDifferentialBFS(t *testing.T) {
 	for _, gc := range diffGraphs(t) {
 		t.Run(gc.name, func(t *testing.T) {
 			g := gc.g
-			src := diffSource(g)
+			src := experiments.PickSource(g)
 			bfs := algorithms.NewBFS(g, src)
 			want := wordsToFloats(runCoreWords(t, g, bfs, core.Options{Scheduler: sched.Deterministic}))
 			checkFloats(t, "core-det vs dijkstra", want, algorithms.ReferenceSSSP(g, src, bfs.Weights))
@@ -329,7 +318,7 @@ func TestCrossEngineDifferentialSSSP(t *testing.T) {
 	for _, gc := range diffGraphs(t) {
 		t.Run(gc.name, func(t *testing.T) {
 			g := gc.g
-			src := diffSource(g)
+			src := experiments.PickSource(g)
 			ref := algorithms.NewSSSP(g, src, gc.seed+7)
 			want := wordsToFloats(runCoreWords(t, g, ref, core.Options{Scheduler: sched.Deterministic}))
 			checkFloats(t, "core-det vs dijkstra", want, algorithms.ReferenceSSSP(g, src, ref.Weights))

@@ -1,16 +1,18 @@
-// Root-level consistency test tying the three eligibility oracles
-// together for every built-in algorithm:
+// Root-level consistency tests tying the two eligibility oracles together
+// for every built-in algorithm:
 //
-//   - the hand-written registry algorithms.StaticProfiles (the paper's
-//     worst-case conflict table),
-//   - the ndlint conflictclass pass, which derives the same profiles from
-//     the update functions' source, and
+//   - the static one: the conflictclass pass's worst-case profile and
+//     extracted Properties, gated by eligibility.AdviseStatic, as frozen
+//     into the embedded certificate registry
+//     (internal/algorithms/certs.json), which must equal the certificates
+//     ndlint derives from source now, and
 //   - the runtime probe census, which counts conflicts actually realized
 //     on a concrete graph.
 //
-// The pass must reproduce the registry exactly, the static profile must
-// over-approximate every probe census, and the statically extracted
-// Properties and verdicts must agree with their runtime counterparts.
+// The static profile must over-approximate every probe census, the
+// statically extracted Properties must equal the runtime ones, and on a
+// worst-case-realizing graph the static and certificate verdicts must
+// equal the probe verdict.
 package ndgraph_test
 
 import (
@@ -23,50 +25,18 @@ import (
 	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
-	"ndgraph/internal/eligibility"
 	"ndgraph/internal/gen"
-	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
 )
 
-// updateRecv maps algorithm names to the receiver type of their Update
-// method, as the conflictclass pass labels its reports. BFS shares the
-// SSSP update function.
-var updateRecv = map[string]string{
-	"pagerank":  "PageRank",
-	"wcc":       "WCC",
-	"sssp":      "SSSP",
-	"bfs":       "SSSP",
-	"spmv":      "SpMV",
-	"kcore":     "KCore",
-	"labelprop": "LabelProp",
-	"coloring":  "Coloring",
-}
+// builtinNames lists the eight built-in algorithms by their
+// algorithms.New name.
+var builtinNames = []string{"pagerank", "wcc", "sssp", "bfs", "spmv", "kcore", "labelprop", "coloring"}
 
-func makeAlgorithm(t *testing.T, name string, g *graph.Graph) algorithms.Algorithm {
-	t.Helper()
-	switch name {
-	case "pagerank":
-		return algorithms.NewPageRank(1e-6)
-	case "wcc":
-		return algorithms.NewWCC()
-	case "sssp":
-		return algorithms.NewSSSP(g, 0, 11)
-	case "bfs":
-		return algorithms.NewBFS(g, 0)
-	case "spmv":
-		return algorithms.NewSpMV(g, 1e-6, 0.5, 12)
-	case "kcore":
-		return algorithms.NewKCore()
-	case "labelprop":
-		return algorithms.NewLabelProp()
-	case "coloring":
-		return algorithms.NewColoring()
-	}
-	t.Fatalf("unknown algorithm %q", name)
-	return nil
-}
-
+// TestStaticProfilesConsistentWithProbe runs the conflictclass pass over
+// the algorithms' source and checks each built-in's static answer — the
+// worst-case profile, the extracted Properties and the AdviseStatic
+// verdict the certificates freeze — against the runtime probe.
 func TestStaticProfilesConsistentWithProbe(t *testing.T) {
 	pkgs, err := analysis.Load(".", "./internal/algorithms")
 	if err != nil {
@@ -90,85 +60,72 @@ func TestStaticProfilesConsistentWithProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	registry := algorithms.StaticProfiles()
-	names := []string{"pagerank", "wcc", "sssp", "bfs", "spmv", "kcore", "labelprop", "coloring"}
-	if len(names) != len(registry) {
-		t.Fatalf("registry has %d entries, want %d", len(registry), len(names))
-	}
-	for _, name := range names {
+	for _, name := range builtinNames {
 		t.Run(name, func(t *testing.T) {
-			want, ok := registry[name]
-			if !ok {
-				t.Fatalf("no StaticProfiles entry for %q", name)
+			a, err := algorithms.New(name, g, 0, 1e-6, 10)
+			if err != nil {
+				t.Fatal(err)
 			}
-			report, ok := byRecv[updateRecv[name]]
+			// The pass labels reports by the Update receiver, which is the
+			// concrete type: BFS is an *SSSP and shares its update.
+			recv := reflect.TypeOf(a).Elem().Name()
+			report, ok := byRecv[recv]
 			if !ok {
-				t.Fatalf("conflictclass produced no report for receiver %q", updateRecv[name])
+				t.Fatalf("conflictclass produced no report for receiver %q", recv)
+			}
+			if report.Props == nil || report.Verdict == nil {
+				t.Fatalf("conflictclass extracted no Properties for %s", name)
 			}
 
-			// Oracle 1 vs 2: pass-derived profile == hand-written registry.
-			if report.Profile != want {
-				t.Errorf("static profile mismatch: conflictclass derived %+v, registry says %+v",
-					report.Profile, want)
-			}
-
-			// Oracle 2 vs 3: static worst case bounds the runtime census.
-			a := makeAlgorithm(t, name, g)
+			// The static worst case bounds the runtime census.
 			census, probeVerdict, err := algorithms.Probe(a, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !want.OverApproximates(census) {
-				t.Errorf("static profile %s does not over-approximate probe census %+v", want, census)
+			if !report.Profile.OverApproximates(census) {
+				t.Errorf("static profile %s does not over-approximate probe census %+v", report.Profile, census)
 			}
 
 			// The statically extracted Properties must equal the declared
 			// ones. Name is best-effort: SSSP/BFS share an update and set
 			// it from a field, which no literal can reveal.
-			props := a.Properties()
-			if report.Props == nil {
-				t.Fatalf("conflictclass extracted no Properties for %s", name)
+			props := *report.Props
+			if props.Name == "" {
+				props.Name = a.Properties().Name
 			}
-			extracted := *report.Props
-			if extracted.Name == "" {
-				extracted.Name = props.Name
-			}
-			if extracted != props {
-				t.Errorf("extracted Properties %+v != runtime Properties %+v", extracted, props)
+			if props != a.Properties() {
+				t.Errorf("extracted Properties %+v != runtime Properties %+v", props, a.Properties())
 			}
 
-			// Verdict agreement: a static ELIGIBLE is a worst-case
-			// guarantee, so the probe on any concrete graph must agree;
-			// and on this graph, where the census realizes the worst case,
-			// the two verdicts must coincide exactly.
-			staticVerdict := eligibility.AdviseStatic(props, want)
-			if staticVerdict.Source != "static" || probeVerdict.Source != "probe" {
-				t.Errorf("verdict sources = %q/%q, want static/probe", staticVerdict.Source, probeVerdict.Source)
+			// A static ELIGIBLE is a worst-case guarantee, and on this graph,
+			// where the census realizes the worst case, the static and probe
+			// verdicts must coincide exactly.
+			v := *report.Verdict
+			if v.Source != "static" || probeVerdict.Source != "probe" {
+				t.Errorf("verdict sources = %q/%q, want static/probe", v.Source, probeVerdict.Source)
 			}
-			if staticVerdict.Eligible && !probeVerdict.Eligible {
-				t.Errorf("static verdict ELIGIBLE but probe says not: static=%v probe=%v",
-					staticVerdict.Reasons, probeVerdict.Reasons)
-			}
-			if staticVerdict.Eligible != probeVerdict.Eligible {
-				t.Errorf("verdicts diverge on a worst-case-realizing graph: static=%v probe=%v (census %+v)",
-					staticVerdict.Eligible, probeVerdict.Eligible, census)
+			if v.Eligible != probeVerdict.Eligible || v.Theorem != probeVerdict.Theorem ||
+				v.DeterministicResults != probeVerdict.DeterministicResults {
+				t.Errorf("static verdict (eligible=%v theorem=%d det=%v) != probe verdict (eligible=%v theorem=%d det=%v), census %+v",
+					v.Eligible, v.Theorem, v.DeterministicResults,
+					probeVerdict.Eligible, probeVerdict.Theorem, probeVerdict.DeterministicResults, census)
 			}
 		})
 	}
 }
 
-// TestCertificatesConsistent adds the fourth oracle: the embedded
-// eligibility-certificate registry (internal/algorithms/certs.json) must
-// be byte-equivalent to certificates freshly re-derived from source —
+// TestCertificatesConsistent re-derives the certificates from source —
 // any hash or fact drift fails here until `ndlint -cert` is re-run — and
-// each certificate's verdict must agree with the runtime probe on a
-// worst-case-realizing graph, for all eight algorithms and all three
-// hybrid kernels.
+// checks each built-in algorithm's certificate verdict against the probe
+// and the admission route, and each hybrid kernel's certificate against
+// the kernel.
 func TestCertificatesConsistent(t *testing.T) {
 	pkgs, err := analysis.Load(".", "./internal/algorithms")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
 	fresh, diags, err := analysis.Certificates(pkgs[0])
 	if err != nil {
@@ -183,6 +140,13 @@ func TestCertificatesConsistent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh, embedded) {
 		t.Fatalf("embedded certificate registry is stale: re-run\n\tgo run ./cmd/ndlint -cert ./internal/algorithms > internal/algorithms/certs.json\nfresh:    %+v\nembedded: %+v", fresh, embedded)
+	}
+	kinds := map[string]int{}
+	for _, c := range embedded {
+		kinds[c.Kind]++
+	}
+	if kinds["update"] != 7 || kinds["kernel"] != 3 || len(embedded) != 10 {
+		t.Errorf("registry holds %v certificates, want 7 update + 3 kernel", kinds)
 	}
 
 	// The algorithms that gather through the bulk accessors must keep an
@@ -206,44 +170,43 @@ func TestCertificatesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := algorithms.StaticProfiles()
-
-	names := []string{"pagerank", "wcc", "sssp", "bfs", "spmv", "kcore", "labelprop", "coloring"}
-	for _, name := range names {
+	for _, name := range builtinNames {
 		t.Run("update/"+name, func(t *testing.T) {
 			cert, err := algorithms.CertificateFor("update", name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cert.Profile == nil || *cert.Profile != registry[name] {
-				t.Errorf("certificate profile %+v != registry %+v", cert.Profile, registry[name])
-			}
-
-			a := makeAlgorithm(t, name, g)
-			_, probeVerdict, err := algorithms.Probe(a, g)
+			a, err := algorithms.New(name, g, 0, 1e-6, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if probeNoSync := probeVerdict.NoSync() == nil; cert.NoSyncOK != probeNoSync {
-				t.Errorf("certificate gate (nosync=%v) disagrees with probe census gate (nosync=%v)",
-					cert.NoSyncOK, probeNoSync)
+			// The certificate's profile and Properties are the pass's, which
+			// TestStaticProfilesConsistentWithProbe checks against the probe;
+			// the registry equals a fresh derivation, checked above.
+			census, probeVerdict, err := algorithms.Probe(a, g)
+			if err != nil {
+				t.Fatal(err)
 			}
 
-			// The certificate's verdict — the engines' admission ticket —
-			// must reconstruct and agree with the probe on this
-			// worst-case-realizing graph.
-			if cert.NoSyncOK {
-				v, err := cert.Verdict()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Source != "cert" {
-					t.Errorf("verdict source = %q, want cert", v.Source)
-				}
-				if v.Eligible != probeVerdict.Eligible || v.Theorem != probeVerdict.Theorem {
-					t.Errorf("cert verdict (eligible=%v theorem=%d) != probe verdict (eligible=%v theorem=%d)",
-						v.Eligible, v.Theorem, probeVerdict.Eligible, probeVerdict.Theorem)
-				}
+			// On this graph, where the census realizes the worst case, the
+			// certificate verdict — the engines' admission ticket — must
+			// coincide with the probe's, and admission must pick it.
+			v, err := cert.Verdict()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Eligible != probeVerdict.Eligible || v.Theorem != probeVerdict.Theorem ||
+				v.DeterministicResults != probeVerdict.DeterministicResults {
+				t.Errorf("cert verdict (eligible=%v theorem=%d det=%v) != probe verdict (eligible=%v theorem=%d det=%v), census %+v",
+					v.Eligible, v.Theorem, v.DeterministicResults,
+					probeVerdict.Eligible, probeVerdict.Theorem, probeVerdict.DeterministicResults, census)
+			}
+			admission, err := algorithms.NoSyncVerdict(a, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if admission.Source != "cert" || admission.Theorem != v.Theorem || admission.Eligible != v.Eligible {
+				t.Errorf("NoSyncVerdict = %v, want the certificate's verdict", admission)
 			}
 		})
 	}

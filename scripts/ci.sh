@@ -23,14 +23,6 @@ go build -o "$ndlint_bin" ./cmd/ndlint
 go vet -vettool="$ndlint_bin" ./...
 rm -f "$ndlint_bin"
 
-echo "== eligibility certificates (registry freshness + tamper resistance) =="
-# Re-derives the admission certificates of ./internal/algorithms from
-# source and fails if the embedded registry (certs.json) has drifted, if
-# any certified declaration is refuted, or if stale/tampered certificates
-# are not rejected by the admission paths.
-go run ./scripts/certsmoke
-go run ./cmd/ndlint -certcheck internal/algorithms/certs.json ./internal/algorithms
-
 echo "== go build =="
 go build ./...
 

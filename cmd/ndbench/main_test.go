@@ -66,7 +66,7 @@ func TestRunConflicts(t *testing.T) {
 
 func TestRunVarianceSmall(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-exp", "table2,table3", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
+	err := run([]string{"-exp", "variance", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,31 +102,40 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-eps", "zap"}, &sb); err == nil {
 		t.Error("bad eps accepted")
 	}
+	if err := run([]string{"-exp", "table1,nope", "-scale", "1000"}, &sb); err == nil || !strings.Contains(err.Error(), `unknown study "nope"`) {
+		t.Errorf("unknown study: err = %v", err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("a refused invocation ran studies:\n%s", sb.String())
+	}
 }
 
-// Smoke the remaining experiment printers at minimal scale.
+// Smoke two extension studies at minimal scale, in registry order.
 func TestRunExtensionExperiments(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-exp", "iters,async,topk", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
+	err := run([]string{"-exp", "topk", "-exp", "iters", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"iterations to convergence", "pure asynchronous", "top-K rank agreement"} {
+	if strings.Index(out, "## iters") > strings.Index(out, "## topk") {
+		t.Fatalf("studies not in registry order:\n%s", out)
+	}
+	for _, want := range []string{"Iterations to convergence", "Top-K rank agreement"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
 	}
 }
 
-func TestRunAblatePswDist(t *testing.T) {
+func TestRunAblate(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-exp", "ablate,psw,dist", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
+	err := run([]string{"-exp", "ablate", "-scale", "1000", "-runs", "2", "-eps", "1e-1"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"Ablations", "race amplifier", "out-of-core (PSW)", "distributed simulation"} {
+	for _, want := range []string{"Ablations", "race amplifier", "Fig. 1 system model"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}

@@ -7,6 +7,7 @@ import (
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
+	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/sched"
 )
@@ -30,9 +31,9 @@ import (
 type AblationRow struct {
 	Study    string // "dispatch" or "labels"
 	Graph    string
-	Algo     string
+	Algo     string `col:"algorithm"`
 	Variant  string
-	Duration time.Duration
+	Duration time.Duration `col:"time(s)"`
 	Iters    int
 	Updates  int64
 }
@@ -41,33 +42,14 @@ type AblationRow struct {
 // PageRank on the most skewed analog (web-berkstan).
 func DispatchAblation(cfg Config) ([]AblationRow, error) {
 	cfg.validate()
-	g, err := genSynth(cfg, "web-berkstan")
+	g, err := synth(cfg, gen.WebBerkStan)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for _, algoName := range []string{"pagerank", "wcc"} {
-		for _, d := range []sched.Dispatch{sched.Static, sched.Dynamic} {
-			a, err := NewAlgorithm(algoName, g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			_, res, err := algorithms.Run(a, g, core.Options{
-				Scheduler: sched.Nondeterministic,
-				Threads:   4,
-				Mode:      edgedata.ModeAtomic,
-				Dispatch:  d,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !res.Converged {
-				return nil, fmt.Errorf("experiments: dispatch ablation %s/%v did not converge", algoName, d)
-			}
-			rows = append(rows, AblationRow{
-				Study: "dispatch", Graph: "web-berkstan", Algo: algoName, Variant: d.String(),
-				Duration: res.Duration, Iters: res.Iterations, Updates: res.Updates,
-			})
+	for _, d := range []sched.Dispatch{sched.Static, sched.Dynamic} {
+		if rows, err = ablate(rows, "dispatch", d.String(), g, d, cfg); err != nil {
+			return nil, err
 		}
 	}
 	return rows, nil
@@ -79,56 +61,50 @@ func DispatchAblation(cfg Config) ([]AblationRow, error) {
 // isomorphisms); only scheduling behavior may change.
 func LabelOrderAblation(cfg Config) ([]AblationRow, error) {
 	cfg.validate()
-	base, err := genSynth(cfg, "web-berkstan")
+	base, err := synth(cfg, gen.WebBerkStan)
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		name string
-		g    *graph.Graph
-	}{{name: "natural", g: base}}
-
 	hubFirst, err := graph.Relabel(base, graph.DegreeDescOrder(base))
 	if err != nil {
 		return nil, err
 	}
-	variants = append(variants, struct {
-		name string
-		g    *graph.Graph
-	}{"degree-desc", hubFirst})
-
 	interleaved, err := graph.Relabel(base, graph.DegreeInterleaveOrder(base, 4))
 	if err != nil {
 		return nil, err
 	}
-	variants = append(variants, struct {
-		name string
-		g    *graph.Graph
-	}{"degree-interleave", interleaved})
+	rows, err := ablate(nil, "labels", "natural", base, sched.Static, cfg)
+	if err == nil {
+		rows, err = ablate(rows, "labels", "degree-desc", hubFirst, sched.Static, cfg)
+	}
+	if err == nil {
+		rows, err = ablate(rows, "labels", "degree-interleave", interleaved, sched.Static, cfg)
+	}
+	return rows, err
+}
 
-	var rows []AblationRow
-	for _, v := range variants {
-		for _, algoName := range []string{"pagerank", "wcc"} {
-			a, err := NewAlgorithm(algoName, v.g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			_, res, err := algorithms.Run(a, v.g, core.Options{
-				Scheduler: sched.Nondeterministic,
-				Threads:   4,
-				Mode:      edgedata.ModeAtomic,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !res.Converged {
-				return nil, fmt.Errorf("experiments: label ablation %s/%s did not converge", algoName, v.name)
-			}
-			rows = append(rows, AblationRow{
-				Study: "labels", Graph: "web-berkstan", Algo: algoName, Variant: v.name,
-				Duration: res.Duration, Iters: res.Iterations, Updates: res.Updates,
-			})
+// ablate appends the rows of PageRank and WCC run nondeterministically
+// (4 threads, atomic edge data, dispatch d) on one variant of the
+// web-berkstan analog.
+func ablate(rows []AblationRow, study, variant string, g *graph.Graph, d sched.Dispatch, cfg Config) ([]AblationRow, error) {
+	for _, algoName := range []string{"pagerank", "wcc"} {
+		a, err := NewAlgorithm(algoName, g, cfg)
+		if err != nil {
+			return nil, err
 		}
+		_, res, err := solve(a, g, core.Options{
+			Scheduler: sched.Nondeterministic,
+			Threads:   4,
+			Mode:      edgedata.ModeAtomic,
+			Dispatch:  d,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s ablation %s: %w", study, variant, err)
+		}
+		rows = append(rows, AblationRow{
+			Study: study, Graph: gen.WebBerkStan.String(), Algo: algoName, Variant: variant,
+			Duration: res.Duration, Iters: res.Iterations, Updates: res.Updates,
+		})
 	}
 	return rows, nil
 }
@@ -136,10 +112,12 @@ func LabelOrderAblation(cfg Config) ([]AblationRow, error) {
 // AmplifierRow reports observed conflict counts with and without the race
 // amplifier.
 type AmplifierRow struct {
-	Algo             string
-	RWOff, WWOff     uint64
-	RWOn, WWOn       uint64
-	ResultsIdentical bool // for traversal algorithms
+	Algo             string `col:"algorithm"`
+	RWOff            uint64 `col:"RW off"`
+	WWOff            uint64 `col:"WW off"`
+	RWOn             uint64 `col:"RW on"`
+	WWOn             uint64 `col:"WW on"`
+	ResultsIdentical bool   `col:"results identical"` // for traversal algorithms
 }
 
 // AmplifierAblation measures observed (not potential) conflicts for WCC
@@ -147,7 +125,7 @@ type AmplifierRow struct {
 // verifies the converged labels stay correct either way.
 func AmplifierAblation(cfg Config) ([]AmplifierRow, error) {
 	cfg.validate()
-	g, err := genSynth(cfg, "web-google")
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +134,7 @@ func AmplifierAblation(cfg Config) ([]AmplifierRow, error) {
 	row := AmplifierRow{Algo: "wcc", ResultsIdentical: true}
 	for _, amplify := range []bool{false, true} {
 		wcc := algorithms.NewWCC()
-		e, res, err := algorithms.Run(wcc, g, core.Options{
+		e, res, err := solve(wcc, g, core.Options{
 			Scheduler:    sched.Nondeterministic,
 			Threads:      8,
 			Mode:         edgedata.ModeAtomic,
@@ -165,9 +143,6 @@ func AmplifierAblation(cfg Config) ([]AmplifierRow, error) {
 		})
 		if err != nil {
 			return nil, err
-		}
-		if !res.Converged {
-			return nil, fmt.Errorf("experiments: amplifier ablation did not converge")
 		}
 		got := wcc.Components(e)
 		for v := range want {

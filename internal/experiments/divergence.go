@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"os"
 
-	"ndgraph/internal/algorithms"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
@@ -27,35 +25,45 @@ import (
 // the identical pair — itself a meaningful observation at small scales).
 const divergencePairCap = 6
 
-// DivergenceRow is one algorithm's record/diff outcome.
+// DivergenceRow is one algorithm's record/diff outcome: the size of the
+// diverged set and its Section II classification.
 type DivergenceRow struct {
-	// Algo names the algorithm; Graph names the dataset analog.
-	Algo, Graph string
+	Algo  string `col:"algorithm"`
+	Graph string
 	// Threads is the worker count both recorded runs used.
 	Threads int
 	// Pairs is how many recorded pairs were diffed before one diverged
 	// (== divergencePairCap if none did).
 	Pairs int
-	// Report is the canonical diff of the last recorded pair.
-	Report *trace.DiffReport
+	// Events is the update count of the pair's first run.
+	Events int64
+	// Diverged counts updates whose (writes, committed value) differ; the
+	// next three split the ones after the first by relation to it (≺ must
+	// stay empty: a racy commit propagates forward only).
+	Diverged   int64
+	Before     int64 `col:"≺"`
+	After      int64 `col:"≻"`
+	Concurrent int64 `col:"∥"`
+	// MaxD is the largest propagation distance seen (-1 if none).
+	MaxD int `col:"max d"`
 }
 
-// traceRecordedRun executes one nondeterministic run of a on g with an
-// attached recorder and returns the snapshot trace.
-func traceRecordedRun(a algorithms.Algorithm, g *graph.Graph, threads int, meta trace.Meta) (*trace.Trace, error) {
+// traceRecordedRun executes one nondeterministic run of the named algorithm
+// on g with an attached recorder and returns the snapshot trace.
+func traceRecordedRun(name string, g *graph.Graph, cfg Config, threads int, meta trace.Meta) (*trace.Trace, error) {
+	a, err := NewAlgorithm(name, g, cfg)
+	if err != nil {
+		return nil, err
+	}
 	rec := trace.NewRecorder(1 << 21)
-	_, res, err := algorithms.Run(a, g, core.Options{
+	if _, _, err := solve(a, g, core.Options{
 		Scheduler: sched.Nondeterministic,
 		Threads:   threads,
 		Mode:      edgedata.ModeAtomic,
 		Amplify:   true,
 		Trace:     rec,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	if !res.Converged {
-		return nil, fmt.Errorf("experiments: divergence run did not converge")
 	}
 	return rec.Snapshot(meta), nil
 }
@@ -67,35 +75,34 @@ func traceRecordedRun(a algorithms.Algorithm, g *graph.Graph, threads int, meta 
 // offline inspection with ndtrace.
 func DivergenceStudy(cfg Config) ([]DivergenceRow, error) {
 	cfg.validate()
-	g, err := gen.Synthesize(gen.WebGoogle, cfg.Scale, cfg.Seed)
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, err
 	}
 	meta := trace.Meta{Vertices: g.N(), Edges: g.M()}
 	const threads = 4
-	mk := map[string]func() algorithms.Algorithm{
-		"pagerank": func() algorithms.Algorithm { return algorithms.NewPageRank(1e-3) },
-		"wcc":      func() algorithms.Algorithm { return algorithms.NewWCC() },
-	}
-	rows := make([]DivergenceRow, 0, len(mk))
+	var rows []DivergenceRow
 	for _, name := range []string{"pagerank", "wcc"} {
 		row := DivergenceRow{Algo: name, Graph: gen.WebGoogle.String(), Threads: threads}
 		var a, b *trace.Trace
+		var rep *trace.DiffReport
 		for row.Pairs = 1; row.Pairs <= divergencePairCap; row.Pairs++ {
-			if a, err = traceRecordedRun(mk[name](), g, threads, meta); err != nil {
+			if a, err = traceRecordedRun(name, g, cfg, threads, meta); err != nil {
 				return nil, err
 			}
-			if b, err = traceRecordedRun(mk[name](), g, threads, meta); err != nil {
+			if b, err = traceRecordedRun(name, g, cfg, threads, meta); err != nil {
 				return nil, err
 			}
-			row.Report = trace.Diff(a, b)
-			if !row.Report.Identical() {
+			rep = trace.Diff(a, b)
+			if !rep.Identical() {
 				break
 			}
 		}
 		if row.Pairs > divergencePairCap {
 			row.Pairs = divergencePairCap
 		}
+		row.Events, row.Diverged, row.MaxD = rep.EventsA, rep.Diverged, rep.Hist.MaxD()
+		row.Before, row.After, row.Concurrent = sum(rep.Hist.Before), sum(rep.Hist.After), sum(rep.Hist.Concurrent)
 		if cfg.TracePath != "" {
 			for suffix, t := range map[string]*trace.Trace{"-a.ndt": a, "-b.ndt": b} {
 				f, err := os.Create(cfg.TracePath + "-" + name + suffix)
@@ -114,4 +121,12 @@ func DivergenceStudy(cfg Config) ([]DivergenceRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+func sum(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

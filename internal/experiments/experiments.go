@@ -1,9 +1,9 @@
 // Package experiments reproduces the paper's evaluation (Section V): the
 // Table I graph inventory, the Fig. 3 computing-time grid, and the
-// Table II/III PageRank difference-degree studies, plus the extension
-// experiments DESIGN.md calls out (conflict census, convergence-speed
-// comparison, barrier-free executor comparison). The same functions back
-// the top-level testing.B benchmarks and the ndbench CLI.
+// Table II/III PageRank difference-degree studies, plus extension studies
+// that each test a paper claim or future-work item on a surviving
+// execution tier. Studies() is the one registry of them; the ndbench CLI
+// runs it and prints every result through WriteTables.
 package experiments
 
 import (
@@ -15,6 +15,7 @@ import (
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/metrics"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
 )
@@ -30,13 +31,16 @@ type Config struct {
 	// 1 and 2 added for scaling context.
 	Threads []int
 	// Runs is the number of independent runs per configuration in the
-	// variance study (paper: 5).
+	// variance study (paper: 5) and per Fig. 3 cell.
 	Runs int
 	// Epsilons is the PageRank convergence-threshold sweep for
 	// Tables II/III (paper: three decreasing values).
 	Epsilons []float64
 	// PageRankEps is the threshold used in Fig. 3 timing runs.
 	PageRankEps float64
+	// NoAligned drops Fig. 3's NE-arch configuration (ModeAligned's
+	// benign races trip the race detector by design).
+	NoAligned bool
 	// Observer, when non-nil, streams telemetry from the Fig. 3 timing
 	// grid's engine runs (ndbench -telemetry / -telemetry-addr).
 	Observer *obs.Observer
@@ -45,7 +49,7 @@ type Config struct {
 	TracePath string
 }
 
-// DefaultConfig returns the defaults used by the CLI and benches.
+// DefaultConfig returns the defaults the CLI starts from.
 func DefaultConfig() Config {
 	return Config{
 		Scale:       50,
@@ -95,11 +99,14 @@ func Graphs(cfg Config) (map[string]*graph.Graph, error) {
 // TableIRow is one graph's inventory line (paper Table I plus the
 // synthetic analog's actual size).
 type TableIRow struct {
-	Name                string
-	PaperV, PaperE      int
-	SynthV, SynthE      int
-	MaxInDeg, MaxOutDeg int
-	DegreeSkew          float64
+	Name       string  `col:"graph"`
+	PaperV     int     `col:"paper |V|"`
+	PaperE     int     `col:"paper |E|"`
+	SynthV     int     `col:"synth |V|"`
+	SynthE     int     `col:"synth |E|"`
+	MaxInDeg   int     `col:"max in"`
+	MaxOutDeg  int     `col:"max out"`
+	DegreeSkew float64 `col:"skew"`
 }
 
 // TableI builds the graph-inventory table.
@@ -136,6 +143,21 @@ func NewAlgorithm(name string, g *graph.Graph, cfg Config) (algorithms.Algorithm
 	return algorithms.New(name, g, PickSource(g), cfg.PageRankEps, cfg.Seed)
 }
 
+// solve runs a to its fixed point under opts. A run that stops without
+// converging is an error: every study reads converged results.
+func solve(a algorithms.Algorithm, g *graph.Graph, opts core.Options) (*core.Engine, core.Result, error) {
+	e, res, err := algorithms.Run(a, g, opts)
+	if err == nil && !res.Converged {
+		err = fmt.Errorf("experiments: %s (%v, P=%d) did not converge", a.Name(), opts.Scheduler, opts.Threads)
+	}
+	return e, res, err
+}
+
+// synth synthesizes one dataset analog at the configured scale.
+func synth(cfg Config, d gen.Dataset) (*graph.Graph, error) {
+	return gen.Synthesize(d, cfg.Scale, cfg.Seed)
+}
+
 // PickSource returns the vertex with the highest out-degree — a stable,
 // well-connected traversal source for synthetic graphs.
 func PickSource(g *graph.Graph) uint32 {
@@ -160,8 +182,7 @@ type ExecKind struct {
 
 // ExecKinds returns the four Fig. 3 execution configurations: the
 // deterministic baseline and nondeterministic execution under each of the
-// three atomicity methods. Set includeAligned false under the race
-// detector (ModeAligned's benign races trip it by design).
+// three atomicity methods, NE-arch only when includeAligned.
 func ExecKinds(includeAligned bool) []ExecKind {
 	kinds := []ExecKind{
 		{Label: "DE", Scheduler: sched.Deterministic, Mode: edgedata.ModeSequential},
@@ -176,22 +197,28 @@ func ExecKinds(includeAligned bool) []ExecKind {
 
 // Fig3Cell is one bar of the Fig. 3 grid: the computing time of one
 // algorithm on one graph under one execution configuration and thread
-// count (graph-loading time excluded, as in the paper).
+// count (graph-loading time excluded, as in the paper), over Runs runs.
 type Fig3Cell struct {
-	Graph      string
-	Algo       string
-	Exec       string
-	Threads    int
-	Duration   time.Duration
-	Iterations int
+	Graph   string
+	Algo    string
+	Exec    string
+	Threads int
+	Runs    int `col:"n"`
+	// Duration is the median run time; Q1 and Q3 are its quartiles.
+	Duration time.Duration `col:"median(s)"`
+	Q1       time.Duration `col:"q1(s)"`
+	Q3       time.Duration `col:"q3(s)"`
+	// Iterations and Updates are the last run's.
+	Iterations int `col:"iters"`
 	Updates    int64
 }
 
-// Fig3 runs the computing-time grid. DE runs once per (graph, algo) —
-// thread count is irrelevant to the sequential deterministic scheduler, as
-// the paper notes ("the updates are actually conducted sequentially") —
-// and NE configurations sweep cfg.Threads.
-func Fig3(cfg Config, includeAligned bool) ([]Fig3Cell, error) {
+// Fig3 runs the computing-time grid, cfg.Runs times per cell. DE runs at
+// one thread per (graph, algo) — thread count is irrelevant to the
+// sequential deterministic scheduler, as the paper notes ("the updates are
+// actually conducted sequentially") — and NE configurations sweep
+// cfg.Threads.
+func Fig3(cfg Config) ([]Fig3Cell, error) {
 	cfg.validate()
 	gs, err := Graphs(cfg)
 	if err != nil {
@@ -201,33 +228,34 @@ func Fig3(cfg Config, includeAligned bool) ([]Fig3Cell, error) {
 	for _, d := range gen.AllDatasets() {
 		g := gs[d.String()]
 		for _, algoName := range AlgoNames() {
-			for _, kind := range ExecKinds(includeAligned) {
+			for _, kind := range ExecKinds(!cfg.NoAligned) {
 				threadSweep := cfg.Threads
 				if kind.Scheduler == sched.Deterministic {
 					threadSweep = []int{1}
 				}
 				for _, p := range threadSweep {
-					a, err := NewAlgorithm(algoName, g, cfg)
-					if err != nil {
-						return nil, err
+					cell := Fig3Cell{Graph: d.String(), Algo: algoName, Exec: kind.Label, Threads: p, Runs: cfg.Runs}
+					times := make([]float64, cfg.Runs)
+					for r := range times {
+						a, err := NewAlgorithm(algoName, g, cfg)
+						if err != nil {
+							return nil, err
+						}
+						_, res, err := solve(a, g, core.Options{
+							Scheduler: kind.Scheduler,
+							Threads:   p,
+							Mode:      kind.Mode,
+							Observer:  cfg.Observer,
+						})
+						if err != nil {
+							return nil, fmt.Errorf("%s on %s (%s): %w", algoName, d, kind.Label, err)
+						}
+						times[r] = float64(res.Duration)
+						cell.Iterations, cell.Updates = res.Iterations, res.Updates
 					}
-					_, res, err := algorithms.Run(a, g, core.Options{
-						Scheduler: kind.Scheduler,
-						Threads:   p,
-						Mode:      kind.Mode,
-						Observer:  cfg.Observer,
-					})
-					if err != nil {
-						return nil, err
-					}
-					if !res.Converged {
-						return nil, fmt.Errorf("experiments: %s on %s (%s, P=%d) did not converge",
-							algoName, d, kind.Label, p)
-					}
-					cells = append(cells, Fig3Cell{
-						Graph: d.String(), Algo: algoName, Exec: kind.Label, Threads: p,
-						Duration: res.Duration, Iterations: res.Iterations, Updates: res.Updates,
-					})
+					s := metrics.Summarize(times)
+					cell.Duration, cell.Q1, cell.Q3 = time.Duration(s.Median), time.Duration(s.Q1), time.Duration(s.Q3)
+					cells = append(cells, cell)
 				}
 			}
 		}

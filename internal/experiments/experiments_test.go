@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"ndgraph/internal/gen"
 )
 
 // tinyConfig keeps experiment tests fast: graphs a few hundred to a few
@@ -108,7 +110,8 @@ func TestExecKinds(t *testing.T) {
 func TestFig3SmallGrid(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Threads = []int{2}
-	cells, err := Fig3(cfg, !raceEnabled)
+	cfg.NoAligned = raceEnabled
+	cells, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,28 +140,35 @@ func TestVarianceTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ii) != 4 {
-		t.Fatalf("Table II rows = %d, want 4", len(ii))
+	if want := 4 * len(cfg.Epsilons); len(ii) != want {
+		t.Fatalf("Table II rows = %d, want 4 pairs × %d ε", len(ii), len(cfg.Epsilons))
 	}
-	if len(iii) != 6 {
-		t.Fatalf("Table III rows = %d, want C(4,2)=6", len(iii))
+	if want := 6 * len(cfg.Epsilons); len(iii) != want {
+		t.Fatalf("Table III rows = %d, want C(4,2)=6 pairs × %d ε", len(iii), len(cfg.Epsilons))
 	}
-	// DE vs DE must be perfectly reproducible: difference degree = |V|.
-	gs, err := Graphs(cfg)
+	// DE vs DE must be perfectly reproducible: every pair's difference
+	// degree is |V|.
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := float64(gs["web-google"].N())
-	for _, eps := range cfg.Epsilons {
-		if got := ii[0].ByEpsilon[eps]; got != n {
-			t.Fatalf("DE vs DE at ε=%v: %v, want %v (identical orderings)", eps, got, n)
+	n := float64(g.N())
+	for _, row := range ii {
+		if row.Pair == "DE vs. DE" && (row.Q1 != n || row.Q3 != n || row.Mean != n) {
+			t.Fatalf("DE vs DE at ε=%v: %+v, want every pair = %v (identical orderings)", row.Epsilon, row, n)
+		}
+		if row.Pairs != cfg.Runs*(cfg.Runs-1)/2 {
+			t.Fatalf("%s: %d pairs, want C(%d,2)", row.Pair, row.Pairs, cfg.Runs)
+		}
+	}
+	for _, row := range iii {
+		if row.Pairs != cfg.Runs*cfg.Runs {
+			t.Fatalf("%s: %d pairs, want %d²", row.Pair, row.Pairs, cfg.Runs)
 		}
 	}
 	for _, row := range append(ii, iii...) {
-		for eps, v := range row.ByEpsilon {
-			if v < 0 || v > n {
-				t.Fatalf("%s at ε=%v: difference degree %v out of range", row.Pair, eps, v)
-			}
+		if row.Q1 < 0 || row.Q1 > row.Median || row.Median > row.Q3 || row.Q3 > n {
+			t.Fatalf("%s at ε=%v: quartiles %v/%v/%v out of order or range", row.Pair, row.Epsilon, row.Q1, row.Median, row.Q3)
 		}
 	}
 }
@@ -219,24 +229,6 @@ func TestConvergenceSpeed(t *testing.T) {
 	}
 }
 
-func TestPureAsyncComparison(t *testing.T) {
-	rows, err := PureAsyncComparison(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
-	}
-	for _, r := range rows {
-		if r.BarrierUpdates == 0 || r.PureUpdates == 0 {
-			t.Fatalf("row %+v did no work", r)
-		}
-		if r.BarrierTime <= 0 || r.PureTime <= 0 {
-			t.Fatalf("row %+v has missing timings", r)
-		}
-	}
-}
-
 func TestTopKAgreementStudy(t *testing.T) {
 	cfg := tinyConfig()
 	rows, err := TopKAgreementStudy(cfg, []int{10, 100})
@@ -256,7 +248,8 @@ func TestTopKAgreementStudy(t *testing.T) {
 func TestFig3DurationsPlausible(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Threads = []int{1}
-	cells, err := Fig3(cfg, false)
+	cfg.NoAligned = true
+	cells, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,42 +308,6 @@ func TestAmplifierAblation(t *testing.T) {
 	r := rows[0]
 	if !r.ResultsIdentical {
 		t.Fatal("amplifier changed WCC results — it must only change interleavings")
-	}
-}
-
-func TestPSWComparison(t *testing.T) {
-	rows, err := PSWComparison(tinyConfig(), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Fatalf("%s: PSW results differ from reference", r.Graph)
-		}
-		if r.PSWBytesRead == 0 {
-			t.Fatalf("%s: no PSW I/O recorded", r.Graph)
-		}
-	}
-}
-
-func TestDistComparison(t *testing.T) {
-	rows, err := DistComparison(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Fatalf("%s/%s: distributed results differ from reference", r.Graph, r.Algo)
-		}
-		if r.Messages == 0 {
-			t.Fatalf("%s/%s: no messages delivered", r.Graph, r.Algo)
-		}
 	}
 }
 
@@ -430,6 +387,9 @@ func TestStalenessStudy(t *testing.T) {
 		if r.DelayP50 > r.DelayP99 || r.DelayP99 > r.DelayMax {
 			t.Fatalf("%s/P%d: staleness quantiles out of order: %+v", r.Graph, r.Threads, r)
 		}
+		if r.DetEvents == 0 || r.NoSyncEvents == 0 {
+			t.Fatalf("%s/P%d: empty trace recorded: %+v", r.Graph, r.Threads, r)
+		}
 	}
 }
 
@@ -437,34 +397,20 @@ func TestNoSyncStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full engine sweep")
 	}
-	scale, drift, err := NoSyncStudy(tinyConfig())
+	rows, err := NoSyncStudy(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 graphs x 5 engines x 2 thread counts.
-	if want := 4 * len(NoSyncEngines()) * 2; len(scale) != want {
-		t.Fatalf("scale rows = %d, want %d", len(scale), want)
+	// 4 graphs x 3 engines x 2 thread counts.
+	if want := 4 * len(NoSyncEngines()) * 2; len(rows) != want {
+		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
-	for _, r := range scale {
-		if r.Time <= 0 || r.Updates == 0 {
+	for _, r := range rows {
+		if r.Graph == "" || r.Time <= 0 || r.Updates == 0 {
 			t.Fatalf("row %+v did no work", r)
 		}
 		if r.Engine != "nosync" && (r.Steals != 0 || r.IdleTransitions != 0) {
 			t.Fatalf("row %+v reports steals for a non-stealing engine", r)
-		}
-	}
-	if len(drift) != 4 {
-		t.Fatalf("drift rows = %d, want 4", len(drift))
-	}
-	for _, r := range drift {
-		if !r.ResultsEqual {
-			t.Fatalf("%s: no-sync WCC fixed point differs from deterministic reference", r.Graph)
-		}
-		if r.DetEvents == 0 || r.NoSyncEvents == 0 {
-			t.Fatalf("%s: empty trace recorded", r.Graph)
-		}
-		if r.Report == nil {
-			t.Fatalf("%s: missing diff report", r.Graph)
 		}
 	}
 }

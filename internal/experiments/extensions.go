@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
@@ -16,16 +14,16 @@ import (
 // This file implements the extension experiments DESIGN.md lists beyond
 // the paper's own tables and figures: the conflict census (quantifying the
 // Section III conflict classes per algorithm), the convergence-speed
-// comparison (future-work item 3), the barrier-free executor comparison
-// (future-work item 4 / the GRACE claim), and the top-K rank agreement
-// behind the paper's "top pages identical" observation.
+// comparison (future-work item 3), and the top-K rank agreement behind the
+// paper's "top pages identical" observation.
 
 // CensusRow reports one algorithm's conflict classes and eligibility
 // verdict on one graph.
 type CensusRow struct {
 	Graph   string
-	Algo    string
-	RW, WW  uint64
+	Algo    string `col:"algorithm"`
+	RW      uint64 `col:"RW edges"`
+	WW      uint64 `col:"WW edges"`
 	Verdict string
 }
 
@@ -71,10 +69,10 @@ func ConflictCensus(cfg Config) ([]CensusRow, error) {
 // generally needs to conduct more iterations than asynchronous model").
 type IterRow struct {
 	Graph      string
-	Algo       string
-	SyncIter   int
-	DetIter    int
-	NondetIter int
+	Algo       string `col:"algorithm"`
+	SyncIter   int    `col:"sync (BSP)"`
+	DetIter    int    `col:"det (GS)"`
+	NondetIter int    `col:"nondet (4 threads)"`
 }
 
 // ConvergenceSpeed measures iterations under BSP, deterministic
@@ -89,7 +87,7 @@ func ConvergenceSpeed(cfg Config) ([]IterRow, error) {
 	for _, d := range gen.AllDatasets() {
 		g := gs[d.String()]
 		for _, name := range AlgoNames() {
-			row := IterRow{Graph: d.String(), Algo: name}
+			var iters [3]int
 			for i, opts := range []core.Options{
 				{Scheduler: sched.Synchronous, Threads: 1},
 				{Scheduler: sched.Deterministic},
@@ -99,88 +97,13 @@ func ConvergenceSpeed(cfg Config) ([]IterRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				_, res, err := algorithms.Run(a, g, opts)
+				_, res, err := solve(a, g, opts)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %w", d, err)
 				}
-				if !res.Converged {
-					return nil, fmt.Errorf("experiments: %s on %s did not converge under %v", name, d, opts.Scheduler)
-				}
-				switch i {
-				case 0:
-					row.SyncIter = res.Iterations
-				case 1:
-					row.DetIter = res.Iterations
-				case 2:
-					row.NondetIter = res.Iterations
-				}
+				iters[i] = res.Iterations
 			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// AsyncRow compares the barrier-based nondeterministic engine against the
-// barrier-free pure asynchronous executor (updates processed and wall
-// time) — the empirical check of the GRACE comparability claim the paper
-// relies on when adopting the "synchronous implementation of the
-// asynchronous model".
-type AsyncRow struct {
-	Graph          string
-	Algo           string
-	BarrierUpdates int64
-	BarrierTime    time.Duration
-	PureUpdates    int64
-	PureTime       time.Duration
-}
-
-// PureAsyncComparison runs WCC and BFS under both executors.
-func PureAsyncComparison(cfg Config) ([]AsyncRow, error) {
-	cfg.validate()
-	gs, err := Graphs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AsyncRow
-	for _, d := range gen.AllDatasets() {
-		g := gs[d.String()]
-		for _, name := range []string{"wcc", "bfs"} {
-			a, err := NewAlgorithm(name, g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			_, barrierRes, err := algorithms.Run(a, g, core.Options{
-				Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// Fresh setup engine for the transplant.
-			seedEng, err := core.NewEngine(g, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			a.Setup(seedEng)
-			x, err := async.NewExecutor(g, async.Options{Threads: 4, Mode: edgedata.ModeAtomic})
-			if err != nil {
-				return nil, err
-			}
-			if err := x.LoadFrom(seedEng); err != nil {
-				return nil, err
-			}
-			pureRes, err := x.Run(a.Update)
-			if err != nil {
-				return nil, err
-			}
-			if !barrierRes.Converged || !pureRes.Converged {
-				return nil, fmt.Errorf("experiments: %s on %s did not converge in async comparison", name, d)
-			}
-			rows = append(rows, AsyncRow{
-				Graph: d.String(), Algo: name,
-				BarrierUpdates: barrierRes.Updates, BarrierTime: barrierRes.Duration,
-				PureUpdates: pureRes.Updates, PureTime: pureRes.Duration,
-			})
+			rows = append(rows, IterRow{Graph: d.String(), Algo: name, SyncIter: iters[0], DetIter: iters[1], NondetIter: iters[2]})
 		}
 	}
 	return rows, nil
@@ -188,8 +111,8 @@ func PureAsyncComparison(cfg Config) ([]AsyncRow, error) {
 
 // TopKRow reports rank agreement between DE and NE PageRank orderings.
 type TopKRow struct {
-	Epsilon   float64
-	K         int
+	Epsilon   float64 `col:"ε"`
+	K         int     `col:"K"`
 	Agreement float64 // fraction of identical positions in the top K
 }
 
@@ -197,17 +120,19 @@ type TopKRow struct {
 // Section V-C: high-rank pages agree across configurations.
 func TopKAgreementStudy(cfg Config, ks []int) ([]TopKRow, error) {
 	cfg.validate()
-	g, err := webGoogleAnalog(cfg)
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, err
 	}
+	deCfg := cfg
+	deCfg.Runs = 1
 	var rows []TopKRow
 	for _, eps := range cfg.Epsilons {
-		de, err := RankOrderings(g, eps, 1, true, 1)
+		de, err := FixedPointOrderings(g, "pagerank", deCfg, eps, 1, true)
 		if err != nil {
 			return nil, err
 		}
-		ne, err := RankOrderings(g, eps, 16, false, cfg.Runs)
+		ne, err := FixedPointOrderings(g, "pagerank", cfg, eps, 16, false)
 		if err != nil {
 			return nil, err
 		}

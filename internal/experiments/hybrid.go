@@ -17,14 +17,17 @@ type HybridRow struct {
 	Graph      string
 	Algo       string
 	Threads    int
-	Iterations int
+	Iterations int `col:"iters"`
 	// Switches counts direction changes between consecutive iterations.
 	Switches int
+	// Hybrid is the wall time under the default Beamer policy; AllPush is
+	// the same engine forced to push every iteration; Speedup is their
+	// ratio.
+	Hybrid  time.Duration `col:"hybrid(s)"`
+	AllPush time.Duration `col:"all-push(s)"`
+	Speedup float64
 	// Trace is one character per iteration: 'P' push, 'L' pull.
 	Trace string
-	// Hybrid is the wall time under the default Beamer policy; AllPush is
-	// the same engine forced to push every iteration.
-	Hybrid, AllPush time.Duration
 }
 
 // HybridStudy runs the paired push/pull kernels (WCC, BFS, SSSP) on every
@@ -64,35 +67,15 @@ func HybridStudy(cfg Config) ([]HybridRow, error) {
 			if cfg.Observer != nil {
 				e.Observe(cfg.Observer)
 			}
-			var last hybrid.Result
-			run := func() (time.Duration, error) {
-				best := time.Duration(1<<63 - 1)
-				for i := 0; i < 3; i++ {
-					res, err := e.Run(context.Background(), kc.k)
-					if err != nil {
-						return 0, fmt.Errorf("hybrid %s/%s: %w", d, kc.name, err)
-					}
-					if !res.Converged {
-						return 0, fmt.Errorf("hybrid %s/%s: did not converge", d, kc.name)
-					}
-					if res.Duration < best {
-						best = res.Duration
-					}
-					last = res
-				}
-				return best, nil
+			hybridT, beamer, err := bestOf3(e, kc.k)
+			var pushT time.Duration
+			if err == nil {
+				e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
+				pushT, _, err = bestOf3(e, kc.k)
 			}
-			hybridT, err := run()
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			beamer := last
-			e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
-			pushT, err := run()
 			e.Close()
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("hybrid %s/%s: %w", d, kc.name, err)
 			}
 			rows = append(rows, HybridRow{
 				Graph:      d.String(),
@@ -103,8 +86,30 @@ func HybridStudy(cfg Config) ([]HybridRow, error) {
 				Trace:      beamer.SwitchTrace(),
 				Hybrid:     hybridT,
 				AllPush:    pushT,
+				Speedup:    float64(pushT) / float64(hybridT),
 			})
 		}
 	}
 	return rows, nil
+}
+
+// bestOf3 runs k three times on e and returns the fastest time and the last
+// result.
+func bestOf3(e *hybrid.Engine, k algorithms.Kernel) (time.Duration, hybrid.Result, error) {
+	var best time.Duration
+	var res hybrid.Result
+	for i := 0; i < 3; i++ {
+		r, err := e.Run(context.Background(), k)
+		if err == nil && !r.Converged {
+			err = fmt.Errorf("did not converge")
+		}
+		if err != nil {
+			return 0, res, err
+		}
+		if i == 0 || r.Duration < best {
+			best = r.Duration
+		}
+		res = r
+	}
+	return best, res, nil
 }

@@ -14,21 +14,20 @@ import (
 // counters (restarts observed under fault injection, quiescence sweeps).
 type NetDistRow struct {
 	Graph     string
-	Algo      string
+	Algo      string `col:"algorithm"`
 	Workers   int
-	Faults    string // "" for clean runs
+	Faults    string
 	Restarts  int
 	Sweeps    int
-	Identical bool
-	Duration  time.Duration
+	Duration  time.Duration `col:"time(s)"`
+	Identical bool          `col:"results identical"`
 }
 
 // NetDistScaling exercises internal/netdist — worker processes on real
 // TCP transport — on an R-MAT analog: WCC and SSSP across a worker-count
 // sweep, each checked byte-identically against the sequential reference,
 // plus one faulted 4-worker run per algorithm that survives a worker kill
-// and a full data-plane partition mid-run. It is the process-level
-// counterpart of DistComparison's in-memory simulation.
+// and a full data-plane partition mid-run.
 func NetDistScaling(cfg Config) ([]NetDistRow, error) {
 	cfg.validate()
 	n := 200_000 / cfg.Scale
@@ -86,7 +85,7 @@ func NetDistScaling(cfg Config) ([]NetDistRow, error) {
 				return nil, err
 			}
 			rows = append(rows, NetDistRow{
-				Graph: "rmat", Algo: a.name, Workers: workers,
+				Graph: "rmat", Algo: a.name, Workers: workers, Faults: "none",
 				Restarts: res.Restarts, Sweeps: res.Sweeps,
 				Identical: a.same(res), Duration: res.Duration,
 			})

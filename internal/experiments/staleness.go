@@ -17,13 +17,13 @@ import (
 // This file is the staleness study: it instruments barrier-free runs with
 // the delay clocks of internal/obs and asks how stale the values a
 // work-stealing run actually reads are — measured in elapsed updates
-// between a value's publish and its read — and how that staleness relates
-// to execution-path drift as workers are added, while the Theorem-2 fixed
-// point stays byte-identical.
+// between a value's publish and its read — and how far its execution path
+// drifts from the deterministic one as workers are added, while the
+// Theorem-2 fixed point stays byte-identical.
 
 // StalenessRow is one (graph, threads) cell of the staleness-vs-drift
-// study: a delay-clock-instrumented work-stealing WCC run diffed against
-// the deterministic reference.
+// study: a delay-clock-instrumented, trace-recorded work-stealing WCC run
+// diffed against the trace-recorded deterministic reference.
 type StalenessRow struct {
 	Graph   string
 	Threads int
@@ -31,15 +31,22 @@ type StalenessRow struct {
 	Updates, Steals int64
 	// Reads counts delay-clock read observations (edge reads of published
 	// values); Overflow the reads staler than the histogram's last bucket.
-	Reads, Overflow int64
+	Reads int64
 	// DelayP50/P99/DelayMax are staleness quantiles in elapsed updates
 	// between a value's publish and its read.
-	DelayP50, DelayP99, DelayMax int64
-	// Diverged counts execution-path events that differ from the
-	// deterministic reference; ResultsEqual reports whether the converged
-	// labels are nonetheless byte-identical (Theorem 2's claim).
+	DelayP50 int64 `col:"delay-p50"`
+	DelayP99 int64 `col:"delay-p99"`
+	DelayMax int64 `col:"delay-max"`
+	Overflow int64
+	// DetEvents and NoSyncEvents are the recorded update counts of the
+	// deterministic and the work-stealing path; Diverged counts the events
+	// that differ between them.
+	DetEvents    int64 `col:"det events"`
+	NoSyncEvents int64 `col:"nosync events"`
 	Diverged     int64
-	ResultsEqual bool
+	// ResultsEqual reports whether the converged labels are nonetheless
+	// byte-identical (Theorem 2's claim).
+	ResultsEqual bool `col:"results equal"`
 }
 
 // stalenessThreads is the worker sweep of the staleness study; drift and
@@ -57,10 +64,11 @@ func StalenessStudy(cfg Config) ([]StalenessRow, error) {
 	for _, d := range gen.AllDatasets() {
 		g := gs[d.String()]
 		for _, p := range stalenessThreads {
-			row, err := stalenessOnce(g, d.String(), p)
+			row, err := stalenessOnce(g, p)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: staleness %s/P%d: %w", d, p, err)
 			}
+			row.Graph = d.String()
 			stale = append(stale, row)
 		}
 	}
@@ -69,58 +77,30 @@ func StalenessStudy(cfg Config) ([]StalenessRow, error) {
 
 // stalenessOnce runs one delay-instrumented work-stealing WCC and diffs it
 // against the deterministic reference.
-func stalenessOnce(g *graph.Graph, name string, threads int) (StalenessRow, error) {
+func stalenessOnce(g *graph.Graph, threads int) (StalenessRow, error) {
 	meta := trace.Meta{Vertices: g.N(), Edges: g.M()}
 	detRec := trace.NewRecorder(1 << 21)
-	detEng, detRes, err := algorithms.Run(algorithms.NewWCC(), g, core.Options{
+	detEng, _, err := solve(algorithms.NewWCC(), g, core.Options{
 		Scheduler: sched.Deterministic, Trace: detRec,
 	})
 	if err != nil {
 		return StalenessRow{}, err
 	}
-	if !detRes.Converged {
-		return StalenessRow{}, fmt.Errorf("deterministic reference did not converge")
-	}
 
-	wcc := algorithms.NewWCC()
-	v, err := algorithms.NoSyncVerdict(wcc, g)
-	if err != nil {
-		return StalenessRow{}, err
-	}
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		return StalenessRow{}, err
-	}
-	wcc.Setup(seed)
 	// A private sink-less observer: its only job is to make the engine
 	// attach a delay clock and register it as a delay source.
 	o := obs.New(obs.Options{})
 	defer o.Close()
 	nsRec := trace.NewRecorder(1 << 21)
-	x, err := async.NewNoSync(g, async.NoSyncOptions{
-		Threads: threads, Mode: edgedata.ModeAtomic,
-		Trace: nsRec, Verdict: &v, Observer: o,
+	x, res, err := solveNoSync(algorithms.NewWCC(), g, async.NoSyncOptions{
+		Threads: threads, Mode: edgedata.ModeAtomic, Trace: nsRec, Observer: o,
 	})
 	if err != nil {
 		return StalenessRow{}, err
 	}
 	defer x.Close()
-	if err := x.LoadFrom(seed); err != nil {
-		return StalenessRow{}, err
-	}
-	res, err := x.Run(wcc.Update)
-	if err != nil {
-		return StalenessRow{}, err
-	}
-	if !res.Converged {
-		return StalenessRow{}, fmt.Errorf("did not converge")
-	}
 
-	row := StalenessRow{
-		Graph: name, Threads: threads,
-		Updates: res.Updates, Steals: res.Steals,
-		ResultsEqual: true,
-	}
+	row := StalenessRow{Threads: threads, Updates: res.Updates, Steals: res.Steals, ResultsEqual: true}
 	for u := range x.Vertices {
 		if x.Vertices[u] != detEng.Vertices[u] {
 			row.ResultsEqual = false
@@ -134,6 +114,6 @@ func stalenessOnce(g *graph.Graph, name string, threads int) (StalenessRow, erro
 		}
 	}
 	rep := trace.Diff(detRec.Snapshot(meta), nsRec.Snapshot(meta))
-	row.Diverged = rep.Diverged
+	row.DetEvents, row.NoSyncEvents, row.Diverged = rep.EventsA, rep.EventsB, rep.Diverged
 	return row, nil
 }

@@ -6,6 +6,7 @@ import (
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
+	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/metrics"
 	"ndgraph/internal/sched"
@@ -15,7 +16,10 @@ import (
 // results under nondeterministic execution, measured as difference degrees
 // of the converged rank orderings (Tables II and III). The paper's
 // configurations are DE (deterministic) and NE with 4, 8, and 16
-// processing cores; each configuration runs 5 times.
+// processing cores; each configuration runs 5 times. Every NE run here
+// enables the race amplifier (Amplify): injected scheduler yields stand in
+// for the scheduling noise the paper's 16 physical cores produce, so NE
+// variance numbers depend on it; DE numbers do not.
 
 // VarianceConfigName labels a variance-study configuration.
 func VarianceConfigName(threads int, deterministic bool) string {
@@ -25,44 +29,27 @@ func VarianceConfigName(threads int, deterministic bool) string {
 	return fmt.Sprintf("%dNE", threads)
 }
 
-// RankOrderings runs PageRank `runs` times under one configuration and
-// returns the converged rank orderings. Nondeterministic runs enable the
-// race amplifier so scheduling noise is present even on machines with few
-// cores (the paper's 16-core testbed gets such noise for free; see
-// EXPERIMENTS.md).
-func RankOrderings(g *graph.Graph, eps float64, threads int, deterministic bool, runs int) ([][]uint32, error) {
-	out := make([][]uint32, 0, runs)
-	for i := 0; i < runs; i++ {
-		pr := algorithms.NewPageRank(eps)
-		opts := core.Options{Scheduler: sched.Deterministic}
-		if !deterministic {
-			opts = core.Options{
-				Scheduler: sched.Nondeterministic,
-				Threads:   threads,
-				Mode:      edgedata.ModeAtomic,
-				Amplify:   true,
-			}
-		}
-		e, res, err := algorithms.Run(pr, g, opts)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Converged {
-			return nil, fmt.Errorf("experiments: pagerank variance run did not converge")
-		}
-		out = append(out, metrics.RankOrder(pr.Ranks(e)))
-	}
-	return out, nil
-}
-
-// VarianceRow is one line of Table II or III.
+// VarianceRow is one (pair, ε) line of Table II or III: the distribution of
+// difference degrees over every run pair. The paper prints the mean; the
+// median and quartiles say whether one pair owns it.
 type VarianceRow struct {
 	// Pair names the compared configurations, e.g. "4NE vs. 4NE" (Table
 	// II, within one configuration) or "DE vs. 16NE" (Table III, across
 	// configurations).
-	Pair string
-	// ByEpsilon maps each ε to the mean difference degree.
-	ByEpsilon map[float64]float64
+	Pair    string
+	Epsilon float64 `col:"ε"`
+	// Pairs is the number of run pairs: C(runs, 2) within a configuration,
+	// runs² across two.
+	Pairs  int `col:"n"`
+	Median float64
+	Q1     float64
+	Q3     float64
+	Mean   float64
+}
+
+func varianceRow(pair string, eps float64, degrees []float64) VarianceRow {
+	s := metrics.Summarize(degrees)
+	return VarianceRow{Pair: pair, Epsilon: eps, Pairs: s.N, Median: s.Median, Q1: s.Q1, Q3: s.Q3, Mean: s.Mean}
 }
 
 // varianceConfigs are the paper's four configurations.
@@ -80,133 +67,71 @@ func paperVarianceConfigs() []varianceConfig {
 	}
 }
 
-// varianceOrderings gathers all runs for all configurations and epsilons:
-// result[ε][configIndex] = orderings of that configuration's runs.
-func varianceOrderings(g *graph.Graph, cfg Config) (map[float64][][][]uint32, error) {
-	cfg.validate()
-	configs := paperVarianceConfigs()
-	out := make(map[float64][][][]uint32, len(cfg.Epsilons))
-	for _, eps := range cfg.Epsilons {
-		perConfig := make([][][]uint32, len(configs))
-		for ci, vc := range configs {
-			ords, err := RankOrderings(g, eps, vc.threads, vc.deterministic, cfg.Runs)
-			if err != nil {
-				return nil, err
-			}
-			perConfig[ci] = ords
-		}
-		out[eps] = perConfig
-	}
-	return out, nil
-}
-
 // VarianceTables computes Tables II and III in one pass (sharing the
-// underlying runs): Table II holds average difference degrees within each
-// configuration, Table III across configurations, on the web-google
-// analog, for each ε.
+// underlying runs) on the web-google analog: Table II holds difference
+// degrees within each configuration, Table III across configurations, one
+// row per pair and ε.
 func VarianceTables(cfg Config) (tableII, tableIII []VarianceRow, err error) {
 	cfg.validate()
-	g, err := webGoogleAnalog(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	all, err := varianceOrderings(g, cfg)
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, nil, err
 	}
 	configs := paperVarianceConfigs()
-	tableII = make([]VarianceRow, len(configs))
+	names := make([]string, len(configs))
 	for ci, vc := range configs {
-		name := VarianceConfigName(vc.threads, vc.deterministic)
-		row := VarianceRow{Pair: name + " vs. " + name, ByEpsilon: map[float64]float64{}}
-		for _, eps := range cfg.Epsilons {
-			row.ByEpsilon[eps] = metrics.MeanPairwiseDifferenceDegree(all[eps][ci])
-		}
-		tableII[ci] = row
+		names[ci] = VarianceConfigName(vc.threads, vc.deterministic)
 	}
-	for i := 0; i < len(configs); i++ {
-		for j := i + 1; j < len(configs); j++ {
-			row := VarianceRow{
-				Pair: VarianceConfigName(configs[i].threads, configs[i].deterministic) +
-					" vs. " + VarianceConfigName(configs[j].threads, configs[j].deterministic),
-				ByEpsilon: map[float64]float64{},
+	for _, eps := range cfg.Epsilons {
+		runs := make([][][]uint32, len(configs))
+		for ci, vc := range configs {
+			if runs[ci], err = FixedPointOrderings(g, "pagerank", cfg, eps, vc.threads, vc.deterministic); err != nil {
+				return nil, nil, err
 			}
-			for _, eps := range cfg.Epsilons {
-				row.ByEpsilon[eps] = metrics.MeanCrossDifferenceDegree(all[eps][i], all[eps][j])
+		}
+		for i := range configs {
+			tableII = append(tableII, varianceRow(names[i]+" vs. "+names[i], eps, metrics.PairwiseDifferenceDegrees(runs[i])))
+			for j := i + 1; j < len(configs); j++ {
+				tableIII = append(tableIII, varianceRow(names[i]+" vs. "+names[j], eps, metrics.CrossDifferenceDegrees(runs[i], runs[j])))
 			}
-			tableIII = append(tableIII, row)
 		}
 	}
 	return tableII, tableIII, nil
 }
 
-// TableII computes the paper's Table II (within-configuration difference
-// degrees). Prefer VarianceTables when Table III is also needed.
-func TableII(cfg Config) ([]VarianceRow, error) {
-	ii, _, err := VarianceTables(cfg)
-	return ii, err
-}
-
-// TableIII computes the paper's Table III (cross-configuration difference
-// degrees). Prefer VarianceTables when Table II is also needed.
-func TableIII(cfg Config) ([]VarianceRow, error) {
-	_, iii, err := VarianceTables(cfg)
-	return iii, err
-}
-
-func webGoogleAnalog(cfg Config) (*graph.Graph, error) {
-	return genSynth(cfg, "web-google")
-}
-
-func genSynth(cfg Config, name string) (*graph.Graph, error) {
-	gs, err := Graphs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := gs[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: no dataset %q", name)
-	}
-	return g, nil
-}
-
-// FixedPointOrderings generalizes RankOrderings to any value-producing
-// fixed-point algorithm ("pagerank" or "spmv"), addressing the paper's
+// FixedPointOrderings runs a value-producing fixed-point algorithm
+// ("pagerank" or "spmv") cfg.Runs times under one configuration and
+// returns the converged value orderings — SpMV addressing the paper's
 // closing caveat that its PageRank variance conclusions "may not apply to
-// other fixed point iteration algorithms".
+// other fixed point iteration algorithms". Nondeterministic runs enable the
+// race amplifier.
 func FixedPointOrderings(g *graph.Graph, algoName string, cfg Config, eps float64, threads int, deterministic bool) ([][]uint32, error) {
 	cfg.validate()
+	opts := core.Options{Scheduler: sched.Deterministic}
+	if !deterministic {
+		opts = core.Options{
+			Scheduler: sched.Nondeterministic,
+			Threads:   threads,
+			Mode:      edgedata.ModeAtomic,
+			Amplify:   true,
+		}
+	}
 	out := make([][]uint32, 0, cfg.Runs)
 	for i := 0; i < cfg.Runs; i++ {
-		opts := core.Options{Scheduler: sched.Deterministic}
-		if !deterministic {
-			opts = core.Options{
-				Scheduler: sched.Nondeterministic,
-				Threads:   threads,
-				Mode:      edgedata.ModeAtomic,
-				Amplify:   true,
-			}
-		}
 		var values []float64
 		switch algoName {
 		case "pagerank":
 			pr := algorithms.NewPageRank(eps)
-			e, res, err := algorithms.Run(pr, g, opts)
+			e, _, err := solve(pr, g, opts)
 			if err != nil {
 				return nil, err
-			}
-			if !res.Converged {
-				return nil, fmt.Errorf("experiments: %s variance run did not converge", algoName)
 			}
 			values = pr.Ranks(e)
 		case "spmv":
 			sv := algorithms.NewSpMV(g, eps, 0.5, cfg.Seed+2)
-			e, res, err := algorithms.Run(sv, g, opts)
+			e, _, err := solve(sv, g, opts)
 			if err != nil {
 				return nil, err
-			}
-			if !res.Converged {
-				return nil, fmt.Errorf("experiments: %s variance run did not converge", algoName)
 			}
 			values = sv.Values(e)
 		default:
@@ -220,10 +145,10 @@ func FixedPointOrderings(g *graph.Graph, algoName string, cfg Config, eps float6
 // FixedPointVarianceRow compares PageRank and SpMV run-to-run variance
 // under the same nondeterministic configuration.
 type FixedPointVarianceRow struct {
-	Algo     string
-	Epsilon  float64
-	MeanDiff float64 // mean pairwise difference degree
-	Footrule float64 // mean pairwise Spearman footrule
+	Algo     string  `col:"algorithm"`
+	Epsilon  float64 `col:"ε"`
+	MeanDiff float64 `col:"mean diff degree"` // mean pairwise difference degree
+	Footrule float64 `col:"mean footrule"`    // mean pairwise Spearman footrule
 }
 
 // FixedPointVariance measures both fixed-point algorithms at each ε on
@@ -231,7 +156,7 @@ type FixedPointVarianceRow struct {
 // perturbed configuration).
 func FixedPointVariance(cfg Config) ([]FixedPointVarianceRow, error) {
 	cfg.validate()
-	g, err := webGoogleAnalog(cfg)
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, err
 	}
@@ -268,11 +193,11 @@ func FixedPointVariance(cfg Config) ([]FixedPointVarianceRow, error) {
 // error of nondeterministically converged PageRank vectors against the
 // true fixed point.
 type PrecisionRow struct {
-	Epsilon         float64
+	Epsilon         float64 `col:"ε"`
 	Threads         int
-	MaxLInf         float64 // worst run's max component error vs the fixed point
-	MeanLInf        float64 // mean over runs
-	MeanL1PerVertex float64
+	MaxLInf         float64 `col:"max L∞ error"`  // worst run's max component error vs the fixed point
+	MeanLInf        float64 `col:"mean L∞ error"` // mean over runs
+	MeanL1PerVertex float64 `col:"mean L1/vertex"`
 }
 
 // PrecisionStudy runs PageRank nondeterministically at each ε and
@@ -282,7 +207,7 @@ type PrecisionRow struct {
 // point, and neighbors amplify by at most the damping geometric series).
 func PrecisionStudy(cfg Config) ([]PrecisionRow, error) {
 	cfg.validate()
-	g, err := webGoogleAnalog(cfg)
+	g, err := synth(cfg, gen.WebGoogle)
 	if err != nil {
 		return nil, err
 	}
@@ -290,12 +215,10 @@ func PrecisionStudy(cfg Config) ([]PrecisionRow, error) {
 	var rows []PrecisionRow
 	for _, eps := range cfg.Epsilons {
 		for _, threads := range []int{4, 16} {
-			row := PrecisionRow{Epsilon: eps, Threads: threads}
-			var linfs []float64
-			var l1s []float64
+			var linfs, l1s []float64
 			for i := 0; i < cfg.Runs; i++ {
 				pr := algorithms.NewPageRank(eps)
-				e, res, err := algorithms.Run(pr, g, core.Options{
+				e, _, err := solve(pr, g, core.Options{
 					Scheduler: sched.Nondeterministic,
 					Threads:   threads,
 					Mode:      edgedata.ModeAtomic,
@@ -304,19 +227,16 @@ func PrecisionStudy(cfg Config) ([]PrecisionRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				if !res.Converged {
-					return nil, fmt.Errorf("experiments: precision run did not converge")
-				}
 				ranks := pr.Ranks(e)
 				linfs = append(linfs, metrics.LInfDistance(ranks, truth))
 				l1s = append(l1s, metrics.L1Distance(ranks, truth)/float64(g.N()))
 			}
 			sLinf := metrics.Summarize(linfs)
-			sL1 := metrics.Summarize(l1s)
-			row.MaxLInf = sLinf.Max
-			row.MeanLInf = sLinf.Mean
-			row.MeanL1PerVertex = sL1.Mean
-			rows = append(rows, row)
+			rows = append(rows, PrecisionRow{
+				Epsilon: eps, Threads: threads,
+				MaxLInf: sLinf.Max, MeanLInf: sLinf.Mean,
+				MeanL1PerVertex: metrics.Summarize(l1s).Mean,
+			})
 		}
 	}
 	return rows, nil

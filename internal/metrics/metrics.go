@@ -46,41 +46,45 @@ func DifferenceDegree(a, b []uint32) int {
 	return n
 }
 
-// MeanPairwiseDifferenceDegree averages DifferenceDegree over all C(k,2)
-// pairs of the given orderings — the paper's Table II statistic ("each
-// figure is the average of 10 (i.e., C(5,2)) difference degrees").
-// It returns 0 for fewer than two orderings.
-func MeanPairwiseDifferenceDegree(orderings [][]uint32) float64 {
-	k := len(orderings)
-	if k < 2 {
-		return 0
-	}
-	sum, count := 0, 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			sum += DifferenceDegree(orderings[i], orderings[j])
-			count++
+// PairwiseDifferenceDegrees returns DifferenceDegree for each of the
+// C(k,2) pairs of the given orderings — the samples behind the paper's
+// Table II statistic ("each figure is the average of 10 (i.e., C(5,2))
+// difference degrees").
+func PairwiseDifferenceDegrees(orderings [][]uint32) []float64 {
+	var out []float64
+	for i := range orderings {
+		for j := i + 1; j < len(orderings); j++ {
+			out = append(out, float64(DifferenceDegree(orderings[i], orderings[j])))
 		}
 	}
-	return float64(sum) / float64(count)
+	return out
 }
 
-// MeanCrossDifferenceDegree averages DifferenceDegree over all |a|×|b|
-// cross pairs of two groups of orderings — the paper's Table III statistic
-// (difference degrees "between different configurations ... computed by
-// averaging the difference degrees pairwise").
-func MeanCrossDifferenceDegree(a, b [][]uint32) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sum, count := 0, 0
+// CrossDifferenceDegrees returns DifferenceDegree for each of the |a|×|b|
+// cross pairs of two groups of orderings — the samples behind the paper's
+// Table III statistic (difference degrees "between different
+// configurations ... computed by averaging the difference degrees
+// pairwise").
+func CrossDifferenceDegrees(a, b [][]uint32) []float64 {
+	var out []float64
 	for _, x := range a {
 		for _, y := range b {
-			sum += DifferenceDegree(x, y)
-			count++
+			out = append(out, float64(DifferenceDegree(x, y)))
 		}
 	}
-	return float64(sum) / float64(count)
+	return out
+}
+
+// MeanPairwiseDifferenceDegree is the paper's Table II statistic, the mean
+// of PairwiseDifferenceDegrees. It returns 0 for fewer than two orderings.
+func MeanPairwiseDifferenceDegree(orderings [][]uint32) float64 {
+	return Summarize(PairwiseDifferenceDegrees(orderings)).Mean
+}
+
+// MeanCrossDifferenceDegree is the paper's Table III statistic, the mean of
+// CrossDifferenceDegrees. It returns 0 when either group is empty.
+func MeanCrossDifferenceDegree(a, b [][]uint32) float64 {
+	return Summarize(CrossDifferenceDegrees(a, b)).Mean
 }
 
 // TopKAgreement reports the fraction of the top-k positions at which two
@@ -137,9 +141,12 @@ func L1Distance(a, b []float64) float64 {
 	return sum
 }
 
-// Summary holds basic descriptive statistics.
+// Summary holds basic descriptive statistics. Median and the quartiles
+// use the exclusive method of Python's statistics.quantiles(xs, n=4), the
+// one the benchmark harness (bench/stats.go) reports spreads with.
 type Summary struct {
 	Min, Max, Mean, StdDev float64
+	Median, Q1, Q3         float64
 	N                      int
 }
 
@@ -150,15 +157,12 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return s
 	}
-	s.Min, s.Max = xs[0], xs[0]
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
+	s.Median, s.Q1, s.Q3 = quantile(sorted, 0.5), quantile(sorted, 0.25), quantile(sorted, 0.75)
 	sum := 0.0
 	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
 		sum += x
 	}
 	s.Mean = sum / float64(len(xs))
@@ -169,6 +173,21 @@ func Summarize(xs []float64) Summary {
 	}
 	s.StdDev = math.Sqrt(varSum / float64(len(xs)))
 	return s
+}
+
+// quantile interpolates at position q·(n+1) of the sorted samples, clamped
+// to the extremes.
+func quantile(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	pos := q*float64(n+1) - 1
+	if pos <= 0 {
+		return sorted[0]
+	}
+	if pos >= float64(n-1) {
+		return sorted[n-1]
+	}
+	lo := math.Floor(pos)
+	return sorted[int(lo)] + (pos-lo)*(sorted[int(lo)+1]-sorted[int(lo)])
 }
 
 // SpearmanFootrule returns the normalized sum of absolute rank

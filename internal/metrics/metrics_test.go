@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +106,9 @@ func TestMeanPairwiseDifferenceDegree(t *testing.T) {
 	if MeanPairwiseDifferenceDegree(o[:1]) != 0 {
 		t.Fatal("single ordering should give 0")
 	}
+	if got := PairwiseDifferenceDegrees(o); !slices.Equal(got, []float64{3, 1, 1}) {
+		t.Fatalf("pairs = %v, want [3 1 1]", got)
+	}
 }
 
 func TestMeanCrossDifferenceDegree(t *testing.T) {
@@ -116,6 +120,9 @@ func TestMeanCrossDifferenceDegree(t *testing.T) {
 	}
 	if MeanCrossDifferenceDegree(nil, b) != 0 {
 		t.Fatal("empty group should give 0")
+	}
+	if got := CrossDifferenceDegrees(a, [][]uint32{{1, 3, 2}, {1, 2, 3}}); !slices.Equal(got, []float64{1, 3, 1, 3}) {
+		t.Fatalf("cross pairs = %v, want [1 3 1 3]", got)
 	}
 }
 
@@ -170,6 +177,13 @@ func TestSummarize(t *testing.T) {
 	}
 	if math.Abs(s.StdDev-2) > 1e-12 {
 		t.Fatalf("stddev = %v, want 2", s.StdDev)
+	}
+	// statistics.quantiles([2, 4, 4, 4, 5, 5, 7, 9], n=4) == [4.0, 4.5, 6.5]
+	if s.Q1 != 4 || s.Median != 4.5 || s.Q3 != 6.5 {
+		t.Fatalf("quartiles = %v / %v / %v, want 4 / 4.5 / 6.5", s.Q1, s.Median, s.Q3)
+	}
+	if one := Summarize([]float64{3}); one.Q1 != 3 || one.Median != 3 || one.Q3 != 3 {
+		t.Fatalf("single-sample summary = %+v", one)
 	}
 	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
 		t.Fatalf("empty summary = %+v", z)

@@ -2,5 +2,5 @@
 
 package ndgraph_test
 
-// raceEnabled mirrors the race build tag for benchmark configuration.
+// raceEnabled mirrors the race build tag.
 const raceEnabled = false

@@ -2,6 +2,6 @@
 
 package ndgraph_test
 
-// raceEnabled drops ModeAligned (benign races by design) from the Fig. 3
-// benchmark grid under the race detector.
+// raceEnabled lets root tests drop ModeAligned (benign races by design)
+// under the race detector.
 const raceEnabled = true

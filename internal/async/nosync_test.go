@@ -1,7 +1,6 @@
 package async
 
 import (
-	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -217,30 +216,6 @@ func TestNoSyncSelfSustainingWorkloadClaimsEverySeed(t *testing.T) {
 		if w != 1 {
 			t.Fatalf("seed %d never ran before the MaxUpdates fuse", v)
 		}
-	}
-}
-
-func TestNoSyncContextCancel(t *testing.T) {
-	g, err := gen.Ring(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: workers must stop without draining
-	x, err := NewNoSync(g, NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Context: ctx, Verdict: testVerdict()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	for v := 0; v < g.N(); v++ {
-		x.Seed(uint32(v))
-	}
-	res, err := x.Run(func(c core.VertexView) { c.ScheduleSelf() })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res.Converged {
-		t.Fatal("canceled run reported convergence")
 	}
 }
 

@@ -1,10 +1,6 @@
 package async
 
 import (
-	"context"
-	"errors"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ndgraph/internal/algorithms"
@@ -32,74 +28,6 @@ func setupAsync(t *testing.T, a algorithms.Algorithm, g *graph.Graph, opts Optio
 		t.Fatal(err)
 	}
 	return x
-}
-
-func TestAsyncContextCancelledBeforeRun(t *testing.T) {
-	g, err := gen.Ring(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := setupAsync(t, algorithms.NewWCC(), g, Options{Threads: 2, Mode: edgedata.ModeAtomic, Context: ctx})
-	res, err := x.Run(algorithms.NewWCC().Update)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res.Converged {
-		t.Fatal("cancelled run reported convergence")
-	}
-}
-
-func TestAsyncContextCancelMidRun(t *testing.T) {
-	g, err := gen.RMAT(400, 2400, gen.DefaultRMAT, 81)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcc := algorithms.NewWCC()
-	ctx, cancel := context.WithCancel(context.Background())
-	x := setupAsync(t, wcc, g, Options{Threads: 4, Mode: edgedata.ModeAtomic, Context: ctx})
-	var updates atomic.Int64
-	res, err := x.Run(func(v core.VertexView) {
-		// Every update from the 50th on cancels, not just the 50th: a lone
-		// canceller preempted between the count and the call lets the other
-		// workers finish the run first. At most Threads updates can sit in
-		// that window, so hundreds of seeds are still queued when one lands.
-		if updates.Add(1) >= 50 {
-			cancel()
-		}
-		wcc.Update(v)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res.Converged {
-		t.Fatal("cancelled run reported convergence")
-	}
-	if res.Updates == 0 {
-		t.Fatal("cancelled run reports no partial progress")
-	}
-}
-
-func TestAsyncUpdatePanicSurfacedAsError(t *testing.T) {
-	g, err := gen.Ring(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcc := algorithms.NewWCC()
-	x := setupAsync(t, wcc, g, Options{Threads: 4, Mode: edgedata.ModeAtomic})
-	_, err = x.Run(func(v core.VertexView) {
-		if v.V() == 17 {
-			panic("kaboom")
-		}
-		wcc.Update(v)
-	})
-	if err == nil {
-		t.Fatal("panic not surfaced")
-	}
-	if !strings.Contains(err.Error(), "panicked on vertex 17") || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("panic error lacks context: %v", err)
-	}
 }
 
 // The barrier-free executor under injection: the heal hook re-enqueues both

@@ -257,7 +257,8 @@ func NewEngine(g *graph.Graph, threads int) (*Engine, error) {
 		touched:  frontier.NewBitset(g.N()),
 		counters: make([]wcounters, threads),
 		loop: core.Loop{
-			Name: "hybrid", Kind: obs.EngineHybrid, Threads: threads, N: g.N(),
+			Lifecycle: core.Lifecycle{Name: "hybrid"},
+			Kind:      obs.EngineHybrid, Threads: threads, N: g.N(),
 			Front: f, MaxIters: core.DefaultMaxIters,
 		},
 	}, nil
@@ -331,7 +332,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 	// dispatch through the pool allocates nothing.
 	curIter := 0
 	pushFn := func(worker, vi int) {
-		if e.loop.Panicked() {
+		if e.loop.Stopped() {
 			return
 		}
 		v := uint32(vi)

@@ -45,6 +45,7 @@ const (
 	msgProbeRep  byte = 0x22 // worker → coordinator: quiescence snapshot
 	msgRepair    byte = 0x23 // coordinator → worker: re-send boundary into partition K
 	msgPeerUpd   byte = 0x24 // coordinator → worker: a peer moved to a new address
+	msgFailed    byte = 0x25 // worker → coordinator: kernel code panicked; the run ends
 	msgFetch     byte = 0x30 // coordinator → worker: request final vertex values
 	msgValues    byte = 0x31 // worker → coordinator: final vertex values
 	msgShutdown  byte = 0x3f // coordinator → worker: exit cleanly
@@ -74,6 +75,8 @@ func msgName(t byte) string {
 		return "repair"
 	case msgPeerUpd:
 		return "peer-update"
+	case msgFailed:
+		return "failed"
 	case msgFetch:
 		return "fetch"
 	case msgValues:
@@ -242,6 +245,16 @@ type repairMsg struct {
 type peerUpdateMsg struct {
 	Peer int    `json:"peer"`
 	Addr string `json:"addr"`
+}
+
+// failedMsg reports a panic recovered on a worker's compute goroutine:
+// Vertex is the vertex whose update was running, or -1 when the panic came
+// from elsewhere (a delivery, a repair resend).
+type failedMsg struct {
+	Worker int    `json:"worker"`
+	Vertex int64  `json:"vertex"`
+	Panic  string `json:"panic"`
+	Stack  string `json:"stack"`
 }
 
 // valuesMsg returns a worker's owned slice of the result. Values are the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -372,8 +373,19 @@ func (w *worker) emit(e, dst uint32, val uint64) {
 
 // computeLoop is the worker's single mutator of kernel state. It drains
 // commands before frontier vertices so control actions (start, repair,
-// fetch) cannot starve behind a long propagation.
+// fetch) cannot starve behind a long propagation. A panic in kernel code
+// ends the loop and is reported to the coordinator, which ends the run with
+// it: in process it would kill the caller, out of process every supervised
+// restart would replay it.
 func (w *worker) computeLoop() {
+	cur := int64(-1) // the vertex whose update is running
+	defer func() {
+		if r := recover(); r != nil && w.coord != nil {
+			// A failed write means the control connection is gone, which
+			// the coordinator already treats as this worker's death.
+			_ = w.coord.writeJSON(msgFailed, failedMsg{Worker: w.id, Vertex: cur, Panic: fmt.Sprint(r), Stack: string(debug.Stack())})
+		}
+	}()
 	for {
 		w.mu.Lock()
 		for !w.stopped.Load() && len(w.cmds) == 0 && len(w.frontier) == 0 {
@@ -396,7 +408,9 @@ func (w *worker) computeLoop() {
 		w.frontier = w.frontier[1:]
 		w.inQ[v-w.lo] = false
 		w.mu.Unlock()
+		cur = int64(v)
 		w.kern.process(v, w.emit)
+		cur = -1
 		w.maybeCheckpoint()
 	}
 }

@@ -96,7 +96,7 @@ func TestKCoreNondeterministicIdentical(t *testing.T) {
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked},
 		{Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
-		{Scheduler: sched.Chromatic, Threads: 2, Mode: edgedata.ModeAtomic},
+		{Scheduler: sched.DIG, Threads: 2, Mode: edgedata.ModeAtomic},
 	} {
 		e, res, err := Run(kc, g, opts)
 		if err != nil {

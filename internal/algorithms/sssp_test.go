@@ -42,7 +42,7 @@ func TestSSSPIdenticalAcrossSchedulers(t *testing.T) {
 		{Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked},
-		{Scheduler: sched.Chromatic, Threads: 2, Mode: edgedata.ModeAtomic},
+		{Scheduler: sched.DIG, Threads: 2, Mode: edgedata.ModeAtomic},
 	}
 	if !raceEnabled {
 		configs = append(configs,

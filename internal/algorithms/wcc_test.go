@@ -42,7 +42,7 @@ func TestWCCNondeterministicIdenticalResults(t *testing.T) {
 	configs := []core.Options{
 		{Scheduler: sched.Deterministic},
 		{Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
-		{Scheduler: sched.Chromatic, Threads: 4, Mode: edgedata.ModeAtomic},
+		{Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked, Amplify: true},
 	}

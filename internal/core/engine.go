@@ -205,10 +205,6 @@ type Engine struct {
 	// state digest.
 	traceShadow []uint64
 
-	// chromatic coloring, computed lazily on first chromatic run.
-	colors    []uint32
-	numColors int
-
 	// curIter is the iteration currently dispatching (for tracing).
 	curIter int
 
@@ -329,9 +325,6 @@ func (e *Engine) Reset() {
 func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	if update == nil {
 		return Result{}, fmt.Errorf("core: nil update function")
-	}
-	if e.opts.Scheduler == sched.Chromatic && e.colors == nil {
-		e.colors, e.numColors = sched.Colors(e.g)
 	}
 	e.ensureWorkers()
 	e.curUpdate = update
@@ -535,12 +528,6 @@ func (e *Engine) dispatch(members []int) {
 		sched.Sequential(members, e.runFn)
 	case sched.Nondeterministic, sched.Synchronous:
 		e.parallel(members)
-	case sched.Chromatic:
-		for _, class := range sched.ColorClasses(members, e.colors, e.numColors) {
-			if len(class) > 0 {
-				e.parallel(class)
-			}
-		}
 	case sched.DIG:
 		for _, round := range sched.DIGRounds(e.g, members) {
 			e.parallel(round)
@@ -560,7 +547,3 @@ func (e *Engine) parallel(members []int) {
 	}
 	e.loop.Pool().RunBlocks(members, e.runFn)
 }
-
-// NumColors reports the chromatic scheduler's color count (0 before the
-// first chromatic run).
-func (e *Engine) NumColors() int { return e.numColors }

@@ -130,7 +130,6 @@ func TestMinLabelAllSchedulersAgree(t *testing.T) {
 		{"sync", Options{Scheduler: sched.Synchronous, Threads: 4, Mode: edgedata.ModeAtomic}},
 		{"nondet-atomic", Options{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic}},
 		{"nondet-lock", Options{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked}},
-		{"chromatic", Options{Scheduler: sched.Chromatic, Threads: 4, Mode: edgedata.ModeAtomic}},
 		{"dig", Options{Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic}},
 	} {
 		e := newEngine(t, g, cfg.opts)
@@ -332,18 +331,6 @@ func TestAmplifyStillConverges(t *testing.T) {
 		if d.Vertices[v] != e.Vertices[v] {
 			t.Fatalf("vertex %d: nondet %d vs det %d", v, e.Vertices[v], d.Vertices[v])
 		}
-	}
-}
-
-func TestChromaticColorCount(t *testing.T) {
-	g, _ := gen.Ring(16)
-	e := newEngine(t, g, Options{Scheduler: sched.Chromatic, Threads: 2, Mode: edgedata.ModeAtomic})
-	initMinLabel(e)
-	if _, err := e.Run(minLabelUpdate); err != nil {
-		t.Fatal(err)
-	}
-	if e.NumColors() < 2 {
-		t.Fatalf("NumColors = %d after chromatic run", e.NumColors())
 	}
 }
 

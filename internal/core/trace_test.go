@@ -83,17 +83,14 @@ func TestTraceObservesMultipleWorkers(t *testing.T) {
 	}
 }
 
-// Single-threaded Chromatic and DIG runs are deterministic: color classes and
-// independent-set rounds are dispatched through the pool's inline path in a
-// fixed order. Two runs must trace identically — this pins the worker pool's
-// degenerate (one-worker) dispatch to the exact behavior of the old one-shot
-// dispatchers.
+// Single-threaded DIG runs are deterministic: independent-set rounds are
+// dispatched through the pool's inline path in a fixed order. Two runs must
+// trace identically — this pins the worker pool's degenerate (one-worker)
+// dispatch to the exact behavior of the old one-shot dispatchers.
 func TestTraceSingleThreadColorSchedulersIdentical(t *testing.T) {
-	for _, s := range []sched.Kind{sched.Chromatic, sched.DIG} {
-		a := runTraced(t, Options{Scheduler: s, Threads: 1, Mode: edgedata.ModeAtomic})
-		b := runTraced(t, Options{Scheduler: s, Threads: 1, Mode: edgedata.ModeAtomic})
-		if !trace.Equal(a, b) {
-			t.Fatalf("%v single-thread traces diverge at %d", s, trace.Divergence(a, b))
-		}
+	opts := Options{Scheduler: sched.DIG, Threads: 1, Mode: edgedata.ModeAtomic}
+	a, b := runTraced(t, opts), runTraced(t, opts)
+	if !trace.Equal(a, b) {
+		t.Fatalf("single-thread DIG traces diverge at %d", trace.Divergence(a, b))
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
 	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
-	"ndgraph/internal/dist"
 	"ndgraph/internal/edgedata"
-	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
+	"ndgraph/internal/netdist"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/shard"
 )
@@ -22,21 +22,52 @@ import (
 // monotone algorithm on the same random graph must converge to the same
 // fixed point under
 //
-//	core (det / nondet / sync / chromatic / DIG) · async · shard (PSW)
-//	· dist (message passing) · hybrid forced to push (CAS combine)
+//	core (det / nondet / sync / DIG) · async · shard (PSW)
+//	· netdist (TCP workers) · hybrid forced to push (CAS combine)
 //	· autonomous (priority)
 //
 // with the sequential reference implementations as the oracles. This is
 // the strongest executable statement of the paper's thesis: the final
 // results of eligible algorithms are execution-model-independent.
 
+// diffSpec is the suite's graph for seed as a netdist spec: every netdist
+// worker rebuilds the same R-MAT graph diffGraph builds from it.
+func diffSpec(seed uint64) netdist.GraphSpec {
+	return netdist.GraphSpec{Kind: "rmat", N: 200, M: 1200, Seed: seed}
+}
+
 func diffGraph(t *testing.T, seed uint64) *graph.Graph {
 	t.Helper()
-	g, err := gen.RMAT(200, 1200, gen.DefaultRMAT, seed)
+	g, err := diffSpec(seed).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// netdistRun runs algo on four netdist workers over diffSpec(seed). With
+// dup > 0 every worker-to-worker frame goes through a fault proxy that
+// delivers it twice with that probability.
+func netdistRun(t *testing.T, seed uint64, algo netdist.AlgoSpec, dup float64) *netdist.Result {
+	t.Helper()
+	opt := netdist.Options{
+		Workers:   4,
+		Graph:     diffSpec(seed),
+		Algo:      algo,
+		RTO:       50 * time.Millisecond,
+		Heartbeat: 25 * time.Millisecond,
+	}
+	if dup > 0 {
+		proxy := netdist.NewProxy()
+		defer proxy.Close()
+		proxy.SetPlan(netdist.ProxyPlan{DupProb: dup, Seed: seed})
+		opt.Proxy = proxy
+	}
+	res, err := netdist.Run(context.Background(), opt)
+	if err != nil || !res.Converged {
+		t.Fatalf("netdist %s: %v", algo.Name, err)
+	}
+	return res
 }
 
 // hybridPushWords runs k in push mode: the hybrid engine under a policy that
@@ -61,12 +92,11 @@ func hybridPushWords(t *testing.T, g *graph.Graph, k algorithms.Kernel) []uint64
 
 func coreVariants() map[string]core.Options {
 	return map[string]core.Options{
-		"core-det":       {Scheduler: sched.Deterministic},
-		"core-nondet":    {Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
-		"core-dynamic":   {Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Dispatch: sched.Dynamic},
-		"core-sync":      {Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
-		"core-chromatic": {Scheduler: sched.Chromatic, Threads: 4, Mode: edgedata.ModeAtomic},
-		"core-dig":       {Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic},
+		"core-det":     {Scheduler: sched.Deterministic},
+		"core-nondet":  {Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
+		"core-dynamic": {Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Dispatch: sched.Dynamic},
+		"core-sync":    {Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
+		"core-dig":     {Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic},
 	}
 }
 
@@ -148,14 +178,8 @@ func TestDifferentialWCCAllExecutors(t *testing.T) {
 			check("shard", labels)
 		}
 
-		// Distributed message passing with duplication.
-		{
-			labels, res, err := dist.WCC(g, dist.Options{Workers: 4, Seed: seed, DuplicateProb: 0.2})
-			if err != nil || !res.Converged {
-				t.Fatalf("dist: %v", err)
-			}
-			check("dist", labels)
-		}
+		// Message passing between TCP workers, with duplicated frames.
+		check("netdist", netdistRun(t, 170+seed, netdist.AlgoSpec{Name: "wcc"}, 0.2).Labels())
 
 		// Push mode with CAS.
 		{
@@ -225,13 +249,7 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 			check("hybrid-push", got)
 		}
 
-		{
-			got, res, err := dist.SSSP(g, src, ref.Weights, dist.Options{Workers: 4, Seed: seed, DuplicateProb: 0.1})
-			if err != nil || !res.Converged {
-				t.Fatalf("dist: %v", err)
-			}
-			check("dist", got)
-		}
+		check("netdist", netdistRun(t, 180+seed, netdist.AlgoSpec{Name: "sssp", Source: src, WeightSeed: seed + 1}, 0).Floats())
 
 		{
 			got, res, err := autonomous.SSSP(g, src, ref.Weights)
@@ -364,7 +382,7 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 // Sanity: every executor pair really did run — count them so a silently
 // skipped branch cannot pass.
 func TestDifferentialCoverageManifest(t *testing.T) {
-	if len(coreVariants()) != 6 {
-		t.Fatalf("core variants = %d, want 6", len(coreVariants()))
+	if len(coreVariants()) != 5 {
+		t.Fatalf("core variants = %d, want 5", len(coreVariants()))
 	}
 }

@@ -92,6 +92,10 @@ type Result struct {
 	Sweeps    int
 	Converged bool
 	Duration  time.Duration
+
+	// Messages and Adopted sum the workers' last reported counts of
+	// delivered updates and of deliveries that improved a vertex.
+	Messages, Adopted int64
 }
 
 // Floats decodes Values as float64 (BFS/SSSP distances, PageRank ranks).
@@ -150,7 +154,20 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	values, err := c.run(ctx)
 	res := &Result{Values: values, Restarts: c.restarts, Repairs: c.repairs, Sweeps: c.sweeps, Converged: err == nil}
 	res.Duration = c.life.End(res.Converged)
-	c.emitSummary(res)
+	c.mu.Lock()
+	for _, w := range c.workers {
+		if w != nil { // nil if the run failed while launching workers
+			res.Messages += w.lastStat.Messages
+			res.Adopted += w.lastStat.Adopted
+		}
+	}
+	c.mu.Unlock()
+	c.opt.Observer.Emit(obs.Event{
+		Engine:        obs.EngineNetdist,
+		Messages:      res.Messages,
+		Updates:       res.Adopted,
+		DurationNanos: int64(res.Duration),
+	})
 	return res, err
 }
 
@@ -702,24 +719,4 @@ func (c *coordinator) uninstallObs() {
 		o.SetReadiness(nil)
 		o.SetWorkerStatsSource(nil)
 	}
-}
-
-func (c *coordinator) emitSummary(res *Result) {
-	o := c.opt.Observer
-	if o == nil {
-		return
-	}
-	var msgs, adopted int64
-	c.mu.Lock()
-	for _, w := range c.workers {
-		msgs += w.lastStat.Messages
-		adopted += w.lastStat.Adopted
-	}
-	c.mu.Unlock()
-	o.Emit(obs.Event{
-		Engine:        obs.EngineNetdist,
-		Messages:      msgs,
-		Updates:       adopted,
-		DurationNanos: int64(res.Duration),
-	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/obs"
 )
 
 // TestRunLifecycle is netdist's share of core's TestLifecycle: the same
@@ -110,4 +111,33 @@ func TestRunLifecycle(t *testing.T) {
 			t.Fatalf("rerun after panic: %+v, %v", res, err)
 		}
 	})
+}
+
+// refusingLauncher starts worker 0 and refuses every other.
+type refusingLauncher struct{ *LocalLauncher }
+
+func (l refusingLauncher) Start(id int) (string, error) {
+	if id > 0 {
+		return "", errors.New("no capacity")
+	}
+	return l.LocalLauncher.Start(id)
+}
+
+// A run that fails while launching its workers still returns its partial
+// Result and emits its summary event, with the workers that never started
+// counting nothing.
+func TestRunLifecycleLaunchFailure(t *testing.T) {
+	l := refusingLauncher{NewLocalLauncher()}
+	defer l.Close()
+	o := obs.New(obs.Options{})
+	res, err := Run(context.Background(), Options{Workers: 2, Graph: GraphSpec{Kind: "chain", N: 8}, Algo: AlgoSpec{Name: "wcc"}, Launcher: l, Observer: o})
+	if err == nil || !strings.Contains(err.Error(), "start worker 1: no capacity") {
+		t.Fatalf("err = %v, want worker 1's start failure", err)
+	}
+	if res == nil || res.Converged || res.Messages != 0 {
+		t.Fatalf("failed launch reported %+v", res)
+	}
+	if s := o.Stats()[obs.EngineNetdist]; s.Samples != 1 {
+		t.Fatalf("netdist summary events = %d, want 1", s.Samples)
+	}
 }

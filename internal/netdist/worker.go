@@ -645,7 +645,7 @@ func (s *peerSender) rtoFor(attempt int) time.Duration {
 		shift = 5
 	}
 	base := s.w.rto << shift
-	// Uniform in [0.75, 1.25) × base.
+	// Uniform in [0.75, 1.25] × base: Uint64n(base/2+1) includes base/2.
 	return base*3/4 + time.Duration(s.r.Uint64n(uint64(base)/2+1))
 }
 

@@ -54,12 +54,8 @@ func (o *Observer) WriteMetrics(w io.Writer) {
 		func(s EngineStats) int64 { return s.BarrierWait })
 	counter("ndgraph_busy_nanoseconds_total", "Wall time spent inside sampled iterations.",
 		func(s EngineStats) int64 { return s.Duration })
-	counter("ndgraph_messages_total", "Distributed messages delivered (including duplicates).",
+	counter("ndgraph_messages_total", "Distributed updates delivered.",
 		func(s EngineStats) int64 { return s.Messages })
-	counter("ndgraph_duplicate_messages_total", "Distributed duplicate deliveries injected.",
-		func(s EngineStats) int64 { return s.Duplicates })
-	counter("ndgraph_dropped_messages_total", "Distributed deliveries lost and retransmitted.",
-		func(s EngineStats) int64 { return s.Drops })
 	counter("ndgraph_trace_commits_total", "Edge commits recorded by the execution-path trace.",
 		func(s EngineStats) int64 { return s.TraceCommits })
 	counter("ndgraph_contested_commits_total", "Trace-recorded commits to an edge already committed in the same iteration (racy-winner sites).",

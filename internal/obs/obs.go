@@ -1,6 +1,6 @@
 // Package obs is the engine observability layer: a zero-overhead-when-
 // disabled telemetry spine wired into every executor in the repository
-// (core, async, shard, dist, autonomous, netdist, hybrid, nosync).
+// (core, async, shard, autonomous, netdist, hybrid, nosync).
 //
 // The paper's claims are all statements about *run-to-run behavior under
 // nondeterminism* — conflict classes (Section III), convergence
@@ -48,8 +48,6 @@ const (
 	EngineAsync
 	// EngineShard is the out-of-core parallel-sliding-windows engine.
 	EngineShard
-	// EngineDist is the simulated distributed message-passing executor.
-	EngineDist
 	// EngineAutonomous is the priority-driven executor.
 	EngineAutonomous
 	// EngineNetdist is the real-transport multi-process distributed
@@ -64,7 +62,7 @@ const (
 	numEngines
 )
 
-var engineNames = [numEngines]string{"core", "async", "shard", "dist", "autonomous", "netdist", "hybrid", "nosync"}
+var engineNames = [numEngines]string{"core", "async", "shard", "autonomous", "netdist", "hybrid", "nosync"}
 
 // String names the engine kind as used in metric labels and JSONL.
 func (k EngineKind) String() string {
@@ -84,7 +82,7 @@ func EngineKinds() []EngineKind {
 }
 
 // Event is one telemetry sample. Barrier-based engines emit one per
-// iteration; barrier-free executors (async, dist, autonomous) emit one per
+// iteration; barrier-free executors (async, nosync, autonomous) emit one per
 // sample window plus a final one at quiescence. All counter fields are
 // deltas for the sample, not cumulative totals — the observer accumulates.
 //
@@ -96,11 +94,10 @@ type Event struct {
 	// Engine identifies the emitting executor.
 	Engine EngineKind
 	// Iter is the iteration (core/shard/hybrid) or sample index (async,
-	// dist, autonomous) of the sample.
+	// nosync, autonomous) of the sample.
 	Iter int64
 	// Scheduled is the scheduled-set size driving the sample: |S_n| for
-	// barrier engines, the pending-queue depth for async/autonomous, the
-	// in-flight message count for dist.
+	// barrier engines, the pending-queue depth for async/autonomous.
 	Scheduled int64
 	// Updates is the number of update functions executed in the sample.
 	Updates int64
@@ -121,10 +118,9 @@ type Event struct {
 	BarrierWaitNanos int64
 	// DurationNanos is the wall time of the sample.
 	DurationNanos int64
-	// Messages, Duplicates, and Drops are dist-engine deltas (deliveries,
-	// injected duplicates, lossy-link retransmissions) for the sample;
-	// zero for every other engine.
-	Messages, Duplicates, Drops int64
+	// Messages is netdist's count of delivered updates; zero for every
+	// other engine.
+	Messages int64
 	// Direction is the edge-traversal direction the sample executed with,
 	// for engines that choose one per iteration (hybrid: "push" or
 	// "pull"). Empty for single-direction engines. Always a compile-time
@@ -161,8 +157,6 @@ type engineCounters struct {
 	barrierWait atomic.Int64 // nanoseconds
 	duration    atomic.Int64 // nanoseconds
 	messages    atomic.Int64
-	duplicates  atomic.Int64
-	drops       atomic.Int64
 	traceCommit atomic.Int64
 	contested   atomic.Int64
 	steals      atomic.Int64
@@ -392,8 +386,6 @@ func (o *Observer) Emit(ev Event) {
 	c.barrierWait.Add(ev.BarrierWaitNanos)
 	c.duration.Add(ev.DurationNanos)
 	c.messages.Add(ev.Messages)
-	c.duplicates.Add(ev.Duplicates)
-	c.drops.Add(ev.Drops)
 	c.traceCommit.Add(ev.TraceCommits)
 	c.contested.Add(ev.ContestedCommits)
 	c.steals.Add(ev.Steals)
@@ -552,8 +544,6 @@ type EngineStats struct {
 	BarrierWait      int64   `json:"barrier_wait_ns"`
 	Duration         int64   `json:"duration_ns"`
 	Messages         int64   `json:"messages"`
-	Duplicates       int64   `json:"duplicates"`
-	Drops            int64   `json:"drops"`
 	TraceCommits     int64   `json:"trace_commits"`
 	ContestedCommits int64   `json:"contested_commits"`
 	Steals           int64   `json:"steals"`
@@ -586,8 +576,6 @@ func (o *Observer) Stats() []EngineStats {
 			BarrierWait:      c.barrierWait.Load(),
 			Duration:         c.duration.Load(),
 			Messages:         c.messages.Load(),
-			Duplicates:       c.duplicates.Load(),
-			Drops:            c.drops.Load(),
 			TraceCommits:     c.traceCommit.Load(),
 			ContestedCommits: c.contested.Load(),
 			Steals:           c.steals.Load(),

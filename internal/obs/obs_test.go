@@ -43,7 +43,7 @@ func TestEmitFoldsCounters(t *testing.T) {
 	o := New(Options{})
 	o.Emit(Event{Engine: EngineCore, Iter: 0, Scheduled: 10, Updates: 10, EdgeReads: 40, EdgeWrites: 7, RWConflicts: 2, WWConflicts: 1, Residual: 0.5, BarrierWaitNanos: 100, DurationNanos: 1000})
 	o.Emit(Event{Engine: EngineCore, Iter: 1, Scheduled: 4, Updates: 4, EdgeReads: 16, EdgeWrites: 3, RWConflicts: -1, WWConflicts: -1, Residual: 0.2, BarrierWaitNanos: 50, DurationNanos: 800})
-	o.Emit(Event{Engine: EngineDist, Iter: 0, Messages: 100, Duplicates: 5, Drops: 3})
+	o.Emit(Event{Engine: EngineNetdist, Iter: 0, Messages: 100})
 
 	stats := o.Stats()
 	if len(stats) != int(numEngines) {
@@ -69,9 +69,8 @@ func TestEmitFoldsCounters(t *testing.T) {
 	if core.Scheduled != 4 || core.Residual != 0.2 {
 		t.Errorf("core gauges = %d/%v, want 4/0.2 (last sample)", core.Scheduled, core.Residual)
 	}
-	dist := stats[EngineDist]
-	if dist.Messages != 100 || dist.Duplicates != 5 || dist.Drops != 3 {
-		t.Errorf("dist messages/dups/drops = %d/%d/%d", dist.Messages, dist.Duplicates, dist.Drops)
+	if nd := stats[EngineNetdist]; nd.Messages != 100 {
+		t.Errorf("netdist messages = %d, want 100", nd.Messages)
 	}
 	for _, k := range EngineKinds() {
 		if stats[k].Engine != k.String() {
@@ -123,7 +122,7 @@ func TestJSONLSinkEmitsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
 	s.Consume(&Event{TimeUnixNano: 42, Engine: EngineCore, Iter: 3, Scheduled: 7, Updates: 7, EdgeReads: 21, EdgeWrites: 4, RWConflicts: 1, WWConflicts: 0, Residual: 0.35, BarrierWaitNanos: 9, DurationNanos: 99})
-	s.Consume(&Event{TimeUnixNano: 43, Engine: EngineDist, Messages: 10, Duplicates: 1, Drops: 2})
+	s.Consume(&Event{TimeUnixNano: 43, Engine: EngineNetdist, Messages: 10})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +138,14 @@ func TestJSONLSinkEmitsValidJSON(t *testing.T) {
 		t.Errorf("line 0 fields wrong: %v", first)
 	}
 	if _, ok := first["messages"]; ok {
-		t.Error("non-dist event carries dist-only fields")
+		t.Error("event without messages carries a messages field")
 	}
 	var second map[string]any
 	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
 		t.Fatalf("line 1 is not valid JSON: %v\n%s", err, lines[1])
 	}
-	if second["messages"] != float64(10) || second["duplicates"] != float64(1) || second["drops"] != float64(2) {
-		t.Errorf("dist fields wrong: %v", second)
+	if second["engine"] != "netdist" || second["messages"] != float64(10) {
+		t.Errorf("netdist fields wrong: %v", second)
 	}
 }
 

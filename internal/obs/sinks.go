@@ -81,13 +81,9 @@ func (s *JSONLSink) Consume(ev *Event) {
 		b = append(b, ev.Direction...)
 		b = append(b, '"')
 	}
-	if ev.Engine == EngineDist {
+	if ev.Messages != 0 {
 		b = append(b, `,"messages":`...)
 		b = strconv.AppendInt(b, ev.Messages, 10)
-		b = append(b, `,"duplicates":`...)
-		b = strconv.AppendInt(b, ev.Duplicates, 10)
-		b = append(b, `,"drops":`...)
-		b = strconv.AppendInt(b, ev.Drops, 10)
 	}
 	if ev.Engine == EngineNoSync {
 		b = append(b, `,"steals":`...)

@@ -5,8 +5,9 @@ import "ndgraph/internal/graph"
 // This file implements the Deterministic Interference Graph (DIG)
 // scheduler of Deterministic Galois (Nguyen, Lenharth & Pingali,
 // ASPLOS'14), the last deterministic scheduler the paper's related-work
-// section names. Unlike the chromatic scheduler's static whole-graph
-// coloring, DIG partitions each iteration's *scheduled set* into rounds:
+// section names. Rather than colour the whole graph once (the chromatic
+// scheduler of Kaler et al.), DIG partitions each iteration's *scheduled
+// set* into rounds:
 // two scheduled updates interfere when their vertices are adjacent (they
 // would share an edge's data word), and each round is a maximal
 // independent set of the interference graph, selected greedily in
@@ -15,7 +16,7 @@ import "ndgraph/internal/graph"
 // in parallel safely; rounds execute in sequence.
 //
 // Because only *scheduled* vertices interfere, DIG usually needs far
-// fewer rounds per iteration than the chromatic scheduler has colors,
+// fewer rounds per iteration than a whole-graph colouring has colours,
 // at the cost of rebuilding the partition every iteration — exactly the
 // "huge time overheads" of deterministic execution-path plotting the
 // paper attributes to this scheduler family.

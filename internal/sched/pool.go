@@ -14,7 +14,7 @@ import (
 // Pool is a persistent worker pool for iteration dispatch. A one-shot
 // dispatcher (ParallelBlocks) spawns P goroutines per call, which under the
 // barrier-per-iteration engine means a spawn/join cycle per iteration —
-// and per *color class* under Chromatic/DIG. A Pool keeps P
+// and per *round* under DIG. A Pool keeps P
 // long-lived workers parked on per-worker wake channels and re-dispatches
 // them for every call, so the steady-state per-iteration cost is two
 // channel operations per worker and zero heap allocations.
@@ -56,7 +56,7 @@ type pool struct {
 	// written only by worker w during a dispatch and read by the
 	// dispatching goroutine after the barrier; the WaitGroup orders the
 	// accesses. accWallNs/accWaitNs accumulate across dispatches (several
-	// per iteration under Chromatic/DIG) until TakeBarrierStats drains
+	// per iteration under DIG) until TakeBarrierStats drains
 	// them — only the dispatching goroutine touches those.
 	timed     atomic.Bool
 	busyNs    []int64

@@ -14,10 +14,9 @@
 //   - Synchronous: the BSP baseline. Reads observe the previous
 //     iteration's edge values (the engine snapshots at the barrier), so
 //     updates of one iteration never see each other's writes.
-//   - Chromatic: the chromatic-scheduler baseline (Kaler et al., SPAA'14).
-//     Vertices are greedily colored so that no two adjacent vertices share
-//     a color; color classes execute in sequence with parallelism inside
-//     each class, which is conflict-free by construction.
+//   - DIG: Deterministic Galois's interference-graph scheduler (dig.go).
+//     Each iteration's scheduled set runs as a sequence of independent-set
+//     rounds, parallel within a round and deterministic overall.
 package sched
 
 import (
@@ -35,8 +34,6 @@ const (
 	Nondeterministic
 	// Synchronous is BSP execution (reads see the previous iteration).
 	Synchronous
-	// Chromatic is color-class parallel deterministic execution.
-	Chromatic
 	// DIG is the deterministic-interference-graph scheduler (Galois):
 	// per-iteration maximal-independent-set rounds, parallel within a
 	// round, deterministic by greedy label order.
@@ -53,8 +50,6 @@ func (k Kind) String() string {
 		return "nondet"
 	case Synchronous:
 		return "sync"
-	case Chromatic:
-		return "chromatic"
 	case DIG:
 		return "dig"
 	default:

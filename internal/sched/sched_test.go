@@ -6,11 +6,10 @@ import (
 	"testing/quick"
 
 	"ndgraph/internal/gen"
-	"ndgraph/internal/rng"
 )
 
 func TestKindStringParse(t *testing.T) {
-	for _, k := range []Kind{Deterministic, Nondeterministic, Synchronous, Chromatic} {
+	for _, k := range []Kind{Deterministic, Nondeterministic, Synchronous, DIG} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
@@ -225,102 +224,6 @@ func TestRelationAntisymmetry(t *testing.T) {
 	}
 }
 
-func TestColorsValid(t *testing.T) {
-	g, err := gen.RMAT(500, 3000, gen.DefaultRMAT, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors, k := Colors(g)
-	if !ValidateColoring(g, colors) {
-		t.Fatal("greedy coloring invalid")
-	}
-	if k <= 0 {
-		t.Fatalf("numColors = %d", k)
-	}
-	maxDeg := 0
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if k > maxDeg+1 {
-		t.Fatalf("greedy used %d colors, exceeds Δ+1 = %d", k, maxDeg+1)
-	}
-}
-
-func TestColorsRingNeedsTwoOrThree(t *testing.T) {
-	g, err := gen.Ring(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors, k := Colors(g)
-	if !ValidateColoring(g, colors) {
-		t.Fatal("invalid ring coloring")
-	}
-	if k < 2 || k > 3 {
-		t.Fatalf("ring colored with %d colors", k)
-	}
-}
-
-func TestColorsEmptyGraph(t *testing.T) {
-	g, err := gen.Chain(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors, k := Colors(g)
-	if len(colors) != 1 || k != 1 {
-		t.Fatalf("single vertex: colors=%v k=%d", colors, k)
-	}
-}
-
-func TestColorClasses(t *testing.T) {
-	colors := []uint32{0, 1, 0, 2, 1}
-	items := []int{0, 1, 2, 3, 4}
-	classes := ColorClasses(items, colors, 3)
-	if len(classes) != 3 {
-		t.Fatalf("classes = %d", len(classes))
-	}
-	want := [][]int{{0, 2}, {1, 4}, {3}}
-	for c := range want {
-		if len(classes[c]) != len(want[c]) {
-			t.Fatalf("class %d = %v, want %v", c, classes[c], want[c])
-		}
-		for i := range want[c] {
-			if classes[c][i] != want[c][i] {
-				t.Fatalf("class %d = %v, want %v", c, classes[c], want[c])
-			}
-		}
-	}
-}
-
-func TestValidateColoringRejectsBad(t *testing.T) {
-	g, err := gen.Chain(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ValidateColoring(g, []uint32{0, 0, 1}) {
-		t.Fatal("accepted adjacent same-color")
-	}
-	if ValidateColoring(g, []uint32{0}) {
-		t.Fatal("accepted short color slice")
-	}
-}
-
-func TestColorsQuickValid(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		g, err := gen.ErdosRenyi(60, 200+r.Intn(200), seed)
-		if err != nil {
-			return false
-		}
-		colors, _ := Colors(g)
-		return ValidateColoring(g, colors)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkParallelBlocks(b *testing.B) {
 	items := make([]int, 1<<16)
 	for i := range items {
@@ -331,17 +234,6 @@ func BenchmarkParallelBlocks(b *testing.B) {
 		var sinks [4]int64
 		ParallelBlocks(items, 4, func(w, item int) { sinks[w] += int64(item) })
 		_ = sinks
-	}
-}
-
-func BenchmarkColorsRMAT(b *testing.B) {
-	g, err := gen.RMAT(2000, 16000, gen.DefaultRMAT, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Colors(g)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // Event is one recorded update execution.
 type Event struct {
 	// Iteration is the engine iteration (0-based). Barrier-free executors
-	// (async, dist, autonomous) have no iterations and record 0.
+	// (async, nosync, autonomous) have no iterations and record 0.
 	Iteration int32
 	// Worker is the executing worker's index.
 	Worker int32

@@ -6,7 +6,7 @@
 //
 // The framework executes pull-mode gather–compute–scatter update functions
 // under four schedulers (deterministic Gauss–Seidel, nondeterministic
-// block-parallel, synchronous/BSP, and chromatic), guards edge data with
+// block-parallel, synchronous/BSP, and DIG), guards edge data with
 // the paper's three per-operation atomicity methods (per-edge locks,
 // architecture word-alignment, language atomics), ships the paper's four
 // evaluated algorithms (PageRank, WCC, SSSP, BFS) plus SpMV and a
@@ -39,7 +39,6 @@ import (
 	"ndgraph/internal/async"
 	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
-	"ndgraph/internal/dist"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
 	"ndgraph/internal/fault"
@@ -147,8 +146,6 @@ const (
 	Nondeterministic = sched.Nondeterministic
 	// Synchronous is BSP execution.
 	Synchronous = sched.Synchronous
-	// Chromatic is color-class parallel deterministic execution.
-	Chromatic = sched.Chromatic
 	// DIG is Galois-style deterministic interference-graph execution.
 	DIG = sched.DIG
 )
@@ -310,26 +307,6 @@ var (
 // is unset — a backstop against algorithms that never converge.
 const DefaultMaxIters = core.DefaultMaxIters
 
-// Distributed-simulation execution (message passing over a lossy,
-// reordering, duplicating network).
-type (
-	// DistPropagation declares a monotone message-passing computation.
-	DistPropagation = dist.Propagation
-	// DistOptions configures the simulated cluster.
-	DistOptions = dist.Options
-	// DistResult reports a distributed run.
-	DistResult = dist.Result
-)
-
-var (
-	// DistRun executes a propagation on the simulated cluster.
-	DistRun = dist.Run
-	// DistWCC runs distributed weakly connected components.
-	DistWCC = dist.WCC
-	// DistSSSP runs distributed single-source shortest paths.
-	DistSSSP = dist.SSSP
-)
-
 // Real-transport distributed execution: worker processes on TCP with a
 // supervising coordinator (heartbeats, checkpoint restarts, Theorem-2
 // boundary repair) and frame-level fault injection (see DESIGN.md §12).
@@ -365,12 +342,50 @@ var (
 	RunNetDistWorker = netdist.RunWorker
 )
 
+// DistOptions, DistResult and DistWCC are kept only for the benchmark's
+// `dist` contender row (bench/tier_dist.go); they go with that row (ROADMAP
+// item 1(a)). DistWCC runs WCC through NetDistRun on local workers over
+// loopback TCP. Seed is accepted and ignored: netdist has no seeded
+// delivery order.
+type DistOptions struct {
+	Workers  int
+	Seed     uint64
+	Observer *Observer
+}
+
+// DistResult reports a DistWCC run.
+type DistResult struct {
+	Converged bool
+	Messages  int64
+}
+
+// DistWCC runs weakly connected components on netdist workers and returns
+// the min-label of each vertex's component.
+func DistWCC(g *Graph, o DistOptions) ([]uint32, DistResult, error) {
+	edges := make([][2]uint32, 0, g.M())
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]uint32{e.Src, e.Dst})
+	}
+	res, err := netdist.Run(context.Background(), netdist.Options{
+		Workers:  o.Workers,
+		Graph:    netdist.GraphSpec{Kind: "edges", N: g.N(), Edges: edges},
+		Algo:     netdist.AlgoSpec{Name: "wcc"},
+		Observer: o.Observer,
+	})
+	out := DistResult{Converged: res.Converged, Messages: res.Messages}
+	if err != nil {
+		return nil, out, err
+	}
+	return res.Labels(), out, nil
+}
+
 // Observability: the zero-overhead-when-disabled telemetry layer. Attach
 // one Observer to any number of engines (Options.Observer for core,
-// AsyncOptions.Observer, ShardOptions.Observer, DistOptions.Observer, and
-// the Observe methods of HybridEngine / AutonomousEngine); events flow into
-// per-engine counters, a ring buffer, and any attached sinks; serve live
-// metrics with ServeTelemetry (-telemetry-addr on the CLIs).
+// AsyncOptions.Observer, NoSyncOptions.Observer, ShardOptions.Observer,
+// NetDistOptions.Observer, and the Observe methods of HybridEngine /
+// AutonomousEngine); events flow into per-engine counters, a ring buffer,
+// and any attached sinks; serve live metrics with ServeTelemetry
+// (-telemetry-addr on the CLIs).
 type (
 	// Observer collects telemetry events from engines. nil disables
 	// collection at the cost of one pointer test per iteration.
@@ -425,7 +440,7 @@ var (
 
 // Execution-path record/replay and run-divergence diagnosis. A recorder
 // attached to an engine (Options.Trace, AsyncOptions.Trace,
-// ShardOptions.Trace, DistOptions.Trace, or the Trace methods of
+// NoSyncOptions.Trace, ShardOptions.Trace, or the Trace methods of
 // HybridEngine / AutonomousEngine) captures the execution path; with
 // EnableCommits it also logs every racy edge commit, which lets the core
 // engine replay the run to a byte-identical fixed point (Lemmas 1–2 made

@@ -1,5 +1,5 @@
-// End-to-end observability: one shared Observer wired into all six
-// executors, then scraped over the live HTTP endpoint. This is the
+// End-to-end observability: one shared Observer wired into every
+// executor, then scraped over the live HTTP endpoint. This is the
 // integration counterpart of internal/obs's unit tests — it pins the
 // acceptance criterion that a /metrics scrape during a run reports live
 // counters for every engine type, through the same facade-exported
@@ -15,15 +15,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ndgraph"
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
 	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
-	"ndgraph/internal/dist"
 	"ndgraph/internal/edgedata"
-	"ndgraph/internal/gen"
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
@@ -31,7 +30,8 @@ import (
 )
 
 func TestObserverCountsEveryEngine(t *testing.T) {
-	g, err := gen.RMAT(160, 900, gen.DefaultRMAT, 321)
+	spec := ndgraph.NetDistGraph{Kind: "rmat", N: 160, M: 900, Seed: 321}
+	g, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,38 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 		}
 	}
 
-	// dist: simulated message passing with duplication and loss, Observer
-	// option; the final aggregate event carries the dup/drop totals.
-	if _, res, err := dist.WCC(g, dist.Options{Workers: 2, Seed: 3, DuplicateProb: 0.2, DropProb: 0.1, Observer: o}); err != nil || !res.Converged {
-		t.Fatalf("dist: %v", err)
+	// nosync: barrier-free work-stealing executor, Observer option.
+	{
+		wcc := algorithms.NewWCC()
+		seedEng, err := core.NewEngine(g, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcc.Setup(seedEng)
+		v, err := algorithms.NoSyncVerdict(wcc, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &v, Observer: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer x.Close()
+		if err := x.LoadFrom(seedEng); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := x.Run(wcc.Update); err != nil || !res.Converged {
+			t.Fatalf("nosync: %v", err)
+		}
+	}
+
+	// netdist: TCP workers, Observer option; the summary event carries the
+	// message total.
+	if res, err := ndgraph.NetDistRun(context.Background(), ndgraph.NetDistOptions{
+		Workers: 2, Graph: spec, Algo: ndgraph.NetDistAlgo{Name: "wcc"},
+		RTO: 50 * time.Millisecond, Heartbeat: 25 * time.Millisecond, Observer: o,
+	}); err != nil || !res.Converged {
+		t.Fatalf("netdist: %v", err)
 	}
 
 	// push mode: the hybrid engine under a policy that never pulls, Observe
@@ -161,7 +189,8 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	for _, s := range stats {
 		byEngine[s.Engine] = s
 	}
-	for _, engine := range []string{"core", "async", "shard", "dist", "hybrid", "autonomous"} {
+	for _, k := range obs.EngineKinds() {
+		engine := k.String()
 		s, ok := byEngine[engine]
 		if !ok {
 			t.Fatalf("no stats row for engine %q", engine)
@@ -176,8 +205,8 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if byEngine["core"].RWConflicts < 0 {
 		t.Error("core engine with SampleConflicts reported no census")
 	}
-	if byEngine["dist"].Duplicates == 0 || byEngine["dist"].Drops == 0 {
-		t.Error("dist engine lost its duplicate/drop totals")
+	if byEngine["netdist"].Messages == 0 {
+		t.Error("netdist engine lost its message total")
 	}
 
 	// Live scrape through the facade-exported server: every engine label
@@ -196,8 +225,8 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d, %v", resp.StatusCode, err)
 	}
-	for _, engine := range []string{"core", "async", "shard", "dist", "hybrid", "autonomous"} {
-		prefix := fmt.Sprintf(`ndgraph_samples_total{engine=%q} `, engine)
+	for _, k := range obs.EngineKinds() {
+		prefix := fmt.Sprintf(`ndgraph_samples_total{engine=%q} `, k)
 		found := false
 		for _, line := range strings.Split(string(body), "\n") {
 			if rest, ok := strings.CutPrefix(line, prefix); ok {

@@ -40,7 +40,7 @@ echo "== go test -race (concurrency-heavy packages, short) =="
 # internal/edgedata and internal/algorithms race the bulk gather/scatter
 # loops in lock and atomic modes (ModeAligned is compiled out of race
 # builds).
-go test -race -short ./internal/core/ ./internal/async/ ./internal/dist/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
+go test -race -short ./internal/core/ ./internal/async/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
 
 echo "== flake gate (barrier-free packages, -race -count=20, GOMAXPROCS 1/2/8) =="
 # Termination detection, work stealing and the lock-free telemetry paths

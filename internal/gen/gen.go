@@ -54,38 +54,59 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 	// Random relabeling hides the power-of-two recursion structure and
 	// spreads the hubs across the label space (the paper's dispatch is by
 	// label blocks, so hub placement matters for load balance realism).
-	relabel := r.Perm(1 << levels)
+	// Stored as uint32 to halve the table the inner loop looks up at random.
+	perm := r.Perm(1 << levels)
+	relabel := make([]uint32, len(perm))
+	for i, v := range perm {
+		relabel[i] = uint32(v)
+	}
+	// One bulk draw per edge: with noise, level l consumes f[2l] (the
+	// noise) then f[2l+1] (the quadrant); without, f[l]. This is exactly
+	// the order of one Float64 call per use, so every seed keeps its edges.
+	per := 1
+	if p.NoiseAmp > 0 {
+		per = 2
+	}
+	f := make([]float64, per*levels)
 	es := make([]graph.Edge, 0, m)
 	for i := 0; i < m; i++ {
+		r.Float64s(f)
 		src, dst := 0, 0
 		for l := 0; l < levels; l++ {
 			a, b, c := p.A, p.B, p.C
-			if p.NoiseAmp > 0 {
-				mu := 1 + p.NoiseAmp*(2*r.Float64()-1)
+			u := f[l]
+			if per == 2 {
+				mu := 1 + p.NoiseAmp*(2*f[2*l]-1)
 				a *= mu
 				b *= mu
 				c *= mu
+				u = f[2*l+1]
 			}
-			u := r.Float64() * (a + b + c + p.D)
-			switch {
-			case u < a:
-				// top-left: nothing to add
-			case u < a+b:
-				dst |= 1 << l
-			case u < a+b+c:
-				src |= 1 << l
-			default:
-				src |= 1 << l
-				dst |= 1 << l
-			}
+			// The quadrant is the first cumulative bound u falls below:
+			// a, a+b, a+b+c, else d. c and d set the row (src) bit, b and d
+			// the column (dst) bit; comparisons instead of a switch keep
+			// the unpredictable choice free of branches.
+			ab := a + b
+			abc := ab + c
+			u *= abc + p.D
+			notA, notAB, notABC := 1^b2i(u < a), 1^b2i(u < ab), 1^b2i(u < abc)
+			src |= (notA & notAB) << l
+			dst |= (notA & (notAB ^ 1 | notABC)) << l
 		}
 		s, d := relabel[src], relabel[dst]
-		if s >= n || d >= n || s == d {
+		if int(s) >= n || int(d) >= n || s == d {
 			continue // outside the requested vertex range or self-loop
 		}
-		es = append(es, graph.Edge{Src: uint32(s), Dst: uint32(d)})
+		es = append(es, graph.Edge{Src: s, Dst: d})
 	}
 	return graph.Build(es, graph.Options{NumVertices: n, Dedup: true})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // PreferentialAttachment generates a directed graph by the Barabási–Albert

@@ -198,6 +198,9 @@ func (g *Graph) OutEdgeIndex(v uint32) (lo, hi uint32) {
 	return uint32(g.outOff[v]), uint32(g.outOff[v+1])
 }
 
+// EdgeDst returns the destination of the canonical edge index e in O(1).
+func (g *Graph) EdgeDst(e uint32) uint32 { return g.outDst[e] }
+
 // InNeighbors returns the sources of v's in-edges in ascending order. The
 // returned slice aliases internal storage and must not be modified.
 func (g *Graph) InNeighbors(v uint32) []uint32 {

@@ -125,9 +125,7 @@ func newKernel(spec AlgoSpec, g *graph.Graph, t Table, id int) (kernel, error) {
 	if kern.Undirected {
 		g = g.Undirected()
 	}
-	k := &monotoneKernel{kern: kern, g: g, lo: lo, hi: hi}
-	k.buildInEdgeMap()
-	return k, nil
+	return &monotoneKernel{kern: kern, g: g, lo: lo, hi: hi}, nil
 }
 
 // --- Monotone kernels: WCC, BFS, SSSP ---
@@ -149,17 +147,6 @@ type monotoneKernel struct {
 	// nothing.
 	init []uint64
 	seed []bool
-
-	inDst map[uint32]uint32 // owned in-edge canonical index → owned dst
-}
-
-func (k *monotoneKernel) buildInEdgeMap() {
-	k.inDst = make(map[uint32]uint32)
-	for v := k.lo; v < k.hi; v++ {
-		for _, e := range k.g.InEdgeIndices(v) {
-			k.inDst[e] = v
-		}
-	}
 }
 
 // idle reports whether owned vertex v has nothing to offer yet.
@@ -191,8 +178,11 @@ func (k *monotoneKernel) reset() []uint32 {
 }
 
 func (k *monotoneKernel) deliver(e uint32, val uint64) (uint32, bool, bool) {
-	v, ok := k.inDst[e]
-	if !ok {
+	if int(e) >= k.g.M() {
+		return 0, false, false // stale frame: no such edge
+	}
+	v := k.g.EdgeDst(e)
+	if v < k.lo || v >= k.hi {
 		return 0, false, false // stale frame for an edge we don't own
 	}
 	if k.kern.Better(val, k.vals[v-k.lo]) {

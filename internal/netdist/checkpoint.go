@@ -51,47 +51,30 @@ type checkpoint struct {
 // saveCheckpoint rotates the current generation to .prev and writes ck as
 // the newest generation in dir.
 func saveCheckpoint(dir string, ck checkpoint) error {
+	if len(ck.Algo) > 0xffff {
+		return fmt.Errorf("netdist: algorithm name of %d bytes", len(ck.Algo))
+	}
 	path := filepath.Join(dir, ckptName)
 	if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, filepath.Join(dir, ckptPrev)); err != nil {
 			return fmt.Errorf("netdist: rotate checkpoint: %w", err)
 		}
 	}
+	// The whole file is encoded into one buffer: one write, one checksum pass.
+	buf := make([]byte, 0, len(ckptMagic)+2+len(ck.Algo)+16+8*len(ck.Words)+4)
+	buf = append(buf, ckptMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ck.Algo)))
+	buf = append(buf, ck.Algo...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(ck.Worker))
+	buf = binary.LittleEndian.AppendUint32(buf, ck.Lo)
+	buf = binary.LittleEndian.AppendUint32(buf, ck.Hi)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Words)))
+	for _, word := range ck.Words {
+		buf = binary.LittleEndian.AppendUint64(buf, word)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return fsafe.WriteFile(path, func(w io.Writer) error {
-		crc := crc32.NewIEEE()
-		out := io.MultiWriter(w, crc)
-		if _, err := out.Write([]byte(ckptMagic)); err != nil {
-			return err
-		}
-		if len(ck.Algo) > 0xffff {
-			return fmt.Errorf("netdist: algorithm name of %d bytes", len(ck.Algo))
-		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint16(buf[:2], uint16(len(ck.Algo)))
-		if _, err := out.Write(buf[:2]); err != nil {
-			return err
-		}
-		if _, err := out.Write([]byte(ck.Algo)); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[:4], uint32(ck.Worker))
-		binary.LittleEndian.PutUint32(buf[4:8], ck.Lo)
-		if _, err := out.Write(buf[:8]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[:4], ck.Hi)
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(ck.Words)))
-		if _, err := out.Write(buf[:8]); err != nil {
-			return err
-		}
-		for _, word := range ck.Words {
-			binary.LittleEndian.PutUint64(buf[:], word)
-			if _, err := out.Write(buf[:]); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint32(buf[:4], crc.Sum32())
-		_, err := w.Write(buf[:4])
+		_, err := w.Write(buf)
 		return err
 	})
 }

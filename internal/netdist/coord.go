@@ -177,16 +177,7 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 		return nil, err
 	}
 	opt := c.opt
-	g, err := opt.Graph.Build()
-	if err != nil {
-		return nil, err
-	}
-	var t Table
-	if opt.ByEdges {
-		t, err = NewTableByEdges(g, opt.Workers)
-	} else {
-		t, err = NewTable(g.N(), opt.Workers)
-	}
+	t, err := opt.table()
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +197,7 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 		defer launcher.Close()
 	}
 
-	c.opt, c.g, c.t, c.dir, c.launcher = opt, g, t, dir, launcher
+	c.opt, c.t, c.dir, c.launcher = opt, t, dir, launcher
 	c.workers = make([]*coordWorker, opt.Workers)
 	c.events = make(chan coordEvent, 64*opt.Workers)
 	c.done = make(chan struct{})
@@ -225,8 +216,16 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 		}
 		c.workers[id] = &coordWorker{id: id, addr: addr}
 	}
-	for id := 0; id < opt.Workers; id++ {
-		if err := c.connectAndInit(id, false); err != nil {
+	// Every worker builds its graph during init: overlap the builds.
+	errs := make([]error, opt.Workers)
+	var wg sync.WaitGroup
+	for id := range errs {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[id] = c.connectAndInit(id, false) }()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -248,10 +247,26 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 	return c.supervise(ctx)
 }
 
+// table partitions the job. Only an edge-balanced table, or a spec that
+// leaves the vertex count to its edge list, needs the graph itself;
+// otherwise the workers are the only ones to build it.
+func (o *Options) table() (Table, error) {
+	if !o.ByEdges && o.Graph.N > 0 {
+		return NewTable(o.Graph.N, o.Workers)
+	}
+	g, err := o.Graph.Build()
+	if err != nil {
+		return Table{}, err
+	}
+	if o.ByEdges {
+		return NewTableByEdges(g, o.Workers)
+	}
+	return NewTable(g.N(), o.Workers)
+}
+
 type coordinator struct {
 	opt      Options
 	life     core.Lifecycle
-	g        graphHandle
 	t        Table
 	dir      string
 	launcher Launcher
@@ -269,10 +284,6 @@ type coordinator struct {
 	repairs  int
 	sweeps   int
 }
-
-// graphHandle keeps coordinator code independent of the concrete graph
-// type (it only needs N for assembly).
-type graphHandle interface{ N() int }
 
 func (c *coordinator) closeConns() {
 	for _, w := range c.workers {
@@ -362,6 +373,10 @@ func (c *coordinator) connectAndInit(id int, restore bool) error {
 			fc.Close()
 			return err
 		}
+		if ready.Err != "" {
+			fc.Close()
+			return fmt.Errorf("netdist: worker %d init: %s", id, ready.Err)
+		}
 		break
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -443,6 +458,27 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 		values        []uint64
 		valuesPending int
 	)
+	// sweep probes every worker for a quiescence snapshot.
+	sweep := func() {
+		if !c.allAlive() {
+			return
+		}
+		sweepEpoch++
+		c.sweeps++
+		sweepStarted = time.Now()
+		sweepPending = make(map[int]bool)
+		sweepReplies = make(map[int]probeReplyMsg)
+		body, _ := json.Marshal(struct {
+			Epoch int64 `json:"epoch"`
+		}{sweepEpoch})
+		for _, w := range c.workers {
+			sweepPending[w.id] = true
+			if err := w.conn.writeFrame(msgProbe, body); err != nil {
+				sweepPending = nil
+				break
+			}
+		}
+	}
 
 	for {
 		select {
@@ -499,7 +535,7 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				if idle && prevIdle != nil && sweepStable(prevIdle, sweepReplies) && !fetching {
 					fetching = true
 					fetchPending = make(map[int]bool)
-					values = make([]uint64, c.g.N())
+					values = make([]uint64, c.t.N())
 					valuesPending = len(c.workers)
 					for _, w := range c.workers {
 						fetchPending[w.id] = true
@@ -509,12 +545,20 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 					}
 					continue
 				}
+				// The first all-idle sweep is confirmed at once rather than
+				// on the next tick: a batch is queued before it is acked, so
+				// no gap between sweeps, however short, can hide one. A
+				// confirming sweep that saw counters move waits for the tick.
+				confirm := idle && prevIdle == nil
 				if idle {
 					prevIdle = sweepReplies
 				} else {
 					prevIdle = nil
 				}
 				sweepPending = nil
+				if confirm {
+					sweep()
+				}
 			case msgValues:
 				if !fetching || !fetchPending[ev.worker] {
 					continue
@@ -565,24 +609,7 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				}
 				continue
 			}
-			if !c.allAlive() {
-				continue
-			}
-			sweepEpoch++
-			c.sweeps++
-			sweepStarted = time.Now()
-			sweepPending = make(map[int]bool)
-			sweepReplies = make(map[int]probeReplyMsg)
-			body, _ := json.Marshal(struct {
-				Epoch int64 `json:"epoch"`
-			}{sweepEpoch})
-			for _, w := range c.workers {
-				sweepPending[w.id] = true
-				if err := w.conn.writeFrame(msgProbe, body); err != nil {
-					sweepPending = nil
-					break
-				}
-			}
+			sweep()
 		}
 	}
 }
@@ -687,10 +714,7 @@ func (c *coordinator) installObs() {
 				break
 			}
 		}
-		return []obs.ReadyCheck{
-			{Name: "graph", OK: c.g != nil, Detail: "graph resident"},
-			{Name: "workers", OK: allUp, Detail: "all workers heartbeating"},
-		}
+		return []obs.ReadyCheck{{Name: "workers", OK: allUp, Detail: "all workers heartbeating"}}
 	})
 	o.SetWorkerStatsSource(func() []obs.WorkerStats {
 		c.mu.Lock()

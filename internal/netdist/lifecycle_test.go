@@ -141,3 +141,23 @@ func TestRunLifecycleLaunchFailure(t *testing.T) {
 		t.Fatalf("netdist summary events = %d, want 1", s.Samples)
 	}
 }
+
+// A spec the generator rejects fails inside each worker's init, not in the
+// coordinator, and Run's error carries the generator's own message.
+func TestRunReportsWorkerInitError(t *testing.T) {
+	for _, tc := range []struct {
+		spec GraphSpec
+		want string
+	}{
+		{GraphSpec{Kind: "rmat", N: 100, M: -1}, "RMAT needs"},
+		{GraphSpec{Kind: "bogus", N: 100}, "unknown graph kind"},
+	} {
+		res, err := Run(context.Background(), Options{Workers: 2, Graph: tc.spec, Algo: AlgoSpec{Name: "wcc"}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one containing %q", tc.spec, err, tc.want)
+		}
+		if res == nil || res.Converged {
+			t.Errorf("%+v: failed run reported %+v", tc.spec, res)
+		}
+	}
+}

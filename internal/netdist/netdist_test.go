@@ -140,6 +140,43 @@ func TestMonotoneKernelsCertified(t *testing.T) {
 	}
 }
 
+// TestMonotoneDeliver: a delivery along an owned in-edge reaches its
+// destination through the CSR; one along another worker's edge, or past the
+// edge count, is a stale frame and changes nothing.
+func TestMonotoneDeliver(t *testing.T) {
+	g := mustBuild(t, GraphSpec{Kind: "chain", N: 4}) // edges e0 0→1, e1 1→2, e2 2→3
+	tab, err := NewTable(g.N(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := newKernel(AlgoSpec{Name: "bfs"}, g, tab, 1) // owns [2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.reset()
+	one := math.Float64bits(1)
+	for _, tc := range []struct {
+		name           string
+		e              uint32
+		v              uint32
+		adopted, sched bool
+	}{
+		{"owned", 1, 2, true, true},
+		{"owned-again", 1, 2, false, false},
+		{"foreign", 0, 0, false, false},
+		{"past-M", uint32(g.M()), 0, false, false},
+	} {
+		v, adopted, sched := k.deliver(tc.e, one)
+		if v != tc.v || adopted != tc.adopted || sched != tc.sched {
+			t.Errorf("%s: deliver(e%d) = (%d, %v, %v), want (%d, %v, %v)",
+				tc.name, tc.e, v, adopted, sched, tc.v, tc.adopted, tc.sched)
+		}
+	}
+	if got := k.values(); got[0] != one || got[1] != math.Float64bits(math.Inf(1)) {
+		t.Errorf("values after deliveries = %v", got)
+	}
+}
+
 func TestDistBFS(t *testing.T) {
 	g := mustBuild(t, testRMAT)
 	res, err := Run(context.Background(), fastOpts(4, testRMAT, AlgoSpec{Name: "bfs", Source: 1}))

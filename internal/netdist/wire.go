@@ -199,9 +199,11 @@ type initMsg struct {
 
 // readyMsg acknowledges init; Restored reports whether a checkpoint was
 // loaded (and from which generation) so tests can assert recovery paths.
+// A worker whose init failed sends Err instead and hangs up.
 type readyMsg struct {
 	Worker   int    `json:"worker"`
 	Restored string `json:"restored,omitempty"` // "", "ckpt", or "ckpt.prev"
+	Err      string `json:"err,omitempty"`
 }
 
 // heartbeatMsg carries liveness plus the progress counters the

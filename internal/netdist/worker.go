@@ -86,6 +86,13 @@ type worker struct {
 	restored         string // which checkpoint generation loaded ("" = cold)
 	pendingSeeds     []uint32
 
+	// ckpt hands state snapshots from the compute goroutine to the
+	// checkpoint writer: one slot, the latest snapshot wins. ckptPending
+	// counts snapshots taken and not yet written or dropped; only the
+	// compute goroutine adds to it or waits on it.
+	ckpt        chan []uint64
+	ckptPending sync.WaitGroup
+
 	wg sync.WaitGroup
 }
 
@@ -198,6 +205,9 @@ func (w *worker) serveCoord(fc *frameConn) error {
 				return fmt.Errorf("netdist: worker init: %w", err)
 			}
 			if err := w.initialize(init); err != nil {
+				// Tell the coordinator why before hanging up, so its error
+				// names the cause rather than the closed connection.
+				_ = fc.writeJSON(msgReady, readyMsg{Worker: init.Worker, Err: err.Error()})
 				return err
 			}
 			if err := fc.writeJSON(msgReady, readyMsg{Worker: w.id, Restored: w.restored}); err != nil {
@@ -299,17 +309,21 @@ func (w *worker) initialize(init initMsg) error {
 		w.wg.Add(1)
 		go func() { defer w.wg.Done(); s.run() }()
 	}
-	w.wg.Add(2)
+	w.ckpt = make(chan []uint64, 1)
+	w.wg.Add(3)
 	go func() { defer w.wg.Done(); w.computeLoop() }()
 	go func() { defer w.wg.Done(); w.heartbeatLoop() }()
+	go func() { defer w.wg.Done(); w.checkpointLoop() }()
 	return nil
 }
 
 // servePeer receives data batches from one peer, acking every batch
 // unconditionally: the kernel's merge is idempotent, so re-delivery after
-// a lost ack is absorbed, and acking before processing is safe because a
-// crash after the ack rolls the kernel back to a checkpoint whose gaps
-// the boundary repair re-fills.
+// a lost ack is absorbed. A batch is acked only once it is queued, so at
+// every instant it sits in the sender's unacked window or in this queue,
+// never in neither; quiescence detection counts on that. Acking before
+// processing is safe because a crash after the ack rolls the kernel back
+// to a checkpoint whose gaps the boundary repair re-fills.
 func (w *worker) servePeer(fc *frameConn) {
 	defer fc.Close()
 	for {
@@ -324,10 +338,10 @@ func (w *worker) servePeer(fc *frameConn) {
 		if err != nil {
 			return
 		}
+		w.enqueueCmd(cmd{kind: cmdDeliver, batch: b})
 		if err := fc.writeFrame(msgAck, encodeAck(b.seq)); err != nil {
 			return
 		}
-		w.enqueueCmd(cmd{kind: cmdDeliver, batch: b})
 	}
 }
 
@@ -379,6 +393,7 @@ func (w *worker) emit(e, dst uint32, val uint64) {
 // restart would replay it.
 func (w *worker) computeLoop() {
 	cur := int64(-1) // the vertex whose update is running
+	defer close(w.ckpt)
 	defer func() {
 		if r := recover(); r != nil && w.coord != nil {
 			// A failed write means the control connection is gone, which
@@ -450,6 +465,15 @@ func (w *worker) handleCmd(c cmd) {
 		tLo, tHi := w.t.Range(c.target)
 		w.kern.boundary(func(dst uint32) bool { return dst >= tLo && dst < tHi }, w.emit)
 	case cmdFetch:
+		// The run is over: drop a snapshot not yet written and wait out
+		// the one being written, so nothing touches the checkpoint
+		// directory once the coordinator has every value.
+		select {
+		case <-w.ckpt:
+			w.ckptPending.Done()
+		default:
+		}
+		w.ckptPending.Wait()
 		vals := w.kern.values()
 		if w.coord != nil {
 			_ = w.coord.writeJSON(msgValues, valuesMsg{Worker: w.id, Lo: w.lo, Values: vals})
@@ -457,17 +481,35 @@ func (w *worker) handleCmd(c cmd) {
 	}
 }
 
-// maybeCheckpoint persists kernel state every ckptOps adoptions. Runs on
-// the compute goroutine between commands, so the snapshot is a consistent
-// cut of the partition.
+// maybeCheckpoint snapshots kernel state every ckptOps adoptions and hands
+// it to the checkpoint writer. It runs on the compute goroutine between
+// commands, so the snapshot is a consistent cut of the partition; the disk
+// write and its fsync happen off this goroutine. A snapshot still waiting
+// when the next one is taken is replaced: the disk then holds an older
+// generation, which restore accepts as it accepts any (even none).
 func (w *worker) maybeCheckpoint() {
 	if w.dir == "" || w.adoptedSinceCkpt < w.ckptOps {
 		return
 	}
 	w.adoptedSinceCkpt = 0
-	_ = saveCheckpoint(w.dir, checkpoint{
-		Algo: w.algo, Worker: w.id, Lo: w.lo, Hi: w.hi, Words: w.kern.encodeState(),
-	})
+	words := w.kern.encodeState()
+	select {
+	case <-w.ckpt: // replaced; its pending count carries over
+	default:
+		w.ckptPending.Add(1)
+	}
+	w.ckpt <- words // never blocks: the compute goroutine is the only sender
+}
+
+// checkpointLoop writes the snapshots maybeCheckpoint hands over until the
+// compute goroutine closes the channel. A killed worker writes nothing more.
+func (w *worker) checkpointLoop() {
+	for words := range w.ckpt {
+		if w.ctx.Err() == nil {
+			_ = saveCheckpoint(w.dir, checkpoint{Algo: w.algo, Worker: w.id, Lo: w.lo, Hi: w.hi, Words: words})
+		}
+		w.ckptPending.Done()
+	}
 }
 
 // snapshot assembles a quiescence probe reply from the live counters.

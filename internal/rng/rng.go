@@ -116,6 +116,27 @@ func (x *Xoshiro256StarStar) Float64() float64 {
 	return float64(x.Uint64()>>11) / (1 << 53)
 }
 
+// Float64s fills dst with the next len(dst) values of the Float64
+// sequence: afterwards dst[i] equals what the i-th of len(dst) successive
+// Float64 calls would have returned. It keeps the state in registers for
+// the whole fill, so bulk consumers (RMAT draws 2·levels per edge) skip a
+// call per value.
+func (x *Xoshiro256StarStar) Float64s(dst []float64) {
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = float64(result>>11) / (1 << 53)
+	}
+	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
+}
+
 // Perm returns a deterministic pseudo-random permutation of [0, n) using the
 // Fisher–Yates shuffle.
 func (x *Xoshiro256StarStar) Perm(n int) []int {

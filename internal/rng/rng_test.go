@@ -120,6 +120,25 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestFloat64sMatchesFloat64 pins the bulk draw to the one-at-a-time
+// sequence, including across fills of different lengths and interleaved
+// single draws.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	bulk, single := New(42), New(42)
+	for _, n := range []int{0, 1, 36, 7, 1000} {
+		buf := make([]float64, n)
+		bulk.Float64s(buf)
+		for i, got := range buf {
+			if want := single.Float64(); got != want {
+				t.Fatalf("fill of %d: value %d = %v, want %v", n, i, got, want)
+			}
+		}
+		if a, b := bulk.Float64(), single.Float64(); a != b {
+			t.Fatalf("after a fill of %d: Float64 = %v, want %v", n, a, b)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw % 64)

@@ -61,6 +61,15 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 -run Lifecycle ./internal/core/ ./internal/hybrid/ ./internal/shard/ ./internal/netdist/
 done
 
+echo "== flake gate (netdist quiescence, -race -count=5, GOMAXPROCS 1/2/8) =="
+# Workers initialise in parallel and the confirming quiescence sweep goes
+# out as soon as the first all-idle sweep returns, so termination detection
+# depends on goroutine scheduling: the end-to-end runs, lossy links and a
+# healed partition must all reach the exact fixed point every time.
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -count=5 -run 'TestDist(WCC|BFS|SSSP|SingleWorker|FaultyLinks|PartitionHeal)$' ./internal/netdist/
+done
+
 echo "== go test -race (cross-engine differential, lock + atomic modes) =="
 # The differential suite pins every executor to the sequential DE fixed
 # point using ModeLocked/ModeAtomic only (ModeAligned is compiled out of

@@ -1,67 +1,30 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"math"
 
 	"ndgraph/internal/fsafe"
 )
 
-// ErrCorrupt marks a checkpoint file whose contents fail structural or
-// checksum validation: truncated mid-write, torn, or bit-rotted. Callers
-// holding more than one checkpoint generation should test with
-// errors.Is(err, ErrCorrupt) and fall back to the previous good file;
-// errors that do NOT wrap ErrCorrupt (missing file, a checkpoint for a
-// different graph) are not repaired by falling back.
-var ErrCorrupt = errors.New("core: checkpoint corrupt")
-
-// Checkpoint format: a little-endian header (magic, version, iteration,
-// update count, n, m), the vertex words, the edge words, the current
-// frontier member list, and a CRC32 (IEEE) trailer over everything before
-// it. Files are written atomically (temp file + rename), so a crash
-// mid-checkpoint leaves the previous checkpoint intact, and a torn or
-// truncated file is rejected at load time by the checksum.
-const (
-	ckptMagic   = 0x4e44434b // "NDCK"
-	ckptVersion = 1
-)
+// ckptFormat is the engine checkpoint: header (iteration, update count,
+// n, m) and three sections (vertex words, edge words, frontier members).
+// fsafe keeps two generations and verifies the CRC32 on load, so a crash
+// mid-checkpoint leaves a loadable file and a torn one is never loaded.
+var ckptFormat = fsafe.Format{Tag: "NDC2", Header: 4, Sections: 3}
 
 // saveCheckpoint writes the engine's state at an iteration boundary. Called
 // between iterations only (no workers running), so plain Snapshot reads are
 // safe. When a fault injector is installed, Snapshot bypasses it, so the
 // checkpoint records the true committed words.
 func (e *Engine) saveCheckpoint(path string, iter int, updates int64) error {
-	return fsafe.WriteFile(path, func(w io.Writer) error {
-		h := crc32.NewIEEE()
-		mw := io.MultiWriter(w, h)
-		hdr := []uint64{ckptMagic, ckptVersion, uint64(iter), uint64(updates), uint64(e.g.N()), uint64(e.g.M())}
-		for _, v := range hdr {
-			if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		if err := writeWords(mw, e.Vertices); err != nil {
-			return err
-		}
-		if err := writeWords(mw, e.Edges.Snapshot()); err != nil {
-			return err
-		}
-		members := e.front.Members()
-		if err := binary.Write(mw, binary.LittleEndian, uint64(len(members))); err != nil {
-			return err
-		}
-		for _, v := range members {
-			if err := binary.Write(mw, binary.LittleEndian, uint32(v)); err != nil {
-				return err
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, h.Sum32())
-	})
+	members := e.front.Members()
+	front := make([]uint64, len(members))
+	for i, v := range members {
+		front[i] = uint64(v)
+	}
+	hdr := []uint64{uint64(iter), uint64(updates), uint64(e.g.N()), uint64(e.g.M())}
+	return ckptFormat.Save(path, hdr, e.Vertices, e.Edges.Snapshot(), front)
 }
 
 // RestoreCheckpoint loads a checkpoint written during an earlier run on the
@@ -69,130 +32,48 @@ func (e *Engine) saveCheckpoint(path string, iter int, updates int64) error {
 // words, the scheduled set, and the resume point (iteration and update
 // counters). A following Run continues from the checkpointed iteration;
 // under a deterministic scheduler the resumed run's final state is
-// byte-identical to an uninterrupted run's. The file's CRC32 is verified —
-// a truncated or corrupted checkpoint is rejected, never silently loaded.
-// It returns the iteration the engine will resume at.
+// byte-identical to an uninterrupted run's. When path is missing or fails
+// validation (errors.Is(err, fsafe.ErrCorrupt)), the previous generation
+// path.prev is loaded instead; a checkpoint for another graph is an error
+// either way, and the engine is untouched by every failed attempt. It
+// returns the iteration the engine will resume at.
 func (e *Engine) RestoreCheckpoint(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if fi.Size() < 6*8+4 {
-		return 0, fmt.Errorf("core: checkpoint: file truncated (%d bytes): %w", fi.Size(), ErrCorrupt)
-	}
-	body := fi.Size() - 4 // trailing CRC32
-	h := crc32.NewIEEE()
-	r := bufio.NewReader(io.TeeReader(io.LimitReader(f, body), h))
-
-	var hdr [6]uint64
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return 0, fmt.Errorf("core: checkpoint header: %v: %w", err, ErrCorrupt)
+	n, m := e.g.N(), e.g.M()
+	iter := 0
+	_, err := ckptFormat.Load(path, func(hdr []uint64, s [][]uint64) error {
+		if hdr[2] != uint64(n) || hdr[3] != uint64(m) {
+			return fmt.Errorf("checkpoint is for a %d-vertex/%d-edge graph, engine holds %d/%d", hdr[2], hdr[3], n, m)
 		}
-	}
-	if hdr[0] != ckptMagic {
-		return 0, fmt.Errorf("core: checkpoint: bad magic %#x: %w", hdr[0], ErrCorrupt)
-	}
-	if hdr[1] != ckptVersion {
-		return 0, fmt.Errorf("core: checkpoint: unsupported version %d: %w", hdr[1], ErrCorrupt)
-	}
-	iter, updates := int(hdr[2]), int64(hdr[3])
-	if int(hdr[4]) != e.g.N() || int(hdr[5]) != e.g.M() {
-		return 0, fmt.Errorf("core: checkpoint is for a %d-vertex/%d-edge graph, engine holds %d/%d",
-			hdr[4], hdr[5], e.g.N(), e.g.M())
-	}
-	vertices := make([]uint64, e.g.N())
-	if err := readWords(r, vertices); err != nil {
-		return 0, fmt.Errorf("core: checkpoint vertices: %v: %w", err, ErrCorrupt)
-	}
-	edges := make([]uint64, e.g.M())
-	if err := readWords(r, edges); err != nil {
-		return 0, fmt.Errorf("core: checkpoint edges: %v: %w", err, ErrCorrupt)
-	}
-	var count uint64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return 0, fmt.Errorf("core: checkpoint frontier: %v: %w", err, ErrCorrupt)
-	}
-	if count > uint64(e.g.N()) {
-		return 0, fmt.Errorf("core: checkpoint frontier count %d exceeds %d vertices: %w", count, e.g.N(), ErrCorrupt)
-	}
-	members := make([]int, count)
-	for i := range members {
-		var v uint32
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return 0, fmt.Errorf("core: checkpoint frontier: %v: %w", err, ErrCorrupt)
+		if hdr[0] > math.MaxInt32 || hdr[1] > math.MaxInt64 {
+			return fmt.Errorf("checkpoint resumes at iteration %d after %d updates: %w", hdr[0], hdr[1], fsafe.ErrCorrupt)
+		}
+		vertices, edges, front := s[0], s[1], s[2]
+		if len(vertices) != n || len(edges) != m || len(front) > n {
+			return fmt.Errorf("checkpoint holds %d vertices, %d edges, %d frontier members for a %d/%d graph: %w",
+				len(vertices), len(edges), len(front), n, m, fsafe.ErrCorrupt)
 		}
 		// Bounds-check each member: LoadCurrent sets frontier bits without
 		// validation, so an out-of-range ID — reachable via a file whose
 		// CRC is valid over corrupt contents — would panic the bitset
 		// instead of returning an error.
-		if int(v) >= e.g.N() {
-			return 0, fmt.Errorf("core: checkpoint frontier member %d exceeds %d vertices: %w", v, e.g.N(), ErrCorrupt)
+		members := make([]int, len(front))
+		for i, v := range front {
+			if v >= uint64(n) {
+				return fmt.Errorf("checkpoint frontier member %d exceeds %d vertices: %w", v, n, fsafe.ErrCorrupt)
+			}
+			members[i] = int(v)
 		}
-		members[i] = int(v)
+		copy(e.Vertices, vertices)
+		for i, w := range edges {
+			e.Edges.Store(uint32(i), w)
+		}
+		e.front.LoadCurrent(members)
+		iter = int(hdr[0])
+		e.startIter, e.startUpdates = iter, int64(hdr[1])
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
-	// Hash any unparsed remainder so the CRC covers the full body, then
-	// read the trailer from the file's tail.
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return 0, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	want := h.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return 0, fmt.Errorf("core: checkpoint checksum: %v: %w", err, ErrCorrupt)
-	}
-	got := binary.LittleEndian.Uint32(tail[:])
-	if got != want {
-		return 0, fmt.Errorf("core: checkpoint checksum mismatch (file %#x, computed %#x): truncated or corrupted: %w", got, want, ErrCorrupt)
-	}
-
-	copy(e.Vertices, vertices)
-	for i, w := range edges {
-		e.Edges.Store(uint32(i), w)
-	}
-	e.front.LoadCurrent(members)
-	e.startIter = iter
-	e.startUpdates = updates
 	return iter, nil
-}
-
-func writeWords(w io.Writer, words []uint64) error {
-	buf := make([]byte, 8*1024)
-	for len(words) > 0 {
-		n := len(buf) / 8
-		if n > len(words) {
-			n = len(words)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], words[i])
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		words = words[n:]
-	}
-	return nil
-}
-
-func readWords(r io.Reader, words []uint64) error {
-	buf := make([]byte, 8*1024)
-	for len(words) > 0 {
-		n := len(buf) / 8
-		if n > len(words) {
-			n = len(words)
-		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			words[i] = binary.LittleEndian.Uint64(buf[8*i:])
-		}
-		words = words[n:]
-	}
-	return nil
 }

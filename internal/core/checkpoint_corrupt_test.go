@@ -6,13 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ndgraph/internal/fsafe"
 	"ndgraph/internal/sched"
 )
 
 // A crash mid-checkpoint-write leaves a prefix of the file on disk (the
 // atomic rename normally prevents this, but a torn copy can still arrive
 // through an interrupted transfer or a bad disk). Restore must classify
-// every truncation point as ErrCorrupt — never panic, never load garbage —
+// every truncation point as fsafe.ErrCorrupt — never panic, never load garbage —
 // so a supervisor can distinguish "fall back to the previous generation"
 // from "this checkpoint belongs to another graph".
 func TestRestoreTruncationAlwaysErrCorrupt(t *testing.T) {
@@ -38,13 +39,13 @@ func TestRestoreTruncationAlwaysErrCorrupt(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(data))
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d/%d bytes: error %v does not wrap ErrCorrupt", cut, len(data), err)
+		if !errors.Is(err, fsafe.ErrCorrupt) {
+			t.Fatalf("truncation at %d/%d bytes: error %v does not wrap fsafe.ErrCorrupt", cut, len(data), err)
 		}
 	}
 }
 
-// Bit rot anywhere in the body must surface ErrCorrupt via the checksum.
+// Bit rot anywhere in the body must surface fsafe.ErrCorrupt via the checksum.
 func TestRestoreBitFlipIsErrCorrupt(t *testing.T) {
 	g := ringGraph(t, 24)
 	path := writeCheckpointFile(t, g)
@@ -60,35 +61,34 @@ func TestRestoreBitFlipIsErrCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newEngine(t, g, Options{})
-		if _, err := e.RestoreCheckpoint(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip at %d: error %v does not wrap ErrCorrupt", pos, err)
+		if _, err := e.RestoreCheckpoint(bad); !errors.Is(err, fsafe.ErrCorrupt) {
+			t.Fatalf("bit flip at %d: error %v does not wrap fsafe.ErrCorrupt", pos, err)
 		}
 	}
 }
 
-// Errors that fallback cannot repair must NOT wrap ErrCorrupt: a missing
+// Errors that fallback cannot repair must NOT wrap fsafe.ErrCorrupt: a missing
 // file and a structurally valid checkpoint for a different graph both mean
 // "no amount of retrying older generations helps".
 func TestRestoreNonCorruptErrorsAreNotErrCorrupt(t *testing.T) {
 	e := newEngine(t, ringGraph(t, 8), Options{})
-	if _, err := e.RestoreCheckpoint(filepath.Join(t.TempDir(), "nope.ndck")); err == nil || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing file: got %v, want a non-ErrCorrupt error", err)
+	if _, err := e.RestoreCheckpoint(filepath.Join(t.TempDir(), "nope.ndck")); err == nil || errors.Is(err, fsafe.ErrCorrupt) {
+		t.Fatalf("missing file: got %v, want a non-fsafe.ErrCorrupt error", err)
 	}
 	path := writeCheckpointFile(t, ringGraph(t, 24))
 	other := newEngine(t, ringGraph(t, 25), Options{})
-	if _, err := other.RestoreCheckpoint(path); err == nil || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong graph: got %v, want a non-ErrCorrupt error", err)
+	if _, err := other.RestoreCheckpoint(path); err == nil || errors.Is(err, fsafe.ErrCorrupt) {
+		t.Fatalf("wrong graph: got %v, want a non-fsafe.ErrCorrupt error", err)
 	}
 }
 
-// The recovery discipline the supervisor applies: try the newest
-// generation, and on ErrCorrupt fall back to the previous good file. The
-// engine must be untouched by the failed attempt — the fallback restore
-// then resumes and finishes byte-identically to an uninterrupted run.
+// RestoreCheckpoint applies the recovery discipline itself: when the
+// newest generation is torn it loads the previous good one. The failed
+// attempt leaves the engine untouched, so the fallback restore then resumes
+// and finishes byte-identically to an uninterrupted run.
 func TestRestoreFallsBackToPreviousGoodCheckpoint(t *testing.T) {
 	g := chainGraph(t, 40)
-	dir := t.TempDir()
-	good := filepath.Join(dir, "ckpt.prev")
+	newest := filepath.Join(t.TempDir(), "ckpt")
 
 	// Reference: uninterrupted run.
 	ref := newEngine(t, g, Options{Scheduler: sched.Deterministic})
@@ -97,31 +97,33 @@ func TestRestoreFallsBackToPreviousGoodCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Produce a good checkpoint generation.
-	ck := newEngine(t, g, Options{Scheduler: sched.Deterministic, CheckpointEvery: 5, CheckpointPath: good})
+	// Produce two generations, then let the newest crash mid-write: a torn
+	// prefix of itself.
+	ck := newEngine(t, g, Options{Scheduler: sched.Deterministic, CheckpointEvery: 5, CheckpointPath: newest})
 	initReversedLabels(ck)
 	if _, err := ck.Run(minLabelUpdate); err != nil {
 		t.Fatal(err)
 	}
-	// The "newest" generation crashed mid-write: a torn prefix of the good
-	// one.
-	data, err := os.ReadFile(good)
+	newestIter, err := newEngine(t, g, Options{}).RestoreCheckpoint(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newest := filepath.Join(dir, "ckpt")
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(newest, data[:len(data)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	e := newEngine(t, g, Options{Scheduler: sched.Deterministic})
 	initReversedLabels(e)
-	_, err = e.RestoreCheckpoint(newest)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn newest generation: got %v, want ErrCorrupt", err)
-	}
-	if _, err := e.RestoreCheckpoint(good); err != nil {
+	iter, err := e.RestoreCheckpoint(newest)
+	if err != nil {
 		t.Fatalf("fallback to previous generation failed: %v", err)
+	}
+	if iter != newestIter-5 {
+		t.Fatalf("resumed at iteration %d, want the previous generation's %d", iter, newestIter-5)
 	}
 	if _, err := e.Run(minLabelUpdate); err != nil {
 		t.Fatal(err)

@@ -93,8 +93,10 @@ type Options struct {
 	// scheduler the resumed run's final state is byte-identical to an
 	// uninterrupted one. 0 disables.
 	CheckpointEvery int
-	// CheckpointPath is the checkpoint file location (written atomically:
-	// temp file + rename, CRC32-verified on load).
+	// CheckpointPath is the newest checkpoint generation (written
+	// atomically: temp file + rename, CRC32-verified on load). Each write
+	// first renames the one before to CheckpointPath + ".prev", which
+	// RestoreCheckpoint loads when the newest is missing or torn.
 	CheckpointPath string
 	// EnableCensus turns on logical conflict classification (read-write vs
 	// write-write per Section III). Adds one atomic OR per edge access.

@@ -5,6 +5,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ndgraph/internal/gen"
@@ -81,8 +83,8 @@ func FuzzCheckpointRestore(f *testing.F) {
 	crcFlip[len(crcFlip)-1] ^= 0xff
 	f.Add(crcFlip) // corrupted CRC trailer: must error
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:6*8+4]) // header + trailer only, no body
-	f.Add([]byte("NDCKnot-a-checkpoint"))
+	f.Add(valid[:4+4*8+4]) // tag + header + trailer only, no sections
+	f.Add([]byte("NDC2not-a-checkpoint"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ndck")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -116,16 +118,17 @@ func FuzzCheckpointRestore(f *testing.F) {
 func TestRestoreCheckpointRejectsOutOfRangeFrontier(t *testing.T) {
 	g := fuzzCkptGraph(t)
 	data := validCheckpointBytes(t, g)
-	// Layout: 6×uint64 header, n vertex words, m edge words, uint64
-	// member count, count×uint32 members, uint32 CRC.
-	countOff := 6*8 + g.N()*8 + g.M()*8
+	// Layout: 4-byte tag, 4×uint64 header, then three sections, each a
+	// uint64 count and count×uint64 words: vertices, edges, frontier
+	// members; a uint32 CRC last.
+	countOff := 4 + 4*8 + 8 + g.N()*8 + 8 + g.M()*8
 	if count := binary.LittleEndian.Uint64(data[countOff:]); count == 0 {
 		t.Fatal("seed checkpoint has empty frontier; cannot exercise member bounds")
 	}
 	bad := append([]byte(nil), data...)
 	// Overwrite the first member with an out-of-range ID and re-stamp the
 	// CRC so only the member bounds check can reject it.
-	binary.LittleEndian.PutUint32(bad[countOff+8:], uint32(g.N()))
+	binary.LittleEndian.PutUint64(bad[countOff+8:], uint64(g.N()))
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
 	path := filepath.Join(t.TempDir(), "bad.ndck")
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
@@ -137,5 +140,33 @@ func TestRestoreCheckpointRejectsOutOfRangeFrontier(t *testing.T) {
 	}
 	if _, err := e.RestoreCheckpoint(path); err == nil {
 		t.Fatal("out-of-range frontier member restored successfully")
+	}
+}
+
+// The checked-in seed-valid corpus file must restore, or a format change
+// would silently leave the fuzz corpus rejecting every seed.
+func TestFuzzCheckpointSeedValidRestores(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointRestore", "seed-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("seed-valid is not a one-[]byte corpus file: %.40q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "seed.ndck")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(fuzzCkptGraph(t), Options{Scheduler: sched.Deterministic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RestoreCheckpoint(path); err != nil {
+		t.Fatalf("checked-in seed-valid does not restore: %v", err)
 	}
 }

@@ -2,96 +2,27 @@ package netdist
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"ndgraph/internal/fsafe"
 )
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ck := checkpoint{Algo: "sssp", Worker: 3, Lo: 100, Hi: 200, Words: []uint64{1, 2, ^uint64(0)}}
-	if err := saveCheckpoint(dir, ck); err != nil {
-		t.Fatal(err)
-	}
-	got, gen, ok, err := restoreCheckpoint(dir, "sssp", 3, 100, 200)
-	if err != nil || !ok || gen != ckptName {
-		t.Fatalf("ok=%v gen=%q err=%v", ok, gen, err)
-	}
-	if got.Algo != ck.Algo || got.Worker != ck.Worker || got.Lo != ck.Lo || got.Hi != ck.Hi {
-		t.Fatalf("header: %+v", got)
-	}
-	for i, w := range ck.Words {
-		if got.Words[i] != w {
-			t.Fatalf("word %d: %d != %d", i, got.Words[i], w)
-		}
-	}
-}
-
+// A checkpoint of another algorithm, worker or range is a hard error: it
+// does not wrap fsafe.ErrCorrupt, so neither the previous generation nor a
+// cold start stands in for it.
 func TestCheckpointIdentityMismatchIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	if err := saveCheckpoint(dir, checkpoint{Algo: "wcc", Worker: 0, Lo: 0, Hi: 10}); err != nil {
+	saved := &worker{algo: "wcc", id: 0, lo: 0, hi: 10, dir: dir}
+	if err := saved.saveCheckpoint(make([]uint64, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := restoreCheckpoint(dir, "sssp", 0, 0, 10); err == nil {
-		t.Fatal("algorithm mismatch accepted")
-	}
-	if _, _, _, err := restoreCheckpoint(dir, "wcc", 1, 0, 10); err == nil {
-		t.Fatal("worker mismatch accepted")
-	}
-}
-
-func TestCheckpointMissingIsColdStart(t *testing.T) {
-	_, gen, ok, err := restoreCheckpoint(t.TempDir(), "wcc", 0, 0, 10)
-	if err != nil || ok || gen != "" {
-		t.Fatalf("ok=%v gen=%q err=%v", ok, gen, err)
-	}
-}
-
-func TestCheckpointTornFallsBackToPrev(t *testing.T) {
-	dir := t.TempDir()
-	old := checkpoint{Algo: "wcc", Worker: 1, Lo: 0, Hi: 4, Words: []uint64{0, 1, 2, 3}}
-	if err := saveCheckpoint(dir, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveCheckpoint(dir, checkpoint{Algo: "wcc", Worker: 1, Lo: 0, Hi: 4, Words: []uint64{0, 0, 0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the newest generation mid-file.
-	path := filepath.Join(dir, ckptName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCheckpoint(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn file: err=%v, want ErrCorrupt", err)
-	}
-	got, gen, ok, err := restoreCheckpoint(dir, "wcc", 1, 0, 4)
-	if err != nil || !ok || gen != ckptPrev {
-		t.Fatalf("ok=%v gen=%q err=%v", ok, gen, err)
-	}
-	if got.Words[3] != 3 {
-		t.Fatalf("restored words %v, want previous generation", got.Words)
-	}
-}
-
-func TestCheckpointBitFlipDetected(t *testing.T) {
-	dir := t.TempDir()
-	if err := saveCheckpoint(dir, checkpoint{Algo: "bfs", Worker: 0, Lo: 0, Hi: 2, Words: []uint64{7, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, ckptName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCheckpoint(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit flip: err=%v, want ErrCorrupt", err)
+	for _, w := range []*worker{
+		{algo: "sssp", id: 0, lo: 0, hi: 10, dir: dir},
+		{algo: "wcc", id: 1, lo: 0, hi: 10, dir: dir},
+		{algo: "wcc", id: 0, lo: 0, hi: 9, dir: dir},
+	} {
+		if err := w.restoreCheckpoint(); err == nil || errors.Is(err, fsafe.ErrCorrupt) {
+			t.Errorf("%s worker %d [%d,%d): err = %v, want a hard mismatch error", w.algo, w.id, w.lo, w.hi, err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func (o *Options) defaults() {
 // until the run ended.
 type Result struct {
 	// Values holds the converged per-vertex values: raw labels for WCC,
-	// Float64bits distances for BFS/SSSP, Float64bits ranks for PageRank.
+	// Float64bits distances for BFS/SSSP.
 	// Nil unless Converged: a stopped run fetches nothing.
 	Values []uint64
 	// Restarts counts supervised worker restarts; Repairs counts boundary
@@ -98,7 +98,7 @@ type Result struct {
 	Messages, Adopted int64
 }
 
-// Floats decodes Values as float64 (BFS/SSSP distances, PageRank ranks).
+// Floats decodes Values as float64 (BFS/SSSP distances).
 func (r *Result) Floats() []float64 {
 	out := make([]float64, len(r.Values))
 	for i, w := range r.Values {

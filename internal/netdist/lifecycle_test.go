@@ -142,22 +142,26 @@ func TestRunLifecycleLaunchFailure(t *testing.T) {
 	}
 }
 
-// A spec the generator rejects fails inside each worker's init, not in the
-// coordinator, and Run's error carries the generator's own message.
+// A spec the generator or the kernel table rejects fails inside each
+// worker's init, not in the coordinator, and Run's error carries the
+// worker's own message. PageRank has no certified kernel here, so netdist
+// does not know it.
 func TestRunReportsWorkerInitError(t *testing.T) {
 	for _, tc := range []struct {
 		spec GraphSpec
+		algo AlgoSpec
 		want string
 	}{
-		{GraphSpec{Kind: "rmat", N: 100, M: -1}, "RMAT needs"},
-		{GraphSpec{Kind: "bogus", N: 100}, "unknown graph kind"},
+		{GraphSpec{Kind: "rmat", N: 100, M: -1}, AlgoSpec{Name: "wcc"}, "RMAT needs"},
+		{GraphSpec{Kind: "bogus", N: 100}, AlgoSpec{Name: "wcc"}, "unknown graph kind"},
+		{GraphSpec{Kind: "chain", N: 100}, AlgoSpec{Name: "pagerank"}, "unknown algorithm"},
 	} {
-		res, err := Run(context.Background(), Options{Workers: 2, Graph: tc.spec, Algo: AlgoSpec{Name: "wcc"}})
+		res, err := Run(context.Background(), Options{Workers: 2, Graph: tc.spec, Algo: tc.algo})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%+v: err = %v, want one containing %q", tc.spec, err, tc.want)
+			t.Errorf("%+v %+v: err = %v, want one containing %q", tc.spec, tc.algo, err, tc.want)
 		}
 		if res == nil || res.Converged {
-			t.Errorf("%+v: failed run reported %+v", tc.spec, res)
+			t.Errorf("%+v %+v: failed run reported %+v", tc.spec, tc.algo, res)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package netdist executes the monotone propagation algorithms of the
-// paper's Theorem 2 family (WCC, BFS, SSSP) plus cumulative-push PageRank
-// across N worker *processes* speaking a length-prefixed TCP protocol —
-// the real-transport successor of package dist's in-process simulation.
+// paper's Theorem 2 family (WCC, BFS, SSSP), each the certified
+// algorithms.Kernel of its name, across N worker *processes* speaking a
+// length-prefixed TCP protocol — the real-transport successor of package
+// dist's in-process simulation.
 //
 // The design leans on the paper's central result instead of on distributed
 // coordination: eligible algorithms reconverge from perturbed state, so

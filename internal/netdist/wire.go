@@ -260,7 +260,7 @@ type failedMsg struct {
 }
 
 // valuesMsg returns a worker's owned slice of the result. Values are the
-// raw uint64 propagation values; the coordinator decodes PageRank floats.
+// raw uint64 propagation values; Result decodes them.
 type valuesMsg struct {
 	Worker int      `json:"worker"`
 	Lo     uint32   `json:"lo"`
@@ -274,8 +274,8 @@ type valuesMsg struct {
 //	uint64 seq | uint32 count | count × (uint32 edge, uint64 value)
 //
 // where edge is the canonical edge index the value travels along. Sending
-// edges (not destination vertices) gives the receiver the in-slot to
-// dedup against and, for PageRank, the per-edge cumulative counter.
+// edges (not destination vertices) lets the receiver find the destination
+// in its own CSR and drop a stale frame for an edge it does not own.
 type dataBatch struct {
 	seq     uint64
 	entries []batchEntry

@@ -49,7 +49,7 @@ type cmd struct {
 type worker struct {
 	id   int
 	t    Table
-	kern kernel
+	kern *monotoneKernel
 	algo string
 	dir  string
 	lo   uint32
@@ -103,12 +103,9 @@ type worker struct {
 // in-process analog of SIGKILL: all goroutines unwind without flushing
 // anything.
 func RunWorker(ctx context.Context, ln net.Listener) error {
-	ctx, cancel := context.WithCancel(ctx)
-	w := &worker{ctx: ctx, cancel: cancel, rto: defaultRTO, hbEvery: defaultHB, ckptOps: defaultCkptOps}
-	w.cond = sync.NewCond(&w.mu)
-
+	w := newWorker(ctx)
 	done := make(chan error, 1)
-	go func() { <-ctx.Done(); ln.Close(); w.stop() }()
+	go func() { <-w.ctx.Done(); ln.Close(); w.stop() }()
 	// The accept loop is itself wg-tracked so its wg.Add for connection
 	// handlers can never race a wg.Wait that already observed zero.
 	w.wg.Add(1)
@@ -116,15 +113,23 @@ func RunWorker(ctx context.Context, ln net.Listener) error {
 
 	select {
 	case err := <-done:
-		cancel()
+		w.cancel()
 		ln.Close()
 		w.stop()
 		w.wg.Wait()
 		return err
-	case <-ctx.Done():
+	case <-w.ctx.Done():
 		w.wg.Wait()
-		return ctx.Err()
+		return w.ctx.Err()
 	}
+}
+
+// newWorker returns a worker with default timings, awaiting its init.
+func newWorker(ctx context.Context) *worker {
+	ctx, cancel := context.WithCancel(ctx)
+	w := &worker{ctx: ctx, cancel: cancel, rto: defaultRTO, hbEvery: defaultHB, ckptOps: defaultCkptOps}
+	w.cond = sync.NewCond(&w.mu)
+	return w
 }
 
 // stop wakes and terminates the compute goroutine.
@@ -281,18 +286,9 @@ func (w *worker) initialize(init initMsg) error {
 	w.inQ = make([]bool, w.hi-w.lo)
 	w.pendingSeeds = w.kern.reset()
 	if init.Restore {
-		ck, gen, ok, err := restoreCheckpoint(w.dir, w.algo, w.id, w.lo, w.hi)
-		if err != nil {
+		if err := w.restoreCheckpoint(); err != nil {
 			return err
 		}
-		if ok {
-			if err := w.kern.decodeState(ck.Words); err != nil {
-				return err
-			}
-			w.restored = gen
-		}
-		// Neither generation loadable: cold start from the seeds above —
-		// the boundary repair ripple still regenerates everything.
 	}
 	if w.dir != "" {
 		if err := os.MkdirAll(w.dir, 0o755); err != nil {
@@ -368,20 +364,24 @@ func (w *worker) schedule(v uint32) {
 // into the kernel, cross-partition edges go to the peer sender.
 func (w *worker) emit(e, dst uint32, val uint64) {
 	if dst >= w.lo && dst < w.hi {
-		_, adopted, sched := w.kern.deliver(e, val)
-		w.recv.Add(1)
-		if adopted {
-			w.adopted.Add(1)
-			w.adoptedSinceCkpt++
-		}
-		if sched {
-			w.schedule(dst)
-		}
+		w.deliver(e, val)
 		return
 	}
 	if s := w.senders[w.t.OwnerOf(dst)]; s != nil {
 		s.enqueue(batchEntry{edge: e, val: val})
 		w.sentN.Add(1)
+	}
+}
+
+// deliver merges one update into the kernel and schedules its destination
+// when the value is adopted. Called from the compute goroutine only.
+func (w *worker) deliver(e uint32, val uint64) {
+	v, adopted := w.kern.deliver(e, val)
+	w.recv.Add(1)
+	if adopted {
+		w.adopted.Add(1)
+		w.adoptedSinceCkpt++
+		w.schedule(v)
 	}
 }
 
@@ -450,15 +450,7 @@ func (w *worker) handleCmd(c cmd) {
 		}
 	case cmdDeliver:
 		for _, e := range c.batch.entries {
-			v, adopted, sched := w.kern.deliver(e.edge, e.val)
-			w.recv.Add(1)
-			if adopted {
-				w.adopted.Add(1)
-				w.adoptedSinceCkpt++
-			}
-			if sched {
-				w.schedule(v)
-			}
+			w.deliver(e.edge, e.val)
 		}
 		w.maybeCheckpoint()
 	case cmdRepair:
@@ -474,15 +466,14 @@ func (w *worker) handleCmd(c cmd) {
 		default:
 		}
 		w.ckptPending.Wait()
-		vals := w.kern.values()
 		if w.coord != nil {
-			_ = w.coord.writeJSON(msgValues, valuesMsg{Worker: w.id, Lo: w.lo, Values: vals})
+			_ = w.coord.writeJSON(msgValues, valuesMsg{Worker: w.id, Lo: w.lo, Values: w.kern.vals})
 		}
 	}
 }
 
-// maybeCheckpoint snapshots kernel state every ckptOps adoptions and hands
-// it to the checkpoint writer. It runs on the compute goroutine between
+// maybeCheckpoint copies the owned values every ckptOps adoptions and hands
+// the copy to the checkpoint writer. It runs on the compute goroutine between
 // commands, so the snapshot is a consistent cut of the partition; the disk
 // write and its fsync happen off this goroutine. A snapshot still waiting
 // when the next one is taken is replaced: the disk then holds an older
@@ -492,7 +483,7 @@ func (w *worker) maybeCheckpoint() {
 		return
 	}
 	w.adoptedSinceCkpt = 0
-	words := w.kern.encodeState()
+	words := append([]uint64(nil), w.kern.vals...)
 	select {
 	case <-w.ckpt: // replaced; its pending count carries over
 	default:
@@ -506,7 +497,7 @@ func (w *worker) maybeCheckpoint() {
 func (w *worker) checkpointLoop() {
 	for words := range w.ckpt {
 		if w.ctx.Err() == nil {
-			_ = saveCheckpoint(w.dir, checkpoint{Algo: w.algo, Worker: w.id, Lo: w.lo, Hi: w.hi, Words: words})
+			_ = w.saveCheckpoint(words)
 		}
 		w.ckptPending.Done()
 	}

@@ -64,10 +64,11 @@ done
 echo "== flake gate (netdist quiescence, -race -count=5, GOMAXPROCS 1/2/8) =="
 # Workers initialise in parallel and the confirming quiescence sweep goes
 # out as soon as the first all-idle sweep returns, so termination detection
-# depends on goroutine scheduling: the end-to-end runs, lossy links and a
-# healed partition must all reach the exact fixed point every time.
+# depends on goroutine scheduling: the end-to-end runs, lossy links, a
+# healed partition and a killed-and-restored worker must all reach the exact
+# fixed point every time.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -race -count=5 -run 'TestDist(WCC|BFS|SSSP|SingleWorker|FaultyLinks|PartitionHeal)$' ./internal/netdist/
+    GOMAXPROCS=$procs go test -race -count=5 -run 'TestDist(WCC|BFS|SSSP|SingleWorker|FaultyLinks|PartitionHeal|KillRestoreRepair)$' ./internal/netdist/
 done
 
 echo "== go test -race (cross-engine differential, lock + atomic modes) =="
@@ -90,6 +91,7 @@ for target in FuzzLoadEdgeList FuzzLoadMatrixMarket FuzzReadBinary; do
     go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime "$FUZZTIME" ./internal/loader/
 done
 go test -run '^FuzzCheckpointRestore$' -fuzz '^FuzzCheckpointRestore$' -fuzztime "$FUZZTIME" ./internal/core/
+go test -run '^FuzzCheckpointDecode$' -fuzz '^FuzzCheckpointDecode$' -fuzztime "$FUZZTIME" ./internal/fsafe/
 
 echo "== ingest benchmark smoke (-benchtime 1x) =="
 # One iteration of each load/build benchmark, so the profiling entry points

@@ -1,8 +1,6 @@
 // Out-of-core: runs WCC with the GraphChi-style Parallel Sliding Windows
 // engine — the storage architecture of the paper's host system — and
-// contrasts it with the in-memory engine and with autonomous
-// (priority-driven) SSSP, covering all three execution substrates on one
-// graph.
+// checks its labels against the in-memory engine's on the same graph.
 //
 //	go run ./examples/outofcore
 package main
@@ -69,27 +67,6 @@ func main() {
 			log.Fatalf("PSW label[%d] = %d, in-memory %d", v, st.Vertices[v], want[v])
 		}
 	}
-	fmt.Printf("out-of-core WCC: %d iterations, %v, %.1f KiB read — labels identical\n\n",
+	fmt.Printf("out-of-core WCC: %d iterations, %v, %.1f KiB read — labels identical\n",
 		pswRes.Iterations, pswRes.Duration, float64(pswRes.BytesRead)/1024)
-
-	// 3. Autonomous SSSP (Dijkstra-as-a-schedule) vs coordinated.
-	src, best := uint32(0), -1
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if d := g.OutDegree(v); d > best {
-			src, best = v, d
-		}
-	}
-	sssp := ndgraph.NewSSSP(g, src, 5)
-	_, coordRes, err := ndgraph.Run(sssp, g, ndgraph.Options{Scheduler: ndgraph.Deterministic, MaxIters: 1000})
-	if err != nil {
-		log.Fatal(err)
-	}
-	autoDist, autoRes, err := ndgraph.AutonomousSSSP(g, src, sssp.Weights)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_ = autoDist
-	fmt.Printf("coordinated SSSP: %5d updates, %v\n", coordRes.Updates, coordRes.Duration)
-	fmt.Printf("autonomous SSSP:  %5d updates, %v (distance-ordered = Dijkstra)\n",
-		autoRes.Updates, autoRes.Duration)
 }

@@ -1,13 +1,14 @@
 // Shortest paths on a road-network-like grid, under every execution model
 // the framework provides: deterministic, nondeterministic (pull mode,
-// Theorem 1/2), pure asynchronous (barrier-free), and push mode with CAS.
-// All four must produce identical distances because SSSP is monotone with
-// an absolute convergence condition.
+// Theorem 1/2), barrier-free (admitted by SSSP's eligibility certificate),
+// and push mode with CAS. All four must produce identical distances
+// because SSSP is monotone with an absolute convergence condition.
 //
 //	go run ./examples/shortestpath
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -48,36 +49,45 @@ func main() {
 	check("nondeterministic pull", ref, sssp.Distances(ndEng))
 	fmt.Printf("nondeterministic:    %4d iterations  %v\n", ndRes.Iterations, ndRes.Duration)
 
-	// 3. Pure asynchronous (barrier-free) execution.
+	// 3. Barrier-free execution. NoSync admits only algorithms the paper's
+	// theorems cover; the embedded certificate proves SSSP is one.
+	cert, err := ndgraph.CertificateFor("update", "sssp")
+	if err != nil {
+		log.Fatal(err)
+	}
 	seedEng, err := ndgraph.NewEngine(g, ndgraph.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	sssp.Setup(seedEng)
-	x, err := ndgraph.NewAsyncExecutor(g, ndgraph.AsyncOptions{Threads: 8, Mode: ndgraph.ModeAtomic})
+	x, err := ndgraph.NewNoSyncExecutor(g, ndgraph.NoSyncOptions{Threads: 8, Mode: ndgraph.ModeAtomic, Certificate: cert})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer x.Close()
 	if err := x.LoadFrom(seedEng); err != nil {
 		log.Fatal(err)
 	}
-	asyncRes, err := x.Run(sssp.Update)
+	nsRes, err := x.Run(sssp.Update)
 	if err != nil {
 		log.Fatal(err)
 	}
-	asyncDist := make([]float64, g.N())
-	for v := range asyncDist {
-		asyncDist[v] = math.Float64frombits(x.Vertices[v])
-	}
-	check("pure asynchronous", ref, asyncDist)
-	fmt.Printf("pure asynchronous:   %4d updates     %v\n", asyncRes.Updates, asyncRes.Duration)
+	check("barrier-free", ref, floats(x.Vertices))
+	fmt.Printf("barrier-free:        %4d updates     %v\n", nsRes.Updates, nsRes.Duration)
 
-	// 4. Push mode with CAS (Ligra-style).
-	pushDist, pushRes, err := ndgraph.PushSSSP(g, source, sssp.Weights, ndgraph.PushModeCAS, 8)
+	// 4. Push mode with CAS (Ligra-style): the hybrid engine under a policy
+	// that never pulls.
+	h, err := ndgraph.NewHybridEngine(g, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	check("push mode (CAS)", ref, pushDist)
+	defer h.Close()
+	h.Policy = func(ndgraph.HybridStats) ndgraph.HybridDirection { return ndgraph.HybridPush }
+	pushRes, err := h.Run(context.Background(), ndgraph.SSSPKernel(source, sssp.Weights))
+	if err != nil {
+		log.Fatal(err)
+	}
+	check("push mode (CAS)", ref, floats(h.Vertices))
 	fmt.Printf("push mode (CAS):     %4d iterations  %v\n\n", pushRes.Iterations, pushRes.Duration)
 
 	fmt.Println("all four execution models agree; sample distances from corner (0,0):")
@@ -85,6 +95,14 @@ func main() {
 		v := cell[0]*cols + cell[1]
 		fmt.Printf("  (%2d,%2d): %g\n", cell[0], cell[1], ref[v])
 	}
+}
+
+func floats(words []uint64) []float64 {
+	out := make([]float64, len(words))
+	for v, w := range words {
+		out[v] = math.Float64frombits(w)
+	}
+	return out
 }
 
 func check(name string, want, got []float64) {

@@ -33,7 +33,7 @@ func (c *configured) Update(ctx core.VertexView) {
 }
 
 // notAnUpdate takes a second parameter, so it follows a different engine
-// contract (cf. the autonomous scheduler) and is exempt from the pull-mode
+// contract (cf. a priority scheduler's post handle) and is exempt from the pull-mode
 // scope rule.
 func notAnUpdate(ctx core.VertexView, shared []uint64) {
 	shared[ctx.V()] = ctx.Vertex()

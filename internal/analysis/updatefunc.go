@@ -9,8 +9,9 @@ import (
 // UpdateFn is one update function found in a package: a function, method,
 // or function literal whose only parameter is a core.VertexView. This is
 // exactly the core.UpdateFunc contract — the paper's f(v) — and excludes
-// e.g. the autonomous engine's func(core.VertexView, *Scheduler), which
-// runs under a different (sequential, push-mode) execution model.
+// e.g. a func(core.VertexView, *Scheduler) posting into a priority queue,
+// which would run under a different (sequential, push-mode) execution
+// model.
 type UpdateFn struct {
 	// Name is a display name: "(*Coloring).Update", "kernel", or
 	// "func literal".

@@ -14,10 +14,15 @@ import (
 	"ndgraph/internal/trace"
 )
 
-// exec is what the two barrier-free executors have in common: the graph and
-// its data words, the seed list, the observation hooks, and the counters
-// and flags their drain loops poll. Executor and NoSync embed it and add
-// only how work is queued and how quiescence is detected.
+// sampleWindow is the per-worker update count between telemetry samples.
+// A barrier-free executor has no iteration boundary to hang an event on, so
+// each worker emits one event per window of updates it executes.
+const sampleWindow = 4096
+
+// exec is the executor-independent half of the barrier-free executor: the
+// graph and its data words, the seed list, the observation hooks, and the
+// counters and flags the drain loop polls. NoSync embeds it and adds how
+// work is queued and how quiescence is detected.
 type exec struct {
 	g *graph.Graph
 
@@ -211,9 +216,8 @@ func (s *exec) sample(vb *viewBase, pending, durationNs int64) obs.Event {
 
 // viewBase is the executor-independent part of a barrier-free VertexView:
 // the bound vertex's topology (core.Scope), its data words, the telemetry
-// window, and the edge loads and stores with their delay-clock hooks. What
-// a write schedules differs per executor, so view and nsView add exactly
-// the methods that schedule.
+// window, and the edge loads and stores with their delay-clock hooks.
+// nsView adds exactly the methods that schedule.
 type viewBase struct {
 	// Views live in one per-worker array and are written on every bind and
 	// every counted access; the leading pad keeps two workers' views off
@@ -236,9 +240,8 @@ type viewBase struct {
 	uWrites int
 
 	// plain is set when the executor has nothing to record per access (no
-	// delay clock, no fault injector around the store): the bulk accessors
-	// then make one store call per update instead of taking the per-edge
-	// path.
+	// delay clock): the bulk accessors then make one store call per update
+	// instead of taking the per-edge path.
 	plain bool
 }
 

@@ -16,8 +16,8 @@ import (
 	"ndgraph/internal/rng"
 )
 
-// runNoSync mirrors runAsync for the work-stealing tier: set the algorithm
-// up on a scratch barrier-based engine, transplant the state, drain. The
+// runNoSync sets an algorithm up on a scratch barrier-based engine, then
+// transplants the initial state into the executor and drains it. The
 // eligibility verdict comes from the static advisor unless the caller
 // already supplied one.
 func runNoSync(t *testing.T, a algorithms.Algorithm, g *graph.Graph, opts NoSyncOptions) (*NoSync, NoSyncResult) {
@@ -84,13 +84,6 @@ func TestNoSyncGateRefusals(t *testing.T) {
 	}
 	if _, err := NewNoSync(g, NoSyncOptions{Threads: 1, Verdict: &v}); err == nil {
 		t.Error("coloring admitted to the no-sync tier")
-	}
-	// Structural refusals shared with the channel executor.
-	if _, err := NewNoSync(nil, NoSyncOptions{Verdict: testVerdict()}); err == nil {
-		t.Error("nil graph accepted")
-	}
-	if _, err := NewNoSync(g, NoSyncOptions{Threads: 4, Mode: edgedata.ModeSequential, Verdict: testVerdict()}); err == nil {
-		t.Error("multi-worker sequential mode accepted")
 	}
 }
 
@@ -424,61 +417,6 @@ func TestNoSyncStealsObserved(t *testing.T) {
 	for v, w := range x.Vertices {
 		if w != 1 {
 			t.Fatalf("vertex %d executed %d times, want 1", v, w)
-		}
-	}
-}
-
-// TestAsyncQueueOverflowNoDeadlock is the regression test for the channel
-// executor's historical blocking-send hazard: with a full queue, a worker
-// re-enqueueing a burst of wakeups blocked inside its own update while
-// every other worker blocked the same way — no receiver left, deadlock.
-// QueueCap=1 on a star graph (one hub update schedules every leaf at once)
-// reproduced it deterministically before the overflow list existed.
-func TestAsyncQueueOverflowNoDeadlock(t *testing.T) {
-	g, err := gen.Star(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcc := algorithms.NewWCC()
-	want := algorithms.ReferenceWCC(g)
-	for _, threads := range []int{1, 4} {
-		e, err := core.NewEngine(g, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wcc.Setup(e)
-		x, err := NewExecutor(g, Options{Threads: threads, Mode: edgedata.ModeAtomic, QueueCap: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := x.LoadFrom(e); err != nil {
-			t.Fatal(err)
-		}
-		type outcome struct {
-			res Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := x.Run(wcc.Update)
-			done <- outcome{res, err}
-		}()
-		var out outcome
-		select {
-		case out = <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("threads=%d: executor deadlocked with QueueCap=1", threads)
-		}
-		if out.err != nil {
-			t.Fatal(out.err)
-		}
-		if !out.res.Converged {
-			t.Fatalf("threads=%d: did not converge", threads)
-		}
-		for v := range want {
-			if uint32(x.Vertices[v]) != want[v] {
-				t.Fatalf("threads=%d: vertex %d = %d, want %d", threads, v, x.Vertices[v], want[v])
-			}
 		}
 	}
 }

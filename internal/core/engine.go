@@ -239,7 +239,7 @@ type Engine struct {
 	// attached (nil otherwise; the hot-path hooks cost one pointer test).
 	// The epoch advances once per iteration barrier, so a barrier engine's
 	// histogram concentrates at ≤ 1 epoch — the deterministic baseline the
-	// barrier-free executors' spread is compared against.
+	// barrier-free executor's spread is compared against.
 	clock *obs.DelayClock
 }
 

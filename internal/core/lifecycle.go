@@ -11,7 +11,7 @@ import (
 )
 
 // Lifecycle is how every tier starts and ends a run — the barrier engines
-// (through Loop), the barrier-free executors and the remote coordinator. It
+// (through Loop), the barrier-free executor and the remote coordinator. It
 // owns what does not depend on how work is dispatched: cancellation,
 // turning a panic in user code into an error naming the vertex, the
 // observer's phase, and the clock behind the partial-result contract: every

@@ -186,30 +186,32 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 			}
 		}}
 
-	// The barrier-free executors run the same update; their cap is in
-	// updates, lifecycleN per round. open builds and seeds an executor and
-	// returns its run with the words run (re)initialises.
-	type freeRun func(core.UpdateFunc) (partial, error)
-	freeRow := func(name string, open func(t *testing.T, k knobs) (freeRun, []uint64, edgedata.Store)) lifecycleRow {
-		noWatchdog := "no watchdog: MaxUpdates is the barrier-free tiers' divergence guard"
-		return lifecycleRow{name: name, target: 17, named: 17, ticksPerIter: lifecycleN,
-			skip: map[string]string{"stall-trips": noWatchdog, "stall-spares-converging": noWatchdog},
-			open: func(t *testing.T, k knobs) func(workload) (partial, error) {
-				run, vertices, edges := open(t, k)
-				return func(w workload) (partial, error) {
-					reversed(vertices)
-					edges.Fill(^uint64(0))
-					return run(update(w))
-				}
-			}}
-	}
-	rounds := func(updates int64, converged bool, d time.Duration) partial {
-		return partial{int(updates / lifecycleN), converged, d}
-	}
+	// The barrier-free executor runs the same update; its cap is in
+	// updates, lifecycleN per round.
 	wccVerdict, err := algorithms.NoSyncVerdict(wcc, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noWatchdog := "no watchdog: MaxUpdates is the barrier-free tier's divergence guard"
+	nosyncRow := lifecycleRow{name: "nosync", target: 17, named: 17, ticksPerIter: lifecycleN,
+		skip: map[string]string{"stall-trips": noWatchdog, "stall-spares-converging": noWatchdog},
+		open: func(t *testing.T, k knobs) func(workload) (partial, error) {
+			x, err := async.NewNoSync(chain, async.NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &wccVerdict,
+				Context: k.ctx, MaxUpdates: int64(k.maxIters) * lifecycleN})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(x.Close)
+			for v := 0; v < lifecycleN; v++ {
+				x.Seed(uint32(v))
+			}
+			return func(w workload) (partial, error) {
+				reversed(x.Vertices)
+				x.Edges.Fill(^uint64(0))
+				res, err := x.Run(update(w))
+				return partial{int(res.Updates / lifecycleN), res.Converged, res.Duration}, err
+			}
+		}}
 
 	return []lifecycleRow{
 		coreRow("core-det", core.Options{Scheduler: sched.Deterministic}),
@@ -221,36 +223,7 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		hybridRow("hybrid-forced-pull", forced(hybrid.Pull), 18),
 		hybridRow("hybrid-default", nil, 17),
 		shardRow,
-		freeRow("nosync", func(t *testing.T, k knobs) (freeRun, []uint64, edgedata.Store) {
-			x, err := async.NewNoSync(chain, async.NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &wccVerdict,
-				Context: k.ctx, MaxUpdates: int64(k.maxIters) * lifecycleN})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(x.Close)
-			for v := 0; v < lifecycleN; v++ {
-				x.Seed(uint32(v))
-			}
-			return func(u core.UpdateFunc) (partial, error) {
-				res, err := x.Run(u)
-				return rounds(res.Updates, res.Converged, res.Duration), err
-			}, x.Vertices, x.Edges
-		}),
-		freeRow("async-chan", func(t *testing.T, k knobs) (freeRun, []uint64, edgedata.Store) {
-			x, err := async.NewExecutor(chain, async.Options{Threads: 2, Mode: edgedata.ModeAtomic,
-				Context: k.ctx, MaxUpdates: int64(k.maxIters) * lifecycleN})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(x.Close)
-			for v := 0; v < lifecycleN; v++ {
-				x.Seed(uint32(v))
-			}
-			return func(u core.UpdateFunc) (partial, error) {
-				res, err := x.Run(u)
-				return rounds(res.Updates, res.Converged, res.Duration), err
-			}, x.Vertices, x.Edges
-		}),
+		nosyncRow,
 	}
 }
 

@@ -86,7 +86,7 @@ func (s *Scope) LoadOut(st edgedata.Store) []uint64 {
 
 // The per-edge fallback: the bulk accessors expressed through a view's own
 // per-edge methods, one call per word. It is the whole implementation for
-// views without a specialised bulk path (autonomous, shard, replay) and
+// views without a specialised bulk path (shard, replay) and
 // the instrumented path of Ctx (under a census, delay clock, commit log,
 // fault injector, …), which is what keeps every per-access side effect
 // word-for-word identical between the bulk and the per-edge API.

@@ -8,7 +8,6 @@ import (
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
-	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/graph"
@@ -22,9 +21,8 @@ import (
 // monotone algorithm on the same random graph must converge to the same
 // fixed point under
 //
-//	core (det / nondet / sync / DIG) · async · shard (PSW)
+//	core (det / nondet / sync / DIG) · nosync (barrier-free) · shard (PSW)
 //	· netdist (TCP workers) · hybrid forced to push (CAS combine)
-//	· autonomous (priority)
 //
 // with the sequential reference implementations as the oracles. This is
 // the strongest executable statement of the paper's thesis: the final
@@ -100,12 +98,69 @@ func coreVariants() map[string]core.Options {
 	}
 }
 
+// differentialExecutors is what each differential test checks besides the
+// core variants. Every test asserts (checked) that it ran exactly its row,
+// and TestDifferentialCoverageManifest pins the rows.
+var differentialExecutors = map[string][]string{
+	"wcc":      {"nosync", "shard", "netdist", "hybrid-push"},
+	"sssp":     {"nosync", "hybrid-push", "netdist"},
+	"pagerank": {"nosync"},
+}
+
+// checked fails t unless seen holds exactly the core variants plus alg's
+// row of differentialExecutors.
+func checked(t *testing.T, alg string, seen map[string]bool) {
+	t.Helper()
+	want := differentialExecutors[alg]
+	for name := range coreVariants() {
+		want = append(want, name)
+	}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("%s: executor %s was not checked", alg, name)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("%s: checked %d executors, the manifest lists %d", alg, len(seen), len(want))
+	}
+}
+
+// runNoSync drains a on the barrier-free executor, admitted by the embedded
+// certificate for the update named cert (no probe): a is set up on a scratch
+// engine and its state transplanted, as every NoSync run starts.
+func runNoSync(t *testing.T, g *graph.Graph, a algorithms.Algorithm, cert string) *async.NoSync {
+	t.Helper()
+	c, err := algorithms.CertificateFor("update", cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEng, err := core.NewEngine(g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Setup(seedEng)
+	x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 4, Mode: edgedata.ModeAtomic, Certificate: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(x.Close)
+	if err := x.LoadFrom(seedEng); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := x.Run(a.Update); err != nil || !res.Converged {
+		t.Fatalf("nosync %s: %v (%+v)", a.Name(), err, res)
+	}
+	return x
+}
+
 func TestDifferentialWCCAllExecutors(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		g := diffGraph(t, 170+seed)
 		want := algorithms.ReferenceWCC(g)
+		seen := map[string]bool{}
 		check := func(name string, got []uint32) {
 			t.Helper()
+			seen[name] = true
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("seed %d, %s: label[%d] = %d, union-find %d", seed, name, v, got[v], want[v])
@@ -123,30 +178,13 @@ func TestDifferentialWCCAllExecutors(t *testing.T) {
 			check(name, wcc.Components(e))
 		}
 
-		// Pure asynchronous.
+		// Barrier-free.
 		{
-			wcc := algorithms.NewWCC()
-			seedEng, err := core.NewEngine(g, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wcc.Setup(seedEng)
-			x, err := async.NewExecutor(g, async.Options{Threads: 4, Mode: edgedata.ModeAtomic})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := x.LoadFrom(seedEng); err != nil {
-				t.Fatal(err)
-			}
-			res, err := x.Run(wcc.Update)
-			if err != nil || !res.Converged {
-				t.Fatalf("async: %v", err)
-			}
 			labels := make([]uint32, g.N())
-			for v, w := range x.Vertices {
+			for v, w := range runNoSync(t, g, algorithms.NewWCC(), "wcc").Vertices {
 				labels[v] = uint32(w)
 			}
-			check("async", labels)
+			check("nosync", labels)
 		}
 
 		// Out-of-core PSW.
@@ -189,6 +227,7 @@ func TestDifferentialWCCAllExecutors(t *testing.T) {
 			}
 			check("hybrid-push", labels)
 		}
+		checked(t, "wcc", seen)
 	}
 }
 
@@ -198,8 +237,10 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 		src := PickSource(g)
 		ref := algorithms.NewSSSP(g, src, seed+1)
 		want := algorithms.ReferenceSSSP(g, src, ref.Weights)
+		seen := map[string]bool{}
 		check := func(name string, got []float64) {
 			t.Helper()
+			seen[name] = true
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("seed %d, %s: dist[%d] = %v, dijkstra %v", seed, name, v, got[v], want[v])
@@ -216,29 +257,13 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 			check(name, s.Distances(e))
 		}
 
+		// Barrier-free.
 		{
-			s := algorithms.NewSSSP(g, src, seed+1)
-			seedEng, err := core.NewEngine(g, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Setup(seedEng)
-			x, err := async.NewExecutor(g, async.Options{Threads: 4, Mode: edgedata.ModeAtomic})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := x.LoadFrom(seedEng); err != nil {
-				t.Fatal(err)
-			}
-			res, err := x.Run(s.Update)
-			if err != nil || !res.Converged {
-				t.Fatalf("async: %v", err)
-			}
 			got := make([]float64, g.N())
-			for v, w := range x.Vertices {
+			for v, w := range runNoSync(t, g, algorithms.NewSSSP(g, src, seed+1), "sssp").Vertices {
 				got[v] = math.Float64frombits(w)
 			}
-			check("async", got)
+			check("nosync", got)
 		}
 
 		{
@@ -251,13 +276,7 @@ func TestDifferentialSSSPAllExecutors(t *testing.T) {
 
 		check("netdist", netdistRun(t, 180+seed, netdist.AlgoSpec{Name: "sssp", Source: src, WeightSeed: seed + 1}, 0).Floats())
 
-		{
-			got, res, err := autonomous.SSSP(g, src, ref.Weights)
-			if err != nil || !res.Converged {
-				t.Fatalf("autonomous: %v", err)
-			}
-			check("autonomous", got)
-		}
+		checked(t, "sssp", seen)
 	}
 }
 
@@ -269,8 +288,10 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 	g := diffGraph(t, 190)
 	const eps = 1e-7
 	want := algorithms.ReferencePageRank(g, 0.85, 1e-12, 20000)
+	seen := map[string]bool{}
 	closeEnough := func(name string, got []float64) {
 		t.Helper()
+		seen[name] = true
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 0.02 {
 				t.Fatalf("%s: rank[%d] = %v, reference %v", name, v, got[v], want[v])
@@ -324,65 +345,36 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 		quiescent(name, e.Vertices, e.Edges)
 	}
 
-	// Autonomous delta-PageRank.
-	rank, res, err := autonomous.DeltaPageRank(g, 0.85, 1e-10)
-	if err != nil || !res.Converged {
-		t.Fatalf("autonomous: %v", err)
-	}
-	closeEnough("autonomous", rank)
-
-	// Both barrier-free executors, same local ε, drained to quiescence.
-	seeded := func() (*algorithms.PageRank, *core.Engine) {
-		pr := algorithms.NewPageRank(eps)
-		e, err := core.NewEngine(g, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr.Setup(e)
-		return pr, e
-	}
-	{
-		pr, seed := seeded()
-		x, err := async.NewExecutor(g, async.Options{Threads: 4, Mode: edgedata.ModeAtomic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.Close()
-		if err := x.LoadFrom(seed); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := x.Run(pr.Update); err != nil || !res.Converged {
-			t.Fatalf("async: %v (%+v)", err, res)
-		}
-		closeEnough("async", ranks(x.Vertices))
-		quiescent("async", x.Vertices, x.Edges)
-	}
-	{
-		pr, seed := seeded()
-		v, err := algorithms.NoSyncVerdict(pr, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 4, Mode: edgedata.ModeAtomic, Verdict: &v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.Close()
-		if err := x.LoadFrom(seed); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := x.Run(pr.Update); err != nil || !res.Converged {
-			t.Fatalf("nosync: %v (%+v)", err, res)
-		}
-		closeEnough("nosync", ranks(x.Vertices))
-		quiescent("nosync", x.Vertices, x.Edges)
-	}
+	// Barrier-free, same local ε, drained to quiescence.
+	x := runNoSync(t, g, algorithms.NewPageRank(eps), "pagerank")
+	closeEnough("nosync", ranks(x.Vertices))
+	quiescent("nosync", x.Vertices, x.Edges)
+	checked(t, "pagerank", seen)
 }
 
-// Sanity: every executor pair really did run — count them so a silently
-// skipped branch cannot pass.
+// The manifest: five core variants, and the other four executors — the
+// barrier-free one on every algorithm — each checked somewhere.
 func TestDifferentialCoverageManifest(t *testing.T) {
 	if len(coreVariants()) != 5 {
 		t.Fatalf("core variants = %d, want 5", len(coreVariants()))
+	}
+	tiers := map[string]bool{}
+	for alg, row := range differentialExecutors {
+		hasNoSync := false
+		for _, name := range row {
+			tiers[name] = true
+			hasNoSync = hasNoSync || name == "nosync"
+		}
+		if !hasNoSync {
+			t.Errorf("%s has no barrier-free row", alg)
+		}
+	}
+	for _, name := range []string{"nosync", "shard", "netdist", "hybrid-push"} {
+		if !tiers[name] {
+			t.Errorf("no differential test checks %s", name)
+		}
+	}
+	if len(tiers) != 4 {
+		t.Errorf("differential rows name %d non-core executors, want 4: %v", len(tiers), tiers)
 	}
 }

@@ -31,7 +31,7 @@ func TestEmitSteadyStateDoesNotAllocate(t *testing.T) {
 // allocation-free too, since every engine emits unstamped events.
 func TestEmitTimestampPathDoesNotAllocate(t *testing.T) {
 	o := New(Options{RingSize: 8})
-	ev := Event{Engine: EngineAsync, Updates: 1}
+	ev := Event{Engine: EngineNoSync, Updates: 1}
 	for i := 0; i < 16; i++ {
 		o.Emit(ev)
 	}

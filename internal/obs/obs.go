@@ -1,6 +1,6 @@
 // Package obs is the engine observability layer: a zero-overhead-when-
 // disabled telemetry spine wired into every executor in the repository
-// (core, async, shard, autonomous, netdist, hybrid, nosync).
+// (core, shard, netdist, hybrid, nosync).
 //
 // The paper's claims are all statements about *run-to-run behavior under
 // nondeterminism* — conflict classes (Section III), convergence
@@ -44,12 +44,8 @@ type EngineKind uint8
 const (
 	// EngineCore is the barrier-based coordinated-scheduling engine.
 	EngineCore EngineKind = iota
-	// EngineAsync is the pure asynchronous (barrier-free) executor.
-	EngineAsync
 	// EngineShard is the out-of-core parallel-sliding-windows engine.
 	EngineShard
-	// EngineAutonomous is the priority-driven executor.
-	EngineAutonomous
 	// EngineNetdist is the real-transport multi-process distributed
 	// executor (TCP workers under coordinator supervision).
 	EngineNetdist
@@ -62,7 +58,7 @@ const (
 	numEngines
 )
 
-var engineNames = [numEngines]string{"core", "async", "shard", "autonomous", "netdist", "hybrid", "nosync"}
+var engineNames = [numEngines]string{"core", "shard", "netdist", "hybrid", "nosync"}
 
 // String names the engine kind as used in metric labels and JSONL.
 func (k EngineKind) String() string {
@@ -82,7 +78,7 @@ func EngineKinds() []EngineKind {
 }
 
 // Event is one telemetry sample. Barrier-based engines emit one per
-// iteration; barrier-free executors (async, nosync, autonomous) emit one per
+// iteration; the barrier-free executor (nosync) emits one per
 // sample window plus a final one at quiescence. All counter fields are
 // deltas for the sample, not cumulative totals — the observer accumulates.
 //
@@ -93,11 +89,11 @@ type Event struct {
 	TimeUnixNano int64
 	// Engine identifies the emitting executor.
 	Engine EngineKind
-	// Iter is the iteration (core/shard/hybrid) or sample index (async,
-	// nosync, autonomous) of the sample.
+	// Iter is the iteration (core/shard/hybrid) or sample index (nosync)
+	// of the sample.
 	Iter int64
 	// Scheduled is the scheduled-set size driving the sample: |S_n| for
-	// barrier engines, the pending-queue depth for async/autonomous.
+	// barrier engines, the pending-queue depth for nosync.
 	Scheduled int64
 	// Updates is the number of update functions executed in the sample.
 	Updates int64

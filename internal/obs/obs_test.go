@@ -82,7 +82,7 @@ func TestEmitFoldsCounters(t *testing.T) {
 func TestRingWraparoundKeepsOrder(t *testing.T) {
 	o := New(Options{RingSize: 4})
 	for i := int64(0); i < 10; i++ {
-		o.Emit(Event{Engine: EngineAsync, Iter: i})
+		o.Emit(Event{Engine: EngineNoSync, Iter: i})
 	}
 	evs := o.Events()
 	if len(evs) != 4 {
@@ -270,7 +270,7 @@ func TestObserverCloseClosesSinksOnce(t *testing.T) {
 	o := New(Options{})
 	cw := &closeRecorder{}
 	o.AttachSink(NewJSONLSink(cw))
-	o.Emit(Event{Engine: EngineAutonomous, Updates: 3})
+	o.Emit(Event{Engine: EngineHybrid, Updates: 3})
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +278,8 @@ func TestObserverCloseClosesSinksOnce(t *testing.T) {
 		t.Error("observer Close did not close attached sink")
 	}
 	// Emit after Close still folds counters, with no sink to deliver to.
-	o.Emit(Event{Engine: EngineAutonomous, Updates: 1})
-	if got := o.Stats()[EngineAutonomous].Updates; got != 4 {
+	o.Emit(Event{Engine: EngineHybrid, Updates: 1})
+	if got := o.Stats()[EngineHybrid].Updates; got != 4 {
 		t.Errorf("post-Close updates = %d, want 4", got)
 	}
 }

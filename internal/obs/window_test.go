@@ -75,7 +75,7 @@ func TestWindowRingWraparoundKeepsOrder(t *testing.T) {
 	o := New(Options{WindowEvery: time.Nanosecond})
 	const closed = windowKeep + 10
 	for i := 0; i < 2*closed; i++ {
-		o.Emit(Event{Engine: EngineAsync, TimeUnixNano: int64(i + 1), Iter: int64(i), Updates: int64(i)})
+		o.Emit(Event{Engine: EngineNoSync, TimeUnixNano: int64(i + 1), Iter: int64(i), Updates: int64(i)})
 	}
 	wins := o.Windows()
 	if len(wins) != windowKeep {

@@ -203,8 +203,8 @@ func (p *Pool) RunChunks(items []int, chunk int, fn func(worker, item int)) {
 }
 
 // RunEach invokes fn once per worker (worker ids 0..P-1) concurrently and
-// blocks until every invocation returns. Barrier-free executors use it to
-// host their drain loops on pooled workers instead of spawning fresh
+// blocks until every invocation returns. The barrier-free executor uses it
+// to host its drain loops on pooled workers instead of spawning fresh
 // goroutines per run.
 func (p *Pool) RunEach(fn func(worker int)) {
 	in := p.pool

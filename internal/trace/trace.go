@@ -23,8 +23,8 @@ import (
 
 // Event is one recorded update execution.
 type Event struct {
-	// Iteration is the engine iteration (0-based). Barrier-free executors
-	// (async, nosync, autonomous) have no iterations and record 0.
+	// Iteration is the engine iteration (0-based). The barrier-free
+	// executor (nosync) has no iterations and records 0.
 	Iteration int32
 	// Worker is the executing worker's index.
 	Worker int32

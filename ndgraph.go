@@ -33,11 +33,11 @@ package ndgraph
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
-	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
@@ -287,7 +287,8 @@ type (
 	// FaultPlan configures the seeded fault injector.
 	FaultPlan = fault.Plan
 	// FaultInjector corrupts edge operations per a FaultPlan; plug it into
-	// Options.Inject (core), AsyncOptions.Inject, or ShardOptions.Inject.
+	// Options.Inject (core) or ShardOptions.Inject. The barrier-free
+	// executor takes none.
 	FaultInjector = fault.Injector
 	// FaultStats tallies injected faults.
 	FaultStats = fault.Stats
@@ -381,11 +382,10 @@ func DistWCC(g *Graph, o DistOptions) ([]uint32, DistResult, error) {
 
 // Observability: the zero-overhead-when-disabled telemetry layer. Attach
 // one Observer to any number of engines (Options.Observer for core,
-// AsyncOptions.Observer, NoSyncOptions.Observer, ShardOptions.Observer,
-// NetDistOptions.Observer, and the Observe methods of HybridEngine /
-// AutonomousEngine); events flow into per-engine counters, a ring buffer,
-// and any attached sinks; serve live metrics with ServeTelemetry
-// (-telemetry-addr on the CLIs).
+// NoSyncOptions.Observer, ShardOptions.Observer, NetDistOptions.Observer,
+// and HybridEngine's Observe method); events flow into per-engine
+// counters, a ring buffer, and any attached sinks; serve live metrics with
+// ServeTelemetry (-telemetry-addr on the CLIs).
 type (
 	// Observer collects telemetry events from engines. nil disables
 	// collection at the cost of one pointer test per iteration.
@@ -439,12 +439,11 @@ var (
 )
 
 // Execution-path record/replay and run-divergence diagnosis. A recorder
-// attached to an engine (Options.Trace, AsyncOptions.Trace,
-// NoSyncOptions.Trace, ShardOptions.Trace, or the Trace methods of
-// HybridEngine / AutonomousEngine) captures the execution path; with
-// EnableCommits it also logs every racy edge commit, which lets the core
-// engine replay the run to a byte-identical fixed point (Lemmas 1–2 made
-// executable). Traces serialize to the NDTR binary format and diff into a
+// attached to an engine (Options.Trace, NoSyncOptions.Trace,
+// ShardOptions.Trace, or HybridEngine's Trace method) captures the
+// execution path; with EnableCommits it also logs every racy edge commit,
+// which lets the core engine replay the run to a byte-identical fixed
+// point (Lemmas 1–2 made executable). Traces serialize to the NDTR binary format and diff into a
 // divergence report with a propagation-distance histogram.
 type (
 	// TraceRecorder records execution paths (Options.Trace).
@@ -482,34 +481,12 @@ var (
 	ErrReplayDiverged = core.ErrReplayDiverged
 )
 
-// Autonomous (priority-driven) scheduling — the paper's other scheduling
-// category (Section I).
-type (
-	// AutonomousEngine executes priority-ordered updates.
-	AutonomousEngine = autonomous.Engine
-	// AutonomousScheduler is the priority queue updates post into.
-	AutonomousScheduler = autonomous.Scheduler
-)
-
-var (
-	// NewAutonomousEngine builds a priority-driven executor.
-	NewAutonomousEngine = autonomous.NewEngine
-	// AutonomousSSSP runs distance-ordered SSSP (Dijkstra as a schedule).
-	AutonomousSSSP = autonomous.SSSP
-	// DeltaPageRank runs residual-ordered PageRank.
-	DeltaPageRank = autonomous.DeltaPageRank
-)
-
 // Extensions: barrier-free execution.
 type (
-	// AsyncExecutor is the pure asynchronous (barrier-free) executor.
-	AsyncExecutor = async.Executor
-	// AsyncOptions configures an AsyncExecutor.
-	AsyncOptions = async.Options
-	// NoSyncExecutor is the work-stealing barrier-free executor: per-worker
-	// deques with randomized stealing, coalescing per-vertex scheduled
-	// states, and distributed double-sweep termination detection. Admission
-	// requires a Theorem-1/2 eligibility verdict (NoSyncOptions.Verdict).
+	// NoSyncExecutor is the barrier-free executor: per-worker deques with
+	// randomized stealing, coalescing per-vertex scheduled states, and
+	// distributed double-sweep termination detection. Admission requires a
+	// Theorem-1/2 eligibility verdict (NoSyncOptions.Verdict).
 	NoSyncExecutor = async.NoSync
 	// NoSyncOptions configures a NoSyncExecutor.
 	NoSyncOptions = async.NoSyncOptions
@@ -519,17 +496,58 @@ type (
 )
 
 var (
-	// NewAsyncExecutor builds a barrier-free executor.
-	NewAsyncExecutor = async.NewExecutor
-	// NewNoSyncExecutor builds the work-stealing no-sync executor; it
-	// refuses algorithms whose eligibility verdict is not covered by the
-	// paper's Theorem 1 or 2.
+	// NewNoSyncExecutor builds the barrier-free executor; it refuses
+	// algorithms whose eligibility verdict is not covered by the paper's
+	// Theorem 1 or 2.
 	NewNoSyncExecutor = async.NewNoSync
 	// NoSyncVerdict derives the admission verdict for an algorithm: the
 	// embedded certificate's for a built-in algorithm type, an
 	// instrumented probe for any other type.
 	NoSyncVerdict = algorithms.NoSyncVerdict
 )
+
+// AsyncExecutor, AsyncOptions and NewAsyncExecutor are kept only for the
+// benchmark's `async-chan` contender row (bench/tier_asyncchan.go); they go
+// with that row (ROADMAP item 1(a)). The channel executor they named is
+// retired: they are NoSync under other names, and NewAsyncExecutor builds
+// it without an eligibility verdict (async.NewUnadmitted), as the channel
+// executor ran. Use NewNoSyncExecutor.
+type (
+	// AsyncExecutor is NoSyncExecutor.
+	AsyncExecutor = async.NoSync
+	// AsyncOptions is NoSyncOptions; the bench sets Threads, Mode and
+	// Observer.
+	AsyncOptions = async.NoSyncOptions
+)
+
+// NewAsyncExecutor builds an unadmitted NoSync executor; see AsyncExecutor.
+var NewAsyncExecutor = async.NewUnadmitted
+
+// AutonomousResult and AutonomousSSSP are kept only for the benchmark's
+// `autonomous` contender row (bench/tier_autonomous.go); they go with that
+// row (ROADMAP item 1(a)). The priority-driven engine they named is
+// retired: distance-ordered SSSP is Dijkstra's algorithm, so AutonomousSSSP
+// is algorithms.ReferenceSSSP.
+type AutonomousResult struct {
+	Updates   int64 // vertices settled: the source's reachable set
+	Converged bool
+	Duration  time.Duration
+}
+
+// AutonomousSSSP returns the shortest-path distances from source over the
+// per-edge weights (+Inf where unreachable), computed by sequential
+// Dijkstra.
+func AutonomousSSSP(g *Graph, source uint32, weights []float64) ([]float64, AutonomousResult, error) {
+	start := time.Now()
+	dist := algorithms.ReferenceSSSP(g, source, weights)
+	res := AutonomousResult{Converged: true, Duration: time.Since(start)}
+	for _, d := range dist {
+		if !math.IsInf(d, 1) {
+			res.Updates++
+		}
+	}
+	return dist, res, nil
+}
 
 // Direction-optimizing hybrid execution: per-iteration push/pull choice
 // over paired kernels (Beamer-style frontier-density thresholds).
@@ -572,8 +590,11 @@ var (
 
 // Push mode (Ligra-style: the update of v relaxes its out-edges straight
 // into the destinations' vertex words, combining with compare-and-swap) is
-// the hybrid engine under a policy that never pulls. PushBFS, PushSSSP and
-// PushWCC are that, packaged as one call per algorithm.
+// the hybrid engine under a policy that never pulls. PushBFS, PushResult
+// and PushModeCAS are kept only for the benchmark's `push` contender row
+// (bench/tier_push.go); they go with that row (ROADMAP item 1(a)). Run a
+// kernel on NewHybridEngine with Policy set to always return HybridPush
+// instead.
 
 // PushResult summarizes a push-mode run.
 type PushResult struct {
@@ -593,9 +614,6 @@ type pushMode int
 const PushModeCAS pushMode = 0
 
 func pushRun(g *Graph, k Kernel, threads int) ([]uint64, PushResult, error) {
-	if k.Undirected {
-		g = g.Undirected()
-	}
 	e, err := hybrid.NewEngine(g, threads)
 	if err != nil {
 		return nil, PushResult{}, err
@@ -616,28 +634,10 @@ func PushBFS(g *Graph, source uint32, _ pushMode, threads int) ([]float64, PushR
 	return wordsToFloats(words), res, err
 }
 
-// PushSSSP runs push-mode single-source shortest paths over per-edge
-// weights in canonical edge index order.
-func PushSSSP(g *Graph, source uint32, weights []float64, _ pushMode, threads int) ([]float64, PushResult, error) {
-	words, res, err := pushRun(g, algorithms.SSSPKernel(source, weights), threads)
-	return wordsToFloats(words), res, err
-}
-
 func wordsToFloats(words []uint64) []float64 {
 	out := make([]float64, len(words))
 	for i, w := range words {
 		out[i] = edgedata.ToFloat64(w)
 	}
 	return out
-}
-
-// PushWCC runs push-mode weakly-connected components; pushes only flow
-// along out-edges, so the graph is symmetrized first.
-func PushWCC(g *Graph, _ pushMode, threads int) ([]uint32, PushResult, error) {
-	words, res, err := pushRun(g, algorithms.WCCKernel(), threads)
-	labels := make([]uint32, len(words))
-	for v, w := range words {
-		labels[v] = uint32(w)
-	}
-	return labels, res, err
 }

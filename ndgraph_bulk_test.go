@@ -7,7 +7,6 @@ import (
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
-	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/fault"
@@ -254,35 +253,6 @@ func runCore(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentatio
 	return run
 }
 
-func runAsync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentation, update core.UpdateFunc) bulkRun {
-	t.Helper()
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setupMinLabel(seed)
-	opts := async.Options{Threads: 1, Mode: mode, Observer: in.newObserver(), Inject: in.newInjector()}
-	x, err := async.NewExecutor(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	if err := x.LoadFrom(seed); err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.Run(update)
-	if err != nil || !res.Converged {
-		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
-	}
-	res.Duration = 0
-	run := bulkRun{Result: res, Vertices: append([]uint64(nil), x.Vertices...), Edges: x.Edges.Snapshot(),
-		Events: scrub(opts.Observer.Events()), Delay: opts.Observer.DelaySnapshots()}
-	if opts.Inject != nil {
-		run.Faults = opts.Inject.Stats()
-	}
-	return run
-}
-
 func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentation, update core.UpdateFunc) bulkRun {
 	t.Helper()
 	seed, err := core.NewEngine(g, core.Options{})
@@ -310,43 +280,6 @@ func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentat
 	res.Duration = 0
 	return bulkRun{Result: res, Vertices: append([]uint64(nil), x.Vertices...), Edges: x.Edges.Snapshot(),
 		Events: scrub(opts.Observer.Events()), Delay: opts.Observer.DelaySnapshots()}
-}
-
-// runAutonomous drives the priority executor. Its edge writes schedule
-// nobody, so the wrapper posts every neighbour of a vertex whose label
-// moved (priority = the label: smallest first).
-func runAutonomous(t *testing.T, g *graph.Graph, in instrumentation, update core.UpdateFunc) bulkRun {
-	t.Helper()
-	e, err := autonomous.NewEngine(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := in.newObserver()
-	e.Observe(o)
-	for v := range e.Vertices {
-		e.Vertices[v] = uint64(v)
-		e.Post(uint32(v), float64(v))
-	}
-	e.Edges.Fill(^uint64(0))
-	seen := make([]bool, g.N())
-	res, err := e.Run(func(ctx core.VertexView, s *autonomous.Scheduler) {
-		before := ctx.Vertex()
-		update(ctx)
-		if after := ctx.Vertex(); after != before || !seen[ctx.V()] {
-			seen[ctx.V()] = true
-			for k := 0; k < ctx.InDegree(); k++ {
-				s.Post(ctx.InNeighbor(k), float64(after))
-			}
-			for k := 0; k < ctx.OutDegree(); k++ {
-				s.Post(ctx.OutNeighbor(k), float64(after))
-			}
-		}
-	})
-	if err != nil || !res.Converged {
-		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
-	}
-	res.Duration = 0
-	return bulkRun{Result: res, Vertices: append([]uint64(nil), e.Vertices...), Edges: e.Edges.Snapshot(), Events: scrub(o.Events())}
 }
 
 func runShard(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentation, update core.UpdateFunc) bulkRun {
@@ -404,15 +337,8 @@ func TestBulkAccessorsMatchPerEdge(t *testing.T) {
 		{"core", bulkModes(), bulkInstrumentations, func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runCore(t, g, m, in, u)
 		}},
-		{"async", bulkModes(), only("plain", "observer", "inject"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
-			return runAsync(t, g, m, in, u)
-		}},
 		{"nosync", bulkModes(), only("plain", "observer"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runNoSync(t, g, m, in, u)
-		}},
-		// The autonomous store is always ModeSequential.
-		{"autonomous", []edgedata.Mode{edgedata.ModeSequential}, only("plain", "observer"), func(t *testing.T, _ edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
-			return runAutonomous(t, g, in, u)
 		}},
 		{"shard", bulkModes(), only("plain", "observer", "inject"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runShard(t, g, m, in, u)

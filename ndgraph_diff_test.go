@@ -5,8 +5,8 @@
 // the paper's thesis as a single table:
 //
 //	{WCC, SSSP, BFS, k-core} × {core-nondet(lock), core-nondet(atomic),
-//	async, nosync (work-stealing), shard (PSW), hybrid forced to push
-//	every iteration (CAS combine), hybrid alternating push/pull}
+//	nosync (barrier-free), shard (PSW), hybrid forced to push every
+//	iteration (CAS combine), hybrid alternating push/pull}
 //	                                 → identical converged values
 //	PageRank × {core variants, nosync} → agreement within ε
 //
@@ -103,31 +103,7 @@ func runCoreWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm, opts cor
 	return append([]uint64(nil), e.Vertices...)
 }
 
-// runAsyncWords seeds a barrier-free executor from a fresh deterministic
-// engine's initial state and drains it to quiescence.
-func runAsyncWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm) []uint64 {
-	t.Helper()
-	seedEng, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Setup(seedEng)
-	x, err := async.NewExecutor(g, async.Options{Threads: diffThreads, Mode: edgedata.ModeAtomic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	if err := x.LoadFrom(seedEng); err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.Run(a.Update)
-	if err != nil || !res.Converged {
-		t.Fatalf("async %s: %v (converged=%v)", a.Name(), err, res.Converged)
-	}
-	return append([]uint64(nil), x.Vertices...)
-}
-
-// runNoSyncWords runs a through the work-stealing no-sync tier, admission
+// runNoSyncWords runs a through the barrier-free no-sync tier, admission
 // gated by the algorithm's own static/probe eligibility verdict — the full
 // production path: verdict, transplant, barrier-free drain.
 func runNoSyncWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm) []uint64 {
@@ -250,7 +226,6 @@ func TestCrossEngineDifferentialWCC(t *testing.T) {
 			for _, ce := range diffCoreEngines() {
 				checkLabels(t, ce.name, wordsToLabels(runCoreWords(t, g, algorithms.NewWCC(), ce.opts)), want)
 			}
-			checkLabels(t, "async", wordsToLabels(runAsyncWords(t, g, algorithms.NewWCC())), want)
 			checkLabels(t, "nosync", wordsToLabels(runNoSyncWords(t, g, algorithms.NewWCC())), want)
 
 			wcc := algorithms.NewWCC()
@@ -286,7 +261,6 @@ func TestCrossEngineDifferentialBFS(t *testing.T) {
 			for _, ce := range diffCoreEngines() {
 				checkFloats(t, ce.name, wordsToFloats(runCoreWords(t, g, algorithms.NewBFS(g, src), ce.opts)), want)
 			}
-			checkFloats(t, "async", wordsToFloats(runAsyncWords(t, g, algorithms.NewBFS(g, src))), want)
 			checkFloats(t, "nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewBFS(g, src))), want)
 
 			// BFS is the shard-safe member of the SSSP family: unit
@@ -326,7 +300,6 @@ func TestCrossEngineDifferentialSSSP(t *testing.T) {
 			for _, ce := range diffCoreEngines() {
 				checkFloats(t, ce.name, wordsToFloats(runCoreWords(t, g, algorithms.NewSSSP(g, src, gc.seed+7), ce.opts)), want)
 			}
-			checkFloats(t, "async", wordsToFloats(runAsyncWords(t, g, algorithms.NewSSSP(g, src, gc.seed+7))), want)
 			checkFloats(t, "nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewSSSP(g, src, gc.seed+7))), want)
 
 			checkFloats(t, "hybrid-push",
@@ -347,7 +320,6 @@ func TestCrossEngineDifferentialKCore(t *testing.T) {
 			for _, ce := range diffCoreEngines() {
 				checkLabels(t, ce.name, wordsToLabels(runCoreWords(t, g, algorithms.NewKCore(), ce.opts)), want)
 			}
-			checkLabels(t, "async", wordsToLabels(runAsyncWords(t, g, algorithms.NewKCore())), want)
 			checkLabels(t, "nosync", wordsToLabels(runNoSyncWords(t, g, algorithms.NewKCore())), want)
 
 			kc := algorithms.NewKCore()
@@ -400,7 +372,7 @@ func TestCrossEngineDifferentialPageRank(t *testing.T) {
 				}
 				check(ce.name, pr.Ranks(e))
 			}
-			// The work-stealing tier: PageRank is Theorem-1 eligible
+			// The barrier-free tier: PageRank is Theorem-1 eligible
 			// (RW-only conflicts) but converges approximately, so its
 			// barrier-free fixed point is ε-close, not identical.
 			check("nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewPageRank(1e-7))))
@@ -422,10 +394,10 @@ func TestCrossEngineCoverageManifest(t *testing.T) {
 	}
 	// engine coverage per algorithm: core-det + 2 core-nondet + the others
 	covered := map[string][]string{
-		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "hybrid-push", "hybrid"},
-		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard", "hybrid-push", "hybrid"},
-		"sssp":  {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "hybrid-push", "hybrid"},
-		"kcore": {"core-det", "core-nondet-lock", "core-nondet-atomic", "async", "nosync", "shard"},
+		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard", "hybrid-push", "hybrid"},
+		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard", "hybrid-push", "hybrid"},
+		"sssp":  {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "hybrid-push", "hybrid"},
+		"kcore": {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard"},
 	}
 	excluded := map[string]string{
 		"shard/sssp":   "OutEdgeID is window-local; canonical-edge-indexed Weights would misroute",

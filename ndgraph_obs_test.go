@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"ndgraph"
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
-	"ndgraph/internal/autonomous"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/hybrid"
@@ -43,27 +41,6 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if _, res, err := algorithms.Run(algorithms.NewWCC(), g,
 		core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic, Observer: o}); err != nil || !res.Converged {
 		t.Fatalf("core: %v", err)
-	}
-
-	// async: barrier-free executor, Observer option.
-	{
-		wcc := algorithms.NewWCC()
-		seedEng, err := core.NewEngine(g, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wcc.Setup(seedEng)
-		x, err := async.NewExecutor(g, async.Options{Threads: 2, Mode: edgedata.ModeAtomic, Observer: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.Close()
-		if err := x.LoadFrom(seedEng); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := x.Run(wcc.Update); err != nil || !res.Converged {
-			t.Fatalf("async: %v", err)
-		}
 	}
 
 	// shard: out-of-core PSW engine, Observer option.
@@ -90,7 +67,7 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 		}
 	}
 
-	// nosync: barrier-free work-stealing executor, Observer option.
+	// nosync: barrier-free executor, Observer option.
 	{
 		wcc := algorithms.NewWCC()
 		seedEng, err := core.NewEngine(g, core.Options{})
@@ -150,35 +127,6 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 		}
 		if pushes != res.Iterations {
 			t.Fatalf("%d hybrid events tagged push, want one per iteration (%d)", pushes, res.Iterations)
-		}
-	}
-
-	// autonomous: sequential priority-driven engine, Observe method.
-	{
-		e, err := autonomous.NewEngine(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Observe(o)
-		src := uint32(0)
-		inf := edgedata.FromFloat64(math.Inf(1))
-		for v := range e.Vertices {
-			e.Vertices[v] = inf
-		}
-		e.Vertices[src] = edgedata.FromFloat64(0)
-		e.Post(src, 0)
-		update := func(ctx core.VertexView, s *autonomous.Scheduler) {
-			d := edgedata.ToFloat64(ctx.Vertex())
-			for k := 0; k < ctx.OutDegree(); k++ {
-				u := ctx.OutNeighbor(k)
-				if cand := d + 1; cand < edgedata.ToFloat64(e.Vertices[u]) {
-					e.Vertices[u] = edgedata.FromFloat64(cand)
-					s.Post(u, cand)
-				}
-			}
-		}
-		if _, err := e.Run(update); err != nil {
-			t.Fatalf("autonomous: %v", err)
 		}
 	}
 

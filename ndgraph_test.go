@@ -3,6 +3,7 @@
 package ndgraph_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -155,18 +156,42 @@ func TestFacadePushAndAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
-	cdist, cres, err := ndgraph.PushSSSP(cg, 0, unit, ndgraph.PushModeCAS, 1)
+	cdist, cres, err := ndgraph.PushBFS(cg, 0, ndgraph.PushModeCAS, 1)
 	if err != nil || !cres.Converged || cdist[9] != 9 {
-		t.Fatalf("push SSSP on a chain: dist[9] = %v, %+v, %v", cdist[9], cres, err)
+		t.Fatalf("push BFS on a chain: dist[9] = %v, %+v, %v", cdist[9], cres, err)
 	}
 	if cres.Wins != 9 || cres.Pushes < cres.Wins || cres.Iterations != 10 || cres.Duration <= 0 {
 		t.Fatalf("push accounting %+v, want 9 wins in 10 iterations", cres)
 	}
-	if labels, wres, err := ndgraph.PushWCC(cg, ndgraph.PushModeCAS, 2); err != nil || !wres.Converged || labels[9] != 0 {
-		t.Fatalf("push WCC on a chain: label[9] = %d, %+v, %v", labels[9], wres, err)
+	// SSSP and WCC in push mode are the hybrid engine under a never-pull
+	// policy; WCC pushes only along out-edges, so it runs symmetrized.
+	pushOnly := func(ndgraph.HybridStats) ndgraph.HybridDirection { return ndgraph.HybridPush }
+	runPush := func(g *ndgraph.Graph, threads int, k ndgraph.Kernel) ([]uint64, ndgraph.HybridResult) {
+		t.Helper()
+		e, err := ndgraph.NewHybridEngine(g, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Policy = pushOnly
+		res, err := e.Run(context.Background(), k)
+		if err != nil || !res.Converged {
+			t.Fatalf("%+v, %v", res, err)
+		}
+		return e.Vertices, res
 	}
-	// Async executor via LoadFrom.
+	unit := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+	words, sres := runPush(cg, 1, ndgraph.SSSPKernel(0, unit))
+	if d := math.Float64frombits(words[9]); d != 9 {
+		t.Fatalf("push SSSP on a chain: dist[9] = %v", d)
+	}
+	if sres.Updates != 9 || sres.Offers < sres.Updates || sres.Iterations != 10 {
+		t.Fatalf("push SSSP accounting %+v, want 9 wins in 10 iterations", sres)
+	}
+	if words, _ := runPush(cg.Undirected(), 2, ndgraph.WCCKernel()); words[9] != 0 {
+		t.Fatalf("push WCC on a chain: label[9] = %d", words[9])
+	}
+	// The bench's unadmitted NoSync (NewAsyncExecutor) via LoadFrom.
 	bfs := ndgraph.NewBFS(g, 0)
 	seedEng, err := ndgraph.NewEngine(g, ndgraph.Options{})
 	if err != nil {

@@ -42,11 +42,11 @@ echo "== go test -race (concurrency-heavy packages, short) =="
 # builds).
 go test -race -short ./internal/core/ ./internal/async/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
 
-echo "== flake gate (barrier-free packages, -race -count=20, GOMAXPROCS 1/2/8) =="
-# Termination detection, work stealing and the lock-free telemetry paths
-# are schedule-sensitive: a test that passes once proves little. Twenty
-# repetitions under the race detector, with fewer, as many and more
-# runnable threads than the tests' worker counts, must all pass.
+echo "== flake gate (barrier-free executor, -race -count=20, GOMAXPROCS 1/2/8) =="
+# NoSync's termination detection, work stealing and the lock-free
+# telemetry paths are schedule-sensitive: a test that passes once proves
+# little. Twenty repetitions under the race detector, with fewer, as many
+# and more runnable threads than the tests' worker counts, must all pass.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 ./internal/async/ ./internal/sched/ ./internal/frontier/ ./internal/obs/
 done
@@ -54,7 +54,7 @@ done
 echo "== flake gate (run lifecycle, every tier, -race -count=20, GOMAXPROCS 1/2/8) =="
 # Cancellation, the stall watchdog, panic recovery and the partial-result
 # contract of the one run lifecycle (core.Lifecycle) across the barrier
-# engines, the barrier-free executors and netdist: the lifecycle table in
+# engines, the barrier-free executor and netdist: the lifecycle table in
 # internal/core, netdist's TestRunLifecycle, plus the hybrid panic and
 # shard storage-failure tests.
 for procs in 1 2 8; do
@@ -97,6 +97,13 @@ echo "== ingest benchmark smoke (-benchtime 1x) =="
 # One iteration of each load/build benchmark, so the profiling entry points
 # of the ingest layer cannot rot; timings from here mean nothing.
 go test -run '^$' -bench 'ReadBinary|WriteBinary|ReadEdgeList|Build' -benchtime 1x ./internal/loader/ ./internal/graph/
+
+echo "== examples (each run once) =="
+# Every example checks its own results and exits non-zero on a mismatch;
+# building them is not enough to know they still agree.
+for d in examples/*/; do
+    go run "./$d" >/dev/null
+done
 
 echo "== /statusz smoke (live progress plane) =="
 # Polls /statusz WHILE a work-stealing PageRank is running and fails unless

@@ -129,3 +129,35 @@ func TestUsageErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// A trace file is outside input: provenance naming a source the rebuilt
+// graph does not have must make replay fail with an error, not panic in
+// the algorithm's Setup.
+func TestReplayRejectsSourceOutsideGraph(t *testing.T) {
+	g, err := gen.Synthesize(gen.WebGoogle, 5000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, source := range []string{"4000000000", fmt.Sprint(g.N()), "-1"} {
+		snap := trace.NewRecorder(0).Snapshot(trace.Meta{
+			Vertices: g.N(), Edges: g.M(),
+			KV: map[string]string{"algo": "sssp", "dataset": "web-google", "scale": "5000", "seed": "42", "source": source},
+		})
+		path := filepath.Join(t.TempDir(), "bad-source.ndt")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteBinary(f, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		err = run([]string{"replay", path}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "is not a vertex") {
+			t.Errorf("source=%s: replay error = %v, want the out-of-range source named", source, err)
+		}
+	}
+}

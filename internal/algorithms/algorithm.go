@@ -46,8 +46,12 @@ type Algorithm interface {
 // SpMV stop at local threshold eps, SSSP and BFS start from source, and
 // the random SSSP weights and SpMV coefficients derive from seed (seed+1
 // and seed+2). Every CLI, the experiments and trace replay build their
-// algorithms here, so a recorded run is rebuilt exactly.
+// algorithms here, so a recorded run is rebuilt exactly. A source that is
+// not a vertex of g is an error for SSSP and BFS.
 func New(name string, g *graph.Graph, source uint32, eps float64, seed uint64) (Algorithm, error) {
+	if (name == "sssp" || name == "bfs") && int64(source) >= int64(g.N()) {
+		return nil, fmt.Errorf("algorithms: %s source %d is not a vertex of a %d-vertex graph", name, source, g.N())
+	}
 	switch name {
 	case "pagerank":
 		return NewPageRank(eps), nil

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ndgraph/internal/core"
@@ -107,5 +109,41 @@ func TestRunPropagatesEngineErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid engine options accepted")
+	}
+}
+
+// New builds every registered name, and refuses an unknown name and a
+// traversal source outside the graph, naming the source and |V|.
+func TestNew(t *testing.T) {
+	g := testGraph(t, 63)
+	n := uint32(g.N())
+	for _, tc := range []struct {
+		name    string
+		source  uint32
+		wantErr string // "" = must build an algorithm of that name
+	}{
+		{"pagerank", 0, ""},
+		{"wcc", n, ""}, // source is ignored outside the traversals
+		{"sssp", n - 1, ""},
+		{"bfs", 0, ""},
+		{"spmv", 0, ""},
+		{"kcore", 0, ""},
+		{"labelprop", 0, ""},
+		{"coloring", 0, ""},
+		{"bogus", 0, `unknown algorithm "bogus"`},
+		{"sssp", n, fmt.Sprintf("sssp source %d is not a vertex of a %d-vertex graph", n, n)},
+		{"bfs", 4000000000, fmt.Sprintf("bfs source 4000000000 is not a vertex of a %d-vertex graph", n)},
+		{"sssp", ^uint32(0), fmt.Sprintf("sssp source 4294967295 is not a vertex of a %d-vertex graph", n)},
+	} {
+		a, err := New(tc.name, g, tc.source, 1e-4, 1)
+		if tc.wantErr == "" {
+			if err != nil || a.Name() != tc.name {
+				t.Errorf("New(%q, source %d) = %v, %v", tc.name, tc.source, a, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("New(%q, source %d) error = %v, want %q", tc.name, tc.source, err, tc.wantErr)
+		}
 	}
 }

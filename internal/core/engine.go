@@ -36,7 +36,7 @@ import (
 )
 
 // DefaultMaxIters is the iteration cap applied when Options.MaxIters is
-// zero, shared by the in-memory and out-of-core engines. It is a runaway
+// zero, shared by the barrier engines (core and hybrid). It is a runaway
 // backstop, not a tuning knob — combine with Options.StallWindow to detect
 // divergence long before the cap.
 const DefaultMaxIters = 1 << 20

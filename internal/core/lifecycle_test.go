@@ -17,7 +17,6 @@ import (
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 )
 
 // The run lifecycle exists once (core.Lifecycle, which core.Loop wraps for
@@ -163,29 +162,6 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		return func(hybrid.Stats) hybrid.Direction { return d }
 	}
 
-	shardRow := lifecycleRow{name: "shard", target: 17, named: 17, ticksPerIter: lifecycleN,
-		open: func(t *testing.T, k knobs) func(workload) (partial, error) {
-			st, err := shard.Build(chain, t.TempDir(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := shard.NewEngine(st, shard.Options{Threads: 2, Mode: edgedata.ModeAtomic,
-				Context: k.ctx, MaxIters: k.maxIters, StallWindow: k.stall})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(e.Close)
-			return func(w workload) (partial, error) {
-				reversed(st.Vertices)
-				if err := st.FillValues(^uint64(0)); err != nil {
-					t.Fatal(err)
-				}
-				e.Frontier().ScheduleAll()
-				res, err := e.Run(update(w))
-				return partial{res.Iterations, res.Converged, res.Duration}, err
-			}
-		}}
-
 	// The barrier-free executor runs the same update; its cap is in
 	// updates, lifecycleN per round.
 	wccVerdict, err := algorithms.NoSyncVerdict(wcc, chain)
@@ -222,7 +198,6 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		hybridRow("hybrid-forced-push", forced(hybrid.Push), 17),
 		hybridRow("hybrid-forced-pull", forced(hybrid.Pull), 18),
 		hybridRow("hybrid-default", nil, 17),
-		shardRow,
 		nosyncRow,
 	}
 }

@@ -25,16 +25,10 @@ type Scope struct {
 
 // Bind points the scope at vertex v of g.
 func (s *Scope) Bind(g *graph.Graph, v uint32) {
-	lo, _ := g.OutEdgeIndex(v)
-	s.BindEdges(v, g.InNeighbors(v), g.InEdgeIndices(v), g.OutNeighbors(v), lo)
-}
-
-// BindEdges points the scope at vertex v given its adjacency directly, for
-// views whose edges do not come from a graph.Graph (package shard's
-// windows). A view whose out-edge ids are not contiguous from outLo
-// overrides OutEdgeID and must stay off LoadOut.
-func (s *Scope) BindEdges(v uint32, inSrc, inIdx, outDst []uint32, outLo uint32) {
-	s.v, s.inSrc, s.inIdx, s.outDst, s.outLo = v, inSrc, inIdx, outDst, outLo
+	s.v = v
+	s.inSrc, s.inIdx = g.InNeighbors(v), g.InEdgeIndices(v)
+	s.outDst = g.OutNeighbors(v)
+	s.outLo, _ = g.OutEdgeIndex(v)
 }
 
 // V returns the vertex this update is running on.
@@ -86,7 +80,7 @@ func (s *Scope) LoadOut(st edgedata.Store) []uint64 {
 
 // The per-edge fallback: the bulk accessors expressed through a view's own
 // per-edge methods, one call per word. It is the whole implementation for
-// views without a specialised bulk path (shard, replay) and
+// views without a specialised bulk path (replay) and
 // the instrumented path of Ctx (under a census, delay clock, commit log,
 // fault injector, …), which is what keeps every per-access side effect
 // word-for-word identical between the bulk and the per-edge API.

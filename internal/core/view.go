@@ -3,9 +3,9 @@ package core
 // VertexView is the update function's window onto its vertex: the
 // pull-mode scope of the paper's Algorithm 1 (the vertex's own data plus
 // its incident edges), together with the task-generation side effects of
-// edge writes. The barrier-based engine (Ctx) and every other executor's
-// view (packages async and shard; the trace replayer) implement
-// it, so one algorithm implementation runs under every execution model.
+// edge writes. The barrier-based engine (Ctx), the barrier-free executor's
+// view (package async) and the trace replayer implement it, so one
+// algorithm implementation runs under every execution model.
 // The topology methods — V through OutEdgeID — come from the Scope each of
 // them embeds.
 type VertexView interface {

@@ -14,14 +14,13 @@ import (
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/netdist"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 )
 
 // Differential testing across every executor in the repository: the same
 // monotone algorithm on the same random graph must converge to the same
 // fixed point under
 //
-//	core (det / nondet / sync / DIG) · nosync (barrier-free) · shard (PSW)
+//	core (det / nondet / sync / DIG) · nosync (barrier-free)
 //	· netdist (TCP workers) · hybrid forced to push (CAS combine)
 //
 // with the sequential reference implementations as the oracles. This is
@@ -102,7 +101,7 @@ func coreVariants() map[string]core.Options {
 // core variants. Every test asserts (checked) that it ran exactly its row,
 // and TestDifferentialCoverageManifest pins the rows.
 var differentialExecutors = map[string][]string{
-	"wcc":      {"nosync", "shard", "netdist", "hybrid-push"},
+	"wcc":      {"nosync", "netdist", "hybrid-push"},
 	"sssp":     {"nosync", "hybrid-push", "netdist"},
 	"pagerank": {"nosync"},
 }
@@ -185,35 +184,6 @@ func TestDifferentialWCCAllExecutors(t *testing.T) {
 				labels[v] = uint32(w)
 			}
 			check("nosync", labels)
-		}
-
-		// Out-of-core PSW.
-		{
-			st, err := shard.Build(g, t.TempDir(), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range st.Vertices {
-				st.Vertices[v] = uint64(v)
-			}
-			if err := st.FillValues(^uint64(0)); err != nil {
-				t.Fatal(err)
-			}
-			e, err := shard.NewEngine(st, shard.Options{Threads: 2, Mode: edgedata.ModeAtomic})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Frontier().ScheduleAll()
-			wcc := algorithms.NewWCC()
-			res, err := e.Run(wcc.Update)
-			if err != nil || !res.Converged {
-				t.Fatalf("shard: %v", err)
-			}
-			labels := make([]uint32, g.N())
-			for v, w := range st.Vertices {
-				labels[v] = uint32(w)
-			}
-			check("shard", labels)
 		}
 
 		// Message passing between TCP workers, with duplicated frames.
@@ -352,7 +322,7 @@ func TestDifferentialPageRankAllExecutors(t *testing.T) {
 	checked(t, "pagerank", seen)
 }
 
-// The manifest: five core variants, and the other four executors — the
+// The manifest: five core variants, and the other three executors — the
 // barrier-free one on every algorithm — each checked somewhere.
 func TestDifferentialCoverageManifest(t *testing.T) {
 	if len(coreVariants()) != 5 {
@@ -369,12 +339,12 @@ func TestDifferentialCoverageManifest(t *testing.T) {
 			t.Errorf("%s has no barrier-free row", alg)
 		}
 	}
-	for _, name := range []string{"nosync", "shard", "netdist", "hybrid-push"} {
+	for _, name := range []string{"nosync", "netdist", "hybrid-push"} {
 		if !tiers[name] {
 			t.Errorf("no differential test checks %s", name)
 		}
 	}
-	if len(tiers) != 4 {
-		t.Errorf("differential rows name %d non-core executors, want 4: %v", len(tiers), tiers)
+	if len(tiers) != 3 {
+		t.Errorf("differential rows name %d non-core executors, want 3: %v", len(tiers), tiers)
 	}
 }

@@ -18,7 +18,9 @@
 //   - a crash aborts the run at a configured iteration boundary (simulated
 //     worker loss), to be resumed from a checkpoint.
 //
-// Every injected fault invokes the heal hook installed by the host engine,
+// The core engine is the one host (core.Options.Inject): it wraps its edge
+// store once at construction and arms the injector for each Run. Every
+// injected fault invokes the heal hook installed by the host engine,
 // which schedules both endpoints of the affected edge — exactly the
 // task-generation rule a *real* racing competitor would have applied. With
 // that retry path, Theorem 2 predicts monotone algorithms (WCC, SSSP, BFS)
@@ -142,8 +144,7 @@ func (s Stats) String() string {
 }
 
 // Injector decides and applies faults. One Injector serves one engine run
-// at a time; Wrap may be called repeatedly (the shard engine wraps each
-// interval's window store).
+// at a time.
 type Injector struct {
 	plan    Plan
 	armed   atomic.Bool

@@ -2,8 +2,8 @@
 // temporary file in the destination directory, flushed and synced, and only
 // then renamed over the target. A crash at any point leaves either the old
 // file or no file — never a truncated hybrid. The loader's graph writer
-// and the shard builder route their durable writes through this package,
-// and core's and netdist's checkpoints share its one Format.
+// routes its durable writes through this package, and core's and netdist's
+// checkpoints share its one Format.
 package fsafe
 
 import (

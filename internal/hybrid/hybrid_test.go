@@ -419,7 +419,7 @@ func TestChainStaysPush(t *testing.T) {
 
 // A panic in Kernel.Message comes back from Run as an error naming the
 // vertex — the source being relaxed in a push, the destination gathering in
-// each of the three pull sweeps — exactly as core/shard/async report a
+// each of the three pull sweeps — exactly as core and nosync report a
 // panicking update, and the engine runs again afterwards. (It used to reach
 // the pool's barrier and kill the process.)
 func TestHybridLifecyclePanic(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package obs is the engine observability layer: a zero-overhead-when-
 // disabled telemetry spine wired into every executor in the repository
-// (core, shard, netdist, hybrid, nosync).
+// (core, netdist, hybrid, nosync).
 //
 // The paper's claims are all statements about *run-to-run behavior under
 // nondeterminism* — conflict classes (Section III), convergence
@@ -44,8 +44,6 @@ type EngineKind uint8
 const (
 	// EngineCore is the barrier-based coordinated-scheduling engine.
 	EngineCore EngineKind = iota
-	// EngineShard is the out-of-core parallel-sliding-windows engine.
-	EngineShard
 	// EngineNetdist is the real-transport multi-process distributed
 	// executor (TCP workers under coordinator supervision).
 	EngineNetdist
@@ -58,7 +56,7 @@ const (
 	numEngines
 )
 
-var engineNames = [numEngines]string{"core", "shard", "netdist", "hybrid", "nosync"}
+var engineNames = [numEngines]string{"core", "netdist", "hybrid", "nosync"}
 
 // String names the engine kind as used in metric labels and JSONL.
 func (k EngineKind) String() string {
@@ -89,7 +87,7 @@ type Event struct {
 	TimeUnixNano int64
 	// Engine identifies the emitting executor.
 	Engine EngineKind
-	// Iter is the iteration (core/shard/hybrid) or sample index (nosync)
+	// Iter is the iteration (core/hybrid) or sample index (nosync)
 	// of the sample.
 	Iter int64
 	// Scheduled is the scheduled-set size driving the sample: |S_n| for
@@ -98,7 +96,7 @@ type Event struct {
 	// Updates is the number of update functions executed in the sample.
 	Updates int64
 	// EdgeReads and EdgeWrites count edge-data accesses in the sample
-	// (window-slot accesses for shard; offers and wins for hybrid).
+	// (offers and wins for hybrid).
 	EdgeReads, EdgeWrites int64
 	// RWConflicts and WWConflicts are the census-classified conflict edges
 	// of the sample, when conflict sampling is enabled; -1 marks a sample

@@ -79,6 +79,17 @@ func TestEmitFoldsCounters(t *testing.T) {
 	}
 }
 
+// The engine kinds are the four executors, in label order.
+func TestEngineKindsAreTheFourExecutors(t *testing.T) {
+	var names []string
+	for _, k := range EngineKinds() {
+		names = append(names, k.String())
+	}
+	if got, want := strings.Join(names, ","), "core,netdist,hybrid,nosync"; got != want {
+		t.Fatalf("EngineKinds() = %s, want %s", got, want)
+	}
+}
+
 func TestRingWraparoundKeepsOrder(t *testing.T) {
 	o := New(Options{RingSize: 4})
 	for i := int64(0); i < 10; i++ {
@@ -199,7 +210,7 @@ func TestWriteMetricsRendersEveryEngine(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	o := New(Options{})
-	o.Emit(Event{Engine: EngineShard, Iter: 2, Updates: 9})
+	o.Emit(Event{Engine: EngineNetdist, Iter: 2, Updates: 9})
 	o.PublishExpvar("obs-http-test")
 	srv, err := Serve("127.0.0.1:0", o)
 	if err != nil {
@@ -218,7 +229,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, `ndgraph_updates_total{engine="shard"} 9`) {
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, `ndgraph_updates_total{engine="netdist"} 9`) {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
 	code, body := get("/events")
@@ -229,7 +240,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &evs); err != nil {
 		t.Fatalf("/events is not JSON: %v", err)
 	}
-	if len(evs) != 1 || evs[0]["engine"] != "shard" {
+	if len(evs) != 1 || evs[0]["engine"] != "netdist" {
 		t.Errorf("/events = %v", evs)
 	}
 	if code, body := get("/debug/vars"); code != http.StatusOK || !strings.Contains(body, "obs-http-test") {

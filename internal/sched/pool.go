@@ -95,7 +95,7 @@ func NewPool(workers int) *Pool { return NewPoolNamed(workers, "") }
 
 // NewPoolNamed starts a pool whose workers carry the pprof goroutine label
 // engine=name, so CPU and block profiles attribute worker time to the
-// owning engine (core, async, shard, push, ...). An empty name labels
+// owning engine (core, hybrid, nosync). An empty name labels
 // nothing and is identical to NewPool.
 func NewPoolNamed(workers int, name string) *Pool {
 	if workers < 1 {

@@ -32,10 +32,6 @@
 package ndgraph
 
 import (
-	"context"
-	"math"
-	"time"
-
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/async"
 	"ndgraph/internal/core"
@@ -50,7 +46,6 @@ import (
 	"ndgraph/internal/netdist"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 	"ndgraph/internal/trace"
 )
 
@@ -265,30 +260,13 @@ var (
 	DifferenceDegree = metrics.DifferenceDegree
 )
 
-// Out-of-core (GraphChi-style Parallel Sliding Windows) execution.
-type (
-	// ShardStorage is on-disk sharded graph storage.
-	ShardStorage = shard.Storage
-	// ShardEngine executes updates over sharded storage.
-	ShardEngine = shard.Engine
-	// ShardOptions configures a PSW run.
-	ShardOptions = shard.Options
-)
-
-var (
-	// BuildShards shards a graph onto disk.
-	BuildShards = shard.Build
-	// NewShardEngine binds a PSW executor to sharded storage.
-	NewShardEngine = shard.NewEngine
-)
-
 // Robustness: fault injection, divergence watchdog, checkpointing.
 type (
 	// FaultPlan configures the seeded fault injector.
 	FaultPlan = fault.Plan
 	// FaultInjector corrupts edge operations per a FaultPlan; plug it into
-	// Options.Inject (core) or ShardOptions.Inject. The barrier-free
-	// executor takes none.
+	// Options.Inject. The core engine is its one host: the other executors
+	// take none.
 	FaultInjector = fault.Injector
 	// FaultStats tallies injected faults.
 	FaultStats = fault.Stats
@@ -343,49 +321,12 @@ var (
 	RunNetDistWorker = netdist.RunWorker
 )
 
-// DistOptions, DistResult and DistWCC are kept only for the benchmark's
-// `dist` contender row (bench/tier_dist.go); they go with that row (ROADMAP
-// item 1(a)). DistWCC runs WCC through NetDistRun on local workers over
-// loopback TCP. Seed is accepted and ignored: netdist has no seeded
-// delivery order.
-type DistOptions struct {
-	Workers  int
-	Seed     uint64
-	Observer *Observer
-}
-
-// DistResult reports a DistWCC run.
-type DistResult struct {
-	Converged bool
-	Messages  int64
-}
-
-// DistWCC runs weakly connected components on netdist workers and returns
-// the min-label of each vertex's component.
-func DistWCC(g *Graph, o DistOptions) ([]uint32, DistResult, error) {
-	edges := make([][2]uint32, 0, g.M())
-	for _, e := range g.Edges() {
-		edges = append(edges, [2]uint32{e.Src, e.Dst})
-	}
-	res, err := netdist.Run(context.Background(), netdist.Options{
-		Workers:  o.Workers,
-		Graph:    netdist.GraphSpec{Kind: "edges", N: g.N(), Edges: edges},
-		Algo:     netdist.AlgoSpec{Name: "wcc"},
-		Observer: o.Observer,
-	})
-	out := DistResult{Converged: res.Converged, Messages: res.Messages}
-	if err != nil {
-		return nil, out, err
-	}
-	return res.Labels(), out, nil
-}
-
 // Observability: the zero-overhead-when-disabled telemetry layer. Attach
 // one Observer to any number of engines (Options.Observer for core,
-// NoSyncOptions.Observer, ShardOptions.Observer, NetDistOptions.Observer,
-// and HybridEngine's Observe method); events flow into per-engine
-// counters, a ring buffer, and any attached sinks; serve live metrics with
-// ServeTelemetry (-telemetry-addr on the CLIs).
+// NoSyncOptions.Observer, NetDistOptions.Observer, and HybridEngine's
+// Observe method); events flow into per-engine counters, a ring buffer,
+// and any attached sinks; serve live metrics with ServeTelemetry
+// (-telemetry-addr on the CLIs).
 type (
 	// Observer collects telemetry events from engines. nil disables
 	// collection at the cost of one pointer test per iteration.
@@ -439,11 +380,11 @@ var (
 )
 
 // Execution-path record/replay and run-divergence diagnosis. A recorder
-// attached to an engine (Options.Trace, NoSyncOptions.Trace,
-// ShardOptions.Trace, or HybridEngine's Trace method) captures the
-// execution path; with EnableCommits it also logs every racy edge commit,
-// which lets the core engine replay the run to a byte-identical fixed
-// point (Lemmas 1–2 made executable). Traces serialize to the NDTR binary format and diff into a
+// attached to an engine (Options.Trace, NoSyncOptions.Trace, or
+// HybridEngine's Trace method) captures the execution path; with
+// EnableCommits it also logs every racy edge commit, which lets the core
+// engine replay the run to a byte-identical fixed point (Lemmas 1–2 made
+// executable). Traces serialize to the NDTR binary format and diff into a
 // divergence report with a propagation-distance histogram.
 type (
 	// TraceRecorder records execution paths (Options.Trace).
@@ -506,49 +447,6 @@ var (
 	NoSyncVerdict = algorithms.NoSyncVerdict
 )
 
-// AsyncExecutor, AsyncOptions and NewAsyncExecutor are kept only for the
-// benchmark's `async-chan` contender row (bench/tier_asyncchan.go); they go
-// with that row (ROADMAP item 1(a)). The channel executor they named is
-// retired: they are NoSync under other names, and NewAsyncExecutor builds
-// it without an eligibility verdict (async.NewUnadmitted), as the channel
-// executor ran. Use NewNoSyncExecutor.
-type (
-	// AsyncExecutor is NoSyncExecutor.
-	AsyncExecutor = async.NoSync
-	// AsyncOptions is NoSyncOptions; the bench sets Threads, Mode and
-	// Observer.
-	AsyncOptions = async.NoSyncOptions
-)
-
-// NewAsyncExecutor builds an unadmitted NoSync executor; see AsyncExecutor.
-var NewAsyncExecutor = async.NewUnadmitted
-
-// AutonomousResult and AutonomousSSSP are kept only for the benchmark's
-// `autonomous` contender row (bench/tier_autonomous.go); they go with that
-// row (ROADMAP item 1(a)). The priority-driven engine they named is
-// retired: distance-ordered SSSP is Dijkstra's algorithm, so AutonomousSSSP
-// is algorithms.ReferenceSSSP.
-type AutonomousResult struct {
-	Updates   int64 // vertices settled: the source's reachable set
-	Converged bool
-	Duration  time.Duration
-}
-
-// AutonomousSSSP returns the shortest-path distances from source over the
-// per-edge weights (+Inf where unreachable), computed by sequential
-// Dijkstra.
-func AutonomousSSSP(g *Graph, source uint32, weights []float64) ([]float64, AutonomousResult, error) {
-	start := time.Now()
-	dist := algorithms.ReferenceSSSP(g, source, weights)
-	res := AutonomousResult{Converged: true, Duration: time.Since(start)}
-	for _, d := range dist {
-		if !math.IsInf(d, 1) {
-			res.Updates++
-		}
-	}
-	return dist, res, nil
-}
-
 // Direction-optimizing hybrid execution: per-iteration push/pull choice
 // over paired kernels (Beamer-style frontier-density thresholds).
 type (
@@ -587,57 +485,3 @@ var (
 	BFSKernel  = algorithms.BFSKernel
 	SSSPKernel = algorithms.SSSPKernel
 )
-
-// Push mode (Ligra-style: the update of v relaxes its out-edges straight
-// into the destinations' vertex words, combining with compare-and-swap) is
-// the hybrid engine under a policy that never pulls. PushBFS, PushResult
-// and PushModeCAS are kept only for the benchmark's `push` contender row
-// (bench/tier_push.go); they go with that row (ROADMAP item 1(a)). Run a
-// kernel on NewHybridEngine with Policy set to always return HybridPush
-// instead.
-
-// PushResult summarizes a push-mode run.
-type PushResult struct {
-	Iterations int
-	Pushes     int64 // edge relaxations attempted
-	Wins       int64 // relaxations that improved the destination
-	Converged  bool
-	Duration   time.Duration
-}
-
-type pushMode int
-
-// PushModeCAS names the one push combine discipline: a compare-and-swap
-// retry loop, exact under any parallelism. (A racy read-test-write is not
-// enough in push mode — the loser of a lost push believes it won and never
-// re-pushes — see DESIGN.md §13.)
-const PushModeCAS pushMode = 0
-
-func pushRun(g *Graph, k Kernel, threads int) ([]uint64, PushResult, error) {
-	e, err := hybrid.NewEngine(g, threads)
-	if err != nil {
-		return nil, PushResult{}, err
-	}
-	defer e.Close()
-	e.Policy = func(hybrid.Stats) hybrid.Direction { return hybrid.Push }
-	res, err := e.Run(context.Background(), k)
-	return e.Vertices, PushResult{
-		Iterations: res.Iterations, Pushes: res.Offers, Wins: res.Updates,
-		Converged: res.Converged, Duration: res.Duration,
-	}, err
-}
-
-// PushBFS runs push-mode breadth-first search from source and returns the
-// hop distances (+Inf where unreachable).
-func PushBFS(g *Graph, source uint32, _ pushMode, threads int) ([]float64, PushResult, error) {
-	words, res, err := pushRun(g, algorithms.BFSKernel(source), threads)
-	return wordsToFloats(words), res, err
-}
-
-func wordsToFloats(words []uint64) []float64 {
-	out := make([]float64, len(words))
-	for i, w := range words {
-		out[i] = edgedata.ToFloat64(w)
-	}
-	return out
-}

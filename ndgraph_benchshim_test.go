@@ -2,6 +2,7 @@ package ndgraph_test
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"ndgraph"
@@ -40,5 +41,49 @@ func TestAutonomousSSSPMatchesDijkstra(t *testing.T) {
 	}
 	if res.Updates != reachable {
 		t.Fatalf("Updates = %d, want the %d reachable vertices", res.Updates, reachable)
+	}
+}
+
+// The shard names replay bench/tier_shard.go's call sequence on the core
+// engine: the labels are the union-find components, and nothing is
+// written to the shard directory.
+func TestShardShimReplaysBenchRow(t *testing.T) {
+	g, err := ndgraph.GenRMAT(500, 3000, ndgraph.DefaultRMAT, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := ndgraph.BuildShards(g, dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FillValues(0); err == nil {
+		t.Fatal("FillValues before NewShardEngine succeeded")
+	}
+	e, err := ndgraph.NewShardEngine(st, ndgraph.ShardOptions{Threads: 2, Mode: ndgraph.ModeAtomic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for v := range st.Vertices {
+		st.Vertices[v] = uint64(v)
+	}
+	if err := st.FillValues(^uint64(0)); err != nil {
+		t.Fatal(err)
+	}
+	e.Frontier().ScheduleAll()
+	res, err := e.Run(ndgraph.NewWCC().Update)
+	if err != nil || !res.Converged {
+		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
+	}
+	want := algorithms.ReferenceWCC(g)
+	for v := range want {
+		if uint32(st.Vertices[v]) != want[v] {
+			t.Fatalf("label[%d] = %d, want %d", v, st.Vertices[v], want[v])
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 0 {
+		t.Fatalf("shard directory holds %d entries (%v), want none", len(entries), err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"ndgraph/internal/graph"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 	"ndgraph/internal/trace"
 )
 
@@ -282,37 +281,6 @@ func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentat
 		Events: scrub(opts.Observer.Events()), Delay: opts.Observer.DelaySnapshots()}
 }
 
-func runShard(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentation, update core.UpdateFunc) bulkRun {
-	t.Helper()
-	st, err := shard.Build(g, t.TempDir(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range st.Vertices {
-		st.Vertices[v] = uint64(v)
-	}
-	if err := st.FillValues(^uint64(0)); err != nil {
-		t.Fatal(err)
-	}
-	opts := shard.Options{Threads: 1, Mode: mode, Observer: in.newObserver(), Inject: in.newInjector()}
-	e, err := shard.NewEngine(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Frontier().ScheduleAll()
-	res, err := e.Run(update)
-	if err != nil || !res.Converged {
-		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
-	}
-	res.Duration = 0
-	run := bulkRun{Result: res, Vertices: append([]uint64(nil), st.Vertices...), Events: scrub(opts.Observer.Events())}
-	if opts.Inject != nil {
-		run.Faults = opts.Inject.Stats()
-	}
-	return run
-}
-
 // TestBulkAccessorsMatchPerEdge is the table: per engine, the
 // instrumentations that engine has.
 func TestBulkAccessorsMatchPerEdge(t *testing.T) {
@@ -339,9 +307,6 @@ func TestBulkAccessorsMatchPerEdge(t *testing.T) {
 		}},
 		{"nosync", bulkModes(), only("plain", "observer"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runNoSync(t, g, m, in, u)
-		}},
-		{"shard", bulkModes(), only("plain", "observer", "inject"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
-			return runShard(t, g, m, in, u)
 		}},
 	}
 	for _, eng := range engines {

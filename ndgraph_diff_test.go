@@ -5,23 +5,16 @@
 // the paper's thesis as a single table:
 //
 //	{WCC, SSSP, BFS, k-core} × {core-nondet(lock), core-nondet(atomic),
-//	nosync (barrier-free), shard (PSW), hybrid forced to push every
-//	iteration (CAS combine), hybrid alternating push/pull}
+//	nosync (barrier-free), hybrid forced to push every iteration (CAS
+//	combine), hybrid alternating push/pull}
 //	                                 → identical converged values
 //	PageRank × {core variants, nosync} → agreement within ε
 //
-// Two deliberate exclusions, asserted by TestCrossEngineCoverageManifest:
-//
-//   - shard × weighted SSSP: the PSW view's OutEdgeID returns
-//     window-local value slots, not canonical edge indices, so an
-//     algorithm that indexes an immutable side array by edge ID (SSSP's
-//     Weights) reads the wrong weights out-of-core. BFS — unit weights,
-//     where every index decodes to the same weight — is sound and IS
-//     covered below.
-//   - hybrid × k-core (either policy): the h-index update gathers all
-//     neighbor estimates at once; the hybrid engine runs paired push/pull
-//     kernels built from the unary Message/Better monotone merge, which
-//     cannot express that gather.
+// One deliberate exclusion, asserted by TestCrossEngineCoverageManifest:
+// hybrid × k-core (either policy). The h-index update gathers all neighbor
+// estimates at once; the hybrid engine runs paired push/pull kernels built
+// from the unary Message/Better monotone merge, which cannot express that
+// gather.
 //
 // Graphs are seeded R-MAT (skewed) and banded (near-uniform, local), so
 // both conflict regimes of the paper's evaluation are exercised. Only
@@ -32,7 +25,6 @@ package ndgraph_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -45,7 +37,6 @@ import (
 	"ndgraph/internal/graph"
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 )
 
 const diffThreads = 4
@@ -132,27 +123,6 @@ func runNoSyncWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm) []uint
 	return append([]uint64(nil), x.Vertices...)
 }
 
-// runShardWords builds out-of-core storage for g, applies the
-// algorithm-specific initial state, and runs the PSW engine.
-func runShardWords(t *testing.T, g *graph.Graph, update core.UpdateFunc, init func(t *testing.T, st *shard.Storage, e *shard.Engine)) []uint64 {
-	t.Helper()
-	st, err := shard.Build(g, t.TempDir(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := shard.NewEngine(st, shard.Options{Threads: 2, Mode: edgedata.ModeAtomic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	init(t, st, e)
-	res, err := e.Run(update)
-	if err != nil || !res.Converged {
-		t.Fatalf("shard: %v (converged=%v)", err, res.Converged)
-	}
-	return append([]uint64(nil), st.Vertices...)
-}
-
 // The two hybrid rows. hybridPush is push mode proper — never pull, what
 // the facade's Push* entry points run. hybridAlternate switches every
 // iteration, so the run genuinely crosses direction switches: the default
@@ -228,18 +198,6 @@ func TestCrossEngineDifferentialWCC(t *testing.T) {
 			}
 			checkLabels(t, "nosync", wordsToLabels(runNoSyncWords(t, g, algorithms.NewWCC())), want)
 
-			wcc := algorithms.NewWCC()
-			got := runShardWords(t, g, wcc.Update, func(t *testing.T, st *shard.Storage, e *shard.Engine) {
-				for v := range st.Vertices {
-					st.Vertices[v] = uint64(v)
-				}
-				if err := st.FillValues(^uint64(0)); err != nil {
-					t.Fatal(err)
-				}
-				e.Frontier().ScheduleAll()
-			})
-			checkLabels(t, "shard", wordsToLabels(got), want)
-
 			// hybrid runs WCC on the symmetrized graph (Kernel.Undirected).
 			checkLabels(t, "hybrid-push",
 				wordsToLabels(runHybridWords(t, g.Undirected(), algorithms.WCCKernel(), hybridPush)), want)
@@ -262,23 +220,6 @@ func TestCrossEngineDifferentialBFS(t *testing.T) {
 				checkFloats(t, ce.name, wordsToFloats(runCoreWords(t, g, algorithms.NewBFS(g, src), ce.opts)), want)
 			}
 			checkFloats(t, "nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewBFS(g, src))), want)
-
-			// BFS is the shard-safe member of the SSSP family: unit
-			// weights make the Weights array index-invariant, so the PSW
-			// view's window-local edge IDs cannot misroute a lookup.
-			shardBFS := algorithms.NewBFS(g, src)
-			got := runShardWords(t, g, shardBFS.Update, func(t *testing.T, st *shard.Storage, e *shard.Engine) {
-				infWord := edgedata.FromFloat64(math.Inf(1))
-				for v := range st.Vertices {
-					st.Vertices[v] = infWord
-				}
-				st.Vertices[src] = edgedata.FromFloat64(0)
-				if err := st.FillValues(infWord); err != nil {
-					t.Fatal(err)
-				}
-				e.Frontier().ScheduleNow(int(src))
-			})
-			checkFloats(t, "shard", wordsToFloats(got), want)
 
 			checkFloats(t, "hybrid-push",
 				wordsToFloats(runHybridWords(t, g, algorithms.BFSKernel(src), hybridPush)), want)
@@ -321,24 +262,6 @@ func TestCrossEngineDifferentialKCore(t *testing.T) {
 				checkLabels(t, ce.name, wordsToLabels(runCoreWords(t, g, algorithms.NewKCore(), ce.opts)), want)
 			}
 			checkLabels(t, "nosync", wordsToLabels(runNoSyncWords(t, g, algorithms.NewKCore())), want)
-
-			kc := algorithms.NewKCore()
-			got := runShardWords(t, g, kc.Update, func(t *testing.T, st *shard.Storage, e *shard.Engine) {
-				for v := range st.Vertices {
-					st.Vertices[v] = uint64(g.Degree(uint32(v)))
-				}
-				// Every edge word packs (src estimate, dst estimate),
-				// both starting at the endpoint degrees — the same
-				// initial publication KCore.Setup performs in-core.
-				err := st.SetEdgeValues(func(src, dst uint32) uint64 {
-					return uint64(g.Degree(src)) | uint64(g.Degree(dst))<<32
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Frontier().ScheduleAll()
-			})
-			checkLabels(t, "shard", wordsToLabels(got), want)
 		})
 	}
 }
@@ -382,9 +305,9 @@ func TestCrossEngineDifferentialPageRank(t *testing.T) {
 
 // TestCrossEngineCoverageManifest pins the grid so a silently dropped
 // engine or algorithm cannot pass review: 4 exact-agreement algorithms,
-// 2 parallel core modes, 4 graph instances, and exactly the 2 documented
-// exclusions (shard × weighted SSSP, hybrid × k-core) — see the package
-// comment for why each is structural, not an omission.
+// 2 parallel core modes, 4 graph instances, and exactly the one documented
+// exclusion (hybrid × k-core) — see the package comment for why it is
+// structural, not an omission.
 func TestCrossEngineCoverageManifest(t *testing.T) {
 	if n := len(diffCoreEngines()); n != 2 {
 		t.Fatalf("parallel core engine variants = %d, want 2 (lock, atomic)", n)
@@ -394,13 +317,12 @@ func TestCrossEngineCoverageManifest(t *testing.T) {
 	}
 	// engine coverage per algorithm: core-det + 2 core-nondet + the others
 	covered := map[string][]string{
-		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard", "hybrid-push", "hybrid"},
-		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard", "hybrid-push", "hybrid"},
+		"wcc":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "hybrid-push", "hybrid"},
+		"bfs":   {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "hybrid-push", "hybrid"},
 		"sssp":  {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "hybrid-push", "hybrid"},
-		"kcore": {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync", "shard"},
+		"kcore": {"core-det", "core-nondet-lock", "core-nondet-atomic", "nosync"},
 	}
 	excluded := map[string]string{
-		"shard/sssp":   "OutEdgeID is window-local; canonical-edge-indexed Weights would misroute",
 		"hybrid/kcore": "paired kernels share the unary Message/Better merge, which cannot express the h-index gather",
 	}
 	for alg, engines := range covered {
@@ -410,7 +332,7 @@ func TestCrossEngineCoverageManifest(t *testing.T) {
 			}
 		}
 	}
-	if len(excluded) != 2 {
-		t.Fatalf("exclusions = %d, want exactly 2", len(excluded))
+	if len(excluded) != 1 {
+		t.Fatalf("exclusions = %d, want exactly 1", len(excluded))
 	}
 }

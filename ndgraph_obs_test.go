@@ -24,7 +24,6 @@ import (
 	"ndgraph/internal/hybrid"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
-	"ndgraph/internal/shard"
 )
 
 func TestObserverCountsEveryEngine(t *testing.T) {
@@ -41,30 +40,6 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if _, res, err := algorithms.Run(algorithms.NewWCC(), g,
 		core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic, Observer: o}); err != nil || !res.Converged {
 		t.Fatalf("core: %v", err)
-	}
-
-	// shard: out-of-core PSW engine, Observer option.
-	{
-		st, err := shard.Build(g, t.TempDir(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range st.Vertices {
-			st.Vertices[v] = uint64(v)
-		}
-		if err := st.FillValues(^uint64(0)); err != nil {
-			t.Fatal(err)
-		}
-		e, err := shard.NewEngine(st, shard.Options{Threads: 2, Mode: edgedata.ModeAtomic, Observer: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		e.Frontier().ScheduleAll()
-		wcc := algorithms.NewWCC()
-		if res, err := e.Run(wcc.Update); err != nil || !res.Converged {
-			t.Fatalf("shard: %v", err)
-		}
 	}
 
 	// nosync: barrier-free executor, Observer option.

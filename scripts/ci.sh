@@ -40,7 +40,7 @@ echo "== go test -race (concurrency-heavy packages, short) =="
 # internal/edgedata and internal/algorithms race the bulk gather/scatter
 # loops in lock and atomic modes (ModeAligned is compiled out of race
 # builds).
-go test -race -short ./internal/core/ ./internal/async/ ./internal/fault/ ./internal/shard/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
+go test -race -short ./internal/core/ ./internal/async/ ./internal/fault/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
 
 echo "== flake gate (barrier-free executor, -race -count=20, GOMAXPROCS 1/2/8) =="
 # NoSync's termination detection, work stealing and the lock-free
@@ -55,10 +55,9 @@ echo "== flake gate (run lifecycle, every tier, -race -count=20, GOMAXPROCS 1/2/
 # Cancellation, the stall watchdog, panic recovery and the partial-result
 # contract of the one run lifecycle (core.Lifecycle) across the barrier
 # engines, the barrier-free executor and netdist: the lifecycle table in
-# internal/core, netdist's TestRunLifecycle, plus the hybrid panic and
-# shard storage-failure tests.
+# internal/core, netdist's TestRunLifecycle, plus the hybrid panic test.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -race -count=20 -run Lifecycle ./internal/core/ ./internal/hybrid/ ./internal/shard/ ./internal/netdist/
+    GOMAXPROCS=$procs go test -race -count=20 -run Lifecycle ./internal/core/ ./internal/hybrid/ ./internal/netdist/
 done
 
 echo "== flake gate (netdist quiescence, -race -count=5, GOMAXPROCS 1/2/8) =="

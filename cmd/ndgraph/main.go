@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 	dataset := fs.String("dataset", "", "synthetic dataset analog: web-berkstan, web-google, soc-livejournal1, cage15")
 	scale := fs.Int("scale", 100, "dataset scale divisor (with -dataset)")
 	seed := fs.Uint64("seed", 42, "random seed (graph synthesis, SSSP weights)")
-	schedName := fs.String("sched", "det", "scheduler: det, nondet, sync, dig")
+	schedName := fs.String("sched", "det", "scheduler: det, nondet, sync, dig, nosync (barrier-free; eligible algorithms only)")
 	modeName := fs.String("mode", "atomic", "edge atomicity: seq, lock, arch, atomic")
 	threads := fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	eps := fs.Float64("eps", 1e-3, "convergence threshold ε (pagerank, spmv)")

@@ -26,6 +26,32 @@ func TestRunDatasetWCC(t *testing.T) {
 	}
 }
 
+// -sched nosync admits WCC through its certificate and reaches the
+// deterministic labels; it refuses Coloring, which no theorem covers.
+func TestRunNoSync(t *testing.T) {
+	labels := func(sched string) string {
+		t.Helper()
+		var sb strings.Builder
+		err := run([]string{"-algo", "wcc", "-dataset", "web-google", "-scale", "500",
+			"-sched", sched, "-threads", "4", "-top", "1000000"}, &sb)
+		if err != nil {
+			t.Fatalf("-sched %s: %v", sched, err)
+		}
+		out := sb.String()
+		if !strings.Contains(out, "converged: true") {
+			t.Fatalf("-sched %s did not converge:\n%s", sched, out)
+		}
+		return out[strings.Index(out, "components:"):]
+	}
+	if det, ns := labels("det"), labels("nosync"); ns != det {
+		t.Fatal("-sched nosync labels differ from -sched det")
+	}
+	err := run([]string{"-algo", "coloring", "-dataset", "web-google", "-scale", "500", "-sched", "nosync"}, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "NOT ELIGIBLE") {
+		t.Fatalf("coloring under -sched nosync: err = %v, want an admission refusal", err)
+	}
+}
+
 func TestRunProbe(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-algo", "coloring", "-dataset", "web-google", "-scale", "500", "-probe"}, &sb)

@@ -55,24 +55,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seedEng, err := ndgraph.NewEngine(g, ndgraph.Options{})
+	verdict, err := cert.Verdict()
 	if err != nil {
 		log.Fatal(err)
 	}
-	sssp.Setup(seedEng)
-	x, err := ndgraph.NewNoSyncExecutor(g, ndgraph.NoSyncOptions{Threads: 8, Mode: ndgraph.ModeAtomic, Certificate: cert})
+	nsEng, nsRes, err := ndgraph.Run(sssp, g, ndgraph.Options{
+		Scheduler: ndgraph.NoSync, Threads: 8, Mode: ndgraph.ModeAtomic, Verdict: verdict,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer x.Close()
-	if err := x.LoadFrom(seedEng); err != nil {
-		log.Fatal(err)
-	}
-	nsRes, err := x.Run(sssp.Update)
-	if err != nil {
-		log.Fatal(err)
-	}
-	check("barrier-free", ref, floats(x.Vertices))
+	defer nsEng.Close()
+	check("barrier-free", ref, sssp.Distances(nsEng))
 	fmt.Printf("barrier-free:        %4d updates     %v\n", nsRes.Updates, nsRes.Duration)
 
 	// 4. Push mode with CAS (Ligra-style): the hybrid engine under a policy

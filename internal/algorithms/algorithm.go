@@ -26,6 +26,7 @@ import (
 	"ndgraph/internal/core"
 	"ndgraph/internal/eligibility"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/sched"
 )
 
 // Algorithm is the uniform surface consumed by the CLIs, the benchmark
@@ -75,8 +76,16 @@ func New(name string, g *graph.Graph, source uint32, eps float64, seed uint64) (
 
 // Run builds an engine for g with opts, sets the algorithm up, executes it
 // to convergence, and returns the engine (holding final state) plus the
-// run result.
+// run result. A NoSync run without opts.Verdict is admitted (or refused)
+// by NoSyncVerdict(a, g).
 func Run(a Algorithm, g *graph.Graph, opts core.Options) (*core.Engine, core.Result, error) {
+	if opts.Scheduler == sched.NoSync && opts.Verdict == nil {
+		v, err := NoSyncVerdict(a, g)
+		if err != nil {
+			return nil, core.Result{}, err
+		}
+		opts.Verdict = &v
+	}
 	e, err := core.NewEngine(g, opts)
 	if err != nil {
 		return nil, core.Result{}, fmt.Errorf("algorithms: %s: %w", a.Name(), err)

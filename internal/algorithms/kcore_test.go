@@ -97,6 +97,8 @@ func TestKCoreNondeterministicIdentical(t *testing.T) {
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked},
 		{Scheduler: sched.Synchronous, Threads: 2, Mode: edgedata.ModeAtomic},
 		{Scheduler: sched.DIG, Threads: 2, Mode: edgedata.ModeAtomic},
+		// Run admits NoSync through k-core's certificate.
+		{Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic},
 	} {
 		e, res, err := Run(kc, g, opts)
 		if err != nil {

@@ -3,10 +3,11 @@ package algorithms
 import (
 	"testing"
 
-	"ndgraph/internal/async"
+	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
 	"ndgraph/internal/gen"
+	"ndgraph/internal/sched"
 )
 
 func TestNoSyncVerdictStaticRoutes(t *testing.T) {
@@ -88,10 +89,14 @@ func TestNoSyncVerdictRefusesImpostor(t *testing.T) {
 	if v.Source != "probe" || v.Eligible {
 		t.Fatalf("impostor verdict = %v, want a NOT ELIGIBLE probe verdict", v)
 	}
-	if _, err := async.NewNoSync(g, async.NoSyncOptions{
-		Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &v,
+	if _, err := core.NewEngine(g, core.Options{
+		Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &v,
 	}); err == nil {
-		t.Fatal("no-sync executor admitted Coloring's update under PageRank's name")
+		t.Fatal("NoSync scheduler admitted Coloring's update under PageRank's name")
+	}
+	// Run derives the same verdict itself when none is given.
+	if _, _, err := Run(a, g, core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic}); err == nil {
+		t.Fatal("Run admitted Coloring's update under PageRank's name")
 	}
 }
 

@@ -43,6 +43,8 @@ func TestSSSPIdenticalAcrossSchedulers(t *testing.T) {
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked},
 		{Scheduler: sched.DIG, Threads: 2, Mode: edgedata.ModeAtomic},
+		// Run admits NoSync through SSSP's certificate.
+		{Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic},
 	}
 	if !raceEnabled {
 		configs = append(configs,

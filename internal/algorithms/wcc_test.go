@@ -45,6 +45,8 @@ func TestWCCNondeterministicIdenticalResults(t *testing.T) {
 		{Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic, Amplify: true},
 		{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked, Amplify: true},
+		// Run admits NoSync through WCC's certificate.
+		{Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic},
 	}
 	if !raceEnabled {
 		configs = append(configs,

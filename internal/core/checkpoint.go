@@ -38,6 +38,9 @@ func (e *Engine) saveCheckpoint(path string, iter int, updates int64) error {
 // either way, and the engine is untouched by every failed attempt. It
 // returns the iteration the engine will resume at.
 func (e *Engine) RestoreCheckpoint(path string) (int, error) {
+	if e.ns != nil {
+		return 0, fmt.Errorf("core: the nosync scheduler has no iteration to resume at and cannot honour RestoreCheckpoint")
+	}
 	n, m := e.g.N(), e.g.M()
 	iter := 0
 	_, err := ckptFormat.Load(path, func(hdr []uint64, s [][]uint64) error {

@@ -1,7 +1,8 @@
 // Package core implements the paper's system model (Section II): a
 // vertex-centric, coordinated-scheduling graph engine that executes update
 // functions over iterations separated by barriers — the "synchronous
-// implementation of the asynchronous model".
+// implementation of the asynchronous model" — or, under the NoSync
+// scheduler (nosync.go), with no barriers at all.
 //
 // Per iteration n, the scheduled set S_n (a Frontier) is dispatched over P
 // worker goroutines in contiguous label blocks (Fig. 1); each worker runs
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"ndgraph/internal/edgedata"
+	"ndgraph/internal/eligibility"
 	"ndgraph/internal/fault"
 	"ndgraph/internal/frontier"
 	"ndgraph/internal/graph"
@@ -54,6 +56,8 @@ type UpdateFunc func(ctx VertexView)
 // Options configures an Engine run.
 type Options struct {
 	// Scheduler selects the execution strategy. Default Deterministic.
+	// NoSync needs a Verdict and refuses the options that hang on an
+	// iteration barrier (see noSyncRefusal).
 	Scheduler sched.Kind
 	// Threads is the worker count P for parallel schedulers. Values < 1
 	// default to GOMAXPROCS. Deterministic execution always uses 1.
@@ -67,11 +71,13 @@ type Options struct {
 	// ablation of the system model's load-balance assumption).
 	Dispatch sched.Dispatch
 	// MaxIters caps the iteration count; 0 means DefaultMaxIters.
-	// Hitting the cap returns a Result with Converged == false.
+	// Hitting the cap returns a Result with Converged == false. NoSync has
+	// no iterations: it caps the update count at MaxIters × |V| instead.
 	MaxIters int
 	// Context, when non-nil, cancels or deadlines the run: it is checked
-	// at every iteration barrier and Run returns the partial Result plus
-	// the context's error within one iteration of cancellation.
+	// at every iteration barrier (before every update under NoSync) and
+	// Run returns the partial Result plus the context's error within one
+	// iteration of cancellation.
 	Context context.Context
 	// StallWindow enables the divergence watchdog: if the scheduled-vertex
 	// count reaches no new minimum for StallWindow consecutive iterations,
@@ -137,8 +143,22 @@ type Options struct {
 	// (scheduled-set size, updates, edge accesses, conflict rates when
 	// sampling is on, barrier-wait imbalance, residual) into the
 	// observability layer. nil — the default — costs one pointer test per
-	// barrier; Observer.SampleConflicts implies EnableCensus.
+	// barrier; Observer.SampleConflicts implies EnableCensus. Under NoSync
+	// each worker emits one event per window of updates instead (with
+	// steal and idle-transition counts) plus a final aggregate.
 	Observer *obs.Observer
+	// Verdict is the NoSync scheduler's admission ticket, required iff
+	// Scheduler is NoSync: the algorithm's eligibility verdict from a
+	// probe (algorithms.Probe), a certificate (Certificate.Verdict) or
+	// algorithms.NoSyncVerdict, which picks one of the two. NewEngine
+	// refuses a nil, ineligible or theorem-less verdict.
+	Verdict *eligibility.Verdict
+	// ResidualDelta maps a committed vertex transition to its residual
+	// contribution (e.g. |Δrank|, algorithms.PageRank.ResidualDelta).
+	// Under NoSync with an Observer it sharpens the telemetry Residual
+	// gauge from the pending-task proxy to the measured value movement;
+	// the barrier schedulers ignore it.
+	ResidualDelta func(old, new uint64) float64
 }
 
 // IterStat records one iteration's activity.
@@ -156,6 +176,12 @@ type Result struct {
 	RWConflicts uint64 // cumulative read-write conflict edges (census only)
 	WWConflicts uint64 // cumulative write-write conflict edges (census only)
 	PerIter     []IterStat
+	// Steals counts tasks taken from another worker's deque and
+	// IdleTransitions busy→idle transitions across all workers — the
+	// load-imbalance signals NoSync has instead of barrier-wait time.
+	// Zero under the barrier schedulers.
+	Steals          int64
+	IdleTransitions int64
 }
 
 // String renders the result compactly for logs and CLI output.
@@ -239,8 +265,13 @@ type Engine struct {
 	// attached (nil otherwise; the hot-path hooks cost one pointer test).
 	// The epoch advances once per iteration barrier, so a barrier engine's
 	// histogram concentrates at ≤ 1 epoch — the deterministic baseline the
-	// barrier-free executor's spread is compared against.
+	// barrier-free executor's spread is compared against. Under NoSync
+	// the epoch advances once per executed update.
 	clock *obs.DelayClock
+
+	// ns is the NoSync scheduler's run state; nil under every other
+	// scheduler.
+	ns *noSync
 }
 
 // NewEngine validates opts and builds an engine for g.
@@ -262,6 +293,16 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: %v scheduler with %d threads requires a concurrent edge-data mode, not %v",
 			opts.Scheduler, opts.Threads, opts.Mode)
 	}
+	name, kind := "core", obs.EngineCore
+	if opts.Scheduler == sched.NoSync {
+		if o := noSyncRefusal(opts); o != "" {
+			return nil, fmt.Errorf("core: the nosync scheduler has no iteration barrier and cannot honour %s", o)
+		}
+		if err := opts.Verdict.NoSync(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		name, kind = "nosync", obs.EngineNoSync
+	}
 	e := &Engine{
 		g:        g,
 		opts:     opts,
@@ -269,8 +310,8 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		Vertices: make([]uint64, g.N()),
 		front:    frontier.NewFrontier(g.N()),
 		loop: Loop{
-			Lifecycle: Lifecycle{Name: "core", Context: opts.Context, Observer: opts.Observer},
-			Kind:      obs.EngineCore, Threads: opts.Threads, N: g.N(),
+			Lifecycle: Lifecycle{Name: name, Context: opts.Context, Observer: opts.Observer},
+			Kind:      kind, Threads: opts.Threads, N: g.N(),
 			MaxIters: opts.MaxIters, StallWindow: opts.StallWindow, Inject: opts.Inject,
 		},
 	}
@@ -286,9 +327,13 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		e.census = edgedata.NewCensus(g.M())
 	}
 	if opts.Observer != nil {
-		// One epoch per iteration barrier; one stamp slot per edge word.
+		// One epoch per iteration barrier (per update under NoSync); one
+		// stamp slot per edge word.
 		e.clock = obs.NewDelayClock(e.opts.Threads, int(g.M()))
-		opts.Observer.SetDelaySource(obs.EngineCore, e.clock.Hist)
+		opts.Observer.SetDelaySource(kind, e.clock.Hist)
+	}
+	if opts.Scheduler == sched.NoSync {
+		e.ns = newNoSync(e)
 	}
 	return e, nil
 }
@@ -327,6 +372,9 @@ func (e *Engine) Reset() {
 func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	if update == nil {
 		return Result{}, fmt.Errorf("core: nil update function")
+	}
+	if e.ns != nil {
+		return e.runNoSync(update)
 	}
 	e.ensureWorkers()
 	e.curUpdate = update

@@ -6,6 +6,7 @@ import (
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
 )
 
@@ -75,6 +76,16 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// An observer that samples conflicts turns the census on by itself.
+func TestObserverSampleConflictsEnablesCensus(t *testing.T) {
+	g, _ := gen.Ring(8)
+	o := obs.New(obs.Options{SampleConflicts: true})
+	defer o.Close()
+	if e := newEngine(t, g, Options{Observer: o}); !e.Options().EnableCensus || e.census == nil {
+		t.Fatal("SampleConflicts observer left the census off")
+	}
+}
+
 func TestRunNilUpdate(t *testing.T) {
 	g, _ := gen.Ring(4)
 	e := newEngine(t, g, Options{})
@@ -131,6 +142,7 @@ func TestMinLabelAllSchedulersAgree(t *testing.T) {
 		{"nondet-atomic", Options{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeAtomic}},
 		{"nondet-lock", Options{Scheduler: sched.Nondeterministic, Threads: 4, Mode: edgedata.ModeLocked}},
 		{"dig", Options{Scheduler: sched.DIG, Threads: 4, Mode: edgedata.ModeAtomic}},
+		{"nosync", Options{Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic, Verdict: testVerdict()}},
 	} {
 		e := newEngine(t, g, cfg.opts)
 		initMinLabel(e)

@@ -71,7 +71,8 @@ func runAllocs(t *testing.T, e *Engine, update UpdateFunc, iters int) float64 {
 // wakes without spawning, the dispatch parameters live in engine fields, the
 // BSP shadow is reused via SnapshotInto, and the frontier recycles its
 // member cache. Any per-iteration allocation shows up here as the allocation
-// count growing with MaxIters.
+// count growing with MaxIters. NoSync has no iterations to count, so its
+// hot path is pinned per update by TestNoSyncBulkUpdateSteadyStateDoesNotAllocate.
 func TestRunSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful with -short budgets")
@@ -118,5 +119,71 @@ func TestRunSteadyStateIterationsDoNotAllocate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// bulkMinLabelUpdate uses all three bulk accessors, holding both slices at
+// once, and schedules only through its edge writes.
+func bulkMinLabelUpdate(ctx VertexView) {
+	min := ctx.Vertex()
+	in, out := ctx.InEdgeVals(), ctx.OutEdgeVals()
+	for _, w := range in {
+		if w < min {
+			min = w
+		}
+	}
+	for _, w := range out {
+		if w < min {
+			min = w
+		}
+	}
+	ctx.SetVertex(min)
+	ctx.SetOutEdgeVals(min)
+}
+
+// A steady-state update through the NoSync view allocates nothing: the
+// bulk slices are the worker's scratch, grown while the first pass over
+// the vertices meets the largest degree and reused from then on. Measured
+// on the view directly (bind + update) because a whole Run has fixed
+// per-call costs (deques, seed claims) that are not the hot path. Both the
+// plain path and the observed one (delay clock: per-edge fallback) count.
+func TestNoSyncBulkUpdateSteadyStateDoesNotAllocate(t *testing.T) {
+	g, err := gen.RMAT(400, 2400, gen.DefaultRMAT, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, observed := range []bool{false, true} {
+		opts := nosyncOptions(1)
+		name := "plain"
+		if observed {
+			opts.Observer, name = obs.New(obs.Options{}), "observed"
+		}
+		e := newEngine(t, g, opts)
+		defer e.Close()
+		ns := e.ns
+		vw := &ns.views[0]
+		t.Run("nosync/"+name, func(t *testing.T) {
+			if vw.plain == observed {
+				t.Fatalf("view plain = %v on an observed = %v run", vw.plain, observed)
+			}
+			pass := func() {
+				for v := 0; v < g.N(); v++ {
+					vw.Bind(g, uint32(v))
+					bulkMinLabelUpdate(vw)
+					// Empty what the update's wakeups enqueued, so queue
+					// growth is not charged to the accessors.
+					for {
+						if _, ok := ns.deques[0].Steal(); !ok {
+							break
+						}
+					}
+					ns.state.Reset()
+				}
+			}
+			pass() // warm-up: the scratch grows to the largest degree
+			if avg := testing.AllocsPerRun(3, pass); avg > 0 {
+				t.Errorf("a pass of %d bulk updates allocates %.1f times in steady state, want 0", g.N(), avg)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
@@ -95,8 +94,15 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		}
 	}
 
-	coreRow := func(name string, opts core.Options) lifecycleRow {
-		return lifecycleRow{name: name, target: 17, named: 17, ticksPerIter: lifecycleN,
+	// progress is a run's count of iterations; a NoSync run has none, so
+	// its progress is counted in rounds of |V| updates and its cap is in
+	// updates, MaxIters × |V|.
+	coreRow := func(name string, opts core.Options, skip map[string]string) lifecycleRow {
+		progress := func(res core.Result) int { return res.Iterations }
+		if opts.Scheduler == sched.NoSync {
+			progress = func(res core.Result) int { return int(res.Updates / lifecycleN) }
+		}
+		return lifecycleRow{name: name, target: 17, named: 17, ticksPerIter: lifecycleN, skip: skip,
 			open: func(t *testing.T, k knobs) func(workload) (partial, error) {
 				opts := opts
 				opts.Context, opts.MaxIters, opts.StallWindow = k.ctx, k.maxIters, k.stall
@@ -111,7 +117,7 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 					e.Edges.Fill(^uint64(0))
 					e.Frontier().ScheduleAll()
 					res, err := e.Run(update(w))
-					return partial{res.Iterations, res.Converged, res.Duration}, err
+					return partial{progress(res), res.Converged, res.Duration}, err
 				}
 			}}
 	}
@@ -162,43 +168,23 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		return func(hybrid.Stats) hybrid.Direction { return d }
 	}
 
-	// The barrier-free executor runs the same update; its cap is in
-	// updates, lifecycleN per round.
 	wccVerdict, err := algorithms.NoSyncVerdict(wcc, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noWatchdog := "no watchdog: MaxUpdates is the barrier-free tier's divergence guard"
-	nosyncRow := lifecycleRow{name: "nosync", target: 17, named: 17, ticksPerIter: lifecycleN,
-		skip: map[string]string{"stall-trips": noWatchdog, "stall-spares-converging": noWatchdog},
-		open: func(t *testing.T, k knobs) func(workload) (partial, error) {
-			x, err := async.NewNoSync(chain, async.NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &wccVerdict,
-				Context: k.ctx, MaxUpdates: int64(k.maxIters) * lifecycleN})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(x.Close)
-			for v := 0; v < lifecycleN; v++ {
-				x.Seed(uint32(v))
-			}
-			return func(w workload) (partial, error) {
-				reversed(x.Vertices)
-				x.Edges.Fill(^uint64(0))
-				res, err := x.Run(update(w))
-				return partial{int(res.Updates / lifecycleN), res.Converged, res.Duration}, err
-			}
-		}}
+	noWatchdog := "no watchdog: NewEngine refuses StallWindow under NoSync; the update cap is its divergence guard"
 
 	return []lifecycleRow{
-		coreRow("core-det", core.Options{Scheduler: sched.Deterministic}),
-		coreRow("core-nondet", core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}),
+		coreRow("core-det", core.Options{Scheduler: sched.Deterministic}, nil),
+		coreRow("core-nondet", core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}, nil),
 		// A push names the source of the relaxed edge, a pull the
 		// destination gathering over it. The default policy never pulls a
 		// kernel without FirstOfferWins, so it names the source too.
 		hybridRow("hybrid-forced-push", forced(hybrid.Push), 17),
 		hybridRow("hybrid-forced-pull", forced(hybrid.Pull), 18),
 		hybridRow("hybrid-default", nil, 17),
-		nosyncRow,
+		coreRow("nosync", core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &wccVerdict},
+			map[string]string{"stall-trips": noWatchdog, "stall-spares-converging": noWatchdog}),
 	}
 }
 

@@ -162,6 +162,9 @@ var _ VertexView = (*replayView)(nil)
 // ErrReplayDiverged).
 func (e *Engine) ReplayTrace(t *trace.Trace, update UpdateFunc) (ReplayReport, error) {
 	var rep ReplayReport
+	if e.ns != nil {
+		return rep, fmt.Errorf("core: the nosync scheduler records no commit log and cannot honour ReplayTrace")
+	}
 	if t == nil || update == nil {
 		return rep, fmt.Errorf("core: replay needs a trace and an update function")
 	}

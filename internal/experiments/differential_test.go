@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/graph"
@@ -124,32 +123,24 @@ func checked(t *testing.T, alg string, seen map[string]bool) {
 	}
 }
 
-// runNoSync drains a on the barrier-free executor, admitted by the embedded
-// certificate for the update named cert (no probe): a is set up on a scratch
-// engine and its state transplanted, as every NoSync run starts.
-func runNoSync(t *testing.T, g *graph.Graph, a algorithms.Algorithm, cert string) *async.NoSync {
+// runNoSync drains a under the NoSync scheduler, admitted by the embedded
+// certificate for the update named cert (no probe).
+func runNoSync(t *testing.T, g *graph.Graph, a algorithms.Algorithm, cert string) *core.Engine {
 	t.Helper()
 	c, err := algorithms.CertificateFor("update", cert)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedEng, err := core.NewEngine(g, core.Options{})
+	v, err := c.Verdict()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Setup(seedEng)
-	x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 4, Mode: edgedata.ModeAtomic, Certificate: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(x.Close)
-	if err := x.LoadFrom(seedEng); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := x.Run(a.Update); err != nil || !res.Converged {
+	e, res, err := algorithms.Run(a, g, core.Options{Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic, Verdict: v})
+	if err != nil || !res.Converged {
 		t.Fatalf("nosync %s: %v (%+v)", a.Name(), err, res)
 	}
-	return x
+	t.Cleanup(e.Close)
+	return e
 }
 
 func TestDifferentialWCCAllExecutors(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
@@ -49,11 +48,16 @@ func NoSyncEngines() []string {
 func noSyncBFSOnce(engine string, g *graph.Graph, src uint32, threads int) (NoSyncScaleRow, error) {
 	row := NoSyncScaleRow{Engine: engine, Threads: threads}
 	switch engine {
-	case "core-nondet":
-		_, res, err := solve(algorithms.NewBFS(g, src), g, core.Options{
-			Scheduler: sched.Nondeterministic, Threads: threads, Mode: edgedata.ModeAtomic,
-		})
-		row.Time, row.Updates = res.Duration, res.Updates
+	case "core-nondet", "nosync":
+		kind := sched.Nondeterministic
+		if engine == "nosync" {
+			kind = sched.NoSync
+		}
+		e, res, err := solve(algorithms.NewBFS(g, src), g, core.Options{Scheduler: kind, Threads: threads, Mode: edgedata.ModeAtomic})
+		if e != nil {
+			e.Close()
+		}
+		row.Time, row.Updates, row.Steals, row.IdleTransitions = res.Duration, res.Updates, res.Steals, res.IdleTransitions
 		return row, err
 	case "hybrid":
 		e, err := hybrid.NewEngine(g, threads)
@@ -67,51 +71,8 @@ func noSyncBFSOnce(engine string, g *graph.Graph, src uint32, threads int) (NoSy
 		}
 		row.Time, row.Updates = res.Duration, res.Updates
 		return row, err
-	case "nosync":
-		x, res, err := solveNoSync(algorithms.NewBFS(g, src), g, async.NoSyncOptions{
-			Threads: threads, Mode: edgedata.ModeAtomic,
-		})
-		if err != nil {
-			return row, err
-		}
-		x.Close()
-		row.Time, row.Updates, row.Steals, row.IdleTransitions = res.Duration, res.Updates, res.Steals, res.IdleTransitions
-		return row, nil
 	}
 	return row, fmt.Errorf("unknown engine %q", engine)
-}
-
-// solveNoSync seeds a through a sequential engine and runs it to
-// quiescence on the work-stealing tier, admitted by its NoSyncVerdict. The
-// caller closes the returned executor.
-func solveNoSync(a algorithms.Algorithm, g *graph.Graph, opts async.NoSyncOptions) (*async.NoSync, async.NoSyncResult, error) {
-	v, err := algorithms.NoSyncVerdict(a, g)
-	if err != nil {
-		return nil, async.NoSyncResult{}, err
-	}
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		return nil, async.NoSyncResult{}, err
-	}
-	a.Setup(seed)
-	opts.Verdict = &v
-	x, err := async.NewNoSync(g, opts)
-	if err != nil {
-		return nil, async.NoSyncResult{}, err
-	}
-	if err := x.LoadFrom(seed); err != nil {
-		x.Close()
-		return nil, async.NoSyncResult{}, err
-	}
-	res, err := x.Run(a.Update)
-	if err == nil && !res.Converged {
-		err = fmt.Errorf("did not converge")
-	}
-	if err != nil {
-		x.Close()
-		return nil, async.NoSyncResult{}, err
-	}
-	return x, res, nil
 }
 
 // NoSyncStudy races BFS through every engine of NoSyncEngines over every

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
@@ -92,8 +91,8 @@ func stalenessOnce(g *graph.Graph, threads int) (StalenessRow, error) {
 	o := obs.New(obs.Options{})
 	defer o.Close()
 	nsRec := trace.NewRecorder(1 << 21)
-	x, res, err := solveNoSync(algorithms.NewWCC(), g, async.NoSyncOptions{
-		Threads: threads, Mode: edgedata.ModeAtomic, Trace: nsRec, Observer: o,
+	x, res, err := solve(algorithms.NewWCC(), g, core.Options{
+		Scheduler: sched.NoSync, Threads: threads, Mode: edgedata.ModeAtomic, Trace: nsRec, Observer: o,
 	})
 	if err != nil {
 		return StalenessRow{}, err

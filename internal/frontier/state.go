@@ -2,8 +2,8 @@ package frontier
 
 import "sync/atomic"
 
-// Vertex scheduling states for the barrier-free no-sync tier. A States
-// table replaces the async executor's pending+active bitset pair with one
+// Vertex scheduling states for the barrier-free NoSync scheduler. A States
+// table replaces a pending+active bitset pair with one
 // four-state machine per vertex, giving both guarantees in a single word:
 // duplicate wakeups coalesce (a vertex occupies at most one queue slot),
 // and an update never overlaps itself (the system model's per-vertex

@@ -49,8 +49,8 @@ const (
 	EngineNetdist
 	// EngineHybrid is the direction-optimizing push/pull engine.
 	EngineHybrid
-	// EngineNoSync is the barrier-free work-stealing executor (per-worker
-	// deques, distributed termination detection).
+	// EngineNoSync tags runs of the core engine's barrier-free NoSync
+	// scheduler (per-worker deques, distributed termination detection).
 	EngineNoSync
 
 	numEngines
@@ -76,7 +76,7 @@ func EngineKinds() []EngineKind {
 }
 
 // Event is one telemetry sample. Barrier-based engines emit one per
-// iteration; the barrier-free executor (nosync) emits one per
+// iteration; the NoSync scheduler (tag nosync) emits one per
 // sample window plus a final one at quiescence. All counter fields are
 // deltas for the sample, not cumulative totals — the observer accumulates.
 //

@@ -8,7 +8,7 @@
 // algorithm's own metric (a numeric delta for fixed-point kernels like
 // PageRank, a changed-vertex count for discrete labels), so a windowed
 // difference of two Totals snapshots is the mean movement per commit the
-// barrier-free executor reports as its Residual gauge.
+// NoSync scheduler reports as its Residual gauge.
 package obs
 
 import (

@@ -111,7 +111,7 @@ func NewDelayClock(workers, slots int) *DelayClock {
 
 // Advance moves the clock one epoch forward and returns the new epoch.
 // Barrier engines call it once per iteration (staleness is then measured in
-// iterations); the barrier-free executor calls it once per executed update.
+// iterations); the NoSync scheduler calls it once per executed update.
 func (c *DelayClock) Advance() int64 {
 	if c == nil {
 		return 0

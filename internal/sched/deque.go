@@ -118,7 +118,7 @@ func (d *Deque) Steal() (int, bool) {
 // CAVEAT: safe against Push, Steal and other StealBatch calls, but NOT
 // against a concurrent owner Pop: Pop claims items below the last one
 // without a CAS, so a multi-item claim could overlap it. Use only on
-// deques whose owner consumes via Steal (FIFO), as the no-sync executor
+// deques whose owner consumes via Steal (FIFO), as the NoSync scheduler
 // does.
 func (d *Deque) StealBatch(buf []int) int {
 	for {

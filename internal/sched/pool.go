@@ -203,7 +203,7 @@ func (p *Pool) RunChunks(items []int, chunk int, fn func(worker, item int)) {
 }
 
 // RunEach invokes fn once per worker (worker ids 0..P-1) concurrently and
-// blocks until every invocation returns. The barrier-free executor uses it
+// blocks until every invocation returns. The NoSync scheduler uses it
 // to host its drain loops on pooled workers instead of spawning fresh
 // goroutines per run.
 func (p *Pool) RunEach(fn func(worker int)) {

@@ -17,6 +17,11 @@
 //   - DIG: Deterministic Galois's interference-graph scheduler (dig.go).
 //     Each iteration's scheduled set runs as a sequence of independent-set
 //     rounds, parallel within a round and deterministic overall.
+//   - NoSync: the pure asynchronous model the paper defers to future work.
+//     No iterations and no barriers: a write's wakeup is runnable at once,
+//     and workers drain per-worker deques with stealing (deque.go). In
+//     Blanco et al.'s delayed-asynchronous terms, Synchronous is δ = ∞,
+//     the block schedulers sit in between, and NoSync is δ = 0.
 package sched
 
 import (
@@ -38,6 +43,9 @@ const (
 	// per-iteration maximal-independent-set rounds, parallel within a
 	// round, deterministic by greedy label order.
 	DIG
+	// NoSync is barrier-free work-stealing execution. Only algorithms
+	// whose eligibility verdict names Theorem 1 or 2 may run under it.
+	NoSync
 	numKinds
 )
 
@@ -52,6 +60,8 @@ func (k Kind) String() string {
 		return "sync"
 	case DIG:
 		return "dig"
+	case NoSync:
+		return "nosync"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestKindStringParse(t *testing.T) {
-	for _, k := range []Kind{Deterministic, Nondeterministic, Synchronous, DIG} {
+	for _, k := range []Kind{Deterministic, Nondeterministic, Synchronous, DIG, NoSync} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)

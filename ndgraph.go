@@ -5,8 +5,9 @@
 // (ICPP 2015).
 //
 // The framework executes pull-mode gather–compute–scatter update functions
-// under four schedulers (deterministic Gauss–Seidel, nondeterministic
-// block-parallel, synchronous/BSP, and DIG), guards edge data with
+// under five schedulers (deterministic Gauss–Seidel, nondeterministic
+// block-parallel, synchronous/BSP, DIG, and barrier-free NoSync, which
+// admits only algorithms the paper's theorems cover), guards edge data with
 // the paper's three per-operation atomicity methods (per-edge locks,
 // architecture word-alignment, language atomics), ships the paper's four
 // evaluated algorithms (PageRank, WCC, SSSP, BFS) plus SpMV and a
@@ -33,7 +34,6 @@ package ndgraph
 
 import (
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
@@ -123,8 +123,8 @@ var (
 	EligibilityCertificates = algorithms.EligibilityCertificates
 	// CertificateFor returns one embedded certificate by kind ("update"
 	// or "kernel") and algorithm name, e.g. ("update", "wcc") or
-	// ("kernel", "bfs"). Pass it to NoSyncOptions.Certificate or
-	// HybridEngine.Certify for probe-free admission.
+	// ("kernel", "bfs"). Pass its Verdict() as Options.Verdict or the
+	// certificate to HybridEngine.Certify for probe-free admission.
 	CertificateFor = algorithms.CertificateFor
 	// EncodeCertificates and DecodeCertificates are the JSON wire format
 	// for certificate registries (what `ndlint -cert` emits and
@@ -143,6 +143,11 @@ const (
 	Synchronous = sched.Synchronous
 	// DIG is Galois-style deterministic interference-graph execution.
 	DIG = sched.DIG
+	// NoSync is barrier-free work-stealing execution: per-worker deques
+	// with randomized stealing, coalescing per-vertex scheduled states and
+	// distributed double-sweep termination detection. Options.Verdict must
+	// name Theorem 1 or 2 (Run fills it with NoSyncVerdict when unset).
+	NoSync = sched.NoSync
 )
 
 // Intra-iteration dispatch policies for Options.Dispatch.
@@ -322,9 +327,9 @@ var (
 )
 
 // Observability: the zero-overhead-when-disabled telemetry layer. Attach
-// one Observer to any number of engines (Options.Observer for core,
-// NoSyncOptions.Observer, NetDistOptions.Observer, and HybridEngine's
-// Observe method); events flow into per-engine counters, a ring buffer,
+// one Observer to any number of engines (Options.Observer for core under
+// every scheduler, NoSync included, NetDistOptions.Observer, and
+// HybridEngine's Observe method); events flow into per-engine counters, a ring buffer,
 // and any attached sinks; serve live metrics with ServeTelemetry
 // (-telemetry-addr on the CLIs).
 type (
@@ -380,11 +385,11 @@ var (
 )
 
 // Execution-path record/replay and run-divergence diagnosis. A recorder
-// attached to an engine (Options.Trace, NoSyncOptions.Trace, or
-// HybridEngine's Trace method) captures the execution path; with
-// EnableCommits it also logs every racy edge commit, which lets the core
-// engine replay the run to a byte-identical fixed point (Lemmas 1–2 made
-// executable). Traces serialize to the NDTR binary format and diff into a
+// attached to an engine (Options.Trace or HybridEngine's Trace method)
+// captures the execution path; with EnableCommits it also logs every racy
+// edge commit, which lets the core engine replay the run to a
+// byte-identical fixed point (Lemmas 1–2 made executable). NoSync records
+// the path but refuses a commit log. Traces serialize to the NDTR binary format and diff into a
 // divergence report with a propagation-distance histogram.
 type (
 	// TraceRecorder records execution paths (Options.Trace).
@@ -422,25 +427,8 @@ var (
 	ErrReplayDiverged = core.ErrReplayDiverged
 )
 
-// Extensions: barrier-free execution.
-type (
-	// NoSyncExecutor is the barrier-free executor: per-worker deques with
-	// randomized stealing, coalescing per-vertex scheduled states, and
-	// distributed double-sweep termination detection. Admission requires a
-	// Theorem-1/2 eligibility verdict (NoSyncOptions.Verdict).
-	NoSyncExecutor = async.NoSync
-	// NoSyncOptions configures a NoSyncExecutor.
-	NoSyncOptions = async.NoSyncOptions
-	// NoSyncResult summarizes a no-sync run (updates, steals, idle
-	// transitions, convergence).
-	NoSyncResult = async.NoSyncResult
-)
-
+// Barrier-free admission.
 var (
-	// NewNoSyncExecutor builds the barrier-free executor; it refuses
-	// algorithms whose eligibility verdict is not covered by the paper's
-	// Theorem 1 or 2.
-	NewNoSyncExecutor = async.NewNoSync
 	// NoSyncVerdict derives the admission verdict for an algorithm: the
 	// embedded certificate's for a built-in algorithm type, an
 	// instrumented probe for any other type.

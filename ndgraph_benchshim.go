@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/hybrid"
@@ -16,11 +15,11 @@ import (
 )
 
 // This file holds every facade name that exists only because the frozen
-// benchmark (bench/tier_{asyncchan,autonomous,dist,push,shard}.go) compiles
-// against it. The engines those names once exported are retired; each name
-// here is a delegation to a surviving engine. ROADMAP item 1(a) deletes the
-// contender rows, and with them this whole file. Do not use these names
-// anywhere else.
+// benchmark (bench/tier_{asyncchan,autonomous,dist,nosync,push,shard}.go)
+// compiles against it. The engines those names once exported are retired;
+// each name here is a delegation to a surviving engine. ROADMAP item 1(a)
+// deletes the contender rows and moves the nosync row onto Run, and with
+// them this whole file. Do not use these names anywhere else.
 
 // ShardStorage, ShardOptions, ShardEngine, BuildShards and NewShardEngine
 // are kept only for the benchmark's `shard` contender row
@@ -78,22 +77,91 @@ func (st *ShardStorage) FillValues(w uint64) error {
 	return nil
 }
 
+// NoSyncExecutor, NoSyncOptions, NoSyncResult and NewNoSyncExecutor are
+// kept only for the benchmark's `nosync` row (bench/tier_nosync.go), which
+// sets an algorithm up on a seed Engine and copies that state in with
+// LoadFrom before every solve. The barrier-free executor they named is the
+// core engine's NoSync scheduler: use Run with Options{Scheduler: NoSync}.
+type NoSyncExecutor struct{ *core.Engine }
+
+// NoSyncOptions holds the settings the bench's nosync and async-chan rows
+// pass on; Certificate.Verdict() becomes Options.Verdict.
+type NoSyncOptions struct {
+	Threads     int
+	Mode        EdgeMode
+	Certificate *Certificate
+	Observer    *Observer
+}
+
+// NoSyncResult is the core engine's Result, which carries Steals and
+// IdleTransitions.
+type NoSyncResult = core.Result
+
+// NewNoSyncExecutor builds a NoSync core Engine admitted by o.Certificate.
+func NewNoSyncExecutor(g *Graph, o NoSyncOptions) (*NoSyncExecutor, error) {
+	if o.Certificate == nil {
+		return nil, fmt.Errorf("ndgraph: NewNoSyncExecutor needs a certificate")
+	}
+	v, err := o.Certificate.Verdict()
+	if err != nil {
+		return nil, fmt.Errorf("ndgraph: %w", err)
+	}
+	return newNoSyncExecutor(g, o, v)
+}
+
+func newNoSyncExecutor(g *Graph, o NoSyncOptions, v *Verdict) (*NoSyncExecutor, error) {
+	e, err := core.NewEngine(g, core.Options{
+		Scheduler: sched.NoSync, Threads: o.Threads, Mode: o.Mode, Observer: o.Observer, Verdict: v,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &NoSyncExecutor{e}, nil
+}
+
+// LoadFrom copies the initial state an algorithm's Setup left on seed —
+// vertex words, edge words and the scheduled set — into x. seed must hold
+// the same graph and must not have run yet.
+func (x *NoSyncExecutor) LoadFrom(seed *Engine) error {
+	if seed.Graph() != x.Graph() {
+		return fmt.Errorf("ndgraph: LoadFrom engine holds a different graph")
+	}
+	copy(x.Vertices, seed.Vertices)
+	for i, w := range seed.Edges.Snapshot() {
+		x.Edges.Store(uint32(i), w)
+	}
+	x.Frontier().LoadCurrent(seed.Frontier().Members())
+	x.Frontier().Members() // build the member list here, outside the timed Run
+	return nil
+}
+
 // AsyncExecutor, AsyncOptions and NewAsyncExecutor are kept only for the
 // benchmark's `async-chan` contender row (bench/tier_asyncchan.go); they go
-// with that row (ROADMAP item 1(a)). The channel executor they named is
-// retired: they are NoSync under other names, and NewAsyncExecutor builds
-// it without an eligibility verdict (async.NewUnadmitted), as the channel
-// executor ran. Use NewNoSyncExecutor.
+// with that row. The channel executor they named is retired: they are
+// NoSyncExecutor under other names, and the row runs every workload's
+// algorithm without presenting a verdict, as the channel executor did.
 type (
 	// AsyncExecutor is NoSyncExecutor.
-	AsyncExecutor = async.NoSync
-	// AsyncOptions is NoSyncOptions; the bench sets Threads, Mode and
-	// Observer.
-	AsyncOptions = async.NoSyncOptions
+	AsyncExecutor = NoSyncExecutor
+	// AsyncOptions is NoSyncOptions; Certificate is ignored.
+	AsyncOptions = NoSyncOptions
 )
 
-// NewAsyncExecutor builds an unadmitted NoSync executor; see AsyncExecutor.
-var NewAsyncExecutor = async.NewUnadmitted
+// asyncChanVerdict is the admission ticket NewAsyncExecutor presents on
+// the async-chan row's behalf. It is built here, not derived from any
+// analysis, and certifies nothing: the core engine runs NoSync only with a
+// verdict, and this row never had one.
+var asyncChanVerdict = Verdict{
+	Eligible: true, Theorem: 2, Source: "bench shim",
+	Reasons: []string{"unadmitted: built by ndgraph_benchshim.go for the bench's async-chan row, not by an eligibility analysis"},
+}
+
+// NewAsyncExecutor builds a NoSync core Engine admitted by
+// asyncChanVerdict; see AsyncExecutor.
+func NewAsyncExecutor(g *Graph, o AsyncOptions) (*AsyncExecutor, error) {
+	v := asyncChanVerdict
+	return newNoSyncExecutor(g, o, &v)
+}
 
 // AutonomousResult and AutonomousSSSP are kept only for the benchmark's
 // `autonomous` contender row (bench/tier_autonomous.go); they go with that

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/fault"
@@ -254,30 +253,23 @@ func runCore(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentatio
 
 func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentation, update core.UpdateFunc) bulkRun {
 	t.Helper()
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setupMinLabel(seed)
 	verdict, err := algorithms.NoSyncVerdict(algorithms.NewWCC(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := async.NoSyncOptions{Threads: 1, Mode: mode, Observer: in.newObserver(), Verdict: &verdict}
-	x, err := async.NewNoSync(g, opts)
+	opts := core.Options{Scheduler: sched.NoSync, Threads: 1, Mode: mode, Observer: in.newObserver(), Verdict: &verdict}
+	e, err := core.NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.Close()
-	if err := x.LoadFrom(seed); err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.Run(update)
+	defer e.Close()
+	setupMinLabel(e)
+	res, err := e.Run(update)
 	if err != nil || !res.Converged {
 		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
 	}
 	res.Duration = 0
-	return bulkRun{Result: res, Vertices: append([]uint64(nil), x.Vertices...), Edges: x.Edges.Snapshot(),
+	return bulkRun{Result: res, Vertices: append([]uint64(nil), e.Vertices...), Edges: e.Edges.Snapshot(),
 		Events: scrub(opts.Observer.Events()), Delay: opts.Observer.DelaySnapshots()}
 }
 

@@ -29,7 +29,6 @@ import (
 	"testing"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/experiments"
@@ -94,33 +93,18 @@ func runCoreWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm, opts cor
 	return append([]uint64(nil), e.Vertices...)
 }
 
-// runNoSyncWords runs a through the barrier-free no-sync tier, admission
-// gated by the algorithm's own static/probe eligibility verdict — the full
-// production path: verdict, transplant, barrier-free drain.
+// runNoSyncWords runs a under the core engine's barrier-free NoSync
+// scheduler, admission gated by the algorithm's own static/probe
+// eligibility verdict (algorithms.Run derives it) — the full production
+// path.
 func runNoSyncWords(t *testing.T, g *graph.Graph, a algorithms.Algorithm) []uint64 {
 	t.Helper()
-	v, err := algorithms.NoSyncVerdict(a, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedEng, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Setup(seedEng)
-	x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: diffThreads, Mode: edgedata.ModeAtomic, Verdict: &v})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	if err := x.LoadFrom(seedEng); err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.Run(a.Update)
+	e, res, err := algorithms.Run(a, g, core.Options{Scheduler: sched.NoSync, Threads: diffThreads, Mode: edgedata.ModeAtomic})
 	if err != nil || !res.Converged {
 		t.Fatalf("nosync %s: %v (converged=%v)", a.Name(), err, res.Converged)
 	}
-	return append([]uint64(nil), x.Vertices...)
+	defer e.Close()
+	return append([]uint64(nil), e.Vertices...)
 }
 
 // The two hybrid rows. hybridPush is push mode proper — never pull, what

@@ -18,7 +18,6 @@ import (
 
 	"ndgraph"
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/hybrid"
@@ -32,39 +31,24 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := ndgraph.NewObserver(ndgraph.ObserverOptions{SampleConflicts: true})
+	// No SampleConflicts: the NoSync scheduler refuses an observer that
+	// samples conflicts, so core turns its census on with EnableCensus.
+	o := ndgraph.NewObserver(ndgraph.ObserverOptions{})
 	defer o.Close()
 
-	// core: barrier engine, Observer option; SampleConflicts implies the
-	// conflict census, so RW/WW rates flow without a second flag.
-	if _, res, err := algorithms.Run(algorithms.NewWCC(), g,
-		core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic, Observer: o}); err != nil || !res.Converged {
+	// core: barrier engine, Observer option; with the census on, RW/WW
+	// rates flow into the events.
+	if _, res, err := algorithms.Run(algorithms.NewWCC(), g, core.Options{
+		Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic, EnableCensus: true, Observer: o,
+	}); err != nil || !res.Converged {
 		t.Fatalf("core: %v", err)
 	}
 
-	// nosync: barrier-free executor, Observer option.
-	{
-		wcc := algorithms.NewWCC()
-		seedEng, err := core.NewEngine(g, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wcc.Setup(seedEng)
-		v, err := algorithms.NoSyncVerdict(wcc, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := async.NewNoSync(g, async.NoSyncOptions{Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &v, Observer: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.Close()
-		if err := x.LoadFrom(seedEng); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := x.Run(wcc.Update); err != nil || !res.Converged {
-			t.Fatalf("nosync: %v", err)
-		}
+	// nosync: the core engine's barrier-free scheduler, Observer option.
+	if _, res, err := algorithms.Run(algorithms.NewWCC(), g, core.Options{
+		Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Observer: o,
+	}); err != nil || !res.Converged {
+		t.Fatalf("nosync: %v", err)
 	}
 
 	// netdist: TCP workers, Observer option; the summary event carries the
@@ -126,7 +110,7 @@ func TestObserverCountsEveryEngine(t *testing.T) {
 		}
 	}
 	if byEngine["core"].RWConflicts < 0 {
-		t.Error("core engine with SampleConflicts reported no census")
+		t.Error("core engine with EnableCensus reported no census")
 	}
 	if byEngine["netdist"].Messages == 0 {
 		t.Error("netdist engine lost its message total")

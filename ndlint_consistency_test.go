@@ -22,11 +22,11 @@ import (
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/analysis"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/hybrid"
+	"ndgraph/internal/sched"
 )
 
 // builtinNames lists the eight built-in algorithms by their
@@ -252,27 +252,17 @@ func TestCertificateAdmitsEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := algorithms.NewWCC()
-		eng, err := core.NewEngine(g, core.Options{Mode: edgedata.ModeSequential})
+		v, err := cert.Verdict() // no probe: the certificate IS the ticket
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Setup(eng)
-		x, err := async.NewNoSync(g, async.NoSyncOptions{
-			Threads:     2,
-			Mode:        edgedata.ModeAtomic,
-			Certificate: cert, // no Verdict: the certificate IS the ticket
+		x, res, err := algorithms.Run(a, g, core.Options{
+			Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: v,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer x.Close()
-		if err := x.LoadFrom(eng); err != nil {
-			t.Fatal(err)
-		}
-		res, err := x.Run(a.Update)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !res.Converged {
 			t.Fatal("certificate-admitted no-sync run did not converge")
 		}
@@ -295,10 +285,12 @@ func TestCertificateAdmitsEngines(t *testing.T) {
 		// A stale certificate must not admit.
 		staleCert := *cert
 		staleCert.NoSyncOK = false // tampered gate: Verdict() must refuse
-		if _, err := async.NewNoSync(g, async.NoSyncOptions{
-			Threads: 2, Mode: edgedata.ModeAtomic, Certificate: &staleCert,
-		}); err == nil {
-			t.Fatal("tampered certificate admitted a no-sync run")
+		if v, err := staleCert.Verdict(); err == nil {
+			if _, err := core.NewEngine(g, core.Options{
+				Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: v,
+			}); err == nil {
+				t.Fatal("tampered certificate admitted a no-sync run")
+			}
 		}
 	})
 

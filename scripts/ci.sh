@@ -40,21 +40,25 @@ echo "== go test -race (concurrency-heavy packages, short) =="
 # internal/edgedata and internal/algorithms race the bulk gather/scatter
 # loops in lock and atomic modes (ModeAligned is compiled out of race
 # builds).
-go test -race -short ./internal/core/ ./internal/async/ ./internal/fault/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
+go test -race -short ./internal/core/ ./internal/fault/ ./internal/trace/ ./internal/netdist/ ./internal/obs/ ./internal/hybrid/ ./internal/frontier/ ./internal/sched/ ./internal/eligibility/ ./internal/algorithms/ ./internal/edgedata/
 
-echo "== flake gate (barrier-free executor, -race -count=20, GOMAXPROCS 1/2/8) =="
+echo "== flake gate (NoSync scheduler, -race -count=20, GOMAXPROCS 1/2/8) =="
 # NoSync's termination detection, work stealing and the lock-free
 # telemetry paths are schedule-sensitive: a test that passes once proves
 # little. Twenty repetitions under the race detector, with fewer, as many
-# and more runnable threads than the tests' worker counts, must all pass.
+# and more runnable threads than the tests' worker counts, must all pass:
+# every NoSync test of the core engine, the benchmark shim's nosync and
+# async-chan replays, and all of sched, frontier and obs.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -race -count=20 ./internal/async/ ./internal/sched/ ./internal/frontier/ ./internal/obs/
+    GOMAXPROCS=$procs go test -race -count=20 -run NoSync ./internal/core/
+    GOMAXPROCS=$procs go test -race -count=20 -run '^Test(NoSync|Async)Shim' .
+    GOMAXPROCS=$procs go test -race -count=20 ./internal/sched/ ./internal/frontier/ ./internal/obs/
 done
 
 echo "== flake gate (run lifecycle, every tier, -race -count=20, GOMAXPROCS 1/2/8) =="
 # Cancellation, the stall watchdog, panic recovery and the partial-result
 # contract of the one run lifecycle (core.Lifecycle) across the barrier
-# engines, the barrier-free executor and netdist: the lifecycle table in
+# schedulers, NoSync and netdist: the lifecycle table in
 # internal/core, netdist's TestRunLifecycle, plus the hybrid panic test.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 -run Lifecycle ./internal/core/ ./internal/hybrid/ ./internal/netdist/

@@ -17,11 +17,11 @@ import (
 	"time"
 
 	"ndgraph/internal/algorithms"
-	"ndgraph/internal/async"
 	"ndgraph/internal/core"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/obs"
+	"ndgraph/internal/sched"
 )
 
 // payload mirrors the /statusz JSON shape loosely: unknown fields are
@@ -64,31 +64,16 @@ func run() error {
 	// A tight local threshold keeps the run draining toward quiescence for
 	// many poll rounds — a long live phase to observe.
 	pr := algorithms.NewPageRank(1e-10)
-	v, err := algorithms.NoSyncVerdict(pr, g)
-	if err != nil {
-		return err
-	}
-	seed, err := core.NewEngine(g, core.Options{})
-	if err != nil {
-		return err
-	}
-	pr.Setup(seed)
-	x, err := async.NewNoSync(g, async.NoSyncOptions{
-		Threads: 4, Mode: edgedata.ModeAtomic,
-		Verdict: &v, Observer: o, ResidualDelta: pr.ResidualDelta,
-	})
-	if err != nil {
-		return err
-	}
-	defer x.Close()
-	if err := x.LoadFrom(seed); err != nil {
-		return err
-	}
-
 	done := make(chan error, 1)
-	var res async.NoSyncResult
+	var res core.Result
 	go func() {
-		r, err := x.Run(pr.Update)
+		e, r, err := algorithms.Run(pr, g, core.Options{
+			Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic,
+			Observer: o, ResidualDelta: pr.ResidualDelta,
+		})
+		if e != nil {
+			e.Close()
+		}
 		res = r
 		done <- err
 	}()

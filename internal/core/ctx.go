@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"unsafe"
 
 	"ndgraph/internal/edgedata"
 )
@@ -16,12 +17,19 @@ import (
 // rule: writing an incident edge posts the opposite endpoint into the next
 // iteration's scheduled set.
 type Ctx struct {
-	// eng comes first on purpose. The engine's contexts are one unpadded
-	// array, so a worker's trailing counters share a cache line with the
-	// next worker's leading words, and which words lead decides how much
-	// that costs: nondet.solve_s moves by 20-50 % with this order. Do not
-	// reorder or pad in passing; ROADMAP "Pad the per-worker contexts" is
-	// the change that does it and measures it.
+	ctxState
+	// The engine keeps one Ctx per worker in one cache-line-aligned array
+	// (newCtxs), and every update writes its worker's counters, so the pad
+	// rounds Ctx up to whole cache lines: no two workers' contexts share one.
+	_ [(cacheLine - unsafe.Sizeof(ctxState{})%cacheLine) % cacheLine]byte
+}
+
+// cacheLine is the coherence granule the per-worker contexts are padded
+// and aligned to.
+const cacheLine = 64
+
+// ctxState is everything a Ctx holds; Ctx adds only the pad.
+type ctxState struct {
 	eng *Engine
 	Scope
 	// worker is the owning worker's index, used to shard staleness

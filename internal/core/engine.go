@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
@@ -480,19 +481,27 @@ func (e *Engine) ensureWorkers() {
 	if len(e.workers) == e.opts.Threads {
 		return
 	}
-	e.workers = make([]Ctx, e.opts.Threads)
-	for i := range e.workers {
-		e.workers[i].eng = e
-		e.workers[i].worker = i
-	}
+	e.workers = e.newCtxs(e.opts.Threads, false)
 	if e.opts.PotentialCensus {
-		e.shadowWorkers = make([]Ctx, e.opts.Threads)
-		for i := range e.shadowWorkers {
-			e.shadowWorkers[i].eng = e
-			e.shadowWorkers[i].worker = i
-			e.shadowWorkers[i].recordOnly = true
-		}
+		e.shadowWorkers = e.newCtxs(e.opts.Threads, true)
 	}
+}
+
+// maxSmallObject is the largest allocation the Go runtime carves from a
+// shared span; anything larger gets page-aligned pages of its own.
+const maxSmallObject = 32 << 10
+
+// newCtxs returns n worker contexts bound to e, in an array that starts
+// on a cache-line boundary. A small allocation is not enough: one above
+// 512 B that holds pointers carries an 8-byte header in front of it, so
+// make([]Ctx, 3) starts 8 B past a line. The capacity makes the array a
+// large object, whose pages are its own; the spare slots are never used.
+func (e *Engine) newCtxs(n int, recordOnly bool) []Ctx {
+	cs := make([]Ctx, n, max(n, maxSmallObject/int(unsafe.Sizeof(Ctx{}))+1))
+	for i := range cs {
+		cs[i].eng, cs[i].worker, cs[i].recordOnly = e, i, recordOnly
+	}
+	return cs
 }
 
 // Close releases the engine's persistent worker pool. The engine stays

@@ -236,9 +236,13 @@ func (s *atomicStore) FillRange(lo, hi uint32, v uint64) {
 		atomic.StoreUint64(&ws[i], v)
 	}
 }
+
+// Fill and SnapshotInto run only at a barrier, when no worker touches the
+// words and the barrier orders them against every atomic access, so they
+// are a plain loop and a copy: an atomic store is an XCHG per word on amd64.
 func (s *atomicStore) Fill(v uint64) {
 	for i := range s.words {
-		atomic.StoreUint64(&s.words[i], v)
+		s.words[i] = v
 	}
 }
 func (s *atomicStore) Snapshot() []uint64 {
@@ -246,9 +250,7 @@ func (s *atomicStore) Snapshot() []uint64 {
 }
 func (s *atomicStore) SnapshotInto(dst []uint64) []uint64 {
 	dst = sized(dst, len(s.words))
-	for i := range s.words {
-		dst[i] = atomic.LoadUint64(&s.words[i])
-	}
+	copy(dst, s.words)
 	return dst
 }
 func (s *atomicStore) Mode() Mode { return ModeAtomic }

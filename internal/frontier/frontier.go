@@ -1,24 +1,23 @@
 package frontier
 
-import "sync/atomic"
-
 // Frontier is the double-buffered scheduled-vertex set used by the
 // coordinated-scheduling engine. During iteration n the engine reads the
 // *current* set S_n (fixed for the whole iteration) while update functions
 // concurrently post vertices into the *next* set S_{n+1} via Schedule. At
 // the barrier, Advance swaps the buffers.
 //
-// Schedule uses atomic bit operations, so any number of worker goroutines
-// may post concurrently; reading the current set requires no
-// synchronization because it is immutable between barriers.
+// Schedule is one atomic bit operation and nothing else, so any number of
+// worker goroutines may post concurrently without sharing any word but the
+// bitset's own; reading the current set requires no synchronization because
+// it is immutable between barriers.
 //
 // Cardinality and (optionally) scheduled-out-degree accounting happen at
-// Schedule time: newly posted vertices bump an atomic counter and, when an
-// out-degree table is attached (AttachOutDegrees), an atomic degree
-// accumulator. Size, NextSize, CurrentOutDegree, and NextOutDegree are
-// therefore O(1) — no bitset popcount rescans — which is what lets a
-// direction-optimizing engine take Beamer-style density decisions at every
-// barrier for free.
+// the barrier: Advance popcounts the new current set and, when an
+// out-degree table is attached (AttachOutDegrees), sums its members'
+// degrees — O(n/64 + |S|), about what clearing the old set and rebuilding
+// the member cache already cost. Size and CurrentOutDegree then read the
+// cached figures in O(1), which is what lets a direction-optimizing engine
+// take Beamer-style density decisions at every barrier.
 type Frontier struct {
 	cur, next *Bitset
 	// members caches the ascending-order member list of cur, rebuilt
@@ -30,21 +29,14 @@ type Frontier struct {
 	stale bool
 
 	// curCount / curDeg are the current set's cardinality and summed
-	// out-degree. Maintained eagerly by every mutator (the seeding
-	// mutators are Test-guarded so duplicates do not double-count), so
-	// Size is O(1) without touching the member cache.
+	// out-degree. Advance recomputes them from the bitset; the seeding
+	// mutators maintain them eagerly (Test-guarded so duplicates do not
+	// double-count), so Size is O(1) without touching the member cache.
 	curCount int
 	curDeg   int64
 
-	// nextCount / nextDeg account the set accumulated for the next
-	// iteration. Schedule adds to both (degree only when outDeg is
-	// attached) exactly when the bit is newly set; Advance claims and
-	// resets them.
-	nextCount atomic.Int64
-	nextDeg   atomic.Int64
-
-	// outDeg, when non-nil, is the per-vertex out-degree table driving the
-	// degree accumulators (AttachOutDegrees).
+	// outDeg, when non-nil, is the per-vertex out-degree table behind
+	// curDeg (AttachOutDegrees).
 	outDeg []uint32
 }
 
@@ -54,19 +46,18 @@ func NewFrontier(n int) *Frontier {
 	return &Frontier{cur: NewBitset(n), next: NewBitset(n), members: make([]int, 0, n)}
 }
 
-// AttachOutDegrees supplies the per-vertex out-degree table used for O(1)
+// AttachOutDegrees supplies the per-vertex out-degree table used for
 // scheduled-out-degree accounting (CurrentOutDegree, NextOutDegree). deg[v]
 // must be vertex v's out-degree; len(deg) must cover the universe. The
-// accumulators for already-seeded members are recomputed on attach. Not
-// safe concurrently with iteration; nil detaches.
+// current set's sum is recomputed on attach. Not safe concurrently with
+// iteration; nil detaches.
 func (f *Frontier) AttachOutDegrees(deg []uint32) {
 	f.outDeg = deg
 	f.curDeg = f.sumDeg(f.cur)
-	f.nextDeg.Store(f.sumDeg(f.next))
 }
 
-// sumDeg folds the attached out-degree table over a bitset (attach-time
-// reconciliation only; the hot path accumulates at Schedule time).
+// sumDeg folds the attached out-degree table over a bitset, or returns 0
+// when none is attached.
 func (f *Frontier) sumDeg(b *Bitset) int64 {
 	if f.outDeg == nil {
 		return 0
@@ -114,35 +105,13 @@ func (f *Frontier) ScheduleNowAll(vs []int) {
 
 // Schedule posts v into the next iteration's set. Safe for concurrent use.
 // It reports whether v was newly scheduled.
-func (f *Frontier) Schedule(v int) bool {
-	if !f.next.SetAtomic(v) {
-		return false
-	}
-	f.nextCount.Add(1)
-	if f.outDeg != nil {
-		f.nextDeg.Add(int64(f.outDeg[v]))
-	}
-	return true
-}
+func (f *Frontier) Schedule(v int) bool { return f.next.SetAtomic(v) }
 
-// ScheduleEach posts every vertex of vs into the next iteration's set:
-// len(vs) Schedule calls with the counter updates folded into one atomic
-// add each. Safe for concurrent use.
+// ScheduleEach posts every vertex of vs into the next iteration's set.
+// Safe for concurrent use.
 func (f *Frontier) ScheduleEach(vs []uint32) {
-	var n, deg int64
 	for _, v := range vs {
-		if f.next.SetAtomic(int(v)) {
-			n++
-			if f.outDeg != nil {
-				deg += int64(f.outDeg[v])
-			}
-		}
-	}
-	if n > 0 {
-		f.nextCount.Add(n)
-		if deg > 0 {
-			f.nextDeg.Add(deg)
-		}
+		f.next.SetAtomic(int(v))
 	}
 }
 
@@ -164,18 +133,18 @@ func (f *Frontier) Members() []int {
 func (f *Frontier) Size() int { return f.curCount }
 
 // NextSize returns the cardinality of the set accumulated for the next
-// iteration so far, from the running counter — O(1), no popcount. Only
-// meaningful at a barrier (when no Schedule calls are in flight).
-func (f *Frontier) NextSize() int { return int(f.nextCount.Load()) }
+// iteration so far, by popcount. Only meaningful at a barrier (when no
+// Schedule calls are in flight).
+func (f *Frontier) NextSize() int { return f.next.Count() }
 
 // CurrentOutDegree returns the summed out-degree of the current set, or 0
 // when no out-degree table is attached. O(1).
 func (f *Frontier) CurrentOutDegree() int64 { return f.curDeg }
 
 // NextOutDegree returns the summed out-degree of the set accumulated for
-// the next iteration, or 0 when no out-degree table is attached. O(1);
-// only meaningful at a barrier.
-func (f *Frontier) NextOutDegree() int64 { return f.nextDeg.Load() }
+// the next iteration, or 0 when no out-degree table is attached. Only
+// meaningful at a barrier.
+func (f *Frontier) NextOutDegree() int64 { return f.sumDeg(f.next) }
 
 // LoadCurrent replaces the current set with exactly the given members and
 // clears the next set — the checkpoint-restore entry point. Not safe
@@ -184,8 +153,6 @@ func (f *Frontier) LoadCurrent(members []int) {
 	f.cur.ClearAll()
 	f.next.ClearAll()
 	f.curCount, f.curDeg = 0, 0
-	f.nextCount.Store(0)
-	f.nextDeg.Store(0)
 	f.stale = true
 	for _, v := range members {
 		f.ScheduleNow(v)
@@ -200,8 +167,8 @@ func (f *Frontier) LoadCurrent(members []int) {
 func (f *Frontier) Advance() int {
 	f.cur, f.next = f.next, f.cur
 	f.next.ClearAll()
-	f.curCount = int(f.nextCount.Swap(0))
-	f.curDeg = f.nextDeg.Swap(0)
+	f.curCount = f.cur.Count()
+	f.curDeg = f.sumDeg(f.cur)
 	f.stale = true
 	return f.curCount
 }

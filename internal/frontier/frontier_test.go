@@ -192,9 +192,10 @@ func TestSeedingManySourcesIsFast(t *testing.T) {
 	}
 }
 
-// NextSize must come from the running counter, not a popcount, and the two
-// must agree exactly after arbitrary concurrent Schedule storms — including
-// heavy duplicate posting, which must not double-count.
+// Schedule keeps no count of its own, so the sizes and degree sums read at
+// the barrier must equal the bitset's popcount and degree sum exactly after
+// arbitrary concurrent Schedule storms — including heavy duplicate posting,
+// which must not double-count.
 func TestNextSizeCounterMatchesPopcountUnderStorm(t *testing.T) {
 	const n = 4096
 	f := NewFrontier(n)
@@ -291,5 +292,28 @@ func TestSeedingDoesNotAllocatePerCall(t *testing.T) {
 		_ = f.Members()
 	}); avg != 0 {
 		t.Errorf("seed+read cycle allocates %.1f per run, want 0", avg)
+	}
+}
+
+// Advance recounts the new current set and, with degrees attached, sums its
+// out-degrees at every barrier; neither may allocate.
+func TestAdvanceWithDegreesDoesNotAllocate(t *testing.T) {
+	const n = 1 << 12
+	f := NewFrontier(n)
+	deg := make([]uint32, n)
+	for v := range deg {
+		deg[v] = uint32(v % 5)
+	}
+	f.AttachOutDegrees(deg)
+	if avg := testing.AllocsPerRun(100, func() {
+		for v := 0; v < n; v += 3 {
+			f.Schedule(v)
+		}
+		f.Advance()
+	}); avg != 0 {
+		t.Errorf("Schedule+Advance allocates %.1f per run, want 0", avg)
+	}
+	if want := (n + 2) / 3; f.Size() != want {
+		t.Fatalf("Size = %d, want %d", f.Size(), want)
 	}
 }

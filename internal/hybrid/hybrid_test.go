@@ -6,10 +6,12 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
+	"ndgraph/internal/graph"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/trace"
 )
@@ -492,5 +494,49 @@ func TestHybridLifecyclePanic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Each worker's counters fill exactly one cache line, so the hot loops of
+// two workers never write the same line (core's TestPerWorkerLayout pins
+// the core engine's per-worker records the same way).
+func TestWorkerCountersFillOneLine(t *testing.T) {
+	if sz := unsafe.Sizeof(wcounters{}); sz != 64 {
+		t.Fatalf("wcounters is %d B, want 64", sz)
+	}
+}
+
+// Beamer's policy reads the frontier's size and summed out-degree at every
+// barrier, so the direction sequence it picks on a fixed graph pins those
+// inputs. On one worker, whose frontiers do not depend on the schedule,
+// BFS, SSSP and WCC must take exactly these traces.
+func TestBeamerSwitchTracesPinned(t *testing.T) {
+	g, err := gen.RMAT(4096, 32768, gen.DefaultRMAT, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sssp := algorithms.NewSSSP(g, 0, 41)
+	for _, tc := range []struct {
+		name  string
+		graph *graph.Graph
+		k     algorithms.Kernel
+		want  string
+	}{
+		{"bfs", g, algorithms.BFSKernel(0), "PLLLPP"},
+		{"sssp", g, algorithms.SSSPKernel(0, sssp.Weights), "PPPPPPPPPPPP"},
+		{"wcc", g.Undirected(), algorithms.WCCKernel(), "PPP"},
+	} {
+		e, err := NewEngine(tc.graph, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(context.Background(), tc.k)
+		e.Close()
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: %v (converged=%v)", tc.name, err, res.Converged)
+		}
+		if got := res.SwitchTrace(); got != tc.want {
+			t.Errorf("%s: switch trace %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -15,6 +15,14 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet (386, arm64: per-worker layouts) =="
+# Ctx's pad is computed from unsafe.Sizeof, and the per-worker layout tests
+# assert with Sizeof/Offsetof: both must stay well-formed where words are
+# 4 bytes and on the other 64-bit port.
+for arch in 386 arm64; do
+    GOARCH=$arch go vet ./internal/core/ ./internal/frontier/ ./internal/hybrid/
+done
+
 echo "== ndlint (go vet -vettool) =="
 # The eligibility linter must stay clean over the whole tree: findings are
 # either fixed or carry a justified //ndlint:ignore pragma.
@@ -48,11 +56,12 @@ echo "== flake gate (NoSync scheduler, -race -count=20, GOMAXPROCS 1/2/8) =="
 # little. Twenty repetitions under the race detector, with fewer, as many
 # and more runnable threads than the tests' worker counts, must all pass:
 # every NoSync test of the core engine, the benchmark shim's nosync and
-# async-chan replays, and all of sched, frontier and obs.
+# async-chan replays, and all of sched, frontier, obs and hybrid (whose
+# direction choice reads the frontier's barrier-time counts).
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 -run NoSync ./internal/core/
     GOMAXPROCS=$procs go test -race -count=20 -run '^Test(NoSync|Async)Shim' .
-    GOMAXPROCS=$procs go test -race -count=20 ./internal/sched/ ./internal/frontier/ ./internal/obs/
+    GOMAXPROCS=$procs go test -race -count=20 ./internal/sched/ ./internal/frontier/ ./internal/obs/ ./internal/hybrid/
 done
 
 echo "== flake gate (run lifecycle, every tier, -race -count=20, GOMAXPROCS 1/2/8) =="

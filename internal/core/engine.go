@@ -67,9 +67,10 @@ type Options struct {
 	// schedulers refuse ModeSequential.
 	Mode edgedata.Mode
 	// Dispatch selects the intra-iteration work assignment for parallel
-	// schedulers: Static (the paper's Fig. 1 contiguous label blocks,
-	// default) or Dynamic (chunked work-stealing-style claims; an
-	// ablation of the system model's load-balance assumption).
+	// schedulers: Static (the paper's Fig. 1 contiguous, small-label-first
+	// label blocks, default; cut at equal shares of updates plus incident
+	// edges by sched.Cuts) or Dynamic (chunked work-stealing-style claims;
+	// an ablation of the system model's load-balance assumption).
 	Dispatch sched.Dispatch
 	// MaxIters caps the iteration count; 0 means DefaultMaxIters.
 	// Hitting the cap returns a Result with Converged == false. NoSync has
@@ -258,6 +259,10 @@ type Engine struct {
 
 	// perIter collects the run in progress's Result.PerIter (RecordIters).
 	perIter []IterStat
+
+	// cuts holds the static dispatch's block boundaries, reused across
+	// iterations.
+	cuts []int
 
 	// curUpdate is the UpdateFunc of the run in progress, read by runFn.
 	curUpdate UpdateFunc
@@ -598,11 +603,15 @@ func (e *Engine) dispatch(members []int) {
 }
 
 // parallel dispatches one iteration's members over the persistent pool
-// under the configured intra-iteration policy.
+// under the configured intra-iteration policy. Static dispatch cuts the
+// members into contiguous blocks of equal update-plus-edge cost
+// (sched.Cuts), reusing e.cuts across iterations.
 func (e *Engine) parallel(members []int) {
+	pool := e.loop.Pool()
 	if e.opts.Dispatch == sched.Dynamic {
-		e.loop.Pool().RunChunks(members, sched.DefaultChunk, e.runFn)
+		pool.RunChunks(members, sched.DefaultChunk, e.runFn)
 		return
 	}
-	e.loop.Pool().RunBlocks(members, e.runFn)
+	e.cuts = sched.Cuts(e.cuts, e.g, members, pool.Workers())
+	pool.RunCuts(members, e.cuts, e.runFn)
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
+	"ndgraph/internal/graph"
 	"ndgraph/internal/sched"
 	"ndgraph/internal/trace"
 )
@@ -92,5 +96,106 @@ func TestTraceSingleThreadColorSchedulersIdentical(t *testing.T) {
 	a, b := runTraced(t, opts), runTraced(t, opts)
 	if !trace.Equal(a, b) {
 		t.Fatalf("single-thread DIG traces diverge at %d", trace.Divergence(a, b))
+	}
+}
+
+// canonicalTrace serializes a recorder's events grouped by (iteration,
+// worker). Capture order across workers is racy, but one worker's events
+// are captured in its execution order, so a stable sort keeps that order
+// and the bytes pin worker ids, per-worker order, writes and values.
+func canonicalTrace(rec *trace.Recorder) []byte {
+	ev := append([]trace.Event(nil), rec.Events()...)
+	sort.SliceStable(ev, func(i, j int) bool {
+		if ev[i].Iteration != ev[j].Iteration {
+			return ev[i].Iteration < ev[j].Iteration
+		}
+		return ev[i].Worker < ev[j].Worker
+	})
+	var buf bytes.Buffer
+	for _, e := range ev {
+		fmt.Fprintf(&buf, "%d %d %d %d %d\n", e.Iteration, e.Worker, e.Vertex, e.Writes, e.Value)
+	}
+	return buf.Bytes()
+}
+
+// hubsFirstRMAT is an R-MAT graph relabelled in descending-degree order,
+// where the balanced static cut and Fig. 1's equal counts disagree most.
+func hubsFirstRMAT(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.RMAT(512, 4096, gen.DefaultRMAT, 93)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = graph.Relabel(g, graph.DegreeDescOrder(g)); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// Static dispatch runs each iteration's scheduled set in the blocks
+// sched.Cuts gives it: every traced update ran on the worker whose block
+// holds its vertex.
+func TestStaticDispatchFollowsCuts(t *testing.T) {
+	g := hubsFirstRMAT(t)
+	for _, k := range []sched.Kind{sched.Nondeterministic, sched.Synchronous} {
+		for _, p := range []int{2, 3} {
+			rec := trace.NewRecorder(1 << 16)
+			e := newEngine(t, g, Options{Scheduler: k, Threads: p, Mode: edgedata.ModeAtomic, Trace: rec})
+			initMinLabel(e)
+			if res, err := e.Run(minLabelUpdate); err != nil || !res.Converged {
+				t.Fatalf("%v P=%d: %v (converged=%v)", k, p, err, res.Converged)
+			}
+			byIter := map[int32][]trace.Event{}
+			for _, ev := range rec.Events() {
+				byIter[ev.Iteration] = append(byIter[ev.Iteration], ev)
+			}
+			for it, evs := range byIter {
+				members := make([]int, len(evs))
+				for i, ev := range evs {
+					members[i] = int(ev.Vertex)
+				}
+				sort.Ints(members)
+				cuts := sched.Cuts(nil, g, members, p)
+				for _, ev := range evs {
+					pos := sort.SearchInts(members, int(ev.Vertex))
+					w := sort.Search(p, func(w int) bool { return cuts[w+1] > pos })
+					if int(ev.Worker) != w {
+						t.Fatalf("%v P=%d iteration %d: vertex %d ran on worker %d, its block is worker %d's (cuts %v)",
+							k, p, it, ev.Vertex, ev.Worker, w, cuts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Multi-worker DIG on a hubs-first graph: the cut depends only on the
+// graph and the round, so two runs trace byte-identically.
+func TestTraceDIGSkewedBlocksIdentical(t *testing.T) {
+	g := hubsFirstRMAT(t)
+	for _, p := range []int{2, 3} {
+		var traces [2][]byte
+		for run := range traces {
+			rec := trace.NewRecorder(1 << 16)
+			e := newEngine(t, g, Options{Scheduler: sched.DIG, Threads: p, Mode: edgedata.ModeAtomic, Trace: rec})
+			initMinLabel(e)
+			if res, err := e.Run(minLabelUpdate); err != nil || !res.Converged {
+				t.Fatalf("P=%d: %v (converged=%v)", p, err, res.Converged)
+			}
+			if rec.Truncated() {
+				t.Fatalf("P=%d: trace truncated", p)
+			}
+			workers := map[int32]bool{}
+			for _, ev := range rec.Events() {
+				workers[ev.Worker] = true
+			}
+			if len(workers) < 2 {
+				t.Fatalf("P=%d: only %d worker ran", p, len(workers))
+			}
+			traces[run] = canonicalTrace(rec)
+		}
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Fatalf("P=%d: DIG traces differ across runs", p)
+		}
 	}
 }

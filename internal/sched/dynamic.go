@@ -6,7 +6,8 @@ type Dispatch int
 
 const (
 	// Static is the paper's Fig. 1 policy: contiguous label blocks, one
-	// per worker, fixed before the iteration starts (OpenMP static).
+	// per worker, fixed before the iteration starts. The core engine cuts
+	// them at equal shares of updates plus incident edges (Cuts).
 	Static Dispatch = iota
 	// Dynamic hands out fixed-size chunks from a shared cursor as workers
 	// free up (OpenMP dynamic). It trades the predictable π order — and

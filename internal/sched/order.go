@@ -38,7 +38,10 @@ func (o Order) String() string {
 // the Fig. 1 dispatch of nv scheduled updates over p threads:
 // π(v) = position of v within its thread's block. With equal blocks this
 // is l % (nv/p), matching the paper's formula; uneven tails use the exact
-// block geometry.
+// block geometry. Pi, SameThread and Relation model the paper's equal-count
+// blocks (Block), not the engine's balanced cut (Cuts): the proofs hold for
+// any contiguous small-label-first blocks, so the model keeps the paper's
+// geometry.
 func Pi(l, nv, p int) int {
 	if p <= 1 {
 		return l
@@ -56,7 +59,7 @@ func Pi(l, nv, p int) int {
 }
 
 // SameThread reports whether labels a and b land on the same worker under
-// the Fig. 1 dispatch of nv updates over p threads.
+// the Fig. 1 equal-count dispatch of nv updates over p threads (see Pi).
 func SameThread(a, b, nv, p int) bool {
 	if p <= 1 {
 		return true

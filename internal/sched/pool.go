@@ -12,7 +12,7 @@ import (
 )
 
 // Pool is a persistent worker pool for iteration dispatch. A one-shot
-// dispatcher (ParallelBlocks) spawns P goroutines per call, which under the
+// dispatcher spawns P goroutines per call, which under the
 // barrier-per-iteration engine means a spawn/join cycle per iteration —
 // and per *round* under DIG. A Pool keeps P
 // long-lived workers parked on per-worker wake channels and re-dispatches
@@ -20,7 +20,7 @@ import (
 // channel operations per worker and zero heap allocations.
 //
 // A Pool is NOT safe for concurrent dispatch: exactly one goroutine may
-// call RunBlocks/RunChunks/RunEach at a time (the engine's barrier loop
+// call RunCuts/RunBlocks/RunChunks/RunEach at a time (the engine's barrier loop
 // satisfies this by construction). Close releases the workers; a Pool that
 // is never closed is released by a finalizer when it becomes unreachable,
 // so abandoned engines do not leak goroutines permanently.
@@ -32,7 +32,7 @@ type taskKind int
 const (
 	taskNone taskKind = iota
 	// taskBlocks is the Fig. 1 static dispatch: worker w runs
-	// Block(items, w, eff) in slice order.
+	// items[cuts[w]:cuts[w+1]] in slice order.
 	taskBlocks
 	// taskChunks is the dynamic dispatch: workers claim chunks from the
 	// shared cursor until the items are exhausted.
@@ -71,7 +71,7 @@ type pool struct {
 	items  []int
 	itemFn func(worker, item int)
 	eachFn func(worker int)
-	eff    int // effective worker count for taskBlocks (≤ workers)
+	cuts   []int // block boundaries for taskBlocks (≤ workers+1 entries)
 	chunk  int
 	cursor atomic.Int64
 
@@ -80,6 +80,9 @@ type pool struct {
 	// update cannot wedge or kill a parked worker.
 	panicked atomic.Pointer[taskPanic]
 	closed   atomic.Bool
+
+	// countCuts is RunBlocks' reused equal-count cuts buffer.
+	countCuts []int
 }
 
 // taskPanic captures a recovered worker panic for re-raising at the barrier.
@@ -101,7 +104,8 @@ func NewPoolNamed(workers int, name string) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	in := &pool{workers: workers, name: name, quit: make(chan struct{}), busyNs: make([]int64, workers)}
+	in := &pool{workers: workers, name: name, quit: make(chan struct{}),
+		busyNs: make([]int64, workers), countCuts: make([]int, workers+1)}
 	if workers > 1 {
 		in.wake = make([]chan struct{}, workers)
 		for w := range in.wake {
@@ -160,25 +164,33 @@ func (in *pool) close() {
 	}
 }
 
-// RunBlocks dispatches items over the pooled workers with the paper's
-// Fig. 1 contiguous-block assignment and blocks until all workers finish
-// (the iteration barrier). Worker and block assignment are identical to
-// ParallelBlocks, so per-worker execution order — and with it the trace
-// path of any deterministic schedule — is preserved exactly; only the
-// goroutine spawn/join per call is gone.
-func (p *Pool) RunBlocks(items []int, fn func(worker, item int)) {
+// RunCuts dispatches items over the pooled workers in contiguous blocks and
+// blocks until all workers finish (the iteration barrier): worker w runs
+// items[cuts[w]:cuts[w+1]] in slice order, so an ascending input runs
+// small-label-first within every block. cuts comes from Cuts (or satisfies
+// its contract) and has at most Workers()+1 entries; workers beyond it, and
+// workers whose block is empty, sit the dispatch out. A single item runs
+// inline as worker 0, where Cuts puts it.
+func (p *Pool) RunCuts(items, cuts []int, fn func(worker, item int)) {
 	in := p.pool
 	if len(in.wake) == 0 || len(items) <= 1 {
 		in.runInline(items, fn)
 		return
 	}
-	eff := in.workers
-	if eff > len(items) {
-		eff = len(items)
+	if len(cuts) > in.workers+1 {
+		panic(fmt.Sprintf("sched: %d blocks for a %d-worker Pool", len(cuts)-1, in.workers))
 	}
-	in.task, in.items, in.itemFn, in.eff = taskBlocks, items, fn, eff
+	in.task, in.items, in.itemFn, in.cuts = taskBlocks, items, fn, cuts
 	in.dispatch()
-	in.items, in.itemFn = nil, nil
+	in.items, in.itemFn, in.cuts = nil, nil, nil
+}
+
+// RunBlocks is RunCuts with the paper's Fig. 1 equal-count blocks: worker w
+// of eff = min(P, len(items)) runs positions [w·n/eff, (w+1)·n/eff).
+func (p *Pool) RunBlocks(items []int, fn func(worker, item int)) {
+	in := p.pool
+	in.countCuts = Cuts(in.countCuts, nil, items, in.workers)
+	p.RunCuts(items, in.countCuts, fn)
 }
 
 // RunChunks dispatches items over the pooled workers dynamically: workers
@@ -258,12 +270,12 @@ func (in *pool) dispatch() {
 		in.accWallNs += wallNs
 		// Barrier wait is wall − busy per participating worker: the time a
 		// finished worker idled at the barrier while stragglers ran — the
-		// observable cost of the paper's Fig. 1 static-block skew.
-		participants := len(in.wake)
-		if in.task == taskBlocks && in.eff < participants {
-			participants = in.eff
-		}
-		for w := 0; w < participants; w++ {
+		// observable cost of static-block skew. Workers with an empty
+		// block did not take part and wait for nothing.
+		for w := range in.wake {
+			if in.task == taskBlocks && !in.hasBlock(w) {
+				continue
+			}
 			if d := wallNs - in.busyNs[w]; d > 0 {
 				in.accWaitNs += d
 			}
@@ -303,8 +315,8 @@ func (in *pool) run(w int) {
 	}
 	switch in.task {
 	case taskBlocks:
-		if w < in.eff {
-			for _, it := range Block(in.items, w, in.eff) {
+		if in.hasBlock(w) {
+			for _, it := range in.items[in.cuts[w]:in.cuts[w+1]] {
 				in.itemFn(w, it)
 			}
 		}
@@ -329,4 +341,10 @@ func (in *pool) run(w int) {
 	if timed {
 		in.busyNs[w] = time.Since(t0).Nanoseconds()
 	}
+}
+
+// hasBlock reports whether worker w has a non-empty block in the current
+// taskBlocks dispatch.
+func (in *pool) hasBlock(w int) bool {
+	return w+1 < len(in.cuts) && in.cuts[w] < in.cuts[w+1]
 }

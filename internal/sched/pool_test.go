@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,33 +21,58 @@ func collect(p int, dispatch func(fn func(worker, item int))) map[int][]int {
 	return got
 }
 
-// The pool's static dispatch must assign exactly the blocks ParallelBlocks
-// assigns — same worker ids, same per-worker order — so deterministic
-// schedules trace identically through either path.
-func TestPoolRunBlocksMatchesParallelBlocks(t *testing.T) {
+// The pool's static dispatch must run exactly the blocks Cuts assigns —
+// same worker ids, same per-worker order — and RunBlocks must keep Fig. 1's
+// equal-count geometry (worker w of eff = min(P, n) runs Block(items, w,
+// eff)), so deterministic schedules trace identically through either entry
+// point.
+func TestPoolRunBlocksMatchesCuts(t *testing.T) {
+	g := hubsFirstRMAT(t, 1000, 8000, 5)
 	for _, p := range []int{1, 2, 3, 4, 7} {
 		for _, n := range []int{0, 1, 2, 5, 64, 1000} {
 			items := make([]int, n)
 			for i := range items {
-				items[i] = 3 * i
+				items[i] = i
 			}
 			pool := NewPool(p)
-			fromPool := collect(p, func(fn func(w, it int)) { pool.RunBlocks(items, fn) })
-			reference := collect(p, func(fn func(w, it int)) { ParallelBlocks(items, p, fn) })
-			pool.Close()
-			if len(fromPool) != len(reference) {
-				t.Fatalf("p=%d n=%d: pool used %d workers, reference %d", p, n, len(fromPool), len(reference))
+			eff := min(p, n)
+			countRef := map[int][]int{}
+			for w := 0; w < eff; w++ {
+				if b := Block(items, w, eff); len(b) > 0 {
+					countRef[w] = b
+				}
 			}
-			for w, want := range reference {
-				gotSeq := fromPool[w]
-				if len(gotSeq) != len(want) {
-					t.Fatalf("p=%d n=%d worker %d: pool ran %d items, reference %d", p, n, w, len(gotSeq), len(want))
+			cuts := Cuts(nil, g, items, p)
+			cutRef := map[int][]int{}
+			for w := 0; w < p; w++ {
+				if b := items[cuts[w]:cuts[w+1]]; len(b) > 0 {
+					cutRef[w] = b
 				}
-				for i := range want {
-					if gotSeq[i] != want[i] {
-						t.Fatalf("p=%d n=%d worker %d position %d: pool %d, reference %d", p, n, w, i, gotSeq[i], want[i])
-					}
-				}
+			}
+			assertAssignment(t, fmt.Sprintf("RunBlocks p=%d n=%d", p, n), countRef,
+				collect(p, func(fn func(w, it int)) { pool.RunBlocks(items, fn) }))
+			assertAssignment(t, fmt.Sprintf("RunCuts p=%d n=%d", p, n), cutRef,
+				collect(p, func(fn func(w, it int)) { pool.RunCuts(items, cuts, fn) }))
+			pool.Close()
+		}
+	}
+}
+
+// assertAssignment fails unless got runs exactly want's items on exactly
+// want's workers, in want's per-worker order.
+func assertAssignment(t *testing.T, label string, want, got map[int][]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: pool used %d workers, reference %d", label, len(got), len(want))
+	}
+	for w, seq := range want {
+		gotSeq := got[w]
+		if len(gotSeq) != len(seq) {
+			t.Fatalf("%s worker %d: pool ran %d items, reference %d", label, w, len(gotSeq), len(seq))
+		}
+		for i := range seq {
+			if gotSeq[i] != seq[i] {
+				t.Fatalf("%s worker %d position %d: pool %d, reference %d", label, w, i, gotSeq[i], seq[i])
 			}
 		}
 	}
@@ -246,5 +272,28 @@ func BenchmarkPoolChunks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool.RunChunks(items, 64, fn)
+	}
+}
+
+// BenchmarkPoolCuts times one static dispatch of a hubs-first R-MAT's whole
+// vertex set as the core engine issues it: the balanced cut, then the
+// blocks.
+func BenchmarkPoolCuts(b *testing.B) {
+	g := hubsFirstRMAT(b, 1<<16, 1<<19, 7)
+	pool := NewPool(4)
+	defer pool.Close()
+	items := make([]int, g.N())
+	for i := range items {
+		items[i] = i
+	}
+	var sinks [4]int64
+	fn := func(w, item int) { sinks[w] += int64(item) }
+	cuts := Cuts(nil, g, items, 4)
+	pool.RunCuts(items, cuts, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cuts = Cuts(cuts, g, items, 4)
+		pool.RunCuts(items, cuts, fn)
 	}
 }

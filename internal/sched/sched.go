@@ -8,9 +8,12 @@
 //     actually conducted sequentially due to the data dependences)".
 //   - Nondeterministic: the paper's contribution target. The scheduled set
 //     is dispatched over P worker threads in contiguous label blocks
-//     (Fig. 1, OpenMP-static style); each worker runs its block
-//     small-label-first; a barrier separates iterations. Updates race on
-//     shared edges, protected only by per-operation atomicity.
+//     (Fig. 1); each worker runs its block small-label-first; a barrier
+//     separates iterations. Updates race on shared edges, protected only
+//     by per-operation atomicity. Where the blocks are cut is a separate
+//     load-balance layer (Cuts): at equal shares of updates plus incident
+//     edges rather than OpenMP-static's equal counts, which the model does
+//     not need.
 //   - Synchronous: the BSP baseline. Reads observe the previous
 //     iteration's edge values (the engine snapshots at the barrier), so
 //     updates of one iteration never see each other's writes.
@@ -26,7 +29,8 @@ package sched
 
 import (
 	"fmt"
-	"sync"
+
+	"ndgraph/internal/graph"
 )
 
 // Kind selects a scheduling strategy.
@@ -77,46 +81,70 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("sched: unknown scheduler %q", s)
 }
 
-// Block returns the contiguous sub-slice of items assigned to the given
-// worker of p workers under the paper's Fig. 1 dispatch: worker i receives
-// positions [i*len/p, (i+1)*len/p). Items are assumed sorted ascending, so
-// each block is processed small-label-first by construction.
-func Block(items []int, worker, p int) []int {
+// Cuts splits the ascending scheduled set items into p contiguous blocks of
+// equal cost and returns their boundaries in dst[:p+1] (reallocated only
+// when too small): worker w runs items[cuts[w]:cuts[w+1]], so cuts[0] = 0,
+// cuts[p] = len(items) and the cuts never decrease. A block B's cost is
+// |B|/|S| + deg(B)/deg(S), deg counting in- and out-edges in g: each block
+// gets an equal share of the iteration's updates and of the edges they
+// touch together, which weighs a vertex at its degree plus the set's mean
+// degree and needs no tuned constant.
+//
+// Cut w is the last position whose prefix cost does not exceed w/p, so every
+// block's cost is within one item's cost of 1/p. Only min(p, len(items))
+// blocks are cut and the surplus workers get empty trailing blocks, so a
+// single item always lands on worker 0; a set whose degrees are all 0 (or a
+// nil g) cuts at Fig. 1's equal counts over that many workers, worker i
+// receiving positions [i·n/eff, (i+1)·n/eff). Blocks stay
+// contiguous and ascending, which is all the paper's order model (≺/≻/∥,
+// Lemmas 1–2, both theorems) asks of the dispatch; equal counts per block
+// were OpenMP-static's convenience.
+//
+// Costs are kept in float64 units of 1/(|S|·deg(S)), which stay integers,
+// and so exact, below 2^53; |S|·deg(S) overflows a 32-bit int.
+func Cuts(dst []int, g *graph.Graph, items []int, p int) []int {
+	if p < 1 {
+		p = 1
+	}
+	if cap(dst) < p+1 {
+		dst = make([]int, p+1)
+	}
+	dst = dst[:p+1]
 	n := len(items)
-	lo := worker * n / p
-	hi := (worker + 1) * n / p
-	return items[lo:hi]
-}
-
-// ParallelBlocks dispatches items over p workers per Fig. 1 and blocks
-// until all workers finish (the iteration barrier). fn is invoked as
-// fn(worker, item); items within a worker run in slice order. p <= 1 or a
-// single-block input degrades to a sequential loop with no goroutines.
-func ParallelBlocks(items []int, p int, fn func(worker, item int)) {
-	if p <= 1 || len(items) <= 1 {
-		for _, it := range items {
-			fn(0, it)
+	eff := min(p, n)
+	var degS int64
+	if g != nil && eff > 1 {
+		for _, v := range items {
+			degS += int64(g.Degree(uint32(v)))
 		}
-		return
 	}
-	if p > len(items) {
-		p = len(items)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		block := Block(items, w, p)
-		if len(block) == 0 {
-			continue
+	dst[0] = 0
+	if degS == 0 {
+		for w := 1; w < eff; w++ {
+			dst[w] = int(int64(w) * int64(n) / int64(eff))
 		}
-		wg.Add(1)
-		go func(w int, block []int) {
-			defer wg.Done()
-			for _, it := range block {
-				fn(w, it)
+	} else {
+		// Item cost deg(S) + |S|·deg(v); the set totals 2·|S|·deg(S).
+		a, b := float64(degS), float64(n)
+		total := 2 * b * a
+		k, prefix := 0, 0.0
+		for w := 1; w < eff; w++ {
+			target := float64(w) * total
+			for k < n {
+				c := a + b*float64(g.Degree(uint32(items[k])))
+				if float64(eff)*(prefix+c) > target {
+					break
+				}
+				prefix += c
+				k++
 			}
-		}(w, block)
+			dst[w] = k
+		}
 	}
-	wg.Wait()
+	for w := max(eff, 1); w <= p; w++ {
+		dst[w] = n
+	}
+	return dst
 }
 
 // Sequential runs fn over items in order with worker id 0 — the

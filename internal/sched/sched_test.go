@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ndgraph/internal/gen"
+	"ndgraph/internal/graph"
 )
 
 func TestKindStringParse(t *testing.T) {
@@ -21,6 +22,17 @@ func TestKindStringParse(t *testing.T) {
 	if Kind(42).String() == "" {
 		t.Error("unknown Kind String empty")
 	}
+}
+
+// Block returns the contiguous sub-slice of items assigned to the given
+// worker of p workers under the paper's Fig. 1 equal-count dispatch: worker
+// i receives positions [i*len/p, (i+1)*len/p). It is the reference the
+// pool's RunBlocks and the degree-free case of Cuts are checked against.
+func Block(items []int, worker, p int) []int {
+	n := len(items)
+	lo := worker * n / p
+	hi := (worker + 1) * n / p
+	return items[lo:hi]
 }
 
 func TestBlockPartition(t *testing.T) {
@@ -48,52 +60,70 @@ func TestBlockPartition(t *testing.T) {
 	}
 }
 
-func TestParallelBlocksVisitsAllOnce(t *testing.T) {
-	const n = 1000
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	for _, p := range []int{1, 2, 4, 16, 1000, 5000} {
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		ParallelBlocks(items, p, func(_, item int) {
-			mu.Lock()
-			seen[item]++
-			mu.Unlock()
-		})
-		if len(seen) != n {
-			t.Fatalf("p=%d: visited %d distinct items", p, len(seen))
+// staticDispatches runs items through both static entry points of a
+// p-worker pool: RunBlocks (equal counts) and RunCuts with the balanced cut
+// over g.
+func staticDispatches(g *graph.Graph, items []int, p int, fn func(worker, item int)) {
+	pool := NewPool(p)
+	defer pool.Close()
+	pool.RunBlocks(items, fn)
+	pool.RunCuts(items, Cuts(nil, g, items, p), fn)
+}
+
+func TestStaticDispatchVisitsAllOnce(t *testing.T) {
+	g := hubsFirstRMAT(t, 1000, 8000, 3)
+	for _, n := range []int{3, 1000} {
+		items := make([]int, n)
+		for i := range items {
+			items[i] = i
 		}
-		for item, c := range seen {
-			if c != 1 {
-				t.Fatalf("p=%d: item %d visited %d times", p, item, c)
+		for _, p := range []int{1, 2, 4, 16} {
+			var mu sync.Mutex
+			seen := make(map[int]int)
+			staticDispatches(g, items, p, func(_, item int) {
+				mu.Lock()
+				seen[item]++
+				mu.Unlock()
+			})
+			if len(seen) != n {
+				t.Fatalf("n=%d p=%d: visited %d distinct items", n, p, len(seen))
+			}
+			for item, c := range seen {
+				if c != 2 {
+					t.Fatalf("n=%d p=%d: item %d visited %d times in two dispatches", n, p, item, c)
+				}
 			}
 		}
 	}
 }
 
-func TestParallelBlocksSmallLabelFirstWithinWorker(t *testing.T) {
+func TestStaticDispatchSmallLabelFirstWithinWorker(t *testing.T) {
 	const n = 256
+	g := hubsFirstRMAT(t, n, 2000, 4)
 	items := make([]int, n)
 	for i := range items {
 		items[i] = i
 	}
-	var mu sync.Mutex
-	lastPerWorker := map[int]int{}
-	ParallelBlocks(items, 4, func(w, item int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if last, ok := lastPerWorker[w]; ok && last >= item {
-			t.Errorf("worker %d processed %d after %d", w, item, last)
-		}
-		lastPerWorker[w] = item
-	})
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, cuts := range [][]int{Cuts(nil, nil, items, 4), Cuts(nil, g, items, 4)} {
+		var mu sync.Mutex
+		lastPerWorker := map[int]int{}
+		pool.RunCuts(items, cuts, func(w, item int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if last, ok := lastPerWorker[w]; ok && last >= item {
+				t.Errorf("cuts %v: worker %d processed %d after %d", cuts, w, item, last)
+			}
+			lastPerWorker[w] = item
+		})
+	}
 }
 
-func TestParallelBlocksEmpty(t *testing.T) {
+func TestStaticDispatchEmpty(t *testing.T) {
+	g := hubsFirstRMAT(t, 64, 256, 5)
 	called := false
-	ParallelBlocks(nil, 4, func(_, _ int) { called = true })
+	staticDispatches(g, nil, 4, func(_, _ int) { called = true })
 	if called {
 		t.Fatal("fn called on empty items")
 	}
@@ -221,19 +251,6 @@ func TestRelationAntisymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkParallelBlocks(b *testing.B) {
-	items := make([]int, 1<<16)
-	for i := range items {
-		items[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sinks [4]int64
-		ParallelBlocks(items, 4, func(w, item int) { sinks[w] += int64(item) })
-		_ = sinks
 	}
 }
 

@@ -250,6 +250,10 @@ func TestCrossEngineDifferentialKCore(t *testing.T) {
 	}
 }
 
+// pageRankTol is how far (absolute, per vertex) a converged PageRank may
+// land from the power-iteration oracle.
+const pageRankTol = 0.02
+
 // PageRank has a relative convergence condition, so converged vectors are
 // ε-close rather than identical; every engine must land near the
 // power-iteration oracle.
@@ -258,11 +262,10 @@ func TestCrossEngineDifferentialPageRank(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			g := gc.g
 			want := algorithms.ReferencePageRank(g, 0.85, 1e-12, 20000)
-			const tol = 0.02
 			check := func(name string, got []float64) {
 				t.Helper()
 				for v := range want {
-					if d := got[v] - want[v]; d > tol || d < -tol {
+					if d := got[v] - want[v]; d > pageRankTol || d < -pageRankTol {
 						t.Fatalf("%s: rank[%d] = %v, reference %v", name, v, got[v], want[v])
 					}
 				}
@@ -284,6 +287,65 @@ func TestCrossEngineDifferentialPageRank(t *testing.T) {
 			// barrier-free fixed point is ε-close, not identical.
 			check("nosync", wordsToFloats(runNoSyncWords(t, g, algorithms.NewPageRank(1e-7))))
 		})
+	}
+}
+
+// Static dispatch cuts blocks at equal shares of updates and incident edges
+// (sched.Cuts), so on a hubs-first graph its blocks differ from Fig. 1's
+// equal counts in both size and membership. Contiguity and small-label-first
+// are all the theorems use, so the fixed points must not move: WCC, BFS and
+// SSSP under nondet are byte-identical to det at every P, and PageRank lands
+// as close to the oracle as on the battery above.
+func TestCrossEngineDifferentialSkewedBlocks(t *testing.T) {
+	g, err := gen.RMAT(1024, 8192, gen.DefaultRMAT, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = graph.Relabel(g, graph.DegreeDescOrder(g)); err != nil {
+		t.Fatal(err)
+	}
+	// The precondition: equal-count blocks leave worker 0 nearly every edge.
+	var first int
+	for v := 0; v < g.N()/2; v++ {
+		first += g.Degree(uint32(v))
+	}
+	if frac := float64(first) / float64(2*g.M()); frac < 0.8 {
+		t.Fatalf("count cuts give worker 0 only %.2f of the incident edges; the graph is not skewed", frac)
+	}
+	src := experiments.PickSource(g)
+	bfs := algorithms.NewBFS(g, src)
+	cases := []struct {
+		name string
+		mk   func() algorithms.Algorithm
+	}{
+		{"wcc", func() algorithms.Algorithm { return algorithms.NewWCC() }},
+		{"bfs", func() algorithms.Algorithm { return algorithms.NewBFS(g, src) }},
+		{"sssp", func() algorithms.Algorithm { return algorithms.NewSSSP(g, src, 7) }},
+	}
+	checkFloats(t, "bfs det vs dijkstra",
+		wordsToFloats(runCoreWords(t, g, bfs, core.Options{Scheduler: sched.Deterministic})),
+		algorithms.ReferenceSSSP(g, src, bfs.Weights))
+	want := algorithms.ReferencePageRank(g, 0.85, 1e-12, 20000)
+	for _, p := range []int{2, 3, 4} {
+		for _, c := range cases {
+			det := runCoreWords(t, g, c.mk(), core.Options{Scheduler: sched.Deterministic})
+			nondet := runCoreWords(t, g, c.mk(), core.Options{Scheduler: sched.Nondeterministic, Threads: p, Mode: edgedata.ModeAtomic})
+			for v := range det {
+				if nondet[v] != det[v] {
+					t.Fatalf("%s P=%d: vertex %d word %#x, det %#x", c.name, p, v, nondet[v], det[v])
+				}
+			}
+		}
+		pr := algorithms.NewPageRank(1e-7)
+		e, res, err := algorithms.Run(pr, g, core.Options{Scheduler: sched.Nondeterministic, Threads: p, Mode: edgedata.ModeAtomic})
+		if err != nil || !res.Converged {
+			t.Fatalf("pagerank P=%d: %v (converged=%v)", p, err, res.Converged)
+		}
+		for v, r := range pr.Ranks(e) {
+			if d := r - want[v]; d > pageRankTol || d < -pageRankTol {
+				t.Fatalf("pagerank P=%d: rank[%d] = %v, reference %v", p, v, r, want[v])
+			}
+		}
 	}
 }
 

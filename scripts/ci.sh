@@ -15,13 +15,15 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== go vet (386, arm64: per-worker layouts) =="
+echo "== go vet (386, arm64: per-worker layouts, cut arithmetic) =="
 # Ctx's pad is computed from unsafe.Sizeof, and the per-worker layout tests
 # assert with Sizeof/Offsetof: both must stay well-formed where words are
-# 4 bytes and on the other 64-bit port.
+# 4 bytes and on the other 64-bit port. sched.Cuts multiplies |S| by deg(S),
+# which overflows a 32-bit int, so its tests also run where int is 32 bits.
 for arch in 386 arm64; do
-    GOARCH=$arch go vet ./internal/core/ ./internal/frontier/ ./internal/hybrid/
+    GOARCH=$arch go vet ./internal/core/ ./internal/frontier/ ./internal/hybrid/ ./internal/sched/
 done
+GOARCH=386 go test -count=1 -run Cuts ./internal/sched/
 
 echo "== ndlint (go vet -vettool) =="
 # The eligibility linter must stay clean over the whole tree: findings are

@@ -126,16 +126,6 @@ func Default() []*Analyzer {
 		PropCheck, KernelCheck, AdmitCheck}
 }
 
-// ByName resolves an analyzer name; it returns nil if unknown.
-func ByName(name string) *Analyzer {
-	for _, a := range Default() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // RunAnalyzers runs the given passes over pkg, filters pragma-suppressed
 // findings, and returns the surviving diagnostics (sorted by position)
 // together with each pass's result keyed by analyzer name.

@@ -14,8 +14,11 @@ import (
 // functions must not retain it across calls.
 //
 // The Set*EdgeVal methods implement the system model's task-generation
-// rule: writing an incident edge posts the opposite endpoint into the next
-// iteration's scheduled set.
+// rule: writing an incident edge wakes the opposite endpoint. The three
+// scheduling sites (store, SetOutEdgeVals and ScheduleSelf) are where the
+// schedulers differ: a wakeup goes into the next iteration's scheduled set
+// under a barrier scheduler and onto the writing worker's own deque under
+// NoSync (Engine.ns non-nil).
 type Ctx struct {
 	ctxState
 	// The engine keeps one Ctx per worker in one cache-line-aligned array
@@ -60,9 +63,10 @@ type ctxState struct {
 	traceIdx int64
 
 	// sumReads / sumWrites accumulate edge accesses across binds. They are
-	// worker-private (no synchronization) and drained by the engine at the
-	// iteration barrier when an observer is attached; the unconditional
-	// increment is one predictable instruction, cheaper than a branch.
+	// worker-private (no synchronization) and drained when an observer is
+	// attached — at the iteration barrier, or by NoSync's telemetry sample;
+	// the unconditional increment is one predictable instruction, cheaper
+	// than a branch.
 	sumReads, sumWrites int64
 }
 
@@ -89,6 +93,9 @@ func (c *Ctx) SetVertex(w uint64) {
 	if c.recordOnly {
 		c.scratchVertex = w
 		return
+	}
+	if r := c.eng.residual; r != nil {
+		r.Observe(c.worker, c.eng.Vertices[c.v], w)
 	}
 	c.eng.Vertices[c.v] = w
 }
@@ -149,20 +156,20 @@ func (c *Ctx) observedLoad(e, neighbor uint32, side edgedata.Side) uint64 {
 	return c.load(e)
 }
 
-// SetInEdgeVal writes the data word of the k-th in-edge and schedules its
-// source for the next iteration (task-generation rule).
+// SetInEdgeVal writes the data word of the k-th in-edge and wakes its
+// source (task-generation rule).
 func (c *Ctx) SetInEdgeVal(k int, w uint64) {
 	c.store(c.inIdx[k], c.inSrc[k], edgedata.SideDst, w)
 }
 
-// SetOutEdgeVal writes the data word of the k-th out-edge and schedules
-// its destination for the next iteration (task-generation rule).
+// SetOutEdgeVal writes the data word of the k-th out-edge and wakes its
+// destination (task-generation rule).
 func (c *Ctx) SetOutEdgeVal(k int, w uint64) {
 	c.store(c.outLo+uint32(k), c.outDst[k], edgedata.SideSrc, w)
 }
 
-// store writes edge e, whose other endpoint is neighbor, and schedules
-// that endpoint.
+// store writes edge e, whose other endpoint is neighbor, and wakes that
+// endpoint.
 func (c *Ctx) store(e, neighbor uint32, side edgedata.Side, w uint64) {
 	if c.plain {
 		c.eng.Edges.Store(e, w)
@@ -188,6 +195,10 @@ func (c *Ctx) store(e, neighbor uint32, side edgedata.Side, w uint64) {
 	}
 	c.writes++
 	c.sumWrites++
+	if x := c.eng.ns; x != nil {
+		x.post(c.worker, int(neighbor))
+		return
+	}
 	c.eng.front.Schedule(int(neighbor))
 }
 
@@ -210,8 +221,7 @@ func (c *Ctx) OutEdgeVals() []uint64 {
 	return c.LoadOut(c.eng.Edges)
 }
 
-// SetOutEdgeVals writes w to every out-edge and schedules every
-// destination for the next iteration.
+// SetOutEdgeVals writes w to every out-edge and wakes every destination.
 func (c *Ctx) SetOutEdgeVals(w uint64) {
 	if !c.plain {
 		ScatterOut(c, w)
@@ -221,14 +231,23 @@ func (c *Ctx) SetOutEdgeVals(w uint64) {
 	c.writes += n
 	c.sumWrites += int64(n)
 	c.eng.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
+	if x := c.eng.ns; x != nil {
+		for _, d := range c.outDst {
+			x.post(c.worker, int(d))
+		}
+		return
+	}
 	c.eng.front.ScheduleEach(c.outDst)
 }
 
-// ScheduleSelf re-posts the vertex itself for the next iteration, for
-// algorithms whose local work is not finished (rarely needed in pull
-// mode; provided for completeness).
+// ScheduleSelf re-posts the vertex itself, for algorithms whose local work
+// is not finished (rarely needed in pull mode; provided for completeness).
 func (c *Ctx) ScheduleSelf() {
 	if c.recordOnly {
+		return
+	}
+	if x := c.eng.ns; x != nil {
+		x.post(c.worker, int(c.v))
 		return
 	}
 	c.eng.front.Schedule(int(c.v))

@@ -214,6 +214,17 @@ type Engine struct {
 
 	front  *frontier.Frontier
 	census *edgedata.Census
+	// ns is the NoSync scheduler's run state; nil under every other
+	// scheduler, which is what Ctx's three scheduling sites test.
+	// residual accumulates per-commit value movement for NoSync's
+	// telemetry (see newNoSync); nil — Ctx.SetVertex's hook one pointer
+	// test — on every barrier run and every unobserved one. Both sit
+	// beside front, which every barrier wakeup reads, so their tests touch
+	// no extra cache line (with them at the end of Engine, deterministic
+	// WCC on the hubs-first web-berkstan analog ran about 5 % slower on a
+	// 2-vCPU x86-64 VM).
+	ns       *noSync
+	residual *obs.ResidualEstimator
 
 	// bspShadow, when non-nil (Synchronous scheduler), holds the previous
 	// iteration's edge words; reads are served from it so that writes of
@@ -274,10 +285,6 @@ type Engine struct {
 	// barrier-free executor's spread is compared against. Under NoSync
 	// the epoch advances once per executed update.
 	clock *obs.DelayClock
-
-	// ns is the NoSync scheduler's run state; nil under every other
-	// scheduler.
-	ns *noSync
 }
 
 // NewEngine validates opts and builds an engine for g.
@@ -379,12 +386,8 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	if update == nil {
 		return Result{}, fmt.Errorf("core: nil update function")
 	}
-	if e.ns != nil {
-		return e.runNoSync(update)
-	}
 	e.ensureWorkers()
 	e.curUpdate = update
-	e.updates.Store(e.startUpdates)
 	e.traceCommits = e.opts.Trace != nil && e.opts.Trace.CommitsEnabled()
 	if e.traceCommits && e.traceLocks == nil {
 		e.traceLocks = make([]sync.Mutex, traceStripes)
@@ -393,6 +396,10 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	for i := range e.workers {
 		e.workers[i].plain = plain
 	}
+	if e.ns != nil {
+		return e.runNoSync()
+	}
+	e.updates.Store(e.startUpdates)
 	if inj := e.opts.Inject; inj != nil {
 		// Heal rule: every faulted edge reschedules both endpoints — the
 		// task generation the phantom racing competitor would have applied
@@ -473,6 +480,8 @@ func (e *Engine) step(iter int, members []int) (obs.Event, error) {
 // commit log, no OnEdgeWrite observer, no race amplifier, no fault
 // injector around the store and no BSP shadow. Decided once per Run (after
 // traceCommits is set); the Ctx hot path tests only the resulting flag.
+// NoSync refuses all of them but the delay clock, so a NoSync run is plain
+// exactly when it is unobserved.
 func (e *Engine) plainRun() bool {
 	return e.census == nil && e.clock == nil && !e.traceCommits &&
 		e.opts.OnEdgeWrite == nil && !e.opts.Amplify && e.opts.Inject == nil &&
@@ -553,8 +562,9 @@ func (e *Engine) iterEvent(stat IterStat) obs.Event {
 }
 
 // runOne executes the current run's update function on vertex v as worker
-// `worker`. It is dispatched through the prebound e.runFn so the per-
-// iteration hot path performs no closure allocation.
+// `worker`, under every scheduler. The barrier schedulers dispatch it
+// through the prebound e.runFn so the per-iteration hot path performs no
+// closure allocation; NoSync calls it from execute.
 func (e *Engine) runOne(worker, v int) {
 	if e.loop.Stopped() {
 		return // a sibling update panicked; drain the iteration fast

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -11,9 +12,10 @@ import (
 
 // Every per-worker record written on the update path has cache lines of its
 // own, so one worker's writes never invalidate a line another worker is
-// using: the barrier engine's contexts by size and alignment, the NoSync
-// views by their leading pad, and NoSync's shared update counter by pads on
-// both sides. Hybrid's per-worker counters are pinned in their package.
+// using: the worker contexts, which every scheduler (NoSync included) runs
+// its updates on, by size and alignment, and NoSync's shared update
+// counter by pads on both sides. Hybrid's per-worker counters are pinned
+// in their package.
 func TestPerWorkerLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(Ctx{}); sz%cacheLine != 0 {
 		t.Errorf("Ctx is %d B, not a multiple of the %d B cache line", sz, cacheLine)
@@ -45,9 +47,25 @@ func TestPerWorkerLayout(t *testing.T) {
 		e.Close()
 	}
 
-	var v nsView
-	if off := unsafe.Offsetof(v.Scope); off != cacheLine {
-		t.Errorf("nsView's Scope starts at %d B, want after the %d B leading pad", off, cacheLine)
+	// NoSync runs its updates on the same line-aligned worker contexts.
+	for _, p := range []int{1, 3, 8} {
+		e := newEngine(t, g, nosyncOptions(p))
+		e.Frontier().ScheduleAll()
+		var stray atomic.Int64
+		if _, err := e.Run(func(vw VertexView) {
+			if c, ok := vw.(*Ctx); !ok || c != &e.workers[c.worker] {
+				stray.Add(1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n := stray.Load(); n > 0 {
+			t.Errorf("NoSync P=%d: %d updates ran on a view other than the engine's worker contexts", p, n)
+		}
+		if addr := uintptr(unsafe.Pointer(&e.workers[0])); len(e.workers) != p || addr%cacheLine != 0 {
+			t.Errorf("NoSync P=%d: %d contexts, &workers[0] %d B past a cache line", p, len(e.workers), addr%cacheLine)
+		}
+		e.Close()
 	}
 
 	// updates is alone on its line whatever noSync's alignment iff at least

@@ -91,23 +91,27 @@ type nsWorker struct {
 	done atomic.Int64
 	// idle is 1 while the worker has no task and is probing/sweeping.
 	idle atomic.Uint32
-	// steals/idleTransitions are owner-private (read by Run after the
-	// pool barrier).
-	steals          int64
-	idleTransitions int64
-	_               [88]byte
+	// The rest is owner-private. steals/idleTransitions are read by Run
+	// after the pool barrier; nUpdates is the worker's telemetry window,
+	// drained by emitSample with its context's access counters.
+	steals, idleTransitions int64
+	nUpdates                int64
+	// emittedResid* snapshot the engine's residual totals, and
+	// emittedSteals/emittedIdle this worker's counters, at its last
+	// telemetry emit.
+	emittedResidSum            float64
+	emittedResidUpdates        int64
+	emittedSteals, emittedIdle int64
+	_                          [48]byte
 }
 
 // noSync is a NoSync engine's run state: the queues, the termination
-// counters, the per-worker views, and the telemetry the views feed.
+// counters and the telemetry. Updates run on the engine's worker contexts.
 type noSync struct {
 	e *Engine
 
-	// residual accumulates per-commit value movement and sharpens the
-	// Residual gauge when sharpResidual is set (Options.ResidualDelta was
-	// supplied). Created when an Observer is attached and nil — its
-	// hot-path hook one pointer test — when observation is off.
-	residual      *obs.ResidualEstimator
+	// sharpResidual is set when Options.ResidualDelta was supplied: the
+	// engine's residual estimator then sharpens the Residual gauge.
 	sharpResidual bool
 	samples       atomic.Int64 // telemetry sample sequence
 
@@ -135,8 +139,6 @@ type noSync struct {
 	live       []int
 	seedCursor atomic.Int64
 	quiet      atomic.Bool
-
-	views []nsView
 }
 
 func newNoSync(e *Engine) *noSync {
@@ -147,16 +149,14 @@ func newNoSync(e *Engine) *noSync {
 		deques:   make([]*sched.Deque, p),
 		workers:  make([]nsWorker, p),
 		stealBuf: make([][]int, p),
-		views:    make([]nsView, p),
 	}
 	if e.opts.Observer != nil {
-		x.residual = obs.NewResidualEstimator(p, e.opts.ResidualDelta)
+		e.residual = obs.NewResidualEstimator(p, e.opts.ResidualDelta)
 		x.sharpResidual = e.opts.ResidualDelta != nil
 	}
 	for w := range x.deques {
 		x.deques[w] = sched.NewDeque(0)
 		x.stealBuf[w] = make([]int, stealBatchCap)
-		x.views[w] = nsView{e: e, x: x, worker: w, plain: e.clock == nil}
 	}
 	return x
 }
@@ -176,10 +176,10 @@ func (x *noSync) post(w, v int) {
 	}
 }
 
-// runNoSync drains the computation to quiescence with no barriers. Its
-// seeds are the scheduled set; a converged run leaves that set empty, a
-// stopped one leaves it as it was.
-func (e *Engine) runNoSync(update UpdateFunc) (Result, error) {
+// runNoSync drains the computation to quiescence with no barriers, running
+// e.curUpdate on the worker contexts. Its seeds are the scheduled set; a
+// converged run leaves that set empty, a stopped one leaves it as it was.
+func (e *Engine) runNoSync() (Result, error) {
 	x := e.ns
 	seeds := e.front.Members()
 	if len(seeds) == 0 {
@@ -192,14 +192,16 @@ func (e *Engine) runNoSync(update UpdateFunc) (Result, error) {
 	e.loop.Begin()
 	x.updates.Store(0)
 	e.clock.Reset()
-	x.residual.Reset()
+	e.residual.Reset()
 	x.state.Reset()
 	for w := range x.workers {
 		ww := &x.workers[w]
 		ww.enq.Store(0)
 		ww.done.Store(0)
 		ww.idle.Store(0)
-		ww.steals, ww.idleTransitions = 0, 0
+		// The telemetry snapshots restart with what they are deltas of.
+		ww.steals, ww.idleTransitions, ww.emittedSteals, ww.emittedIdle = 0, 0, 0, 0
+		ww.emittedResidSum, ww.emittedResidUpdates = 0, 0
 		// A stopped previous run may have abandoned tasks; start fresh.
 		x.deques[w] = sched.NewDeque(len(seeds)/len(x.workers) + 1)
 	}
@@ -228,7 +230,7 @@ func (e *Engine) runNoSync(update UpdateFunc) (Result, error) {
 	x.seedCursor.Store(0)
 
 	if len(x.live) > 0 {
-		e.loop.Pool().RunEach(func(w int) { x.drain(w, update) })
+		e.loop.Pool().RunEach(x.drain)
 	}
 
 	res := Result{Updates: x.updates.Load(), Converged: !e.loop.Stopped()}
@@ -242,13 +244,9 @@ func (e *Engine) runNoSync(update UpdateFunc) (Result, error) {
 	}
 	if o := e.opts.Observer; o != nil {
 		// Final aggregate: fold every worker's leftover window into one
-		// quiescence event. Workers are parked, so their views are safe to
-		// read and reset here.
-		agg := &x.views[0]
-		for i := 1; i < len(x.views); i++ {
-			agg.absorb(&x.views[i])
-		}
-		x.emitSample(o, agg, x.views, res.Duration.Nanoseconds())
+		// quiescence event. Workers are parked, so their counters are safe
+		// to read and reset here.
+		x.emitSample(o, 0, len(x.workers), res.Duration.Nanoseconds())
 	}
 	if res.Converged {
 		e.front.LoadCurrent(nil)
@@ -258,9 +256,8 @@ func (e *Engine) runNoSync(update UpdateFunc) (Result, error) {
 
 // drain is worker w's barrier-free work loop: pop own deque, steal when
 // dry, and run distributed termination sweeps while idle.
-func (x *noSync) drain(w int, update UpdateFunc) {
+func (x *noSync) drain(w int) {
 	self := &x.workers[w]
-	vw := &x.views[w]
 	r := rng.New(x.stealSeed ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
 	n := len(x.workers)
 	prevDone, prevEnq := make([]int64, n), make([]int64, n)
@@ -299,7 +296,7 @@ func (x *noSync) drain(w int, update UpdateFunc) {
 			}
 			havePrev = false
 			fails = 0
-			x.execute(w, vw, update, v)
+			x.execute(w, v)
 			// Liveness: a self-sustaining workload — a fixed-point kernel
 			// that never locally converges, e.g. PageRank{Epsilon: 0} —
 			// can keep every deque non-empty forever, so the dry-deque
@@ -447,7 +444,7 @@ func vecEqual(a, b []int64) bool {
 // re-queueing the vertex if a wakeup arrived mid-run. The done counter is
 // incremented only after the state transition AND any re-queue's enqueue
 // increment, preserving the sweeps' enq-before-done visibility order.
-func (x *noSync) execute(w int, vw *nsView, update UpdateFunc, v int) {
+func (x *noSync) execute(w, v int) {
 	self := &x.workers[w]
 	x.state.Begin(v)
 	switch {
@@ -458,10 +455,10 @@ func (x *noSync) execute(w int, vw *nsView, update UpdateFunc, v int) {
 		// One delay-clock epoch per executed update: staleness is then "how
 		// many updates ran between this value's publish and my read".
 		x.e.clock.Advance()
-		x.runOne(vw, update, uint32(v))
+		x.e.runOne(w, v)
 		if o := x.e.opts.Observer; o != nil {
-			if vw.nUpdates++; vw.nUpdates >= sampleWindow {
-				x.emitSample(o, vw, x.views[w:w+1], 0)
+			if self.nUpdates++; self.nUpdates >= sampleWindow {
+				x.emitSample(o, w, w+1, 0)
 			}
 		}
 	}
@@ -486,42 +483,26 @@ func (x *noSync) admit() bool {
 	return true
 }
 
-// runOne executes one update through vw, converting a panic into a
-// lifecycle stop instead of crashing the process.
-func (x *noSync) runOne(vw *nsView, update UpdateFunc, v uint32) {
-	defer func() {
-		if r := recover(); r != nil {
-			x.e.loop.RecordPanic(v, r)
-		}
-	}()
-	vw.Bind(x.e.g, v)
-	vw.uWrites = 0
-	update(vw)
-	if t := x.e.opts.Trace; t != nil {
-		t.Record(0, vw.worker, v, vw.uWrites, x.e.Vertices[v])
-	}
-}
-
-// emitSample emits one telemetry sample from view vw's accumulated window
-// plus the steal and idle-transition deltas of the workers owning views
-// (vw's own worker for a window sample, every worker for the quiescence
-// aggregate). The enqueued-but-unretired task count is the pending gauge;
-// over |V| it doubles as the convergence residual (it trends to zero at
-// quiescence), sharpened to the measured mean value movement per update
-// when a residual metric is armed. Only vw's owning worker (or the
-// post-drain flush) may call this.
-func (x *noSync) emitSample(o *obs.Observer, vw *nsView, views []nsView, durationNs int64) {
+// emitSample emits one telemetry sample from the windows of workers
+// lo..hi-1 — worker w alone for its window sample, every worker for the
+// quiescence aggregate — draining their update counts, their contexts'
+// edge-access counters and their steal and idle-transition deltas. The
+// enqueued-but-unretired task count is the pending gauge; over |V| it
+// doubles as the convergence residual (it trends to zero at quiescence),
+// sharpened to the measured mean value movement per update when a residual
+// metric is armed. Only worker lo (or the post-drain flush) may call this.
+func (x *noSync) emitSample(o *obs.Observer, lo, hi int, durationNs int64) {
 	var pending int64
 	for i := range x.workers {
 		pending += x.workers[i].enq.Load() - x.workers[i].done.Load()
 	}
 	pending = max(pending, 0)
 	resid := float64(pending) / float64(x.e.g.N())
-	if x.sharpResidual {
-		t := x.residual.Totals()
-		if dUp := t.Updates - vw.emittedResidUpdates; dUp > 0 {
-			resid = (t.Sum - vw.emittedResidSum) / float64(dUp)
-			vw.emittedResidSum, vw.emittedResidUpdates = t.Sum, t.Updates
+	if first := &x.workers[lo]; x.sharpResidual {
+		t := x.e.residual.Totals()
+		if dUp := t.Updates - first.emittedResidUpdates; dUp > 0 {
+			resid = (t.Sum - first.emittedResidSum) / float64(dUp)
+			first.emittedResidSum, first.emittedResidUpdates = t.Sum, t.Updates
 		}
 	}
 	var p50, p99, dmax int64
@@ -533,9 +514,6 @@ func (x *noSync) emitSample(o *obs.Observer, vw *nsView, views []nsView, duratio
 		Engine:        obs.EngineNoSync,
 		Iter:          x.samples.Add(1) - 1,
 		Scheduled:     pending,
-		Updates:       vw.nUpdates,
-		EdgeReads:     vw.nReads,
-		EdgeWrites:    vw.nWrites,
 		RWConflicts:   -1,
 		WWConflicts:   -1,
 		Residual:      resid,
@@ -544,132 +522,15 @@ func (x *noSync) emitSample(o *obs.Observer, vw *nsView, views []nsView, duratio
 		DelayP99:      p99,
 		DelayMax:      dmax,
 	}
-	vw.nUpdates, vw.nReads, vw.nWrites = 0, 0, 0
-	for i := range views {
-		v := &views[i]
-		self := &x.workers[v.worker]
-		ev.Steals += self.steals - v.emittedSteals
-		ev.IdleTransitions += self.idleTransitions - v.emittedIdle
-		v.emittedSteals, v.emittedIdle = self.steals, self.idleTransitions
+	for w := lo; w < hi; w++ {
+		self, c := &x.workers[w], &x.e.workers[w]
+		ev.Updates += self.nUpdates
+		ev.EdgeReads += c.sumReads
+		ev.EdgeWrites += c.sumWrites
+		ev.Steals += self.steals - self.emittedSteals
+		ev.IdleTransitions += self.idleTransitions - self.emittedIdle
+		self.nUpdates, c.sumReads, c.sumWrites = 0, 0, 0
+		self.emittedSteals, self.emittedIdle = self.steals, self.idleTransitions
 	}
 	o.Emit(ev)
-}
-
-// nsView is the NoSync VertexView: the bound vertex's topology (Scope), its
-// data words, the telemetry window, and edge loads and stores with their
-// delay-clock hooks. Writes schedule the opposite endpoint onto the
-// writing worker's own deque immediately.
-type nsView struct {
-	// Views live in one per-worker array and are written on every bind and
-	// every counted access; the leading pad keeps two workers' views off
-	// each other's cache lines whatever the view's size.
-	_ [64]byte
-
-	Scope
-	e      *Engine
-	x      *noSync
-	worker int
-
-	// nUpdates/nReads/nWrites accumulate this worker's telemetry window;
-	// worker-private, drained by emitSample.
-	nUpdates, nReads, nWrites int64
-	// emittedResid* snapshot the global residual totals, and
-	// emittedSteals/emittedIdle the worker's counters, at this view's last
-	// telemetry emit.
-	emittedResidSum            float64
-	emittedResidUpdates        int64
-	emittedSteals, emittedIdle int64
-	// uWrites counts edge writes of the currently bound update, for the
-	// execution-path trace.
-	uWrites int
-
-	// plain is set when the run has nothing to record per access (no
-	// delay clock): the bulk accessors then make one store call per update
-	// instead of taking the per-edge path.
-	plain bool
-}
-
-var _ VertexView = (*nsView)(nil)
-
-func (c *nsView) Vertex() uint64 { return c.e.Vertices[c.v] }
-
-func (c *nsView) SetVertex(w uint64) {
-	if r := c.x.residual; r != nil {
-		r.Observe(c.worker, c.e.Vertices[c.v], w)
-	}
-	c.e.Vertices[c.v] = w
-}
-
-func (c *nsView) InEdgeVal(k int) uint64  { return c.load(c.inIdx[k]) }
-func (c *nsView) OutEdgeVal(k int) uint64 { return c.load(c.outLo + uint32(k)) }
-func (c *nsView) Yield()                  {}
-
-func (c *nsView) load(e uint32) uint64 {
-	c.nReads++
-	if cl := c.e.clock; cl != nil {
-		cl.ObserveRead(c.worker, e)
-	}
-	return c.e.Edges.Load(e)
-}
-
-// store writes edge word e; the caller schedules the other endpoint.
-func (c *nsView) store(e uint32, w uint64) {
-	c.nWrites++
-	c.uWrites++
-	c.e.Edges.Store(e, w)
-	if cl := c.e.clock; cl != nil {
-		cl.Stamp(e)
-	}
-}
-
-func (c *nsView) SetInEdgeVal(k int, w uint64) {
-	c.store(c.inIdx[k], w)
-	c.x.post(c.worker, int(c.inSrc[k]))
-}
-
-func (c *nsView) SetOutEdgeVal(k int, w uint64) {
-	c.store(c.outLo+uint32(k), w)
-	c.x.post(c.worker, int(c.outDst[k]))
-}
-
-func (c *nsView) InEdgeVals() []uint64 {
-	if !c.plain {
-		return c.GatherIn(c)
-	}
-	c.nReads += int64(len(c.inIdx))
-	return c.LoadIn(c.e.Edges)
-}
-
-func (c *nsView) OutEdgeVals() []uint64 {
-	if !c.plain {
-		return c.GatherOut(c)
-	}
-	c.nReads += int64(len(c.outDst))
-	return c.LoadOut(c.e.Edges)
-}
-
-// SetOutEdgeVals is one FillRange over the out-edges on a plain run, then
-// a post per destination.
-func (c *nsView) SetOutEdgeVals(w uint64) {
-	if !c.plain {
-		ScatterOut(c, w)
-		return
-	}
-	n := len(c.outDst)
-	c.nWrites += int64(n)
-	c.uWrites += n
-	c.e.Edges.FillRange(c.outLo, c.outLo+uint32(n), w)
-	for _, d := range c.outDst {
-		c.x.post(c.worker, int(d))
-	}
-}
-
-func (c *nsView) ScheduleSelf() { c.x.post(c.worker, int(c.v)) }
-
-// absorb folds o's telemetry window into c's, for the final aggregate.
-func (c *nsView) absorb(o *nsView) {
-	c.nUpdates += o.nUpdates
-	c.nReads += o.nReads
-	c.nWrites += o.nWrites
-	o.nUpdates, o.nReads, o.nWrites = 0, 0, 0
 }

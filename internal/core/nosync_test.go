@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"ndgraph/internal/obs"
 	"ndgraph/internal/rng"
 	"ndgraph/internal/sched"
+	"ndgraph/internal/trace"
 )
 
 // testVerdict is a hand-built admission ticket for synthetic update
@@ -201,18 +204,18 @@ func TestNoSyncTerminationStorm(t *testing.T) {
 // star is seeded, so the seed cursor is exhausted after one claim and the
 // hub's single update posts every spoke onto the executing worker's deque
 // — the other seven workers can make progress only by stealing. It checks
-// that every spoke still executes exactly once.
-func runHubStar(t *testing.T, o *obs.Observer) Result {
+// that every spoke still executes exactly once, and runs the star `runs`
+// times on one engine, returning the runs' summed counts.
+func runHubStar(t *testing.T, o *obs.Observer, rec *trace.Recorder, runs int) Result {
 	t.Helper()
 	g, err := gen.Star(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := nosyncOptions(8)
-	opts.Observer = o
+	opts.Observer, opts.Trace = o, rec
 	e := newEngine(t, g, opts)
 	t.Cleanup(e.Close)
-	e.Frontier().ScheduleNow(0) // hub only: spokes arrive solely as dynamic posts
 	var spokeRan atomic.Bool
 	upd := func(vw VertexView) {
 		vw.SetVertex(vw.Vertex() + 1)
@@ -236,35 +239,54 @@ func runHubStar(t *testing.T, o *obs.Observer) Result {
 			runtime.Gosched()
 		}
 	}
-	res, err := e.Run(upd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	for v, w := range e.Vertices {
-		if w != 1 {
-			t.Fatalf("vertex %d executed %d times, want 1", v, w)
+	var sum Result
+	for range runs {
+		e.Reset()
+		spokeRan.Store(false)
+		e.Frontier().ScheduleNow(0) // hub only: spokes arrive solely as dynamic posts
+		res, err := e.Run(upd)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !res.Converged {
+			t.Fatal("did not converge")
+		}
+		for v, w := range e.Vertices {
+			if w != 1 {
+				t.Fatalf("vertex %d executed %d times, want 1", v, w)
+			}
+		}
+		sum.Updates += res.Updates
+		sum.Steals += res.Steals
+		sum.IdleTransitions += res.IdleTransitions
 	}
-	return res
+	return sum
 }
 
 // Pin that the steal counters actually move on the hub-seeded star.
 func TestNoSyncStealsObserved(t *testing.T) {
-	if res := runHubStar(t, nil); res.Steals == 0 {
+	if res := runHubStar(t, nil, nil, 1); res.Steals == 0 {
 		t.Fatal("8-thread hub-seeded star run recorded zero steals")
 	}
 }
 
-// The Observer's nosync counters telescope to the Result's: every worker's
-// steals and idle transitions reach it, through its own sample windows or
-// through the quiescence aggregate.
+// The Observer's nosync counters telescope to the Result's and the
+// trace's: every worker's updates, steals and idle transitions reach it,
+// and its edge writes are the per-update write counts the trace records,
+// through each worker's own sample windows or the quiescence aggregate —
+// also when the engine runs again.
 func TestNoSyncObserverCountsMatchResult(t *testing.T) {
 	o := obs.New(obs.Options{})
 	defer o.Close()
-	res := runHubStar(t, o)
+	rec := trace.NewRecorder(1 << 14)
+	res := runHubStar(t, o, rec, 2)
+	var writes int64
+	for _, ev := range rec.Events() {
+		writes += int64(ev.Writes)
+	}
+	if rec.EventsTruncated() || writes == 0 {
+		t.Fatalf("trace kept %d of %d events with %d writes", len(rec.Events()), rec.Total(), writes)
+	}
 	for _, s := range o.Stats() {
 		if s.Engine != obs.EngineNoSync.String() {
 			continue
@@ -272,6 +294,10 @@ func TestNoSyncObserverCountsMatchResult(t *testing.T) {
 		if s.Steals != res.Steals || s.IdleTransitions != res.IdleTransitions {
 			t.Fatalf("observer saw %d steals / %d idle transitions, Result has %d / %d",
 				s.Steals, s.IdleTransitions, res.Steals, res.IdleTransitions)
+		}
+		if s.Updates != res.Updates || s.EdgeWrites != writes {
+			t.Fatalf("observer saw %d updates / %d edge writes, Result has %d updates, the trace %d writes",
+				s.Updates, s.EdgeWrites, res.Updates, writes)
 		}
 		return
 	}
@@ -303,6 +329,60 @@ func TestNoSyncReRunAfterStop(t *testing.T) {
 	for u := range e.Vertices {
 		if e.Vertices[u] != 0 {
 			t.Fatalf("vertex %d = %d, want 0", u, e.Vertices[u])
+		}
+	}
+}
+
+// Every scheduling site of Ctx wakes through one seam. Under NoSync the
+// woken vertex lands on the writing worker's own deque and the frontier
+// stays empty; under a barrier scheduler it lands in the next iteration's
+// scheduled set. Each site is driven on the plain and the per-edge path.
+func TestNoSyncWakeupSeam(t *testing.T) {
+	g := chainGraph(t, 3) // 0 → 1 → 2; the context is bound to 1
+	sites := []struct {
+		name string
+		call func(c *Ctx)
+		want int
+	}{
+		{"SetInEdgeVal", func(c *Ctx) { c.SetInEdgeVal(0, 7) }, 0},
+		{"SetOutEdgeVal", func(c *Ctx) { c.SetOutEdgeVal(0, 7) }, 2},
+		{"SetOutEdgeVals", func(c *Ctx) { c.SetOutEdgeVals(7) }, 2},
+		{"ScheduleSelf", func(c *Ctx) { c.ScheduleSelf() }, 1},
+	}
+	for _, site := range sites {
+		for _, nosync := range []bool{false, true} {
+			for _, plain := range []bool{true, false} {
+				opts := Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}
+				if nosync {
+					opts = nosyncOptions(2)
+				}
+				t.Run(fmt.Sprintf("%s/%v/plain=%v", site.name, opts.Scheduler, plain), func(t *testing.T) {
+					e := newEngine(t, g, opts)
+					defer e.Close()
+					e.ensureWorkers()
+					c := &e.workers[1]
+					c.plain = plain
+					c.bind(1)
+					site.call(c)
+					var deques [2][]int
+					if nosync {
+						for w, d := range e.ns.deques {
+							for v, ok := d.Steal(); ok; v, ok = d.Steal() {
+								deques[w] = append(deques[w], v)
+							}
+						}
+					}
+					e.front.Advance()
+					front := e.front.Members()
+					want := []int{site.want}
+					if nosync && (!slices.Equal(deques[1], want) || len(deques[0]) != 0 || len(front) != 0) {
+						t.Errorf("deques %v, frontier %v; want %v on worker 1's deque only", deques, front, want)
+					}
+					if !nosync && !slices.Equal(front, want) {
+						t.Errorf("frontier %v, want %v", front, want)
+					}
+				})
+			}
 		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 // Scope is the topology half of a vertex view: the vertex an update is
 // bound to, its in- and out-neighbours, the canonical indices of its
 // incident edges, and the two word buffers behind InEdgeVals and
-// OutEdgeVals. Every VertexView in the repository embeds one per worker and
-// adds only what differs between executors — where vertex and edge words
-// live and what a write schedules. The buffers grow to the largest degree
+// OutEdgeVals. Both VertexViews in the repository — Ctx, per worker under
+// every scheduler, and replayView — embed one and add only what differs
+// between them: where vertex and edge words live and what a write
+// schedules. The buffers grow to the largest degree
 // the worker has met and are reused from then on, so a steady-state update
 // allocates nothing.
 type Scope struct {
@@ -80,10 +81,10 @@ func (s *Scope) LoadOut(st edgedata.Store) []uint64 {
 
 // The per-edge fallback: the bulk accessors expressed through a view's own
 // per-edge methods, one call per word. It is the whole implementation for
-// views without a specialised bulk path (replay) and
-// the instrumented path of Ctx (under a census, delay clock, commit log,
-// fault injector, …), which is what keeps every per-access side effect
-// word-for-word identical between the bulk and the per-edge API.
+// the view without a specialised bulk path (replay) and the instrumented
+// path of Ctx (under a census, delay clock, commit log, fault injector,
+// …), which is what keeps every per-access side effect word-for-word
+// identical between the bulk and the per-edge API.
 
 // GatherIn serves v.InEdgeVals with InDegree InEdgeVal calls.
 func (s *Scope) GatherIn(v VertexView) []uint64 {

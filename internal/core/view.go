@@ -3,11 +3,11 @@ package core
 // VertexView is the update function's window onto its vertex: the
 // pull-mode scope of the paper's Algorithm 1 (the vertex's own data plus
 // its incident edges), together with the task-generation side effects of
-// edge writes. The barrier-based engine (Ctx), the barrier-free executor's
-// view (package async) and the trace replayer implement it, so one
-// algorithm implementation runs under every execution model.
-// The topology methods — V through OutEdgeID — come from the Scope each of
-// them embeds.
+// edge writes. The engine's worker context (Ctx), which every scheduler —
+// the barrier ones and NoSync — runs its updates on, and the trace
+// replayer (replayView) implement it, so one algorithm implementation runs
+// under every execution model. The topology methods — V through OutEdgeID
+// — come from the Scope each of them embeds.
 type VertexView interface {
 	// V returns the vertex this update runs on.
 	V() uint32

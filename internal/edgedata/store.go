@@ -326,11 +326,5 @@ func FromFloat64(f float64) uint64 { return math.Float64bits(f) }
 // ToFloat64 decodes a float64 payload.
 func ToFloat64(w uint64) float64 { return math.Float64frombits(w) }
 
-// FromUint32 encodes a uint32 payload (e.g. a WCC component label).
-func FromUint32(u uint32) uint64 { return uint64(u) }
-
-// ToUint32 decodes a uint32 payload.
-func ToUint32(w uint64) uint32 { return uint32(w) }
-
 // Inf is the encoded "infinite distance" sentinel used by SSSP and BFS.
 var Inf = FromFloat64(math.Inf(1))

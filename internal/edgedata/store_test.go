@@ -186,13 +186,6 @@ func TestFloat64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestUint32RoundTrip(t *testing.T) {
-	f := func(x uint32) bool { return ToUint32(FromUint32(x)) == x }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkStoreLoad(b *testing.B) {
 	for _, m := range allModes() {
 		b.Run(m.String(), func(b *testing.B) {

@@ -71,21 +71,6 @@ func (b *Bitset) SetAtomic(i int) bool {
 	}
 }
 
-// ClearAtomic removes i atomically. It reports whether the bit was set.
-func (b *Bitset) ClearAtomic(i int) bool {
-	addr := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask == 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old&^mask) {
-			return true
-		}
-	}
-}
-
 // TestAtomic reports membership using an atomic load.
 func (b *Bitset) TestAtomic(i int) bool {
 	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<uint(i%wordBits)) != 0
@@ -160,27 +145,6 @@ func (b *Bitset) Intersect(src *Bitset) {
 	for i, w := range src.words {
 		b.words[i] &= w
 	}
-}
-
-// NextSet returns the smallest member >= i, or (0, false) if none exists.
-func (b *Bitset) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return 0, false
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w), true
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(b.words[wi]), true
-		}
-	}
-	return 0, false
 }
 
 // ForEach calls fn for each member in ascending order.

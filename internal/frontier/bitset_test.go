@@ -59,12 +59,6 @@ func TestSetAtomicReportsNewness(t *testing.T) {
 	if b.SetAtomic(3) {
 		t.Fatal("second SetAtomic(3) returned true")
 	}
-	if !b.ClearAtomic(3) {
-		t.Fatal("ClearAtomic(3) on set bit returned false")
-	}
-	if b.ClearAtomic(3) {
-		t.Fatal("ClearAtomic(3) on clear bit returned true")
-	}
 }
 
 func TestSetAtomicConcurrentExactlyOnce(t *testing.T) {
@@ -94,35 +88,6 @@ func TestSetAtomicConcurrentExactlyOnce(t *testing.T) {
 	}
 	if b.Count() != n {
 		t.Fatalf("Count = %d, want %d", b.Count(), n)
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	b := NewBitset(200)
-	for _, i := range []int{5, 64, 130, 199} {
-		b.Set(i)
-	}
-	cases := []struct {
-		from int
-		want int
-		ok   bool
-	}{
-		{0, 5, true}, {5, 5, true}, {6, 64, true}, {64, 64, true},
-		{65, 130, true}, {131, 199, true}, {199, 199, true},
-		{-7, 5, true},
-	}
-	for _, c := range cases {
-		got, ok := b.NextSet(c.from)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("NextSet(%d) = (%d,%v), want (%d,%v)", c.from, got, ok, c.want, c.ok)
-		}
-	}
-	if _, ok := b.NextSet(200); ok {
-		t.Error("NextSet past capacity returned ok")
-	}
-	b.Clear(199)
-	if _, ok := b.NextSet(131); ok {
-		t.Error("NextSet(131) found a member after clearing 199")
 	}
 }
 

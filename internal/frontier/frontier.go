@@ -47,7 +47,7 @@ func NewFrontier(n int) *Frontier {
 }
 
 // AttachOutDegrees supplies the per-vertex out-degree table used for
-// scheduled-out-degree accounting (CurrentOutDegree, NextOutDegree). deg[v]
+// scheduled-out-degree accounting (CurrentOutDegree). deg[v]
 // must be vertex v's out-degree; len(deg) must cover the universe. The
 // current set's sum is recomputed on attach. Not safe concurrently with
 // iteration; nil detaches.
@@ -118,10 +118,6 @@ func (f *Frontier) ScheduleEach(vs []uint32) {
 // Scheduled reports whether v is in the current set.
 func (f *Frontier) Scheduled(v int) bool { return f.cur.Test(v) }
 
-// PendingNext reports whether v has already been posted for the next
-// iteration.
-func (f *Frontier) PendingNext(v int) bool { return f.next.TestAtomic(v) }
-
 // Members returns the current set in ascending label order. The returned
 // slice is owned by the Frontier and is invalidated by Advance.
 func (f *Frontier) Members() []int {
@@ -132,19 +128,9 @@ func (f *Frontier) Members() []int {
 // Size returns the cardinality of the current set in O(1).
 func (f *Frontier) Size() int { return f.curCount }
 
-// NextSize returns the cardinality of the set accumulated for the next
-// iteration so far, by popcount. Only meaningful at a barrier (when no
-// Schedule calls are in flight).
-func (f *Frontier) NextSize() int { return f.next.Count() }
-
 // CurrentOutDegree returns the summed out-degree of the current set, or 0
 // when no out-degree table is attached. O(1).
 func (f *Frontier) CurrentOutDegree() int64 { return f.curDeg }
-
-// NextOutDegree returns the summed out-degree of the set accumulated for
-// the next iteration, or 0 when no out-degree table is attached. Only
-// meaningful at a barrier.
-func (f *Frontier) NextOutDegree() int64 { return f.sumDeg(f.next) }
 
 // LoadCurrent replaces the current set with exactly the given members and
 // clears the next set — the checkpoint-restore entry point. Not safe

@@ -46,8 +46,8 @@ func TestAdvanceSwapsBuffers(t *testing.T) {
 	f.ScheduleAll()
 	f.Schedule(3)
 	f.Schedule(7)
-	if !f.PendingNext(3) || f.PendingNext(4) {
-		t.Fatal("PendingNext wrong before advance")
+	if !f.next.TestAtomic(3) || f.next.TestAtomic(4) {
+		t.Fatal("next set wrong before advance")
 	}
 	n := f.Advance()
 	if n != 2 {
@@ -57,7 +57,7 @@ func TestAdvanceSwapsBuffers(t *testing.T) {
 	if len(m) != 2 || m[0] != 3 || m[1] != 7 {
 		t.Fatalf("Members after advance = %v", m)
 	}
-	if f.NextSize() != 0 {
+	if f.next.Count() != 0 {
 		t.Fatal("next buffer not cleared after advance")
 	}
 	// Converged: nothing scheduled.
@@ -74,8 +74,8 @@ func TestScheduleIdempotent(t *testing.T) {
 	if f.Schedule(5) {
 		t.Fatal("duplicate Schedule(5) returned true")
 	}
-	if f.NextSize() != 1 {
-		t.Fatalf("NextSize = %d, want 1", f.NextSize())
+	if f.next.Count() != 1 {
+		t.Fatalf("next size = %d, want 1", f.next.Count())
 	}
 }
 
@@ -221,16 +221,16 @@ func TestNextSizeCounterMatchesPopcountUnderStorm(t *testing.T) {
 		var wantDeg int64
 		popcount := 0
 		for v := 0; v < n; v++ {
-			if f.PendingNext(v) {
+			if f.next.TestAtomic(v) {
 				popcount++
 				wantDeg += int64(deg[v])
 			}
 		}
-		if got := f.NextSize(); got != popcount {
-			t.Fatalf("round %d: NextSize = %d, popcount = %d", round, got, popcount)
+		if got := f.next.Count(); got != popcount {
+			t.Fatalf("round %d: next size = %d, popcount = %d", round, got, popcount)
 		}
-		if got := f.NextOutDegree(); got != wantDeg {
-			t.Fatalf("round %d: NextOutDegree = %d, want %d", round, got, wantDeg)
+		if got := f.sumDeg(f.next); got != wantDeg {
+			t.Fatalf("round %d: next out-degree = %d, want %d", round, got, wantDeg)
 		}
 		if got := f.Advance(); got != popcount {
 			t.Fatalf("round %d: Advance = %d, popcount = %d", round, got, popcount)
@@ -239,7 +239,7 @@ func TestNextSizeCounterMatchesPopcountUnderStorm(t *testing.T) {
 			t.Fatalf("round %d: current accounting (%d, %d) != (%d, %d)",
 				round, f.Size(), f.CurrentOutDegree(), popcount, wantDeg)
 		}
-		if f.NextSize() != 0 || f.NextOutDegree() != 0 {
+		if f.next.Count() != 0 || f.sumDeg(f.next) != 0 {
 			t.Fatal("next accounting not reset by Advance")
 		}
 	}
@@ -275,8 +275,8 @@ func TestSeedingMaintainsDegreeAccounting(t *testing.T) {
 	g.ScheduleNowAll([]int{1, 2})
 	g.Schedule(4)
 	g.AttachOutDegrees(deg)
-	if g.CurrentOutDegree() != 3 || g.NextOutDegree() != 4 {
-		t.Fatalf("attach reconciliation: cur %d next %d, want 3, 4", g.CurrentOutDegree(), g.NextOutDegree())
+	if g.CurrentOutDegree() != 3 || g.sumDeg(g.next) != 4 {
+		t.Fatalf("attach reconciliation: cur %d next %d, want 3, 4", g.CurrentOutDegree(), g.sumDeg(g.next))
 	}
 }
 

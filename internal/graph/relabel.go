@@ -84,12 +84,3 @@ func DegreeInterleaveOrder(g *Graph, p int) []uint32 {
 	}
 	return perm
 }
-
-// InversePermutation returns q with q[perm[i]] = i.
-func InversePermutation(perm []uint32) []uint32 {
-	inv := make([]uint32, len(perm))
-	for i, p := range perm {
-		inv[p] = uint32(i)
-	}
-	return inv
-}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ndgraph/internal/rng"
 )
@@ -155,27 +154,6 @@ func TestDegreeInterleaveOrderEdgeCases(t *testing.T) {
 	g := randGraph(t, 7, 10, 20)
 	perm := DegreeInterleaveOrder(g, 0) // p < 1 clamps to 1
 	if _, err := Relabel(g, perm); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInversePermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 50
-		perm := make([]uint32, n)
-		for i, p := range r.Perm(n) {
-			perm[i] = uint32(p)
-		}
-		inv := InversePermutation(perm)
-		for i := range perm {
-			if inv[perm[i]] != uint32(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -81,12 +81,6 @@ func MeanPairwiseDifferenceDegree(orderings [][]uint32) float64 {
 	return Summarize(PairwiseDifferenceDegrees(orderings)).Mean
 }
 
-// MeanCrossDifferenceDegree is the paper's Table III statistic, the mean of
-// CrossDifferenceDegrees. It returns 0 when either group is empty.
-func MeanCrossDifferenceDegree(a, b [][]uint32) float64 {
-	return Summarize(CrossDifferenceDegrees(a, b)).Mean
-}
-
 // TopKAgreement reports the fraction of the top-k positions at which two
 // orderings hold the same vertex — used for the paper's observation that
 // "for the pages with higher rank (ranking number smaller than 100), the
@@ -223,68 +217,4 @@ func SpearmanFootrule(a, b []uint32) float64 {
 	// odd-length full reversal normalizes to exactly 1.0.
 	max := float64((n * n) / 2)
 	return float64(sum) / max
-}
-
-// KendallTauDistance counts discordant pairs between two orderings of the
-// same element set, normalized to [0, 1]; 0 means identical order. It runs
-// in O(n log n) via merge-sort inversion counting. Orderings must be
-// permutations of each other; extra elements of either are ignored.
-func KendallTauDistance(a, b []uint32) float64 {
-	pos := make(map[uint32]int, len(b))
-	for i, v := range b {
-		pos[v] = i
-	}
-	seq := make([]int, 0, len(a))
-	for _, v := range a {
-		if p, ok := pos[v]; ok {
-			seq = append(seq, p)
-		}
-	}
-	n := len(seq)
-	if n < 2 {
-		return 0
-	}
-	inv := countInversions(seq)
-	total := float64(n) * float64(n-1) / 2
-	return float64(inv) / total
-}
-
-func countInversions(a []int) int64 {
-	if len(a) < 2 {
-		return 0
-	}
-	buf := make([]int, len(a))
-	var rec func(lo, hi int) int64
-	rec = func(lo, hi int) int64 {
-		if hi-lo < 2 {
-			return 0
-		}
-		mid := (lo + hi) / 2
-		inv := rec(lo, mid) + rec(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if a[i] <= a[j] {
-				buf[k] = a[i]
-				i++
-			} else {
-				buf[k] = a[j]
-				inv += int64(mid - i)
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			buf[k] = a[i]
-			i++
-			k++
-		}
-		for j < hi {
-			buf[k] = a[j]
-			j++
-			k++
-		}
-		copy(a[lo:hi], buf[lo:hi])
-		return inv
-	}
-	return rec(0, len(a))
 }

@@ -114,11 +114,12 @@ func TestMeanPairwiseDifferenceDegree(t *testing.T) {
 func TestMeanCrossDifferenceDegree(t *testing.T) {
 	a := [][]uint32{{1, 2, 3}, {1, 2, 3}}
 	b := [][]uint32{{1, 3, 2}}
-	// Cross pairs: both give 1 → mean 1.
-	if got := MeanCrossDifferenceDegree(a, b); got != 1 {
+	// The paper's Table III statistic is the mean of the cross pairs: both
+	// give 1 → mean 1.
+	if got := Summarize(CrossDifferenceDegrees(a, b)).Mean; got != 1 {
 		t.Fatalf("cross mean = %v, want 1", got)
 	}
-	if MeanCrossDifferenceDegree(nil, b) != 0 {
+	if Summarize(CrossDifferenceDegrees(nil, b)).Mean != 0 {
 		t.Fatal("empty group should give 0")
 	}
 	if got := CrossDifferenceDegrees(a, [][]uint32{{1, 3, 2}, {1, 2, 3}}); !slices.Equal(got, []float64{1, 3, 1, 3}) {
@@ -187,43 +188,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
 		t.Fatalf("empty summary = %+v", z)
-	}
-}
-
-func TestKendallTauDistance(t *testing.T) {
-	a := []uint32{1, 2, 3, 4}
-	if KendallTauDistance(a, a) != 0 {
-		t.Fatal("identical orderings should have distance 0")
-	}
-	rev := []uint32{4, 3, 2, 1}
-	if got := KendallTauDistance(a, rev); got != 1 {
-		t.Fatalf("reversed = %v, want 1", got)
-	}
-	oneSwap := []uint32{1, 2, 4, 3}
-	want := 1.0 / 6.0 // one discordant pair of C(4,2)=6
-	if got := KendallTauDistance(a, oneSwap); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("one swap = %v, want %v", got, want)
-	}
-	if KendallTauDistance([]uint32{1}, []uint32{1}) != 0 {
-		t.Fatal("singleton should be 0")
-	}
-}
-
-func TestKendallTauRandomSymmetric(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 30
-		a := make([]uint32, n)
-		for i := range a {
-			a[i] = uint32(i)
-		}
-		b := append([]uint32(nil), a...)
-		r.Shuffle(n, func(i, j int) { b[i], b[j] = b[j], b[i] })
-		d1, d2 := KendallTauDistance(a, b), KendallTauDistance(b, a)
-		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,8 +10,6 @@
 // serializable, and stable across Go releases.
 package rng
 
-import "math"
-
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea, and Flood.
 // It is used both as a standalone generator for cheap hashing-style draws and
 // as the recommended seeder for Xoshiro256StarStar.
@@ -157,54 +155,4 @@ func (x *Xoshiro256StarStar) Shuffle(n int, swap func(i, j int)) {
 		j := x.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// NormFloat64 returns a normally distributed value (mean 0, stddev 1) using
-// the Marsaglia polar method.
-func (x *Xoshiro256StarStar) NormFloat64() float64 {
-	for {
-		u := 2*x.Float64() - 1
-		v := 2*x.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (x *Xoshiro256StarStar) ExpFloat64() float64 {
-	for {
-		f := x.Float64()
-		if f > 0 {
-			return -math.Log(f)
-		}
-	}
-}
-
-// Jump advances the generator 2^128 steps, equivalent to 2^128 calls to
-// Uint64. It can be used to generate 2^128 non-overlapping subsequences for
-// parallel workers that must draw from one logical stream.
-func (x *Xoshiro256StarStar) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Uint64()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}
-
-// Fork returns a new generator whose stream is statistically independent of
-// the receiver's: the child is seeded from the parent's next output mixed
-// through SplitMix64.
-func (x *Xoshiro256StarStar) Fork() *Xoshiro256StarStar {
-	return New(Mix64(x.Uint64()))
 }

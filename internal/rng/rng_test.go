@@ -177,79 +177,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	x := New(11)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := x.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want about 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want about 1", variance)
-	}
-}
-
-func TestExpFloat64Positive(t *testing.T) {
-	x := New(13)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := x.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64() = %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.05 {
-		t.Errorf("exponential mean = %v, want about 1", mean)
-	}
-}
-
-func TestJumpChangesStream(t *testing.T) {
-	a, b := New(21), New(21)
-	b.Jump()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("jumped generator matched original on %d/100 outputs", same)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	parent := New(33)
-	child := parent.Fork()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked generator matched parent on %d/100 outputs", same)
-	}
-}
-
-func TestForkDeterminism(t *testing.T) {
-	c1 := New(44).Fork()
-	c2 := New(44).Fork()
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatal("forks of identical parents diverged")
-		}
-	}
-}
-
 func BenchmarkXoshiroUint64(b *testing.B) {
 	x := New(1)
 	var sink uint64

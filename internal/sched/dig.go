@@ -75,28 +75,3 @@ func DIGRounds(g *graph.Graph, items []int) [][]int {
 	}
 	return rounds
 }
-
-// ValidateDIGRounds checks the invariants: every item appears exactly
-// once, and no round contains two adjacent vertices.
-func ValidateDIGRounds(g *graph.Graph, items []int, rounds [][]int) bool {
-	seen := make(map[int]bool, len(items))
-	for _, round := range rounds {
-		inRound := make(map[uint32]bool, len(round))
-		for _, vi := range round {
-			if seen[vi] {
-				return false
-			}
-			seen[vi] = true
-			inRound[uint32(vi)] = true
-		}
-		for _, vi := range round {
-			v := uint32(vi)
-			for _, u := range g.OutNeighbors(v) {
-				if u != v && inRound[u] {
-					return false
-				}
-			}
-		}
-	}
-	return len(seen) == len(items)
-}

@@ -264,7 +264,7 @@ func TestDIGRoundsValid(t *testing.T) {
 		items[i] = i
 	}
 	rounds := DIGRounds(g, items)
-	if !ValidateDIGRounds(g, items, rounds) {
+	if !validDIGRounds(g, items, rounds) {
 		t.Fatal("DIG rounds invalid")
 	}
 	if len(rounds) < 2 {
@@ -314,7 +314,7 @@ func TestDIGRoundsSubsetScheduling(t *testing.T) {
 	if len(rounds) != 8 {
 		t.Fatalf("complete graph rounds = %d, want 8", len(rounds))
 	}
-	if !ValidateDIGRounds(g, all, rounds) {
+	if !validDIGRounds(g, all, rounds) {
 		t.Fatal("invalid")
 	}
 }
@@ -336,15 +336,40 @@ func TestValidateDIGRoundsRejects(t *testing.T) {
 	}
 	items := []int{0, 1, 2}
 	// Adjacent vertices 0,1 in one round: invalid.
-	if ValidateDIGRounds(g, items, [][]int{{0, 1}, {2}}) {
+	if validDIGRounds(g, items, [][]int{{0, 1}, {2}}) {
 		t.Fatal("adjacent round accepted")
 	}
 	// Missing item.
-	if ValidateDIGRounds(g, items, [][]int{{0}, {2}}) {
+	if validDIGRounds(g, items, [][]int{{0}, {2}}) {
 		t.Fatal("missing item accepted")
 	}
 	// Duplicate item.
-	if ValidateDIGRounds(g, items, [][]int{{0}, {0}, {1}, {2}}) {
+	if validDIGRounds(g, items, [][]int{{0}, {0}, {1}, {2}}) {
 		t.Fatal("duplicate accepted")
 	}
+}
+
+// validDIGRounds checks the invariants: every item appears exactly
+// once, and no round contains two adjacent vertices.
+func validDIGRounds(g *graph.Graph, items []int, rounds [][]int) bool {
+	seen := make(map[int]bool, len(items))
+	for _, round := range rounds {
+		inRound := make(map[uint32]bool, len(round))
+		for _, vi := range round {
+			if seen[vi] {
+				return false
+			}
+			seen[vi] = true
+			inRound[uint32(vi)] = true
+		}
+		for _, vi := range round {
+			v := uint32(vi)
+			for _, u := range g.OutNeighbors(v) {
+				if u != v && inRound[u] {
+					return false
+				}
+			}
+		}
+	}
+	return len(seen) == len(items)
 }

@@ -77,7 +77,7 @@ func (st *ShardStorage) FillValues(w uint64) error {
 	return nil
 }
 
-// NoSyncExecutor, NoSyncOptions, NoSyncResult and NewNoSyncExecutor are
+// NoSyncExecutor, NoSyncOptions and NewNoSyncExecutor are
 // kept only for the benchmark's `nosync` row (bench/tier_nosync.go), which
 // sets an algorithm up on a seed Engine and copies that state in with
 // LoadFrom before every solve. The barrier-free executor they named is the
@@ -92,10 +92,6 @@ type NoSyncOptions struct {
 	Certificate *Certificate
 	Observer    *Observer
 }
-
-// NoSyncResult is the core engine's Result, which carries Steals and
-// IdleTransitions.
-type NoSyncResult = core.Result
 
 // NewNoSyncExecutor builds a NoSync core Engine admitted by o.Certificate.
 func NewNoSyncExecutor(g *Graph, o NoSyncOptions) (*NoSyncExecutor, error) {

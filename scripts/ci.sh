@@ -20,10 +20,13 @@ echo "== go vet (386, arm64: per-worker layouts, cut arithmetic) =="
 # assert with Sizeof/Offsetof: both must stay well-formed where words are
 # 4 bytes and on the other 64-bit port. sched.Cuts multiplies |S| by deg(S),
 # which overflows a 32-bit int, so its tests also run where int is 32 bits.
+# Ctx also carries every scheduler's access counters, NoSync's included, so
+# its layout and zero-allocation tests run there too.
 for arch in 386 arm64; do
     GOARCH=$arch go vet ./internal/core/ ./internal/frontier/ ./internal/hybrid/ ./internal/sched/
 done
 GOARCH=386 go test -count=1 -run Cuts ./internal/sched/
+GOARCH=386 go test -count=1 -run 'PerWorkerLayout|DoesNotAllocate' ./internal/core/
 
 echo "== ndlint (go vet -vettool) =="
 # The eligibility linter must stay clean over the whole tree: findings are

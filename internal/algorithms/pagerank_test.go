@@ -62,7 +62,7 @@ func TestPageRankNondeterministicConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := pr.Ranks(det)
-	for _, mode := range edgedata.ConcurrentModes() {
+	for _, mode := range []edgedata.Mode{edgedata.ModeLocked, edgedata.ModeAligned, edgedata.ModeAtomic} {
 		if mode == edgedata.ModeAligned && raceEnabled {
 			continue
 		}

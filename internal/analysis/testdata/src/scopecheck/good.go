@@ -39,7 +39,8 @@ func notAnUpdate(ctx core.VertexView, shared []uint64) {
 	shared[ctx.V()] = ctx.Vertex()
 }
 
-// gatherScratch is the core.Scope.GatherIn shape: a helper that takes a view
+// gatherScratch is a per-edge gather into reused scratch, the shape of
+// core.Ctx.InEdgeVals on an instrumented run: a helper that takes a view
 // and RETURNS a value is not a core.UpdateFunc (which has no results), so
 // writing its own receiver is outside the scope rule.
 type gatherScratch struct {

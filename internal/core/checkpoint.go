@@ -14,9 +14,9 @@ import (
 var ckptFormat = fsafe.Format{Tag: "NDC2", Header: 4, Sections: 3}
 
 // saveCheckpoint writes the engine's state at an iteration boundary. Called
-// between iterations only (no workers running), so plain Snapshot reads are
-// safe. When a fault injector is installed, Snapshot bypasses it, so the
-// checkpoint records the true committed words.
+// between iterations only (no workers running), so a plain snapshot into the
+// engine's shadow is safe. When a fault injector is installed, the snapshot
+// bypasses it, so the checkpoint records the true committed words.
 func (e *Engine) saveCheckpoint(path string, iter int, updates int64) error {
 	members := e.front.Members()
 	front := make([]uint64, len(members))
@@ -24,7 +24,8 @@ func (e *Engine) saveCheckpoint(path string, iter int, updates int64) error {
 		front[i] = uint64(v)
 	}
 	hdr := []uint64{uint64(iter), uint64(updates), uint64(e.g.N()), uint64(e.g.M())}
-	return ckptFormat.Save(path, hdr, e.Vertices, e.Edges.Snapshot(), front)
+	e.shadow = e.Edges.SnapshotInto(e.shadow)
+	return ckptFormat.Save(path, hdr, e.Vertices, e.shadow, front)
 }
 
 // RestoreCheckpoint loads a checkpoint written during an earlier run on the

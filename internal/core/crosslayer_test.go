@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/obs"
 	"ndgraph/internal/sched"
 )
 
@@ -184,5 +186,31 @@ func TestCensusIgnoresSelfLoops(t *testing.T) {
 	}
 	if res.RWConflicts != 0 || res.WWConflicts != 0 {
 		t.Fatalf("self-loop recorded conflicts: %+v", res)
+	}
+}
+
+// The potential census's shadow contexts are invisible to telemetry: a
+// deterministic run with PotentialCensus reports, iteration by iteration,
+// the edge reads and writes of the same run without it.
+func TestPotentialCensusLeavesAccessCountsAlone(t *testing.T) {
+	g, err := gen.RMAT(200, 1200, gen.DefaultRMAT, 133)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts [2][][2]int64
+	for i, census := range []bool{false, true} {
+		o := obs.New(obs.Options{})
+		e := newEngine(t, g, Options{Scheduler: sched.Deterministic, PotentialCensus: census, Observer: o})
+		initMinLabel(e)
+		if res, err := e.Run(minLabelUpdate); err != nil || !res.Converged {
+			t.Fatalf("census=%v: run failed: %v", census, err)
+		}
+		for _, ev := range o.Events() {
+			counts[i] = append(counts[i], [2]int64{ev.EdgeReads, ev.EdgeWrites})
+		}
+		o.Close()
+	}
+	if len(counts[0]) < 2 || !slices.Equal(counts[0], counts[1]) {
+		t.Fatalf("per-iteration (reads, writes) without census %v, with it %v", counts[0], counts[1])
 	}
 }

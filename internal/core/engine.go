@@ -226,14 +226,12 @@ type Engine struct {
 	ns       *noSync
 	residual *obs.ResidualEstimator
 
-	// bspShadow, when non-nil (Synchronous scheduler), holds the previous
-	// iteration's edge words; reads are served from it so that writes of
-	// the current iteration stay invisible until the barrier.
-	bspShadow []uint64
-
-	// probeShadow holds the pre-iteration edge words for PotentialCensus
-	// replay reads.
-	probeShadow []uint64
+	// shadow is the engine's one edge snapshot, refilled at each use:
+	// before every iteration of a Synchronous run (whose reads it serves, so
+	// that writes of the current iteration stay invisible until the
+	// barrier) or of a PotentialCensus run (whose shadow contexts read it),
+	// for a checkpoint and for the end-of-run state digest.
+	shadow []uint64
 
 	// traceCommits is set for the duration of a Run whose recorder has the
 	// commit log enabled; edge writes then go through commitStore, which
@@ -242,10 +240,6 @@ type Engine struct {
 	// traceLocks are the commit-order stripes (allocated on first traced
 	// run with commits enabled).
 	traceLocks []sync.Mutex
-	// traceShadow is the edge snapshot buffer reused for the end-of-run
-	// state digest.
-	traceShadow []uint64
-
 	// curIter is the iteration currently dispatching (for tracing).
 	curIter int
 
@@ -259,7 +253,7 @@ type Engine struct {
 	loop Loop
 
 	workers       []Ctx
-	shadowWorkers []Ctx // record-only replicas for PotentialCensus replay
+	shadowWorkers []Ctx // dry replicas for the PotentialCensus shadow runs
 	updates       atomic.Int64
 
 	// runFn and stepFn are runOne and step bound once, so the per-iteration
@@ -445,11 +439,8 @@ func (e *Engine) step(iter int, members []int) (obs.Event, error) {
 			return obs.Event{}, fmt.Errorf("core: checkpoint at iteration %d: %w", iter, err)
 		}
 	}
-	if e.opts.Scheduler == sched.Synchronous {
-		e.bspShadow = e.Edges.SnapshotInto(e.bspShadow)
-	}
-	if e.opts.PotentialCensus {
-		e.probeShadow = e.Edges.SnapshotInto(e.probeShadow)
+	if e.opts.Scheduler == sched.Synchronous || e.opts.PotentialCensus {
+		e.shadow = e.Edges.SnapshotInto(e.shadow)
 	}
 	e.curIter = iter
 	e.dispatch(members)
@@ -510,10 +501,10 @@ const maxSmallObject = 32 << 10
 // 512 B that holds pointers carries an 8-byte header in front of it, so
 // make([]Ctx, 3) starts 8 B past a line. The capacity makes the array a
 // large object, whose pages are its own; the spare slots are never used.
-func (e *Engine) newCtxs(n int, recordOnly bool) []Ctx {
+func (e *Engine) newCtxs(n int, dry bool) []Ctx {
 	cs := make([]Ctx, n, max(n, maxSmallObject/int(unsafe.Sizeof(Ctx{}))+1))
 	for i := range cs {
-		cs[i].eng, cs[i].worker, cs[i].recordOnly = e, i, recordOnly
+		cs[i].eng, cs[i].worker, cs[i].dry = e, i, dry
 	}
 	return cs
 }
@@ -584,10 +575,12 @@ func (e *Engine) runOne(worker, v int) {
 	if t := e.opts.Trace; t != nil {
 		// Reserve the capture slot before the update runs so its edge
 		// commits can name their owning update; complete it afterwards
-		// with the write count and the committed vertex value.
+		// with the write count — the growth of sumWrites, which nothing
+		// drains while an update runs — and the committed vertex value.
+		before := ctx.sumWrites
 		ctx.traceIdx = t.Begin(e.curIter, worker, uint32(v))
 		e.curUpdate(ctx)
-		t.Finish(ctx.traceIdx, ctx.writes, e.Vertices[v])
+		t.Finish(ctx.traceIdx, int(ctx.sumWrites-before), e.Vertices[v])
 		return
 	}
 	e.curUpdate(ctx)

@@ -38,6 +38,25 @@ func minLabelUpdate(ctx VertexView) {
 	}
 }
 
+// bulkMinLabelUpdate uses all three bulk accessors, holding both slices at
+// once, and schedules only through its edge writes.
+func bulkMinLabelUpdate(ctx VertexView) {
+	min := ctx.Vertex()
+	in, out := ctx.InEdgeVals(), ctx.OutEdgeVals()
+	for _, w := range in {
+		if w < min {
+			min = w
+		}
+	}
+	for _, w := range out {
+		if w < min {
+			min = w
+		}
+	}
+	ctx.SetVertex(min)
+	ctx.SetOutEdgeVals(min)
+}
+
 func initMinLabel(e *Engine) {
 	for i := range e.Vertices {
 		e.Vertices[i] = uint64(i)

@@ -122,25 +122,6 @@ func TestRunSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// bulkMinLabelUpdate uses all three bulk accessors, holding both slices at
-// once, and schedules only through its edge writes.
-func bulkMinLabelUpdate(ctx VertexView) {
-	min := ctx.Vertex()
-	in, out := ctx.InEdgeVals(), ctx.OutEdgeVals()
-	for _, w := range in {
-		if w < min {
-			min = w
-		}
-	}
-	for _, w := range out {
-		if w < min {
-			min = w
-		}
-	}
-	ctx.SetVertex(min)
-	ctx.SetOutEdgeVals(min)
-}
-
 // A steady-state NoSync update allocates nothing: the bulk slices are the
 // worker context's scratch, grown while the first pass over the vertices
 // meets the largest degree and reused from then on, and wakeups go onto a

@@ -36,8 +36,8 @@ func (e *Engine) commitStore(update int64, edge uint32, w uint64) {
 // stateDigest digests the engine's complete mutable state (vertex words,
 // then an edge-store snapshot) — the "byte-identical fixed point" check.
 func (e *Engine) stateDigest() uint64 {
-	e.traceShadow = e.Edges.SnapshotInto(e.traceShadow)
-	return trace.DigestWords(trace.DigestWords(trace.DigestSeed, e.Vertices), e.traceShadow)
+	e.shadow = e.Edges.SnapshotInto(e.shadow)
+	return trace.DigestWords(trace.DigestWords(trace.DigestSeed, e.Vertices), e.shadow)
 }
 
 // ErrReplayDiverged is returned by ReplayTrace when the replayed final
@@ -79,7 +79,11 @@ type ReplayReport struct {
 	DigestOK bool
 }
 
-// replayer holds per-replay state shared by all update re-executions.
+// replayer holds per-replay state shared by all update re-executions. The
+// updates run on a dry Ctx whose edge writes come here: reads see the
+// replayed state, vertex writes go to the context's scratch word, and edge
+// writes are matched against — and replaced by — the recorded commits.
+// Nothing is scheduled; the trace itself is the schedule.
 type replayer struct {
 	e *Engine
 	// lastSeq[edge] is the Seq of the latest commit applied to the edge;
@@ -88,6 +92,11 @@ type replayer struct {
 	// encounters commits in.
 	lastSeq []int64
 	rep     *ReplayReport
+
+	// commits are the running update's recorded commits, next the first
+	// not yet consumed.
+	commits []trace.Commit
+	next    int
 }
 
 func (r *replayer) apply(c trace.Commit) {
@@ -97,60 +106,23 @@ func (r *replayer) apply(c trace.Commit) {
 	}
 }
 
-// replayView is the VertexView handed to update functions during replay:
-// reads see the replayed state, vertex writes go to a scratch word, and
-// edge writes are matched against — and replaced by — the recorded
-// commits. Scheduling and yielding are no-ops; the trace itself is the
-// schedule.
-type replayView struct {
-	Scope
-	r *replayer
-
-	vertex  uint64
-	commits []trace.Commit
-	next    int
-}
-
-func (rv *replayView) bind(v uint32, commits []trace.Commit) {
-	rv.Bind(rv.r.e.g, v)
-	rv.vertex = rv.r.e.Vertices[v]
-	rv.commits = commits
-	rv.next = 0
-}
-
-func (rv *replayView) Vertex() uint64          { return rv.vertex }
-func (rv *replayView) SetVertex(w uint64)      { rv.vertex = w }
-func (rv *replayView) InEdgeVal(k int) uint64  { return rv.r.e.Edges.Load(rv.inIdx[k]) }
-func (rv *replayView) OutEdgeVal(k int) uint64 { return rv.r.e.Edges.Load(rv.outLo + uint32(k)) }
-func (rv *replayView) ScheduleSelf()           {}
-func (rv *replayView) Yield()                  {}
-
-func (rv *replayView) SetInEdgeVal(k int, w uint64)  { rv.commitNext(rv.inIdx[k], w) }
-func (rv *replayView) SetOutEdgeVal(k int, w uint64) { rv.commitNext(rv.outLo+uint32(k), w) }
-
-func (rv *replayView) InEdgeVals() []uint64    { return rv.GatherIn(rv) }
-func (rv *replayView) OutEdgeVals() []uint64   { return rv.GatherOut(rv) }
-func (rv *replayView) SetOutEdgeVals(w uint64) { ScatterOut(rv, w) }
-
-// commitNext consumes the update's next recorded commit in place of the
-// attempted write.
-func (rv *replayView) commitNext(edge uint32, w uint64) {
-	rep := rv.r.rep
-	if rv.next >= len(rv.commits) {
+// commitNext consumes the running update's next recorded commit in place
+// of its attempted write of w to edge.
+func (r *replayer) commitNext(edge uint32, w uint64) {
+	rep := r.rep
+	if r.next >= len(r.commits) {
 		rep.ExtraWrites++
 		return
 	}
-	c := rv.commits[rv.next]
-	rv.next++
+	c := r.commits[r.next]
+	r.next++
 	if c.Edge == edge && c.Value == w {
 		rep.WriteMatches++
 	} else {
 		rep.WriteMismatches++
 	}
-	rv.r.apply(c)
+	r.apply(c)
 }
-
-var _ VertexView = (*replayView)(nil)
 
 // ReplayTrace re-executes the recorded run on this engine and asserts the
 // byte-identical fixed point. The engine must hold the same initial state
@@ -206,23 +178,23 @@ func (e *Engine) ReplayTrace(t *trace.Trace, update UpdateFunc) (ReplayReport, e
 	for i := range r.lastSeq {
 		r.lastSeq[i] = -1
 	}
-	rv := &replayView{r: r}
+	ctx := &Ctx{ctxState: ctxState{eng: e, dry: true, replay: r}}
 	rep.Updates = int64(len(t.Events))
 	rep.Commits = int64(len(t.Commits))
 
 	for i := range t.Events {
 		ev := &t.Events[i]
-		rv.bind(ev.Vertex, byUpdate[i])
-		update(rv)
+		r.commits, r.next = byUpdate[i], 0
+		ctx.bind(ev.Vertex)
+		update(ctx)
 		// Recorded commits the re-execution did not reproduce are applied
 		// anyway: the recorded run performed them, so the replayed state
 		// must contain them.
-		for rv.next < len(rv.commits) {
+		for ; r.next < len(r.commits); r.next++ {
 			rep.MissingWrites++
-			r.apply(rv.commits[rv.next])
-			rv.next++
+			r.apply(r.commits[r.next])
 		}
-		if rv.vertex == ev.Value {
+		if ctx.scratchVertex == ev.Value {
 			rep.ValueMatches++
 		} else {
 			rep.ValueMismatches++

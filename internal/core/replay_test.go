@@ -178,3 +178,45 @@ func TestReplayDetectsTamperedTrace(t *testing.T) {
 		t.Fatalf("tampered trace replayed with err = %v, want ErrReplayDiverged", err)
 	}
 }
+
+// Replay runs on a dry context that reads the live store, whatever the
+// replaying engine's scheduler or history: a commit-logged Synchronous
+// trace replays to the same report and the same bytes on a fresh
+// deterministic engine, on a Synchronous engine whose edge snapshot is left
+// over from an earlier run, and on a PotentialCensus engine, whose census
+// the replay must not feed.
+func TestReplayIndependentOfReplayingEngine(t *testing.T) {
+	g, err := gen.RMAT(300, 2400, gen.DefaultRMAT, 177)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, wantV, wantE := recordRun(t, g, Options{
+		Scheduler: sched.Synchronous, Threads: 4, Mode: edgedata.ModeAtomic,
+	})
+	want, _, _ := replayOnto(t, g, tr)
+	for _, opts := range []Options{
+		{Scheduler: sched.Synchronous, Threads: 4, Mode: edgedata.ModeAtomic},
+		{Scheduler: sched.Deterministic, PotentialCensus: true},
+	} {
+		e := newEngine(t, g, opts)
+		initMinLabel(e)
+		if _, err := e.Run(minLabelUpdate); err != nil {
+			t.Fatal(err)
+		}
+		initMinLabel(e)
+		rep, err := e.ReplayTrace(tr, minLabelUpdate)
+		if err != nil {
+			t.Fatalf("%v: replay failed: %v", opts.Scheduler, err)
+		}
+		if rep != want {
+			t.Fatalf("%v engine replayed %+v, a fresh deterministic engine %+v", opts.Scheduler, rep, want)
+		}
+		assertStateIdentical(t, wantV, e.Vertices, wantE, e.Edges.Snapshot())
+		if e.census != nil {
+			if rw, ww := e.census.Tally(); rw != 0 || ww != 0 {
+				t.Fatalf("replay fed the census: %d RW / %d WW conflict edges", rw, ww)
+			}
+		}
+		e.Close()
+	}
+}

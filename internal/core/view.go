@@ -3,11 +3,12 @@ package core
 // VertexView is the update function's window onto its vertex: the
 // pull-mode scope of the paper's Algorithm 1 (the vertex's own data plus
 // its incident edges), together with the task-generation side effects of
-// edge writes. The engine's worker context (Ctx), which every scheduler —
-// the barrier ones and NoSync — runs its updates on, and the trace
-// replayer (replayView) implement it, so one algorithm implementation runs
-// under every execution model. The topology methods — V through OutEdgeID
-// — come from the Scope each of them embeds.
+// edge writes. Its one implementation is the engine's context (Ctx): every
+// scheduler — the barrier ones and NoSync — runs its updates on the
+// per-worker contexts, the potential census on dry shadow copies of them,
+// and ReplayTrace on a dry context whose edge writes go to the replayer,
+// so one algorithm implementation runs under every execution model and
+// under replay.
 type VertexView interface {
 	// V returns the vertex this update runs on.
 	V() uint32

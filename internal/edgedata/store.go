@@ -76,10 +76,6 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("edgedata: unknown mode %q", s)
 }
 
-// ConcurrentModes lists the modes that are safe for nondeterministic
-// (multi-worker) execution, in the order the paper presents them.
-func ConcurrentModes() []Mode { return []Mode{ModeLocked, ModeAligned, ModeAtomic} }
-
 // Store is a flat array of one mutable 64-bit word per edge, indexed by the
 // canonical edge index of package graph. Load and Store are individually
 // atomic according to the Store's Mode; no larger granularity is

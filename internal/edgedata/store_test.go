@@ -11,6 +11,10 @@ func allModes() []Mode {
 	return []Mode{ModeSequential, ModeLocked, ModeAligned, ModeAtomic}
 }
 
+// concurrentModes lists the modes that are safe for nondeterministic
+// (multi-worker) execution, in the order the paper presents them.
+func concurrentModes() []Mode { return []Mode{ModeLocked, ModeAligned, ModeAtomic} }
+
 func TestModeStringParse(t *testing.T) {
 	for _, m := range allModes() {
 		got, err := ParseMode(m.String())
@@ -27,13 +31,13 @@ func TestModeStringParse(t *testing.T) {
 }
 
 func TestConcurrentModesExcludesSequential(t *testing.T) {
-	for _, m := range ConcurrentModes() {
+	for _, m := range concurrentModes() {
 		if m == ModeSequential {
-			t.Fatal("ConcurrentModes includes ModeSequential")
+			t.Fatal("concurrentModes includes ModeSequential")
 		}
 	}
-	if len(ConcurrentModes()) != 3 {
-		t.Fatalf("ConcurrentModes = %v, want the paper's three methods", ConcurrentModes())
+	if len(concurrentModes()) != 3 {
+		t.Fatalf("concurrentModes = %v, want the paper's three methods", concurrentModes())
 	}
 }
 
@@ -111,7 +115,7 @@ func TestNewPanics(t *testing.T) {
 // don't contend on the same slot).
 func TestConcurrentDisjointWriters(t *testing.T) {
 	const slots = 1024
-	for _, m := range ConcurrentModes() {
+	for _, m := range concurrentModes() {
 		s := New(m, slots)
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -144,7 +148,7 @@ func TestNoTornReads(t *testing.T) {
 		t.Skip("benign-race test skipped under -race (covered for atomic/locked modes elsewhere)")
 	}
 	const a, b = 0x1111111111111111, 0x2222222222222222
-	for _, m := range ConcurrentModes() {
+	for _, m := range concurrentModes() {
 		s := New(m, 1)
 		s.Store(0, a)
 		done := make(chan struct{})
@@ -318,7 +322,7 @@ func TestBulkOpsPerWordAtomicUnderContention(t *testing.T) {
 	for i := range idx {
 		idx[i] = uint32(slots - 1 - i)
 	}
-	for _, m := range ConcurrentModes() {
+	for _, m := range concurrentModes() {
 		if raceEnabled && m == ModeAligned {
 			continue
 		}

@@ -19,8 +19,8 @@ const wordBits = 64
 // Bitset is a fixed-capacity set of vertex IDs in [0, Len()).
 //
 // The plain mutators (Set, Clear, ...) are not safe for concurrent use;
-// SetAtomic and TestAtomic are safe to mix with each other and with
-// concurrent readers that tolerate racing observations.
+// SetAtomic is safe to mix with itself and with concurrent readers that
+// tolerate racing observations.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -69,11 +69,6 @@ func (b *Bitset) SetAtomic(i int) bool {
 			return true
 		}
 	}
-}
-
-// TestAtomic reports membership using an atomic load.
-func (b *Bitset) TestAtomic(i int) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<uint(i%wordBits)) != 0
 }
 
 // SetAll marks every element of the universe as a member.

@@ -46,7 +46,7 @@ func TestAdvanceSwapsBuffers(t *testing.T) {
 	f.ScheduleAll()
 	f.Schedule(3)
 	f.Schedule(7)
-	if !f.next.TestAtomic(3) || f.next.TestAtomic(4) {
+	if !f.next.Test(3) || f.next.Test(4) {
 		t.Fatal("next set wrong before advance")
 	}
 	n := f.Advance()
@@ -221,7 +221,7 @@ func TestNextSizeCounterMatchesPopcountUnderStorm(t *testing.T) {
 		var wantDeg int64
 		popcount := 0
 		for v := 0; v < n; v++ {
-			if f.next.TestAtomic(v) {
+			if f.next.Test(v) {
 				popcount++
 				wantDeg += int64(deg[v])
 			}

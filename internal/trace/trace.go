@@ -253,43 +253,6 @@ func (r *Recorder) Path() []uint32 {
 	return out
 }
 
-// Equal reports whether two recorders captured identical paths (same
-// vertices in the same order with the same iteration structure). Worker
-// assignment is ignored: the same logical path on different workers is
-// still the same path.
-func Equal(a, b *Recorder) bool {
-	ea, eb := a.Events(), b.Events()
-	if len(ea) != len(eb) || a.Truncated() != b.Truncated() {
-		return false
-	}
-	for i := range ea {
-		if ea[i].Vertex != eb[i].Vertex || ea[i].Iteration != eb[i].Iteration {
-			return false
-		}
-	}
-	return true
-}
-
-// Divergence returns the first capture index at which two paths differ,
-// or -1 if one is a prefix of the other (including full equality) — the
-// trace analog of the paper's difference degree.
-func Divergence(a, b *Recorder) int {
-	ea, eb := a.Events(), b.Events()
-	n := len(ea)
-	if len(eb) < n {
-		n = len(eb)
-	}
-	for i := 0; i < n; i++ {
-		if ea[i].Vertex != eb[i].Vertex {
-			return i
-		}
-	}
-	if len(ea) != len(eb) {
-		return n
-	}
-	return -1
-}
-
 // IterationSummary aggregates one iteration's events.
 type IterationSummary struct {
 	Iteration int

@@ -158,48 +158,6 @@ func TestPath(t *testing.T) {
 	}
 }
 
-func TestEqualAndDivergence(t *testing.T) {
-	a, b := NewRecorder(8), NewRecorder(8)
-	for _, v := range []uint32{1, 2, 3} {
-		a.Record(0, 0, v, 1, 0)
-		b.Record(0, 3, v, 1, 0) // different worker: still equal paths
-	}
-	if !Equal(a, b) {
-		t.Fatal("worker assignment should not affect Equal")
-	}
-	if Divergence(a, b) != -1 {
-		t.Fatal("equal paths should have divergence -1")
-	}
-	c := NewRecorder(8)
-	c.Record(0, 0, 1, 1, 0)
-	c.Record(0, 0, 9, 1, 0)
-	c.Record(0, 0, 3, 1, 0)
-	if Equal(a, c) {
-		t.Fatal("different paths reported equal")
-	}
-	if d := Divergence(a, c); d != 1 {
-		t.Fatalf("Divergence = %d, want 1", d)
-	}
-	// Prefix case.
-	short := NewRecorder(8)
-	short.Record(0, 0, 1, 1, 0)
-	if d := Divergence(a, short); d != 1 {
-		t.Fatalf("prefix divergence = %d, want 1 (length mismatch index)", d)
-	}
-	if Equal(a, short) {
-		t.Fatal("different lengths reported equal")
-	}
-}
-
-func TestEqualConsidersIterationStructure(t *testing.T) {
-	a, b := NewRecorder(4), NewRecorder(4)
-	a.Record(0, 0, 1, 0, 0)
-	b.Record(1, 0, 1, 0, 0)
-	if Equal(a, b) {
-		t.Fatal("different iteration structure reported equal")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	r := NewRecorder(16)
 	r.Record(0, 0, 1, 2, 0)

@@ -39,6 +39,15 @@ rm -f "$ndlint_bin"
 echo "== go build =="
 go build ./...
 
+echo "== no test code in the binaries =="
+# Test helpers belong in _test.go files: a non-test file that imports
+# "testing" links it into every command that reaches the package.
+if go list -deps ./cmd/... . | grep -qx testing; then
+    echo "package testing is linked into ./cmd/... or the facade:" >&2
+    go list -f '{{.ImportPath}}: {{join .Imports " "}}' -deps ./cmd/... . | grep -w testing >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 

@@ -17,10 +17,11 @@ import (
 //
 // The Set*EdgeVal methods implement the system model's task-generation
 // rule: writing an incident edge wakes the opposite endpoint. The three
-// scheduling sites (store, SetOutEdgeVals and ScheduleSelf) are where the
-// schedulers differ: a wakeup goes into the next iteration's scheduled set
-// under a barrier scheduler and onto the writing worker's own deque under
-// NoSync (Engine.ns non-nil).
+// scheduling sites (store, SetOutEdgeVals and ScheduleSelf) post every
+// wakeup into a structure of the writing worker's own: its deque under
+// NoSync (Engine.ns non-nil), its private next-set bitset in the frontier
+// (ScheduleOn) under a barrier scheduler, which Advance folds into S_{n+1}
+// at the barrier. No wakeup touches a word another worker writes.
 type Ctx struct {
 	ctxState
 	// The engine keeps one Ctx per worker in one cache-line-aligned array
@@ -238,7 +239,7 @@ func (c *Ctx) store(e, neighbor uint32, side edgedata.Side, w uint64) {
 		x.post(c.worker, int(neighbor))
 		return
 	}
-	c.eng.front.Schedule(int(neighbor))
+	c.eng.front.ScheduleOn(c.worker, int(neighbor))
 }
 
 // sized returns buf resized to n words, reallocating (with headroom, so
@@ -301,7 +302,7 @@ func (c *Ctx) SetOutEdgeVals(w uint64) {
 		}
 		return
 	}
-	c.eng.front.ScheduleEach(c.outDst)
+	c.eng.front.ScheduleEachOn(c.worker, c.outDst)
 }
 
 // ScheduleSelf re-posts the vertex itself, for algorithms whose local work
@@ -314,7 +315,7 @@ func (c *Ctx) ScheduleSelf() {
 		x.post(c.worker, int(c.v))
 		return
 	}
-	c.eng.front.Schedule(int(c.v))
+	c.eng.front.ScheduleOn(c.worker, int(c.v))
 }
 
 // Yield cooperatively yields the processor between an update's gather and

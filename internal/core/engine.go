@@ -300,7 +300,9 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: %v scheduler with %d threads requires a concurrent edge-data mode, not %v",
 			opts.Scheduler, opts.Threads, opts.Mode)
 	}
-	name, kind := "core", obs.EngineCore
+	// Barrier schedulers post wakeups into per-worker frontier sets; NoSync
+	// posts onto its deques and needs none.
+	name, kind, workerSets := "core", obs.EngineCore, opts.Threads
 	if opts.Scheduler == sched.NoSync {
 		if o := noSyncRefusal(opts); o != "" {
 			return nil, fmt.Errorf("core: the nosync scheduler has no iteration barrier and cannot honour %s", o)
@@ -308,14 +310,14 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		if err := opts.Verdict.NoSync(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		name, kind = "nosync", obs.EngineNoSync
+		name, kind, workerSets = "nosync", obs.EngineNoSync, 0
 	}
 	e := &Engine{
 		g:        g,
 		opts:     opts,
 		Edges:    edgedata.New(opts.Mode, g.M()),
 		Vertices: make([]uint64, g.N()),
-		front:    frontier.NewFrontier(g.N()),
+		front:    frontier.NewFrontierWorkers(g.N(), workerSets),
 		loop: Loop{
 			Lifecycle: Lifecycle{Name: name, Context: opts.Context, Observer: opts.Observer},
 			Kind:      kind, Threads: opts.Threads, N: g.N(),
@@ -363,7 +365,7 @@ func (e *Engine) Reset() {
 		e.Vertices[i] = 0
 	}
 	e.Edges.Fill(0)
-	e.front = frontier.NewFrontier(e.g.N())
+	e.front.LoadCurrent(nil)
 	if e.census != nil {
 		e.census.Reset()
 	}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"ndgraph/internal/edgedata"
@@ -332,6 +336,67 @@ func TestResetAllowsRerun(t *testing.T) {
 	}
 	if res1.Iterations != res2.Iterations || res1.Updates != res2.Updates {
 		t.Fatalf("deterministic reruns differ: %+v vs %+v", res1, res2)
+	}
+}
+
+// A nondeterministic run stopped mid-iteration leaves work behind: a
+// cancelled one a scheduled set, a panicked one wakeups still pending in
+// the workers' frontier sets. Reset must drop all of it, so that Setup and
+// Run then reach the same words as a fresh engine.
+func TestResetAfterStoppedRunMatchesFresh(t *testing.T) {
+	g, err := gen.RMAT(2000, 12000, gen.DefaultRMAT, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}
+	fresh := newEngine(t, g, opts)
+	defer fresh.Close()
+	initMinLabel(fresh)
+	if _, err := fresh.Run(minLabelUpdate); err != nil {
+		t.Fatal(err)
+	}
+	for _, dispatch := range []sched.Dispatch{sched.Static, sched.Dynamic} {
+		for _, stop := range []string{"cancel", "panic"} {
+			t.Run(fmt.Sprintf("%v/%s", dispatch, stop), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				o := opts
+				o.Dispatch, o.Context = dispatch, ctx
+				e := newEngine(t, g, o)
+				defer e.Close()
+				initMinLabel(e)
+				var n atomic.Int64
+				_, err := e.Run(func(c VertexView) {
+					minLabelUpdate(c)
+					if n.Add(1) == int64(g.N()/2) {
+						if stop == "panic" {
+							panic("stop")
+						}
+						cancel()
+					}
+				})
+				if err == nil {
+					t.Fatal("stopped run returned no error")
+				}
+				e.loop.Context = nil // the cancelled context would stop the rerun
+				e.Reset()
+				if e.Frontier().Size() != 0 || e.Frontier().Advance() != 0 {
+					t.Fatal("Reset left scheduled or pending vertices")
+				}
+				initMinLabel(e)
+				if res, err := e.Run(minLabelUpdate); err != nil || !res.Converged {
+					t.Fatalf("rerun: %v (converged=%v)", err, res.Converged)
+				}
+				if !slices.Equal(e.Vertices, fresh.Vertices) {
+					t.Fatal("vertex words differ from a fresh engine's")
+				}
+				for i := uint32(0); i < uint32(g.M()); i++ {
+					if got, want := e.Edges.Load(i), fresh.Edges.Load(i); got != want {
+						t.Fatalf("edge %d = %d, fresh engine %d", i, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -174,3 +174,28 @@ func TestNoSyncBulkUpdateSteadyStateDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// Reset clears a used engine in place: vertex and edge words, the census,
+// and the frontier with its member cache and per-worker sets, which it
+// keeps instead of reallocating.
+func TestResetDoesNotAllocate(t *testing.T) {
+	g, err := gen.RMAT(400, 2400, gen.DefaultRMAT, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic},
+		{Scheduler: sched.Deterministic, EnableCensus: true},
+		nosyncOptions(2),
+	} {
+		e := newEngine(t, g, opts)
+		initMinLabel(e)
+		if _, err := e.Run(minLabelUpdate); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(10, e.Reset); avg != 0 {
+			t.Errorf("%v: Reset allocates %.1f times, want 0", opts.Scheduler, avg)
+		}
+		e.Close()
+	}
+}

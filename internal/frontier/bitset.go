@@ -132,6 +132,20 @@ func (b *Bitset) Union(src *Bitset) {
 	}
 }
 
+// moveInto adds every member to dst and empties the receiver, writing
+// only the words that hold members. Capacities must match.
+func (b *Bitset) moveInto(dst *Bitset) {
+	if b.n != dst.n {
+		panic("frontier: moveInto size mismatch")
+	}
+	for i, w := range b.words {
+		if w != 0 {
+			dst.words[i] |= w
+			b.words[i] = 0
+		}
+	}
+}
+
 // Intersect removes members not in src. Capacities must match.
 func (b *Bitset) Intersect(src *Bitset) {
 	if b.n != src.n {

@@ -3,13 +3,18 @@ package frontier
 // Frontier is the double-buffered scheduled-vertex set used by the
 // coordinated-scheduling engine. During iteration n the engine reads the
 // *current* set S_n (fixed for the whole iteration) while update functions
-// concurrently post vertices into the *next* set S_{n+1} via Schedule. At
-// the barrier, Advance swaps the buffers.
+// concurrently post vertices into S_{n+1}. At the barrier, Advance makes
+// S_{n+1} current.
 //
-// Schedule is one atomic bit operation and nothing else, so any number of
-// worker goroutines may post concurrently without sharing any word but the
-// bitset's own; reading the current set requires no synchronization because
-// it is immutable between barriers.
+// S_{n+1} is only read after the barrier, so a worker's posts need not be
+// visible to any other worker before it: a frontier built with worker sets
+// (NewFrontierWorkers) gives worker w a private bitset, and ScheduleOn(w, v)
+// is a plain bit-set on it — no atomic, no cache line shared with another
+// worker. Advance folds every worker set into the shared next set.
+// Schedule, one atomic bit-set on the shared next set, remains for posters
+// that have no worker index (a fault injector's heal hook) and for the
+// hybrid engine; the two paths mix freely. Reading the current set
+// requires no synchronization because it is immutable between barriers.
 //
 // Cardinality and (optionally) scheduled-out-degree accounting happen at
 // the barrier: Advance popcounts the new current set and, when an
@@ -20,6 +25,9 @@ package frontier
 // take Beamer-style density decisions at every barrier.
 type Frontier struct {
 	cur, next *Bitset
+	// local holds one private next-set bitset per worker (ScheduleOn),
+	// each its own allocation; Advance folds them into next.
+	local []*Bitset
 	// members caches the ascending-order member list of cur, rebuilt
 	// lazily on first read after Advance or a seeding mutator, so
 	// executors that never need the list (pull-direction sweeps test the
@@ -41,9 +49,19 @@ type Frontier struct {
 }
 
 // NewFrontier returns a Frontier over a universe of n vertices with both
-// buffers empty.
-func NewFrontier(n int) *Frontier {
-	return &Frontier{cur: NewBitset(n), next: NewBitset(n), members: make([]int, 0, n)}
+// buffers empty and no worker sets: every post goes through Schedule.
+func NewFrontier(n int) *Frontier { return NewFrontierWorkers(n, 0) }
+
+// NewFrontierWorkers returns a Frontier over a universe of n vertices with
+// both buffers empty and one private next-set bitset for each of workers
+// workers, which post with ScheduleOn and ScheduleEachOn.
+func NewFrontierWorkers(n, workers int) *Frontier {
+	f := &Frontier{cur: NewBitset(n), next: NewBitset(n), members: make([]int, 0, n)}
+	f.local = make([]*Bitset, workers)
+	for w := range f.local {
+		f.local[w] = NewBitset(n)
+	}
+	return f
 }
 
 // AttachOutDegrees supplies the per-vertex out-degree table used for
@@ -103,15 +121,22 @@ func (f *Frontier) ScheduleNowAll(vs []int) {
 	}
 }
 
-// Schedule posts v into the next iteration's set. Safe for concurrent use.
-// It reports whether v was newly scheduled.
+// Schedule posts v into the shared next set. Safe for concurrent use. It
+// reports whether v was newly set there; a post through a worker set is
+// not seen until Advance folds it in.
 func (f *Frontier) Schedule(v int) bool { return f.next.SetAtomic(v) }
 
-// ScheduleEach posts every vertex of vs into the next iteration's set.
-// Safe for concurrent use.
-func (f *Frontier) ScheduleEach(vs []uint32) {
+// ScheduleOn posts v into the next iteration's set through worker w's
+// private set. Concurrent calls must use distinct w; any number of them
+// may run beside Schedule.
+func (f *Frontier) ScheduleOn(w, v int) { f.local[w].Set(v) }
+
+// ScheduleEachOn posts every vertex of vs through worker w's private set,
+// under the same rule as ScheduleOn.
+func (f *Frontier) ScheduleEachOn(w int, vs []uint32) {
+	b := f.local[w]
 	for _, v := range vs {
-		f.next.SetAtomic(int(v))
+		b.Set(int(v))
 	}
 }
 
@@ -133,11 +158,14 @@ func (f *Frontier) Size() int { return f.curCount }
 func (f *Frontier) CurrentOutDegree() int64 { return f.curDeg }
 
 // LoadCurrent replaces the current set with exactly the given members and
-// clears the next set — the checkpoint-restore entry point. Not safe
-// concurrently with iteration.
+// drops every pending post, shared or per worker — the checkpoint-restore
+// and reset entry point. Not safe concurrently with iteration.
 func (f *Frontier) LoadCurrent(members []int) {
 	f.cur.ClearAll()
 	f.next.ClearAll()
+	for _, b := range f.local {
+		b.ClearAll()
+	}
 	f.curCount, f.curDeg = 0, 0
 	f.stale = true
 	for _, v := range members {
@@ -145,12 +173,17 @@ func (f *Frontier) LoadCurrent(members []int) {
 	}
 }
 
-// Advance swaps buffers: the accumulated next set becomes current and the
-// new next set is cleared. It returns the size of the new current set, so
-// callers can detect convergence (size 0). Must be called at a barrier.
-// The member cache is rebuilt lazily on the first Members call, so
-// executors that only test membership never pay for the extraction.
+// Advance folds every worker set into the next set, clearing each, and
+// swaps buffers: the accumulated next set becomes current and the new next
+// set is cleared. It returns the size of the new current set, so callers
+// can detect convergence (size 0). Must be called at a barrier. The fold
+// reads P·⌈n/64⌉ words and writes only the nonzero ones. The member cache
+// is rebuilt lazily on the first Members call, so executors that only test
+// membership never pay for the extraction.
 func (f *Frontier) Advance() int {
+	for _, b := range f.local {
+		b.moveInto(f.next)
+	}
 	f.cur, f.next = f.next, f.cur
 	f.next.ClearAll()
 	f.curCount = f.cur.Count()

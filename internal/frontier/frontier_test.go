@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -295,25 +296,124 @@ func TestSeedingDoesNotAllocatePerCall(t *testing.T) {
 	}
 }
 
-// Advance recounts the new current set and, with degrees attached, sums its
-// out-degrees at every barrier; neither may allocate.
+// Advance folds the worker sets, recounts the new current set and, with
+// degrees attached, sums its out-degrees at every barrier; neither that nor
+// a post on either path may allocate, under the race detector as well.
 func TestAdvanceWithDegreesDoesNotAllocate(t *testing.T) {
 	const n = 1 << 12
-	f := NewFrontier(n)
+	f := NewFrontierWorkers(n, 2)
 	deg := make([]uint32, n)
 	for v := range deg {
 		deg[v] = uint32(v % 5)
 	}
 	f.AttachOutDegrees(deg)
+	batch := []uint32{1, 64, 4000}
 	if avg := testing.AllocsPerRun(100, func() {
 		for v := 0; v < n; v += 3 {
-			f.Schedule(v)
+			if v%2 == 0 {
+				f.ScheduleOn(v%4/2, v)
+			} else {
+				f.Schedule(v)
+			}
 		}
+		f.ScheduleEachOn(1, batch)
 		f.Advance()
 	}); avg != 0 {
-		t.Errorf("Schedule+Advance allocates %.1f per run, want 0", avg)
+		t.Errorf("Schedule/ScheduleOn+Advance allocates %.1f per run, want 0", avg)
 	}
-	if want := (n + 2) / 3; f.Size() != want {
+	if want := (n+2)/3 + len(batch); f.Size() != want { // the batch is off the stride
 		t.Fatalf("Size = %d, want %d", f.Size(), want)
+	}
+}
+
+// Worker sets are private until the barrier: P goroutines post through
+// ScheduleOn and ScheduleEachOn (overlapping, with duplicates) beside a
+// shared Schedule poster, and after Advance the current set is exactly the
+// union of every post, with Size and CurrentOutDegree counting it. Each
+// round posts a different set, so a worker set Advance failed to clear
+// shows up in the next round.
+func TestWorkerSetsFoldAtAdvance(t *testing.T) {
+	const n, p = 3000, 4
+	f := NewFrontierWorkers(n, p)
+	deg := make([]uint32, n)
+	for v := range deg {
+		deg[v] = uint32(v%11 + 1)
+	}
+	f.AttachOutDegrees(deg)
+	for round := 0; round < 4; round++ {
+		posted := func(w, v int) bool { return (v*(w+3)+round*7)%(5+round) == 0 }
+		var wg sync.WaitGroup
+		for w := 0; w < p; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var batch []uint32
+				for v := 0; v < n; v++ {
+					if !posted(w, v) {
+						continue
+					}
+					if v%2 == 0 {
+						f.ScheduleOn(w, v)
+						f.ScheduleOn(w, v) // a duplicate post
+					} else {
+						batch = append(batch, uint32(v))
+					}
+				}
+				f.ScheduleEachOn(w, batch)
+			}(w)
+		}
+		wg.Add(1)
+		go func() { // the shared path, as a fault heal hook uses it
+			defer wg.Done()
+			for v := round; v < n; v += 97 {
+				f.Schedule(v)
+			}
+		}()
+		wg.Wait()
+		var want []int
+		var wantDeg int64
+		for v := 0; v < n; v++ {
+			in := (v-round)%97 == 0 && v >= round
+			for w := 0; w < p && !in; w++ {
+				in = posted(w, v)
+			}
+			if in {
+				want = append(want, v)
+				wantDeg += int64(deg[v])
+			}
+		}
+		if got := f.Advance(); got != len(want) {
+			t.Fatalf("round %d: Advance = %d, want %d", round, got, len(want))
+		}
+		if got := f.Members(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: current set has %d members, want the %d posted", round, len(got), len(want))
+		}
+		if f.Size() != len(want) || f.CurrentOutDegree() != wantDeg {
+			t.Fatalf("round %d: accounting (%d, %d), want (%d, %d)",
+				round, f.Size(), f.CurrentOutDegree(), len(want), wantDeg)
+		}
+		for w, b := range f.local {
+			if !b.Empty() {
+				t.Fatalf("round %d: worker set %d not cleared by Advance", round, w)
+			}
+		}
+	}
+}
+
+// LoadCurrent drops pending worker posts along with the shared next set:
+// after it, Advance yields only what was posted since.
+func TestLoadCurrentDropsWorkerPosts(t *testing.T) {
+	f := NewFrontierWorkers(200, 2)
+	f.ScheduleOn(0, 5)
+	f.ScheduleEachOn(1, []uint32{6, 150})
+	f.Schedule(7)
+	f.LoadCurrent([]int{1})
+	if got := f.Members(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("current set after LoadCurrent = %v, want [1]", got)
+	}
+	f.ScheduleOn(1, 9)
+	f.Advance()
+	if got := f.Members(); !slices.Equal(got, []int{9}) {
+		t.Fatalf("current set after Advance = %v, want [9]: LoadCurrent kept pending posts", got)
 	}
 }

@@ -97,11 +97,16 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=5 -run 'TestDist(WCC|BFS|SSSP|SingleWorker|FaultyLinks|PartitionHeal|KillRestoreRepair)$' ./internal/netdist/
 done
 
-echo "== go test -race (cross-engine differential, lock + atomic modes) =="
+echo "== go test -race (cross-engine differential, lock + atomic modes, -count=3, GOMAXPROCS 1/2/8) =="
 # The differential suite pins every executor to the sequential DE fixed
 # point using ModeLocked/ModeAtomic only (ModeAligned is compiled out of
 # race builds), so it doubles as the race gate for the full engine grid.
-go test -race -run 'TestCrossEngine' -count=1 .
+# The barrier schedulers hand S_{n+1} from worker to worker through the
+# frontier's per-worker sets, folded at the barrier: that hand-off is
+# exercised with fewer, as many and more runnable threads than workers.
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -run 'TestCrossEngine' -count=3 .
+done
 
 echo "== chaos smoke (netdist: SIGKILL + 30% drop window) =="
 # Real worker processes via ExecLauncher: one worker SIGKILLed mid-run, a

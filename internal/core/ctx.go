@@ -140,13 +140,35 @@ func (c *Ctx) SetVertex(w uint64) {
 }
 
 // load reads an edge word: a census shadow context and every context of a
-// Synchronous run read the engine's pre-iteration snapshot, replay and
-// every other run the live store.
+// Synchronous run read the engine's pre-iteration snapshot, replay the
+// live store, and every other context the live store on its worker's
+// behalf.
 func (c *Ctx) load(e uint32) uint64 {
 	if c.replay == nil && (c.dry || c.eng.opts.Scheduler == sched.Synchronous) {
 		return c.eng.shadow[e]
 	}
+	if c.dry {
+		return c.eng.Edges.Load(e)
+	}
+	return c.liveLoad(e)
+}
+
+// liveLoad and liveStore are a non-dry context's accesses to the live
+// store on a run that is not plain. Under a fault injector they take its
+// worker path, so a fault heals on this context's worker.
+func (c *Ctx) liveLoad(e uint32) uint64 {
+	if f := c.eng.faults; f != nil {
+		return f.LoadOn(c.worker, e)
+	}
 	return c.eng.Edges.Load(e)
+}
+
+func (c *Ctx) liveStore(e uint32, w uint64) {
+	if f := c.eng.faults; f != nil {
+		f.StoreOn(c.worker, e, w)
+		return
+	}
+	c.eng.Edges.Store(e, w)
 }
 
 // recording reports whether this context should feed the census: when the
@@ -223,12 +245,12 @@ func (c *Ctx) store(e, neighbor uint32, side edgedata.Side, w uint64) {
 		}
 		c.yield()
 		if obs := c.eng.opts.OnEdgeWrite; obs != nil {
-			obs(e, c.eng.Edges.Load(e), w)
+			obs(e, c.liveLoad(e), w)
 		}
 		if c.eng.traceCommits {
-			c.eng.commitStore(c.traceIdx, e, w)
+			c.commitStore(e, w)
 		} else {
-			c.eng.Edges.Store(e, w)
+			c.liveStore(e, w)
 		}
 		if cl := c.eng.clock; cl != nil {
 			cl.Stamp(e)

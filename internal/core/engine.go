@@ -90,9 +90,10 @@ type Options struct {
 	StallWindow int
 	// Inject, when non-nil, arms the fault injector for the duration of
 	// the run: edge reads and writes are perturbed per its Plan, every
-	// faulted edge's endpoints are rescheduled (the injector's heal rule),
-	// and an injected crash aborts the run with fault.ErrCrash at the
-	// planned iteration boundary.
+	// faulted edge's endpoints are rescheduled on the faulting worker (the
+	// injector's heal rule), and an injected crash aborts the run with
+	// fault.ErrCrash at the planned iteration boundary. NoSync hosts the
+	// injector too but, having no iteration boundary, refuses a CrashIter.
 	Inject *fault.Injector
 	// CheckpointEvery, with CheckpointPath, writes a crash-safe snapshot
 	// of the engine state (vertices, edge words, frontier, counters) every
@@ -279,6 +280,11 @@ type Engine struct {
 	// barrier-free executor's spread is compared against. Under NoSync
 	// the epoch advances once per executed update.
 	clock *obs.DelayClock
+
+	// faults is Edges under Options.Inject (nil otherwise): the workers of
+	// a faulted run access it through its worker path (Ctx.liveLoad,
+	// Ctx.liveStore), so each fault heals on the worker that took it.
+	faults *fault.Store
 }
 
 // NewEngine validates opts and builds an engine for g.
@@ -327,7 +333,8 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.Inject != nil {
 		// The injector sits between the engine and the raw store; it stays
 		// disarmed (transparent) until Run, so Setup is never perturbed.
-		e.Edges = opts.Inject.Wrap(e.Edges)
+		e.faults = opts.Inject.Wrap(e.Edges)
+		e.Edges = e.faults
 	}
 	if opts.PotentialCensus || opts.Observer.SampleConflicts() {
 		e.opts.EnableCensus = true
@@ -392,21 +399,14 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	for i := range e.workers {
 		e.workers[i].plain = plain
 	}
+	if inj := e.opts.Inject; inj != nil {
+		inj.Arm(e.heal)
+		defer inj.Disarm()
+	}
 	if e.ns != nil {
 		return e.runNoSync()
 	}
 	e.updates.Store(e.startUpdates)
-	if inj := e.opts.Inject; inj != nil {
-		// Heal rule: every faulted edge reschedules both endpoints — the
-		// task generation the phantom racing competitor would have applied
-		// — giving monotone algorithms their Theorem 2 retry path.
-		inj.Arm(func(edge uint32) {
-			src, dst := e.g.EdgeEndpoints(edge)
-			e.front.Schedule(int(src))
-			e.front.Schedule(int(dst))
-		})
-		defer inj.Disarm()
-	}
 
 	e.clock.Reset()
 	e.perIter = nil
@@ -425,6 +425,23 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 		t.SetDigest(e.stateDigest())
 	}
 	return res, err
+}
+
+// heal is the fault injector's hook, called on worker w's goroutine when
+// w's access to edge faulted. It wakes both endpoints of the edge — the
+// task generation the phantom racing competitor would have applied —
+// giving monotone algorithms their Theorem 2 retry path. Like every other
+// wakeup it goes into a structure of w's own: w's deque under NoSync, w's
+// next-set bitset under a barrier scheduler.
+func (e *Engine) heal(w int, edge uint32) {
+	src, dst := e.g.EdgeEndpoints(edge)
+	if x := e.ns; x != nil {
+		x.post(w, int(src))
+		x.post(w, int(dst))
+		return
+	}
+	e.front.ScheduleOn(w, int(src))
+	e.front.ScheduleOn(w, int(dst))
 }
 
 // step is one iteration: checkpoint and shadow hooks, the dispatch, and the
@@ -473,8 +490,8 @@ func (e *Engine) step(iter int, members []int) (obs.Event, error) {
 // commit log, no OnEdgeWrite observer, no race amplifier, no fault
 // injector around the store and no BSP shadow. Decided once per Run (after
 // traceCommits is set); the Ctx hot path tests only the resulting flag.
-// NoSync refuses all of them but the delay clock, so a NoSync run is plain
-// exactly when it is unobserved.
+// NoSync refuses all of them but the delay clock and the injector, so a
+// NoSync run is plain exactly when it is unobserved and unfaulted.
 func (e *Engine) plainRun() bool {
 	return e.census == nil && e.clock == nil && !e.traceCommits &&
 		e.opts.OnEdgeWrite == nil && !e.opts.Amplify && e.opts.Inject == nil &&

@@ -48,11 +48,14 @@ const sampleWindow = 4096
 
 // noSyncRefusal names the first option of o a NoSync engine cannot honour,
 // or returns "". Each one hangs on an iteration barrier or on per-access
-// instrumentation that NoSync does not have.
+// instrumentation that NoSync does not have. A fault injector is admitted
+// (its heal hook posts on the faulting worker's deque) unless its plan
+// crashes at an iteration boundary: NoSync never reaches one, and a
+// planned crash that silently never fires would be worse than a refusal.
 func noSyncRefusal(o Options) string {
 	switch {
-	case o.Inject != nil:
-		return "Inject (no heal hook without a barrier)"
+	case o.Inject != nil && o.Inject.Plan().CrashIter > 0:
+		return "an Inject plan with CrashIter > 0"
 	case o.CheckpointEvery > 0:
 		return "CheckpointEvery"
 	case o.StallWindow > 0:

@@ -37,8 +37,9 @@ func runNoSync(t *testing.T, a algorithms.Algorithm, g *graph.Graph, opts core.O
 }
 
 // NewEngine refuses a NoSync engine without a Theorem-1/2 verdict, and
-// refuses every option that needs an iteration barrier, naming it; a NoSync
-// engine refuses to restore a checkpoint or replay a trace.
+// refuses every option that needs an iteration barrier, naming it — of a
+// fault plan, only the iteration-boundary crash; a NoSync engine refuses
+// to restore a checkpoint or replay a trace.
 func TestNoSyncRefusals(t *testing.T) {
 	g, _ := gen.Ring(8)
 	ok := &eligibility.Verdict{Eligible: true, Theorem: 2, Source: "test"}
@@ -49,7 +50,7 @@ func TestNoSyncRefusals(t *testing.T) {
 	if coloring.Eligible {
 		t.Fatal("static advisor marked coloring eligible")
 	}
-	inj, err := fault.NewInjector(fault.Plan{})
+	crashing, err := fault.NewInjector(fault.Plan{CrashIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestNoSyncRefusals(t *testing.T) {
 		// Coloring has write-write conflicts and is not monotone: the
 		// static advisor refuses it end to end.
 		{"coloring", func(o *core.Options) { o.Verdict = &coloring }, "NOT ELIGIBLE"},
-		{"Inject", func(o *core.Options) { o.Inject = inj }, "Inject"},
+		{"Inject with CrashIter", func(o *core.Options) { o.Inject = crashing }, "CrashIter"},
 		{"CheckpointEvery", func(o *core.Options) {
 			o.CheckpointEvery, o.CheckpointPath = 1, filepath.Join(t.TempDir(), "ckpt")
 		}, "CheckpointEvery"},
@@ -93,6 +94,14 @@ func TestNoSyncRefusals(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: refusal %q does not name %q", c.name, err, c.want)
 		}
+	}
+
+	faulty, err := core.NewEngine(g, core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: ok,
+		Inject: fault.MustInjector(fault.Plan{Seed: 1, DropWrite: 0.5})})
+	if err != nil {
+		t.Errorf("Inject without CrashIter refused: %v", err)
+	} else {
+		faulty.Close()
 	}
 
 	e, err := core.NewEngine(g, core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: ok})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"ndgraph/internal/edgedata"
 	"ndgraph/internal/eligibility"
+	"ndgraph/internal/fault"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/obs"
 	"ndgraph/internal/rng"
@@ -333,33 +335,48 @@ func TestNoSyncReRunAfterStop(t *testing.T) {
 	}
 }
 
-// Every scheduling site of Ctx wakes through one seam. Under NoSync the
-// woken vertex lands on the writing worker's own deque and the frontier
-// stays empty; under a barrier scheduler it lands in the next iteration's
-// scheduled set. Each site is driven on the plain and the per-edge path.
+// Every scheduling site of Ctx — and the fault heal hook, which runs on
+// the faulting worker — wakes through one seam. Under NoSync the woken
+// vertices land on the writing worker's own deque and the frontier stays
+// empty; under a barrier scheduler they land in the next iteration's
+// scheduled set. Each Ctx site is driven on the plain and the per-edge
+// path; the heal site on the per-edge path, the only one a faulted run
+// takes: a dropped write of edge 1→2 heals both endpoints.
 func TestNoSyncWakeupSeam(t *testing.T) {
 	g := chainGraph(t, 3) // 0 → 1 → 2; the context is bound to 1
 	sites := []struct {
-		name string
-		call func(c *Ctx)
-		want int
+		name   string
+		call   func(c *Ctx)
+		want   []int
+		faulty bool
 	}{
-		{"SetInEdgeVal", func(c *Ctx) { c.SetInEdgeVal(0, 7) }, 0},
-		{"SetOutEdgeVal", func(c *Ctx) { c.SetOutEdgeVal(0, 7) }, 2},
-		{"SetOutEdgeVals", func(c *Ctx) { c.SetOutEdgeVals(7) }, 2},
-		{"ScheduleSelf", func(c *Ctx) { c.ScheduleSelf() }, 1},
+		{"SetInEdgeVal", func(c *Ctx) { c.SetInEdgeVal(0, 7) }, []int{0}, false},
+		{"SetOutEdgeVal", func(c *Ctx) { c.SetOutEdgeVal(0, 7) }, []int{2}, false},
+		{"SetOutEdgeVals", func(c *Ctx) { c.SetOutEdgeVals(7) }, []int{2}, false},
+		{"ScheduleSelf", func(c *Ctx) { c.ScheduleSelf() }, []int{1}, false},
+		{"heal", func(c *Ctx) { c.SetOutEdgeVal(0, 7) }, []int{1, 2}, true},
 	}
 	for _, site := range sites {
 		for _, nosync := range []bool{false, true} {
 			for _, plain := range []bool{true, false} {
+				if site.faulty && plain {
+					continue
+				}
 				opts := Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}
 				if nosync {
 					opts = nosyncOptions(2)
+				}
+				if site.faulty {
+					opts.Inject = fault.MustInjector(fault.Plan{Seed: 1, DropWrite: math.Nextafter(1, 0), MaxFaults: 1})
 				}
 				t.Run(fmt.Sprintf("%s/%v/plain=%v", site.name, opts.Scheduler, plain), func(t *testing.T) {
 					e := newEngine(t, g, opts)
 					defer e.Close()
 					e.ensureWorkers()
+					if inj := opts.Inject; inj != nil {
+						inj.Arm(e.heal)
+						defer inj.Disarm()
+					}
 					c := &e.workers[1]
 					c.plain = plain
 					c.bind(1)
@@ -371,15 +388,20 @@ func TestNoSyncWakeupSeam(t *testing.T) {
 								deques[w] = append(deques[w], v)
 							}
 						}
+						slices.Sort(deques[1])
 					}
 					e.front.Advance()
 					front := e.front.Members()
-					want := []int{site.want}
-					if nosync && (!slices.Equal(deques[1], want) || len(deques[0]) != 0 || len(front) != 0) {
-						t.Errorf("deques %v, frontier %v; want %v on worker 1's deque only", deques, front, want)
+					if nosync && (!slices.Equal(deques[1], site.want) || len(deques[0]) != 0 || len(front) != 0) {
+						t.Errorf("deques %v, frontier %v; want %v on worker 1's deque only", deques, front, site.want)
 					}
-					if !nosync && !slices.Equal(front, want) {
-						t.Errorf("frontier %v, want %v", front, want)
+					if !nosync && !slices.Equal(front, site.want) {
+						t.Errorf("frontier %v, want %v", front, site.want)
+					}
+					if inj := opts.Inject; inj != nil {
+						if s := inj.Stats(); s.DropWrites != 1 || s.Healed != 1 {
+							t.Errorf("injector stats %+v, want one dropped write, healed once", s)
+						}
 					}
 				})
 			}

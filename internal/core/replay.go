@@ -23,13 +23,15 @@ import (
 const traceStripes = 64
 
 // commitStore performs one edge write of a commit-logged run: the physical
-// store and the commit record happen atomically under the edge's stripe
-// lock, so the recorder's per-edge Seq order is the physical commit order.
-func (e *Engine) commitStore(update int64, edge uint32, w uint64) {
+// store and the commit record of the context's running update happen
+// atomically under the edge's stripe lock, so the recorder's per-edge Seq
+// order is the physical commit order.
+func (c *Ctx) commitStore(edge uint32, w uint64) {
+	e := c.eng
 	l := &e.traceLocks[edge%traceStripes]
 	l.Lock()
-	e.Edges.Store(edge, w)
-	e.opts.Trace.RecordCommit(update, e.curIter, edge, w)
+	c.liveStore(edge, w)
+	e.opts.Trace.RecordCommit(c.traceIdx, e.curIter, edge, w)
 	l.Unlock()
 }
 

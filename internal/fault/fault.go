@@ -18,15 +18,18 @@
 //   - a crash aborts the run at a configured iteration boundary (simulated
 //     worker loss), to be resumed from a checkpoint.
 //
-// The core engine is the one host (core.Options.Inject): it wraps its edge
-// store once at construction and arms the injector for each Run. Every
-// injected fault invokes the heal hook installed by the host engine,
-// which schedules both endpoints of the affected edge — exactly the
-// task-generation rule a *real* racing competitor would have applied. With
-// that retry path, Theorem 2 predicts monotone algorithms (WCC, SSSP, BFS)
-// reconverge to the sequential fixed point, while non-monotone algorithms
-// (Coloring) may converge to corrupted results; the package's tests check
-// both directions.
+// The core engine is the one host (core.Options.Inject), under every
+// scheduler, NoSync included: it wraps its edge store once at construction
+// and arms the injector for each Run. Its workers make every edge access
+// through the wrapper's worker path (LoadOn, StoreOn), so every injected
+// fault invokes the heal hook with the worker whose access faulted, and
+// the engine schedules both endpoints of the affected edge on that
+// worker's own wakeup structure — exactly the task-generation rule a
+// *real* racing competitor would have applied. With that retry path,
+// Theorem 2 predicts monotone algorithms (WCC, SSSP, BFS) reconverge to
+// the sequential fixed point, while non-monotone algorithms (Coloring) may
+// converge to corrupted results; the package's tests check both
+// directions.
 //
 // Fault decisions are a pure function of (Seed, operation counter, edge,
 // kind), so a single-threaded run under injection is fully reproducible.
@@ -155,8 +158,8 @@ type Injector struct {
 	healed  atomic.Int64
 
 	// onFault is installed by the host engine while quiescent (Arm) and
-	// invoked from worker goroutines; it must be safe for concurrent use.
-	onFault func(e uint32)
+	// invoked from worker goroutines, each time with the faulting worker.
+	onFault func(w int, e uint32)
 }
 
 // NewInjector builds an injector for the given plan. The injector starts
@@ -181,11 +184,13 @@ func MustInjector(plan Plan) *Injector {
 // Plan returns the injector's configuration.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Arm enables injection and installs the engine's heal hook (called with
-// the canonical index of every faulted edge; the engine reschedules both
-// endpoints, simulating the task generation of the phantom competitor the
-// fault stands in for). Must be called while no workers are running.
-func (in *Injector) Arm(onFault func(e uint32)) {
+// Arm enables injection and installs the engine's heal hook. The hook is
+// called with the worker whose access faulted and the canonical index of
+// the faulted edge, on that worker's goroutine; the engine reschedules
+// both endpoints on the worker's own wakeup structure, simulating the task
+// generation of the phantom competitor the fault stands in for. Must be
+// called while no workers are running.
+func (in *Injector) Arm(onFault func(w int, e uint32)) {
 	in.onFault = onFault
 	in.armed.Store(true)
 }
@@ -237,36 +242,39 @@ func (in *Injector) roll(kind Kind, prob float64, e uint32) bool {
 	return true
 }
 
-// heal invokes the engine's reschedule hook for edge e.
-func (in *Injector) heal(e uint32) {
+// heal invokes the engine's reschedule hook for worker w's fault on edge e.
+func (in *Injector) heal(w int, e uint32) {
 	if in.onFault != nil {
 		in.healed.Add(1)
-		in.onFault(e)
+		in.onFault(w, e)
 	}
 }
 
-// Wrap returns a store that applies this injector's plan to every Load and
-// Store of inner. Fill and Snapshot pass through untouched (they are
-// barrier-time, single-threaded operations outside the fault model), as
-// does CompareAndSwap (the push-mode extension supplies its own atomicity
-// discipline). The wrapper keeps a one-deep per-word write history to serve
-// stale reads, seeded from the store's current contents so a stale read
-// never fabricates a value outside the algorithm's domain.
-func (in *Injector) Wrap(inner edgedata.Store) edgedata.Store {
-	return &faultyStore{in: in, inner: inner, prev: inner.Snapshot()}
+// Wrap returns the injecting decorator of inner. The decorator keeps a
+// one-deep per-word write history to serve stale reads, seeded from the
+// store's current contents so a stale read never fabricates a value
+// outside the algorithm's domain.
+func (in *Injector) Wrap(inner edgedata.Store) *Store {
+	return &Store{in: in, inner: inner, prev: inner.Snapshot()}
 }
 
-// faultyStore is the injecting edgedata.Store decorator.
-type faultyStore struct {
+// Store is the injecting edgedata.Store decorator. Faults apply only to
+// the accesses a worker makes through LoadOn and StoreOn, so each one
+// heals on the worker that made it. The edgedata.Store methods are the
+// accesses of no worker — algorithm setup, checkpoint restore, replay,
+// barrier-time snapshots — and pass through untouched, Store and the bulk
+// writes collapsing the write history onto the committed value so a later
+// stale read observes a genuine past value. CompareAndSwap passes through
+// as well (the push-mode extension supplies its own atomicity discipline).
+type Store struct {
 	in    *Injector
 	inner edgedata.Store
 	prev  []uint64 // previous committed value per word (atomic access)
 }
 
-func (s *faultyStore) Len() int            { return s.inner.Len() }
-func (s *faultyStore) Mode() edgedata.Mode { return s.inner.Mode() }
-
-func (s *faultyStore) Load(e uint32) uint64 {
+// LoadOn reads edge e on behalf of worker w, applying the plan's delays
+// and stale reads.
+func (s *Store) LoadOn(w int, e uint32) uint64 {
 	in := s.in
 	if in.roll(Delay, in.plan.Delay, e) {
 		runtime.Gosched()
@@ -275,20 +283,18 @@ func (s *faultyStore) Load(e uint32) uint64 {
 		// The reader observes the pre-write value, as if it overlapped (∥)
 		// the competing writer; the heal models that writer's task
 		// generation, so the reader is eventually re-run against fresh data.
-		in.heal(e)
+		in.heal(w, e)
 		return atomic.LoadUint64(&s.prev[e])
 	}
 	return s.inner.Load(e)
 }
 
-func (s *faultyStore) Store(e uint32, v uint64) {
+// StoreOn writes v to edge e on behalf of worker w, applying the plan's
+// delays, dropped writes and torn writes. Disarmed, it is Store.
+func (s *Store) StoreOn(w int, e uint32, v uint64) {
 	in := s.in
 	if !in.armed.Load() {
-		// Setup-time store: commit transparently and collapse the write
-		// history onto the committed value, so a stale read after arming
-		// observes a genuine past value, never a pre-setup zero.
-		s.inner.Store(e, v)
-		atomic.StoreUint64(&s.prev[e], v)
+		s.Store(e, v)
 		return
 	}
 	if in.roll(Delay, in.plan.Delay, e) {
@@ -299,7 +305,7 @@ func (s *faultyStore) Store(e uint32, v uint64) {
 	if in.roll(DropWrite, in.plan.DropWrite, e) {
 		// Lost update: the phantom competitor's value (the old word) won
 		// the race. Heal reschedules both endpoints so the loser retries.
-		in.heal(e)
+		in.heal(w, e)
 		return
 	}
 	if in.roll(TornWrite, in.plan.TornWrite, e) {
@@ -312,46 +318,46 @@ func (s *faultyStore) Store(e uint32, v uint64) {
 			torn = (v &^ uint64(0xFFFFFFFF)) | (old & 0xFFFFFFFF)
 		}
 		s.inner.Store(e, torn)
-		in.heal(e)
+		in.heal(w, e)
 		return
 	}
 	s.inner.Store(e, v)
 }
 
-func (s *faultyStore) CompareAndSwap(e uint32, old, new uint64) bool {
+func (s *Store) Len() int             { return s.inner.Len() }
+func (s *Store) Mode() edgedata.Mode  { return s.inner.Mode() }
+func (s *Store) Load(e uint32) uint64 { return s.inner.Load(e) }
+
+// Store commits v and collapses the write history onto it.
+func (s *Store) Store(e uint32, v uint64) {
+	s.inner.Store(e, v)
+	atomic.StoreUint64(&s.prev[e], v)
+}
+
+func (s *Store) CompareAndSwap(e uint32, old, new uint64) bool {
 	return s.inner.CompareAndSwap(e, old, new)
 }
 
-// The bulk operations perturb word by word through Load and Store, so a
-// bulk access rolls exactly the faults its per-edge equivalent would.
+func (s *Store) Gather(dst []uint64, idx []uint32) { s.inner.Gather(dst, idx) }
 
-func (s *faultyStore) Gather(dst []uint64, idx []uint32) {
-	for i, e := range idx {
-		dst[i] = s.Load(e)
-	}
-}
+func (s *Store) LoadRange(dst []uint64, lo uint32) { s.inner.LoadRange(dst, lo) }
 
-func (s *faultyStore) LoadRange(dst []uint64, lo uint32) {
-	for i := range dst {
-		dst[i] = s.Load(lo + uint32(i))
-	}
-}
-
-func (s *faultyStore) FillRange(lo, hi uint32, v uint64) {
+func (s *Store) FillRange(lo, hi uint32, v uint64) {
+	s.inner.FillRange(lo, hi, v)
 	for e := lo; e < hi; e++ {
-		s.Store(e, v)
+		atomic.StoreUint64(&s.prev[e], v)
 	}
 }
 
-func (s *faultyStore) Fill(v uint64) {
+func (s *Store) Fill(v uint64) {
 	s.inner.Fill(v)
 	for i := range s.prev {
 		s.prev[i] = v
 	}
 }
 
-func (s *faultyStore) Snapshot() []uint64 { return s.inner.Snapshot() }
+func (s *Store) Snapshot() []uint64 { return s.inner.Snapshot() }
 
-func (s *faultyStore) SnapshotInto(dst []uint64) []uint64 { return s.inner.SnapshotInto(dst) }
+func (s *Store) SnapshotInto(dst []uint64) []uint64 { return s.inner.SnapshotInto(dst) }
 
-var _ edgedata.Store = (*faultyStore)(nil)
+var _ edgedata.Store = (*Store)(nil)

@@ -44,10 +44,10 @@ func TestDisarmedTransparent(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 7, TornWrite: 0.9, DropWrite: 0.9, StaleRead: 0.9, Delay: 0.9})
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 16))
 	for e := uint32(0); e < 16; e++ {
-		st.Store(e, uint64(e)*3+1)
+		st.StoreOn(0, e, uint64(e)*3+1)
 	}
 	for e := uint32(0); e < 16; e++ {
-		if got := st.Load(e); got != uint64(e)*3+1 {
+		if got := st.LoadOn(0, e); got != uint64(e)*3+1 {
 			t.Fatalf("disarmed Load(%d) = %d, want %d", e, got, uint64(e)*3+1)
 		}
 	}
@@ -56,15 +56,47 @@ func TestDisarmedTransparent(t *testing.T) {
 	}
 }
 
+// The edgedata.Store methods are the accesses of no worker: even armed at
+// near-certain fault rates they inject nothing and heal nothing.
+func TestWorkerlessAccessTransparent(t *testing.T) {
+	in := mustInj(t, Plan{Seed: 7, TornWrite: 0.9, DropWrite: 0.9, StaleRead: 0.9, Delay: 0.9})
+	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 16))
+	in.Arm(func(int, uint32) { t.Error("worker-less access healed") })
+	defer in.Disarm()
+	for e := uint32(0); e < 8; e++ {
+		st.Store(e, uint64(e)+1)
+	}
+	st.FillRange(8, 16, 99)
+	got := make([]uint64, 16)
+	st.LoadRange(got, 0)
+	for e := uint32(0); e < 16; e++ {
+		want := uint64(99)
+		if e < 8 {
+			want = uint64(e) + 1
+		}
+		if got[e] != want || st.Load(e) != want {
+			t.Fatalf("edge %d: LoadRange %d, Load %d, want %d", e, got[e], st.Load(e), want)
+		}
+	}
+	if s := in.Stats(); s.Total() != 0 || s.Delays != 0 || s.Healed != 0 {
+		t.Fatalf("worker-less accesses committed faults: %+v", s)
+	}
+}
+
 func TestDropWriteKeepsOldValue(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 3, DropWrite: 0.7})
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 64))
 	st.Fill(1)
 	var healed []uint32
-	in.Arm(func(e uint32) { healed = append(healed, e) })
+	in.Arm(func(w int, e uint32) {
+		if w != 3 {
+			t.Errorf("edge %d healed on worker %d, want the faulting worker 3", e, w)
+		}
+		healed = append(healed, e)
+	})
 	defer in.Disarm()
 	for e := uint32(0); e < 64; e++ {
-		st.Store(e, 9)
+		st.StoreOn(3, e, 9)
 	}
 	s := in.Stats()
 	if s.DropWrites == 0 {
@@ -98,10 +130,10 @@ func TestTornWriteMixesHalves(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 11, TornWrite: 0.6})
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 64))
 	st.Fill(old)
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	defer in.Disarm()
 	for e := uint32(0); e < 64; e++ {
-		st.Store(e, new)
+		st.StoreOn(0, e, new)
 	}
 	if s := in.Stats(); s.TornWrites == 0 {
 		t.Fatal("no tears at probability 0.6 over 64 stores")
@@ -117,12 +149,12 @@ func TestStaleReadSeesPreviousValue(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 5, StaleRead: 0.6})
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 4))
 	st.Fill(5)
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	defer in.Disarm()
-	st.Store(0, 7) // prev[0] = 5
+	st.StoreOn(0, 0, 7) // prev[0] = 5
 	sawStale := false
 	for i := 0; i < 50; i++ {
-		switch got := st.Load(0); got {
+		switch got := st.LoadOn(0, 0); got {
 		case 7:
 		case 5:
 			sawStale = true
@@ -143,10 +175,10 @@ func TestFillResetsShadow(t *testing.T) {
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 4))
 	st.Store(2, 42) // disarmed: shadow collapses onto 42
 	st.Fill(3)
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	defer in.Disarm()
 	for i := 0; i < 20; i++ {
-		if got := st.Load(2); got != 3 {
+		if got := st.LoadOn(0, 2); got != 3 {
 			t.Fatalf("post-Fill Load = %d, want 3 (stale shadow must reset)", got)
 		}
 	}
@@ -155,11 +187,11 @@ func TestFillResetsShadow(t *testing.T) {
 func TestMaxFaultsBudget(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 2, DropWrite: 0.9, StaleRead: 0.9, MaxFaults: 5})
 	st := in.Wrap(edgedata.New(edgedata.ModeSequential, 256))
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	defer in.Disarm()
 	for e := uint32(0); e < 256; e++ {
-		st.Store(e, 1)
-		st.Load(e)
+		st.StoreOn(0, e, 1)
+		st.LoadOn(0, e)
 	}
 	if s := in.Stats(); s.Total() > 5 {
 		t.Fatalf("budget 5 exceeded: %v", s)
@@ -170,12 +202,12 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() Stats {
 		in := mustInj(t, Plan{Seed: 77, TornWrite: 0.1, DropWrite: 0.1, StaleRead: 0.1, Delay: 0.1})
 		st := in.Wrap(edgedata.New(edgedata.ModeSequential, 128))
-		in.Arm(func(uint32) {})
+		in.Arm(func(int, uint32) {})
 		defer in.Disarm()
 		for e := uint32(0); e < 128; e++ {
-			st.Store(e, uint64(e))
-			st.Load(e)
-			st.Store(e, uint64(e)+1)
+			st.StoreOn(0, e, uint64(e))
+			st.LoadOn(0, e)
+			st.StoreOn(0, e, uint64(e)+1)
 		}
 		return in.Stats()
 	}
@@ -190,7 +222,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestCrashNowFiresOnce(t *testing.T) {
 	in := mustInj(t, Plan{CrashIter: 4})
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	defer in.Disarm()
 	for iter := 0; iter < 4; iter++ {
 		if in.CrashNow(iter) {

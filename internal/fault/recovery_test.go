@@ -4,7 +4,11 @@
 // fault healed by rescheduling the edge's endpoints — the task-generation
 // retry a real racing competitor provides); the fixed-point family
 // (PageRank, Theorem 1) must still converge to the same fixed point; the
-// non-monotone Coloring must demonstrably NOT recover.
+// non-monotone Coloring must demonstrably NOT recover. The recovering
+// algorithms run both with iteration barriers (Nondeterministic) and
+// without (the TestNoSync* rows): Theorem 2's retry argument holds under
+// any finite delay, and there the heal posts on the faulting worker's own
+// deque. Coloring stays barrier-only, as NoSync refuses its verdict.
 package fault_test
 
 import (
@@ -41,26 +45,40 @@ func corruptingPlan(seed uint64) fault.Plan {
 	}
 }
 
-func TestWCCReconvergesUnderInjection(t *testing.T) {
+// runInjected runs a on g with four workers under scheduler s with inj
+// armed, and requires convergence. A NoSync run must also have injected and
+// healed faults, or it exercised nothing.
+func runInjected(t *testing.T, a algorithms.Algorithm, g *graph.Graph, s sched.Kind, inj *fault.Injector) *core.Engine {
+	t.Helper()
+	e, res, err := algorithms.Run(a, g, core.Options{
+		Scheduler: s,
+		Threads:   4,
+		Mode:      edgedata.ModeAtomic,
+		Inject:    inj,
+	})
+	if err != nil {
+		t.Fatalf("%v: %v", s, err)
+	}
+	if !res.Converged {
+		t.Fatalf("%v: did not converge (%v)", s, inj.Stats())
+	}
+	if st := inj.Stats(); s == sched.NoSync && (st.Total() == 0 || st.Healed == 0) {
+		t.Fatalf("%v: injected %d faults, healed %d: the run exercised nothing", s, st.Total(), st.Healed)
+	}
+	return e
+}
+
+func TestWCCReconvergesUnderInjection(t *testing.T)       { wccReconverges(t, sched.Nondeterministic) }
+func TestNoSyncWCCReconvergesUnderInjection(t *testing.T) { wccReconverges(t, sched.NoSync) }
+
+func wccReconverges(t *testing.T, s sched.Kind) {
 	g := testGraph(t, 101)
 	wcc := algorithms.NewWCC()
 	want := algorithms.ReferenceWCC(g)
 	var injected int64
 	for _, seed := range []uint64{1, 2, 3} {
 		inj := fault.MustInjector(corruptingPlan(seed))
-		e, res, err := algorithms.Run(wcc, g, core.Options{
-			Scheduler: sched.Nondeterministic,
-			Threads:   4,
-			Mode:      edgedata.ModeAtomic,
-			Inject:    inj,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !res.Converged {
-			t.Fatalf("seed %d: did not converge (%v)", seed, inj.Stats())
-		}
-		got := wcc.Components(e)
+		got := wcc.Components(runInjected(t, wcc, g, s, inj))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("seed %d (%v): vertex %d = %d, want %d",
@@ -74,26 +92,17 @@ func TestWCCReconvergesUnderInjection(t *testing.T) {
 	}
 }
 
-func TestSSSPReconvergesUnderInjection(t *testing.T) {
+func TestSSSPReconvergesUnderInjection(t *testing.T)       { ssspReconverges(t, sched.Nondeterministic) }
+func TestNoSyncSSSPReconvergesUnderInjection(t *testing.T) { ssspReconverges(t, sched.NoSync) }
+
+func ssspReconverges(t *testing.T, s sched.Kind) {
 	g := testGraph(t, 102)
 	ss := algorithms.NewSSSP(g, 0, 99)
 	want := algorithms.ReferenceSSSP(g, 0, ss.Weights)
 	var injected int64
 	for _, seed := range []uint64{4, 5, 6} {
 		inj := fault.MustInjector(corruptingPlan(seed))
-		e, res, err := algorithms.Run(ss, g, core.Options{
-			Scheduler: sched.Nondeterministic,
-			Threads:   4,
-			Mode:      edgedata.ModeAtomic,
-			Inject:    inj,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !res.Converged {
-			t.Fatalf("seed %d: did not converge (%v)", seed, inj.Stats())
-		}
-		got := ss.Distances(e)
+		got := ss.Distances(runInjected(t, ss, g, s, inj))
 		for v := range want {
 			// Integer weights: distances must match the Dijkstra oracle
 			// exactly, torn floats included (tears of small-integer float64
@@ -110,24 +119,15 @@ func TestSSSPReconvergesUnderInjection(t *testing.T) {
 	}
 }
 
-func TestBFSReconvergesUnderInjection(t *testing.T) {
+func TestBFSReconvergesUnderInjection(t *testing.T)       { bfsReconverges(t, sched.Nondeterministic) }
+func TestNoSyncBFSReconvergesUnderInjection(t *testing.T) { bfsReconverges(t, sched.NoSync) }
+
+func bfsReconverges(t *testing.T, s sched.Kind) {
 	g := testGraph(t, 103)
 	bfs := algorithms.NewBFS(g, 1)
 	want := algorithms.ReferenceSSSP(g, 1, bfs.Weights)
 	inj := fault.MustInjector(corruptingPlan(8))
-	e, res, err := algorithms.Run(bfs, g, core.Options{
-		Scheduler: sched.Nondeterministic,
-		Threads:   4,
-		Mode:      edgedata.ModeAtomic,
-		Inject:    inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge (%v)", inj.Stats())
-	}
-	got := bfs.Distances(e)
+	got := bfs.Distances(runInjected(t, bfs, g, s, inj))
 	for v := range want {
 		if got[v] != want[v] && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
 			t.Fatalf("vertex %d dist %v, want %v (%v)", v, got[v], want[v], inj.Stats())
@@ -143,7 +143,10 @@ func TestBFSReconvergesUnderInjection(t *testing.T) {
 // and PageRank's locally-converged vertices never republish a dropped
 // contribution (its real executions never produce WW conflicts, which is
 // precisely why its eligibility rests on Theorem 1 alone).
-func TestPageRankConvergesUnderInjection(t *testing.T) {
+func TestPageRankConvergesUnderInjection(t *testing.T)       { pageRankConverges(t, sched.Nondeterministic) }
+func TestNoSyncPageRankConvergesUnderInjection(t *testing.T) { pageRankConverges(t, sched.NoSync) }
+
+func pageRankConverges(t *testing.T, s sched.Kind) {
 	g := testGraph(t, 104)
 	pr := algorithms.NewPageRank(1e-7)
 	eRef, _, err := algorithms.Run(pr, g, core.Options{Scheduler: sched.Deterministic})
@@ -153,19 +156,7 @@ func TestPageRankConvergesUnderInjection(t *testing.T) {
 	want := pr.Ranks(eRef)
 
 	inj := fault.MustInjector(fault.Plan{Seed: 21, StaleRead: 0.05, Delay: 0.05, MaxFaults: 3000})
-	e, res, err := algorithms.Run(pr, g, core.Options{
-		Scheduler: sched.Nondeterministic,
-		Threads:   4,
-		Mode:      edgedata.ModeAtomic,
-		Inject:    inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge (%v)", inj.Stats())
-	}
-	got := pr.Ranks(e)
+	got := pr.Ranks(runInjected(t, pr, g, s, inj))
 	for v := range want {
 		if d := math.Abs(got[v] - want[v]); d > 1e-2 {
 			t.Fatalf("vertex %d rank %v, reference %v (Δ %v, faults %v)",

@@ -44,7 +44,7 @@ func TestPlanCrashIterZeroDisablesCrash(t *testing.T) {
 		t.Fatalf("CrashIter 0 rejected: %v", err)
 	}
 	in := mustInj(t, p)
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	for iter := 0; iter < 10; iter++ {
 		if in.CrashNow(iter) {
 			t.Fatalf("CrashIter 0 fired a crash at iteration %d", iter)
@@ -59,7 +59,7 @@ func TestPlanCrashIterZeroDisablesCrash(t *testing.T) {
 // armed after setup); a plan asking for iteration 1 must fire exactly once.
 func TestPlanCrashIterFiresOnceAtBoundary(t *testing.T) {
 	in := mustInj(t, Plan{Seed: 1, CrashIter: 1})
-	in.Arm(func(uint32) {})
+	in.Arm(func(int, uint32) {})
 	if in.CrashNow(0) {
 		t.Fatal("crash fired at iteration 0 with CrashIter 1")
 	}

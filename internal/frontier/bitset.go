@@ -56,7 +56,9 @@ func (b *Bitset) Test(i int) bool {
 // SetAtomic marks i as a member using an atomic read-modify-write, safe for
 // concurrent use by multiple goroutines. It reports whether the bit was
 // newly set (false if it was already a member), enabling exactly-once
-// claiming of vertices.
+// claiming of vertices. Its one caller is Frontier.Schedule, which no
+// engine calls any more; both go when the benchmark's frontier micro rows
+// stop timing them (ROADMAP item 1(g)).
 func (b *Bitset) SetAtomic(i int) bool {
 	addr := &b.words[i/wordBits]
 	mask := uint64(1) << uint(i%wordBits)
@@ -103,35 +105,6 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no members.
-func (b *Bitset) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CopyFrom replaces the receiver's contents with src's. Both bitsets must
-// have the same capacity.
-func (b *Bitset) CopyFrom(src *Bitset) {
-	if b.n != src.n {
-		panic("frontier: CopyFrom size mismatch")
-	}
-	copy(b.words, src.words)
-}
-
-// Union adds every member of src to the receiver. Capacities must match.
-func (b *Bitset) Union(src *Bitset) {
-	if b.n != src.n {
-		panic("frontier: Union size mismatch")
-	}
-	for i, w := range src.words {
-		b.words[i] |= w
-	}
-}
-
 // moveInto adds every member to dst and empties the receiver, writing
 // only the words that hold members. Capacities must match.
 func (b *Bitset) moveInto(dst *Bitset) {
@@ -143,16 +116,6 @@ func (b *Bitset) moveInto(dst *Bitset) {
 			dst.words[i] |= w
 			b.words[i] = 0
 		}
-	}
-}
-
-// Intersect removes members not in src. Capacities must match.
-func (b *Bitset) Intersect(src *Bitset) {
-	if b.n != src.n {
-		panic("frontier: Intersect size mismatch")
-	}
-	for i, w := range src.words {
-		b.words[i] &= w
 	}
 }
 
@@ -174,24 +137,4 @@ func (b *Bitset) ForEach(fn func(i int)) {
 func (b *Bitset) AppendMembers(dst []int) []int {
 	b.ForEach(func(i int) { dst = append(dst, i) })
 	return dst
-}
-
-// Clone returns a deep copy of the bitset.
-func (b *Bitset) Clone() *Bitset {
-	c := NewBitset(b.n)
-	copy(c.words, b.words)
-	return c
-}
-
-// Equal reports whether two bitsets have identical capacity and members.
-func (b *Bitset) Equal(o *Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i, w := range b.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
 }

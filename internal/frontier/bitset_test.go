@@ -11,7 +11,7 @@ func TestBitsetBasic(t *testing.T) {
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", b.Len())
 	}
-	if !b.Empty() {
+	if b.Count() != 0 {
 		t.Fatal("new bitset not empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
@@ -46,7 +46,7 @@ func TestBitsetClearAll(t *testing.T) {
 	b := NewBitset(100)
 	b.SetAll()
 	b.ClearAll()
-	if !b.Empty() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatal("ClearAll left members")
 	}
 }
@@ -120,62 +120,14 @@ func TestAppendMembersReuse(t *testing.T) {
 	}
 }
 
-func TestUnionIntersect(t *testing.T) {
-	a, b := NewBitset(100), NewBitset(100)
-	a.Set(1)
-	a.Set(50)
-	b.Set(50)
-	b.Set(99)
-	u := a.Clone()
-	u.Union(b)
-	if u.Count() != 3 || !u.Test(1) || !u.Test(50) || !u.Test(99) {
-		t.Fatal("Union wrong")
-	}
-	i := a.Clone()
-	i.Intersect(b)
-	if i.Count() != 1 || !i.Test(50) {
-		t.Fatal("Intersect wrong")
-	}
-}
-
-func TestCloneEqualCopyFrom(t *testing.T) {
-	a := NewBitset(77)
-	a.Set(3)
-	a.Set(76)
-	c := a.Clone()
-	if !a.Equal(c) {
-		t.Fatal("clone not equal")
-	}
-	c.Set(10)
-	if a.Equal(c) {
-		t.Fatal("mutating clone affected equality check unexpectedly")
-	}
-	d := NewBitset(77)
-	d.CopyFrom(a)
-	if !d.Equal(a) {
-		t.Fatal("CopyFrom mismatch")
-	}
-	if a.Equal(NewBitset(78)) {
-		t.Fatal("Equal across different sizes")
-	}
-}
-
+// Advance relies on moveInto refusing a destination of another size.
 func TestSizeMismatchPanics(t *testing.T) {
-	a, b := NewBitset(10), NewBitset(11)
-	for name, fn := range map[string]func(){
-		"CopyFrom":  func() { a.CopyFrom(b) },
-		"Union":     func() { a.Union(b) },
-		"Intersect": func() { a.Intersect(b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with size mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("moveInto with size mismatch did not panic")
+		}
+	}()
+	NewBitset(10).moveInto(NewBitset(11))
 }
 
 func TestNegativeSizePanics(t *testing.T) {
@@ -207,7 +159,7 @@ func TestBitsetQuickSetTestClear(t *testing.T) {
 		for i := range seen {
 			b.Clear(i)
 		}
-		return b.Empty()
+		return b.Count() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

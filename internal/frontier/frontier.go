@@ -10,11 +10,10 @@ package frontier
 // visible to any other worker before it: a frontier built with worker sets
 // (NewFrontierWorkers) gives worker w a private bitset, and ScheduleOn(w, v)
 // is a plain bit-set on it — no atomic, no cache line shared with another
-// worker. Advance folds every worker set into the shared next set.
-// Schedule, one atomic bit-set on the shared next set, remains for posters
-// that have no worker index (a fault injector's heal hook) and for the
-// hybrid engine; the two paths mix freely. Reading the current set
-// requires no synchronization because it is immutable between barriers.
+// worker. Advance folds every worker set into the shared next set. Every
+// engine wakeup — core's barrier schedulers, the fault heal hook, hybrid —
+// posts this way. Reading the current set requires no synchronization
+// because it is immutable between barriers.
 //
 // Cardinality and (optionally) scheduled-out-degree accounting happen at
 // the barrier: Advance popcounts the new current set and, when an
@@ -49,7 +48,7 @@ type Frontier struct {
 }
 
 // NewFrontier returns a Frontier over a universe of n vertices with both
-// buffers empty and no worker sets: every post goes through Schedule.
+// buffers empty and no worker sets, so only Schedule can post into it.
 func NewFrontier(n int) *Frontier { return NewFrontierWorkers(n, 0) }
 
 // NewFrontierWorkers returns a Frontier over a universe of n vertices with
@@ -121,9 +120,11 @@ func (f *Frontier) ScheduleNowAll(vs []int) {
 	}
 }
 
-// Schedule posts v into the shared next set. Safe for concurrent use. It
-// reports whether v was newly set there; a post through a worker set is
-// not seen until Advance folds it in.
+// Schedule posts v into the shared next set with one atomic bit-set. Safe
+// for concurrent use; it reports whether v was newly set there (a post
+// through a worker set is not seen until Advance folds it in). No engine
+// calls it: it remains only because the benchmark's frontier micro rows
+// time it, and goes with them (ROADMAP item 1(g)).
 func (f *Frontier) Schedule(v int) bool { return f.next.SetAtomic(v) }
 
 // ScheduleOn posts v into the next iteration's set through worker w's

@@ -393,7 +393,7 @@ func TestWorkerSetsFoldAtAdvance(t *testing.T) {
 				round, f.Size(), f.CurrentOutDegree(), len(want), wantDeg)
 		}
 		for w, b := range f.local {
-			if !b.Empty() {
+			if b.Count() != 0 {
 				t.Fatalf("round %d: worker set %d not cleared by Advance", round, w)
 			}
 		}

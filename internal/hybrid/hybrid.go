@@ -62,9 +62,9 @@ func (d Direction) String() string {
 }
 
 // Stats is the barrier-time snapshot a Policy decides from. All fields
-// are O(1) to produce: the frontier maintains its cardinality and
-// scheduled out-degree at Schedule time (PR 7's accounting fix), and the
-// engine tracks the in-degree of the never-yet-scheduled region.
+// are O(1) to produce: the frontier computes its cardinality and
+// scheduled out-degree once per barrier in Advance, and the engine tracks
+// the in-degree of the never-yet-scheduled region.
 type Stats struct {
 	// Iter is the upcoming iteration index.
 	Iter int
@@ -246,7 +246,7 @@ func NewEngine(g *graph.Graph, threads int) (*Engine, error) {
 	for v := range deg {
 		deg[v] = uint32(g.OutDegree(uint32(v)))
 	}
-	f := frontier.NewFrontier(g.N())
+	f := frontier.NewFrontierWorkers(g.N(), threads)
 	f.AttachOutDegrees(deg)
 	return &Engine{
 		g:        g,
@@ -350,7 +350,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 			c.offers++
 			if e.combine(u, cand, k.Better) {
 				uWins++
-				e.front.Schedule(int(u))
+				e.front.ScheduleOn(worker, int(u))
 				if t := e.trace; t != nil {
 					t.Record(curIter, worker, u, 1, cand)
 				}
@@ -397,7 +397,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 					c.cur = int64(vi)
 					val := k.Message(e.Vertices[u], 0)
 					e.Vertices[vi] = val
-					e.front.Schedule(vi)
+					e.front.ScheduleOn(worker, vi)
 					c.offers++
 					c.wins++
 					c.winners++
@@ -435,7 +435,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 				}
 				if improved {
 					atomic.StoreUint64(&e.Vertices[v], best)
-					e.front.Schedule(vi)
+					e.front.ScheduleOn(worker, vi)
 					c.wins++
 					c.winners++
 					if t := e.trace; t != nil {
@@ -472,7 +472,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 				}
 				if improved {
 					atomic.StoreUint64(&e.Vertices[v], best)
-					e.front.Schedule(vi)
+					e.front.ScheduleOn(worker, vi)
 					c.wins++
 					c.winners++
 					if t := e.trace; t != nil {

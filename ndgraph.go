@@ -270,8 +270,9 @@ type (
 	// FaultPlan configures the seeded fault injector.
 	FaultPlan = fault.Plan
 	// FaultInjector corrupts edge operations per a FaultPlan; plug it into
-	// Options.Inject. The core engine is its one host: the other executors
-	// take none.
+	// Options.Inject. The core engine is its one host, under every
+	// scheduler (NoSync refuses only a plan with CrashIter > 0, having no
+	// iteration boundary to crash at); the other executors take none.
 	FaultInjector = fault.Injector
 	// FaultStats tallies injected faults.
 	FaultStats = fault.Stats

@@ -257,7 +257,7 @@ func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Scheduler: sched.NoSync, Threads: 1, Mode: mode, Observer: in.newObserver(), Verdict: &verdict}
+	opts := core.Options{Scheduler: sched.NoSync, Threads: 1, Mode: mode, Observer: in.newObserver(), Inject: in.newInjector(), Verdict: &verdict}
 	e, err := core.NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +269,12 @@ func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentat
 		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
 	}
 	res.Duration = 0
-	return bulkRun{Result: res, Vertices: append([]uint64(nil), e.Vertices...), Edges: e.Edges.Snapshot(),
+	run := bulkRun{Result: res, Vertices: append([]uint64(nil), e.Vertices...), Edges: e.Edges.Snapshot(),
 		Events: scrub(opts.Observer.Events()), Delay: opts.Observer.DelaySnapshots()}
+	if opts.Inject != nil {
+		run.Faults = opts.Inject.Stats()
+	}
+	return run
 }
 
 // TestBulkAccessorsMatchPerEdge is the table: per engine, the
@@ -297,7 +301,7 @@ func TestBulkAccessorsMatchPerEdge(t *testing.T) {
 		{"core", bulkModes(), bulkInstrumentations, func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runCore(t, g, m, in, u)
 		}},
-		{"nosync", bulkModes(), only("plain", "observer"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
+		{"nosync", bulkModes(), only("plain", "observer", "inject"), func(t *testing.T, m edgedata.Mode, in instrumentation, u core.UpdateFunc) bulkRun {
 			return runNoSync(t, g, m, in, u)
 		}},
 	}

@@ -69,11 +69,14 @@ echo "== flake gate (NoSync scheduler, -race -count=20, GOMAXPROCS 1/2/8) =="
 # telemetry paths are schedule-sensitive: a test that passes once proves
 # little. Twenty repetitions under the race detector, with fewer, as many
 # and more runnable threads than the tests' worker counts, must all pass:
-# every NoSync test of the core engine, the benchmark shim's nosync and
-# async-chan replays, and all of sched, frontier, obs and hybrid (whose
-# direction choice reads the frontier's barrier-time counts).
+# every NoSync test of the core engine, the NoSync recovery rows of the
+# fault suite (heals posted on the faulting worker's deque mid-run), the
+# benchmark shim's nosync and async-chan replays, and all of sched,
+# frontier, obs and hybrid (whose direction choice reads the frontier's
+# barrier-time counts).
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=20 -run NoSync ./internal/core/
+    GOMAXPROCS=$procs go test -race -count=20 -run NoSync ./internal/fault/
     GOMAXPROCS=$procs go test -race -count=20 -run '^Test(NoSync|Async)Shim' .
     GOMAXPROCS=$procs go test -race -count=20 ./internal/sched/ ./internal/frontier/ ./internal/obs/ ./internal/hybrid/
 done

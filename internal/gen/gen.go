@@ -13,10 +13,26 @@
 // preserve the relevant behavior. See DESIGN.md §4.
 //
 // All generators are deterministic functions of their parameters and seed.
+//
+// RMAT, the largest generator in use (the netdist benchmark's 1 M-edge
+// graph), draws its edges in parallel without giving that up. Each candidate
+// edge consumes exactly per·levels values of one xoshiro256** stream (two
+// per recursion level with noise, one without), whether or not the edge is
+// kept, so candidate i's values start at step i·per·levels of the stream.
+// RMAT splits the candidates into GOMAXPROCS contiguous chunks and runs each
+// on a copy of the generator jumped to its chunk's first step
+// (rng.Xoshiro256StarStar.Advance, exact by the linearity of the state
+// update over GF(2)). Each chunk therefore draws exactly the values the
+// sequential loop would, writes its kept edges at its own offset of one
+// shared buffer, and one in-order pass closes the gaps: the edge list handed
+// to graph.Build is the sequential one, element for element, at every
+// GOMAXPROCS (TestRMATGolden's digests, checked at 1 and 8 in CI).
 package gen
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"ndgraph/internal/graph"
 	"ndgraph/internal/rng"
@@ -67,9 +83,43 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 	if p.NoiseAmp > 0 {
 		per = 2
 	}
+	es := rmatEdges(n, m, p, levels, per, relabel, r, runtime.GOMAXPROCS(0))
+	return graph.Build(es, graph.Options{NumVertices: n, Dedup: true})
+}
+
+// rmatEdges draws RMAT's m candidate edges from r in up to chunks parallel
+// contiguous chunks and returns the kept ones in draw order: the same edge
+// list for every chunk count (the package doc says why).
+func rmatEdges(n, m int, p RMATParams, levels, per int, relabel []uint32, r *rng.Xoshiro256StarStar, chunks int) []graph.Edge {
+	chunks = max(1, min(chunks, m))
+	es := make([]graph.Edge, m)
+	kept := make([]int, chunks)
+	var wg sync.WaitGroup
+	for c := range chunks {
+		lo, hi := c*m/chunks, (c+1)*m/chunks
+		cr := *r
+		cr.Advance(uint64(lo) * uint64(per*levels))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept[c] = rmatChunk(es[lo:hi], n, p, levels, per, relabel, &cr)
+		}()
+	}
+	wg.Wait()
+	k := kept[0]
+	for c := 1; c < chunks; c++ {
+		lo := c * m / chunks
+		k += copy(es[k:], es[lo:lo+kept[c]])
+	}
+	return es[:k]
+}
+
+// rmatChunk draws len(out) candidate edges from r and writes the kept ones
+// to the front of out, returning how many it kept.
+func rmatChunk(out []graph.Edge, n int, p RMATParams, levels, per int, relabel []uint32, r *rng.Xoshiro256StarStar) int {
 	f := make([]float64, per*levels)
-	es := make([]graph.Edge, 0, m)
-	for i := 0; i < m; i++ {
+	k := 0
+	for range out {
 		r.Float64s(f)
 		src, dst := 0, 0
 		for l := 0; l < levels; l++ {
@@ -97,9 +147,10 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 		if int(s) >= n || int(d) >= n || s == d {
 			continue // outside the requested vertex range or self-loop
 		}
-		es = append(es, graph.Edge{Src: s, Dst: d})
+		out[k] = graph.Edge{Src: s, Dst: d}
+		k++
 	}
-	return graph.Build(es, graph.Options{NumVertices: n, Dedup: true})
+	return k
 }
 
 func b2i(b bool) int {

@@ -1,10 +1,12 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ndgraph/internal/graph"
+	"ndgraph/internal/rng"
 )
 
 type genResult struct {
@@ -286,6 +288,38 @@ func TestRMATQuickValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRMATChunksAgree: the parallel draw keeps the sequential edge list
+// whatever the chunk count, including no edges, one edge, and fewer edges
+// than chunks.
+func TestRMATChunksAgree(t *testing.T) {
+	const levels = 10
+	relabel := make([]uint32, 1<<levels)
+	for i := range relabel {
+		relabel[i] = uint32(i)
+	}
+	for _, m := range []int{0, 1, 3, 7, 1000} {
+		for _, p := range []RMATParams{DefaultRMAT, {A: 0.45, B: 0.22, C: 0.22, D: 0.11}} {
+			per := 1
+			if p.NoiseAmp > 0 {
+				per = 2
+			}
+			want := rmatEdges(900, m, p, levels, per, relabel, rng.New(uint64(m)), 1)
+			for _, chunks := range []int{2, 8, 64} {
+				got := rmatEdges(900, m, p, levels, per, relabel, rng.New(uint64(m)), chunks)
+				if !slices.Equal(got, want) {
+					t.Fatalf("m=%d noise=%v chunks=%d: %d edges differ from the sequential %d", m, p.NoiseAmp, chunks, len(got), len(want))
+				}
+			}
+		}
+	}
+	for _, m := range []int{0, 1} {
+		g := validate(t, r(RMAT(100, m, DefaultRMAT, 3)))
+		if g.M() > m {
+			t.Fatalf("RMAT(100, %d) has %d edges", m, g.M())
+		}
 	}
 }
 

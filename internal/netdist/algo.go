@@ -6,18 +6,25 @@ import (
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/gen"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/loader"
 )
 
 // GraphSpec describes a graph generatively so it can cross the wire as a
 // few integers instead of an edge dump: every worker rebuilds the
 // identical graph locally from (kind, size, seed). The "edges" kind
-// carries an explicit edge list for tests with hand-built topologies.
+// carries an explicit edge list for tests with hand-built topologies; the
+// "file" kind names a graph file every worker reads, as distributed jobs
+// start from shared storage.
 type GraphSpec struct {
-	Kind  string      `json:"kind"` // "rmat", "ring", "chain", or "edges"
+	Kind  string      `json:"kind"` // "rmat", "ring", "chain", "edges" or "file"
 	N     int         `json:"n"`
 	M     int         `json:"m,omitempty"`
 	Seed  uint64      `json:"seed,omitempty"`
 	Edges [][2]uint32 `json:"edges,omitempty"` // kind "edges" only
+	// Path is the graph file of kind "file", in any format loader.LoadFile
+	// reads (the binary CSR .bin loads fastest). N, when set, must match
+	// the file's vertex count.
+	Path string `json:"path,omitempty"`
 }
 
 // Build materializes the spec. Deterministic: the same spec yields the
@@ -36,6 +43,15 @@ func (s GraphSpec) Build() (*graph.Graph, error) {
 			es[i] = graph.Edge{Src: e[0], Dst: e[1]}
 		}
 		return graph.Build(es, graph.Options{NumVertices: s.N})
+	case "file":
+		g, err := loader.LoadFile(s.Path, graph.Options{NumVertices: s.N})
+		if err != nil {
+			return nil, err
+		}
+		if s.N > 0 && g.N() != s.N {
+			return nil, fmt.Errorf("netdist: graph file %s has %d vertices, spec says %d", s.Path, g.N(), s.N)
+		}
+		return g, nil
 	}
 	return nil, fmt.Errorf("netdist: unknown graph kind %q", s.Kind)
 }

@@ -92,9 +92,18 @@ type Result struct {
 	Sweeps    int
 	Converged bool
 	Duration  time.Duration
+	// Ready, Compute and Fetch split Duration into the job's three serial
+	// phases: launching the workers until every one has built its graph
+	// and kernel, the start frames until the fetch is sent (propagation
+	// plus termination detection), and the fetch until every value has
+	// arrived. A phase cut short by the run's end counts until then; one
+	// that never started is zero. Teardown is the rest of Duration.
+	Ready, Compute, Fetch time.Duration
 
 	// Messages and Adopted sum the workers' last reported counts of
-	// delivered updates and of deliveries that improved a vertex.
+	// delivered updates and of deliveries that improved a vertex: from
+	// heartbeats and probe replies, so a converged run reports its final
+	// sweep's exact counts.
 	Messages, Adopted int64
 }
 
@@ -137,7 +146,7 @@ type coordEvent struct {
 	typ    byte
 	hb     heartbeatMsg
 	probe  probeReplyMsg
-	vals   valuesMsg
+	vals   []byte // msgValues payload, decoded by the event loop
 	fail   failedMsg
 	err    error
 }
@@ -151,9 +160,17 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	opt.defaults()
 	c := &coordinator{opt: opt, life: core.Lifecycle{Name: "netdist", Context: ctx, Observer: opt.Observer}}
 	c.life.Begin()
+	begin := time.Now()
 	values, err := c.run(ctx)
+	end := c.assembled
+	if end.IsZero() {
+		end = time.Now()
+	}
 	res := &Result{Values: values, Restarts: c.restarts, Repairs: c.repairs, Sweeps: c.sweeps, Converged: err == nil}
 	res.Duration = c.life.End(res.Converged)
+	res.Ready = phase(begin, c.started, end)
+	res.Compute = phase(c.started, c.fetched, end)
+	res.Fetch = phase(c.fetched, end, end)
 	c.mu.Lock()
 	for _, w := range c.workers {
 		if w != nil { // nil if the run failed while launching workers
@@ -169,6 +186,18 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		DurationNanos: int64(res.Duration),
 	})
 	return res, err
+}
+
+// phase is the duration from from to to, or to end if to never came, and
+// zero if from never came.
+func phase(from, to, end time.Time) time.Duration {
+	if from.IsZero() {
+		return 0
+	}
+	if to.IsZero() {
+		to = end
+	}
+	return to.Sub(from)
 }
 
 // run is Run's job on c, up to the fetched values.
@@ -216,7 +245,8 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 		}
 		c.workers[id] = &coordWorker{id: id, addr: addr}
 	}
-	// Every worker builds its graph during init: overlap the builds.
+	// Every worker builds its kernel, and a worker process its graph, during
+	// init: overlap them. A LocalLauncher's workers share one graph build.
 	errs := make([]error, opt.Workers)
 	var wg sync.WaitGroup
 	for id := range errs {
@@ -232,6 +262,7 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 	c.mu.Lock()
 	c.ready = true
 	c.mu.Unlock()
+	c.started = time.Now()
 	for _, w := range c.workers {
 		if err := w.conn.writeFrame(msgStart, nil); err != nil {
 			return nil, fmt.Errorf("netdist: start worker %d: %w", w.id, err)
@@ -283,6 +314,10 @@ type coordinator struct {
 	restarts int
 	repairs  int
 	sweeps   int
+
+	// The phase boundaries Result reports: start frames sent, fetch sent,
+	// every value arrived. Written by the goroutine running run only.
+	started, fetched, assembled time.Time
 }
 
 func (c *coordinator) closeConns() {
@@ -423,9 +458,8 @@ func (c *coordinator) readWorker(id, gen int, fc *frameConn) {
 				continue
 			}
 		case msgValues:
-			if json.Unmarshal(p, &ev.vals) != nil {
-				continue
-			}
+			ev.vals = p
+		case msgIdle:
 		case msgFailed:
 			if json.Unmarshal(p, &ev.fail) != nil {
 				continue
@@ -441,6 +475,13 @@ func (c *coordinator) readWorker(id, gen int, fc *frameConn) {
 
 // supervise is the coordinator's main loop: track heartbeats, restart the
 // dead, sweep for quiescence, and fetch the result once quiesced.
+//
+// A sweep starts as soon as every worker has sent an idle notice since its
+// last non-idle probe reply, or else on the probe tick. A notice proves
+// nothing on its own: the workers' notices are sent at different instants,
+// and a worker that noticed may since have received a late batch from a
+// peer that was still busy. Only the double-sweep stability check ends a
+// run; notices just start its sweeps without waiting for the tick.
 func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 	supTick := time.NewTicker(c.opt.Heartbeat)
 	defer supTick.Stop()
@@ -448,15 +489,17 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 	defer probeTick.Stop()
 
 	var (
-		sweepEpoch    int64
-		sweepPending  map[int]bool
-		sweepStarted  time.Time
-		sweepReplies  map[int]probeReplyMsg
-		prevIdle      map[int]probeReplyMsg
-		fetching      bool
-		fetchPending  map[int]bool
-		values        []uint64
-		valuesPending int
+		sweepEpoch   int64
+		sweepPending map[int]bool
+		sweepStarted time.Time
+		sweepReplies map[int]probeReplyMsg
+		prevIdle     map[int]probeReplyMsg
+		fetching     bool
+		fetchLeft    map[int]int // values each worker still owes
+		values       []uint64
+		// noticed[i]: worker i sent an idle notice since its last
+		// non-idle probe reply (and since the last restart).
+		noticed = make([]bool, len(c.workers))
 	)
 	// sweep probes every worker for a quiescence snapshot.
 	sweep := func() {
@@ -478,6 +521,18 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				break
 			}
 		}
+	}
+	// sweepOnIdle sweeps at once if every worker has noticed idle.
+	sweepOnIdle := func() {
+		if fetching || sweepPending != nil {
+			return
+		}
+		for _, ok := range noticed {
+			if !ok {
+				return
+			}
+		}
+		sweep()
 	}
 
 	for {
@@ -508,6 +563,9 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 					return nil, c.life.PanicError(uint32(f.Vertex), f.Panic, []byte(f.Stack))
 				}
 				return nil, fmt.Errorf("netdist: worker %d panicked: %s\n%s", ev.worker, ev.fail.Panic, ev.fail.Stack)
+			case msgIdle:
+				noticed[ev.worker] = true
+				sweepOnIdle()
 			case msgHeartbeat:
 				c.mu.Lock()
 				w.lastHB = time.Now()
@@ -515,11 +573,19 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				w.lastStat = ev.hb
 				c.mu.Unlock()
 			case msgProbeRep:
+				// A reply carries the heartbeat's counters too, and a run
+				// that quiesces within one heartbeat sends no heartbeat.
+				c.mu.Lock()
+				w.lastStat.Messages, w.lastStat.Adopted, w.lastStat.Unacked = ev.probe.Recv, ev.probe.Adopted, ev.probe.Unacked
+				c.mu.Unlock()
 				if ev.probe.Epoch != sweepEpoch || sweepPending == nil || !sweepPending[ev.worker] {
 					continue // stale sweep
 				}
 				delete(sweepPending, ev.worker)
 				sweepReplies[ev.worker] = ev.probe
+				if r := ev.probe; r.QueueLen != 0 || r.Busy || r.Unacked != 0 {
+					noticed[ev.worker] = false
+				}
 				if len(sweepPending) > 0 {
 					continue
 				}
@@ -534,11 +600,12 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				}
 				if idle && prevIdle != nil && sweepStable(prevIdle, sweepReplies) && !fetching {
 					fetching = true
-					fetchPending = make(map[int]bool)
+					c.fetched = time.Now()
+					fetchLeft = make(map[int]int)
 					values = make([]uint64, c.t.N())
-					valuesPending = len(c.workers)
 					for _, w := range c.workers {
-						fetchPending[w.id] = true
+						lo, hi := c.t.Range(w.id)
+						fetchLeft[w.id] = int(hi - lo)
 						if err := w.conn.writeFrame(msgFetch, nil); err != nil {
 							return nil, fmt.Errorf("netdist: fetch from worker %d: %w", w.id, err)
 						}
@@ -547,8 +614,9 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				}
 				// The first all-idle sweep is confirmed at once rather than
 				// on the next tick: a batch is queued before it is acked, so
-				// no gap between sweeps, however short, can hide one. A
-				// confirming sweep that saw counters move waits for the tick.
+				// no gap between sweeps, however short, can hide one. After
+				// a confirming sweep that saw counters move, the next sweep
+				// waits for every worker's notice to stand, or the tick.
 				confirm := idle && prevIdle == nil
 				if idle {
 					prevIdle = sweepReplies
@@ -558,15 +626,29 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 				sweepPending = nil
 				if confirm {
 					sweep()
+				} else {
+					sweepOnIdle()
 				}
 			case msgValues:
-				if !fetching || !fetchPending[ev.worker] {
+				left, ok := fetchLeft[ev.worker]
+				if !ok {
 					continue
 				}
-				delete(fetchPending, ev.worker)
-				copy(values[ev.vals.Lo:], ev.vals.Values)
-				valuesPending--
-				if valuesPending == 0 {
+				// A worker sends its values in order, in as many frames
+				// as they need.
+				_, hi := c.t.Range(ev.worker)
+				next := hi - uint32(left)
+				n, err := decodeValues(ev.vals, next, values[next:hi])
+				if err != nil {
+					return nil, fmt.Errorf("netdist: fetch from worker %d: %w", ev.worker, err)
+				}
+				if left -= n; left > 0 {
+					fetchLeft[ev.worker] = left
+					continue
+				}
+				delete(fetchLeft, ev.worker)
+				if len(fetchLeft) == 0 {
+					c.assembled = time.Now()
 					return values, nil
 				}
 			}
@@ -592,9 +674,11 @@ func (c *coordinator) supervise(ctx context.Context) ([]uint64, error) {
 			if err := c.restart(dead); err != nil {
 				return nil, err
 			}
-			// Any in-flight sweep is void: state changed.
+			// Any in-flight sweep is void, and every notice stale: state
+			// changed.
 			sweepPending = nil
 			prevIdle = nil
+			clear(noticed)
 
 		case <-probeTick.C:
 			if fetching {

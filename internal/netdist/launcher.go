@@ -3,12 +3,16 @@ package netdist
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os/exec"
 	"strings"
 	"sync"
 	"time"
+
+	"ndgraph/internal/graph"
 )
 
 // Launcher abstracts how worker processes are brought up and torn down,
@@ -36,10 +40,15 @@ type Launcher interface {
 // loopback TCP listener. Kill cancels the worker's context: its listener
 // and connections close and all in-memory state is abandoned, which is
 // the closest in-process analog of SIGKILL (checkpoints on disk are all
-// that survives, exactly as with a real process).
+// that survives, exactly as with a real process). The graph is the one
+// exception: it is immutable and a pure function of the job's spec, so the
+// launcher's workers share one build of it (graphMemo), and a worker
+// restarted after a kill reuses the build its peers still hold.
 type LocalLauncher struct {
-	mu    sync.Mutex
-	procs map[int]*localProc
+	mu     sync.Mutex
+	procs  map[int]*localProc
+	graphs graphMemo
+	wg     sync.WaitGroup // worker goroutines
 }
 
 type localProc struct {
@@ -63,7 +72,8 @@ func (l *LocalLauncher) Start(id int) (string, error) {
 	l.mu.Lock()
 	l.procs[id] = &localProc{cancel: cancel, ln: ln}
 	l.mu.Unlock()
-	go func() { _ = RunWorker(ctx, ln) }()
+	l.wg.Add(1)
+	go func() { defer l.wg.Done(); _ = runWorker(ctx, ln, &l.graphs) }()
 	return ln.Addr().String(), nil
 }
 
@@ -84,7 +94,10 @@ func (l *LocalLauncher) Stop(id int) error {
 // the same mechanism; the distinction matters for ExecLauncher.
 func (l *LocalLauncher) Kill(id int) error { return l.Stop(id) }
 
-// Close implements Launcher.
+// Close implements Launcher. It returns once every worker goroutine the
+// launcher started has exited, so no worker, and no graph the workers
+// shared, outlives it. A worker still serving a coordinator connection
+// exits when that connection closes, as Run's do before Run returns.
 func (l *LocalLauncher) Close() error {
 	l.mu.Lock()
 	procs := l.procs
@@ -94,7 +107,70 @@ func (l *LocalLauncher) Close() error {
 		p.cancel()
 		p.ln.Close()
 	}
+	l.wg.Wait()
 	return nil
+}
+
+// graphMemo shares one build per graph spec among the workers of one
+// LocalLauncher, which are goroutines in one address space. Builds are
+// single-flight: the first worker to ask builds, the others wait for its
+// result. An entry lives while some worker holds it and is dropped with
+// the last release, so nothing is cached across jobs. The zero value is
+// ready to use; a nil *graphMemo builds a private copy per worker, as
+// worker processes must.
+type graphMemo struct {
+	mu      sync.Mutex
+	entries map[[sha256.Size]byte]*memoEntry // by the spec's JSON digest
+}
+
+type memoEntry struct {
+	done chan struct{} // closed once g and err are set
+	g    *graph.Graph
+	err  error
+	refs int
+}
+
+// acquire returns the graph of spec and the release the caller must call
+// once it no longer uses the graph.
+func (m *graphMemo) acquire(spec GraphSpec) (*graph.Graph, func(), error) {
+	if m == nil {
+		g, err := spec.Build()
+		return g, func() {}, err
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	key := sha256.Sum256(b)
+	m.mu.Lock()
+	e := m.entries[key]
+	build := e == nil
+	if build {
+		if m.entries == nil {
+			m.entries = make(map[[sha256.Size]byte]*memoEntry)
+		}
+		e = &memoEntry{done: make(chan struct{})}
+		m.entries[key] = e
+	}
+	e.refs++
+	m.mu.Unlock()
+	if build {
+		e.g, e.err = spec.Build()
+		close(e.done)
+	}
+	<-e.done
+	release := func() {
+		m.mu.Lock()
+		if e.refs--; e.refs == 0 {
+			delete(m.entries, key)
+		}
+		m.mu.Unlock()
+	}
+	if e.err != nil {
+		release()
+		return nil, nil, e.err
+	}
+	return e.g, release, nil
 }
 
 // --- ExecLauncher: real worker processes (cmd/ndworker) ---

@@ -165,3 +165,57 @@ func TestRunReportsWorkerInitError(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleNoticeThenLateBatch: a worker's idle notice does not outlive the
+// work that reaches it later. On a chain whose labels fall towards the far
+// end, worker 0 settles its own half at once and reports idle, while worker
+// 1 holds the boundary edge for a while and then sends the minimum label
+// across. Worker 0 works through that late batch slowly, so the notice
+// worker 1 sends on draining its window finds worker 0's old notice still
+// standing and starts a sweep while worker 0 is busy. The run must still
+// fetch the exact fixed point, since only the double sweep ends it. The 1 s
+// heartbeat keeps the probe tick (2 s) out of the run: every sweep here is
+// started by notices.
+func TestIdleNoticeThenLateBatch(t *testing.T) {
+	const n = 64
+	spec := GraphSpec{Kind: "chain", N: n}
+	undirected := mustBuild(t, spec).Undirected()
+	boundary, ok := undirected.FindEdge(n/2, n/2-1)
+	if !ok {
+		t.Fatalf("chain has no edge %d→%d", n/2, n/2-1)
+	}
+	worker1, _ := undirected.OutEdgeIndex(n / 2) // first out-edge worker 1 owns
+	prev := testKernel
+	t.Cleanup(func() { testKernel = prev })
+	var held atomic.Bool
+	testKernel = func(name string) (algorithms.Kernel, bool) {
+		k := algorithms.WCCKernel()
+		k.EdgeIndexed = true
+		k.Init = func(g *graph.Graph) ([]uint64, []int) {
+			vals := make([]uint64, g.N())
+			for i := range vals {
+				vals[i] = uint64(len(vals) - 1 - i)
+			}
+			return vals, nil
+		}
+		k.Message = func(srcVal uint64, e uint32) uint64 {
+			switch {
+			case e == boundary && held.CompareAndSwap(false, true):
+				time.Sleep(100 * time.Millisecond) // worker 1 holds the boundary
+			case srcVal == 0 && e < worker1:
+				time.Sleep(2 * time.Millisecond) // worker 0 works slowly
+			}
+			return srcVal
+		}
+		return k, name == "late-wcc"
+	}
+	res, err := Run(context.Background(), Options{Workers: 2, Graph: spec, Algo: AlgoSpec{Name: "late-wcc"}, Heartbeat: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, label := range res.Values {
+		if label != 0 {
+			t.Fatalf("vertex %d: label %d, want 0", v, label)
+		}
+	}
+}

@@ -2,16 +2,21 @@ package netdist
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ndgraph/internal/algorithms"
 	"ndgraph/internal/graph"
+	"ndgraph/internal/loader"
 )
 
 // fastOpts returns options tuned for test latency: tight heartbeats and
@@ -211,6 +216,135 @@ func TestDistSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWCC(t, g, res)
+}
+
+// TestRunReportsPhases: a converged job reports all three serial phases,
+// and together they fit in its Duration. A job whose workers never became
+// ready never started computing or fetching.
+func TestRunReportsPhases(t *testing.T) {
+	res, err := Run(context.Background(), fastOpts(2, testRMAT, AlgoSpec{Name: "sssp", Source: 1, WeightSeed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ready <= 0 || res.Compute <= 0 || res.Fetch <= 0 || res.Ready+res.Compute+res.Fetch > res.Duration {
+		t.Fatalf("phases ready %v + compute %v + fetch %v, duration %v", res.Ready, res.Compute, res.Fetch, res.Duration)
+	}
+	res, err = Run(context.Background(), fastOpts(2, GraphSpec{Kind: "bogus", N: 100}, AlgoSpec{Name: "wcc"}))
+	if err == nil || res.Ready <= 0 || res.Compute != 0 || res.Fetch != 0 || res.Ready > res.Duration {
+		t.Fatalf("failed init: err %v, phases ready %v compute %v fetch %v, duration %v", err, res.Ready, res.Compute, res.Fetch, res.Duration)
+	}
+}
+
+// TestLocalLauncherBuildsOnce: a LocalLauncher's workers are goroutines in
+// one process, so all of a job's workers run on one build of its graph.
+func TestLocalLauncherBuildsOnce(t *testing.T) {
+	prev := testKernel
+	t.Cleanup(func() { testKernel = prev })
+	var mu sync.Mutex
+	seen := map[*graph.Graph]int{}
+	testKernel = func(name string) (algorithms.Kernel, bool) {
+		k := algorithms.BFSKernel(1)
+		init := k.Init
+		k.Init = func(g *graph.Graph) ([]uint64, []int) {
+			mu.Lock()
+			seen[g]++
+			mu.Unlock()
+			return init(g)
+		}
+		return k, name == "shared-bfs"
+	}
+	res, err := Run(context.Background(), fastOpts(3, testRMAT, AlgoSpec{Name: "shared-bfs"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("3 workers ran on %d graphs: %v", len(seen), seen)
+	}
+	for _, n := range seen {
+		if n != 3 {
+			t.Fatalf("%d of 3 workers ran on the shared graph", n)
+		}
+	}
+	g := mustBuild(t, testRMAT)
+	checkDistances(t, g, res, 1, algorithms.NewBFS(g, 1).Weights)
+}
+
+// TestIdleNoticeEndsRunBeforeTick: the workers' idle notices start the
+// quiescence sweeps, so a job ends without waiting for the probe tick (2 s
+// at a 1 s heartbeat), and still at the exact fixed point.
+func TestIdleNoticeEndsRunBeforeTick(t *testing.T) {
+	g := mustBuild(t, testRMAT)
+	a := AlgoSpec{Name: "sssp", Source: 1, WeightSeed: 11}
+	res, err := Run(context.Background(), Options{Workers: 2, Graph: testRMAT, Algo: a, Heartbeat: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDistances(t, g, res, 1, algorithms.NewSSSP(g, 1, 11).Weights)
+	if res.Duration >= time.Second {
+		t.Fatalf("run took %v: it waited for the probe tick", res.Duration)
+	}
+}
+
+// TestDistFetchesLargePartition: a worker owning more vertices than one
+// frame holds values for sends them in several frames, and the coordinator
+// assembles them all. One frame used to fail to send, and the converged run
+// then timed out waiting for it.
+func TestDistFetchesLargePartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a graph of 2.1 M vertices")
+	}
+	n := maxValueWords + 1000
+	res, err := Run(context.Background(), fastOpts(1, GraphSpec{Kind: "edges", N: n, Edges: [][2]uint32{{0, uint32(n - 1)}}}, AlgoSpec{Name: "bfs"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Floats()
+	for v, d := range got {
+		want := math.Inf(1)
+		switch v {
+		case 0:
+			want = 0
+		case n - 1:
+			want = 1
+		}
+		if d != want {
+			t.Fatalf("vertex %d: dist %v, want %v", v, d, want)
+		}
+	}
+}
+
+// TestDistFileSpec: workers that load a saved graph file compute the same
+// values as workers that generate it, and a file that cannot be loaded, or
+// does not match the spec, fails the workers' init.
+func TestDistFileSpec(t *testing.T) {
+	g := mustBuild(t, testRMAT)
+	path := filepath.Join(t.TempDir(), "rmat.bin")
+	if err := loader.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	a := AlgoSpec{Name: "sssp", Source: 1, WeightSeed: 99}
+	want, err := Run(context.Background(), fastOpts(2, testRMAT, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), fastOpts(2, GraphSpec{Kind: "file", Path: path, N: g.N()}, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Values, want.Values) {
+		t.Fatal("values from the graph file differ from the generated graph's")
+	}
+	for _, tc := range []struct {
+		spec GraphSpec
+		want string
+	}{
+		{GraphSpec{Kind: "file", Path: filepath.Join(t.TempDir(), "missing.bin"), N: g.N()}, "netdist: worker 0 init: open "},
+		{GraphSpec{Kind: "file", Path: path, N: 400}, fmt.Sprintf("has %d vertices, spec says 400", g.N())},
+	} {
+		if _, err := Run(context.Background(), fastOpts(2, tc.spec, a)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one containing %q", tc.spec, err, tc.want)
+		}
+	}
 }
 
 // TestDistFaultyLinks runs WCC through the fault proxy with heavy frame

@@ -17,8 +17,9 @@ import (
 //
 // where the length counts the type byte plus the payload. Control-plane
 // payloads (hello, init, heartbeat, ...) are JSON — small, rare, easy to
-// evolve. Data-plane payloads (batches of edge updates and their acks) are
-// fixed-layout little-endian binary — the hot path.
+// evolve. Data-plane payloads (batches of edge updates and their acks) and
+// the fetched values, one word per owned vertex, are fixed-layout
+// little-endian binary: the hot path and the one bulk control reply.
 //
 // The framing is deliberately trivial so the fault proxy can parse it and
 // inject faults at frame granularity without understanding payloads.
@@ -46,6 +47,7 @@ const (
 	msgRepair    byte = 0x23 // coordinator → worker: re-send boundary into partition K
 	msgPeerUpd   byte = 0x24 // coordinator → worker: a peer moved to a new address
 	msgFailed    byte = 0x25 // worker → coordinator: kernel code panicked; the run ends
+	msgIdle      byte = 0x26 // worker → coordinator: just became locally quiescent
 	msgFetch     byte = 0x30 // coordinator → worker: request final vertex values
 	msgValues    byte = 0x31 // worker → coordinator: final vertex values
 	msgShutdown  byte = 0x3f // coordinator → worker: exit cleanly
@@ -77,6 +79,8 @@ func msgName(t byte) string {
 		return "peer-update"
 	case msgFailed:
 		return "failed"
+	case msgIdle:
+		return "idle"
 	case msgFetch:
 		return "fetch"
 	case msgValues:
@@ -259,14 +263,6 @@ type failedMsg struct {
 	Stack  string `json:"stack"`
 }
 
-// valuesMsg returns a worker's owned slice of the result. Values are the
-// raw uint64 propagation values; Result decodes them.
-type valuesMsg struct {
-	Worker int      `json:"worker"`
-	Lo     uint32   `json:"lo"`
-	Values []uint64 `json:"values"`
-}
-
 // --- Data-plane payloads (binary) ---
 
 // A data batch is
@@ -320,6 +316,38 @@ func decodeBatch(p []byte) (dataBatch, error) {
 		off += batchEntryLen
 	}
 	return b, nil
+}
+
+// A values frame returns a run of a worker's owned slice of the result:
+//
+//	uint32 lo | n × uint64 value
+//
+// where value i belongs to vertex lo+i. The values are the raw uint64
+// propagation values; Result decodes them. A worker owning more than
+// maxValueWords vertices sends them in several frames, in vertex order.
+const maxValueWords = (maxFrame - 1 - 4) / 8
+
+func encodeValues(lo uint32, vals []uint64) []byte {
+	out := make([]byte, 4+8*len(vals))
+	binary.LittleEndian.PutUint32(out, lo)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[4+8*i:], v)
+	}
+	return out
+}
+
+// decodeValues decodes a values frame that must start at vertex lo into the
+// front of dst, the values from lo on that its sender still owes, and
+// returns how many it decoded.
+func decodeValues(p []byte, lo uint32, dst []uint64) (int, error) {
+	n := (len(p) - 4) / 8
+	if len(p) < 4 || len(p) != 4+8*n || binary.LittleEndian.Uint32(p) != lo || n > len(dst) {
+		return 0, fmt.Errorf("netdist: values frame of %d bytes does not fit [%d,%d)", len(p), lo, int(lo)+len(dst))
+	}
+	for i := range dst[:n] {
+		dst[i] = binary.LittleEndian.Uint64(p[4+8*i:])
+	}
+	return n, nil
 }
 
 func encodeAck(seq uint64) []byte {

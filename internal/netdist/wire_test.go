@@ -3,6 +3,7 @@ package netdist
 import (
 	"bytes"
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
@@ -46,6 +47,26 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeAck([]byte{1, 2, 3}); err == nil {
 		t.Fatal("accepted short ack")
+	}
+}
+
+func TestValuesRoundTrip(t *testing.T) {
+	vals := []uint64{0, 1, 1 << 63, 0xdeadbeefcafef00d}
+	p := encodeValues(40, vals)
+	got := make([]uint64, len(vals)+1) // the sender owes one more value
+	if n, err := decodeValues(p, 40, got); err != nil || n != len(vals) || !slices.Equal(got[:n], vals) {
+		t.Fatalf("decoded %d values %v (err %v), want %v", n, got, err, vals)
+	}
+	// A frame starting elsewhere, longer than what is owed, or torn, is
+	// refused.
+	for _, tc := range []struct {
+		p   []byte
+		lo  uint32
+		dst int
+	}{{p, 41, 4}, {p, 40, 3}, {p[:len(p)-1], 40, 4}, {p[:3], 40, 0}} {
+		if _, err := decodeValues(tc.p, tc.lo, make([]uint64, tc.dst)); err == nil {
+			t.Errorf("%d-byte frame decoded into [%d,%d)", len(tc.p), tc.lo, int(tc.lo)+tc.dst)
+		}
 	}
 }
 

@@ -55,6 +55,11 @@ type worker struct {
 	lo   uint32
 	hi   uint32
 
+	// graphs supplies the job's graph (shared by a LocalLauncher's
+	// workers, nil in a worker process); release gives it back.
+	graphs  *graphMemo
+	release func()
+
 	rto     time.Duration
 	hbEvery time.Duration
 	ckptOps int64
@@ -73,6 +78,13 @@ type worker struct {
 
 	busy    atomic.Bool
 	stopped atomic.Bool
+
+	// reportMu orders idle notices and probe replies on the control
+	// connection: a reply holds it from its snapshot until it is sent, so a
+	// notice never overtakes a reply that still shows the worker busy. The
+	// coordinator forgets a worker's notice on a non-idle reply and would
+	// otherwise miss the transition that notice reported.
+	reportMu sync.Mutex
 
 	senders []*peerSender // indexed by worker id; nil for self
 
@@ -103,7 +115,18 @@ type worker struct {
 // in-process analog of SIGKILL: all goroutines unwind without flushing
 // anything.
 func RunWorker(ctx context.Context, ln net.Listener) error {
+	return runWorker(ctx, ln, nil)
+}
+
+// runWorker is RunWorker with the worker's graphs drawn from graphs.
+func runWorker(ctx context.Context, ln net.Listener, graphs *graphMemo) error {
 	w := newWorker(ctx)
+	w.graphs = graphs
+	defer func() {
+		if w.release != nil {
+			w.release()
+		}
+	}()
 	done := make(chan error, 1)
 	go func() { <-w.ctx.Done(); ln.Close(); w.stop() }()
 	// The accept loop is itself wg-tracked so its wg.Add for connection
@@ -225,7 +248,10 @@ func (w *worker) serveCoord(fc *frameConn) error {
 				Epoch int64 `json:"epoch"`
 			}
 			_ = json.Unmarshal(p, &probe)
-			if err := fc.writeJSON(msgProbeRep, w.snapshot(probe.Epoch)); err != nil {
+			w.reportMu.Lock()
+			err := fc.writeJSON(msgProbeRep, w.snapshot(probe.Epoch))
+			w.reportMu.Unlock()
+			if err != nil {
 				return err
 			}
 		case msgRepair:
@@ -258,10 +284,11 @@ func (w *worker) initialize(init initMsg) error {
 	if err != nil {
 		return err
 	}
-	g, err := init.Graph.Build()
+	g, release, err := w.graphs.acquire(init.Graph)
 	if err != nil {
 		return err
 	}
+	w.release = release
 	if t.N() != g.N() {
 		return fmt.Errorf("netdist: partition table covers %d vertices, graph has %d", t.N(), g.N())
 	}
@@ -403,8 +430,14 @@ func (w *worker) computeLoop() {
 	}()
 	for {
 		w.mu.Lock()
+		if !w.stopped.Load() && len(w.cmds) == 0 && len(w.frontier) == 0 && w.busy.Swap(false) {
+			// Work just ran out: tell the coordinator, outside the lock,
+			// and look again.
+			w.mu.Unlock()
+			w.noticeIdle()
+			continue
+		}
 		for !w.stopped.Load() && len(w.cmds) == 0 && len(w.frontier) == 0 {
-			w.busy.Store(false)
 			w.cond.Wait()
 		}
 		if w.stopped.Load() {
@@ -467,7 +500,14 @@ func (w *worker) handleCmd(c cmd) {
 		}
 		w.ckptPending.Wait()
 		if w.coord != nil {
-			_ = w.coord.writeJSON(msgValues, valuesMsg{Worker: w.id, Lo: w.lo, Values: w.kern.vals})
+			// In vertex order, at most maxValueWords to a frame.
+			for lo, vals := w.lo, w.kern.vals; ; {
+				n := min(len(vals), maxValueWords)
+				if w.coord.writeFrame(msgValues, encodeValues(lo, vals[:n])) != nil || n == len(vals) {
+					break
+				}
+				lo, vals = lo+uint32(n), vals[n:]
+			}
 		}
 	}
 }
@@ -503,17 +543,40 @@ func (w *worker) checkpointLoop() {
 	}
 }
 
+// noticeIdle sends the coordinator an idle notice if the worker is locally
+// quiescent: nothing queued, not computing, and nothing sent that is not
+// yet acknowledged. It is called on the two transitions into that state:
+// the compute goroutine running out of work, and an ack emptying the last
+// unacked window while compute is idle. Both may see the same transition
+// and send twice; a notice only asks for a sweep, so that is harmless.
+func (w *worker) noticeIdle() {
+	w.reportMu.Lock()
+	defer w.reportMu.Unlock()
+	w.mu.Lock()
+	idle := len(w.cmds) == 0 && len(w.frontier) == 0 && !w.busy.Load()
+	w.mu.Unlock()
+	if idle && w.unacked() == 0 && w.coord != nil {
+		_ = w.coord.writeFrame(msgIdle, nil)
+	}
+}
+
+// unacked counts the entries handed to peer senders and not yet acked.
+func (w *worker) unacked() int64 {
+	var n int64
+	for _, s := range w.senders {
+		if s != nil {
+			n += s.unackedEntries()
+		}
+	}
+	return n
+}
+
 // snapshot assembles a quiescence probe reply from the live counters.
 func (w *worker) snapshot(epoch int64) probeReplyMsg {
 	w.mu.Lock()
 	queue := int64(len(w.cmds) + len(w.frontier))
 	w.mu.Unlock()
-	var unacked int64
-	for _, s := range w.senders {
-		if s != nil {
-			unacked += s.unackedEntries()
-		}
-	}
+	unacked := w.unacked()
 	return probeReplyMsg{
 		Worker:   w.id,
 		Epoch:    epoch,
@@ -541,12 +604,7 @@ func (w *worker) heartbeatLoop() {
 		w.mu.Lock()
 		queue := int64(len(w.cmds) + len(w.frontier))
 		w.mu.Unlock()
-		var unacked int64
-		for _, s := range w.senders {
-			if s != nil {
-				unacked += s.unackedEntries()
-			}
-		}
+		unacked := w.unacked()
 		hb := heartbeatMsg{
 			Worker:      w.id,
 			Seq:         seq,
@@ -808,10 +866,15 @@ func (s *peerSender) readAcks(fc *frameConn) {
 			return
 		}
 		s.mu.Lock()
+		drained := false
 		if ob, ok := s.unacked[seq]; ok {
 			delete(s.unacked, seq)
 			s.w.ackedN.Add(int64(len(ob.b.entries)))
+			drained = len(s.unacked) == 0 && len(s.pending) == 0
 		}
 		s.mu.Unlock()
+		if drained {
+			s.w.noticeIdle()
+		}
 	}
 }

@@ -10,6 +10,11 @@
 // serializable, and stable across Go releases.
 package rng
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea, and Flood.
 // It is used both as a standalone generator for cheap hashing-style draws and
 // as the recommended seeder for Xoshiro256StarStar.
@@ -79,6 +84,73 @@ func (x *Xoshiro256StarStar) Uint64() uint64 {
 	x.s[2] ^= t
 	x.s[3] = rotl(x.s[3], 45)
 	return result
+}
+
+// Advance jumps the generator k steps ahead: afterwards its state equals
+// what k successive Uint64 calls would have left (Float64 and Float64s
+// consume one step per value too). It costs O(log k) matrix-vector products,
+// so a bulk consumer can hand disjoint stretches of one stream to parallel
+// copies of a generator and still draw exactly the sequential values.
+func (x *Xoshiro256StarStar) Advance(k uint64) {
+	for ; k != 0; k &= k - 1 {
+		x.s = stepPower(bits.TrailingZeros64(k)).apply(x.s)
+	}
+}
+
+// xoshiro256**'s state update (the shifts, rotations and xors of Uint64,
+// without the output scrambler) is linear over GF(2), so k steps are one
+// 256×256 bit matrix T^k. stepPowers[i] holds T^(2^i), squared out lazily
+// as far as the largest jump asked for so far; the table is shared by every
+// generator in the process.
+var (
+	stepPowersMu sync.Mutex
+	stepPowers   []*bitMatrix
+)
+
+// bitMatrix is a 256×256 matrix over GF(2) stored by columns: col[j] is the
+// image of the state whose only set bit is bit j (bit j of word j/64).
+type bitMatrix struct {
+	col [256][4]uint64
+}
+
+// apply returns m·s.
+func (m *bitMatrix) apply(s [4]uint64) [4]uint64 {
+	var out [4]uint64
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			c := &m.col[w*64+bits.TrailingZeros64(word)]
+			out[0] ^= c[0]
+			out[1] ^= c[1]
+			out[2] ^= c[2]
+			out[3] ^= c[3]
+		}
+	}
+	return out
+}
+
+// stepPower returns T^(2^i).
+func stepPower(i int) *bitMatrix {
+	stepPowersMu.Lock()
+	defer stepPowersMu.Unlock()
+	if len(stepPowers) == 0 {
+		t := new(bitMatrix)
+		for j := range t.col {
+			var g Xoshiro256StarStar
+			g.s[j/64] = 1 << (j % 64)
+			g.Uint64()
+			t.col[j] = g.s
+		}
+		stepPowers = append(stepPowers, t)
+	}
+	for len(stepPowers) <= i {
+		prev := stepPowers[len(stepPowers)-1]
+		sq := new(bitMatrix)
+		for j := range sq.col {
+			sq.col[j] = prev.apply(prev.col[j])
+		}
+		stepPowers = append(stepPowers, sq)
+	}
+	return stepPowers[i]
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.

@@ -139,6 +139,24 @@ func TestFloat64sMatchesFloat64(t *testing.T) {
 	}
 }
 
+// TestAdvanceMatchesSteps pins Advance(k) to k plain steps, across the
+// bit boundaries of the jump table and at the length of one RMAT chunk
+// (36 draws per edge, 500 000 edges).
+func TestAdvanceMatchesSteps(t *testing.T) {
+	for _, k := range []uint64{0, 1, 2, 63, 64, 65, 4095, 1<<20 + 7, 36 * 500_000} {
+		jumped, stepped := New(k^0x5eed), New(k^0x5eed)
+		jumped.Advance(k)
+		for i := uint64(0); i < k; i++ {
+			stepped.Uint64()
+		}
+		for i := 0; i < 4; i++ {
+			if a, b := jumped.Uint64(), stepped.Uint64(); a != b {
+				t.Fatalf("k=%d: output %d after Advance = %#x, after stepping = %#x", k, i, a, b)
+			}
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw % 64)

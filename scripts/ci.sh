@@ -51,6 +51,14 @@ fi
 echo "== go test =="
 go test ./...
 
+echo "== RMAT split (GOMAXPROCS 1 and 8) =="
+# RMAT draws its edges in GOMAXPROCS chunks, each on a generator jumped
+# ahead with Advance; the golden digests must hold whatever the split, so
+# no core count can change a benchmark graph.
+for procs in 1 8; do
+    GOMAXPROCS=$procs go test -count=1 -run 'RMATGolden|Advance' ./internal/gen/ ./internal/rng/
+done
+
 echo "== go test -shuffle=on (order-independence) =="
 # Shuffled execution order flushes out tests that depend on state leaked by
 # an earlier test in the same package.
@@ -91,11 +99,11 @@ for procs in 1 2 8; do
 done
 
 echo "== flake gate (netdist quiescence, -race -count=5, GOMAXPROCS 1/2/8) =="
-# Workers initialise in parallel and the confirming quiescence sweep goes
-# out as soon as the first all-idle sweep returns, so termination detection
-# depends on goroutine scheduling: the end-to-end runs, lossy links, a
-# healed partition and a killed-and-restored worker must all reach the exact
-# fixed point every time.
+# Workers initialise in parallel, sweeps start on the workers' idle notices,
+# and the confirming quiescence sweep goes out as soon as the first all-idle
+# sweep returns, so termination detection depends on goroutine scheduling:
+# the end-to-end runs, lossy links, a healed partition and a
+# killed-and-restored worker must all reach the exact fixed point every time.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=5 -run 'TestDist(WCC|BFS|SSSP|SingleWorker|FaultyLinks|PartitionHeal|KillRestoreRepair)$' ./internal/netdist/
 done

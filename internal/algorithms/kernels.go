@@ -34,19 +34,13 @@ type Kernel struct {
 	// seeds == nil means every vertex starts scheduled (S_0 = V).
 	Init func(g *graph.Graph) (vals []uint64, seeds []int)
 	// Message computes the candidate offered across canonical edge e from
-	// the source's current value.
+	// the source's current value. Every executor, in either direction,
+	// passes the edge's true canonical index.
 	Message func(srcVal uint64, e uint32) uint64
 	// Better reports whether candidate strictly improves on current. It
 	// must be a strict test (irreflexive) or the computation will not
 	// quiesce.
 	Better func(candidate, current uint64) bool
-	// EdgeIndexed declares that Message reads its edge-index argument
-	// (per-edge data such as SSSP's weights). When false, executors may
-	// pass any edge index — a pull sweep then skips streaming the
-	// in-edge-index array entirely, which is one full array scan per
-	// iteration on kernels like WCC and BFS whose offers depend only on
-	// the source value.
-	EdgeIndexed bool
 	// FirstOfferWins declares the level-synchronous traversal property:
 	// a vertex still holding Unreached adopts the first offer made to it,
 	// and a vertex past Unreached never improves again. BFS has it —
@@ -128,6 +122,5 @@ func SSSPKernel(source uint32, weights []float64) Kernel {
 		Better: func(c, cur uint64) bool {
 			return edgedata.ToFloat64(c) < edgedata.ToFloat64(cur)
 		},
-		EdgeIndexed: true,
 	}
 }

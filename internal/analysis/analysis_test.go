@@ -207,9 +207,11 @@ func TestKernelCheckFixtures(t *testing.T) {
 		t.Errorf("goodfow facts = %+v, want checked+sound FirstOfferWins with max unreached", fow)
 	}
 
+	// A Message that reads its edge index needs no flag: every executor
+	// passes the canonical index.
 	edge := byName["goodedge"].Facts
-	if !edge.EdgeIndexedDeclared || !edge.EdgeIndexedUsed {
-		t.Errorf("goodedge facts = %+v, want EdgeIndexed declared and used", edge)
+	if !edge.MessageCompiled || !edge.DirectionConsistent {
+		t.Errorf("goodedge facts = %+v, want an edge-reading Message certified direction-consistent", edge)
 	}
 
 	neq := byName["badneq"].Facts

@@ -84,7 +84,6 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 				BetterAntisymmetric: f.BetterAntisymmetric,
 				BetterTransitive:    f.BetterTransitive,
 				BetterTotal:         f.BetterTotal,
-				EdgeIndexed:         f.EdgeIndexedDeclared,
 				FirstOfferWins:      f.FirstOfferWinsDeclared,
 				Unreached:           f.Unreached,
 			},

@@ -8,8 +8,8 @@ package analysis
 // the run never quiesces; antisymmetric, or two workers can improve each
 // other's value forever. The pass finds every Kernel composite literal,
 // compiles Message/Better with the evaluator, and checks the order laws
-// bounded-exhaustively; declared capability flags (EdgeIndexed,
-// FirstOfferWins) are validated against what the code actually supports.
+// bounded-exhaustively; the declared FirstOfferWins flag is validated
+// against what the code actually supports.
 //
 // Suppression: beyond the generic same-line/line-above pragma filter, a
 // //ndlint:ignore kernelcheck <reason> pragma on the *constructor* — its
@@ -50,8 +50,8 @@ var KernelCheck = &Analyzer{
 	Name: "kernelcheck",
 	Doc: "verify hybrid-engine kernel pairs: Better is a strict partial " +
 		"order (irreflexive, antisymmetric, transitive, total modulo float " +
-		"equivalence), Message is pure, and EdgeIndexed/FirstOfferWins " +
-		"flags match the code",
+		"equivalence), Message is pure, and a FirstOfferWins flag " +
+		"matches the code",
 	Run: runKernelCheck,
 }
 
@@ -74,10 +74,6 @@ type KernelFacts struct {
 	// evaluator's fragment is effect-free) and Better is a verified
 	// strict order.
 	DirectionConsistent bool `json:"direction_consistent"`
-	// EdgeIndexed flag versus whether Message's code reads its edge
-	// parameter.
-	EdgeIndexedDeclared bool `json:"edge_indexed_declared"`
-	EdgeIndexedUsed     bool `json:"edge_indexed_used"`
 	// FirstOfferWins flag and its checked obligation
 	// ∀w ¬Better(Unreached, w): the unreached word never beats anything,
 	// so a first offer is never displaced by the initial state. The
@@ -194,7 +190,6 @@ type kernelLit struct {
 	name           string
 	message        *ast.FuncLit
 	better         *ast.FuncLit
-	edgeIndexed    bool
 	firstOfferWins bool
 	undirected     bool
 	// unreachedExpr is the Unreached field value — not necessarily a
@@ -229,8 +224,6 @@ func parseKernelLit(pass *Pass, lit *ast.CompositeLit) kernelLit {
 			if fl, ok := kv.Value.(*ast.FuncLit); ok {
 				k.better = fl
 			}
-		case "EdgeIndexed":
-			k.edgeIndexed = constantBool(cv)
 		case "FirstOfferWins":
 			k.firstOfferWins = constantBool(cv)
 		case "Undirected":
@@ -247,7 +240,6 @@ func analyzeKernel(ev *evaluator, lit *ast.CompositeLit) KernelReport {
 	k := parseKernelLit(pass, lit)
 	r := KernelReport{Name: k.name, Hash: srcHash(pass.Fset, lit)}
 	facts := &r.Facts
-	facts.EdgeIndexedDeclared = k.edgeIndexed
 	facts.FirstOfferWinsDeclared = k.firstOfferWins
 
 	// Evaluate the Unreached word (a closed expression, not necessarily
@@ -264,20 +256,13 @@ func analyzeKernel(ev *evaluator, lit *ast.CompositeLit) KernelReport {
 		}
 	}
 
-	// Message: compile (purity by construction) and record whether the
-	// body reads the edge-index parameter.
+	// Message: compile (purity by construction).
 	if k.message == nil {
 		facts.Note = "Message is not a function literal"
-	} else {
-		params := litParams(pass, k.message)
-		if _, err := ev.compileFunc(params, k.message.Body, k.message); err == nil {
-			facts.MessageCompiled = true
-		} else if facts.Note == "" {
-			facts.Note = fmt.Sprintf("Message: %v", err)
-		}
-		if len(params) > 1 && params[1] != nil {
-			facts.EdgeIndexedUsed = bodyUsesObject(pass, k.message.Body, params[1])
-		}
+	} else if _, err := ev.compileFunc(litParams(pass, k.message), k.message.Body, k.message); err == nil {
+		facts.MessageCompiled = true
+	} else if facts.Note == "" {
+		facts.Note = fmt.Sprintf("Message: %v", err)
 	}
 
 	// Better: compile and sweep the order laws over the word domain.
@@ -336,16 +321,6 @@ func reportKernel(pass *Pass, lit *ast.CompositeLit, r KernelReport) {
 		if f.FirstOfferWinsDeclared && f.FirstOfferWinsChecked && !f.FirstOfferWinsSound {
 			pass.reportCounter(pos, f.Counter,
 				"kernel %q declares FirstOfferWins but %s — the unreached word displaces accepted offers, breaking the level-synchronous pull optimizations", name, f.Counter)
-		}
-	}
-	if f.MessageCompiled || f.BetterCompiled {
-		if f.EdgeIndexedDeclared && !f.EdgeIndexedUsed {
-			pass.Reportf(pos,
-				"kernel %q declares EdgeIndexed but Message ignores its edge parameter — drop the flag so pull sweeps skip streaming the in-edge-index array", name)
-		}
-		if !f.EdgeIndexedDeclared && f.EdgeIndexedUsed {
-			pass.Reportf(pos,
-				"kernel %q reads its edge parameter in Message but does not declare EdgeIndexed — executors may pass any edge index when the flag is unset, so offers would be computed from the wrong edge", name)
 		}
 	}
 }
@@ -457,17 +432,6 @@ func litParams(pass *Pass, lit *ast.FuncLit) []types.Object {
 		}
 	}
 	return out
-}
-
-func bodyUsesObject(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // ctorPragmaCovers checks for a //ndlint:ignore <pass> <reason> pragma

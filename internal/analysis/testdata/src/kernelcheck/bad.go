@@ -1,5 +1,5 @@
-// Negative kernelcheck fixtures: broken order laws and dishonest
-// capability flags, each refuted with a concrete counter-example.
+// Negative kernelcheck fixtures: broken order laws and a dishonest
+// capability flag, each refuted with a concrete counter-example.
 package kernelcheck
 
 // BadNeq's Better holds between ANY distinct pair — both directions at
@@ -10,27 +10,6 @@ func BadNeq() Kernel {
 		Name:    "badneq",
 		Message: func(srcVal uint64, e uint32) uint64 { return srcVal },
 		Better:  func(candidate, current uint64) bool { return candidate != current },
-	}
-}
-
-// BadEdgeUnused declares EdgeIndexed but its Message never reads the
-// edge parameter.
-func BadEdgeUnused() Kernel {
-	return Kernel{ // want `declares EdgeIndexed but Message ignores its edge parameter`
-		Name:        "badedgeunused",
-		EdgeIndexed: true,
-		Message:     func(srcVal uint64, e uint32) uint64 { return srcVal },
-		Better:      func(candidate, current uint64) bool { return candidate < current },
-	}
-}
-
-// BadEdgeUndeclared reads the edge parameter without declaring
-// EdgeIndexed — executors may then pass any index.
-func BadEdgeUndeclared() Kernel {
-	return Kernel{ // want `does not declare EdgeIndexed`
-		Name:    "badedgeundeclared",
-		Message: func(srcVal uint64, e uint32) uint64 { return srcVal + uint64(e) },
-		Better:  func(candidate, current uint64) bool { return candidate < current },
 	}
 }
 

@@ -12,14 +12,12 @@ func GoodMin() Kernel {
 	}
 }
 
-// GoodEdge is the SSSP shape: the offer depends on the edge, and the
-// kernel says so.
+// GoodEdge is the SSSP shape: the offer depends on the edge.
 func GoodEdge() Kernel {
 	return Kernel{
-		Name:        "goodedge",
-		EdgeIndexed: true,
-		Message:     func(srcVal uint64, e uint32) uint64 { return srcVal + uint64(e) },
-		Better:      func(candidate, current uint64) bool { return candidate < current },
+		Name:    "goodedge",
+		Message: func(srcVal uint64, e uint32) uint64 { return srcVal + uint64(e) },
+		Better:  func(candidate, current uint64) bool { return candidate < current },
 	}
 }
 

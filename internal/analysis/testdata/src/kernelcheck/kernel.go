@@ -10,7 +10,6 @@ type Kernel struct {
 	Undirected     bool
 	Message        func(srcVal uint64, e uint32) uint64
 	Better         func(candidate, current uint64) bool
-	EdgeIndexed    bool
 	FirstOfferWins bool
 	Unreached      uint64
 }

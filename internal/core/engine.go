@@ -124,8 +124,6 @@ type Options struct {
 	// phases of every update, widening race windows so that conflict and
 	// recovery paths are exercised even on machines with few cores.
 	Amplify bool
-	// RecordIters retains per-iteration statistics in Result.PerIter.
-	RecordIters bool
 	// Trace, when non-nil, records the execution path (iteration, worker,
 	// vertex, write count and committed vertex value per update) into the
 	// given recorder. Two deterministic runs record identical paths;
@@ -164,12 +162,6 @@ type Options struct {
 	ResidualDelta func(old, new uint64) float64
 }
 
-// IterStat records one iteration's activity.
-type IterStat struct {
-	Scheduled int // |S_n|
-	RW, WW    int // conflicts classified this iteration (census only)
-}
-
 // Result summarizes a completed run.
 type Result struct {
 	Iterations  int
@@ -178,7 +170,6 @@ type Result struct {
 	Duration    time.Duration
 	RWConflicts uint64 // cumulative read-write conflict edges (census only)
 	WWConflicts uint64 // cumulative write-write conflict edges (census only)
-	PerIter     []IterStat
 	// Steals counts tasks taken from another worker's deque and
 	// IdleTransitions busy→idle transitions across all workers — the
 	// load-imbalance signals NoSync has instead of barrier-wait time.
@@ -262,9 +253,6 @@ type Engine struct {
 	// closure every barrier.
 	runFn  func(worker, item int)
 	stepFn Step
-
-	// perIter collects the run in progress's Result.PerIter (RecordIters).
-	perIter []IterStat
 
 	// cuts holds the static dispatch's block boundaries, reused across
 	// iterations.
@@ -409,12 +397,11 @@ func (e *Engine) Run(update UpdateFunc) (Result, error) {
 	e.updates.Store(e.startUpdates)
 
 	e.clock.Reset()
-	e.perIter = nil
 	e.loop.Front, e.loop.StartIter = e.front, e.startIter
 	lr, err := e.loop.Run(e.stepFn)
 	res := Result{
 		Iterations: lr.Iterations, Converged: lr.Converged, Duration: lr.Duration,
-		Updates: e.updates.Load(), PerIter: e.perIter,
+		Updates: e.updates.Load(),
 	}
 	if e.census != nil {
 		res.RWConflicts, res.WWConflicts = e.census.Totals()
@@ -467,16 +454,16 @@ func (e *Engine) step(iter int, members []int) (obs.Event, error) {
 		return obs.Event{}, nil // the loop reports it
 	}
 
-	stat := IterStat{Scheduled: len(members)}
+	// The census tallies every iteration, observed or not: Tally both
+	// classifies this iteration's conflicts and adds them to the totals.
+	rw, ww := int64(-1), int64(-1)
 	if e.census != nil {
-		stat.RW, stat.WW = e.census.Tally()
-	}
-	if e.opts.RecordIters {
-		e.perIter = append(e.perIter, stat)
+		r, w := e.census.Tally()
+		rw, ww = int64(r), int64(w)
 	}
 	var ev obs.Event
 	if e.opts.Observer != nil {
-		ev = e.iterEvent(stat)
+		ev = e.iterEvent(len(members), rw, ww)
 	}
 	// Advance the delay clock with the barrier: during iteration n the
 	// epoch equals n, so a read of a value written last iteration measures
@@ -533,20 +520,17 @@ func (e *Engine) newCtxs(n int, dry bool) []Ctx {
 // deterministic instead of waiting for the pool's finalizer.
 func (e *Engine) Close() { e.loop.Close() }
 
-// iterEvent assembles the engine's half of one iteration's telemetry event.
-// It runs at the barrier, after dispatch and the census tally, so the
-// per-worker access counters are quiescent.
-func (e *Engine) iterEvent(stat IterStat) obs.Event {
+// iterEvent assembles the engine's half of one iteration's telemetry event
+// from |S_n| and the census tally (-1 without a census). It runs at the
+// barrier, after dispatch and the tally, so the per-worker access counters
+// are quiescent.
+func (e *Engine) iterEvent(scheduled int, rw, ww int64) obs.Event {
 	var reads, writes int64
 	for i := range e.workers {
 		c := &e.workers[i]
 		reads += c.sumReads
 		writes += c.sumWrites
 		c.sumReads, c.sumWrites = 0, 0
-	}
-	rw, ww := int64(-1), int64(-1)
-	if e.census != nil {
-		rw, ww = int64(stat.RW), int64(stat.WW)
 	}
 	var tCommits, tContested int64
 	if t := e.opts.Trace; t != nil && t.CommitsEnabled() {
@@ -558,7 +542,7 @@ func (e *Engine) iterEvent(stat IterStat) obs.Event {
 		p50, p99, dmax = h.Quantile(0.50), h.Quantile(0.99), h.Max()
 	}
 	return obs.Event{
-		Updates:          int64(stat.Scheduled),
+		Updates:          int64(scheduled),
 		EdgeReads:        reads,
 		EdgeWrites:       writes,
 		RWConflicts:      rw,

@@ -194,7 +194,9 @@ func TestTaskGenerationRule(t *testing.T) {
 	// iteration the min propagates exactly one hop, so scheduling follows
 	// writes.
 	g, _ := gen.Chain(3)
-	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, RecordIters: true})
+	o := obs.New(obs.Options{})
+	defer o.Close()
+	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, Observer: o})
 	for i := range e.Vertices {
 		e.Vertices[i] = uint64(i + 10)
 	}
@@ -213,8 +215,8 @@ func TestTaskGenerationRule(t *testing.T) {
 			t.Fatalf("vertex %d = %d, want 1", v, e.Vertices[v])
 		}
 	}
-	if res.PerIter[0].Scheduled != 1 {
-		t.Fatalf("iteration 0 scheduled %d vertices, want 1 (only the source)", res.PerIter[0].Scheduled)
+	if s := o.Events()[0].Scheduled; s != 1 {
+		t.Fatalf("iteration 0 scheduled %d vertices, want 1 (only the source)", s)
 	}
 	// Deterministic GS on an ascending chain propagates the label all the
 	// way in the first iteration (0 updates 1's edge, then 1 runs later in
@@ -230,7 +232,7 @@ func TestBSPReadsPreviousIteration(t *testing.T) {
 	g, _ := gen.Chain(4)
 	// Deterministic (GS, ascending): vertex 0 writes edge(0,1); f(1) in the
 	// same S_0 pass reads the fresh value; whole chain collapses fast.
-	det := newEngine(t, g, Options{Scheduler: sched.Deterministic, RecordIters: true})
+	det := newEngine(t, g, Options{Scheduler: sched.Deterministic})
 	initMinLabel(det)
 	resDet, err := det.Run(minLabelUpdate)
 	if err != nil {
@@ -238,7 +240,7 @@ func TestBSPReadsPreviousIteration(t *testing.T) {
 	}
 	// Synchronous: reads see the previous iteration, so the 0-label needs
 	// 3 hops to reach vertex 3 — at least 4 iterations.
-	syn := newEngine(t, g, Options{Scheduler: sched.Synchronous, Threads: 1, RecordIters: true})
+	syn := newEngine(t, g, Options{Scheduler: sched.Synchronous, Threads: 1})
 	initMinLabel(syn)
 	resSyn, err := syn.Run(minLabelUpdate)
 	if err != nil {
@@ -268,7 +270,7 @@ func TestCensusClassifiesWCCStyleAsWW(t *testing.T) {
 	// Labels chosen so that under ascending-label order f(0) first writes
 	// its own label to the edge and f(1), holding the smaller label, then
 	// overwrites it in the same iteration — a genuine WW conflict.
-	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, EnableCensus: true, RecordIters: true})
+	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, EnableCensus: true})
 	e.Vertices[0], e.Vertices[1] = 5, 3
 	e.Edges.Fill(^uint64(0))
 	e.Frontier().ScheduleAll()
@@ -430,19 +432,23 @@ func TestAmplifyStillConverges(t *testing.T) {
 	}
 }
 
+// An Observer sees one event per iteration, carrying |S_n|.
 func TestPerIterStats(t *testing.T) {
 	g, _ := gen.Chain(5)
-	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, RecordIters: true})
+	o := obs.New(obs.Options{})
+	defer o.Close()
+	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, Observer: o})
 	initMinLabel(e)
 	res, err := e.Run(minLabelUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerIter) != res.Iterations {
-		t.Fatalf("PerIter has %d entries for %d iterations", len(res.PerIter), res.Iterations)
+	evs := o.Events()
+	if len(evs) != res.Iterations {
+		t.Fatalf("%d events for %d iterations", len(evs), res.Iterations)
 	}
-	if res.PerIter[0].Scheduled != 5 {
-		t.Fatalf("iteration 0 scheduled %d, want 5", res.PerIter[0].Scheduled)
+	if evs[0].Scheduled != 5 {
+		t.Fatalf("iteration 0 scheduled %d, want 5", evs[0].Scheduled)
 	}
 }
 

@@ -127,11 +127,10 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 	if !ok {
 		t.Fatal("chain has no edge 17→18")
 	}
-	// EdgeIndexed makes the pull sweeps pass the canonical edge too, so the
-	// hook ticks on the same ids in either direction.
-	kernel := func(w workload) algorithms.Kernel {
+	// Message sees the canonical edge in either direction, so the hooks
+	// tick on the same ids whether a row pushes or pulls.
+	wccKernel := func(w workload) algorithms.Kernel {
 		k := algorithms.WCCKernel()
-		k.EdgeIndexed = true
 		k.Init = func(g *graph.Graph) ([]uint64, []int) {
 			vals := make([]uint64, g.N())
 			reversed(vals)
@@ -148,11 +147,40 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		}
 		return k
 	}
-	hybridRow := func(name string, policy hybrid.Policy, named uint32) lifecycleRow {
-		return lifecycleRow{name: name, target: e17, named: named, ticksPerIter: undirected.M(),
+	// BFS from vertex 0 is the kernel that pulls: one bottom-up adoption
+	// per iteration, about one iteration per vertex. Its spin offers the
+	// unreached word from S_0 = V, so every vertex stays unreached and
+	// re-adopts from its scheduled neighbors forever. That breaks the
+	// FirstOfferWins contract the sweep's plain loads rely on (a scheduled
+	// neighbor's word is still unreached, so its owner writes it while
+	// others read it), so the row runs the sweep on one worker.
+	bfsKernel := func(w workload) algorithms.Kernel {
+		k := algorithms.BFSKernel(0)
+		message := k.Message
+		if w.spin {
+			unreached := k.Unreached
+			k.Init = func(g *graph.Graph) ([]uint64, []int) {
+				vals := make([]uint64, g.N())
+				for i := range vals {
+					vals[i] = unreached
+				}
+				return vals, nil
+			}
+			message = func(uint64, uint32) uint64 { return unreached }
+		}
+		k.Message = func(srcVal uint64, e uint32) uint64 {
+			if w.hook != nil {
+				w.hook(e)
+			}
+			return message(srcVal, e)
+		}
+		return k
+	}
+	hybridRow := func(name string, policy hybrid.Policy, kernel func(workload) algorithms.Kernel, threads int, named uint32, ticksPerIter int) lifecycleRow {
+		return lifecycleRow{name: name, target: e17, named: named, ticksPerIter: ticksPerIter,
 			skip: map[string]string{"max-iters": "engine exposes no iteration cap (core.DefaultMaxIters only)"},
 			open: func(t *testing.T, k knobs) func(workload) (partial, error) {
-				e, err := hybrid.NewEngine(undirected, 2)
+				e, err := hybrid.NewEngine(undirected, threads)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,11 +206,11 @@ func lifecycleRows(t *testing.T) []lifecycleRow {
 		coreRow("core-det", core.Options{Scheduler: sched.Deterministic}, nil),
 		coreRow("core-nondet", core.Options{Scheduler: sched.Nondeterministic, Threads: 2, Mode: edgedata.ModeAtomic}, nil),
 		// A push names the source of the relaxed edge, a pull the
-		// destination gathering over it. The default policy never pulls a
-		// kernel without FirstOfferWins, so it names the source too.
-		hybridRow("hybrid-forced-push", forced(hybrid.Push), 17),
-		hybridRow("hybrid-forced-pull", forced(hybrid.Pull), 18),
-		hybridRow("hybrid-default", nil, 17),
+		// destination adopting over it. Only a FirstOfferWins kernel pulls,
+		// so the WCC rows push whatever the policy and name the source.
+		hybridRow("hybrid-forced-push", forced(hybrid.Push), wccKernel, 2, 17, undirected.M()),
+		hybridRow("hybrid-forced-pull", forced(hybrid.Pull), bfsKernel, 1, 18, 1),
+		hybridRow("hybrid-default", nil, wccKernel, 2, 17, undirected.M()),
 		coreRow("nosync", core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: &wccVerdict},
 			map[string]string{"stall-trips": noWatchdog, "stall-spares-converging": noWatchdog}),
 	}

@@ -70,8 +70,6 @@ func noSyncRefusal(o Options) string {
 		return "Amplify"
 	case o.Dispatch == sched.Dynamic:
 		return "Dispatch: Dynamic"
-	case o.RecordIters:
-		return "RecordIters"
 	case o.OnEdgeWrite != nil:
 		return "OnEdgeWrite"
 	case o.Trace != nil && o.Trace.CommitsEnabled():

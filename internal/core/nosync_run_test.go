@@ -81,7 +81,6 @@ func TestNoSyncRefusals(t *testing.T) {
 		{"SampleConflicts", func(o *core.Options) { o.Observer = sampling }, "SampleConflicts"},
 		{"Amplify", func(o *core.Options) { o.Amplify = true }, "Amplify"},
 		{"Dispatch: Dynamic", func(o *core.Options) { o.Dispatch = sched.Dynamic }, "Dispatch: Dynamic"},
-		{"RecordIters", func(o *core.Options) { o.RecordIters = true }, "RecordIters"},
 		{"OnEdgeWrite", func(o *core.Options) { o.OnEdgeWrite = func(uint32, uint64, uint64) {} }, "OnEdgeWrite"},
 		{"commit-log Trace", func(o *core.Options) { o.Trace = commits }, "commit-log Trace"},
 	} {

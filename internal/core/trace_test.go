@@ -47,27 +47,28 @@ func TestTraceDeterministicRunsIdentical(t *testing.T) {
 	}
 }
 
-// The per-iteration structure of a trace matches the engine's reported
-// iteration stats.
+// The per-iteration structure of a trace matches the engine's
+// per-iteration Observer events.
 func TestTraceSummaryMatchesPerIter(t *testing.T) {
 	g, err := gen.RMAT(150, 900, gen.DefaultRMAT, 92)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(1 << 16)
-	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, RecordIters: true, Trace: rec})
+	o := obs.New(obs.Options{})
+	defer o.Close()
+	e := newEngine(t, g, Options{Scheduler: sched.Deterministic, Trace: rec, Observer: o})
 	initMinLabel(e)
-	res, err := e.Run(minLabelUpdate)
-	if err != nil {
+	if _, err := e.Run(minLabelUpdate); err != nil {
 		t.Fatal(err)
 	}
-	sums := rec.Summarize()
-	if len(sums) != len(res.PerIter) {
-		t.Fatalf("trace has %d iterations, engine reported %d", len(sums), len(res.PerIter))
+	sums, evs := rec.Summarize(), o.Events()
+	if len(sums) != len(evs) {
+		t.Fatalf("trace has %d iterations, observer saw %d", len(sums), len(evs))
 	}
 	for i, s := range sums {
-		if s.Updates != res.PerIter[i].Scheduled {
-			t.Fatalf("iteration %d: trace %d updates, engine %d", i, s.Updates, res.PerIter[i].Scheduled)
+		if int64(s.Updates) != evs[i].Scheduled {
+			t.Fatalf("iteration %d: trace %d updates, engine %d", i, s.Updates, evs[i].Scheduled)
 		}
 	}
 }

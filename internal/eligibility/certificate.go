@@ -56,9 +56,8 @@ type KernelCert struct {
 	BetterAntisymmetric bool `json:"better_antisymmetric"`
 	BetterTransitive    bool `json:"better_transitive"`
 	BetterTotal         bool `json:"better_total"`
-	// EdgeIndexed / FirstOfferWins are the declared capability flags,
-	// re-validated against the code by kernelcheck.
-	EdgeIndexed    bool   `json:"edge_indexed"`
+	// FirstOfferWins is the declared capability flag the pull sweep
+	// conditions on.
 	FirstOfferWins bool   `json:"first_offer_wins"`
 	Unreached      uint64 `json:"unreached,omitempty"`
 }
@@ -101,11 +100,11 @@ func (c *Certificate) Stale(currentHash string) bool {
 }
 
 // AdmitKernel checks a kernel certificate against a concrete kernel's
-// identity and declared capability flags — the hybrid engine's
+// identity and declared FirstOfferWins flag — the hybrid engine's
 // admission: the certificate must be a kernel certificate for the same
-// name, direction-consistent, and must agree on every capability flag
-// the executors condition on.
-func (c *Certificate) AdmitKernel(name string, edgeIndexed, firstOfferWins bool) error {
+// name, direction-consistent, and must agree on the one capability flag
+// the pull sweep conditions on.
+func (c *Certificate) AdmitKernel(name string, firstOfferWins bool) error {
 	if c == nil {
 		return fmt.Errorf("eligibility: nil kernel certificate")
 	}
@@ -117,9 +116,6 @@ func (c *Certificate) AdmitKernel(name string, edgeIndexed, firstOfferWins bool)
 	}
 	if !c.Kernel.DirectionConsistent {
 		return fmt.Errorf("eligibility: kernel %q is not certified direction-consistent; push/pull switching refused", name)
-	}
-	if c.Kernel.EdgeIndexed != edgeIndexed {
-		return fmt.Errorf("eligibility: kernel %q EdgeIndexed=%v disagrees with certificate (%v)", name, edgeIndexed, c.Kernel.EdgeIndexed)
 	}
 	if c.Kernel.FirstOfferWins != firstOfferWins {
 		return fmt.Errorf("eligibility: kernel %q FirstOfferWins=%v disagrees with certificate (%v)", name, firstOfferWins, c.Kernel.FirstOfferWins)

@@ -44,7 +44,7 @@ func TestCertificateRoundTrip(t *testing.T) {
 	if _, err := decoded[0].Verdict(); err != nil {
 		t.Fatalf("decoded update certificate refused: %v", err)
 	}
-	if err := decoded[1].AdmitKernel("bfs", false, true); err != nil {
+	if err := decoded[1].AdmitKernel("bfs", true); err != nil {
 		t.Fatalf("decoded kernel certificate refused: %v", err)
 	}
 }

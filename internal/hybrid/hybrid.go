@@ -1,28 +1,29 @@
 // Package hybrid implements a direction-optimizing executor: at every
 // iteration barrier it chooses push (relax the out-edges of the scheduled
-// set, CAS combine — the Ligra-style discipline) or pull
-// (every vertex gathers offers from its in-neighbors that are scheduled,
-// merging monotonically — the paper's pull-mode edge scenario) based on
-// Beamer-style frontier-density thresholds.
+// set, CAS combine — the Ligra-style discipline) or pull (Beamer's
+// bottom-up sweep: every unreached vertex adopts the offer of its first
+// scheduled in-neighbor) based on Beamer-style frontier-density
+// thresholds.
 //
 // Push costs O(out-degree of the frontier) edge relaxations but pays a
 // CAS per improving offer, and on a dense frontier most CASes contend for
-// the same hot destinations. Pull costs O(m) in-edge membership tests but
-// writes each vertex word at most once per iteration, with no CAS at all
-// — cheaper exactly when the frontier is dense. The crossover is the
-// classic direction-optimizing BFS result (Beamer et al., and Besta et
-// al.'s push-vs-pull analysis in PAPERS.md): switch to pull when the
-// frontier's unexplored out-edge work exceeds a fraction 1/alpha of the
-// remaining in-edge work, and back to push when the frontier shrinks
-// below n/beta vertices.
+// the same hot destinations. The bottom-up sweep skips reached vertices
+// with one word load and stops at the first scheduled in-neighbor, with
+// no CAS at all — cheaper exactly when the frontier is dense. The
+// crossover is the classic direction-optimizing BFS result (Beamer et
+// al., and Besta et al.'s push-vs-pull analysis in PAPERS.md): switch to
+// pull when the frontier's unexplored out-edge work exceeds a fraction
+// 1/alpha of the remaining in-edge work, and back to push when the
+// frontier shrinks below n/beta vertices.
 //
-// Why switching is safe: both directions relax the same edge set {(u,v) :
-// u scheduled} with the same Kernel.Message/Better pair over the same
-// canonical edge indices, and the merge is monotone. Under the paper's
-// Theorem 2 (absolute convergence of monotone min-merge), any interleaving
-// — including a fresh same-iteration value observed by a pull gather —
-// converges to the unique fixed point, so every direction sequence yields
-// results byte-identical to the deterministic core engine. The
+// Only kernels that declare FirstOfferWins (BFS) ever pull; every other
+// kernel pushes every iteration. Why switching is safe: both directions
+// relax edges {(u,v) : u scheduled} with the same Kernel.Message over the
+// same canonical edge indices, and under FirstOfferWins every offer a
+// vertex can receive in one iteration is the fixed-point value, so the
+// first one the sweep finds is as good as any. Under the paper's Theorem 2
+// (absolute convergence of monotone min-merge) every direction sequence
+// yields results byte-identical to the deterministic core engine. The
 // differential suite pins exactly that.
 package hybrid
 
@@ -48,8 +49,8 @@ type Direction uint8
 const (
 	// Push relaxes the out-edges of scheduled vertices (sparse frontier).
 	Push Direction = iota
-	// Pull has every vertex gather from scheduled in-neighbors (dense
-	// frontier).
+	// Pull has every unreached vertex adopt from its first scheduled
+	// in-neighbor (dense frontier, FirstOfferWins kernels only).
 	Pull
 )
 
@@ -77,14 +78,6 @@ type Stats struct {
 	// been scheduled — Beamer's unexplored-region edge count, the work a
 	// pull iteration could still usefully gather.
 	RemainingInDeg int64
-	// BottomUp reports that the kernel declares FirstOfferWins, so a pull
-	// iteration runs the skip-reached, stop-at-first-scheduled-neighbor
-	// bottom-up sweep whose cost the Beamer thresholds model. Without it
-	// a pull iteration is a full monotone gather that streams every
-	// in-edge of every vertex regardless of frontier shape — measured
-	// never cheaper than pushing the frontier's out-edges on the
-	// benchmark graphs — so the default policy declines to pull.
-	BottomUp bool
 	// N and M are the graph's vertex and edge counts.
 	N, M int
 	// Growing reports whether the frontier is larger than the previous
@@ -98,46 +91,31 @@ type Stats struct {
 }
 
 // Policy chooses the direction for one iteration from its barrier stats.
+// The engine consults it only for FirstOfferWins kernels.
 type Policy func(Stats) Direction
 
-// Default Beamer thresholds: alpha divides the remaining in-edge work to
-// get the push-to-pull crossover, beta divides n for the pull-to-push
-// return. The values are Beamer's published tuning (alpha=14, beta=24),
-// which transfer well because they express ratios of edge work, not
-// absolute sizes.
+// Beamer thresholds: alpha divides the remaining in-edge work to get the
+// push-to-pull crossover, beta divides n for the pull-to-push return. The
+// values are Beamer's published tuning, which transfers well because it
+// expresses ratios of edge work, not absolute sizes.
 const (
-	DefaultAlpha = 14
-	DefaultBeta  = 24
+	alpha = 14
+	beta  = 24
 )
 
 // BeamerPolicy returns the classic direction-optimizing heuristic with
 // hysteresis: while pushing, switch to pull when the frontier is growing
 // and its out-edge work exceeds a pull sweep's cost divided by alpha;
 // while pulling, return to push when the frontier drops below n/beta
-// vertices. Two refinements to Beamer's published m_f > m_u/alpha:
-//
-//   - A pull sweep reads every vertex word once before it touches any
-//     edge, so the cost model is RemainingInDeg + N rather than the
-//     edge-only m_u — on graphs with m ~ n (web-google) the pure edge
-//     ratio recommends pulls whose O(n) scan can never pay for itself.
-//   - Pull is only considered for BottomUp kernels. alpha amortizes the
-//     unexplored region's in-degree over the bottom-up sweep's early
-//     exits; a full-gather pull has no early exit and streams all m
-//     in-edges every iteration, which measures slower than any push on
-//     every benchmark graph, so full-gather kernels always push unless a
-//     custom policy forces otherwise.
-//
-// alpha or beta <= 0 select the defaults.
-func BeamerPolicy(alpha, beta int64) Policy {
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
-	if beta <= 0 {
-		beta = DefaultBeta
-	}
+// vertices. One refinement to Beamer's published m_f > m_u/alpha: a pull
+// sweep reads every vertex word once before it touches any edge, so the
+// cost model is RemainingInDeg + N rather than the edge-only m_u — on
+// graphs with m ~ n (web-google) the pure edge ratio recommends pulls
+// whose O(n) scan can never pay for itself.
+func BeamerPolicy() Policy {
 	return func(s Stats) Direction {
 		if s.Prev == Push {
-			if s.BottomUp && s.Growing && s.FrontierOutDeg > (s.RemainingInDeg+int64(s.N))/alpha {
+			if s.Growing && s.FrontierOutDeg > (s.RemainingInDeg+int64(s.N))/alpha {
 				return Pull
 			}
 			return Push
@@ -158,9 +136,9 @@ type Result struct {
 	// Updates counts adopted improvements: CAS wins in push iterations,
 	// vertex improvements in pull iterations.
 	Updates int64
-	// Directions records the chosen direction of every iteration, in
-	// order — the switch trace ndbench prints and the forced-direction
-	// tests assert.
+	// Directions records the direction every iteration ran, in order —
+	// the switch trace ndbench prints and the forced-direction tests
+	// assert. Kernels without FirstOfferWins record Push throughout.
 	Directions []Direction
 	// Switches counts direction changes across the run.
 	Switches  int
@@ -189,7 +167,7 @@ type wcounters struct {
 	offers  int64
 	wins    int64
 	winners int64 // sources with >=1 win (push) / improved vertices (pull)
-	cur     int64 // vertex a pull sweep is gathering for, named if the kernel panics
+	cur     int64 // vertex the pull sweep is adopting for, named if the kernel panics
 	_       [32]byte
 }
 
@@ -199,17 +177,18 @@ type Engine struct {
 	g *graph.Graph
 	p int
 
-	// Vertices holds the per-vertex data words. Cross-worker accesses are
-	// atomic in both directions (CAS combine in push; atomic load of
-	// neighbors + atomic self-store in pull), so runs are race-clean.
+	// Vertices holds the per-vertex data words. Push combines with CAS;
+	// the pull sweep needs no atomics, because it reads only reached
+	// words, which no one writes again, and writes only unreached words,
+	// which no one else reads.
 	Vertices []uint64
 
 	front  *frontier.Frontier
 	outDeg []uint32
 
-	// Policy chooses the direction each iteration; nil means
-	// BeamerPolicy(DefaultAlpha, DefaultBeta). Set before Run — the
-	// forced-direction tests and ndbench sweeps install custom policies.
+	// Policy chooses the direction each iteration of a FirstOfferWins
+	// kernel; nil means BeamerPolicy(). Every other kernel pushes
+	// throughout, whatever the policy. Set before Run.
 	Policy Policy
 
 	// StallWindow enables the divergence watchdog shared with the other
@@ -283,8 +262,8 @@ func (e *Engine) Frontier() *frontier.Frontier { return e.front }
 // executing: the certificate must be a kernel certificate for the same
 // Name, certified direction-consistent (Better a verified strict order,
 // so push/pull switching reaches the same fixed point), and must agree
-// with the kernel's EdgeIndexed and FirstOfferWins flags — the two
-// capabilities the pull sweeps condition on. nil uninstalls. Without a
+// with the kernel's FirstOfferWins flag — the capability the pull sweep
+// conditions on. nil uninstalls. Without a
 // certificate Run trusts the kernel's declarations as before; with one,
 // a kernel whose declarations drifted from what was verified is refused.
 func (e *Engine) Certify(c *eligibility.Certificate) { e.cert = c }
@@ -295,7 +274,7 @@ func (e *Engine) Close() { e.loop.Close() }
 // Run executes the kernel to quiescence. ctx, when non-nil, is checked at
 // every iteration barrier; on cancellation Run returns the partial Result
 // and the context's error. A panic in Message or Better is returned as an
-// error naming the vertex being relaxed or gathered for, and the engine
+// error naming the vertex being relaxed or adopted for, and the engine
 // can Run again. The kernel's Undirected requirement is the caller's to
 // satisfy (pass g.Undirected() to NewEngine).
 func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
@@ -303,7 +282,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 		return Result{}, fmt.Errorf("hybrid: Kernel requires Init, Message, and Better")
 	}
 	if e.cert != nil {
-		if err := e.cert.AdmitKernel(k.Name, k.EdgeIndexed, k.FirstOfferWins); err != nil {
+		if err := e.cert.AdmitKernel(k.Name, k.FirstOfferWins); err != nil {
 			return Result{}, fmt.Errorf("hybrid: %w", err)
 		}
 	}
@@ -324,7 +303,7 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 	var res Result
 	policy := e.Policy
 	if policy == nil {
-		policy = BeamerPolicy(DefaultAlpha, DefaultBeta)
+		policy = BeamerPolicy()
 	}
 	clear(e.counters) // a panicked iteration leaves its counts behind
 
@@ -362,135 +341,41 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 		}
 	}
 	n := e.g.N()
-	// Three pull sweeps, strongest applicable capability first:
-	//
-	//   - FirstOfferWins (BFS-like): skip reached vertices with one word
-	//     load, stop at the first scheduled in-neighbor. Reached values
-	//     are never written again and unreached values are never read, so
-	//     the sweep needs no atomics at all.
-	//   - value-only kernels (WCC): full monotone gather, but without
-	//     streaming the in-edge-index array Message would ignore.
-	//   - edge-indexed kernels (SSSP): full gather with canonical edge
-	//     indices for the per-edge data lookup.
-	//
-	// The full gathers must merge offers from ALL scheduled in-neighbors
-	// — a Beamer-style early exit would adopt one offer and skip a better
-	// one whose source leaves the frontier, losing the update forever.
-	// Cross-worker value accesses there are atomic (neighbor loads,
-	// self-store); a mid-iteration fresh value is at least as good as the
-	// barrier value under monotonicity, so the fixed point is unchanged.
-	var pullFn func(worker int)
-	switch {
-	case k.FirstOfferWins:
-		pullFn = func(worker int) {
-			lo := n * worker / e.p
-			hi := n * (worker + 1) / e.p
-			c := &e.counters[worker]
-			for vi := lo; vi < hi; vi++ {
-				if e.Vertices[vi] != k.Unreached {
-					continue
-				}
-				for _, u := range e.g.InNeighbors(uint32(vi)) {
-					if !e.front.Scheduled(int(u)) {
-						continue
-					}
-					c.cur = int64(vi)
-					val := k.Message(e.Vertices[u], 0)
-					e.Vertices[vi] = val
-					e.front.ScheduleOn(worker, vi)
-					c.offers++
-					c.wins++
-					c.winners++
-					if t := e.trace; t != nil {
-						t.Record(curIter, worker, uint32(vi), 1, val)
-					}
-					break
-				}
-			}
-		}
-	case !k.EdgeIndexed:
-		pullFn = func(worker int) {
-			lo := n * worker / e.p
-			hi := n * (worker + 1) / e.p
-			c := &e.counters[worker]
-			for vi := lo; vi < hi; vi++ {
-				v := uint32(vi)
-				ins := e.g.InNeighbors(v)
-				if len(ins) == 0 {
-					continue
-				}
-				c.cur = int64(vi)
-				best := e.Vertices[v] // only this worker writes v's word
-				improved := false
-				for _, u := range ins {
-					if !e.front.Scheduled(int(u)) {
-						continue
-					}
-					cand := k.Message(atomic.LoadUint64(&e.Vertices[u]), 0)
-					c.offers++
-					if k.Better(cand, best) {
-						best = cand
-						improved = true
-					}
-				}
-				if improved {
-					atomic.StoreUint64(&e.Vertices[v], best)
-					e.front.ScheduleOn(worker, vi)
-					c.wins++
-					c.winners++
-					if t := e.trace; t != nil {
-						t.Record(curIter, worker, v, 1, best)
-					}
-				}
-			}
-		}
-	default:
-		pullFn = func(worker int) {
-			lo := n * worker / e.p
-			hi := n * (worker + 1) / e.p
-			c := &e.counters[worker]
-			for vi := lo; vi < hi; vi++ {
-				v := uint32(vi)
-				ins := e.g.InNeighbors(v)
-				if len(ins) == 0 {
-					continue
-				}
-				idx := e.g.InEdgeIndices(v)
-				c.cur = int64(vi)
-				best := e.Vertices[v] // only this worker writes v's word
-				improved := false
-				for i, u := range ins {
-					if !e.front.Scheduled(int(u)) {
-						continue
-					}
-					cand := k.Message(atomic.LoadUint64(&e.Vertices[u]), idx[i])
-					c.offers++
-					if k.Better(cand, best) {
-						best = cand
-						improved = true
-					}
-				}
-				if improved {
-					atomic.StoreUint64(&e.Vertices[v], best)
-					e.front.ScheduleOn(worker, vi)
-					c.wins++
-					c.winners++
-					if t := e.trace; t != nil {
-						t.Record(curIter, worker, v, 1, best)
-					}
-				}
-			}
-		}
-	}
-
-	sweep := pullFn
-	pullFn = func(worker int) {
+	// The bottom-up sweep: skip reached vertices with one word load, stop
+	// at the first scheduled in-neighbor. Under FirstOfferWins reached
+	// values are never written again and unreached values are never read,
+	// so the sweep needs no atomics at all.
+	pullFn := func(worker int) {
+		c := &e.counters[worker]
 		defer func() {
 			if r := recover(); r != nil {
-				e.loop.RecordPanic(uint32(e.counters[worker].cur), r)
+				e.loop.RecordPanic(uint32(c.cur), r)
 			}
 		}()
-		sweep(worker)
+		lo := n * worker / e.p
+		hi := n * (worker + 1) / e.p
+		for vi := lo; vi < hi; vi++ {
+			if e.Vertices[vi] != k.Unreached {
+				continue
+			}
+			v := uint32(vi)
+			for i, u := range e.g.InNeighbors(v) {
+				if !e.front.Scheduled(int(u)) {
+					continue
+				}
+				c.cur = int64(vi)
+				val := k.Message(e.Vertices[u], e.g.InEdgeIndices(v)[i])
+				e.Vertices[vi] = val
+				e.front.ScheduleOn(worker, vi)
+				c.offers++
+				c.wins++
+				c.winners++
+				if t := e.trace; t != nil {
+					t.Record(curIter, worker, v, 1, val)
+				}
+				break
+			}
+		}
 	}
 
 	prev := Push
@@ -503,17 +388,19 @@ func (e *Engine) Run(ctx context.Context, k algorithms.Kernel) (Result, error) {
 				e.remainingInDeg -= int64(e.g.InDegree(uint32(v)))
 			}
 		}
-		dir := policy(Stats{
-			Iter:           iter,
-			FrontierSize:   e.front.Size(),
-			FrontierOutDeg: e.front.CurrentOutDegree(),
-			RemainingInDeg: e.remainingInDeg,
-			BottomUp:       k.FirstOfferWins,
-			N:              n,
-			M:              e.g.M(),
-			Growing:        e.front.Size() > prevSize,
-			Prev:           prev,
-		})
+		dir := Push
+		if k.FirstOfferWins {
+			dir = policy(Stats{
+				Iter:           iter,
+				FrontierSize:   e.front.Size(),
+				FrontierOutDeg: e.front.CurrentOutDegree(),
+				RemainingInDeg: e.remainingInDeg,
+				N:              n,
+				M:              e.g.M(),
+				Growing:        e.front.Size() > prevSize,
+				Prev:           prev,
+			})
+		}
 		if iter > 0 && dir != prev {
 			res.Switches++
 		}

@@ -40,8 +40,8 @@ func TestDirectionString(t *testing.T) {
 // The Beamer policy must flip exactly at its threshold boundaries, with
 // hysteresis from the previous direction.
 func TestBeamerPolicyThresholdBoundary(t *testing.T) {
-	p := BeamerPolicy(14, 24)
-	base := Stats{N: 2400, M: 14000, RemainingInDeg: 14000, BottomUp: true}
+	p := BeamerPolicy()
+	base := Stats{N: 2400, M: 14000, RemainingInDeg: 14000}
 	// Pushing: switch to pull strictly above the pull-sweep cost estimate
 	// (RemainingInDeg+N)/alpha = (14000+2400)/14 = 1171.
 	s := base
@@ -54,14 +54,6 @@ func TestBeamerPolicyThresholdBoundary(t *testing.T) {
 	if got := p(s); got != Pull {
 		t.Fatalf("above boundary (1172): %v, want pull", got)
 	}
-	// A full-gather kernel (no FirstOfferWins) never pulls, however far
-	// past the threshold the frontier grows.
-	s.BottomUp = false
-	s.FrontierOutDeg = int64(s.M)
-	if got := p(s); got != Push {
-		t.Fatalf("full-gather kernel above threshold: %v, want push", got)
-	}
-	s.BottomUp = true
 	// A shrinking frontier never switches to pull, whatever its degree.
 	s.Growing = false
 	if got := p(s); got != Push {
@@ -91,20 +83,34 @@ func TestBeamerPolicyThresholdBoundary(t *testing.T) {
 
 func forced(d Direction) Policy { return func(Stats) Direction { return d } }
 
+// hub is g's vertex of largest out-degree: a BFS source that reaches
+// enough of an R-MAT graph to run several levels.
+func hub(g *graph.Graph) uint32 {
+	best := uint32(0)
+	for v := uint32(1); v < uint32(g.N()); v++ {
+		if g.OutDegree(v) > g.OutDegree(best) {
+			best = v
+		}
+	}
+	return best
+}
+
 func alternating() Policy {
 	return func(s Stats) Direction { return Direction(s.Iter % 2) }
 }
 
 // All-push, all-pull, and alternating forced policies must all converge to
 // the reference fixed point and record exactly the forced direction
-// sequence — the mid-run switch loses nothing.
+// sequence — the mid-run switch loses nothing. BFS is the kernel that
+// pulls (FirstOfferWins).
 func TestForcedDirectionSequences(t *testing.T) {
 	g, err := gen.RMAT(240, 1500, gen.DefaultRMAT, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := g.Undirected()
-	want := algorithms.ReferenceWCC(u)
+	src := hub(g)
+	bfs := algorithms.NewBFS(g, src)
+	want := algorithms.ReferenceSSSP(g, src, bfs.Weights)
 	cases := []struct {
 		name   string
 		policy Policy
@@ -144,22 +150,22 @@ func TestForcedDirectionSequences(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewEngine(u, 4)
+			e, err := NewEngine(g, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
 			e.Policy = tc.policy
-			res, err := e.Run(context.Background(), algorithms.WCCKernel())
+			res, err := e.Run(context.Background(), algorithms.BFSKernel(src))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Converged {
-				t.Fatal("did not converge")
+			if !res.Converged || len(res.Directions) < 3 {
+				t.Fatalf("converged=%v after %d iterations, want a converged run of at least 3", res.Converged, len(res.Directions))
 			}
 			for v := range want {
-				if uint32(e.Vertices[v]) != want[v] {
-					t.Fatalf("vertex %d: label %d, want %d", v, e.Vertices[v], want[v])
+				if got := edgedata.ToFloat64(e.Vertices[v]); got != want[v] {
+					t.Fatalf("vertex %d: dist %v, want %v", v, got, want[v])
 				}
 			}
 			tc.check(t, res)
@@ -167,11 +173,10 @@ func TestForcedDirectionSequences(t *testing.T) {
 	}
 }
 
-// WCC is a full-gather kernel (offers differ per source, so the pull
-// sweep has no early exit), and a full gather measures slower than push
-// at every frontier density — the default policy must keep the whole run
-// in push even though S_0 = V maximizes frontier out-degree, and land on
-// the exact reference fixed point.
+// Only FirstOfferWins kernels pull: WCC pushes every iteration whatever
+// the policy — the default, a forced pull, or one that alternates — and
+// lands on the exact reference fixed point, even though S_0 = V maximizes
+// frontier out-degree.
 func TestDefaultPolicyWCCStaysPush(t *testing.T) {
 	g, err := gen.RMAT(400, 3000, gen.DefaultRMAT, 21)
 	if err != nil {
@@ -179,30 +184,30 @@ func TestDefaultPolicyWCCStaysPush(t *testing.T) {
 	}
 	u := g.Undirected()
 	want := algorithms.ReferenceWCC(u)
-	e, err := NewEngine(u, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	res, err := e.Run(context.Background(), algorithms.WCCKernel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	for i, d := range res.Directions {
-		if d != Push {
-			t.Fatalf("iteration %d chose %v, want push (trace %s)", i, d, res.SwitchTrace())
-		}
-	}
-	if res.Switches != 0 {
-		t.Fatalf("Switches = %d, want 0", res.Switches)
-	}
-	for v := range want {
-		if uint32(e.Vertices[v]) != want[v] {
-			t.Fatalf("vertex %d: label %d, want %d", v, e.Vertices[v], want[v])
-		}
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+	}{{"beamer", nil}, {"all-pull", forced(Pull)}, {"alternating", alternating()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(u, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			e.Policy = tc.policy
+			res, err := e.Run(context.Background(), algorithms.WCCKernel())
+			if err != nil || !res.Converged {
+				t.Fatalf("run: %v (converged=%v)", err, res.Converged)
+			}
+			if got := res.SwitchTrace(); strings.ContainsRune(got, 'L') || res.Switches != 0 {
+				t.Fatalf("WCC pulled: trace %s, %d switches", got, res.Switches)
+			}
+			for v := range want {
+				if uint32(e.Vertices[v]) != want[v] {
+					t.Fatalf("vertex %d: label %d, want %d", v, e.Vertices[v], want[v])
+				}
+			}
+		})
 	}
 }
 
@@ -251,9 +256,8 @@ func TestBFSAgainstReference(t *testing.T) {
 	}
 }
 
-// SSSP with randomized weights must match the reference through direction
-// switches too — the canonical edge index hands pull the same weight push
-// would read.
+// SSSP with randomized weights must match the reference: Message reads
+// each weight at the canonical edge index the push sweep passes.
 func TestSSSPAgainstReference(t *testing.T) {
 	g, err := gen.RMAT(300, 2400, gen.DefaultRMAT, 55)
 	if err != nil {
@@ -266,7 +270,6 @@ func TestSSSPAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Policy = alternating()
 	res, err := e.Run(context.Background(), algorithms.SSSPKernel(0, sssp.Weights))
 	if err != nil || !res.Converged {
 		t.Fatalf("run: %v (converged=%v)", err, res.Converged)
@@ -285,8 +288,7 @@ func TestObsEventsTagDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := g.Undirected()
-	e, err := NewEngine(u, 2)
+	e, err := NewEngine(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +297,12 @@ func TestObsEventsTagDirection(t *testing.T) {
 	defer o.Close()
 	e.Observe(o)
 	e.Policy = alternating()
-	res, err := e.Run(context.Background(), algorithms.WCCKernel())
+	res, err := e.Run(context.Background(), algorithms.BFSKernel(hub(g)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Switches == 0 {
+		t.Fatalf("alternating run never switched (trace %s)", res.SwitchTrace())
 	}
 	evs := o.Events()
 	if len(evs) != res.Iterations {
@@ -361,8 +366,7 @@ func TestTraceSpansDirectionSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := g.Undirected()
-	e, err := NewEngine(u, 4)
+	e, err := NewEngine(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +374,7 @@ func TestTraceSpansDirectionSwitches(t *testing.T) {
 	rec := trace.NewRecorder(1 << 18)
 	e.Trace(rec)
 	e.Policy = alternating()
-	res, err := e.Run(context.Background(), algorithms.WCCKernel())
+	res, err := e.Run(context.Background(), algorithms.BFSKernel(hub(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +424,11 @@ func TestChainStaysPush(t *testing.T) {
 }
 
 // A panic in Kernel.Message comes back from Run as an error naming the
-// vertex — the source being relaxed in a push, the destination gathering in
-// each of the three pull sweeps — exactly as core and nosync report a
-// panicking update, and the engine runs again afterwards. (It used to reach
-// the pool's barrier and kill the process.)
+// vertex — the source being relaxed in a push, the destination adopting in
+// the pull sweep — exactly as core and nosync report a panicking update,
+// and the engine runs again afterwards. Both directions hand Message the
+// canonical index of the edge they relax, so a trip on edge 5→6 names 5
+// in a push and 6 in a pull.
 func TestHybridLifecyclePanic(t *testing.T) {
 	const n = 12
 	chain, err := gen.Chain(n)
@@ -450,10 +455,10 @@ func TestHybridLifecyclePanic(t *testing.T) {
 	}{
 		{"bfs/push", algorithms.BFSKernel(0), Push, func(s uint64, _ uint32) bool { return s == five }, 5},
 		{"bfs/pull-first-offer", algorithms.BFSKernel(0), Pull, func(s uint64, _ uint32) bool { return s == five }, 6},
+		{"bfs/push-edge", algorithms.BFSKernel(0), Push, func(_ uint64, e uint32) bool { return e == e56 }, 5},
+		{"bfs/pull-edge", algorithms.BFSKernel(0), Pull, func(_ uint64, e uint32) bool { return e == e56 }, 6},
 		{"wcc/push", algorithms.WCCKernel(), Push, func(s uint64, _ uint32) bool { return s == 0 }, 0},
-		{"wcc/pull-value-only", algorithms.WCCKernel(), Pull, func(s uint64, _ uint32) bool { return s == 0 }, 1},
 		{"sssp/push", algorithms.SSSPKernel(0, unit), Push, func(_ uint64, e uint32) bool { return e == e56 }, 5},
-		{"sssp/pull-edge-indexed", algorithms.SSSPKernel(0, unit), Pull, func(_ uint64, e uint32) bool { return e == e56 }, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := chain

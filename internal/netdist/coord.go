@@ -32,8 +32,6 @@ type Options struct {
 	// Dir is the checkpoint root (one subdirectory per worker). Empty
 	// uses a temp dir removed after the run.
 	Dir string
-	// ByEdges partitions by incident-edge balance instead of vertex count.
-	ByEdges bool
 	// RTO is the base retransmission timeout (default 200ms).
 	RTO time.Duration
 	// Heartbeat is the worker heartbeat interval (default 100ms);
@@ -278,21 +276,19 @@ func (c *coordinator) run(ctx context.Context) ([]uint64, error) {
 	return c.supervise(ctx)
 }
 
-// table partitions the job. Only an edge-balanced table, or a spec that
-// leaves the vertex count to its edge list, needs the graph itself;
-// otherwise the workers are the only ones to build it.
+// table partitions the job. Only a spec that leaves the vertex count to
+// its edge list needs the graph itself; otherwise the workers are the
+// only ones to build it.
 func (o *Options) table() (Table, error) {
-	if !o.ByEdges && o.Graph.N > 0 {
-		return NewTable(o.Graph.N, o.Workers)
+	n := o.Graph.N
+	if n == 0 {
+		g, err := o.Graph.Build()
+		if err != nil {
+			return Table{}, err
+		}
+		n = g.N()
 	}
-	g, err := o.Graph.Build()
-	if err != nil {
-		return Table{}, err
-	}
-	if o.ByEdges {
-		return NewTableByEdges(g, o.Workers)
-	}
-	return NewTable(g.N(), o.Workers)
+	return NewTable(n, o.Workers)
 }
 
 type coordinator struct {

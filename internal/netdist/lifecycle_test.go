@@ -31,12 +31,11 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	prev := testKernel
 	t.Cleanup(func() { testKernel = prev })
-	// run runs the hooked kernel in two in-process workers. EdgeIndexed
-	// makes Message see the canonical edge, so the hook ticks on edge ids.
+	// run runs the hooked kernel in two in-process workers. Message sees
+	// the canonical edge, so the hook ticks on edge ids.
 	run := func(ctx context.Context, hook func(e uint32)) (*Result, error) {
 		testKernel = func(name string) (algorithms.Kernel, bool) {
 			k := algorithms.WCCKernel()
-			k.EdgeIndexed = true
 			k.Init = func(g *graph.Graph) ([]uint64, []int) {
 				vals := make([]uint64, g.N())
 				for i := range vals {
@@ -190,7 +189,6 @@ func TestIdleNoticeThenLateBatch(t *testing.T) {
 	var held atomic.Bool
 	testKernel = func(name string) (algorithms.Kernel, bool) {
 		k := algorithms.WCCKernel()
-		k.EdgeIndexed = true
 		k.Init = func(g *graph.Graph) ([]uint64, []int) {
 			vals := make([]uint64, g.N())
 			for i := range vals {

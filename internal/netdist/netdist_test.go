@@ -130,7 +130,7 @@ func TestMonotoneKernelsCertified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cert.AdmitKernel(mk.kern.Name, mk.kern.EdgeIndexed, mk.kern.FirstOfferWins); err != nil {
+		if err := cert.AdmitKernel(mk.kern.Name, mk.kern.FirstOfferWins); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if name != "wcc" {
@@ -195,18 +195,6 @@ func TestDistSSSP(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDistances(t, g, res, 1, algorithms.NewSSSP(g, 1, 99).Weights)
-}
-
-func TestDistSSSPByEdgePartitioning(t *testing.T) {
-	g := mustBuild(t, testRMAT)
-	a := AlgoSpec{Name: "sssp", Source: 1, WeightSeed: 7}
-	opt := fastOpts(4, testRMAT, a)
-	opt.ByEdges = true
-	res, err := Run(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDistances(t, g, res, 1, algorithms.NewSSSP(g, 1, 7).Weights)
 }
 
 func TestDistSingleWorker(t *testing.T) {

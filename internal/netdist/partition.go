@@ -30,12 +30,7 @@
 //     duplicates, reorders, and full partitions at frame granularity.
 package netdist
 
-import (
-	"fmt"
-	"sort"
-
-	"ndgraph/internal/graph"
-)
+import "fmt"
 
 // Table is a partition table: worker k owns the contiguous vertex range
 // [starts[k], starts[k+1]). Contiguity makes ownership a binary search and
@@ -57,40 +52,6 @@ func NewTable(n, parts int) (Table, error) {
 	starts := make([]uint32, parts+1)
 	for k := 0; k <= parts; k++ {
 		starts[k] = uint32(k * n / parts)
-	}
-	return Table{starts: starts}, nil
-}
-
-// NewTableByEdges splits g's vertices into parts contiguous ranges
-// balancing total incident edge count (in+out), the quantity that actually
-// drives per-worker compute and message load on skewed graphs.
-func NewTableByEdges(g *graph.Graph, parts int) (Table, error) {
-	n := g.N()
-	if parts < 1 {
-		return Table{}, fmt.Errorf("netdist: partition count %d < 1", parts)
-	}
-	if parts > n && n > 0 {
-		parts = n
-	}
-	// Prefix sum of degree, then cut at equal shares.
-	prefix := make([]int64, n+1)
-	for v := uint32(0); int(v) < n; v++ {
-		prefix[v+1] = prefix[v] + int64(g.Degree(v))
-	}
-	total := prefix[n]
-	starts := make([]uint32, parts+1)
-	starts[parts] = uint32(n)
-	for k := 1; k < parts; k++ {
-		target := total * int64(k) / int64(parts)
-		cut := sort.Search(n, func(v int) bool { return prefix[v+1] >= target })
-		starts[k] = uint32(cut)
-	}
-	// Enforce monotonicity in degenerate cases (hub vertices can make two
-	// cuts coincide; empty ranges are legal).
-	for k := 1; k <= parts; k++ {
-		if starts[k] < starts[k-1] {
-			starts[k] = starts[k-1]
-		}
 	}
 	return Table{starts: starts}, nil
 }

@@ -1,10 +1,6 @@
 package netdist
 
-import (
-	"testing"
-
-	"ndgraph/internal/gen"
-)
+import "testing"
 
 func TestNewTable(t *testing.T) {
 	tab, err := NewTable(10, 4)
@@ -39,42 +35,6 @@ func TestNewTableShrinksForTinyGraphs(t *testing.T) {
 	}
 	if tab.Parts() > 2 {
 		t.Fatalf("parts=%d for a 2-vertex graph", tab.Parts())
-	}
-}
-
-func TestNewTableByEdges(t *testing.T) {
-	g, err := gen.RMAT(256, 2048, gen.DefaultRMAT, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewTableByEdges(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.N() != g.N() {
-		t.Fatalf("table covers %d, graph has %d", tab.N(), g.N())
-	}
-	// Every vertex is owned by exactly one partition and partitions are
-	// contiguous and ordered.
-	prev := -1
-	for v := uint32(0); int(v) < g.N(); v++ {
-		k := tab.OwnerOf(v)
-		if k < prev {
-			t.Fatalf("owner went backwards at vertex %d", v)
-		}
-		prev = k
-	}
-	// Edge balance: no partition should hold everything (R-MAT is skewed,
-	// so only a sanity bound).
-	deg := make([]int, tab.Parts())
-	for v := uint32(0); int(v) < g.N(); v++ {
-		deg[tab.OwnerOf(v)] += g.Degree(v)
-	}
-	for k, d := range deg {
-		if d == 0 {
-			continue // permissible for extreme skew
-		}
-		t.Logf("part %d: %d incident edges", k, d)
 	}
 }
 

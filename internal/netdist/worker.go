@@ -180,6 +180,11 @@ func (w *worker) acceptLoop(ln net.Listener, done chan<- error) {
 		go func() {
 			defer w.wg.Done()
 			fc := newFrameConn(c, 0, connWriteTO)
+			// A killed worker drops every connection it accepted, as a
+			// killed process does; an open one would go on acking peers'
+			// batches into a queue nothing drains.
+			unhook := context.AfterFunc(w.ctx, func() { fc.Close() })
+			defer unhook()
 			_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
 			typ, p, err := fc.readFrame()
 			_ = c.SetReadDeadline(time.Time{})
@@ -221,7 +226,7 @@ func (w *worker) serveCoord(fc *frameConn) error {
 	for {
 		typ, p, err := fc.readFrame()
 		if err != nil {
-			if w.stopped.Load() {
+			if w.stopped.Load() || w.ctx.Err() != nil {
 				return nil
 			}
 			return fmt.Errorf("netdist: worker %d lost coordinator: %w", w.id, err)
@@ -362,6 +367,9 @@ func (w *worker) servePeer(fc *frameConn) {
 			return
 		}
 		w.enqueueCmd(cmd{kind: cmdDeliver, batch: b})
+		if w.ctx.Err() != nil {
+			return // killed: nothing will apply the batch, so it stays unacked
+		}
 		if err := fc.writeFrame(msgAck, encodeAck(b.seq)); err != nil {
 			return
 		}

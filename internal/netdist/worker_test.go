@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
@@ -16,8 +15,8 @@ import (
 // neither the sender's unacked window nor the receiver's queue, and two
 // quiescence sweeps landing in that moment would end the run without it.
 func TestServePeerQueuesBeforeAck(t *testing.T) {
-	w := &worker{}
-	w.cond = sync.NewCond(&w.mu)
+	w := newWorker(context.Background())
+	defer w.cancel()
 	peerEnd, workerEnd := net.Pipe()
 	defer peerEnd.Close()
 	go w.servePeer(newFrameConn(workerEnd, 0, connWriteTO))
@@ -98,4 +97,50 @@ func TestWorkerRestoresCheckpoint(t *testing.T) {
 	check("ckpt.prev", older)
 	tear("ckpt.prev")
 	check("", cold)
+}
+
+// TestKilledWorkerDropsPeers: Kill is an in-process SIGKILL, so it drops
+// the peer connections the worker accepted. A connection left open would
+// go on acking batches into a queue nothing drains, and the sender would
+// retire batches the dead worker never applied.
+func TestKilledWorkerDropsPeers(t *testing.T) {
+	l := NewLocalLauncher()
+	defer l.Close()
+	addr, err := l.Start(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer := newFrameConn(c, 0, connWriteTO)
+	if err := peer.writeJSON(msgHello, helloMsg{Role: "peer", From: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// An acked batch proves the worker is serving this connection.
+	send := func(seq uint64) error {
+		return peer.writeFrame(msgData, encodeBatch(dataBatch{seq: seq, entries: []batchEntry{{edge: 0, val: 1}}}))
+	}
+	if err := send(1); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := peer.readFrame(); err != nil || typ != msgAck {
+		t.Fatalf("before the kill: frame %s, err %v; want an ack", msgName(typ), err)
+	}
+
+	if err := l.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	_ = send(2) // may fail already: the worker hung up
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, _, err := peer.readFrame()
+	if err == nil {
+		t.Fatalf("killed worker sent a %s frame", msgName(typ))
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("killed worker kept the peer connection open")
+	}
 }

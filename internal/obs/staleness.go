@@ -119,14 +119,6 @@ func (c *DelayClock) Advance() int64 {
 	return c.epoch.Add(1)
 }
 
-// Epoch returns the current epoch.
-func (c *DelayClock) Epoch() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
 // Stamp records that slot was published at the current epoch. Called at
 // commit time by the writing worker; one atomic load + one atomic store.
 func (c *DelayClock) Stamp(slot uint32) {

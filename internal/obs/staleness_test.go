@@ -119,15 +119,15 @@ func TestDelayClockReset(t *testing.T) {
 	c.Advance()
 	c.ObserveRead(1, 0)
 	c.Reset()
-	if c.Epoch() != 0 {
-		t.Errorf("Epoch after Reset = %d", c.Epoch())
-	}
 	if got := c.Hist().Count(); got != 0 {
 		t.Errorf("Count after Reset = %d", got)
 	}
+	// Reset rewinds the epoch: the next Advance starts the count again.
+	if e := c.Advance(); e != 1 {
+		t.Errorf("first epoch after Reset = %d, want 1", e)
+	}
 	// Stamps must be cleared too: a stale stamp from the previous run would
 	// fabricate negative staleness (clamped to 0) for the new one.
-	c.Advance()
 	c.ObserveRead(0, 1)
 	if got := c.Hist().Max(); got != 1 {
 		t.Errorf("post-Reset staleness = %d, want 1", got)
@@ -138,13 +138,12 @@ func TestDelayClockReset(t *testing.T) {
 // zero value: engines guard observation with one pointer test.
 func TestDelayClockNilSafe(t *testing.T) {
 	var c *DelayClock
-	c.Advance()
+	if c.Advance() != 0 {
+		t.Error("nil Advance != 0")
+	}
 	c.Stamp(0)
 	c.ObserveRead(0, 0)
 	c.Reset()
-	if c.Epoch() != 0 {
-		t.Error("nil Epoch != 0")
-	}
 	h := c.Hist()
 	if h.Count() != 0 || h.Overflow() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Error("nil clock's Hist is not zero")

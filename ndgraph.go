@@ -106,7 +106,8 @@ type (
 	// `ndlint -cert` from the analysis passes. It is
 	// tamper-evident: Verdict() re-derives the recorded gates and errors
 	// on disagreement, Stale() detects source drift via the embedded
-	// hash, and AdmitKernel() checks a hybrid kernel's name and flags.
+	// hash, and AdmitKernel() checks a hybrid kernel's name and its
+	// FirstOfferWins flag.
 	Certificate = eligibility.Certificate
 	// KernelCertificate is the kernel-specific law record inside a
 	// "kernel" Certificate (Better strict-order laws, flag obligations,
@@ -439,18 +440,23 @@ var (
 // Direction-optimizing hybrid execution: per-iteration push/pull choice
 // over paired kernels (Beamer-style frontier-density thresholds).
 type (
-	// HybridEngine chooses push or pull at every iteration barrier.
+	// HybridEngine chooses push or pull at every iteration barrier. Only
+	// FirstOfferWins kernels (BFS) ever pull, with Beamer's bottom-up
+	// sweep; every other kernel pushes every iteration.
 	HybridEngine = hybrid.Engine
 	// HybridDirection is the per-iteration traversal direction.
 	HybridDirection = hybrid.Direction
 	// HybridStats is the barrier snapshot a HybridPolicy decides from.
 	HybridStats = hybrid.Stats
-	// HybridPolicy chooses the direction for one iteration.
+	// HybridPolicy chooses the direction for one iteration of a
+	// FirstOfferWins kernel; nil selects Beamer's thresholds. Other
+	// kernels never consult it.
 	HybridPolicy = hybrid.Policy
 	// HybridResult summarizes a hybrid run, including the direction
 	// sequence (SwitchTrace).
 	HybridResult = hybrid.Result
-	// Kernel is a paired push/pull monotone vertex program.
+	// Kernel is a paired push/pull monotone vertex program. Every
+	// executor hands Message the canonical index of the edge it relaxes.
 	Kernel = algorithms.Kernel
 )
 
@@ -465,9 +471,6 @@ const (
 var (
 	// NewHybridEngine builds a direction-optimizing engine.
 	NewHybridEngine = hybrid.NewEngine
-	// HybridBeamerPolicy builds the classic threshold policy with
-	// hysteresis; alpha or beta <= 0 select the Beamer defaults.
-	HybridBeamerPolicy = hybrid.BeamerPolicy
 	// WCCKernel, BFSKernel, and SSSPKernel are the paired push/pull
 	// kernels of the registry in internal/algorithms.
 	WCCKernel  = algorithms.WCCKernel

@@ -202,7 +202,6 @@ func runCore(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentatio
 		Scheduler:       sched.Nondeterministic,
 		Threads:         1,
 		Mode:            mode,
-		RecordIters:     true,
 		EnableCensus:    in.census,
 		PotentialCensus: in.potential,
 		Amplify:         in.amplify,

@@ -225,12 +225,12 @@ func TestCertificatesConsistent(t *testing.T) {
 			if !cert.Kernel.DirectionConsistent {
 				t.Error("kernel not certified direction-consistent")
 			}
-			if err := cert.AdmitKernel(k.Name, k.EdgeIndexed, k.FirstOfferWins); err != nil {
+			if err := cert.AdmitKernel(k.Name, k.FirstOfferWins); err != nil {
 				t.Errorf("certificate refuses its own kernel: %v", err)
 			}
 			// Flag drift must be refused.
-			if err := cert.AdmitKernel(k.Name, !k.EdgeIndexed, k.FirstOfferWins); err == nil {
-				t.Error("certificate admitted a kernel with a drifted EdgeIndexed flag")
+			if err := cert.AdmitKernel(k.Name, !k.FirstOfferWins); err == nil {
+				t.Error("certificate admitted a kernel with a drifted FirstOfferWins flag")
 			}
 		})
 	}

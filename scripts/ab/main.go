@@ -15,8 +15,11 @@
 //
 // Per metric it prints each side's median, the median over pairs of the
 // change/base ratio, the pairs the change won (ties count for neither), the
-// exact one-sided sign-test p of that many wins, and the interquartile range
-// of the base side's runs.
+// exact one-sided sign-test p of that many wins, the interquartile range
+// of the base side's runs, and a verdict: "improved" when the change won
+// at least 9 in 10 of all pairs and its median moved past the base side's
+// interquartile range, "regressed" under the mirror-image rule, and
+// "unresolved" otherwise.
 package main
 
 import (
@@ -135,7 +138,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "ab: pair %d/%d done\n", p+1, *pairs)
 	}
-	fmt.Printf("%-20s %12s %12s %8s %6s %8s %10s\n", "metric", "base_med", "change_med", "ratio", "wins", "p", "base_iqr")
+	fmt.Printf("%-20s %12s %12s %8s %6s %8s %10s  %s\n", "metric", "base_med", "change_med", "ratio", "wins", "p", "base_iqr", "verdict")
 	for _, g := range gated {
 		printRow(g, values[g.Name])
 	}
@@ -202,10 +205,15 @@ func benchOnce(checkout, workload string, pass []string, res, log string) (map[s
 	return m, nil
 }
 
-// printRow prints one metric's comparison over its pairs.
-func printRow(g gatedMetric, pairs [][2]float64) {
+// comparison is one metric's summary over its (base, change) pairs.
+type comparison struct {
+	baseMed, changeMed, ratio, baseIQR float64
+	wins, losses, n                    int // n excludes ties
+}
+
+func compare(better string, pairs [][2]float64) comparison {
 	var base, change, ratios []float64
-	wins, n := 0, 0
+	var c comparison
 	for _, p := range pairs {
 		base, change = append(base, p[0]), append(change, p[1])
 		if p[0] != 0 {
@@ -214,14 +222,42 @@ func printRow(g gatedMetric, pairs [][2]float64) {
 		if p[0] == p[1] {
 			continue
 		}
-		n++
-		if (p[1] < p[0]) == (g.Better == "lower") {
-			wins++
+		c.n++
+		if (p[1] < p[0]) == (better == "lower") {
+			c.wins++
+		} else {
+			c.losses++
 		}
 	}
-	q1, q3 := quantile(base, 0.25), quantile(base, 0.75)
-	fmt.Printf("%-20s %12.4g %12.4g %8.3f %3d/%-2d %8.4f %10.4g\n",
-		g.Name, quantile(base, 0.5), quantile(change, 0.5), quantile(ratios, 0.5), wins, n, signP(wins, n), q3-q1)
+	c.baseMed, c.changeMed, c.ratio = quantile(base, 0.5), quantile(change, 0.5), quantile(ratios, 0.5)
+	c.baseIQR = quantile(base, 0.75) - quantile(base, 0.25)
+	return c
+}
+
+// verdict applies the gain rule to a comparison over pairs pairs: the
+// change improved the metric when it won at least 9 in 10 of all pairs
+// (a tie is no win) and its median moved the better way by more than the
+// base side's interquartile range; it regressed when it lost as often and
+// its median moved as far the worse way.
+func verdict(better string, c comparison, pairs int) string {
+	gain := c.changeMed - c.baseMed
+	if better == "lower" {
+		gain = -gain
+	}
+	switch {
+	case 10*c.wins >= 9*pairs && gain > c.baseIQR:
+		return "improved"
+	case 10*c.losses >= 9*pairs && -gain > c.baseIQR:
+		return "regressed"
+	}
+	return "unresolved"
+}
+
+// printRow prints one metric's comparison over its pairs.
+func printRow(g gatedMetric, pairs [][2]float64) {
+	c := compare(g.Better, pairs)
+	fmt.Printf("%-20s %12.4g %12.4g %8.3f %3d/%-2d %8.4f %10.4g  %s\n",
+		g.Name, c.baseMed, c.changeMed, c.ratio, c.wins, c.n, signP(c.wins, c.n), c.baseIQR, verdict(g.Better, c, len(pairs)))
 }
 
 // signP is the exact one-sided sign-test p: the chance of at least wins

@@ -1,8 +1,8 @@
 // Command ndlint statically answers the paper's title question for the
 // update functions in a Go package tree: is your graph algorithm eligible
-// for nondeterministic execution? It runs the seven internal/analysis
+// for nondeterministic execution? It runs the six internal/analysis
 // passes (scopecheck, conflictclass, determinism, atomicity, and the
-// semantic trio propcheck, kernelcheck, admitcheck) in one of two modes:
+// semantic pair propcheck, kernelcheck) in one of two modes:
 //
 // Standalone, over go-list package patterns:
 //

@@ -15,8 +15,8 @@ import (
 //
 // and embedded so engine admission can accept a certificate instead of
 // running a probe. The root consistency test re-derives the certificates
-// from source on every run — an edit to any update function, Properties,
-// ResidualDelta, or kernel literal changes its FNV source hash and fails
+// from source on every run — an edit to any update function, Properties
+// or kernel literal changes its FNV source hash and fails
 // the test until the registry is regenerated, which is what "hash
 // mismatch forces re-analysis" means operationally.
 //

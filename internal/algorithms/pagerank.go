@@ -87,14 +87,6 @@ func (p *PageRank) Update(ctx core.VertexView) {
 	}
 }
 
-// ResidualDelta is PageRank's residual metric for the online estimator:
-// the absolute rank movement |Δrank| of one vertex commit. Wire it into
-// core.Options.ResidualDelta to make an observed NoSync run's
-// Residual gauge report mean rank movement per commit.
-func (*PageRank) ResidualDelta(old, new uint64) float64 {
-	return math.Abs(edgedata.ToFloat64(new) - edgedata.ToFloat64(old))
-}
-
 // Ranks decodes the converged rank vector from the engine.
 func (p *PageRank) Ranks(e *core.Engine) []float64 {
 	out := make([]float64, len(e.Vertices))

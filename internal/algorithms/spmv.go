@@ -114,14 +114,6 @@ func (s *SpMV) Update(ctx core.VertexView) {
 	}
 }
 
-// ResidualDelta is SpMV's residual metric for the online estimator: the
-// absolute movement |Δx(v)| of one vertex commit, mirroring PageRank's.
-// The Jacobi contraction makes the windowed mean of these deltas trend
-// to zero as the run converges.
-func (*SpMV) ResidualDelta(old, new uint64) float64 {
-	return math.Abs(edgedata.ToFloat64(new) - edgedata.ToFloat64(old))
-}
-
 // Values decodes the converged solution vector.
 func (s *SpMV) Values(e *core.Engine) []float64 {
 	out := make([]float64, len(e.Vertices))

@@ -89,7 +89,7 @@ type Diagnostic struct {
 	Category string
 	Message  string
 	// Counter is the concrete counter-example backing a semantic finding
-	// (propcheck/kernelcheck/admitcheck); empty for syntactic passes.
+	// (propcheck/kernelcheck); empty for syntactic passes.
 	Counter string
 }
 
@@ -119,11 +119,11 @@ func NewInfo() *types.Info {
 }
 
 // Default returns the ndlint passes in reporting order: the four
-// syntactic passes of PR 5, then the three semantic-verification passes
-// (propcheck/kernelcheck/admitcheck) built on the eval.go interpreter.
+// syntactic passes, then the two semantic-verification passes
+// (propcheck/kernelcheck) built on the eval.go interpreter.
 func Default() []*Analyzer {
 	return []*Analyzer{ScopeCheck, ConflictClass, Determinism, Atomicity,
-		PropCheck, KernelCheck, AdmitCheck}
+		PropCheck, KernelCheck}
 }
 
 // RunAnalyzers runs the given passes over pkg, filters pragma-suppressed

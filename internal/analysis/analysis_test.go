@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,8 +204,15 @@ func TestKernelCheckFixtures(t *testing.T) {
 	}
 
 	fow := byName["goodfow"].Facts
-	if !fow.FirstOfferWinsChecked || !fow.FirstOfferWinsSound || fow.Unreached != ^uint64(0) {
-		t.Errorf("goodfow facts = %+v, want checked+sound FirstOfferWins with max unreached", fow)
+	if !fow.FirstOfferWinsChecked || !fow.FirstOfferWinsSound || fow.Unreached != math.Float64bits(math.Inf(1)) {
+		t.Errorf("goodfow facts = %+v, want checked+sound FirstOfferWins with +Inf unreached", fow)
+	}
+
+	// A Message that offers the unreached word refutes FirstOfferWins even
+	// when Better never prefers it.
+	fowMsg := byName["badfowmessage"].Facts
+	if !fowMsg.FirstOfferWinsChecked || fowMsg.FirstOfferWinsSound || !strings.HasPrefix(fowMsg.Counter, "Message(") {
+		t.Errorf("badfowmessage facts = %+v, want FirstOfferWins refuted by a Message counter-example", fowMsg)
 	}
 
 	// A Message that reads its edge index needs no flag: every executor
@@ -220,33 +228,6 @@ func TestKernelCheckFixtures(t *testing.T) {
 	}
 	if neq.Counter == "" {
 		t.Error("badneq produced no counter-example")
-	}
-}
-
-func TestAdmitCheckFixtures(t *testing.T) {
-	results := RunFixture(t, AdmitCheck, "admitcheck")
-	byRecv := map[string]AdmitReport{}
-	for _, r := range results["admitcheck"].([]AdmitReport) {
-		byRecv[r.Recv] = r
-	}
-
-	eps, ok := byRecv["GoodEps"]
-	if !ok {
-		t.Fatal("no report for GoodEps")
-	}
-	if !eps.HasResidualDelta || !eps.ResidualDeltaChecked || !eps.ResidualDeltaOK {
-		t.Errorf("GoodEps residual metric = %+v, want declared+checked+law-clean", eps)
-	}
-
-	for _, recv := range []string{"GoodMono", "GoodNoRD"} {
-		if r, ok := byRecv[recv]; !ok || r.HasResidualDelta || r.Counter != "" {
-			t.Errorf("%s = %+v (reported %v), want a report with no metric", recv, r, ok)
-		}
-	}
-
-	badrd := byRecv["BadRD"]
-	if !badrd.ResidualDeltaChecked || badrd.ResidualDeltaOK || badrd.Counter == "" {
-		t.Errorf("BadRD = %+v, want the metric laws refuted with a counter-example", badrd)
 	}
 }
 

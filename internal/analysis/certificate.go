@@ -4,8 +4,7 @@ package analysis
 // results: one "update" certificate per algorithm whose Properties are
 // statically readable (conflictclass's profile, properties and
 // AdviseStatic verdict, joined with propcheck's merge laws and source
-// hash and admitcheck's residual-metric laws) and one "kernel"
-// certificate per Kernel literal. The gates are the ones
+// hash) and one "kernel" certificate per Kernel literal. The gates are the ones
 // Certificate.Verdict re-derives with the same AdviseStatic call.
 // cmd/ndlint -cert emits them; internal/algorithms embeds the emitted
 // JSON so engine admission can accept certificates without re-running
@@ -30,16 +29,11 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 	}
 	classes, _ := results[ConflictClass.Name].([]ClassReport)
 	props, _ := results[PropCheck.Name].([]PropReport)
-	admits, _ := results[AdmitCheck.Name].([]AdmitReport)
 	kernels, _ := results[KernelCheck.Name].([]KernelReport)
 
 	propByName := make(map[string]PropReport, len(props))
 	for _, p := range props {
 		propByName[p.Name] = p
-	}
-	admitByName := make(map[string]AdmitReport, len(admits))
-	for _, a := range admits {
-		admitByName[a.Name] = a
 	}
 
 	var certs []eligibility.Certificate
@@ -47,7 +41,7 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 		if c.Recv == "" || c.Verdict == nil {
 			continue // no readable Properties ⇒ nothing to certify
 		}
-		p, a := propByName[c.Name], admitByName[c.Name]
+		p := propByName[c.Name]
 		// SSSP builds its Name at runtime ("sssp" or "bfs" share one
 		// update), so the extracted Name is empty; fall back to the
 		// lower-cased receiver type, which matches the registry key.
@@ -57,16 +51,15 @@ func Certificates(pkg *Package) ([]eligibility.Certificate, []Diagnostic, error)
 		}
 		profile := c.Profile
 		certs = append(certs, eligibility.Certificate{
-			Name:                  name,
-			Kind:                  "update",
-			SourceHash:            p.Hash,
-			Profile:               &profile,
-			Props:                 c.Props,
-			Theorem:               c.Verdict.Theorem,
-			DeterministicResults:  c.Verdict.DeterministicResults,
-			NoSyncOK:              c.Verdict.NoSync() == nil,
-			MergeVerified:         p.Merge.Extracted && p.Merge.SemilatticeVerified,
-			ResidualDeltaVerified: a.ResidualDeltaChecked && a.ResidualDeltaOK,
+			Name:                 name,
+			Kind:                 "update",
+			SourceHash:           p.Hash,
+			Profile:              &profile,
+			Props:                c.Props,
+			Theorem:              c.Verdict.Theorem,
+			DeterministicResults: c.Verdict.DeterministicResults,
+			NoSyncOK:             c.Verdict.NoSync() == nil,
+			MergeVerified:        p.Merge.Extracted && p.Merge.SemilatticeVerified,
 		})
 	}
 	for _, k := range kernels {

@@ -1,14 +1,13 @@
 package analysis
 
-// eval.go is the semantic-verification evaluator behind propcheck,
-// kernelcheck, and admitcheck: it compiles a typed Go expression — an
-// update function's merge, a kernel's Message/Better pair, a
-// ResidualDelta metric — into a tree of closures (the interpreted IR)
-// that the passes then drive bounded-exhaustively over enumerated word
-// values. Compilation either succeeds for the *whole* expression or
-// fails; there is no partial interpretation, so every law a pass reports
-// as checked was evaluated under real Go semantics (wrapping uint64
-// arithmetic, IEEE-754 float64, short-circuit booleans).
+// eval.go is the semantic-verification evaluator behind propcheck and
+// kernelcheck: it compiles a typed Go expression — an update function's
+// merge, a kernel's Message/Better pair — into a tree of closures (the
+// interpreted IR) that the passes then drive bounded-exhaustively over
+// enumerated word values. Compilation either succeeds for the *whole*
+// expression or fails; there is no partial interpretation, so every law a
+// pass reports as checked was evaluated under real Go semantics (wrapping
+// uint64 arithmetic, IEEE-754 float64, short-circuit booleans).
 //
 // The supported fragment is deliberately small — pure arithmetic,
 // comparisons, boolean logic, conversions between basic types, a handful
@@ -237,8 +236,8 @@ type compileCtx struct {
 
 // compileFunc compiles a function body consisting of a single return
 // statement (after skipping doc-only statements), with params bound to
-// slots 0..n-1. Used for kernel Message/Better literals, ResidualDelta
-// methods, and same-package helper inlining.
+// slots 0..n-1. Used for kernel Message/Better literals and same-package
+// helper inlining.
 func (ev *evaluator) compileFunc(params []types.Object, body *ast.BlockStmt, scope ast.Node) (compiled, error) {
 	var frees []freeSym
 	ctx := &compileCtx{

@@ -74,10 +74,13 @@ type KernelFacts struct {
 	// evaluator's fragment is effect-free) and Better is a verified
 	// strict order.
 	DirectionConsistent bool `json:"direction_consistent"`
-	// FirstOfferWins flag and its checked obligation
+	// FirstOfferWins flag and its checked obligations
 	// ∀w ¬Better(Unreached, w): the unreached word never beats anything,
-	// so a first offer is never displaced by the initial state. The
-	// check runs only when the Unreached expression is evaluable
+	// so a first offer is never displaced by the initial state; and, when
+	// Message compiles, ∀w ≠ Unreached, e: Message(w, e) ≠ Unreached: a
+	// reached vertex never offers the unreached word, which would leave
+	// its neighbor unreached and scheduled while it is written. The
+	// checks run only when the Unreached expression is evaluable
 	// (FirstOfferWinsChecked).
 	FirstOfferWinsDeclared bool   `json:"first_offer_wins_declared"`
 	FirstOfferWinsChecked  bool   `json:"first_offer_wins_checked"`
@@ -257,10 +260,12 @@ func analyzeKernel(ev *evaluator, lit *ast.CompositeLit) KernelReport {
 	}
 
 	// Message: compile (purity by construction).
+	var message compiled
 	if k.message == nil {
 		facts.Note = "Message is not a function literal"
-	} else if _, err := ev.compileFunc(litParams(pass, k.message), k.message.Body, k.message); err == nil {
+	} else if c, err := ev.compileFunc(litParams(pass, k.message), k.message.Body, k.message); err == nil {
 		facts.MessageCompiled = true
+		message = c
 	} else if facts.Note == "" {
 		facts.Note = fmt.Sprintf("Message: %v", err)
 	}
@@ -282,6 +287,9 @@ func analyzeKernel(ev *evaluator, lit *ast.CompositeLit) KernelReport {
 			if k.firstOfferWins && haveUnreached {
 				facts.FirstOfferWinsChecked = true
 				checkFirstOfferWins(facts, c, unreached)
+				if facts.MessageCompiled {
+					checkNoUnreachedOffer(facts, message, unreached)
+				}
 			} else if k.firstOfferWins && facts.Note == "" {
 				facts.Note = "FirstOfferWins declared but the Unreached expression is not evaluable"
 			}
@@ -320,7 +328,7 @@ func reportKernel(pass *Pass, lit *ast.CompositeLit, r KernelReport) {
 		}
 		if f.FirstOfferWinsDeclared && f.FirstOfferWinsChecked && !f.FirstOfferWinsSound {
 			pass.reportCounter(pos, f.Counter,
-				"kernel %q declares FirstOfferWins but %s — the unreached word displaces accepted offers, breaking the level-synchronous pull optimizations", name, f.Counter)
+				"kernel %q declares FirstOfferWins but %s — Unreached must be a bottom no offer equals, or the level-synchronous pull optimizations break", name, f.Counter)
 		}
 	}
 }
@@ -399,6 +407,31 @@ func checkFirstOfferWins(f *KernelFacts, c compiled, unreached uint64) {
 				f.FirstOfferWinsSound = false
 				if f.Counter == "" {
 					f.Counter = fmt.Sprintf("Better(Unreached=%#x, %#x) = true", unreached, w)
+				}
+			}
+		}
+	}
+}
+
+// checkNoUnreachedOffer verifies ∀w ≠ Unreached, e: Message(w, e) ≠
+// Unreached over the word domain and a few edge indices: a reached vertex
+// never offers the unreached word. A hybrid bottom-up sweep reads a
+// neighbor's word with plain loads only because that neighbor, once
+// reached, is never written again.
+func checkNoUnreachedOffer(f *KernelFacts, c compiled, unreached uint64) {
+	for _, fr := range freeAssignments(c.frees) {
+		for _, w := range wordDomain() {
+			if w == unreached {
+				continue
+			}
+			for _, e := range []uint32{0, 1, 7, 1 << 31, math.MaxUint32} {
+				v, err := c.fn([]val{vUint(w, 64), vUint(uint64(e), 32)}, fr)
+				if err == nil && v.k == kindUint && v.u == unreached {
+					f.FirstOfferWinsSound = false
+					if f.Counter == "" {
+						f.Counter = fmt.Sprintf("Message(%#x, %d) = Unreached=%#x", w, e, unreached)
+					}
+					return
 				}
 			}
 		}

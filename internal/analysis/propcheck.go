@@ -69,7 +69,7 @@ type PropReport struct {
 	Props *eligibility.Properties
 	Merge MergeFacts
 	// Hash is the FNV-1a source identity of the update function plus its
-	// Properties and ResidualDelta declarations — the certificate key.
+	// Properties declaration — the certificate key.
 	Hash string
 }
 
@@ -113,16 +113,13 @@ func runPropCheck(pass *Pass) (any, error) {
 }
 
 // updateHash computes the certificate source identity for one update
-// function: the update declaration plus the receiver's Properties and
-// ResidualDelta methods (the three sources every admission fact derives
-// from). Any token-level edit to any of them changes the hash.
+// function: the update declaration plus the receiver's Properties method
+// (the two sources every admission fact derives from). Any token-level
+// edit to either changes the hash.
 func updateHash(pass *Pass, u UpdateFn) string {
 	nodes := []ast.Node{u.Pos()}
 	if u.Recv != nil {
 		if d := findMethodDecl(pass, u.Recv, "Properties"); d != nil {
-			nodes = append(nodes, d)
-		}
-		if d := findMethodDecl(pass, u.Recv, "ResidualDelta"); d != nil {
 			nodes = append(nodes, d)
 		}
 	}

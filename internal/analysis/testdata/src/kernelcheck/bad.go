@@ -24,3 +24,16 @@ func BadFOW() Kernel {
 		Better:         func(candidate, current uint64) bool { return candidate < current },
 	}
 }
+
+// BadFOWMessage declares FirstOfferWins with the maximum as its unreached
+// word, which Better never prefers, but its Message offers that very
+// word: a reached vertex leaves its neighbor unreached and scheduled.
+func BadFOWMessage() Kernel {
+	return Kernel{ // want `declares FirstOfferWins but Message`
+		Name:           "badfowmessage",
+		FirstOfferWins: true,
+		Unreached:      ^uint64(0),
+		Message:        func(srcVal uint64, e uint32) uint64 { return ^uint64(0) },
+		Better:         func(candidate, current uint64) bool { return candidate < current },
+	}
+}

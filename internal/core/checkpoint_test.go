@@ -71,7 +71,10 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// Crashing run: checkpoint every iteration, injected crash at 7.
-	inj := fault.MustInjector(fault.Plan{CrashIter: 7})
+	inj, err := fault.NewInjector(fault.Plan{CrashIter: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	crash := newEngine(t, g, Options{
 		Scheduler:       sched.Deterministic,
 		Inject:          inj,
@@ -252,7 +255,10 @@ func TestRestoredRunDoesNotRewriteRestorePoint(t *testing.T) {
 	}
 
 	// Crash at iteration 7 with checkpoints every 2: files at 2, 4, 6.
-	inj := fault.MustInjector(fault.Plan{CrashIter: 7})
+	inj, err := fault.NewInjector(fault.Plan{CrashIter: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	crash := newEngine(t, g, Options{
 		Scheduler:       sched.Deterministic,
 		Inject:          inj,

@@ -133,9 +133,6 @@ func (c *Ctx) SetVertex(w uint64) {
 		c.scratchVertex = w
 		return
 	}
-	if r := c.eng.residual; r != nil {
-		r.Observe(c.worker, c.eng.Vertices[c.v], w)
-	}
 	c.eng.Vertices[c.v] = w
 }
 

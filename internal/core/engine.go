@@ -154,12 +154,6 @@ type Options struct {
 	// algorithms.NoSyncVerdict, which picks one of the two. NewEngine
 	// refuses a nil, ineligible or theorem-less verdict.
 	Verdict *eligibility.Verdict
-	// ResidualDelta maps a committed vertex transition to its residual
-	// contribution (e.g. |Δrank|, algorithms.PageRank.ResidualDelta).
-	// Under NoSync with an Observer it sharpens the telemetry Residual
-	// gauge from the pending-task proxy to the measured value movement;
-	// the barrier schedulers ignore it.
-	ResidualDelta func(old, new uint64) float64
 }
 
 // Result summarizes a completed run.
@@ -207,16 +201,12 @@ type Engine struct {
 	front  *frontier.Frontier
 	census *edgedata.Census
 	// ns is the NoSync scheduler's run state; nil under every other
-	// scheduler, which is what Ctx's three scheduling sites test.
-	// residual accumulates per-commit value movement for NoSync's
-	// telemetry (see newNoSync); nil — Ctx.SetVertex's hook one pointer
-	// test — on every barrier run and every unobserved one. Both sit
-	// beside front, which every barrier wakeup reads, so their tests touch
-	// no extra cache line (with them at the end of Engine, deterministic
-	// WCC on the hubs-first web-berkstan analog ran about 5 % slower on a
-	// 2-vCPU x86-64 VM).
-	ns       *noSync
-	residual *obs.ResidualEstimator
+	// scheduler, which is what Ctx's three scheduling sites test. It sits
+	// beside front, which every barrier wakeup reads, so the test touches
+	// no extra cache line (at the end of Engine, deterministic WCC on the
+	// hubs-first web-berkstan analog ran about 5 % slower on a 2-vCPU
+	// x86-64 VM).
+	ns *noSync
 
 	// shadow is the engine's one edge snapshot, refilled at each use:
 	// before every iteration of a Synchronous run (whose reads it serves, so

@@ -97,13 +97,10 @@ type nsWorker struct {
 	// drained by emitSample with its context's access counters.
 	steals, idleTransitions int64
 	nUpdates                int64
-	// emittedResid* snapshot the engine's residual totals, and
-	// emittedSteals/emittedIdle this worker's counters, at its last
-	// telemetry emit.
-	emittedResidSum            float64
-	emittedResidUpdates        int64
+	// emittedSteals/emittedIdle snapshot this worker's counters at its
+	// last telemetry emit.
 	emittedSteals, emittedIdle int64
-	_                          [48]byte
+	_                          [64]byte
 }
 
 // noSync is a NoSync engine's run state: the queues, the termination
@@ -111,10 +108,7 @@ type nsWorker struct {
 type noSync struct {
 	e *Engine
 
-	// sharpResidual is set when Options.ResidualDelta was supplied: the
-	// engine's residual estimator then sharpens the Residual gauge.
-	sharpResidual bool
-	samples       atomic.Int64 // telemetry sample sequence
+	samples atomic.Int64 // telemetry sample sequence
 
 	// max is the run's update cap (Options.MaxIters × |V|); stealSeed
 	// seeds the per-worker victim-selection RNG (0 is a fixed default).
@@ -150,10 +144,6 @@ func newNoSync(e *Engine) *noSync {
 		deques:   make([]*sched.Deque, p),
 		workers:  make([]nsWorker, p),
 		stealBuf: make([][]int, p),
-	}
-	if e.opts.Observer != nil {
-		e.residual = obs.NewResidualEstimator(p, e.opts.ResidualDelta)
-		x.sharpResidual = e.opts.ResidualDelta != nil
 	}
 	for w := range x.deques {
 		x.deques[w] = sched.NewDeque(0)
@@ -193,7 +183,6 @@ func (e *Engine) runNoSync() (Result, error) {
 	e.loop.Begin()
 	x.updates.Store(0)
 	e.clock.Reset()
-	e.residual.Reset()
 	x.state.Reset()
 	for w := range x.workers {
 		ww := &x.workers[w]
@@ -202,7 +191,6 @@ func (e *Engine) runNoSync() (Result, error) {
 		ww.idle.Store(0)
 		// The telemetry snapshots restart with what they are deltas of.
 		ww.steals, ww.idleTransitions, ww.emittedSteals, ww.emittedIdle = 0, 0, 0, 0
-		ww.emittedResidSum, ww.emittedResidUpdates = 0, 0
 		// A stopped previous run may have abandoned tasks; start fresh.
 		x.deques[w] = sched.NewDeque(len(seeds)/len(x.workers) + 1)
 	}
@@ -488,24 +476,16 @@ func (x *noSync) admit() bool {
 // lo..hi-1 — worker w alone for its window sample, every worker for the
 // quiescence aggregate — draining their update counts, their contexts'
 // edge-access counters and their steal and idle-transition deltas. The
-// enqueued-but-unretired task count is the pending gauge; over |V| it
-// doubles as the convergence residual (it trends to zero at quiescence),
-// sharpened to the measured mean value movement per update when a residual
-// metric is armed. Only worker lo (or the post-drain flush) may call this.
+// enqueued-but-unretired task count is the pending gauge; over |V| it is
+// the convergence residual, the barrier tiers' active fraction with pending
+// work in place of the scheduled set (zero at quiescence). Only worker lo
+// (or the post-drain flush) may call this.
 func (x *noSync) emitSample(o *obs.Observer, lo, hi int, durationNs int64) {
 	var pending int64
 	for i := range x.workers {
 		pending += x.workers[i].enq.Load() - x.workers[i].done.Load()
 	}
 	pending = max(pending, 0)
-	resid := float64(pending) / float64(x.e.g.N())
-	if first := &x.workers[lo]; x.sharpResidual {
-		t := x.e.residual.Totals()
-		if dUp := t.Updates - first.emittedResidUpdates; dUp > 0 {
-			resid = (t.Sum - first.emittedResidSum) / float64(dUp)
-			first.emittedResidSum, first.emittedResidUpdates = t.Sum, t.Updates
-		}
-	}
 	var p50, p99, dmax int64
 	if cl := x.e.clock; cl != nil {
 		h := cl.Hist()
@@ -517,7 +497,7 @@ func (x *noSync) emitSample(o *obs.Observer, lo, hi int, durationNs int64) {
 		Scheduled:     pending,
 		RWConflicts:   -1,
 		WWConflicts:   -1,
-		Residual:      resid,
+		Residual:      float64(pending) / float64(x.e.g.N()),
 		DurationNanos: durationNs,
 		DelayP50:      p50,
 		DelayP99:      p99,

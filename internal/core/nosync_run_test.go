@@ -95,8 +95,12 @@ func TestNoSyncRefusals(t *testing.T) {
 		}
 	}
 
+	inj, err := fault.NewInjector(fault.Plan{Seed: 1, DropWrite: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	faulty, err := core.NewEngine(g, core.Options{Scheduler: sched.NoSync, Threads: 2, Mode: edgedata.ModeAtomic, Verdict: ok,
-		Inject: fault.MustInjector(fault.Plan{Seed: 1, DropWrite: 0.5})})
+		Inject: inj})
 	if err != nil {
 		t.Errorf("Inject without CrashIter refused: %v", err)
 	} else {

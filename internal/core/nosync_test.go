@@ -306,6 +306,45 @@ func TestNoSyncObserverCountsMatchResult(t *testing.T) {
 	t.Fatal("observer has no nosync row")
 }
 
+// NoSync's Residual gauge is pending tasks over |V|, the barrier tiers'
+// active fraction: every sample of an observed, converged run lies in
+// [0, 1], and the quiescence aggregate, emitted last, reads exactly 0.
+func TestNoSyncResidualIsPendingFraction(t *testing.T) {
+	o := obs.New(obs.Options{})
+	defer o.Close()
+	opts := nosyncOptions(2)
+	opts.Observer = o
+	e := newEngine(t, chainGraph(t, 2*sampleWindow), opts)
+	defer e.Close()
+	// Every vertex is seeded and lowers its edges from the maximum to its
+	// label 0 once, waking each neighbor at most once per edge: |V| to
+	// 3|V| updates, so one of the two workers fills a sample window.
+	clear(e.Vertices)
+	e.Edges.Fill(^uint64(0))
+	e.Frontier().ScheduleAll()
+	res, err := e.Run(minLabelUpdate)
+	if err != nil || !res.Converged {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	var evs []obs.Event
+	for _, ev := range o.Events() {
+		if ev.Engine == obs.EngineNoSync {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) < 2 {
+		t.Fatalf("%d nosync events over %d updates, want window samples and the aggregate", len(evs), res.Updates)
+	}
+	for i, ev := range evs {
+		if !(ev.Residual >= 0 && ev.Residual <= 1) {
+			t.Errorf("event %d: Residual = %v, want it in [0, 1]", i, ev.Residual)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Residual != 0 || last.Scheduled != 0 {
+		t.Errorf("quiescence aggregate: Residual = %v, Scheduled = %d, want 0 and 0", last.Residual, last.Scheduled)
+	}
+}
+
 // TestNoSyncReRunAfterStop pins that a cap-stopped run leaves the engine
 // reusable: the next Run resets states, deques, and counters.
 func TestNoSyncReRunAfterStop(t *testing.T) {
@@ -367,7 +406,11 @@ func TestNoSyncWakeupSeam(t *testing.T) {
 					opts = nosyncOptions(2)
 				}
 				if site.faulty {
-					opts.Inject = fault.MustInjector(fault.Plan{Seed: 1, DropWrite: math.Nextafter(1, 0), MaxFaults: 1})
+					inj, err := fault.NewInjector(fault.Plan{Seed: 1, DropWrite: math.Nextafter(1, 0), MaxFaults: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Inject = inj
 				}
 				t.Run(fmt.Sprintf("%s/%v/plain=%v", site.name, opts.Scheduler, plain), func(t *testing.T) {
 					e := newEngine(t, g, opts)

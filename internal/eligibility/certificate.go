@@ -7,9 +7,9 @@ import (
 
 // A Certificate is the machine-readable product of the static analysis
 // (internal/analysis: conflictclass's profile and properties with their
-// AdviseStatic gates, propcheck's merge laws, admitcheck's residual
-// metric, kernelcheck's order laws): the facts engine admission needs,
-// keyed by an FNV-1a hash of the source they were derived from. Engines
+// AdviseStatic gates, propcheck's merge laws, kernelcheck's order laws):
+// the facts engine admission needs, keyed by an FNV-1a hash of the source
+// they were derived from. Engines
 // accept a certificate in place of a probe run — Verdict() re-derives
 // the gate outcomes from the carried profile and properties and refuses
 // a tampered certificate whose recorded gates disagree — while the hash
@@ -19,7 +19,7 @@ type Certificate struct {
 	// Name identifies the subject: the algorithm's declared name for
 	// updates ("wcc", "pagerank"), the kernel's Name field for kernels.
 	Name string `json:"name"`
-	// Kind is "update" (an update function + Properties + ResidualDelta)
+	// Kind is "update" (an update function + Properties)
 	// or "kernel" (a paired-direction Kernel literal).
 	Kind string `json:"kind"`
 	// SourceHash is the FNV-1a identity of the analyzed declarations
@@ -37,9 +37,6 @@ type Certificate struct {
 	// unverified (outside the evaluator's fragment), not refuted — a
 	// refutation is a lint failure and never becomes a certificate.
 	MergeVerified bool `json:"merge_verified,omitempty"`
-	// ResidualDeltaVerified reports the residual metric laws were
-	// checked and held (meaningful when the algorithm declares one).
-	ResidualDeltaVerified bool `json:"residual_delta_verified,omitempty"`
 
 	// Kernel facts (Kind == "kernel").
 	Kernel *KernelCert `json:"kernel,omitempty"`

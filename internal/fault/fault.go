@@ -172,15 +172,6 @@ func NewInjector(plan Plan) (*Injector, error) {
 	return &Injector{plan: plan}, nil
 }
 
-// MustInjector is NewInjector for tests and examples with known-good plans.
-func MustInjector(plan Plan) *Injector {
-	in, err := NewInjector(plan)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // Plan returns the injector's configuration.
 func (in *Injector) Plan() Plan { return in.plan }
 

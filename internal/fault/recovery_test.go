@@ -48,6 +48,16 @@ func corruptingPlan(seed uint64) fault.Plan {
 // runInjected runs a on g with four workers under scheduler s with inj
 // armed, and requires convergence. A NoSync run must also have injected and
 // healed faults, or it exercised nothing.
+// newInjector builds an injector for a known-good plan.
+func newInjector(t *testing.T, plan fault.Plan) *fault.Injector {
+	t.Helper()
+	inj, err := fault.NewInjector(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
 func runInjected(t *testing.T, a algorithms.Algorithm, g *graph.Graph, s sched.Kind, inj *fault.Injector) *core.Engine {
 	t.Helper()
 	e, res, err := algorithms.Run(a, g, core.Options{
@@ -77,7 +87,7 @@ func wccReconverges(t *testing.T, s sched.Kind) {
 	want := algorithms.ReferenceWCC(g)
 	var injected int64
 	for _, seed := range []uint64{1, 2, 3} {
-		inj := fault.MustInjector(corruptingPlan(seed))
+		inj := newInjector(t, corruptingPlan(seed))
 		got := wcc.Components(runInjected(t, wcc, g, s, inj))
 		for v := range want {
 			if got[v] != want[v] {
@@ -101,7 +111,7 @@ func ssspReconverges(t *testing.T, s sched.Kind) {
 	want := algorithms.ReferenceSSSP(g, 0, ss.Weights)
 	var injected int64
 	for _, seed := range []uint64{4, 5, 6} {
-		inj := fault.MustInjector(corruptingPlan(seed))
+		inj := newInjector(t, corruptingPlan(seed))
 		got := ss.Distances(runInjected(t, ss, g, s, inj))
 		for v := range want {
 			// Integer weights: distances must match the Dijkstra oracle
@@ -126,7 +136,7 @@ func bfsReconverges(t *testing.T, s sched.Kind) {
 	g := testGraph(t, 103)
 	bfs := algorithms.NewBFS(g, 1)
 	want := algorithms.ReferenceSSSP(g, 1, bfs.Weights)
-	inj := fault.MustInjector(corruptingPlan(8))
+	inj := newInjector(t, corruptingPlan(8))
 	got := bfs.Distances(runInjected(t, bfs, g, s, inj))
 	for v := range want {
 		if got[v] != want[v] && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
@@ -155,7 +165,7 @@ func pageRankConverges(t *testing.T, s sched.Kind) {
 	}
 	want := pr.Ranks(eRef)
 
-	inj := fault.MustInjector(fault.Plan{Seed: 21, StaleRead: 0.05, Delay: 0.05, MaxFaults: 3000})
+	inj := newInjector(t, fault.Plan{Seed: 21, StaleRead: 0.05, Delay: 0.05, MaxFaults: 3000})
 	got := pr.Ranks(runInjected(t, pr, g, s, inj))
 	for v := range want {
 		if d := math.Abs(got[v] - want[v]); d > 1e-2 {
@@ -201,7 +211,7 @@ func TestColoringDoesNotRecover(t *testing.T) {
 	damaged, invalid := 0, 0
 	var injected int64
 	for seed := uint64(1); seed <= 8; seed++ {
-		inj := fault.MustInjector(fault.Plan{
+		inj := newInjector(t, fault.Plan{
 			Seed:      seed,
 			TornWrite: 0.10,
 			DropWrite: 0.10,

@@ -86,9 +86,8 @@ func TestDelayClockHotPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Residual observation runs at every vertex commit of an observed run; both
-// the numeric-delta and discrete paths must be allocation-free, as must the
-// disabled (nil) state.
+// Residual observation is allocation-free on both the numeric-delta and
+// discrete paths, as is the disabled (nil) state.
 func TestResidualObserveDoesNotAllocate(t *testing.T) {
 	delta := func(old, new uint64) float64 { return float64(new) - float64(old) }
 	r := NewResidualEstimator(2, delta)

@@ -21,7 +21,7 @@
 //     by tests with the observer both absent and attached.
 //  2. Enabled means cheap. Emit performs no heap allocation in steady
 //     state: events are passed by value, land in a fixed-size ring
-//     buffer, and update a fixed array of per-engine atomic counters.
+//     buffer, and fold into a fixed array of per-engine stats.
 //     Sinks (JSONL, expvar, the /metrics endpoint) render from those two
 //     structures; the JSONL encoder appends into a reusable buffer.
 //  3. Stdlib only. The /metrics endpoint speaks the Prometheus text
@@ -32,7 +32,6 @@ package obs
 import (
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -66,15 +65,6 @@ func (k EngineKind) String() string {
 	return "unknown"
 }
 
-// EngineKinds lists every engine kind, in label order.
-func EngineKinds() []EngineKind {
-	out := make([]EngineKind, numEngines)
-	for i := range out {
-		out[i] = EngineKind(i)
-	}
-	return out
-}
-
 // Event is one telemetry sample. Barrier-based engines emit one per
 // iteration; the NoSync scheduler (tag nosync) emits one per
 // sample window plus a final one at quiescence. All counter fields are
@@ -102,9 +92,9 @@ type Event struct {
 	// of the sample, when conflict sampling is enabled; -1 marks a sample
 	// with no census attached.
 	RWConflicts, WWConflicts int64
-	// Residual is the convergence residual: the active fraction
-	// (scheduled/|V|) unless the emitting engine computes something
-	// sharper. It trends to zero as the computation converges.
+	// Residual is the convergence residual, scheduled or pending work over
+	// |V|: the barrier tiers' active fraction |S_n|/|V|, NoSync's pending
+	// tasks over |V|. It trends to zero as the computation converges.
 	Residual float64
 	// BarrierWaitNanos is the summed per-worker barrier-wait (load
 	// imbalance) of the sample, from sched.Pool timing; 0 when the
@@ -135,31 +125,6 @@ type Event struct {
 	// time — the live empirical delay bound per Blanco et al. All zero
 	// when no delay clock is attached.
 	DelayP50, DelayP99, DelayMax int64
-}
-
-// engineCounters aggregates one engine's events. All fields are atomics so
-// Emit never takes a lock to update them and /metrics renders without
-// stopping emitters.
-type engineCounters struct {
-	samples     atomic.Int64
-	iterations  atomic.Int64 // highest Iter seen + 1
-	updates     atomic.Int64
-	edgeReads   atomic.Int64
-	edgeWrites  atomic.Int64
-	rwConflicts atomic.Int64
-	wwConflicts atomic.Int64
-	barrierWait atomic.Int64 // nanoseconds
-	duration    atomic.Int64 // nanoseconds
-	messages    atomic.Int64
-	traceCommit atomic.Int64
-	contested   atomic.Int64
-	steals      atomic.Int64
-	idleTrans   atomic.Int64
-	scheduled   atomic.Int64  // last sample's value (gauge)
-	residual    atomic.Uint64 // last sample's value (float64 bits, gauge)
-	delayP50    atomic.Int64  // last sample's staleness quantiles (gauges)
-	delayP99    atomic.Int64
-	delayMax    atomic.Int64
 }
 
 // Options configures an Observer.
@@ -214,9 +179,9 @@ type WindowStat struct {
 type Observer struct {
 	opts Options
 
-	counters [numEngines]engineCounters
-
-	mu    sync.Mutex
+	mu sync.Mutex
+	// stats accumulates each engine's events, folded by Emit.
+	stats [numEngines]EngineStats
 	ring  []Event
 	seq   uint64 // events ever emitted (ring head = seq % len)
 	sinks []Sink
@@ -333,12 +298,16 @@ func New(opts Options) *Observer {
 	if opts.WindowEvery <= 0 {
 		opts.WindowEvery = time.Second
 	}
-	return &Observer{
+	o := &Observer{
 		opts:          opts,
 		ring:          make([]Event, 0, opts.RingSize),
 		windows:       make([]WindowStat, 0, windowKeep),
 		startUnixNano: time.Now().UnixNano(),
 	}
+	for k := range o.stats {
+		o.stats[k].Engine = EngineKind(k).String()
+	}
+	return o
 }
 
 // Enabled reports whether o is collecting (non-nil).
@@ -349,9 +318,10 @@ func (o *Observer) Enabled() bool { return o != nil }
 func (o *Observer) SampleConflicts() bool { return o != nil && o.opts.SampleConflicts }
 
 // Emit records one event: it stamps the time if unset, folds the event
-// into the per-engine counters, stores it in the ring, and hands it to
-// every attached sink. Emit on a nil Observer is a no-op. The event is
-// taken by value and the steady-state path performs no heap allocation.
+// into its engine's stats and window, stores it in the ring, and hands it
+// to every attached sink, all under the observer's lock. Emit on a nil
+// Observer is a no-op. The event is taken by value and the steady-state
+// path performs no heap allocation.
 func (o *Observer) Emit(ev Event) {
 	if o == nil {
 		return
@@ -363,34 +333,9 @@ func (o *Observer) Emit(ev Event) {
 	if k >= numEngines {
 		k = numEngines - 1
 	}
-	c := &o.counters[k]
-	c.samples.Add(1)
-	if n := ev.Iter + 1; n > c.iterations.Load() {
-		c.iterations.Store(n)
-	}
-	c.updates.Add(ev.Updates)
-	c.edgeReads.Add(ev.EdgeReads)
-	c.edgeWrites.Add(ev.EdgeWrites)
-	if ev.RWConflicts > 0 {
-		c.rwConflicts.Add(ev.RWConflicts)
-	}
-	if ev.WWConflicts > 0 {
-		c.wwConflicts.Add(ev.WWConflicts)
-	}
-	c.barrierWait.Add(ev.BarrierWaitNanos)
-	c.duration.Add(ev.DurationNanos)
-	c.messages.Add(ev.Messages)
-	c.traceCommit.Add(ev.TraceCommits)
-	c.contested.Add(ev.ContestedCommits)
-	c.steals.Add(ev.Steals)
-	c.idleTrans.Add(ev.IdleTransitions)
-	c.scheduled.Store(ev.Scheduled)
-	c.residual.Store(floatBits(ev.Residual))
-	c.delayP50.Store(ev.DelayP50)
-	c.delayP99.Store(ev.DelayP99)
-	c.delayMax.Store(ev.DelayMax)
 
 	o.mu.Lock()
+	o.stats[k].fold(&ev)
 	// Sinks (and the window fold) receive a pointer into the ring slot, not
 	// &ev: taking ev's address across the Sink interface would force the
 	// (stack) event to escape, costing one heap allocation per Emit.
@@ -549,39 +494,38 @@ type EngineStats struct {
 	DelayMax         int64   `json:"delay_max_last"`
 }
 
-// Stats snapshots the accumulated counters for every engine kind, in label
+// fold accumulates one event: counters add, Iterations keeps the highest
+// Iter + 1, and Scheduled, Residual and the Delay quantiles follow the
+// latest sample. Conflict counts of -1 (no census attached) add nothing.
+func (s *EngineStats) fold(ev *Event) {
+	s.Samples++
+	s.Iterations = max(s.Iterations, ev.Iter+1)
+	s.Updates += ev.Updates
+	s.EdgeReads += ev.EdgeReads
+	s.EdgeWrites += ev.EdgeWrites
+	s.RWConflicts += max(ev.RWConflicts, 0)
+	s.WWConflicts += max(ev.WWConflicts, 0)
+	s.BarrierWait += ev.BarrierWaitNanos
+	s.Duration += ev.DurationNanos
+	s.Messages += ev.Messages
+	s.TraceCommits += ev.TraceCommits
+	s.ContestedCommits += ev.ContestedCommits
+	s.Steals += ev.Steals
+	s.IdleTransitions += ev.IdleTransitions
+	s.Scheduled = ev.Scheduled
+	s.Residual = ev.Residual
+	s.DelayP50, s.DelayP99, s.DelayMax = ev.DelayP50, ev.DelayP99, ev.DelayMax
+}
+
+// Stats snapshots the accumulated stats for every engine kind, in label
 // order. Safe on nil (returns nil).
 func (o *Observer) Stats() []EngineStats {
 	if o == nil {
 		return nil
 	}
-	out := make([]EngineStats, numEngines)
-	for k := range o.counters {
-		c := &o.counters[k]
-		out[k] = EngineStats{
-			Engine:           EngineKind(k).String(),
-			Samples:          c.samples.Load(),
-			Iterations:       c.iterations.Load(),
-			Updates:          c.updates.Load(),
-			EdgeReads:        c.edgeReads.Load(),
-			EdgeWrites:       c.edgeWrites.Load(),
-			RWConflicts:      c.rwConflicts.Load(),
-			WWConflicts:      c.wwConflicts.Load(),
-			BarrierWait:      c.barrierWait.Load(),
-			Duration:         c.duration.Load(),
-			Messages:         c.messages.Load(),
-			TraceCommits:     c.traceCommit.Load(),
-			ContestedCommits: c.contested.Load(),
-			Steals:           c.steals.Load(),
-			IdleTransitions:  c.idleTrans.Load(),
-			Scheduled:        c.scheduled.Load(),
-			Residual:         floatFromBits(c.residual.Load()),
-			DelayP50:         c.delayP50.Load(),
-			DelayP99:         c.delayP99.Load(),
-			DelayMax:         c.delayMax.Load(),
-		}
-	}
-	return out
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]EngineStats(nil), o.stats[:]...)
 }
 
 // SetPhase records the coarse lifecycle label engines report ("nosync:

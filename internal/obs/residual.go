@@ -1,14 +1,14 @@
 // Online residual estimation: a striped, allocation-free accumulator of
-// convergence progress, updated at vertex-commit time.
+// value movement, one observation per vertex commit. Every committed
+// transition contributes |new − old| under a caller-supplied metric (a
+// numeric delta for fixed-point kernels like PageRank, a changed-vertex
+// count for discrete labels), so a windowed difference of two Totals
+// snapshots is the mean movement per commit.
 //
-// The engines' per-sample Residual gauge is the *active fraction*
-// (scheduled / |V|) — a proxy that says how much work is queued, not how
-// much the values still move. The estimator measures the movement itself:
-// every committed vertex transition contributes |new − old| under the
-// algorithm's own metric (a numeric delta for fixed-point kernels like
-// PageRank, a changed-vertex count for discrete labels), so a windowed
-// difference of two Totals snapshots is the mean movement per commit the
-// NoSync scheduler reports as its Residual gauge.
+// No engine feeds the estimator: every tier's Residual gauge is scheduled
+// or pending work over |V|. It remains only because the benchmark's
+// obs.residual_observe_ns row times it, and goes with that row (ROADMAP
+// item 1).
 package obs
 
 import (

@@ -177,10 +177,6 @@ var expvarTargets = struct {
 	m map[string]*Observer
 }{m: map[string]*Observer{}}
 
-// floatBits round-trips a float64 through its IEEE bits for atomic gauges.
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
 // appendFloat renders f compactly without allocating.
 func appendFloat(b []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {

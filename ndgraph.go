@@ -365,7 +365,8 @@ type (
 	// by /statusz and returned by Observer.DelaySnapshots.
 	DelaySnapshot = obs.DelaySnapshot
 	// ResidualEstimator accumulates per-commit value movement (striped,
-	// allocation-free) — the input of the telemetry Residual gauge.
+	// allocation-free). No engine feeds it; it remains only because the
+	// benchmark's obs.residual_observe_ns row times it (ROADMAP item 1).
 	ResidualEstimator = obs.ResidualEstimator
 	// ResidualTotals is a ResidualEstimator snapshot.
 	ResidualTotals = obs.ResidualTotals
@@ -382,7 +383,9 @@ var (
 	// NewDelayClock builds a standalone staleness clock (engines create
 	// their own when observing; this is for custom executors).
 	NewDelayClock = obs.NewDelayClock
-	// NewResidualEstimator builds a striped residual accumulator.
+	// NewResidualEstimator builds a striped residual accumulator (kept
+	// for the benchmark's obs.residual_observe_ns row, like
+	// ResidualEstimator).
 	NewResidualEstimator = obs.NewResidualEstimator
 )
 

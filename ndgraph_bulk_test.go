@@ -149,11 +149,15 @@ func (in instrumentation) newObserver() *obs.Observer {
 	return obs.New(obs.Options{})
 }
 
-func (in instrumentation) newInjector() *fault.Injector {
+func (in instrumentation) newInjector(t *testing.T) *fault.Injector {
 	if !in.inject {
 		return nil
 	}
-	return fault.MustInjector(fault.Plan{Seed: 5, TornWrite: 0.02, DropWrite: 0.04, StaleRead: 0.04, Delay: 0.02, MaxFaults: 200})
+	inj, err := fault.NewInjector(fault.Plan{Seed: 5, TornWrite: 0.02, DropWrite: 0.04, StaleRead: 0.04, Delay: 0.02, MaxFaults: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }
 
 // scrub removes the wall-clock fields so two runs' event streams compare.
@@ -206,7 +210,7 @@ func runCore(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentatio
 		PotentialCensus: in.potential,
 		Amplify:         in.amplify,
 		Observer:        in.newObserver(),
-		Inject:          in.newInjector(),
+		Inject:          in.newInjector(t),
 	}
 	if in.bsp {
 		opts.Scheduler = sched.Synchronous
@@ -256,7 +260,7 @@ func runNoSync(t *testing.T, g *graph.Graph, mode edgedata.Mode, in instrumentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Scheduler: sched.NoSync, Threads: 1, Mode: mode, Observer: in.newObserver(), Inject: in.newInjector(), Verdict: &verdict}
+	opts := core.Options{Scheduler: sched.NoSync, Threads: 1, Mode: mode, Observer: in.newObserver(), Inject: in.newInjector(t), Verdict: &verdict}
 	e, err := core.NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@
 // run is live, failing unless the endpoint returns well-formed JSON whose
 // engine rows show real mid-run progress (and an HTML rendering on
 // request). A /statusz that only works after the run would be a post-mortem
-// viewer, not a progress plane.
+// viewer, not a progress plane. After the run it requires the residual
+// curve: at least one window, each with a residual in [0, 1].
 package main
 
 import (
@@ -36,6 +37,10 @@ type payload struct {
 		Engine string `json:"engine"`
 		Count  int64  `json:"count"`
 	} `json:"delay"`
+	Windows []struct {
+		Engine   string  `json:"engine"`
+		Residual float64 `json:"residual"`
+	} `json:"windows"`
 }
 
 func main() {
@@ -69,7 +74,7 @@ func run() error {
 	go func() {
 		e, r, err := algorithms.Run(pr, g, core.Options{
 			Scheduler: sched.NoSync, Threads: 4, Mode: edgedata.ModeAtomic,
-			Observer: o, ResidualDelta: pr.ResidualDelta,
+			Observer: o,
 		})
 		if e != nil {
 			e.Close()
@@ -100,9 +105,39 @@ func run() error {
 	if !res.Converged {
 		return fmt.Errorf("run did not converge (updates=%d)", res.Updates)
 	}
-	fmt.Printf("statusz smoke OK: live phase=%q engines=%d updates(live)=%d run updates=%d\n",
-		live.Phase, len(live.Engines), live.Engines[0].Updates, res.Updates)
+	windows, err := residualCurve(base, o)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("statusz smoke OK: live phase=%q engines=%d updates(live)=%d run updates=%d windows=%d\n",
+		live.Phase, len(live.Engines), live.Engines[0].Updates, res.Updates, windows)
 	return nil
+}
+
+// residualCurve flushes the observer's partial window and requires
+// /statusz to serve at least one window, each with a residual (pending
+// tasks over |V| for NoSync) in [0, 1]. It returns the window count.
+func residualCurve(base string, o *obs.Observer) (int, error) {
+	if err := o.Close(); err != nil {
+		return 0, err
+	}
+	body, err := get(base + "/statusz")
+	if err != nil {
+		return 0, err
+	}
+	var p payload
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		return 0, fmt.Errorf("/statusz returned malformed JSON: %w (%.120q)", err, body)
+	}
+	if len(p.Windows) == 0 {
+		return 0, fmt.Errorf("/statusz served no residual window after the run")
+	}
+	for i, w := range p.Windows {
+		if !(w.Residual >= 0 && w.Residual <= 1) {
+			return 0, fmt.Errorf("/statusz window %d (%s) has residual %v, want it in [0, 1]", i, w.Engine, w.Residual)
+		}
+	}
+	return len(p.Windows), nil
 }
 
 // pollLive polls /statusz until a snapshot shows a live engine mid-run, or
